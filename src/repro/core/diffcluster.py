@@ -56,26 +56,31 @@ def tag_diff(unknown_html, ground_truth_html):
 class DiffProfile:
     """The modification fingerprint of one unknown response."""
 
-    __slots__ = ("capture", "added", "removed", "similarity_to_truth")
+    __slots__ = ("capture", "added", "removed", "similarity_to_truth",
+                 "signature")
 
     def __init__(self, capture, added, removed, similarity_to_truth):
         self.capture = capture
         self.added = added
         self.removed = removed
         self.similarity_to_truth = similarity_to_truth
+        # Added and removed tags as one multiset with signed markers,
+        # fixed here because clustering compares every pair of profiles
+        # and few of them differ: hashable, so equal modifications are
+        # recognised as such, and sorted, so equal ones pickle equally.
+        self.signature = tuple(sorted(
+            [("+%s" % name, count) for name, count in added.items()
+             if count > 0]
+            + [("-%s" % name, count) for name, count in removed.items()
+               if count > 0]))
 
     @property
     def modification_size(self):
         return sum(self.added.values()) + sum(self.removed.values())
 
     def combined_multiset(self):
-        """Added and removed tags as one multiset with signed markers."""
-        combined = Counter()
-        for name, count in self.added.items():
-            combined["+%s" % name] = count
-        for name, count in self.removed.items():
-            combined["-%s" % name] = count
-        return combined
+        """The signed multiset as a ``Counter``."""
+        return Counter(dict(self.signature))
 
     def __repr__(self):
         return "DiffProfile(+%d/-%d tags)" % (
@@ -122,9 +127,20 @@ def diff_cluster(diff_profiles, threshold=0.5):
     same injected ``<script>``/banner ``<div>`` across different sites)
     end up in one cluster.
     """
+    # Many responses, few kinds of modification: the Jaccard distance
+    # is computed once per pair of signatures and every pair of profiles
+    # is answered from that.  All profiles still enter the clustering,
+    # so the average-linkage weights are those of the full set.
+    by_signatures = {}
+
     def distance(profile_a, profile_b):
-        return jaccard_distance(profile_a.combined_multiset(),
-                                profile_b.combined_multiset())
+        key = (profile_a.signature, profile_b.signature)
+        value = by_signatures.get(key)
+        if value is None:
+            value = by_signatures[key] = jaccard_distance(
+                profile_a.combined_multiset(),
+                profile_b.combined_multiset())
+        return value
 
     return hierarchical_cluster(diff_profiles, distance, threshold,
                                 linkage="average")

@@ -4,7 +4,11 @@ from contextlib import contextmanager, nullcontext
 
 from repro.core.acquisition import DataAcquirer
 from repro.core.clustering import cluster_deduplicated
-from repro.core.diffcluster import build_diff_profile, diff_cluster
+from repro.core.diffcluster import (
+    DiffProfile,
+    build_diff_profile,
+    diff_cluster,
+)
 from repro.core.distance import FeatureCache, MemoizedDistance, PageDistance
 from repro.core.labeling import (
     ClusterLabeler,
@@ -423,19 +427,32 @@ class ManipulationPipeline:
         def compute_labeling():
             labeled = []
             diff_clusters = []
+            diff_profiles = []
+            reused = 0
             with self._stage("labeling"):
                 try:
                     labeler = ClusterLabeler(report.ground_truth_bodies)
                     labeled = labeler.label_clusters(report.clusters)
                     # Fine-grained diff clustering of near-original
-                    # modifications.
-                    diff_profiles = []
+                    # modifications.  The diff depends on the page and
+                    # the site's ground truth only, so resolvers that
+                    # returned the same page for a domain share one.
+                    built = {}
                     for capture in report.http_captures:
-                        truths = report.ground_truth_bodies.get(
-                            normalize_name(capture.domain))
+                        domain = normalize_name(capture.domain)
+                        truths = report.ground_truth_bodies.get(domain)
                         if not truths or not capture.body:
                             continue
-                        profile = build_diff_profile(capture, truths)
+                        page = (capture.body, domain)
+                        first = built.get(page)
+                        if first is None:
+                            profile = built[page] = build_diff_profile(
+                                capture, truths)
+                        else:
+                            profile = DiffProfile(
+                                capture, first.added, first.removed,
+                                first.similarity_to_truth)
+                            reused += 1
                         if 0 < profile.modification_size <= 40:
                             diff_profiles.append(profile)
                     if diff_profiles:
@@ -450,6 +467,15 @@ class ManipulationPipeline:
                                 report.observation_count)
                 self.perf.count("pipeline_captures",
                                 len(report.http_captures))
+                # The duplication the diff stage lives off: profiles
+                # clustered, distinct modifications among them, and
+                # captures that took their diff from an identical page.
+                self.perf.count("pipeline_diff_profiles",
+                                len(diff_profiles))
+                self.perf.count("pipeline_diff_signatures",
+                                len({profile.signature
+                                     for profile in diff_profiles}))
+                self.perf.count("pipeline_diff_profile_reuse", reused)
                 self.perf.gauge("pipeline_distance_cache_hit_rate",
                                 self.distance.hit_rate())
                 self.perf.gauge("pipeline_feature_cache_hit_rate",

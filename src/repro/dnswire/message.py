@@ -3,10 +3,23 @@
 import struct
 
 from repro.dnswire import constants
-from repro.dnswire.name import NameCompressor, decode_name, encode_name
+from repro.dnswire.name import (
+    MAX_LABEL_LENGTH,
+    NameCompressor,
+    NameError_,
+    decode_name,
+    encode_name,
+    normalize_name,
+    split_labels,
+)
 from repro.dnswire.records import ResourceRecord
 
 HEADER_STRUCT = struct.Struct("!HHHHHH")
+_QUESTION_FIXED = struct.Struct("!HH")
+# The first name of a message starts right after the header, so this is
+# the compression pointer every later copy of it becomes.
+_FIRST_NAME_OFFSET = HEADER_STRUCT.size
+_FIRST_NAME_POINTER = bytes((0xC0, _FIRST_NAME_OFFSET))
 
 
 def peek_header(data):
@@ -59,16 +72,9 @@ class Header:
 
     @classmethod
     def from_flags_word(cls, txid, word):
-        return cls(
-            txid=txid,
-            qr=bool(word & 0x8000),
-            opcode=(word >> 11) & 0xF,
-            aa=bool(word & 0x0400),
-            tc=bool(word & 0x0200),
-            rd=bool(word & 0x0100),
-            ra=bool(word & 0x0080),
-            rcode=word & 0xF,
-        )
+        return cls(txid, word & 0x8000 != 0, (word >> 11) & 0xF,
+                   word & 0x0400 != 0, word & 0x0200 != 0,
+                   word & 0x0100 != 0, word & 0x0080 != 0, word & 0xF)
 
     def __repr__(self):
         return ("Header(txid=0x%04x, qr=%s, rcode=%s)"
@@ -84,17 +90,19 @@ class Question:
         self.qtype = qtype
         self.qclass = qclass
 
-    def to_wire(self, compressor=None, offset=0):
-        if compressor is not None:
-            name_wire = compressor.encode(self.name, offset)
-        else:
+    def to_wire(self, name_wire=None):
+        """Wire form; ``name_wire`` is the already-encoded (possibly
+        compressed) name when the entry is part of a message."""
+        if name_wire is None:
             name_wire = encode_name(self.name)
-        return name_wire + struct.pack("!HH", self.qtype, self.qclass)
+        return name_wire + _QUESTION_FIXED.pack(self.qtype, self.qclass)
 
     @classmethod
     def from_wire(cls, message, offset):
         name, pos = decode_name(message, offset)
-        qtype, qclass = struct.unpack_from("!HH", message, pos)
+        if pos + 4 > len(message):
+            raise ValueError("truncated question at offset %d" % offset)
+        qtype, qclass = _QUESTION_FIXED.unpack_from(message, pos)
         return cls(name, qtype, qclass), pos + 4
 
     def __eq__(self, other):
@@ -117,10 +125,10 @@ class Message:
     def __init__(self, header=None, questions=None, answers=None,
                  authorities=None, additionals=None):
         self.header = header or Header()
-        self.questions = list(questions or [])
-        self.answers = list(answers or [])
-        self.authorities = list(authorities or [])
-        self.additionals = list(additionals or [])
+        self.questions = list(questions) if questions else []
+        self.answers = list(answers) if answers else []
+        self.authorities = list(authorities) if authorities else []
+        self.additionals = list(additionals) if additionals else []
 
     @classmethod
     def query(cls, name, qtype=constants.QTYPE_A, qclass=constants.CLASS_IN,
@@ -151,16 +159,42 @@ class Message:
                 if rr.rtype == constants.QTYPE_A]
 
     def to_wire(self):
-        compressor = NameCompressor()
+        header = self.header
         out = bytearray(HEADER_STRUCT.pack(
-            self.header.txid, self.header.flags_word(),
+            header.txid, header.flags_word(),
             len(self.questions), len(self.answers),
             len(self.authorities), len(self.additionals)))
-        for question in self.questions:
-            out.extend(question.to_wire(compressor, len(out)))
-        for section in (self.answers, self.authorities, self.additionals):
-            for record in section:
-                out.extend(record.to_wire(compressor, len(out)))
+        # The first name is written out in full at offset 12 and nearly
+        # every record is owned by it: those take the pointer without
+        # any compressor state.  A NameCompressor exists only once some
+        # other name appears, replayed up to where a compressor that had
+        # seen the whole message would be.
+        first = first_key = compressor = None
+        for section in (self.questions, self.answers, self.authorities,
+                        self.additionals):
+            for entry in section:
+                name = entry.name
+                if first is None:
+                    first = name
+                    first_key = normalize_name(name)
+                    name_wire = bytearray()
+                    for label in split_labels(name):
+                        raw = label.encode("ascii")
+                        if len(raw) > MAX_LABEL_LENGTH:
+                            raise NameError_("label too long in %r" % name)
+                        name_wire.append(len(raw))
+                        name_wire += raw
+                    name_wire.append(0)
+                elif first_key and normalize_name(name) == first_key:
+                    # (The root name is a lone zero byte, never a
+                    # pointer target.)
+                    name_wire = _FIRST_NAME_POINTER
+                else:
+                    if compressor is None:
+                        compressor = NameCompressor()
+                        compressor.encode(first, _FIRST_NAME_OFFSET)
+                    name_wire = compressor.encode(name, len(out))
+                out += entry.to_wire(name_wire)
         return bytes(out)
 
     @classmethod
@@ -168,23 +202,29 @@ class Message:
         if len(data) < HEADER_STRUCT.size:
             raise ValueError("message shorter than DNS header")
         txid, flags, qdcount, ancount, nscount, arcount = \
-            HEADER_STRUCT.unpack_from(
-            data, 0)
-        header = Header.from_flags_word(txid, flags)
+            HEADER_STRUCT.unpack_from(data, 0)
+        message = cls(Header.from_flags_word(txid, flags))
         pos = HEADER_STRUCT.size
-        questions = []
+        # Compression pointer -> the question name it refers to, so the
+        # records owned by it (nearly all) skip decoding it again.  Only
+        # names stored without a pointer of their own qualify — k labels
+        # then occupy exactly len(name) + 2 bytes — which keeps the
+        # pointer-jump budget of decode_name out of the picture.
+        pointed = {}
         for __ in range(qdcount):
-            question, pos = Question.from_wire(data, pos)
-            questions.append(question)
-        sections = []
-        for count in (ancount, nscount, arcount):
-            records = []
+            question, end = Question.from_wire(data, pos)
+            if end - 4 - pos == len(question.name) + 2 and pos < 0x4000:
+                pointed[bytes((0xC0 | pos >> 8, pos & 0xFF))] = \
+                    question.name
+            message.questions.append(question)
+            pos = end
+        for count, records in ((ancount, message.answers),
+                               (nscount, message.authorities),
+                               (arcount, message.additionals)):
             for __ in range(count):
-                record, pos = ResourceRecord.from_wire(data, pos)
+                record, pos = ResourceRecord.from_wire(data, pos, pointed)
                 records.append(record)
-            sections.append(records)
-        return cls(header=header, questions=questions, answers=sections[0],
-                   authorities=sections[1], additionals=sections[2])
+        return message
 
     def __repr__(self):
         return ("Message(%r, %d questions, %d answers, rcode=%s)"

@@ -59,13 +59,23 @@ def decode_name(data, offset):
     labels = []
     jumps = 0
     next_offset = None
+    size = len(data)
     pos = offset
     while True:
-        if pos >= len(data):
+        if pos >= size:
             raise NameError_("truncated name at offset %d" % offset)
         length = data[pos]
-        if length & _POINTER_MASK == _POINTER_MASK:
-            if pos + 1 >= len(data):
+        if length < 0x40:
+            pos += 1
+            if length == 0:
+                break
+            end = pos + length
+            if end > size:
+                raise NameError_("truncated label")
+            labels.append(data[pos:end])
+            pos = end
+        elif length >= _POINTER_MASK:
+            if pos + 1 >= size:
                 raise NameError_("truncated compression pointer")
             if next_offset is None:
                 next_offset = pos + 2
@@ -76,19 +86,13 @@ def decode_name(data, offset):
             if jumps > 64:
                 raise NameError_("compression pointer loop")
             pos = target
-            continue
-        if length & _POINTER_MASK:
+        else:
             raise NameError_("reserved label type 0x%02x" % length)
-        pos += 1
-        if length == 0:
-            break
-        if pos + length > len(data):
-            raise NameError_("truncated label")
-        labels.append(data[pos:pos + length].decode("ascii", "replace"))
-        pos += length
     if next_offset is None:
         next_offset = pos
-    return ".".join(labels), next_offset
+    # One decode for the whole name: ASCII decoding is per byte, so it
+    # equals decoding label by label.
+    return b".".join(labels).decode("ascii", "replace"), next_offset
 
 
 class NameCompressor:

@@ -5,24 +5,18 @@ import struct
 from repro.dnswire import constants
 from repro.dnswire.name import decode_name, encode_name
 
+# type, class, TTL, rdlength: the fixed part of every record.
+_FIXED = struct.Struct("!HHIH")
+
 
 def _pack_ipv4(text):
     parts = text.split(".")
     if len(parts) != 4:
         raise ValueError("bad IPv4 address %r" % text)
-    octets = []
-    for part in parts:
-        value = int(part)
-        if not 0 <= value <= 255:
-            raise ValueError("bad IPv4 address %r" % text)
-        octets.append(value)
-    return bytes(octets)
-
-
-def _unpack_ipv4(data):
-    if len(data) != 4:
-        raise ValueError("A rdata must be 4 bytes")
-    return ".".join(str(b) for b in data)
+    try:
+        return bytes(map(int, parts))    # rejects octets outside 0..255
+    except ValueError:
+        raise ValueError("bad IPv4 address %r" % text) from None
 
 
 class AData:
@@ -38,7 +32,10 @@ class AData:
 
     @classmethod
     def from_wire(cls, data, offset, rdlength, message=None):
-        return cls(_unpack_ipv4(message[offset:offset + rdlength]))
+        octets = message[offset:offset + rdlength]
+        if len(octets) != 4:
+            raise ValueError("A rdata must be 4 bytes")
+        return cls("%d.%d.%d.%d" % tuple(octets))
 
     def __eq__(self, other):
         return isinstance(other, AData) and other.address == self.address
@@ -149,6 +146,8 @@ class MxData:
 
     @classmethod
     def from_wire(cls, data, offset, rdlength, message=None):
+        if rdlength < 2:
+            raise ValueError("MX rdata shorter than its preference")
         (preference,) = struct.unpack_from("!H", message, offset)
         exchange, __ = decode_name(message, offset + 2)
         return cls(preference, exchange)
@@ -189,6 +188,8 @@ class SoaData:
     def from_wire(cls, data, offset, rdlength, message=None):
         mname, pos = decode_name(message, offset)
         rname, pos = decode_name(message, pos)
+        if pos + 20 > len(message):
+            raise ValueError("truncated SOA rdata")
         serial, refresh, retry, expire, minimum = struct.unpack_from(
             "!IIIII", message, pos)
         return cls(mname, rname, serial, refresh, retry, expire, minimum)
@@ -294,24 +295,38 @@ class ResourceRecord:
         return ResourceRecord(self.name, self.rtype, self.rclass, ttl,
                               self.data)
 
-    def to_wire(self, compressor=None, offset=0):
-        if compressor is not None:
-            name_wire = compressor.encode(self.name, offset)
-        else:
+    def to_wire(self, name_wire=None):
+        """Wire form; ``name_wire`` is the already-encoded (possibly
+        compressed) owner name when the record is part of a message."""
+        if name_wire is None:
             name_wire = encode_name(self.name)
         rdata = self.data.to_wire()
-        return name_wire + struct.pack(
-            "!HHIH", self.rtype, self.rclass, self.ttl & 0xFFFFFFFF,
+        return name_wire + _FIXED.pack(
+            self.rtype, self.rclass, self.ttl & 0xFFFFFFFF,
             len(rdata)) + rdata
 
     @classmethod
-    def from_wire(cls, message, offset):
-        name, pos = decode_name(message, offset)
-        rtype, rclass, ttl, rdlength = struct.unpack_from("!HHIH",
-                                                          message, pos)
-        pos += 10
-        data = decode_rdata(rtype, message, pos, rdlength)
-        return cls(name, rtype, rclass, ttl, data), pos + rdlength
+    def from_wire(cls, message, offset, pointed=None):
+        """Decode the record at ``offset``; returns ``(record, end)``.
+
+        ``pointed`` maps two-byte compression pointers to the names
+        already decoded at their targets: an owner name that is such a
+        pointer is taken from there instead of being decoded again.
+        """
+        name = pointed.get(message[offset:offset + 2]) if pointed else None
+        if name is not None:
+            pos = offset + 2
+        else:
+            name, pos = decode_name(message, offset)
+        end = pos + _FIXED.size
+        if end > len(message):
+            raise ValueError("truncated record header at offset %d" % pos)
+        rtype, rclass, ttl, rdlength = _FIXED.unpack_from(message, pos)
+        if end + rdlength > len(message):
+            raise ValueError("rdata of %d bytes runs past the message"
+                             % rdlength)
+        data = decode_rdata(rtype, message, end, rdlength)
+        return cls(name, rtype, rclass, ttl, data), end + rdlength
 
     def __eq__(self, other):
         return isinstance(other, ResourceRecord) and (

@@ -1,5 +1,9 @@
 """Tests for fine-grained diff clustering."""
 
+from collections import Counter
+
+from hypothesis import given, settings, strategies as st
+
 from repro.core.acquisition import HttpCapture
 from repro.core.diffcluster import (
     DiffProfile,
@@ -7,6 +11,7 @@ from repro.core.diffcluster import (
     diff_cluster,
     tag_diff,
 )
+from tests.oracles import pairwise_diff_cluster, signed_multiset
 
 ORIGINAL = ("<html><head><title>Bank</title></head><body>"
             "<h1>Bank</h1><p>welcome</p>"
@@ -106,3 +111,42 @@ class TestDiffClustering:
     def test_empty_input(self):
         clusters, __ = diff_cluster([], threshold=0.5)
         assert clusters == []
+
+
+class TestDiffClusterAgainstPerPairJaccard:
+    """``diff_cluster`` answers Jaccard per pair of signatures; a fresh
+    ``Counter`` Jaccard per pair of profiles must give the same clusters
+    and the same merge history, float for float."""
+
+    MODIFICATIONS = st.tuples(
+        st.dictionaries(st.sampled_from(("script", "div", "iframe", "a")),
+                        st.integers(min_value=0, max_value=3), max_size=3),
+        st.dictionaries(st.sampled_from(("form", "input", "div", "img")),
+                        st.integers(min_value=0, max_value=3), max_size=3))
+
+    @staticmethod
+    def _profiles(modifications):
+        return [DiffProfile(capture_with("x", ip="9.9.9.%d" % index),
+                            Counter(added), Counter(removed), 0.9)
+                for index, (added, removed) in enumerate(modifications)]
+
+    @given(st.lists(MODIFICATIONS, min_size=1, max_size=6).flatmap(
+               lambda pool: st.lists(st.sampled_from(pool), min_size=2,
+                                     max_size=40)),
+           st.sampled_from((0.0, 0.3, 0.5, 0.8, 1.0)))
+    @settings(max_examples=150, deadline=None)
+    def test_heavy_duplication(self, modifications, threshold):
+        profiles = self._profiles(modifications)
+        clusters, dendrogram = diff_cluster(profiles, threshold)
+        expected, expected_dendrogram = pairwise_diff_cluster(
+            profiles, threshold)
+        assert [c.indices for c in clusters] \
+            == [c.indices for c in expected]
+        assert dendrogram.merges == expected_dendrogram.merges
+
+    def test_signature_matches_the_counter_form(self):
+        profile = DiffProfile(capture_with("x"),
+                              {"script": 2, "div": 0}, {"form": 1}, 0.9)
+        # (Unary plus drops the zero count the oracle keeps.)
+        assert profile.combined_multiset() == +signed_multiset(profile)
+        assert profile.signature == (("+script", 2), ("-form", 1))

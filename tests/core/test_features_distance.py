@@ -1,5 +1,7 @@
 """Tests for HTML feature extraction and the seven-feature distance."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,8 @@ from repro.core.distance import (
 )
 from repro.core.features import extract_features
 from collections import Counter
+
+from tests.oracles import dp_edit_distance
 
 SIMPLE = ("<html><head><title>Hello World</title>"
           "<script src=\"/app.js\"></script></head>"
@@ -110,6 +114,96 @@ class TestPrimitiveDistances:
     @settings(max_examples=50)
     def test_edit_distance_symmetric(self, a, b):
         assert edit_distance(a, b) == edit_distance(b, a)
+
+
+class TestEditDistanceAgainstDp:
+    """The bit-parallel kernel must agree with the two-row dynamic
+    program on every input: it replaced it on the study's hot path."""
+
+    # Around the 30- and 64-bit word sizes an integer column could get
+    # wrong, and past the 600 cap the page distance applies.
+    LENGTHS = (0, 1, 2, 29, 30, 31, 63, 64, 65, 127, 128, 129, 601, 650)
+
+    @staticmethod
+    def _related(rng, length, alphabet):
+        """A random sequence and an edited copy of it (realistic input:
+        page variants share most of their content)."""
+        base = [rng.choice(alphabet) for __ in range(length)]
+        edited = list(base)
+        for __ in range(rng.randrange(0, 8)):
+            position = rng.randrange(0, len(edited) + 1)
+            action = rng.randrange(3)
+            if action == 0:
+                edited.insert(position, rng.choice(alphabet))
+            elif edited and action == 1:
+                del edited[min(position, len(edited) - 1)]
+            elif edited:
+                edited[min(position, len(edited) - 1)] = \
+                    rng.choice(alphabet)
+        return base, edited
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_strings_at_boundary_lengths(self, length):
+        rng = random.Random(length)
+        for alphabet in ("ab", "abcdefghij <>/=\"\u00e9\u4e2d"):
+            base, edited = self._related(rng, length, alphabet)
+            left, right = "".join(base), "".join(edited)
+            noise = "".join(rng.choice(alphabet) for __ in range(length))
+            for a, b in ((left, right), (right, left), (left, noise),
+                         (left, left[::-1]), (left, "")):
+                for cap in (None, 600, 64, 63, 1):
+                    assert edit_distance(a, b, cap=cap) \
+                        == dp_edit_distance(a, b, cap=cap), (a, b, cap)
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_tag_tuples_at_boundary_lengths(self, length):
+        rng = random.Random(1000 + length)
+        tags = ("html", "head", "body", "div", "script", "a", "img", "p")
+        base, edited = self._related(rng, length, tags)
+        left, right = tuple(base), tuple(edited)
+        for a, b in ((left, right), (right, left), (left, left[::-1]),
+                     (left, ()), (left, right[:length // 2])):
+            for cap in (None, 600, 64):
+                assert edit_distance(a, b, cap=cap) \
+                    == dp_edit_distance(a, b, cap=cap)
+
+    @given(st.text(alphabet="abc", max_size=80),
+           st.text(alphabet="abc", max_size=80),
+           st.one_of(st.none(), st.integers(min_value=0, max_value=90)))
+    @settings(max_examples=300, deadline=None)
+    def test_small_alphabet_strings(self, a, b, cap):
+        assert edit_distance(a, b, cap=cap) \
+            == dp_edit_distance(a, b, cap=cap)
+
+    @given(st.text(max_size=70), st.text(max_size=70))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_text(self, a, b):
+        assert edit_distance(a, b) == dp_edit_distance(a, b)
+
+    @given(st.lists(st.sampled_from(("div", "p", "a", "script")),
+                    max_size=70),
+           st.lists(st.sampled_from(("div", "p", "a", "span")),
+                    max_size=70),
+           st.one_of(st.none(), st.integers(min_value=0, max_value=70)))
+    @settings(max_examples=200, deadline=None)
+    def test_tuples(self, a, b, cap):
+        assert edit_distance(tuple(a), tuple(b), cap=cap) \
+            == dp_edit_distance(tuple(a), tuple(b), cap=cap)
+
+    def test_page_distance_unchanged(self, monkeypatch):
+        """The seven-feature distance is the same float either way."""
+        from repro.core import distance as distance_module
+        pages = [SIMPLE,
+                 SIMPLE.replace("<h1>Hi</h1>", "<h2>Hi</h2><div></div>"),
+                 SIMPLE.replace("var x = 1;", "var y = 2; alert(y);"),
+                 "<html><title>Other</title><body><p>x</p></body></html>",
+                 ""]
+        profiles = [extract_features(page) for page in pages]
+        kernel = [PageDistance()(a, b) for a in profiles for b in profiles]
+        monkeypatch.setattr(distance_module, "edit_distance",
+                            dp_edit_distance)
+        assert kernel == [PageDistance()(a, b)
+                          for a in profiles for b in profiles]
 
 
 class TestPageDistance:

@@ -64,3 +64,42 @@ class TestRenderMarkdown:
         report = render_markdown(results)
         assert "Scale 1:" not in report
         assert "## Table 5" in report
+
+
+class TestKernelsAgainstOracles:
+    def test_report_is_byte_equal_with_the_oracles_swapped_in(
+            self, monkeypatch):
+        """One tiny study on the production kernels, one on the
+        reference implementations they replaced (two-row edit distance,
+        per-pair Counter Jaccard, compressor-only encoder): the rendered
+        reports must not differ in a byte."""
+        from repro.core import distance, pipeline
+        from repro.dnswire.message import Message
+        from repro.scenario import ScenarioConfig, build_scenario
+        from tests import oracles
+
+        def study():
+            scenario = build_scenario(ScenarioConfig(
+                scale=100000, seed=13, loss_rate=0.0))
+            results = run_full_study(
+                scenario, weeks=2, snoop_sample=10,
+                pipeline_categories=("Alexa", "Banking"))
+            return render_markdown(results, scenario=scenario)
+
+        report = study()
+        calls = {}
+
+        def counted(name, oracle):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return oracle(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(distance, "edit_distance", counted(
+            "edit_distance", oracles.dp_edit_distance))
+        monkeypatch.setattr(pipeline, "diff_cluster", counted(
+            "diff_cluster", oracles.pairwise_diff_cluster))
+        monkeypatch.setattr(Message, "to_wire", counted(
+            "to_wire", oracles.compressor_only_to_wire))
+        assert study() == report
+        assert set(calls) == {"edit_distance", "diff_cluster", "to_wire"}
