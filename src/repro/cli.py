@@ -68,6 +68,16 @@ def _positive_float(text):
     return value
 
 
+def _backoff_factor(text):
+    """Argparse type for ``--backoff``: below 1 every retransmission
+    would time out *sooner* than the attempt before it."""
+    value = _positive_float(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "must be a number >= 1 (got %r)" % text)
+    return value
+
+
 def _fraction(text):
     """Argparse type for (0, 1) shares (audit fraction, drift budget)."""
     value = _positive_float(text)
@@ -161,7 +171,7 @@ def _add_common(parser):
                         help="live materialized nodes kept per worker "
                              "under --lazy-population (LRU-evicted "
                              "beyond this)")
-    parser.add_argument("--backoff", type=float, default=2.0,
+    parser.add_argument("--backoff", type=_backoff_factor, default=2.0,
                         metavar="FACTOR",
                         help="retransmission timeout growth factor "
                              "(each retry waits FACTOR times longer)")

@@ -5,6 +5,8 @@ scanners need, plus the private/unallocated ranges the paper's Internet-wide
 scans exclude.
 """
 
+from bisect import bisect_left, bisect_right
+
 # Conversion memos: scans touch every address of every target prefix each
 # week, so both directions are called hundreds of thousands of times per
 # simulated week on a small, recurring working set.  Capped so unbounded
@@ -130,6 +132,26 @@ def is_private(address):
     """
     value = ip_to_int(address) if isinstance(address, str) else address
     return any(net.contains_int(value) for net in _PRIVATE_NETWORKS)
+
+
+def paint_ranges(column, addresses, addresses_sorted, ranges):
+    """Set ``column[i] = 1`` wherever ``addresses[i]`` falls inside one
+    of the ``(base, mask)`` CIDR ``ranges``.
+
+    A globally ascending address column (``addresses_sorted``) is
+    painted with two bisects and one slice store per range instead of a
+    per-address pass.
+    """
+    for base, mask in ranges:
+        if addresses_sorted:
+            lo = bisect_left(addresses, base)
+            hi = bisect_right(addresses, base | (~mask & 0xFFFFFFFF))
+            if hi > lo:
+                column[lo:hi] = b"\x01" * (hi - lo)
+        else:
+            for position, value in enumerate(addresses):
+                if value & mask == base:
+                    column[position] = 1
 
 
 def reverse_pointer_name(address):

@@ -30,8 +30,8 @@ bucket — an unpaced scanner, or background traffic) is treated as
 full-line-rate: hostile networks punish what they cannot see throttling
 itself.  Because the fate is a pure hash, the scanner-side pacing plan
 can *replay* each admonishment without sending a packet — the same
-pattern ``query_loss_selector`` uses for baseline loss — which is what
-keeps sharded, batched, and per-probe scans bit-identical under defense.
+pattern ``Network.cold_sweep_columns`` uses for baseline loss — which is
+what keeps sharded and bulk-settled scans bit-identical under defense.
 
 Each box also implements ``scan_interest`` returning its protected
 ranges, so the batched sweep marks defended destinations "hot" and sends
@@ -104,14 +104,6 @@ class DefenseMiddlebox(Middlebox):
         ``rate_bucket`` is probes/sec (int) or ``None`` for unpaced.
         """
         raise NotImplementedError
-
-    def signature(self):
-        """Hashable configuration identity, for pacing-plan memo keys."""
-        return (type(self).__name__, self.seed, self.active_after,
-                tuple(self._protect_masks)) + self._config_signature()
-
-    def _config_signature(self):
-        return ()
 
     # -- middlebox protocol -------------------------------------------
 
@@ -188,9 +180,6 @@ class TokenBucketRateLimiter(DefenseMiddlebox):
         self.sustainable_pps = float(sustainable_pps)
         self.overload_drop_share = float(overload_drop_share)
 
-    def _config_signature(self):
-        return (self.sustainable_pps, self.overload_drop_share)
-
     def probe_fate(self, src_int, dst_int, rate_bucket):
         if rate_bucket is None:
             share = self.overload_drop_share
@@ -236,10 +225,6 @@ class ReactiveBlocklister(DefenseMiddlebox):
         self.warn_drop_share = float(warn_drop_share)
         self.ban_span_range = (int(ban_span[0]), int(ban_span[1]))
 
-    def _config_signature(self):
-        return (self.warn_pps, self.ban_pps, self.warn_drop_share,
-                self.ban_span_range)
-
     def probe_fate(self, src_int, dst_int, rate_bucket):
         if rate_bucket is None or rate_bucket >= self.ban_pps:
             return CAUSE_BLOCKLISTED
@@ -280,9 +265,6 @@ class Tarpit(DefenseMiddlebox):
         self.trigger_pps = float(trigger_pps)
         self.stall_range = (float(stall_seconds[0]), float(stall_seconds[1]))
         self.trap_share = float(trap_share)
-
-    def _config_signature(self):
-        return (self.trigger_pps, self.stall_range, self.trap_share)
 
     def probe_fate(self, src_int, dst_int, rate_bucket):
         if rate_bucket is not None and rate_bucket < self.trigger_pps:

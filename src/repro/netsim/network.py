@@ -8,10 +8,9 @@ lower latency than the genuine ones, reproducing the racing behaviour the
 paper observed (§4.2).
 """
 
-from array import array
 from operator import attrgetter
 
-from repro.netsim.address import ip_to_int
+from repro.netsim.address import ip_to_int, paint_ranges
 from repro.netsim.middlebox import (
     PATH_DROP,
     PATH_INSPECT,
@@ -49,11 +48,9 @@ _SALT_FAULT_TRUNC = 0x56
 _SALT_FAULT_TCP = 0x57
 
 # Bulk-scan support: the mixed occurrence index of a flow's *first* draw
-# (occurrence 0 → _mix64(1)), and a small cache of whole-column loss
-# selectors.  Loss fates are pure functions of (seed, loss rate, flow),
-# so selectors survive scenario rebuilds and repeat scans for free.
+# (occurrence 0 → _mix64(1)).
 _MIX_FIRST_OCCURRENCE = _mix64(1)
-_LOSS_SELECTOR_CACHE = {}
+_LOSS_MEMO_ENTRIES = 8
 
 
 class UdpPacket:
@@ -176,10 +173,6 @@ class Network:
         # set/dict operation per batch) without ever materialising the
         # dotted-quad text of addresses that host nothing.
         self._nodes_by_int = {}
-        # Registry generation counter + memoised content signature (see
-        # :meth:`nodes_signature`); any mutation invalidates the memo.
-        self._nodes_version = 0
-        self._nodes_sig = None
         self._seed = seed
         # Per-flow occurrence counters for packet-fate decisions; repeated
         # sends over the same 4-tuple get fresh draws (so loss statistics
@@ -221,12 +214,10 @@ class Network:
         """Attach a node at its IP; replaces any previous occupant."""
         self._nodes[node.ip] = node
         self._nodes_by_int[ip_to_int(node.ip)] = node
-        self._nodes_version += 1
 
     def unregister(self, ip):
         self._nodes.pop(ip, None)
         self._nodes_by_int.pop(ip_to_int(ip), None)
-        self._nodes_version += 1
 
     def rebind(self, node, new_ip):
         """Move a node to a new address (DHCP churn)."""
@@ -236,22 +227,6 @@ class Network:
         node.ip = new_ip
         self._nodes[new_ip] = node
         self._nodes_by_int[ip_to_int(new_ip)] = node
-        self._nodes_version += 1
-
-    def nodes_signature(self):
-        """Exact content signature of the occupied address set.
-
-        The bytes of the sorted integer registry keys: equal signatures
-        imply the same set of live addresses, across *different* network
-        instances (scenario rebuilds, bench repeats).  Sweep-plan memos
-        key on it, so the signature is content- not identity-based;
-        it is recomputed only after registry mutations.
-        """
-        if self._nodes_sig is None \
-                or self._nodes_sig[0] != self._nodes_version:
-            signature = array("Q", sorted(self._nodes_by_int)).tobytes()
-            self._nodes_sig = (self._nodes_version, signature)
-        return self._nodes_sig[1]
 
     def node_at(self, ip):
         return self._nodes.get(ip)
@@ -378,12 +353,12 @@ class Network:
 
     # -- batched scan sweep ------------------------------------------------
     #
-    # The bulk scan path (:meth:`repro.scanner.ipv4scan.Ipv4Scanner.scan`)
-    # replaces one :meth:`send_probe` call per target with whole-batch
-    # triage: targets that host no node and interest no middlebox are
-    # settled with integer set/array operations, and only the rare
-    # interesting target pays the full wire path.  The three hooks below
-    # are what make that replication *exact*: the same registry, the same
+    # The scan sweep (:meth:`repro.scanner.ipv4scan.Ipv4Scanner.scan`)
+    # settles targets that host no node and interest no middlebox with
+    # integer set/array operations; only the rare interesting target
+    # pays the full wire path.  Whether that is *exact* — and which
+    # targets are cold, and which of their first draws are lost — is
+    # decided here, in one place, from the same registry, the same
     # interest classification the per-packet verdicts use, and the same
     # flow-keyed loss draw bit for bit.
 
@@ -396,12 +371,10 @@ class Network:
         letting an injector that only reacts to censored names rule
         itself out.  Returns ``None`` when any middlebox cannot
         enumerate its interest (duck-typed doubles, source-inside-
-        injector paths) — the scanner then routes every probe through
-        :meth:`send_probe`, which consults the per-packet verdicts as
-        before.  Verdicts are pure functions of the addressing tuple
-        and the clock, and the simulated clock never advances inside
-        one scan, so ranges gathered at scan start stay valid for the
-        whole sweep.
+        injector paths).  Verdicts are pure functions of the addressing
+        tuple and the clock, and the simulated clock never advances
+        inside one scan, so ranges gathered at scan start stay valid
+        for the whole sweep.
         """
         ranges = []
         for box in self.middleboxes:
@@ -437,45 +410,68 @@ class Network:
                 checks.append((box, check))
         return checks
 
-    def begin_flow_epoch(self):
-        """Reset stale per-flow occurrence counters; ``True`` when the
-        epoch starts clean (no same-epoch flow has been drawn yet).
+    def cold_sweep_columns(self, src_ip, src_port, dst_port, addresses,
+                           addresses_sorted, loss_memo, qname_suffix=None):
+        """Decide whether a sweep's cold probes can skip the wire.
 
-        The bulk loss selector below is valid only for *first* draws of
-        each flow; a dirty epoch (an earlier same-clock scan already
-        drew fates) sends the scanner down the per-probe path instead.
+        ``addresses`` is the sweep's address column (``addresses_sorted``
+        when globally ascending).  Returns ``None`` when bulk settlement
+        cannot be proven exact — a flight recorder or fault plan is
+        installed (every probe must be seen), a same-clock scan already
+        drew packet fates (the loss column below holds *first* draws
+        only), or a middlebox cannot enumerate its interest — and the
+        caller then sends every probe through :meth:`send_probe`.
+
+        Otherwise returns ``(hot, lost)``, both aligned with
+        ``addresses``: ``hot[i]`` is 1 where the address hosts a node or
+        a middlebox declared interest (full wire path), and ``lost[i]``
+        is 1 where the first query of that flow this epoch is lost
+        (``None`` without baseline loss).  A cold probe's only
+        observable effects in :meth:`send_probe` are one
+        ``udp_queries_sent`` increment and that loss draw, so the caller
+        folds them per batch and reports the totals through
+        :meth:`absorb_probe_sweep`.
+
+        ``loss_memo`` is a dict the caller keeps *for this exact address
+        column*: the loss draw depends on neither the clock nor any
+        mutable state, so weekly re-scans reuse the column for free.
         """
+        if self.recorder is not None or self.faults is not None:
+            return None
         if self.clock.now != self._flow_epoch:
             self._flow_counts.clear()
             self._flow_epoch = self.clock.now
-        return not self._flow_counts
-
-    def query_loss_selector(self, src_ip, src_port, dst_port, values):
-        """First-occurrence query-loss fates for a whole target column.
-
-        Returns a ``bytearray`` aligned with ``values`` (1 = the first
-        probe of that flow this epoch is lost), bit-identical to the
-        draw :meth:`send_probe` computes, because it *is* the same pure
-        hash of (seed, salt, flow) — evaluated once per (scanner,
-        space) and memoised: the draw depends on neither the clock nor
-        any mutable state, so weekly re-scans of the same space reuse
-        the column for free.
-        """
-        if self.loss_rate <= 0:
+        if self._flow_counts:
             return None
+        interest = self.scan_interest(src_ip, dst_port,
+                                      qname_suffix=qname_suffix)
+        if interest is None:
+            return None
+        hot = bytearray(map(self._nodes_by_int.__contains__, addresses))
+        paint_ranges(hot, addresses, addresses_sorted, interest)
+        if self.loss_rate <= 0:
+            return hot, None
         flow_const = _SALT_QUERY_LOSS ^ (
             ip_to_int(src_ip) * 0x9E3779B1
             ^ src_port << 17 ^ dst_port << 1)
+        memo_key = (self._seed_high, self.loss_rate, flow_const)
+        lost = loss_memo.get(memo_key)
+        if lost is None:
+            lost = self._first_query_losses(flow_const, addresses)
+            if len(loss_memo) >= _LOSS_MEMO_ENTRIES:
+                loss_memo.pop(next(iter(loss_memo)))
+            loss_memo[memo_key] = lost
+        return hot, lost
+
+    def _first_query_losses(self, flow_const, addresses):
+        """First-occurrence query-loss fates for a whole address column:
+        bit-identical to the draw :meth:`send_probe` computes, because
+        it *is* the same pure hash of (seed, salt, flow)."""
         scaled_rate = self.loss_rate * (_M64 + 1)
-        cache_key = (self._seed_high, self.loss_rate, flow_const,
-                     values.tobytes())
-        cached = _LOSS_SELECTOR_CACHE.get(cache_key)
-        if cached is not None:
-            return cached
         seed_high = self._seed_high
         mixed_first = _MIX_FIRST_OCCURRENCE
-        selector = bytearray(len(values))
-        for position, value in enumerate(values):
+        lost = bytearray(len(addresses))
+        for position, value in enumerate(addresses):
             # splitmix64 finaliser, inlined (== _mix64); the key matches
             # send_probe's query-loss key for occurrence 0 exactly.
             draw = (seed_high ^ flow_const ^ value * 0x85EBCA77
@@ -486,18 +482,8 @@ class Network:
             draw = (draw * 0x94D049BB133111EB) & _M64
             draw ^= draw >> 31
             if draw < scaled_rate:
-                selector[position] = 1
-        if len(_LOSS_SELECTOR_CACHE) >= 8:
-            _LOSS_SELECTOR_CACHE.pop(next(iter(_LOSS_SELECTOR_CACHE)))
-        _LOSS_SELECTOR_CACHE[cache_key] = selector
-        return selector
-
-    def scan_flow_key(self, src_ip, src_port, dst_port, value):
-        """The query-loss occurrence key of one probe flow (see
-        :meth:`send_probe`) — lets the scanner charge retro-draws."""
-        return _SALT_QUERY_LOSS ^ (
-            ip_to_int(src_ip) * 0x9E3779B1 ^ value * 0x85EBCA77
-            ^ src_port << 17 ^ dst_port << 1)
+                lost[position] = 1
+        return lost
 
     def absorb_probe_sweep(self, sent, lost):
         """Fold a bulk-settled batch into the traffic counters."""

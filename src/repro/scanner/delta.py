@@ -257,6 +257,7 @@ def run_delta_week(campaign, week, forecast, checkpoint=None):
 
     result = ScanResult(network.clock.now)
     result.probes_sent += audit_result.probes_sent
+    result.retransmissions += audit_result.retransmissions
     summary = {"status": "ok", "kind": "delta", "mode": "delta",
                "week": week, "audited": total_audited,
                "audit_failures": total_failures,

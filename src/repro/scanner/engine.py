@@ -812,9 +812,11 @@ class ScanEngine:
 
         prewarm = getattr(scanner, "prewarm", None)
         if prewarm is not None:
-            # Build the memoised target columns and LFSR walk *before*
-            # forking so every worker inherits them copy-on-write
-            # instead of paying an O(targets) build per process.
+            # Build the LFSR walk, the sweep columns and this scan's
+            # pacing plan *before* forking so every worker inherits
+            # them copy-on-write instead of paying an O(targets) build
+            # per process (and so the plan's counters are tallied once,
+            # here, not once per shard or never).
             prewarm(target_space)
         live_ranges, live_origins, on_item_done, restored, \
             restored_provenance = _plan_checkpointed_shards(

@@ -7,25 +7,26 @@ rcode, the set of *target* addresses that answered — attributing responses
 by the encoded name, so hosts answering from a different source address
 (multi-homed / DNS proxies) are both counted correctly and detected.
 
-Hot-path design (the "wire-level fast paths" of the sharded engine):
+One sweep loop (see DESIGN.md, "One sweep loop"): every way of
+probing — a full or sharded :meth:`Ipv4Scanner.scan`, an explicit
+:meth:`Ipv4Scanner.scan_addresses` list, a single
+:meth:`Ipv4Scanner.probe` — feeds :meth:`Ipv4Scanner._sweep` a *plan*,
+an iterable of ``(hot_targets, cold_sent, cold_lost)`` tuples:
 
-* the scan hot loop is *batched and columnar* (see DESIGN.md, "Columnar
-  scan core"): targets come out of the LFSR permutation in fixed-size
-  batches (:class:`repro.scanner.lfsr.TargetBatchIterator`), and each
-  batch is triaged in bulk — targets that host no node and interest no
-  middlebox (~97% of the space) are settled with C-level set/array
-  operations against precomputed columns (addresses, filter mask, loss
-  fates, hotness), while the rare "hot" target pays the full per-packet
-  wire path, preserving exact per-probe semantics;
-* responses are triaged with :func:`repro.dnswire.message.peek_header`
-  — txid/qr/rcode read straight off the fixed 12-byte header, no
-  :class:`~repro.dnswire.message.Message` construction;
-* query payloads come from a preallocated buffer pool
-  (:class:`repro.scanner.encoding.ProbeBatchEncoder`): per probe only
-  the txid, cache-busting label, and hex target are written;
-* reserved/blacklist membership is precomputed per target prefix, so
-  prefixes that cannot intersect an excluded range skip the per-address
-  checks entirely;
+* ``scan`` pulls targets out of the LFSR permutation in fixed-size
+  batches (:class:`repro.scanner.lfsr.TargetBatchIterator`) and asks
+  the network whether cold targets — no node, no interested middlebox,
+  ~97% of the space — can be settled without the wire
+  (:meth:`repro.netsim.network.Network.cold_sweep_columns`).  If so,
+  each batch folds to its hot targets plus two counts taken with
+  C-level column operations; if not (flight recorder, fault plan,
+  retries/timeouts, an opaque middlebox) every target of the batch is
+  hot.  Same loop either way;
+* each hot target pays the full per-packet wire path under the
+  attempt schedule (:func:`retry_schedule`, one attempt by default):
+  payloads come from a preallocated buffer pool
+  (:class:`repro.scanner.encoding.ProbeBatchEncoder`), responses are
+  triaged straight off the fixed 12-byte header;
 * probe identity (txid + cache-busting label) is a pure hash of
   (scanner, scan epoch, target address) rather than a sequential
   counter, so any index subset of the target space — a shard — sends
@@ -46,13 +47,12 @@ from repro.dnswire.constants import (
     RCODE_REFUSED,
     RCODE_SERVFAIL,
 )
-from repro.dnswire.message import peek_header
-from repro.dnswire.name import encode_name
 from repro.netsim.address import (
     RESERVED_NETWORKS,
     int_to_ip,
     ip_to_int,
     is_reserved,
+    paint_ranges,
 )
 from repro.scanner.encoding import ProbeBatchEncoder
 from repro.scanner.lfsr import LFSR, TargetBatchIterator, permutation
@@ -62,14 +62,7 @@ from repro.scanner.pacing import (
     normalize_pacing,
 )
 
-# Fixed header flags + section counts of a standard 1-question query
-# (rd=1, qdcount=1), i.e. bytes 2..11 of every probe we send.
-_QUERY_HEADER_TAIL = b"\x01\x00\x00\x01\x00\x00\x00\x00\x00\x00"
-_QUESTION_TAIL = b"\x00\x01\x00\x01"  # QTYPE=A, QCLASS=IN
 _M64 = (1 << 64) - 1
-# Single-byte label-length prefixes, indexed by length (qname labels are
-# at most 63 bytes by definition).
-_LABEL_LEN = tuple(bytes((n,)) for n in range(64))
 
 
 def _mix64(value):
@@ -152,110 +145,75 @@ class ScanTargetSpace:
 
 
 # ---------------------------------------------------------------------------
-# Columnar sweep support: precomputed per-space columns, memoised at
-# module level.  Every column is a pure function of its key (the
-# space's prefix layout, plus the filter for the allow mask), so the
-# memos survive scenario rebuilds — weekly campaign scans, bench
-# repeats, and forked shard workers (which inherit warm caches through
-# copy-on-write) all reuse them for free.
+# Columnar sweep support: the per-space columns every sweep subscripts,
+# memoised at module level.  They are a pure function of the key (the
+# space's exact prefix layout and the blacklist's exact content), so the
+# memo survives scenario rebuilds — weekly campaign scans, the primary
+# and the verification scanner, and forked shard workers (which inherit
+# it copy-on-write after :meth:`Ipv4Scanner.prewarm`) all share one
+# entry.
 # ---------------------------------------------------------------------------
 
-_COLUMN_CACHE = {}
-_ALLOWED_CACHE = {}
-# Sweep plans: the entire cold settlement of one batched sweep — per
-# batch, its size, the states needing the full wire path, and the
-# bulk-settled loss count — memoised on everything it is a pure
-# function of (space layout, filter, walk parameters, the network's
-# live-address signature, middlebox interest, and the loss-draw
-# parameters).  Weekly re-scans recompute it only when churn actually
-# moved a node; bench repeats and shard workers reuse it outright.
-_SWEEP_PLAN_CACHE = {}
-# Pacing plans (see repro.scanner.pacing): the full AIMD recurrence
-# over every defended target, pure in (space, filter, walk, defense
-# configuration, controller config, scanner identity, clock) — shard
-# workers and weekly re-scans against an unchanged defense plane reuse
-# it outright.
-_PACING_PLAN_CACHE = {}
+_COLUMNS_CACHE = {}
 _CACHE_ENTRIES = 8
 
 
-def _space_signature(target_space):
-    """Value-identity of a target space: its exact prefix layout."""
-    return tuple((prefix.base, prefix.mask)
-                 for prefix in target_space.prefixes)
+class SweepColumns:
+    """State-aligned columns of one (target space, blacklist) pair.
 
-
-def _evict(cache):
-    if len(cache) >= _CACHE_ENTRIES:
-        cache.pop(next(iter(cache)))
-
-
-def _address_columns(target_space):
-    """``(addresses, state_addresses, is_sorted)`` for a space.
-
-    ``addresses`` is the dense index-order address column (an
-    ``array('I')``, built per prefix from C-level ``range`` extends —
-    never via per-index ``int_at``).  ``state_addresses`` is the same
-    column shifted one slot right, so an LFSR *state* (which maps to
-    index ``state - 1``) subscripts it directly — batch loops never
-    compute ``state - 1`` in Python.  ``is_sorted`` reports whether the
-    column is globally ascending, which lets CIDR interest ranges be
-    painted with two bisects instead of a per-address pass.
+    Every column is subscripted by LFSR *state* (index + 1; slot 0 is
+    an unused sentinel), so batch loops never compute ``state - 1`` in
+    Python.  ``addresses`` is the target address per state (an
+    ``array('I')``, built per prefix from C-level ``range`` extends),
+    ``is_sorted`` whether it is globally ascending (CIDR ranges are
+    then painted with two bisects), ``allowed`` the mask of addresses
+    the reserved ranges and the blacklist admit — equivalent to
+    :meth:`TargetFilter.allows_slot` over every index.  ``loss_memo``
+    belongs to the network (see :meth:`~repro.netsim.network.Network.
+    cold_sweep_columns`): first-draw loss columns for ``addresses``.
     """
-    signature = _space_signature(target_space)
-    cached = _COLUMN_CACHE.get(signature)
-    if cached is not None:
-        return cached
-    addresses = array("I")
-    for prefix in target_space.prefixes:
-        addresses.extend(range(prefix.base,
-                               prefix.base + prefix.num_addresses))
-    state_addresses = array("I", (0,))
-    state_addresses.extend(addresses)
-    is_sorted = all(
-        left.base + left.num_addresses <= right.base
-        for left, right in zip(target_space.prefixes,
-                               target_space.prefixes[1:]))
-    columns = (addresses, state_addresses, is_sorted)
-    _evict(_COLUMN_CACHE)
-    _COLUMN_CACHE[signature] = columns
+
+    __slots__ = ("addresses", "is_sorted", "allowed", "loss_memo")
+
+    def __init__(self, target_space, blacklist):
+        prefixes = target_space.prefixes
+        target_filter = TargetFilter(target_space, blacklist)
+        self.addresses = addresses = array("I", (0,))
+        self.allowed = allowed = bytearray(1)
+        for slot, prefix in enumerate(prefixes):
+            values = range(prefix.base, prefix.base + prefix.num_addresses)
+            addresses.extend(values)
+            if target_filter.clean[slot]:
+                # Clean prefixes are painted with one store; only the
+                # rare dirty prefix walks its addresses.
+                allowed.extend(b"\x01" * len(values))
+            else:
+                allowed.extend(target_filter.allows_slot(slot, value)
+                               for value in values)
+        for value in target_filter.blacklist_addresses:
+            index = target_space.index_of(value)
+            if index is not None:
+                allowed[index + 1] = 0
+        self.is_sorted = all(
+            left.base + left.num_addresses <= right.base
+            for left, right in zip(prefixes, prefixes[1:]))
+        self.loss_memo = {}
+
+
+def _sweep_columns(target_space, blacklist):
+    """The memoised :class:`SweepColumns` of a space under a blacklist."""
+    key = (tuple((prefix.base, prefix.mask)
+                 for prefix in target_space.prefixes),
+           None if blacklist is None else (
+               tuple((net.base, net.mask) for net in blacklist.networks),
+               tuple(sorted(blacklist.addresses))))
+    columns = _COLUMNS_CACHE.get(key)
+    if columns is None:
+        if len(_COLUMNS_CACHE) >= _CACHE_ENTRIES:
+            _COLUMNS_CACHE.pop(next(iter(_COLUMNS_CACHE)))
+        columns = _COLUMNS_CACHE[key] = SweepColumns(target_space,
+                                                    blacklist)
     return columns
-
-
-def _allowed_column(target_space, target_filter):
-    """Index-aligned allow mask: 1 where the filter admits the address.
-
-    Equivalent to :meth:`TargetFilter.allows_slot` over every index —
-    clean prefixes are painted with one slice store, only the rare
-    dirty prefix walks its addresses.
-    """
-    blacklist = target_filter.blacklist
-    key = (_space_signature(target_space), target_filter.signature())
-    cached = _ALLOWED_CACHE.get(key)
-    if cached is not None:
-        return cached
-    allowed = bytearray(target_space.total)
-    for slot, prefix in enumerate(target_space.prefixes):
-        start = target_space._cumulative[slot]
-        count = prefix.num_addresses
-        if target_filter.clean[slot]:
-            allowed[start:start + count] = b"\x01" * count
-        else:
-            base = prefix.base
-            for offset in range(count):
-                value = base + offset
-                if is_reserved(value):
-                    continue
-                if blacklist is not None and value in blacklist:
-                    continue
-                allowed[start + offset] = 1
-    for value in target_filter.blacklist_addresses:
-        index = target_space.index_of(value)
-        if index is not None:
-            allowed[index] = 0
-    _evict(_ALLOWED_CACHE)
-    _ALLOWED_CACHE[key] = allowed
-    return allowed
 
 
 class ScanResult:
@@ -600,6 +558,9 @@ def retry_schedule(probe_timeout, retries, backoff=2.0, rtt_floor=0.0):
     """
     if retries < 0:
         raise ValueError("retries must be >= 0")
+    if not backoff >= 1:
+        raise ValueError("backoff must be >= 1 (later attempts may not "
+                         "time out sooner than the first)")
     if probe_timeout is None:
         return [None] * (retries + 1)
     if retries and probe_timeout * backoff ** retries <= rtt_floor:
@@ -642,7 +603,6 @@ class TargetFilter:
                     for other in excluded)
             for prefix in target_space.prefixes
         ]
-        self.all_clean = all(self.clean) and not self.blacklist_addresses
 
     def allows_slot(self, slot, value):
         """Membership check given the prefix slot and integer address."""
@@ -654,26 +614,17 @@ class TargetFilter:
             return False
         return True
 
-    def signature(self):
-        """Value-identity of the filter (the blacklist's exact content),
-        used to key the allow-mask and sweep-plan memos."""
-        if self.blacklist is None:
-            return None
-        return (tuple((net.base, net.mask)
-                      for net in self.blacklist.networks),
-                tuple(sorted(self.blacklist_addresses)))
-
 
 class Ipv4Scanner:
     """Sends one DNS A probe per target address and aggregates responses.
 
-    ``retries``/``probe_timeout``/``backoff`` configure the robust probe
-    path: up to ``retries`` retransmissions per unanswered target, each
-    attempt's timeout growing exponentially from ``probe_timeout`` but
-    never below the target's own deterministic round-trip estimate
-    (adaptive per-target timeout).  The defaults (``retries=0``,
-    ``probe_timeout=None``) keep the single-probe fast path — and the
-    existing determinism gates — bit-identical to before.
+    ``retries``/``probe_timeout``/``backoff`` configure the attempt
+    schedule of every probed target: up to ``retries`` retransmissions
+    while unanswered, each attempt's timeout growing exponentially from
+    ``probe_timeout`` but never below the target's own deterministic
+    round-trip estimate (adaptive per-target timeout).  The defaults
+    (``retries=0``, ``probe_timeout=None``) are the schedule of length
+    one with no timeout.
 
     ``pacing``/``max_pps`` configure the arms-race side (see
     :mod:`repro.scanner.pacing`): ``pacing="adaptive"`` precomputes an
@@ -702,12 +653,13 @@ class Ipv4Scanner:
         self.source_port = source_port
         self.lfsr_seed = lfsr_seed
         self.perf = perf
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
         if probe_timeout is not None and not probe_timeout > 0:
             raise ValueError("probe_timeout must be > 0 (or None)")
+        if not timeout_margin > 0:
+            raise ValueError("timeout_margin must be > 0")
         if probe_batch < 1:
             raise ValueError("probe batch size must be >= 1")
+        retry_schedule(probe_timeout, retries, backoff)  # validates both
         self.retries = retries
         self.probe_timeout = probe_timeout
         self.backoff = backoff
@@ -716,99 +668,45 @@ class Ipv4Scanner:
         self.pacing = normalize_pacing(pacing, max_pps)
         self.max_pps = max_pps
         self._encoder = ProbeBatchEncoder(measurement_domain)
-        self._suffix_wire = encode_name(measurement_domain)
-        # Pre-encoded query template: everything after the txid plus
-        # everything after the variable qname labels.
-        self._template_head = _QUERY_HEADER_TAIL
-        self._template_tail = self._suffix_wire + _QUESTION_TAIL
         # Scanner identity folded into probe ids: the verification
         # scanner (different source) must not reuse the primary
         # scanner's query names even when probing the same target at the
         # same simulated time.
         self._identity = _mix64(
             (ip_to_int(source_ip) << 17) ^ source_port ^ lfsr_seed)
-
-    # -- probe construction ------------------------------------------------
-
-    def _probe_key(self, epoch, target_int):
-        """Deterministic 40-bit probe identity for one (scan, target).
-
-        Independent of probe *order*, so shard workers and a sequential
-        scan build byte-identical packets for the same target.
-        """
-        return _mix64(self._identity ^ (epoch << 32) ^ target_int)
+        # The pacing plan of the scan in progress: (columns, clock,
+        # defense plane, plan).  Built once per scan — by prewarm in
+        # the parent when sharded, so workers inherit it copy-on-write.
+        self._paced = None
 
     def _scan_epoch(self):
         """Per-scan component of probe identity (advances with the clock)."""
         return int(self.network.clock.now) & 0xFFFFFFFF
 
-    def _query_wire(self, qname_prefix_labels, txid):
-        """Build query bytes directly: header + labels + suffix + A/IN.
-
-        Equivalent to ``Message.query(...).to_wire()`` (covered by tests)
-        but ~4x faster, which matters at one probe per address per week.
-        """
-        parts = [txid.to_bytes(2, "big"), self._template_head]
-        for label in qname_prefix_labels:
-            raw = label.encode("ascii")
-            parts.append(bytes((len(raw),)))
-            parts.append(raw)
-        parts.append(self._template_tail)
-        return b"".join(parts)
-
-    def probe(self, target_ip):
-        """Send one scan probe; return parsed (rcode, source_ip) pairs."""
-        target_int = ip_to_int(target_ip)
-        return self._probe_fast(target_ip, target_int,
-                                self._probe_key(self._scan_epoch(),
-                                                target_int))
-
-    def _probe_fast(self, target_ip, target_int, key):
-        """Hot-path probe: pre-keyed identity, header-peek triage."""
-        txid = key & 0xFFFF
-        prefix_label = b"r%x" % ((key >> 16) & 0xFFFFFF)
-        payload = b"".join((
-            txid.to_bytes(2, "big"), self._template_head,
-            bytes((len(prefix_label),)), prefix_label,
-            b"\x08", b"%08x" % target_int,
-            self._template_tail))
-        observations = []
-        for response in self.network.send_probe(
-                self.source_ip, self.source_port, target_ip, 53,
-                target_int, payload):
-            peeked = peek_header(response.packet.payload)
-            if peeked is None:
-                continue  # short/truncated garbage (§5 Completeness)
-            rtxid, qr, rcode = peeked
-            if not qr:
-                continue
-            if rtxid != txid:
-                continue  # mismatched (or corrupted) transaction id
-            observations.append((rcode, response.packet.src_ip))
-        return observations
+    def _walk(self, total, force_cache=False):
+        """The LFSR permutation covering ``total`` targets."""
+        order = LFSR.order_for(total)
+        period = (1 << order) - 1
+        return permutation(order, seed=(self.lfsr_seed % period) or 1,
+                           force_cache=force_cache)
 
     # -- scans -------------------------------------------------------------
 
     def prewarm(self, target_space):
-        """Build this space's memoised scan state in the calling process.
+        """Build this space's scan state in the calling process.
 
         The sharded engine calls this in the parent before forking so
-        every worker inherits the LFSR walk, the target address columns,
-        and the allowed-selector column copy-on-write.  The walk is
-        force-cached even past the usual memo cap: at a ~38M-address
-        space (order 26) it is a ~256 MB array that would otherwise be
-        rebuilt inside every forked worker.
+        every worker inherits the LFSR walk, the sweep columns and the
+        pacing plan copy-on-write.  The walk is force-cached even past
+        the usual memo cap: at a ~38M-address space (order 26) it is a
+        ~256 MB array that would otherwise be rebuilt inside every
+        forked worker.
         """
         total = len(target_space)
         if total == 0:
             return
-        order = LFSR.order_for(total)
-        period = (1 << order) - 1
-        permutation(order, seed=(self.lfsr_seed % period) or 1,
-                    force_cache=True)
-        target_filter = TargetFilter(target_space, self.blacklist)
-        _address_columns(target_space)
-        _allowed_column(target_space, target_filter)
+        self._walk(total, force_cache=True)
+        self._pacing_plan(_sweep_columns(target_space, self.blacklist))
 
     def scan(self, target_space, index_range=None, on_progress=None,
              chunk_sink=None, chunk_rows=65536):
@@ -819,112 +717,88 @@ class Ipv4Scanner:
         so probe order within the shard — and every probe's bytes —
         match the sequential scan exactly.
 
-        ``on_progress`` (no arguments) is invoked once per ~1024 probes
-        — the engine's worker heartbeat.  ``chunk_sink`` enables
-        streaming results: whenever the result's resident columns reach
-        ``chunk_rows`` rows they are detached (:meth:`ScanResult.
-        take_chunk`) and handed to the sink, so the scan never holds
-        more than one chunk of observations; the returned result then
-        carries only the scalar tail plus the final partial columns.
-        When retries or a probe timeout are configured the scan takes
-        the robust per-target path; otherwise targets stream out of the
-        LFSR permutation in :attr:`probe_batch`-sized batches and each
-        batch is either bulk-settled (see :meth:`_scan_batched`) or
-        walked per-probe (:meth:`_scan_per_probe` — the exact wire
-        path, used whenever bulk short-cuts cannot be proven safe:
-        fault injection or a flight recorder active, a middlebox that
-        cannot enumerate its interest, or a flow epoch that has already
-        drawn packet fates).
+        ``on_progress`` (no arguments) is invoked at least once per
+        1024 datagrams — the engine's worker heartbeat.  ``chunk_sink``
+        enables streaming results: whenever the result's resident
+        columns reach ``chunk_rows`` rows at a batch boundary they are
+        detached (:meth:`ScanResult.take_chunk`) and handed to the
+        sink; the returned result then carries only the scalar tail
+        plus the final partial columns.
+
+        Targets stream out of the LFSR permutation in
+        :attr:`probe_batch`-sized batches.  Cold targets are settled in
+        bulk when the network can prove that exact and the attempt
+        schedule is the single untimed probe (a lost cold probe would
+        otherwise need its retransmission draws); every other target
+        takes the wire path in :meth:`_sweep`.
         """
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be >= 1")
-        if self.retries > 0 or self.probe_timeout is not None:
-            return self._scan_robust(target_space, index_range,
-                                     on_progress, chunk_sink=chunk_sink,
-                                     chunk_rows=chunk_rows)
-        result = ScanResult(self.network.clock.now)
+        network = self.network
+        result = ScanResult(network.clock.now)
         total = len(target_space)
         if total == 0:
             return result
         start, stop = index_range if index_range is not None else (0, total)
-        epoch = self._scan_epoch()
-        order = LFSR.order_for(total)
-        period = (1 << order) - 1
-        walk = permutation(order, seed=(self.lfsr_seed % period) or 1)
-        target_filter = TargetFilter(target_space, self.blacklist)
-        addresses, state_addresses, addresses_sorted = \
-            _address_columns(target_space)
+        walk = self._walk(total)
+        columns = _sweep_columns(target_space, self.blacklist)
         # One selector folds every per-state predicate — in-range,
         # in-shard, reserved/blacklist — into a single subscript, so
         # batch extraction is pure C (see TargetBatchIterator).
-        allowed = _allowed_column(target_space, target_filter)
-        selector = bytearray(period + 1)
-        selector[start + 1:stop + 1] = allowed[start:stop]
+        selector = bytearray(len(walk) + 1)
+        selector[start + 1:stop + 1] = columns.allowed[start + 1:stop + 1]
         batches = TargetBatchIterator(walk, selector,
                                       batch_size=self.probe_batch)
-        network = self.network
-        begin_epoch = getattr(network, "begin_flow_epoch", None)
-        bulk_ok = (begin_epoch is not None
-                   and getattr(network, "recorder", None) is None
-                   and getattr(network, "faults", None) is None
-                   and begin_epoch())
-        interest = None
-        if bulk_ok:
-            interest = network.scan_interest(
-                self.source_ip, 53,
+        addr_of = columns.addresses.__getitem__
+        cold = None
+        if not self.retries and self.probe_timeout is None:
+            cold = network.cold_sweep_columns(
+                self.source_ip, self.source_port, 53, columns.addresses,
+                columns.is_sorted, columns.loss_memo,
                 qname_suffix=self.measurement_domain)
-        pacing = self._pacing_plan(target_space, target_filter)
-        base_bucket = int(self.max_pps) if self.max_pps is not None \
-            else None
-        paced = pacing is not None or base_bucket is not None
-        if paced:
-            # Declare the scan's rate to the defense plane; per-target
-            # buckets override it probe by probe under adaptive pacing.
-            network.scan_rate_bucket = base_bucket
-        try:
-            if bulk_ok and interest is not None:
-                plan_key = None
-                nodes_signature = getattr(network, "nodes_signature", None)
-                if nodes_signature is not None:
-                    # Everything the cold settlement is a function of; an
-                    # unkeyable network double just skips the memo.
-                    plan_key = (
-                        _space_signature(target_space),
-                        target_filter.signature(),
-                        self.lfsr_seed, start, stop, self.probe_batch,
-                        nodes_signature(), tuple(interest),
-                        getattr(network, "_seed_high", None),
-                        network.loss_rate, self.source_ip,
-                        self.source_port)
-                result = self._scan_batched(result, batches, addresses,
-                                            state_addresses,
-                                            addresses_sorted, interest,
-                                            epoch, on_progress,
-                                            plan_key=plan_key,
-                                            pacing=pacing,
-                                            base_bucket=base_bucket,
-                                            chunk_sink=chunk_sink,
-                                            chunk_rows=chunk_rows)
-            else:
-                result = self._scan_per_probe(result, batches,
-                                              state_addresses, epoch,
-                                              on_progress, pacing=pacing,
-                                              base_bucket=base_bucket,
-                                              chunk_sink=chunk_sink,
-                                              chunk_rows=chunk_rows)
-        finally:
-            if paced:
-                network.scan_rate_bucket = None
-        self._record_pacing_perf(pacing, index_range, total)
+        if cold is None:
+            plan = ((map(addr_of, batch), 0, 0) for batch in batches)
+        else:
+            # Folded up front (the hot lists are ~3% of the space):
+            # interleaving the C-level batch extraction with the hot
+            # targets' wire path evicts the walk and the selector from
+            # the CPU caches between batches — 2% of a clean week.
+            plan = list(_bulk_plan(batches, addr_of, *cold))
+        self._sweep(result, plan, perf=self.perf,
+                    pacing=self._pacing_plan(columns),
+                    base_bucket=(int(self.max_pps)
+                                 if self.max_pps is not None else None),
+                    on_progress=on_progress, chunk_sink=chunk_sink,
+                    chunk_rows=chunk_rows)
         return result
 
-    def _pacing_plan(self, target_space, target_filter):
-        """The (memoised) adaptive pacing plan for this scan, or
-        ``None`` when pacing is off or no defense plane is armed.
+    def scan_addresses(self, addresses):
+        """Probe an explicit address list (re-probing known resolvers)."""
+        result = ScanResult(self.network.clock.now)
+        blacklist = self.blacklist
+        targets = [ip_to_int(target_ip) for target_ip in addresses
+                   if blacklist is None or target_ip not in blacklist]
+        self._sweep(result, ((targets, 0, 0),), perf=self.perf)
+        return result
+
+    def probe(self, target_ip):
+        """Send one scan probe (with this scanner's attempt schedule);
+        return parsed (rcode, source_ip) pairs.  A diagnostic re-probe:
+        it is not tallied into :attr:`perf`."""
+        replies = []
+        self._sweep(ScanResult(self.network.clock.now),
+                    (((ip_to_int(target_ip),), 0, 0),), replies=replies)
+        return replies
+
+    def _pacing_plan(self, columns):
+        """The adaptive pacing plan for the scan at the current clock,
+        or ``None`` when pacing is off or no defense plane is armed.
 
         Built over the *full* allowed space — never a shard slice — so
-        every forked worker replays the identical AIMD recurrence; see
-        :mod:`repro.scanner.pacing`.
+        every shard replays the identical AIMD recurrence; see
+        :mod:`repro.scanner.pacing`.  Built (and its plan-level
+        observability tallied: window-rate histogram, signal counters)
+        once per scan, by whichever process asks first.
         """
         config = self.pacing
         if config is None:
@@ -933,497 +807,199 @@ class Ipv4Scanner:
         plane = defense_plane(network, self.source_ip)
         if not plane:
             return None
-        total = len(target_space)
-        order = LFSR.order_for(total)
-        period = (1 << order) - 1
-        plan_key = None
-        signatures = [getattr(box, "signature", None)
-                      for box, __ in plane]
-        if all(signatures):
-            plan_key = (_space_signature(target_space),
-                        target_filter.signature(), self.lfsr_seed,
-                        self.source_ip, self.source_port,
-                        network.clock.now,
-                        tuple(sig() for sig in signatures),
-                        config.signature())
-            plan = _PACING_PLAN_CACHE.get(plan_key)
-            if plan is not None:
-                return plan
-        walk = permutation(order, seed=(self.lfsr_seed % period) or 1)
-        addresses, state_addresses, addresses_sorted = \
-            _address_columns(target_space)
-        allowed = _allowed_column(target_space, target_filter)
-        defended = bytearray(total)
+        now = network.clock.now
+        paced = self._paced
+        if paced is not None and paced[0] is columns \
+                and paced[1:3] == (now, plane):
+            return paced[3]
+        addresses = columns.addresses
+        walk = self._walk(len(addresses) - 1)
+        defended = bytearray(len(addresses))
         for __, ranges in plane:
-            for base, mask in ranges:
-                last = base | (~mask & 0xFFFFFFFF)
-                if addresses_sorted:
-                    lo = bisect.bisect_left(addresses, base)
-                    hi = bisect.bisect_right(addresses, last)
-                    if hi > lo:
-                        defended[lo:hi] = b"\x01" * (hi - lo)
-                else:
-                    for position, value in enumerate(addresses):
-                        if value & mask == base:
-                            defended[position] = 1
-        selector = bytearray(period + 1)
-        if total:
-            selector[1:total + 1] = (
-                int.from_bytes(bytes(allowed), "big")
-                & int.from_bytes(bytes(defended), "big")
-            ).to_bytes(total, "big")
+            paint_ranges(defended, addresses, columns.is_sorted, ranges)
+        selector = bytearray(len(walk) + 1)
+        selector[:len(addresses)] = (
+            int.from_bytes(columns.allowed, "big")
+            & int.from_bytes(defended, "big")
+        ).to_bytes(len(addresses), "big")
         plan = build_pacing_plan(plane, ip_to_int(self.source_ip),
                                  self._identity, walk, selector,
-                                 state_addresses, config)
-        if plan_key is not None:
-            _evict(_PACING_PLAN_CACHE)
-            _PACING_PLAN_CACHE[plan_key] = plan
+                                 addresses, config)
+        self._paced = (columns, now, plane, plan)
+        perf = self.perf
+        if perf is not None:
+            perf.observe_many("pacing_window_pps", plan.window_rates())
+            perf.count("pacing_defense_signals", plan.signals)
+            if plan.suppressed_count:
+                perf.count("pacing_suppressed_planned",
+                           plan.suppressed_count)
+            perf.gauge("pacing_windows", float(len(plan.windows)))
         return plan
 
-    def _record_pacing_perf(self, pacing, index_range, total):
-        """Plan-level pacing observability (window-rate histogram,
-        signal counters).  Recorded only by a full-space scan: the plan
-        is global, so per-shard workers re-deriving it must not tally
-        it once per shard into the merged registry."""
-        if pacing is None or self.perf is None:
-            return
-        if index_range is not None and index_range != (0, total):
-            return
-        self.perf.observe_many("pacing_window_pps", pacing.window_rates())
-        self.perf.count("pacing_defense_signals", pacing.signals)
-        if pacing.suppressed_count:
-            self.perf.count("pacing_suppressed_planned",
-                            pacing.suppressed_count)
-        self.perf.gauge("pacing_windows", float(len(pacing.windows)))
+    def _sweep(self, result, plan, perf=None, pacing=None,
+               base_bucket=None, on_progress=None, chunk_sink=None,
+               chunk_rows=65536, replies=None):
+        """The one send/receive loop every probe goes through.
 
-    def _hot_column(self, addresses, addresses_sorted, interest):
-        """State-aligned hotness mask: 1 where a probe must take the
-        full wire path — the address hosts a node, or some middlebox
-        declared interest in it.  Everything else ("cold") provably has
-        no observable effect beyond the sent/lost counters and can be
-        settled in bulk.
-        """
-        live = self.network._nodes_by_int
-        hot = bytearray(map(live.__contains__, addresses))
-        for base, mask in interest:
-            last = base | (~mask & 0xFFFFFFFF)
-            if addresses_sorted:
-                lo = bisect.bisect_left(addresses, base)
-                hi = bisect.bisect_right(addresses, last)
-                if hi > lo:
-                    hot[lo:hi] = b"\x01" * (hi - lo)
-            else:
-                for position, value in enumerate(addresses):
-                    if value & mask == base:
-                        hot[position] = 1
-        column = bytearray(1)
-        column.extend(hot)
-        return column
-
-    def _build_sweep_plan(self, batches, addresses, state_addresses,
-                          addresses_sorted, interest):
-        """The cold settlement of a sweep: per batch, ``(size,
-        hot_states, lost)`` — the states needing the full wire path and
-        the bulk-settled first-occurrence loss count for the rest.
-        """
-        network = self.network
-        state_loss = None
-        loss_selector = network.query_loss_selector(
-            self.source_ip, self.source_port, 53, addresses)
-        if loss_selector is not None:
-            state_loss = bytearray(1)
-            state_loss.extend(loss_selector)
-        state_hot = self._hot_column(addresses, addresses_sorted, interest)
-        hot_of = state_hot.__getitem__
-        loss_of = state_loss.__getitem__ if state_loss is not None else None
-        plan = []
-        for batch in batches:
-            hot_states = list(compress(batch, map(hot_of, batch)))
-            lost = sum(map(loss_of, batch)) if loss_of is not None else 0
-            if hot_states and loss_of is not None:
-                # Hot probes draw their own fate inside send_probe;
-                # their column bits must not be double-counted.
-                lost -= sum(map(loss_of, hot_states))
-            plan.append((len(batch), hot_states, lost))
-        return plan
-
-    def _scan_batched(self, result, batches, addresses, state_addresses,
-                      addresses_sorted, interest, epoch, on_progress,
-                      plan_key=None, pacing=None, base_bucket=None,
-                      chunk_sink=None, chunk_rows=65536):
-        """Bulk sweep: settle cold targets per batch with C-level
-        column operations, full wire path for hot ones.
-
-        A cold probe's only observable effects in ``send_probe`` are
-        one ``udp_queries_sent`` increment and a first-occurrence
-        query-loss draw (no node, no interested middlebox, no faults,
-        no recorder — all established by the caller), so a whole
-        batch's worth collapses to ``len(batch)`` sends plus a sum over
-        the precomputed loss column; fates stay bit-identical because
-        the column is the same pure flow hash ``send_probe`` draws.
-        The settlement itself (:meth:`_build_sweep_plan`) is memoised
-        under ``plan_key``, so re-scans against an unchanged world only
-        ever pay for the hot probes.
-        """
-        network = self.network
-        plan = _SWEEP_PLAN_CACHE.get(plan_key) if plan_key is not None \
-            else None
-        if plan is None:
-            plan = self._build_sweep_plan(batches, addresses,
-                                          state_addresses,
-                                          addresses_sorted, interest)
-            if plan_key is not None:
-                _evict(_SWEEP_PLAN_CACHE)
-                _SWEEP_PLAN_CACHE[plan_key] = plan
-        # Inert middleboxes (scan_interest == []) are pruned from the
-        # hot probes' path checks; network doubles without the hook
-        # keep the stock send_probe signature.
-        sweep_checks = None
-        path_checks = getattr(network, "scan_path_checks", None)
-        if path_checks is not None:
-            sweep_checks = path_checks(
-                self.source_ip, 53, qname_suffix=self.measurement_domain)
-        seed_epoch = self._identity ^ (epoch << 32)
-        encode = self._encoder.encode
-        send_probe = network.send_probe
-        source_ip = self.source_ip
-        source_port = self.source_port
-        addr_of = state_addresses.__getitem__
-        record_value = result.record_value
-        probes_sent = 0
-        bulk_sent = 0
-        bulk_lost = 0
-        suppressed = 0
-        responses_seen = 0
-        rtts = [] if self.perf is not None else None
-        heartbeat_due = 0
-        # Pacing: defended targets are hot by construction (their boxes
-        # declare scan_interest), so the plan's per-target decisions are
-        # consulted only here — the cold bulk settlement is untouched.
-        paced_causes = pacing.suppressed if pacing is not None else None
-        paced_rates = pacing.rates.get if pacing is not None else None
-        window_mask = pacing.window_mask if pacing is not None else 0
-        record_suppressed = result.record_suppressed
-        for size, hot_states, lost in plan:
-            for state in hot_states:
-                value = addr_of(state)
-                if paced_causes is not None:
-                    cause = paced_causes.get(value)
-                    if cause is not None:
-                        suppressed += 1
-                        record_suppressed(value & window_mask, cause)
-                        continue
-                    network.scan_rate_bucket = paced_rates(value,
-                                                           base_bucket)
-                # splitmix64 finaliser, inlined (== _mix64).
-                key = (seed_epoch ^ value) & _M64
-                key ^= key >> 30
-                key = (key * 0xBF58476D1CE4E5B9) & _M64
-                key ^= key >> 27
-                key = (key * 0x94D049BB133111EB) & _M64
-                key ^= key >> 31
-                txid, payload = encode(key, value)
-                target_ip = int_to_ip(value)
-                if sweep_checks is None:
-                    responses = send_probe(source_ip, source_port,
-                                           target_ip, 53, value, payload)
-                else:
-                    responses = send_probe(source_ip, source_port,
-                                           target_ip, 53, value, payload,
-                                           _checks=sweep_checks)
-                for response in responses:
-                    raw = response.packet.payload
-                    # Inlined peek_header + qr/txid triage.
-                    if len(raw) < 12 or not raw[2] & 0x80:
-                        continue
-                    if (raw[0] << 8) | raw[1] != txid:
-                        continue
-                    responses_seen += 1
-                    if rtts is not None:
-                        rtts.append(response.latency)
-                    record_value(value, raw[3] & 0x0F,
-                                 response.packet.src_ip != target_ip)
-            probes_sent += size
-            bulk_sent += size - len(hot_states)
-            bulk_lost += lost
-            if chunk_sink is not None and \
-                    result.row_count() >= chunk_rows:
-                chunk_sink(result.take_chunk())
-            if on_progress is not None:
-                heartbeat_due += size
-                while heartbeat_due >= 1024:
-                    on_progress()
-                    heartbeat_due -= 1024
-        network.absorb_probe_sweep(bulk_sent, bulk_lost)
-        result.probes_sent = probes_sent - suppressed
-        if self.perf is not None:
-            self.perf.count("probes_sent", probes_sent - suppressed)
-            self.perf.count("probes_bulk_settled", bulk_sent)
-            self.perf.count("responses_seen", responses_seen)
-            self.perf.count("parse_calls_avoided", responses_seen)
-            if suppressed:
-                self.perf.count("pacing_suppressed_targets", suppressed)
-            self.perf.observe_many("probe_rtt_seconds", rtts)
-        return result
-
-    def _scan_per_probe(self, result, batches, state_addresses, epoch,
-                        on_progress, pacing=None, base_bucket=None,
-                        chunk_sink=None, chunk_rows=65536):
-        """Per-probe sweep over the batched target stream: every target
-        takes the full ``send_probe`` wire path (the reference
-        semantics), with target generation and filtering still done in
-        C-level batches.
-        """
-        network = self.network
-        seed_epoch = self._identity ^ (epoch << 32)
-        encode = self._encoder.encode
-        send_probe = network.send_probe
-        source_ip = self.source_ip
-        source_port = self.source_port
-        addr_of = state_addresses.__getitem__
-        record_value = result.record_value
-        probes_sent = 0
-        suppressed = 0
-        responses_seen = 0
-        rtts = [] if self.perf is not None else None
-        paced_causes = pacing.suppressed if pacing is not None else None
-        paced_rates = pacing.rates.get if pacing is not None else None
-        window_mask = pacing.window_mask if pacing is not None else 0
-        record_suppressed = result.record_suppressed
-        recorder = getattr(network, "recorder", None)
-        for batch in batches:
-            for state in batch:
-                value = addr_of(state)
-                if paced_causes is not None:
-                    cause = paced_causes.get(value)
-                    if cause is not None:
-                        suppressed += 1
-                        record_suppressed(value & window_mask, cause)
-                        if recorder is not None:
-                            recorder.record(network.clock.now,
-                                            "suppressed", source_ip,
-                                            value, cause)
-                        continue
-                    network.scan_rate_bucket = paced_rates(value,
-                                                           base_bucket)
-                probes_sent += 1
-                if on_progress is not None and not probes_sent & 1023:
-                    on_progress()
-                # splitmix64 finaliser, inlined (== _mix64).
-                key = (seed_epoch ^ value) & _M64
-                key ^= key >> 30
-                key = (key * 0xBF58476D1CE4E5B9) & _M64
-                key ^= key >> 27
-                key = (key * 0x94D049BB133111EB) & _M64
-                key ^= key >> 31
-                txid, payload = encode(key, value)
-                target_ip = int_to_ip(value)
-                for response in send_probe(source_ip, source_port,
-                                           target_ip, 53, value, payload):
-                    raw = response.packet.payload
-                    # Inlined peek_header + qr/txid triage.
-                    if len(raw) < 12 or not raw[2] & 0x80:
-                        continue
-                    if (raw[0] << 8) | raw[1] != txid:
-                        continue
-                    responses_seen += 1
-                    if rtts is not None:
-                        rtts.append(response.latency)
-                    record_value(value, raw[3] & 0x0F,
-                                 response.packet.src_ip != target_ip)
-            if chunk_sink is not None and \
-                    result.row_count() >= chunk_rows:
-                chunk_sink(result.take_chunk())
-        result.probes_sent = probes_sent
-        if self.perf is not None:
-            self.perf.count("probes_sent", probes_sent)
-            self.perf.count("responses_seen", responses_seen)
-            self.perf.count("parse_calls_avoided", responses_seen)
-            if suppressed:
-                self.perf.count("pacing_suppressed_targets", suppressed)
-            self.perf.observe_many("probe_rtt_seconds", rtts)
-        return result
-
-    def _scan_robust(self, target_space, index_range, on_progress,
-                     chunk_sink=None, chunk_rows=65536):
-        """Retry/backoff scan path (``retries > 0`` or a probe timeout).
-
-        Walks the identical LFSR permutation as the fast loop, but each
-        unanswered target is retransmitted up to ``retries`` times with
-        exponentially growing, latency-floored timeouts.  Every
-        retransmission re-sends the *same* flow, so the network's
+        ``plan`` yields ``(hot_targets, cold_sent, cold_lost)`` per
+        batch: the target addresses to probe on the wire, and how many
+        further probes of the batch were settled without it (and how
+        many of those lost their first draw).  Each hot target gets the
+        pacing verdict, one encoded probe, and the attempt schedule:
+        every retransmission re-sends the *same* flow, so the network's
         flow-keyed fate draws give it a fresh, order-independent loss
         decision — merged shard results stay bit-identical to a
-        sequential robust scan.
+        sequential scan.  ``replies``, when given, also collects every
+        accepted response as ``(rcode, source_ip)``.
         """
-        result = ScanResult(self.network.clock.now)
-        total = len(target_space)
-        if total == 0:
-            return result
-        start, stop = index_range if index_range is not None else (0, total)
-        epoch = self._scan_epoch()
-        order = LFSR.order_for(total)
-        lfsr = LFSR(order, seed=(self.lfsr_seed % ((1 << order) - 1)) or 1)
-        target_filter = TargetFilter(target_space, self.blacklist)
-        cumulative = target_space._cumulative
-        prefixes = target_space.prefixes
-        bisect_right = bisect.bisect_right
-        allows_slot = target_filter.allows_slot
-        all_clean = target_filter.all_clean
-        seed_epoch = self._identity ^ (epoch << 32)
-        attempts = self.retries + 1
-        base_schedule = retry_schedule(self.probe_timeout, self.retries,
-                                       self.backoff)
-        # Floor-anchored escape (mirrors retry_schedule): when a
-        # target's rtt floor dominates even the last backed-off base
-        # timeout, re-anchor the exponent at the floor so the schedule
-        # never silently flattens.
-        last_base = base_schedule[-1]
-        backoff_steps = [self.backoff ** attempt
-                         for attempt in range(attempts)]
-        flat_escapes = 0
-        latency_between = self.network.latency_between
-        margin = self.timeout_margin
         network = self.network
-        pacing = self._pacing_plan(target_space, target_filter)
-        base_bucket = int(self.max_pps) if self.max_pps is not None \
-            else None
+        source_ip = self.source_ip
+        source_port = self.source_port
+        # Middleboxes proven inert for this sweep are pruned from the
+        # probes' path checks.
+        checks = network.scan_path_checks(
+            source_ip, 53, qname_suffix=self.measurement_domain)
+        seed_epoch = self._identity ^ (self._scan_epoch() << 32)
+        encode = self._encoder.encode
+        send_probe = network.send_probe
+        record_value = result.record_value
+        record_suppressed = result.record_suppressed
+        recorder = network.recorder
+        retries = self.retries
+        probe_timeout = self.probe_timeout
+        schedule = retry_schedule(probe_timeout, retries, self.backoff)
         paced = pacing is not None or base_bucket is not None
         paced_causes = pacing.suppressed if pacing is not None else None
         paced_rates = pacing.rates.get if pacing is not None else None
         window_mask = pacing.window_mask if pacing is not None else 0
-        recorder = getattr(network, "recorder", None)
-        record_suppressed = result.record_suppressed
+        rtts = [] if perf is not None else None
+        datagrams = 0        # sent on the wire or settled in bulk
+        beat_at = 1024 if on_progress is not None else float("inf")
+        targets = 0          # hot targets actually probed
+        bulk_sent = 0
+        bulk_lost = 0
         suppressed = 0
-        taps = lfsr.taps
-        state = first = lfsr.state
-        probes_sent = 0
-        targets_probed = 0
-        retransmissions = 0
-        late_responses = 0
         responses_seen = 0
-        rtts = [] if self.perf is not None else None
+        late_responses = 0
+        flat_escapes = 0
         if paced:
+            # Declare the scan's rate to the defense plane; per-target
+            # buckets override it probe by probe under adaptive pacing.
             network.scan_rate_bucket = base_bucket
         try:
-            while True:
-                index = state - 1
-                if index < total and start <= index < stop:
-                    slot = bisect_right(cumulative, index) - 1
-                    value = prefixes[slot].base + (index - cumulative[slot])
-                    allowed_here = all_clean or allows_slot(slot, value)
-                    cause = (paced_causes.get(value)
-                             if allowed_here and paced_causes is not None
-                             else None)
-                    if cause is not None:
-                        suppressed += 1
-                        record_suppressed(value & window_mask, cause)
-                        if recorder is not None:
-                            recorder.record(network.clock.now,
-                                            "suppressed", self.source_ip,
-                                            value, cause)
-                    elif allowed_here:
-                        targets_probed += 1
-                        if on_progress is not None and \
-                                not targets_probed & 1023:
-                            on_progress()
-                        if paced_rates is not None:
-                            network.scan_rate_bucket = paced_rates(
-                                value, base_bucket)
-                        key = _mix64(seed_epoch ^ value)
-                        txid = key & 0xFFFF
-                        prefix_label = b"r%x" % ((key >> 16) & 0xFFFFFF)
-                        payload = b"".join((
-                            txid.to_bytes(2, "big"), self._template_head,
-                            _LABEL_LEN[len(prefix_label)], prefix_label,
-                            b"\x08", b"%08x" % value, self._template_tail))
-                        target_ip = int_to_ip(value)
+            for hot_targets, cold_sent, cold_lost in plan:
+                for value in hot_targets:
+                    if paced_causes is not None:
+                        cause = paced_causes.get(value)
+                        if cause is not None:
+                            suppressed += 1
+                            record_suppressed(value & window_mask, cause)
+                            if recorder is not None:
+                                recorder.record(network.clock.now,
+                                                "suppressed", source_ip,
+                                                value, cause)
+                            continue
+                        network.scan_rate_bucket = paced_rates(
+                            value, base_bucket)
+                    targets += 1
+                    # Probe identity: splitmix64 finaliser, inlined
+                    # (== _mix64) — a pure hash of (scanner, epoch,
+                    # target), independent of probe order.
+                    key = (seed_epoch ^ value) & _M64
+                    key ^= key >> 30
+                    key = (key * 0xBF58476D1CE4E5B9) & _M64
+                    key ^= key >> 27
+                    key = (key * 0x94D049BB133111EB) & _M64
+                    key ^= key >> 31
+                    txid, payload = encode(key, value)
+                    target_ip = int_to_ip(value)
+                    timeouts = schedule
+                    if probe_timeout is not None:
                         # Adaptive floor: never time a target out faster
                         # than its own deterministic round trip.
-                        rtt_floor = None
-                        floor_anchored = False
-                        for attempt in range(attempts):
-                            timeout = base_schedule[attempt]
-                            if timeout is not None:
-                                if rtt_floor is None:
-                                    rtt_floor = 2 * latency_between(
-                                        self.source_ip, target_ip) * margin
-                                    floor_anchored = (
-                                        attempts > 1
-                                        and last_base <= rtt_floor)
-                                    if floor_anchored:
-                                        flat_escapes += 1
-                                if floor_anchored:
-                                    timeout = rtt_floor * \
-                                        backoff_steps[attempt]
-                                elif timeout < rtt_floor:
-                                    timeout = rtt_floor
-                            probes_sent += 1
-                            if attempt:
-                                retransmissions += 1
-                            answered = False
-                            for response in network.send_probe(
-                                    self.source_ip, self.source_port,
-                                    target_ip, 53, value, payload):
-                                raw = response.packet.payload
-                                if len(raw) < 12 or not raw[2] & 0x80:
-                                    continue
-                                if (raw[0] << 8) | raw[1] != txid:
-                                    continue
-                                if timeout is not None and \
-                                        response.latency > timeout:
-                                    late_responses += 1
-                                    continue
-                                answered = True
-                                responses_seen += 1
-                                if rtts is not None:
-                                    rtts.append(response.latency)
-                                result.record(target_ip, raw[3] & 0x0F,
-                                              response.packet.src_ip)
-                            if answered:
-                                break
-                        if chunk_sink is not None and \
-                                result.row_count() >= chunk_rows:
-                            chunk_sink(result.take_chunk())
-                lsb = state & 1
-                state >>= 1
-                if lsb:
-                    state ^= taps
-                if state == first:
-                    break
+                        rtt_floor = 2 * network.latency_between(
+                            source_ip, target_ip) * self.timeout_margin
+                        timeouts = retry_schedule(
+                            probe_timeout, retries, self.backoff, rtt_floor)
+                        if retries and schedule[-1] <= rtt_floor:
+                            flat_escapes += 1
+                    for timeout in timeouts:
+                        datagrams += 1
+                        if datagrams >= beat_at:
+                            on_progress()
+                            beat_at += 1024
+                        answered = False
+                        for response in send_probe(
+                                source_ip, source_port, target_ip, 53,
+                                value, payload, _checks=checks):
+                            raw = response.packet.payload
+                            # Header-peek triage: short/truncated
+                            # garbage, non-responses, foreign txids.
+                            if len(raw) < 12 or not raw[2] & 0x80:
+                                continue
+                            if (raw[0] << 8) | raw[1] != txid:
+                                continue
+                            if timeout is not None and \
+                                    response.latency > timeout:
+                                late_responses += 1
+                                continue
+                            answered = True
+                            responses_seen += 1
+                            if rtts is not None:
+                                rtts.append(response.latency)
+                            reply_source = response.packet.src_ip
+                            record_value(value, raw[3] & 0x0F,
+                                         reply_source != target_ip)
+                            if replies is not None:
+                                replies.append((raw[3] & 0x0F,
+                                                reply_source))
+                        if answered:
+                            break
+                datagrams += cold_sent
+                while datagrams >= beat_at:
+                    on_progress()
+                    beat_at += 1024
+                bulk_sent += cold_sent
+                bulk_lost += cold_lost
+                if chunk_sink is not None and \
+                        result.row_count() >= chunk_rows:
+                    chunk_sink(result.take_chunk())
         finally:
             if paced:
                 network.scan_rate_bucket = None
-        result.probes_sent = probes_sent
-        result.retransmissions = retransmissions
-        if self.perf is not None:
-            self.perf.count("probes_sent", probes_sent)
-            self.perf.count("responses_seen", responses_seen)
-            self.perf.count("parse_calls_avoided", responses_seen)
-            self.perf.count("probe_retransmissions", retransmissions)
-            if late_responses:
-                self.perf.count("probe_responses_late", late_responses)
-            if suppressed:
-                self.perf.count("pacing_suppressed_targets", suppressed)
-            if flat_escapes:
-                self.perf.count("rtt_floor_flat_schedules", flat_escapes)
-            self.perf.observe_many("probe_rtt_seconds", rtts)
-        self._record_pacing_perf(pacing, index_range, total)
-        return result
+        network.absorb_probe_sweep(bulk_sent, bulk_lost)
+        retransmissions = datagrams - bulk_sent - targets
+        result.probes_sent += datagrams
+        result.retransmissions += retransmissions
+        if perf is not None:
+            perf.count("probes_sent", datagrams)
+            perf.count("responses_seen", responses_seen)
+            perf.count("parse_calls_avoided", responses_seen)
+            for name, amount in (
+                    ("probes_bulk_settled", bulk_sent),
+                    ("probe_retransmissions", retransmissions),
+                    ("probe_responses_late", late_responses),
+                    ("pacing_suppressed_targets", suppressed),
+                    ("rtt_floor_flat_schedules", flat_escapes)):
+                if amount:
+                    perf.count(name, amount)
+            perf.observe_many("probe_rtt_seconds", rtts)
 
-    def scan_addresses(self, addresses):
-        """Probe an explicit address list (re-probing known resolvers)."""
-        result = ScanResult(self.network.clock.now)
-        epoch = self._scan_epoch()
-        for target_ip in addresses:
-            if self.blacklist is not None and target_ip in self.blacklist:
-                continue
-            result.probes_sent += 1
-            target_int = ip_to_int(target_ip)
-            key = self._probe_key(epoch, target_int)
-            for rcode, source_ip in self._probe_fast(target_ip, target_int,
-                                                     key):
-                result.record(target_ip, rcode, source_ip)
-        if self.perf is not None:
-            self.perf.count("probes_sent", result.probes_sent)
-        return result
+
+def _bulk_plan(batches, addr_of, hot, lost):
+    """Fold target batches against the network's cold-settlement
+    columns (:meth:`~repro.netsim.network.Network.cold_sweep_columns`)
+    into the sweep plan: per batch, the hot targets, the count settled
+    without the wire, and how many of those lost their first draw."""
+    hot_of = hot.__getitem__
+    lost_of = lost.__getitem__ if lost is not None else None
+    for batch in batches:
+        hot_states = list(compress(batch, map(hot_of, batch)))
+        cold_lost = 0
+        if lost_of is not None:
+            # Hot probes draw their own fate inside send_probe; their
+            # column bits must not be double-counted.
+            cold_lost = (sum(map(lost_of, batch))
+                         - sum(map(lost_of, hot_states)))
+        yield (list(map(addr_of, hot_states)),
+               len(batch) - len(hot_states), cold_lost)

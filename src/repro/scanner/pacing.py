@@ -19,9 +19,10 @@ dark, so silence cannot distinguish "empty" from "throttled".  The
 simulator's defenses therefore emit *deterministic* admonishments — pure
 hash draws keyed on (box seed, source, destination, declared rate) —
 and the controller replays exactly those draws without sending a packet,
-the same way the batched sweep replays ``query_loss_selector`` loss
-draws.  The result is a **pacing plan**: a precomputed map from defended
-target to declared rate bucket (or to a suppression cause), pure in
+the same way the sweep replays baseline loss draws
+(``Network.cold_sweep_columns``).  The result is a **pacing plan**: a
+precomputed map from defended target to declared rate bucket (or to a
+suppression cause), pure in
 
     (target space, LFSR walk, defense configuration, controller config,
      scanner identity)
@@ -94,12 +95,6 @@ class PacingConfig:
     @property
     def window_mask(self):
         return (~((1 << (32 - self.window_bits)) - 1)) & 0xFFFFFFFF
-
-    def signature(self):
-        return (self.initial_pps, self.min_pps, self.max_pps,
-                self.additive_pps, self.decrease, self.breaker_threshold,
-                self.cooloff_targets, self.cooloff_jitter,
-                self.error_budget, self.window_bits)
 
 
 def normalize_pacing(pacing, max_pps=None):

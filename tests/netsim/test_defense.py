@@ -179,15 +179,6 @@ class TestMiddleboxProtocol:
         assert box.defense_ranges(mini.client_ip, 53, mini.network) == \
             [(net.base, net.mask)]
 
-    def test_signature_reflects_configuration(self):
-        net = prefix()
-        assert TokenBucketRateLimiter([net], seed=1).signature() == \
-            TokenBucketRateLimiter([net], seed=1).signature()
-        assert TokenBucketRateLimiter([net], seed=1).signature() != \
-            TokenBucketRateLimiter([net], seed=2).signature()
-        assert TokenBucketRateLimiter([net]).signature() != \
-            Tarpit([net]).signature()
-
 
 class TestHostilePopulation:
     def test_default_population_composition(self):

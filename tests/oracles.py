@@ -1,18 +1,25 @@
-"""Reference implementations the study hot-path kernels are checked
-against.
+"""Reference implementations the hot paths are checked against.
 
-Each is the direct transcription the production kernel replaced: slow,
-obviously right, and never imported from ``src/``.  The kernel tests
-compare against them input by input, and ``tests/test_reporting.py``
-swaps all three in for a whole study and requires a byte-equal report.
+Each is the direct transcription the production code replaced: slow,
+obviously right, and never imported from ``src/``.  The study kernel
+tests compare against the first three input by input, and
+``tests/test_reporting.py`` swaps all three in for a whole study and
+requires a byte-equal report; ``tests/scanner/test_sweep_lattice.py``
+holds every configuration of the IPv4 sweep to :func:`reference_sweep`.
 """
 
 from collections import Counter
 
 from repro.core.clustering import hierarchical_cluster
 from repro.core.distance import jaccard_distance
-from repro.dnswire.message import HEADER_STRUCT
+from repro.dnswire import Message
+from repro.dnswire.message import HEADER_STRUCT, peek_header
 from repro.dnswire.name import NameCompressor
+from repro.netsim.address import int_to_ip, ip_to_int
+from repro.scanner.ipv4scan import ScanResult, TargetFilter
+from repro.scanner.lfsr import LFSR
+from repro.scanner.pacing import (build_pacing_plan, defense_plane,
+                                  normalize_pacing)
 
 
 def dp_edit_distance(seq_a, seq_b, cap=None):
@@ -73,3 +80,124 @@ def compressor_only_to_wire(message):
         for entry in section:
             out += entry.to_wire(compressor.encode(entry.name, len(out)))
     return bytes(out)
+
+
+# -- the IPv4 sweep, one target at a time ----------------------------------
+
+_M64 = (1 << 64) - 1
+
+
+def splitmix64(value):
+    value &= _M64
+    value ^= value >> 30
+    value = (value * 0xBF58476D1CE4E5B9) & _M64
+    value ^= value >> 27
+    value = (value * 0x94D049BB133111EB) & _M64
+    value ^= value >> 31
+    return value
+
+
+def reference_sweep(network, source_ip, measurement_domain, target_space,
+                    blacklist=None, source_port=31337, lfsr_seed=0xACE1,
+                    retries=0, probe_timeout=None, backoff=2.0,
+                    timeout_margin=1.25, pacing=None):
+    """``Ipv4Scanner.scan`` over the full space, by the book.
+
+    Steps a plain :class:`LFSR`, maps each state through
+    ``ScanTargetSpace.int_at`` and ``TargetFilter.allows_slot``, builds
+    every query with ``Message.query(...).to_wire()`` and pays one
+    ``send_probe`` per attempt: no batches, no columns, no bulk
+    settlement.  The pacing decisions come from the (separately tested)
+    plan builder, fed per-target inputs computed here.  Returns the
+    :class:`ScanResult`.
+    """
+    result = ScanResult(network.clock.now)
+    total = len(target_space)
+    if total == 0:
+        return result
+    order = LFSR.order_for(total)
+    states = list(LFSR(order, seed=(lfsr_seed % ((1 << order) - 1))
+                       or 1).sequence())
+    target_filter = TargetFilter(target_space, blacklist)
+
+    def allowed_address(state):
+        """The address behind an LFSR state, or ``None`` (out of range,
+        reserved, blacklisted)."""
+        if state > total:
+            return None
+        value = target_space.int_at(state - 1)
+        slot = next(slot for slot, prefix
+                    in enumerate(target_space.prefixes)
+                    if prefix.contains_int(value))
+        return value if target_filter.allows_slot(slot, value) else None
+
+    identity = splitmix64((ip_to_int(source_ip) << 17) ^ source_port
+                          ^ lfsr_seed)
+    epoch = int(network.clock.now) & 0xFFFFFFFF
+    config = normalize_pacing(pacing)
+    plan = None
+    plane = defense_plane(network, source_ip) if config is not None else []
+    if plane:
+        addresses = [0] * (max(states) + 1)
+        defended = [0] * (max(states) + 1)
+        for state in states:
+            value = allowed_address(state)
+            if value is not None:
+                addresses[state] = value
+                defended[state] = int(any(
+                    value & mask == base
+                    for __, ranges in plane for base, mask in ranges))
+        plan = build_pacing_plan(plane, ip_to_int(source_ip), identity,
+                                 states, defended, addresses, config)
+    recorder = network.recorder
+    try:
+        for state in states:
+            value = allowed_address(state)
+            if value is None:
+                continue
+            if plan is not None:
+                cause = plan.suppressed.get(value)
+                if cause is not None:
+                    result.record_suppressed(value & plan.window_mask,
+                                             cause)
+                    if recorder is not None:
+                        recorder.record(network.clock.now, "suppressed",
+                                        source_ip, value, cause)
+                    continue
+                network.scan_rate_bucket = plan.rates.get(value)
+            key = splitmix64(identity ^ (epoch << 32) ^ value)
+            txid = key & 0xFFFF
+            payload = Message.query(
+                "r%x.%08x.%s" % (key >> 16 & 0xFFFFFF, value,
+                                 measurement_domain), txid=txid).to_wire()
+            target_ip = int_to_ip(value)
+            timeouts = [None] * (retries + 1)
+            if probe_timeout is not None:
+                floor = 2 * network.latency_between(
+                    source_ip, target_ip) * timeout_margin
+                anchor = (floor if retries and
+                          probe_timeout * backoff ** retries <= floor
+                          else probe_timeout)
+                timeouts = [max(anchor * backoff ** attempt, floor)
+                            for attempt in range(retries + 1)]
+            for attempt, timeout in enumerate(timeouts):
+                result.probes_sent += 1
+                result.retransmissions += bool(attempt)
+                answered = False
+                for response in network.send_probe(
+                        source_ip, source_port, target_ip, 53, value,
+                        payload):
+                    header = peek_header(response.packet.payload)
+                    if header is None or not header[1] \
+                            or header[0] != txid:
+                        continue
+                    if timeout is not None and response.latency > timeout:
+                        continue
+                    answered = True
+                    result.record(target_ip, header[2],
+                                  response.packet.src_ip)
+                if answered:
+                    break
+    finally:
+        network.scan_rate_bucket = None
+    return result

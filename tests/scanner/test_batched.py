@@ -18,7 +18,7 @@ from repro.netsim.middlebox import DnsIngressFilter, ScannerBlocker
 from repro.resolvers import ResolverNode
 from repro.scanner import Ipv4Scanner, ScanTargetSpace
 from repro.scanner.encoding import ProbeBatchEncoder
-from repro.scanner.ipv4scan import _SWEEP_PLAN_CACHE, ScanResult
+from repro.scanner.ipv4scan import ScanResult
 from tests.conftest import MiniWorld
 
 MEASUREMENT_DOMAIN = "scan.dnsstudy.edu"
@@ -55,8 +55,9 @@ def make_scanner(world, **kwargs):
 
 
 def force_per_probe(world, monkeypatch):
-    """Make the network unable to enumerate middlebox interest, which
-    routes the scan down the reference per-packet path."""
+    """Make the network unable to enumerate middlebox interest, so it
+    declines bulk settlement and the sweep plan is all-hot: every probe
+    takes the per-packet wire path."""
     monkeypatch.setattr(world.network, "scan_interest",
                         lambda *args, **kwargs: None)
 
@@ -67,7 +68,8 @@ def snapshot(result):
 
 
 class TestBatchedEquivalence:
-    """The bulk sweep vs the per-probe reference wire path."""
+    """The bulk sweep plan vs the all-hot plan (every probe on the
+    wire)."""
 
     def test_matches_per_probe_results_and_counters(self, monkeypatch):
         # Two independently built (identical) worlds: raw network
@@ -144,6 +146,18 @@ class TestBatchedEquivalence:
         assert world.pool.address_at(1) in result.responders
         assert gfw.injection_count == 0
 
+    def test_registering_a_node_is_seen_by_the_next_scan(self, world):
+        # Nothing about the cold settlement outlives a scan: a node
+        # registered between two scans is hot in the second.
+        newcomer = world.pool.address_at(9)
+        before = make_scanner(world).scan(world.space)
+        assert newcomer not in before.responders
+        world.network.register(ResolverNode(
+            newcomer, resolution_service=world.service))
+        world.network.clock.advance(1.0)
+        after = make_scanner(world).scan(world.space)
+        assert newcomer in after.responders
+
 
 def defense_snapshot(world, result):
     """Everything a defense-equivalence class must hold bit-identical."""
@@ -216,6 +230,30 @@ class TestDefenseEquivalence:
         assert defense_snapshot(seq_world, sequential) == \
             defense_snapshot(shard_world, sharded)
 
+    def test_pacing_counters_survive_sharding(self):
+        # The plan is global: its counters are tallied once per scan by
+        # the process that builds it — the parent, when forked — not
+        # once per shard and not never.
+        from repro.perf import PerfRegistry
+        from repro.scanner import ScanEngine
+
+        def pacing_perf(shards):
+            world = build_world()
+            world.network.add_middlebox(ReactiveBlocklister(
+                [world.pool], warn_pps=120.0, ban_pps=200.0, seed=3))
+            perf = PerfRegistry()
+            ScanEngine(make_scanner(world, pacing="adaptive"),
+                       shards=shards, perf=perf).scan(world.space)
+            windows = perf.histograms["pacing_window_pps"]
+            return (perf.counter("pacing_defense_signals"),
+                    perf.counter("pacing_suppressed_planned"),
+                    perf.gauge_value("pacing_windows"),
+                    windows.count, windows.snapshot())
+
+        sequential = pacing_perf(shards=1)
+        assert sequential[0] > 0
+        assert pacing_perf(shards=2) == sequential
+
     def test_suppression_is_recorded_not_silent(self):
         world = build_world()
         world.network.add_middlebox(ReactiveBlocklister(
@@ -272,60 +310,24 @@ class TestScanPathChecks:
         checks = world.network.scan_path_checks(world.client_ip, 53)
         assert box in [kept for kept, __ in checks]
 
-    def test_pruning_does_not_change_results(self, world):
-        # Pruned sweep vs a scan whose network double hides the hook
+    def test_pruning_does_not_change_results(self, monkeypatch):
+        # Pruned sweep vs a twin world whose network prunes nothing
         # (stock full-check sends): byte-identical outcomes.
-        world.network.add_middlebox(ScannerBlocker(
-            [world.client_ip], [world.pool], active_after=1e9))
-        pruned = make_scanner(world).scan(world.space)
-        world.network.clock.advance(1.0)
-        original = world.network.scan_path_checks
-        world.network.scan_path_checks = None
-        try:
-            # getattr(network, "scan_path_checks", None) yields None:
-            # the sweep falls back to full-check sends.
-            unpruned = make_scanner(world).scan(world.space)
-        finally:
-            world.network.scan_path_checks = original
-        assert pruned.counts() == unpruned.counts()
-        assert pruned.responders == unpruned.responders
+        def scan(prune):
+            world = build_world()
+            world.network.add_middlebox(ScannerBlocker(
+                [world.client_ip], [world.pool], active_after=1e9))
+            if not prune:
+                monkeypatch.setattr(
+                    world.network, "scan_path_checks",
+                    lambda *args, **kwargs: [
+                        (box, box.path_verdict)
+                        for box in world.network.middleboxes])
+            result = make_scanner(world).scan(world.space)
+            return (pickle.dumps(result), world.network.udp_queries_sent,
+                    world.network.udp_queries_lost)
 
-
-class TestSweepPlanMemo:
-    """The cold settlement is memoised — and invalidated — correctly."""
-
-    def test_plan_reused_across_identical_scans(self, world):
-        _SWEEP_PLAN_CACHE.clear()
-        first = make_scanner(world).scan(world.space)
-        assert len(_SWEEP_PLAN_CACHE) == 1
-        second = make_scanner(world).scan(world.space)
-        assert len(_SWEEP_PLAN_CACHE) == 1
-        assert first.responders == second.responders
-        assert first.probes_sent == second.probes_sent
-
-    def test_registering_a_node_invalidates_the_plan(self, world):
-        _SWEEP_PLAN_CACHE.clear()
-        newcomer = world.pool.address_at(9)
-        before = make_scanner(world).scan(world.space)
-        assert newcomer not in before.responders
-        world.network.register(ResolverNode(
-            newcomer, resolution_service=world.service))
-        after = make_scanner(world).scan(world.space)
-        assert newcomer in after.responders
-        assert len(_SWEEP_PLAN_CACHE) == 2
-
-    def test_nodes_signature_is_content_based(self, world):
-        network = world.network
-        before = network.nodes_signature()
-        extra = world.pool.address_at(11)
-        network.register(ResolverNode(extra,
-                                      resolution_service=world.service))
-        changed = network.nodes_signature()
-        assert changed != before
-        network.unregister(extra)
-        # Same node population again -> same signature, so a
-        # register/unregister churn round-trip re-hits the plan memo.
-        assert network.nodes_signature() == before
+        assert scan(prune=True) == scan(prune=False)
 
 
 class TestProbeBatchEncoder:

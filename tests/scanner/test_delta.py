@@ -12,9 +12,11 @@ import pickle
 
 import pytest
 
+from repro.faults import FaultPlan, FaultProfile
 from repro.inetmodel import ChurnModel, LeasedHost
 from repro.netsim.address import int_to_ip
 from repro.netsim.clock import DAY, WEEK
+from repro.obs import FlightRecorder
 from repro.resolvers import ResolverNode
 from repro.scanner import (DeltaConfig, ScanCampaign, ScanResult,
                            ScanTargetSpace, normalize_delta)
@@ -59,12 +61,12 @@ def build_delta_world(static_hosts=6, dynamic_hosts=4, pools=1, seed=5):
     return world
 
 
-def make_campaign(world, delta, shards=1, perf=None):
+def make_campaign(world, delta, shards=1, perf=None, retries=0):
     return ScanCampaign(
         world.network, world.churn,
         ScanTargetSpace(world.static_pools + [world.dynamic_pool]),
         world.client_ip, "scan.dnsstudy.edu", shards=shards, perf=perf,
-        delta=delta)
+        delta=delta, retries=retries)
 
 
 # Every /26 pool is its own drift window, so escalation stays local to
@@ -350,6 +352,49 @@ class TestDriftEscalation:
         result = campaign.run_week().result
         assert not [entry for entry in result.provenance
                     if entry.get("status", "ok") != "ok"]
+
+
+class TestAuditRetries:
+    """Audit and refresh probes follow the scanner's attempt schedule:
+    one lost datagram is not an audit failure under ``--retries``."""
+
+    def audit_week(self, retries):
+        world = build_delta_world(static_hosts=30, dynamic_hosts=4)
+        # Sees the scanner's own datagrams on the wire, apart from the
+        # resolvers' upstream traffic.
+        recorder = world.network.recorder = FlightRecorder()
+        # Budget and failure floor out of reach: the week stays a delta
+        # week however many audits fail, so the two runs compare.
+        campaign = make_campaign(
+            world, config(audit_fraction=1.0, drift_budget=0.99,
+                          min_audit_failures=1000), retries=retries)
+        campaign.run_week()
+        world.network.install_faults(FaultPlan(
+            FaultProfile(loss_rate=0.30), seed=4))
+        result = campaign.run_week().result
+        summary = [entry for entry in result.provenance
+                   if entry.get("kind") == "delta"][0]
+        assert summary["mode"] == "delta"
+        probes = [event for event in recorder.events
+                  if event[:3] == (result.timestamp, "sent",
+                                   world.client_ip)]
+        return summary, result, probes
+
+    def test_retries_turn_lost_audits_back_into_verdicts(self):
+        single, __, __ = self.audit_week(retries=0)
+        robust, result, __ = self.audit_week(retries=2)
+        assert single["audited"] == robust["audited"] > 0
+        assert robust["audit_failures"] < single["audit_failures"]
+        assert result.retransmissions > 0
+
+    @pytest.mark.parametrize("retries", [0, 2])
+    def test_every_datagram_is_accounted(self, retries):
+        summary, result, probes = self.audit_week(retries)
+        assert result.probes_sent == len(probes)
+        targets = summary["audited"] + summary["refreshed"]
+        assert result.retransmissions == len(probes) - targets
+        if not retries:
+            assert result.retransmissions == 0
 
 
 class TestConfigValidation:

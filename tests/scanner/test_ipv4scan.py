@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.dnswire import Message
 from repro.inetmodel import PrefixAllocator
 from repro.netsim import Node
 from repro.resolvers import ResolverNode
@@ -64,13 +63,6 @@ class TestScan:
             [world.pool.address_at(1), world.pool.address_at(9)])
         assert result.probes_sent == 2
         assert result.counts()["noerror"] == 1
-
-    def test_fast_query_wire_matches_message_codec(self, world):
-        scanner = make_scanner(world)
-        payload = scanner._query_wire(("r2a", "01020304"), 0x1234)
-        reference = Message.query(
-            "r2a.01020304.%s" % MEASUREMENT_DOMAIN, txid=0x1234).to_wire()
-        assert payload == reference
 
     def test_deterministic_across_runs(self, world):
         first = make_scanner(world).scan(ScanTargetSpace([world.pool]))

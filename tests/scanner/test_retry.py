@@ -4,6 +4,7 @@ import pytest
 
 from repro.faults import FaultPlan, FaultProfile
 from repro.perf import PerfRegistry
+from repro.scanner import Ipv4Scanner
 from repro.scanner.ipv4scan import retry_schedule
 from repro.scenario import ScenarioConfig, build_scenario
 
@@ -25,6 +26,36 @@ class TestRetrySchedule:
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError):
             retry_schedule(1.0, -1)
+
+    @pytest.mark.parametrize("backoff", [0.5, 0.0, -2.0, float("nan")])
+    def test_backoff_below_one_rejected(self, backoff):
+        # Later attempts would time out sooner than the first.
+        with pytest.raises(ValueError, match="backoff"):
+            retry_schedule(1.0, 2, backoff=backoff)
+        with pytest.raises(ValueError, match="backoff"):
+            retry_schedule(None, 2, backoff=backoff)
+
+    def test_constant_backoff_allowed(self):
+        assert retry_schedule(1.0, 2, backoff=1.0) == [1.0, 1.0, 1.0]
+
+
+class TestScannerKnobValidation:
+    def make(self, mini, **kwargs):
+        return Ipv4Scanner(mini.network, mini.client_ip,
+                           "scan.dnsstudy.edu", **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"backoff": 0.5}, {"backoff": 0.0}, {"retries": 2, "backoff": 0.9},
+        {"timeout_margin": 0.0}, {"timeout_margin": -1.25},
+        {"retries": -1},
+    ])
+    def test_nonsense_rejected_at_construction(self, mini, kwargs):
+        with pytest.raises(ValueError):
+            self.make(mini, **kwargs)
+
+    def test_boundaries_accepted(self, mini):
+        scanner = self.make(mini, backoff=1.0, timeout_margin=0.01)
+        assert (scanner.backoff, scanner.timeout_margin) == (1.0, 0.01)
 
 
 class TestRetriesUnderLoss:

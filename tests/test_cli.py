@@ -73,6 +73,11 @@ class TestKnobValidation:
         ("--probe-timeout", "-1"),
         ("--probe-timeout", "nan"),
         ("--probe-timeout", "soon"),
+        ("--backoff", "0.5"),
+        ("--backoff", "0"),
+        ("--backoff", "-2"),
+        ("--backoff", "nan"),
+        ("--backoff", "fast"),
     ])
     def test_nonsense_probe_knobs_rejected(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -86,6 +91,11 @@ class TestKnobValidation:
         args = build_parser().parse_args(
             ["scan", "--retries", "0", "--probe-timeout", "2.5"])
         assert (args.retries, args.probe_timeout) == (0, 2.5)
+
+    def test_backoff_of_one_is_valid(self):
+        # Constant retransmission timeouts are the boundary, not nonsense.
+        args = build_parser().parse_args(["scan", "--backoff", "1"])
+        assert args.backoff == 1.0
 
     @pytest.mark.parametrize("flag,value", [
         ("--audit-fraction", "0"),
