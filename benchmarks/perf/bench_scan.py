@@ -7,7 +7,9 @@ writes the measurements to ``BENCH_scan.json``.  The sharded run doubles
 as the determinism check: its merged ``counts()`` must equal the
 sequential run's exactly.  Absolute throughput is tracked end to end by
 ``BENCHMARK.json``'s ``sweep`` workload (``benchmarks/e2e``); the gates
-here are shard determinism and tracing-off overhead.
+here are shard determinism, tracing-off overhead, and the robustness
+tax (a ``retries=2`` scan under 5% injected loss within 2x of the clean
+scan, per probe).
 
 Usage::
 
@@ -226,6 +228,10 @@ def main(argv=None):
             "retries_2": tax_robust,
             "time_overhead_x": round(
                 tax_robust["seconds"] / tax_single["seconds"], 2),
+            # Per probe, against the clean scan above: what retries and
+            # a fault plan cost the sweep loop itself.
+            "vs_clean_x": round(
+                fast["probes_per_sec"] / tax_robust["probes_per_sec"], 2),
             "responders_recovered": (tax_robust["responders"]
                                      - tax_single["responders"]),
         },
@@ -245,6 +251,11 @@ def main(argv=None):
         print("FAIL: disabled tracing costs %.2f%% against the fast "
               "path (budget: <2%%)"
               % tracing["tracing_off_overhead_pct"], file=sys.stderr)
+        return 1
+    if report["robustness_tax"]["vs_clean_x"] > 2.0:
+        print("FAIL: retries=2 under injected loss runs %.2fx slower "
+              "per probe than the clean scan (budget: 2x)"
+              % report["robustness_tax"]["vs_clean_x"], file=sys.stderr)
         return 1
     return 0
 

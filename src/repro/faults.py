@@ -281,7 +281,9 @@ class FaultPlan:
         counts sends of this flow within the current scan epoch (a
         retransmission is a fresh occurrence and gets a fresh draw).
         Returns a counter-name suffix: ``"injected_loss"``,
-        ``"burst_loss"``, or ``"rate_limited"``.
+        ``"burst_loss"``, or ``"rate_limited"``.  ``now=None`` applies
+        only the rules that do not read the clock (every rule but the
+        burst windows).
         """
         profile = self.profile
         if profile.rate_limit_share > 0.0 and \
@@ -289,20 +291,80 @@ class FaultPlan:
                 self._chance(_SALT_RATE_LIMIT, dst_int, 0,
                              profile.rate_limit_share):
             return "rate_limited"
-        if profile.burst_share > 0.0:
-            # Burst windows are keyed spatially (per destination /16) and
-            # per epoch: the clock is constant within one scan, so a
-            # "burst" manifests as elevated loss over an address window.
-            window = (dst_int >> 16) ^ (int(now) << 20)
-            if self._chance(_SALT_BURST_WINDOW, window, 0,
-                            profile.burst_share) and \
-                    self._chance(_SALT_BURST_LOSS, flow_key, occurrence,
-                                 profile.burst_loss_rate):
-                return "burst_loss"
+        if now is not None and profile.burst_share > 0.0 and \
+                self._in_burst(dst_int, now) and \
+                self._chance(_SALT_BURST_LOSS, flow_key, occurrence,
+                             profile.burst_loss_rate):
+            return "burst_loss"
         if self._chance(_SALT_EXTRA_LOSS, flow_key, occurrence,
                         profile.loss_rate):
             return "injected_loss"
         return None
+
+    def _in_burst(self, dst_int, now):
+        """Whether ``dst_int`` sits in a burst window this epoch.
+
+        Burst windows are keyed spatially (per destination /16) and per
+        epoch: the clock is constant within one scan, so a "burst"
+        manifests as elevated loss over an address window."""
+        return self._chance(_SALT_BURST_WINDOW,
+                            (dst_int >> 16) ^ (int(now) << 20), 0,
+                            self.profile.burst_share)
+
+    def query_fate_columns(self, flow_const, addresses, draws, now,
+                           remember):
+        """Column form of :meth:`query_fate`, for flows nothing answers.
+
+        Flow ``i`` — unsalted key ``flow_const ^ addresses[i] *
+        0x85EBCA77``, the network's flow hash with the destination term
+        split off — is sent ``draws[i]`` times this epoch: occurrences
+        ``0 .. draws[i] - 1``, since an unanswered flow is re-sent
+        whatever each send's fate.  Returns ``{reason: bytearray}``: per
+        address, how many of those sends each rule dropped.
+
+        The rules that do not read the clock are tallied once per
+        address column and kept in the caller's memo (``remember(key,
+        build)``); only the flows inside this epoch's burst windows are
+        tallied again with the clock.
+        """
+        profile = self.profile
+        steady = remember(
+            (self._seed_high, profile.loss_rate, profile.rate_limit_share,
+             profile.rate_limit_step),
+            lambda: self._tally_fates({}, flow_const, addresses, draws,
+                                      None, range(len(addresses))))
+        if profile.burst_share <= 0.0:
+            return steady
+        windows = {}
+        stormy = []
+        for position, value in enumerate(addresses):
+            window = value >> 16
+            if window not in windows:
+                windows[window] = self._in_burst(value, now)
+            if windows[window]:
+                stormy.append(position)
+        counts = {reason: bytearray(column)
+                  for reason, column in steady.items()}
+        for column in counts.values():
+            for position in stormy:
+                column[position] = 0
+        return self._tally_fates(counts, flow_const, addresses, draws, now,
+                                 stormy)
+
+    def _tally_fates(self, counts, flow_const, addresses, draws, now,
+                     positions):
+        query_fate = self.query_fate
+        for position in positions:
+            value = addresses[position]
+            flow_key = flow_const ^ value * 0x85EBCA77
+            for occurrence in range(draws[position]):
+                reason = query_fate(flow_key, value, occurrence, now)
+                if reason is not None:
+                    column = counts.get(reason)
+                    if column is None:
+                        column = counts[reason] = bytearray(len(addresses))
+                    column[position] += 1
+        return counts
 
     # -- UDP response plane -----------------------------------------------
 

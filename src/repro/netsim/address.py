@@ -154,6 +154,29 @@ def paint_ranges(column, addresses, addresses_sorted, ranges):
                     column[position] = 1
 
 
+class RangeIndex:
+    """First-match lookup over a list of ``(base, mask)`` CIDR ranges.
+
+    ``find(value)`` is the position of the first listed range holding
+    ``value`` (``None`` when none does) — what a pass over the list
+    answers, at one dict lookup per distinct mask.
+    """
+
+    def __init__(self, ranges):
+        by_mask = {}
+        for position, (base, mask) in enumerate(ranges):
+            by_mask.setdefault(mask, {}).setdefault(base, position)
+        self._by_mask = tuple(by_mask.items())
+
+    def find(self, value):
+        found = None
+        for mask, bases in self._by_mask:
+            position = bases.get(value & mask)
+            if position is not None and (found is None or position < found):
+                found = position
+        return found
+
+
 def reverse_pointer_name(address):
     """The in-addr.arpa name for an address, used for rDNS lookups."""
     parts = address.split(".")

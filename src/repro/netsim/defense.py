@@ -35,15 +35,19 @@ what keeps sharded and bulk-settled scans bit-identical under defense.
 
 Each box also implements ``scan_interest`` returning its protected
 ranges, so the batched sweep marks defended destinations "hot" and sends
-them down the full per-packet wire path; the cold remainder still
-bulk-settles at columnar speed.
+them down the full per-packet wire path — except where the sweep hands
+the network a pacing plan that already drew this box's verdict for the
+rate it will declare, and the verdict is "pass": such a probe meets no
+defense at all and settles with the cold remainder at columnar speed
+(``Network.cold_sweep_columns``).  Signalled, suppressed and
+multiply-covered targets, and every target of an unpaced scan, stay hot.
 
 Dropped probes are attributed: the box exposes ``drop_cause`` (a
 ``defense:*`` string) which the network records in the flight recorder
 and tallies via ``count_fault`` so the counters survive forked workers.
 """
 
-from repro.netsim.address import ip_to_int
+from repro.netsim.address import RangeIndex, ip_to_int
 from repro.netsim.middlebox import Middlebox, PATH_DROP, PATH_IGNORE
 from repro.netsim.network import _mix64
 
@@ -91,6 +95,7 @@ class DefenseMiddlebox(Middlebox):
         self.active_after = active_after
         self._protect_masks = [(net.base, net.mask)
                                for net in self.protected_networks]
+        self._protected = RangeIndex(self._protect_masks)
         self._src_ints = {}
 
     # -- pure core ----------------------------------------------------
@@ -108,10 +113,7 @@ class DefenseMiddlebox(Middlebox):
     # -- middlebox protocol -------------------------------------------
 
     def _covers(self, dst_int):
-        for base, mask in self._protect_masks:
-            if dst_int & mask == base:
-                return True
-        return False
+        return self._protected.find(dst_int) is not None
 
     def _src_int(self, src_ip):
         cached = self._src_ints.get(src_ip)
@@ -142,8 +144,9 @@ class DefenseMiddlebox(Middlebox):
 
     def scan_interest(self, src_ip, dst_port, network, qname_suffix=None):
         """Defended ranges are hot: probes into them take the full wire
-        path inside the batched sweep, which is exactly what keeps the
-        bulk path bit-identical to per-probe under defense."""
+        path inside the batched sweep — the pacing plan's proven passes
+        aside (module docstring) — which is exactly what keeps the bulk
+        path bit-identical to per-probe under defense."""
         if dst_port != self.port or network.clock.now < self.active_after:
             return []
         return list(self._protect_masks)

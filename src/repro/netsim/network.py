@@ -47,9 +47,7 @@ _SALT_FAULT_QUERY = 0x55
 _SALT_FAULT_TRUNC = 0x56
 _SALT_FAULT_TCP = 0x57
 
-# Bulk-scan support: the mixed occurrence index of a flow's *first* draw
-# (occurrence 0 → _mix64(1)).
-_MIX_FIRST_OCCURRENCE = _mix64(1)
+# Bulk-scan support: entries kept per caller-owned loss memo.
 _LOSS_MEMO_ENTRIES = 8
 
 
@@ -354,17 +352,19 @@ class Network:
     # -- batched scan sweep ------------------------------------------------
     #
     # The scan sweep (:meth:`repro.scanner.ipv4scan.Ipv4Scanner.scan`)
-    # settles targets that host no node and interest no middlebox with
+    # settles targets that host no node and meet no middlebox with
     # integer set/array operations; only the rare interesting target
     # pays the full wire path.  Whether that is *exact* — and which
-    # targets are cold, and which of their first draws are lost — is
-    # decided here, in one place, from the same registry, the same
-    # interest classification the per-packet verdicts use, and the same
-    # flow-keyed loss draw bit for bit.
+    # targets are cold, and how many of their datagrams baseline loss
+    # and the fault plan drop — is decided here, in one place, from the
+    # same registry, the same interest classification the per-packet
+    # verdicts use, and the same flow-keyed draws bit for bit.
 
-    def scan_interest(self, src_ip, dst_port, qname_suffix=None):
-        """Destinations any middlebox may affect for ``(src_ip, dst_port)``
-        at the current clock, as a list of ``(base, mask)`` ranges.
+    def scan_interest(self, src_ip, dst_port, qname_suffix=None,
+                      besides=()):
+        """Destinations any middlebox (``besides`` those listed) may
+        affect for ``(src_ip, dst_port)`` at the current clock, as a
+        list of ``(base, mask)`` ranges.
 
         ``qname_suffix`` tells payload-inspecting boxes what every probe
         in the sweep queries under (the scanner's measurement domain),
@@ -378,6 +378,8 @@ class Network:
         """
         ranges = []
         for box in self.middleboxes:
+            if box in besides:
+                continue
             probe = getattr(box, "scan_interest", None)
             if probe is None:
                 return None
@@ -411,84 +413,143 @@ class Network:
         return checks
 
     def cold_sweep_columns(self, src_ip, src_port, dst_port, addresses,
-                           addresses_sorted, loss_memo, qname_suffix=None):
+                           addresses_sorted, loss_memo, qname_suffix=None,
+                           attempts=1, paced=None):
         """Decide whether a sweep's cold probes can skip the wire.
 
         ``addresses`` is the sweep's address column (``addresses_sorted``
-        when globally ascending).  Returns ``None`` when bulk settlement
-        cannot be proven exact — a flight recorder or fault plan is
+        when globally ascending) and ``attempts`` how many datagrams the
+        sweep sends a target that never answers.  Returns ``None`` when
+        bulk settlement cannot be proven exact — a flight recorder is
         installed (every probe must be seen), a same-clock scan already
-        drew packet fates (the loss column below holds *first* draws
-        only), or a middlebox cannot enumerate its interest — and the
-        caller then sends every probe through :meth:`send_probe`.
+        drew packet fates (the drop columns below start at each flow's
+        *first* occurrence), or a middlebox cannot enumerate its
+        interest — and the caller then sends every probe through
+        :meth:`send_probe`.
 
-        Otherwise returns ``(hot, lost)``, both aligned with
-        ``addresses``: ``hot[i]`` is 1 where the address hosts a node or
-        a middlebox declared interest (full wire path), and ``lost[i]``
-        is 1 where the first query of that flow this epoch is lost
-        (``None`` without baseline loss).  A cold probe's only
-        observable effects in :meth:`send_probe` are one
-        ``udp_queries_sent`` increment and that loss draw, so the caller
-        folds them per batch and reports the totals through
+        Otherwise returns ``(hot, drops)``.  ``hot[i]`` is 1 where the
+        address hosts a node or a middlebox may act on its probe (full
+        wire path).  ``paced``, the ``(plane, passed)`` of the sweep's
+        pacing plan, takes the boxes of that defense plane out of the
+        second clause wherever ``passed[i]`` says the plan already drew
+        their verdict at the rate it will declare — none covers the
+        address but one, and that one lets the probe through.
+
+        A cold target never answers, so its only observable effects in
+        :meth:`send_probe` are ``attempts`` ``udp_queries_sent``
+        increments and, per attempt, the baseline loss draw followed —
+        for the attempts that survive it — by the fault plan's query
+        fate, every one a pure hash of (seed, flow, occurrence).
+        ``drops`` lists them as ``(reason, counts)`` pairs aligned with
+        ``addresses``: how many of the address's attempts ``reason``
+        drops (``None`` = baseline loss, else the fault counter name).
+        The caller folds them per batch and reports the totals through
         :meth:`absorb_probe_sweep`.
 
         ``loss_memo`` is a dict the caller keeps *for this exact address
-        column*: the loss draw depends on neither the clock nor any
-        mutable state, so weekly re-scans reuse the column for free.
+        column*: drop counts that depend on neither the clock nor any
+        mutable state are kept there, so weekly re-scans reuse them for
+        free.
         """
-        if self.recorder is not None or self.faults is not None:
+        if self.recorder is not None or attempts > 255:
             return None
         if self.clock.now != self._flow_epoch:
             self._flow_counts.clear()
             self._flow_epoch = self.clock.now
         if self._flow_counts:
             return None
-        interest = self.scan_interest(src_ip, dst_port,
-                                      qname_suffix=qname_suffix)
+        plane, passed = paced if paced is not None else ((), None)
+        # A box's pass verdicts hold wherever *it* says it may act, so
+        # only boxes whose interest is the ranges the plan paced over
+        # are taken out of the generic interest below.
+        settled = [
+            (box, ranges) for box, ranges in plane
+            if getattr(box, "scan_interest", None) is not None
+            and box.scan_interest(src_ip, dst_port, self,
+                                  qname_suffix=qname_suffix) == ranges]
+        interest = self.scan_interest(
+            src_ip, dst_port, qname_suffix=qname_suffix,
+            besides=[box for box, __ in settled])
         if interest is None:
             return None
         hot = bytearray(map(self._nodes_by_int.__contains__, addresses))
         paint_ranges(hot, addresses, addresses_sorted, interest)
-        if self.loss_rate <= 0:
-            return hot, None
-        flow_const = _SALT_QUERY_LOSS ^ (
-            ip_to_int(src_ip) * 0x9E3779B1
-            ^ src_port << 17 ^ dst_port << 1)
-        memo_key = (self._seed_high, self.loss_rate, flow_const)
-        lost = loss_memo.get(memo_key)
-        if lost is None:
-            lost = self._first_query_losses(flow_const, addresses)
-            if len(loss_memo) >= _LOSS_MEMO_ENTRIES:
-                loss_memo.pop(next(iter(loss_memo)))
-            loss_memo[memo_key] = lost
-        return hot, lost
+        if settled:
+            defended = bytearray(len(addresses))
+            for __, ranges in settled:
+                paint_ranges(defended, addresses, addresses_sorted, ranges)
+            hot = bytearray((
+                int.from_bytes(hot, "big")
+                | (int.from_bytes(defended, "big")
+                   & ~int.from_bytes(passed, "big"))
+            ).to_bytes(len(hot), "big"))
+        flow_const = (ip_to_int(src_ip) * 0x9E3779B1
+                      ^ src_port << 17 ^ dst_port << 1)
 
-    def _first_query_losses(self, flow_const, addresses):
-        """First-occurrence query-loss fates for a whole address column:
-        bit-identical to the draw :meth:`send_probe` computes, because
-        it *is* the same pure hash of (seed, salt, flow)."""
+        def remember(key, build):
+            """``loss_memo``, scoped to this network, flow and schedule."""
+            key = (self._seed_high, self.loss_rate, flow_const,
+                   attempts) + key
+            column = loss_memo.get(key)
+            if column is None:
+                if len(loss_memo) >= _LOSS_MEMO_ENTRIES:
+                    loss_memo.pop(next(iter(loss_memo)))
+                column = loss_memo[key] = build()
+            return column
+
+        drops = []
+        lost = None
+        if self.loss_rate > 0:
+            lost = remember((), lambda: self._query_losses(
+                _SALT_QUERY_LOSS ^ flow_const, addresses, attempts))
+            drops.append((None, lost))
+        if self.faults is not None:
+            # The fault occurrence only advances on attempts that
+            # survived baseline loss: that many draws per address.
+            if lost is None:
+                draws = bytes((attempts,)) * len(addresses)
+            else:
+                draws = lost.translate(bytes(
+                    max(attempts - count, 0) for count in range(256)))
+            drops.extend(self.faults.query_fate_columns(
+                flow_const, addresses, draws, self.clock.now,
+                remember).items())
+        return hot, drops
+
+    def _query_losses(self, flow_const, addresses, attempts):
+        """Per address, how many of a flow's first ``attempts`` queries
+        are lost: bit-identical to the draws :meth:`send_probe`
+        computes, because they *are* the same pure hash of (seed, salt,
+        flow, occurrence)."""
         scaled_rate = self.loss_rate * (_M64 + 1)
         seed_high = self._seed_high
-        mixed_first = _MIX_FIRST_OCCURRENCE
+        occurrences = [_mix64(occurrence + 1)
+                       for occurrence in range(attempts)]
         lost = bytearray(len(addresses))
         for position, value in enumerate(addresses):
-            # splitmix64 finaliser, inlined (== _mix64); the key matches
-            # send_probe's query-loss key for occurrence 0 exactly.
-            draw = (seed_high ^ flow_const ^ value * 0x85EBCA77
-                    ^ mixed_first) & _M64
-            draw ^= draw >> 30
-            draw = (draw * 0xBF58476D1CE4E5B9) & _M64
-            draw ^= draw >> 27
-            draw = (draw * 0x94D049BB133111EB) & _M64
-            draw ^= draw >> 31
-            if draw < scaled_rate:
-                lost[position] = 1
+            key = seed_high ^ flow_const ^ value * 0x85EBCA77
+            for mixed in occurrences:
+                # splitmix64 finaliser, inlined (== _mix64); the key
+                # matches send_probe's query-loss key exactly.
+                draw = (key ^ mixed) & _M64
+                draw ^= draw >> 30
+                draw = (draw * 0xBF58476D1CE4E5B9) & _M64
+                draw ^= draw >> 27
+                draw = (draw * 0x94D049BB133111EB) & _M64
+                draw ^= draw >> 31
+                if draw < scaled_rate:
+                    lost[position] += 1
         return lost
 
-    def absorb_probe_sweep(self, sent, lost):
-        """Fold a bulk-settled batch into the traffic counters."""
+    def absorb_probe_sweep(self, sent, drops):
+        """Fold bulk-settled probes into the traffic counters: ``sent``
+        datagrams, of which ``drops`` (``{reason: count}``, keyed like
+        :meth:`cold_sweep_columns`' drop columns) never arrived."""
         self.udp_queries_sent += sent
-        self.udp_queries_lost += lost
+        for reason, count in drops.items():
+            self.udp_queries_lost += count
+            if reason is not None and count:
+                self.count_fault(reason, count)
 
     # -- UDP --------------------------------------------------------------
 

@@ -11,17 +11,18 @@ One sweep loop (see DESIGN.md, "One sweep loop"): every way of
 probing — a full or sharded :meth:`Ipv4Scanner.scan`, an explicit
 :meth:`Ipv4Scanner.scan_addresses` list, a single
 :meth:`Ipv4Scanner.probe` — feeds :meth:`Ipv4Scanner._sweep` a *plan*,
-an iterable of ``(hot_targets, cold_sent, cold_lost)`` tuples:
+an iterable of ``(hot_targets, cold_targets, cold_drops)`` tuples:
 
 * ``scan`` pulls targets out of the LFSR permutation in fixed-size
   batches (:class:`repro.scanner.lfsr.TargetBatchIterator`) and asks
-  the network whether cold targets — no node, no interested middlebox,
-  ~97% of the space — can be settled without the wire
-  (:meth:`repro.netsim.network.Network.cold_sweep_columns`).  If so,
-  each batch folds to its hot targets plus two counts taken with
-  C-level column operations; if not (flight recorder, fault plan,
-  retries/timeouts, an opaque middlebox) every target of the batch is
-  hot.  Same loop either way;
+  the network whether cold targets — no node, no middlebox that acts
+  on the probe, ~97% of the space — can be settled without the wire
+  (:meth:`repro.netsim.network.Network.cold_sweep_columns`).  If so
+  — retries, a fault plan and paced defenses included — each batch
+  folds to its hot targets plus counts taken with C-level column
+  operations; if not (flight recorder, dirty flow epoch, an opaque
+  middlebox, a timed schedule) every target of the batch is hot.
+  Same loop either way;
 * each hot target pays the full per-packet wire path under the
   attempt schedule (:func:`retry_schedule`, one attempt by default):
   payloads come from a preallocated buffer pool
@@ -170,7 +171,8 @@ class SweepColumns:
     the reserved ranges and the blacklist admit — equivalent to
     :meth:`TargetFilter.allows_slot` over every index.  ``loss_memo``
     belongs to the network (see :meth:`~repro.netsim.network.Network.
-    cold_sweep_columns`): first-draw loss columns for ``addresses``.
+    cold_sweep_columns`): clock-independent drop columns (baseline
+    loss, fault-plan fates) for ``addresses``.
     """
 
     __slots__ = ("addresses", "is_sorted", "allowed", "loss_memo")
@@ -675,8 +677,8 @@ class Ipv4Scanner:
         self._identity = _mix64(
             (ip_to_int(source_ip) << 17) ^ source_port ^ lfsr_seed)
         # The pacing plan of the scan in progress: (columns, clock,
-        # defense plane, plan).  Built once per scan — by prewarm in
-        # the parent when sharded, so workers inherit it copy-on-write.
+        # plan).  Built once per scan — by prewarm in the parent when
+        # sharded, so workers inherit it copy-on-write.
         self._paced = None
 
     def _scan_epoch(self):
@@ -706,7 +708,10 @@ class Ipv4Scanner:
         if total == 0:
             return
         self._walk(total, force_cache=True)
-        self._pacing_plan(_sweep_columns(target_space, self.blacklist))
+        # Asked for its memoised drop columns only: the decision itself
+        # is each scanning process's to take, at its own flow epoch.
+        columns = _sweep_columns(target_space, self.blacklist)
+        self._cold_columns(columns, self._pacing_plan(columns))
 
     def scan(self, target_space, index_range=None, on_progress=None,
              chunk_sink=None, chunk_rows=65536):
@@ -727,10 +732,9 @@ class Ipv4Scanner:
 
         Targets stream out of the LFSR permutation in
         :attr:`probe_batch`-sized batches.  Cold targets are settled in
-        bulk when the network can prove that exact and the attempt
-        schedule is the single untimed probe (a lost cold probe would
-        otherwise need its retransmission draws); every other target
-        takes the wire path in :meth:`_sweep`.
+        bulk when the network can prove that exact (see
+        :meth:`_cold_columns`); every other target takes the wire path
+        in :meth:`_sweep`.
         """
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be >= 1")
@@ -750,22 +754,17 @@ class Ipv4Scanner:
         batches = TargetBatchIterator(walk, selector,
                                       batch_size=self.probe_batch)
         addr_of = columns.addresses.__getitem__
-        cold = None
-        if not self.retries and self.probe_timeout is None:
-            cold = network.cold_sweep_columns(
-                self.source_ip, self.source_port, 53, columns.addresses,
-                columns.is_sorted, columns.loss_memo,
-                qname_suffix=self.measurement_domain)
+        pacing = self._pacing_plan(columns)
+        cold = self._cold_columns(columns, pacing)
         if cold is None:
-            plan = ((map(addr_of, batch), 0, 0) for batch in batches)
+            plan = ((map(addr_of, batch), 0, ()) for batch in batches)
         else:
             # Folded up front (the hot lists are ~3% of the space):
             # interleaving the C-level batch extraction with the hot
             # targets' wire path evicts the walk and the selector from
             # the CPU caches between batches — 2% of a clean week.
             plan = list(_bulk_plan(batches, addr_of, *cold))
-        self._sweep(result, plan, perf=self.perf,
-                    pacing=self._pacing_plan(columns),
+        self._sweep(result, plan, perf=self.perf, pacing=pacing,
                     base_bucket=(int(self.max_pps)
                                  if self.max_pps is not None else None),
                     on_progress=on_progress, chunk_sink=chunk_sink,
@@ -778,7 +777,7 @@ class Ipv4Scanner:
         blacklist = self.blacklist
         targets = [ip_to_int(target_ip) for target_ip in addresses
                    if blacklist is None or target_ip not in blacklist]
-        self._sweep(result, ((targets, 0, 0),), perf=self.perf)
+        self._sweep(result, ((targets, 0, ()),), perf=self.perf)
         return result
 
     def probe(self, target_ip):
@@ -787,8 +786,30 @@ class Ipv4Scanner:
         it is not tallied into :attr:`perf`."""
         replies = []
         self._sweep(ScanResult(self.network.clock.now),
-                    (((ip_to_int(target_ip),), 0, 0),), replies=replies)
+                    (((ip_to_int(target_ip),), 0, ()),), replies=replies)
         return replies
+
+    def _cold_columns(self, columns, pacing):
+        """The network's cold-settlement columns for a scan of
+        ``columns`` at the current clock, or ``None``: every target hot.
+
+        The network decides (:meth:`~repro.netsim.network.Network.
+        cold_sweep_columns`), told how many datagrams this scanner's
+        schedule sends a silent target and which defense verdicts the
+        ``pacing`` plan already drew.  A timed schedule (``probe_timeout``)
+        is never asked: it floors each target's timeouts at that
+        target's own round trip, which is per-target work by
+        definition.
+        """
+        if self.probe_timeout is not None:
+            return None
+        return self.network.cold_sweep_columns(
+            self.source_ip, self.source_port, 53, columns.addresses,
+            columns.is_sorted, columns.loss_memo,
+            qname_suffix=self.measurement_domain,
+            attempts=1 + self.retries,
+            paced=(None if pacing is None
+                   else (pacing.plane, pacing.passed)))
 
     def _pacing_plan(self, columns):
         """The adaptive pacing plan for the scan at the current clock,
@@ -810,8 +831,8 @@ class Ipv4Scanner:
         now = network.clock.now
         paced = self._paced
         if paced is not None and paced[0] is columns \
-                and paced[1:3] == (now, plane):
-            return paced[3]
+                and paced[1] == now and paced[2].plane == plane:
+            return paced[2]
         addresses = columns.addresses
         walk = self._walk(len(addresses) - 1)
         defended = bytearray(len(addresses))
@@ -825,7 +846,7 @@ class Ipv4Scanner:
         plan = build_pacing_plan(plane, ip_to_int(self.source_ip),
                                  self._identity, walk, selector,
                                  addresses, config)
-        self._paced = (columns, now, plane, plan)
+        self._paced = (columns, now, plan)
         perf = self.perf
         if perf is not None:
             perf.observe_many("pacing_window_pps", plan.window_rates())
@@ -841,10 +862,13 @@ class Ipv4Scanner:
                chunk_rows=65536, replies=None):
         """The one send/receive loop every probe goes through.
 
-        ``plan`` yields ``(hot_targets, cold_sent, cold_lost)`` per
-        batch: the target addresses to probe on the wire, and how many
-        further probes of the batch were settled without it (and how
-        many of those lost their first draw).  Each hot target gets the
+        ``plan`` yields ``(hot_targets, cold_targets, cold_drops)`` per
+        batch: the target addresses to probe on the wire, how many
+        further targets of the batch were settled without it — each
+        stands for a full attempt schedule of datagrams — and, as
+        ``(reason, count)`` pairs, how many of those datagrams were
+        dropped and by what (see :meth:`~repro.netsim.network.Network.
+        cold_sweep_columns`).  Each hot target gets the
         pacing verdict, one encoded probe, and the attempt schedule:
         every retransmission re-sends the *same* flow, so the network's
         flow-keyed fate draws give it a fresh, order-independent loss
@@ -868,6 +892,7 @@ class Ipv4Scanner:
         retries = self.retries
         probe_timeout = self.probe_timeout
         schedule = retry_schedule(probe_timeout, retries, self.backoff)
+        attempts = len(schedule)    # datagrams a silent target costs
         paced = pacing is not None or base_bucket is not None
         paced_causes = pacing.suppressed if pacing is not None else None
         paced_rates = pacing.rates.get if pacing is not None else None
@@ -876,8 +901,8 @@ class Ipv4Scanner:
         datagrams = 0        # sent on the wire or settled in bulk
         beat_at = 1024 if on_progress is not None else float("inf")
         targets = 0          # hot targets actually probed
-        bulk_sent = 0
-        bulk_lost = 0
+        bulk_targets = 0
+        bulk_drops = {}
         suppressed = 0
         responses_seen = 0
         late_responses = 0
@@ -887,7 +912,7 @@ class Ipv4Scanner:
             # buckets override it probe by probe under adaptive pacing.
             network.scan_rate_bucket = base_bucket
         try:
-            for hot_targets, cold_sent, cold_lost in plan:
+            for hot_targets, cold_targets, cold_drops in plan:
                 for value in hot_targets:
                     if paced_causes is not None:
                         cause = paced_causes.get(value)
@@ -955,20 +980,22 @@ class Ipv4Scanner:
                                                 reply_source))
                         if answered:
                             break
-                datagrams += cold_sent
+                datagrams += cold_targets * attempts
                 while datagrams >= beat_at:
                     on_progress()
                     beat_at += 1024
-                bulk_sent += cold_sent
-                bulk_lost += cold_lost
+                bulk_targets += cold_targets
+                for reason, count in cold_drops:
+                    bulk_drops[reason] = bulk_drops.get(reason, 0) + count
                 if chunk_sink is not None and \
                         result.row_count() >= chunk_rows:
                     chunk_sink(result.take_chunk())
         finally:
             if paced:
                 network.scan_rate_bucket = None
-        network.absorb_probe_sweep(bulk_sent, bulk_lost)
-        retransmissions = datagrams - bulk_sent - targets
+        bulk_sent = bulk_targets * attempts
+        network.absorb_probe_sweep(bulk_sent, bulk_drops)
+        retransmissions = datagrams - bulk_targets - targets
         result.probes_sent += datagrams
         result.retransmissions += retransmissions
         if perf is not None:
@@ -986,20 +1013,20 @@ class Ipv4Scanner:
             perf.observe_many("probe_rtt_seconds", rtts)
 
 
-def _bulk_plan(batches, addr_of, hot, lost):
+def _bulk_plan(batches, addr_of, hot, drops):
     """Fold target batches against the network's cold-settlement
     columns (:meth:`~repro.netsim.network.Network.cold_sweep_columns`)
-    into the sweep plan: per batch, the hot targets, the count settled
-    without the wire, and how many of those lost their first draw."""
+    into the sweep plan: per batch, the hot targets, the number of
+    targets settled without the wire, and per drop column how many of
+    those targets' datagrams it claims."""
     hot_of = hot.__getitem__
-    lost_of = lost.__getitem__ if lost is not None else None
+    drops = [(reason, counts.__getitem__) for reason, counts in drops]
     for batch in batches:
         hot_states = list(compress(batch, map(hot_of, batch)))
-        cold_lost = 0
-        if lost_of is not None:
-            # Hot probes draw their own fate inside send_probe; their
-            # column bits must not be double-counted.
-            cold_lost = (sum(map(lost_of, batch))
-                         - sum(map(lost_of, hot_states)))
+        # Hot probes draw their own fates inside send_probe; their
+        # column entries must not be double-counted.
         yield (list(map(addr_of, hot_states)),
-               len(batch) - len(hot_states), cold_lost)
+               len(batch) - len(hot_states),
+               [(reason, sum(map(count_of, batch))
+                 - sum(map(count_of, hot_states)))
+                for reason, count_of in drops])

@@ -37,6 +37,7 @@ scans stay bit-identical to sequential ones under defense.
 
 from itertools import compress
 
+from repro.netsim.address import RangeIndex
 from repro.netsim.defense import CAUSE_BLOCKLISTED
 
 _M64 = (1 << 64) - 1
@@ -177,18 +178,27 @@ class PacingPlan:
     ``suppressed`` maps target int -> ``defense:*`` cause for targets
     the scan must skip (graceful degradation).  ``windows`` holds one
     summary dict per destination window for observability.
+
+    ``passed`` keeps the fates already drawn, for the sweep's cold
+    settlement (``Network.cold_sweep_columns``): aligned with the state
+    address column, 1 where exactly one box of ``plane`` covers the
+    target and lets its probe through at the declared bucket — so no
+    defense acts on that probe at all.
     """
 
     __slots__ = ("config", "rates", "suppressed", "windows", "signals",
-                 "suppressed_count")
+                 "suppressed_count", "plane", "passed")
 
-    def __init__(self, config, rates, suppressed, windows, signals):
+    def __init__(self, config, rates, suppressed, windows, signals,
+                 plane, passed):
         self.config = config
         self.rates = rates
         self.suppressed = suppressed
         self.windows = windows
         self.signals = signals
         self.suppressed_count = len(suppressed)
+        self.plane = plane
+        self.passed = passed
 
     @property
     def window_mask(self):
@@ -221,8 +231,17 @@ def build_pacing_plan(plane, src_int, identity, walk, selector,
     decrease = config.decrease
     breaker = config.breaker_threshold
     budget = config.error_budget
-    checks = [(ranges, box.probe_fate, getattr(box, "ban_span", None))
-              for box, ranges in plane]
+    checks = [(RangeIndex(ranges).find, ranges, box.probe_fate,
+               getattr(box, "ban_span", None)) for box, ranges in plane]
+    # Which ranges and which window hold an address is constant across
+    # any block as fine as the finest of them, so the plane is consulted
+    # once per block, not once per target.
+    block_mask = window_mask
+    for __, ranges in plane:
+        for __, range_mask in ranges:
+            block_mask |= range_mask
+    governors = {}
+    passed = bytearray(len(state_addresses))
     addr_of = state_addresses.__getitem__
     for state in compress(walk, map(selector.__getitem__, walk)):
         value = addr_of(state)
@@ -230,25 +249,30 @@ def build_pacing_plan(plane, src_int, identity, walk, selector,
         # by (/window_bits prefix, defense range) so one blocklister's
         # ban spans or exhausted error budget never suppress targets of
         # an unrelated defense sharing the same destination prefix.
-        fate_fn = None
-        span_fn = None
-        range_key = None
-        for ranges, box_fate, ban_span in checks:
-            for range_base, range_mask in ranges:
-                if value & range_mask == range_base:
-                    fate_fn = box_fate
-                    span_fn = ban_span
-                    range_key = (range_base, range_mask)
-                    break
-            if fate_fn is not None:
-                break
-        if fate_fn is None:
+        governor = governors.get(value & block_mask)
+        if governor is None:
+            covering = []
+            for find, ranges, box_fate, ban_span in checks:
+                position = find(value)
+                if position is not None:
+                    covering.append((box_fate, ban_span, ranges[position]))
+            governor = ()
+            if covering:
+                # The first covering box governs; ``sole`` says no
+                # other box's verdict rides on the same probe.
+                fate_fn, span_fn, range_key = covering[0]
+                base = value & window_mask
+                key = (base, range_key[0], range_key[1])
+                window = windows.get(key)
+                if window is None:
+                    window = windows[key] = _Window(base,
+                                                    config.initial_pps)
+                governor = (fate_fn, span_fn, range_key[0], window,
+                            len(covering) == 1)
+            governors[value & block_mask] = governor
+        if not governor:
             continue
-        base = value & window_mask
-        key = (base, range_key[0], range_key[1])
-        window = windows.get(key)
-        if window is None:
-            window = windows[key] = _Window(base, config.initial_pps)
+        fate_fn, span_fn, range_base, window, sole = governor
         if window.dark_cause is not None:
             suppressed[value] = window.dark_cause
             window.suppressed += 1
@@ -265,6 +289,7 @@ def build_pacing_plan(plane, src_int, identity, walk, selector,
         window.sent += 1
         fate = fate_fn(src_int, value, bucket)
         if fate is None:
+            passed[state] = sole
             window.consec = 0
             cap = window.ceiling if window.ceiling is not None else max_pps
             if window.hold > 0:
@@ -292,14 +317,14 @@ def build_pacing_plan(plane, src_int, identity, walk, selector,
             continue
         window.trips += 1
         jitter = _mix64((_SALT_REENTRY << 56) ^ identity
-                        ^ base * 0x9E3779B1
-                        ^ range_key[0] * 0x85EBCA77
+                        ^ window.base * 0x9E3779B1
+                        ^ range_base * 0x85EBCA77
                         ^ window.trips) % (config.cooloff_jitter or 1)
         if fate == CAUSE_BLOCKLISTED:
             # The blocklist entry decays after a seeded span (the box's
             # ban_span); suppress exactly that many targets, then
             # re-enter at the floor rate.
-            span = (span_fn(src_int, base) if span_fn is not None
+            span = (span_fn(src_int, window.base) if span_fn is not None
                     else config.cooloff_targets)
             window.skip = span + jitter
             window.skip_cause = fate
@@ -322,4 +347,5 @@ def build_pacing_plan(plane, src_int, identity, walk, selector,
          "trips": window.trips, "dark": window.dark_cause}
         for key, window in windows.items()]
     summaries.sort(key=lambda entry: (entry["window"], entry["range"]))
-    return PacingPlan(config, rates, suppressed, summaries, signals_total)
+    return PacingPlan(config, rates, suppressed, summaries, signals_total,
+                      plane, passed)

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.netsim.address import (
     Ipv4Network,
+    RangeIndex,
     int_to_ip,
     ip_to_int,
     is_private,
@@ -104,3 +105,26 @@ class TestHelpers:
     def test_same_slash24(self):
         assert same_slash24("1.2.3.4", "1.2.3.200")
         assert not same_slash24("1.2.3.4", "1.2.4.4")
+
+
+def _prefix(base, length):
+    mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
+    return base & mask, mask
+
+
+class TestRangeIndex:
+    @given(ranges=st.lists(st.builds(
+               _prefix, st.integers(0x0A000000, 0x0A03FFFF),
+               st.sampled_from([14, 16, 20, 24, 32])), max_size=12),
+           value=st.integers(0x0A000000, 0x0A03FFFF))
+    def test_find_is_the_first_match_of_a_list_scan(self, ranges, value):
+        scan = next((position for position, (base, mask)
+                     in enumerate(ranges) if value & mask == base), None)
+        assert RangeIndex(ranges).find(value) == scan
+
+    def test_nested_ranges_keep_list_order(self):
+        inner, outer = _prefix(0x0A010200, 24), _prefix(0x0A010000, 16)
+        assert RangeIndex([outer, inner]).find(0x0A010203) == 0
+        assert RangeIndex([inner, outer]).find(0x0A010203) == 0
+        assert RangeIndex([inner, outer]).find(0x0A010303) == 1
+        assert RangeIndex([]).find(0x0A010203) is None

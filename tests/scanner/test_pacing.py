@@ -156,6 +156,20 @@ class TestAimdRecurrence:
         assert all(BASE <= value < BASE + 256 for value in plan.suppressed)
         assert all(BASE + 256 + k in plan.rates for k in range(256))
 
+    def test_passed_marks_sole_coverage_let_through(self):
+        # Three /24s: one clean box alone, two boxes overlapping, one
+        # box that always signals.  Only the first /24's passes may be
+        # settled without asking the boxes again.
+        clean = StubBox(drop_above=10 ** 9)
+        plan = plan_over(
+            [(clean, [(BASE, MASK24), (BASE + 256, MASK24)]),
+             (StubBox(drop_above=10 ** 9), [(BASE + 256, MASK24)]),
+             (StubBox(always=True), [(BASE + 512, MASK24)])],
+            count=1024)
+        assert plan.passed == (b"\x01" * 256 + bytes(768))
+        assert all(BASE + k in plan.rates for k in range(512))
+        assert [box for box, __ in plan.plane][0] is clean
+
     def test_plan_is_deterministic(self):
         box = StubBox(drop_above=180)
         one = plan_over([(box, [(BASE, MASK24)])])

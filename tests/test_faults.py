@@ -155,6 +155,62 @@ class TestBurstLoss:
         assert len(bursty) + len(quiet) == 64
 
 
+class TestQueryFateColumns:
+    """The column form against one ``query_fate`` call per send."""
+
+    FLOW_CONST = 0x1234567
+    ADDRESSES = [(window << 16) + host for window in range(40)
+                 for host in (1, 2, 77)]
+
+    def tally(self, plan, draws, now):
+        counts = {}
+        for position, value in enumerate(self.ADDRESSES):
+            for occurrence in range(draws[position]):
+                reason = plan.query_fate(
+                    self.FLOW_CONST ^ value * 0x85EBCA77, value,
+                    occurrence, now)
+                if reason is not None:
+                    column = counts.setdefault(
+                        reason, bytearray(len(self.ADDRESSES)))
+                    column[position] += 1
+        return counts
+
+    @pytest.mark.parametrize("profile", [
+        FaultProfile(loss_rate=0.3),
+        PROFILES["aggressive"],
+        PROFILES["aggressive"].replace(burst_share=0.5,
+                                       burst_loss_rate=0.9),
+    ])
+    def test_equals_per_send_fates_at_every_epoch(self, profile):
+        plan = FaultPlan(profile, seed=6)
+        # Uneven draw counts: what baseline loss leaves of 3 attempts.
+        draws = bytes(position % 4 for position
+                      in range(len(self.ADDRESSES)))
+        memo = {}
+
+        def remember(key, build):
+            if key not in memo:
+                memo[key] = build()
+            return memo[key]
+
+        for now in (0.0, 604800.0, 1209600.0):
+            assert plan.query_fate_columns(
+                self.FLOW_CONST, self.ADDRESSES, draws, now,
+                remember) == self.tally(plan, draws, now)
+        # The clock-independent rules were tallied once, not per epoch.
+        assert len(memo) == 1
+
+    def test_burst_windows_move_with_the_clock(self):
+        plan = FaultPlan(FaultProfile(burst_share=0.5,
+                                      burst_loss_rate=1.0), seed=4)
+        draws = bytes((2,)) * len(self.ADDRESSES)
+        weeks = [plan.query_fate_columns(
+            self.FLOW_CONST, self.ADDRESSES, draws, now,
+            lambda key, build: build()) for now in (0.0, 604800.0)]
+        assert weeks[0]["burst_loss"] != weeks[1]["burst_loss"]
+        assert set(weeks[0]["burst_loss"]) == {0, 2}
+
+
 class TestResolverFlap:
     def test_square_wave_over_weeks(self):
         week = 7 * 24 * 3600.0
