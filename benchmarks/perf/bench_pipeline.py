@@ -7,8 +7,8 @@ Three measurements, written to ``BENCH_pipeline.json``:
    ``DomainScanner.scan`` for shard counts 1, 2, 4 and 7.  This is the
    bench-side recheck of the engine's keystone invariant (the pinned
    test in ``tests/scanner/test_domainengine.py`` covers it too).
-2. **Clustering** — the NN-chain agglomeration against the seed's
-   pair-scan, twice: once *cold* on synthetic page profiles with the
+2. **Clustering** — the NN-chain agglomeration against the pair-scan
+   oracle (``tests/oracles.pair_scan_cluster``), twice: once *cold* on synthetic page profiles with the
    real :class:`PageDistance` (both algorithms evaluate every pair
    exactly once through the memo, so cold times track distance cost),
    and once in the *warm* regime with memo-hit-cost distances, which
@@ -42,11 +42,14 @@ from repro.core.clustering import hierarchical_cluster
 from repro.core.distance import FeatureCache, MemoizedDistance, PageDistance
 from repro.datasets import DOMAIN_SETS
 from repro.perf import PerfRegistry
-from repro.scanner import DomainScanEngine, DomainScanner
+from repro.scanner import DomainScanEngine, DomainScanner, ScanOptions
 from repro.scenario import ScenarioConfig, build_scenario
+from tests.oracles import pair_scan_cluster
 
 SHARD_COUNTS = (1, 2, 4, 7)
 PIPELINE_SET = "Dating"
+ALGORITHMS = (("pair-scan", pair_scan_cluster),
+              ("nn-chain", hierarchical_cluster))
 
 
 def _build(scale, seed):
@@ -77,7 +80,7 @@ def check_equivalence(scale, seed, resolver_count):
     for shards in SHARD_COUNTS:
         engine = DomainScanEngine(
             DomainScanner(scenario.network, scenario.pipeline_source_ip),
-            shards=shards)
+            options=ScanOptions(shards=shards))
         # Flow-keyed packet fates are per clock epoch; the campaign
         # advances the clock between scans, so the bench must too.
         scenario.network.clock.advance(1)
@@ -101,7 +104,7 @@ def measure_scan(scale, seed, shards, repeats, resolver_count):
         resolvers, domains = scan_fixture(scenario, resolver_count)
         engine = DomainScanEngine(
             DomainScanner(scenario.network, scenario.pipeline_source_ip),
-            shards=shards)
+            options=ScanOptions(shards=shards))
         scenario.network.clock.advance(1)
         start = time.perf_counter()
         observations = engine.scan(resolvers, domains)
@@ -148,11 +151,10 @@ def measure_clustering_cold(count, seed, threshold=0.30):
                 for body in synthetic_bodies(count, seed)]
     rows = {}
     outputs = {}
-    for algorithm in ("pair-scan", "nn-chain"):
+    for algorithm, cluster in ALGORITHMS:
         distance = MemoizedDistance(PageDistance())
         start = time.perf_counter()
-        clusters, dendrogram = hierarchical_cluster(
-            profiles, distance, threshold, algorithm=algorithm)
+        clusters, dendrogram = cluster(profiles, distance, threshold)
         elapsed = time.perf_counter() - start
         rows[algorithm] = {
             "seconds": round(elapsed, 4),
@@ -174,10 +176,9 @@ def measure_clustering_warm(count, seed, threshold=5.0):
 
     rows = {}
     outputs = {}
-    for algorithm in ("pair-scan", "nn-chain"):
+    for algorithm, cluster in ALGORITHMS:
         start = time.perf_counter()
-        clusters, dendrogram = hierarchical_cluster(
-            values, warm_distance, threshold, algorithm=algorithm)
+        clusters, dendrogram = cluster(values, warm_distance, threshold)
         elapsed = time.perf_counter() - start
         rows[algorithm] = {
             "seconds": round(elapsed, 4),
@@ -200,7 +201,8 @@ def measure_pipeline_perf(scale, seed, shards):
     perf = PerfRegistry()
     resolvers = sorted(
         scenario.new_campaign(verify=False).run_week().result.noerror)
-    pipeline = scenario.new_pipeline(shards=shards, perf=perf)
+    pipeline = scenario.new_pipeline(perf=perf,
+                                     options=ScanOptions(shards=shards))
     report = pipeline.run(resolvers, list(DOMAIN_SETS[PIPELINE_SET]))
     return {
         "domain_set": PIPELINE_SET,

@@ -18,6 +18,8 @@ import os
 import sys
 
 from repro.perf import PerfRegistry
+from repro.scanner import ScanOptions, normalize_delta
+from repro.scanner.options import BACKOFF, PROBE_BATCH
 from repro.scenario import ScenarioConfig, build_scenario
 
 
@@ -125,7 +127,7 @@ def _endpoint(text):
 
 
 def _add_common(parser):
-    parser.add_argument("--scale", type=int, default=20000,
+    parser.add_argument("--scale", type=_positive_int, default=20000,
                         help="1:N scale of the simulated Internet")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--shards", type=_positive_int, default=1,
@@ -150,8 +152,8 @@ def _add_common(parser):
                         help="base per-probe response timeout; grows "
                              "with backoff, floored at the target's "
                              "round-trip estimate")
-    parser.add_argument("--probe-batch", type=_positive_int, default=4096,
-                        metavar="N",
+    parser.add_argument("--probe-batch", type=_positive_int,
+                        default=PROBE_BATCH, metavar="N",
                         help="targets per columnar scan batch (bulk "
                              "triage granularity; results are "
                              "batch-size independent)")
@@ -171,8 +173,8 @@ def _add_common(parser):
                         help="live materialized nodes kept per worker "
                              "under --lazy-population (LRU-evicted "
                              "beyond this)")
-    parser.add_argument("--backoff", type=_backoff_factor, default=2.0,
-                        metavar="FACTOR",
+    parser.add_argument("--backoff", type=_backoff_factor,
+                        default=BACKOFF, metavar="FACTOR",
                         help="retransmission timeout growth factor "
                              "(each retry waits FACTOR times longer)")
     parser.add_argument("--pacing", choices=("off", "adaptive"),
@@ -180,7 +182,7 @@ def _add_common(parser):
                         help="probe-rate controller: 'adaptive' runs an "
                              "AIMD rate per /16 window with a circuit "
                              "breaker against defensive middleboxes")
-    parser.add_argument("--max-pps", type=float, default=None,
+    parser.add_argument("--max-pps", type=_positive_float, default=None,
                         metavar="PPS",
                         help="declared probe-rate ceiling; also the "
                              "adaptive controller's upper bound")
@@ -210,15 +212,32 @@ def _add_delta(parser):
                              "interval under --delta (default 4)")
 
 
-def _delta_arg(args):
-    """The --delta flag family as a new_campaign keyword value."""
-    if args is None or not getattr(args, "delta", False):
-        return {"delta": None}
-    from repro.scanner import normalize_delta
-    return {"delta": normalize_delta(
-        True, audit_fraction=getattr(args, "audit_fraction", None),
-        drift_budget=getattr(args, "drift_budget", None),
-        full_sweep_every=getattr(args, "full_sweep_every", None))}
+def _delta_config(args):
+    """The --delta flag family (campaign/fullstudy) as a DeltaConfig."""
+    if not args.delta:
+        return None
+    return normalize_delta(True, audit_fraction=args.audit_fraction,
+                           drift_budget=args.drift_budget,
+                           full_sweep_every=args.full_sweep_every)
+
+
+def _scan_options(args, delta=None):
+    """Every scan knob of this invocation, read and validated once."""
+    return ScanOptions(
+        shards=args.shards, retries=args.retries,
+        probe_timeout=args.probe_timeout, backoff=args.backoff,
+        probe_batch=args.probe_batch, pacing=args.pacing,
+        max_pps=args.max_pps, stream_results=args.stream_results,
+        delta=delta)
+
+
+def _run_meta(args, options):
+    """What must match for two runs to be the same run: checkpoint meta
+    (a --resume under other knobs is a meta mismatch) and trace header."""
+    return {"command": args.command, "scale": args.scale,
+            "seed": args.seed, "faults": args.faults or None,
+            "lazy_population": args.lazy_population,
+            "options": options.as_meta()}
 
 
 def _add_trace(parser):
@@ -241,15 +260,14 @@ def _install_obs(args, scenario):
     return obs
 
 
-def _export_trace(args, obs, perf=None):
+def _export_trace(args, obs, perf, options):
     """Write the recorded trace (also on the injected-crash path, so a
     crashed run's partial trace survives for inspection)."""
     if obs is None:
         return
     path = getattr(args, "trace_out", None) or "trace.jsonl"
-    meta = {"command": args.command, "scale": args.scale,
-            "seed": args.seed}
-    spans, events = obs.export(path, perf=perf, meta=meta)
+    spans, events = obs.export(path, perf=perf,
+                               meta=_run_meta(args, options))
     print("trace: %d spans, %d flight events written to %s"
           % (spans, events, path), file=sys.stderr)
 
@@ -266,7 +284,7 @@ def _add_checkpoint(parser):
                              "first incomplete unit of work")
 
 
-def _open_checkpoint(args, scenario, perf, extra_meta=None):
+def _open_checkpoint(args, scenario, perf, options, extra_meta):
     """Build the CheckpointedRun for this command, or ``None``."""
     directory = getattr(args, "checkpoint_dir", None)
     if not directory:
@@ -274,10 +292,8 @@ def _open_checkpoint(args, scenario, perf, extra_meta=None):
             raise SystemExit("--resume requires --checkpoint-dir")
         return None
     from repro.checkpoint import CheckpointedRun
-    meta = {"command": args.command, "scale": args.scale,
-            "seed": args.seed, "shards": args.shards,
-            "faults": getattr(args, "faults", None) or None}
-    meta.update(extra_meta or {})
+    meta = _run_meta(args, options)
+    meta.update(extra_meta)
     checkpoint = CheckpointedRun(
         directory, meta=meta, resume=getattr(args, "resume", False),
         fault_plan=getattr(scenario.network, "faults", None), perf=perf)
@@ -316,9 +332,9 @@ def _build(args):
           file=sys.stderr)
     scenario = build_scenario(ScenarioConfig(
         scale=args.scale, seed=args.seed,
-        lazy_population=getattr(args, "lazy_population", False),
-        node_cache=getattr(args, "node_cache", 8192)))
-    if getattr(args, "faults", None):
+        lazy_population=args.lazy_population,
+        node_cache=args.node_cache))
+    if args.faults:
         from repro.faults import FaultPlan, parse_fault_spec
         plan = FaultPlan(parse_fault_spec(args.faults), seed=args.seed)
         scenario.network.install_faults(plan)
@@ -336,15 +352,6 @@ def _report_perf(args, perf):
               file=sys.stderr)
 
 
-def _pacing_arg(args):
-    """The --pacing/--max-pps pair as new_campaign keyword values."""
-    if args is None:
-        return {"pacing": None, "max_pps": None}
-    pacing = getattr(args, "pacing", "off")
-    return {"pacing": None if pacing in (None, "off") else pacing,
-            "max_pps": getattr(args, "max_pps", None)}
-
-
 def _check_shards(scenario, shards):
     """Reject shard counts the target space cannot cover.
 
@@ -359,21 +366,10 @@ def _check_shards(scenario, shards):
             "scale; use at most one shard per target" % (shards, targets))
 
 
-def _scan(scenario, args=None, perf=None):
-    shards = getattr(args, "shards", 1) if args is not None else 1
-    _check_shards(scenario, shards)
-    campaign = scenario.new_campaign(
-        verify=False, shards=shards, perf=perf,
-        retries=getattr(args, "retries", 0) if args is not None else 0,
-        probe_timeout=(getattr(args, "probe_timeout", None)
-                       if args is not None else None),
-        backoff=(getattr(args, "backoff", 2.0)
-                 if args is not None else 2.0),
-        probe_batch=(getattr(args, "probe_batch", 4096)
-                     if args is not None else 4096),
-        stream_results=(getattr(args, "stream_results", False)
-                        if args is not None else False),
-        **_pacing_arg(args))
+def _scan(scenario, options, perf=None):
+    _check_shards(scenario, options.shards)
+    campaign = scenario.new_campaign(verify=False, perf=perf,
+                                     options=options)
     return campaign.run_week()
 
 
@@ -381,7 +377,8 @@ def cmd_scan(args):
     scenario = _build(args)
     perf = _perf_registry(args)
     obs = _install_obs(args, scenario)
-    snapshot = _scan(scenario, args, perf)
+    options = _scan_options(args)
+    snapshot = _scan(scenario, options, perf)
     counts = snapshot.result.counts()
     print("probes sent:      %d" % snapshot.result.probes_sent)
     print("responders:       %d" % counts["all"])
@@ -398,7 +395,7 @@ def cmd_scan(args):
         print("suppressed:       %d targets (pacing gave windows up)"
               % snapshot.result.suppressed_targets)
     _report_perf(args, perf)
-    _export_trace(args, obs, perf)
+    _export_trace(args, obs, perf, options)
     return 0
 
 
@@ -412,22 +409,17 @@ def cmd_campaign(args):
     from repro.faults import InjectedCrash
     scenario = _build(args)
     perf = _perf_registry(args)
-    checkpoint = _open_checkpoint(args, scenario, perf,
-                                  extra_meta={"weeks": args.weeks})
+    options = _scan_options(args, delta=_delta_config(args))
+    checkpoint = _open_checkpoint(args, scenario, perf, options,
+                                  {"weeks": args.weeks})
     obs = _install_obs(args, scenario)
     _check_shards(scenario, args.shards)
-    campaign = scenario.new_campaign(verify=False, shards=args.shards,
-                                     perf=perf, retries=args.retries,
-                                     probe_timeout=args.probe_timeout,
-                                     backoff=args.backoff,
-                                     probe_batch=args.probe_batch,
-                                     stream_results=args.stream_results,
-                                     **_pacing_arg(args),
-                                     **_delta_arg(args))
+    campaign = scenario.new_campaign(verify=False, perf=perf,
+                                     options=options)
     try:
         campaign.run(args.weeks, checkpoint=checkpoint)
     except InjectedCrash as crash:
-        _export_trace(args, obs, perf)
+        _export_trace(args, obs, perf, options)
         return _finish_checkpoint(checkpoint, crashed=crash)
     series = magnitude_series(campaign.snapshots)
     print(format_series(series))
@@ -447,7 +439,7 @@ def cmd_campaign(args):
                  totals["escalated_windows"],
                  totals["global_escalations"]))
     _report_perf(args, perf)
-    _export_trace(args, obs, perf)
+    _export_trace(args, obs, perf, options)
     return _finish_checkpoint(checkpoint)
 
 
@@ -463,7 +455,8 @@ def cmd_fingerprint(args):
         FingerprintMatcher,
     )
     scenario = _build(args)
-    resolvers = sorted(_scan(scenario, args).result.noerror)
+    resolvers = sorted(
+        _scan(scenario, _scan_options(args)).result.noerror)
     chaos = ChaosScanner(scenario.network, scenario.scanner_ip)
     print(format_software_table(software_table(chaos.scan(resolvers))))
     print()
@@ -483,7 +476,8 @@ def cmd_snoop(args):
     from repro.datasets import SNOOPING_TLDS
     from repro.scanner import CacheSnoopingProber
     scenario = _build(args)
-    resolvers = sorted(_scan(scenario, args).result.noerror)[:args.sample]
+    resolvers = sorted(
+        _scan(scenario, _scan_options(args)).result.noerror)[:args.sample]
     prober = CacheSnoopingProber(scenario.network, scenario.scanner_ip,
                                  SNOOPING_TLDS,
                                  duration_hours=args.hours)
@@ -500,10 +494,10 @@ def cmd_classify(args):
         return 2
     scenario = _build(args)
     perf = _perf_registry(args)
-    resolvers = sorted(_scan(scenario, args, perf).result.noerror)
+    options = _scan_options(args)
+    resolvers = sorted(_scan(scenario, options, perf).result.noerror)
     pipeline = scenario.new_pipeline(
-        shards=args.pipeline_shards, perf=perf,
-        stream_observations=args.stream_results)
+        perf=perf, options=options.replace(shards=args.pipeline_shards))
     report = pipeline.run(resolvers, list(DOMAIN_SETS[args.set]))
     stats = report.prefilter.stats()
     print("domain set:    %s" % args.set)
@@ -535,9 +529,8 @@ def cmd_audit(args):
     domains = (list(DOMAIN_SETS["Banking"]) + list(DOMAIN_SETS["Alexa"])
                + list(DOMAIN_SETS["Adult"]) + list(DOMAIN_SETS["Gambling"])
                + list(DOMAIN_SETS["NX"]))
-    pipeline = scenario.new_pipeline(
-        shards=args.pipeline_shards,
-        stream_observations=args.stream_results)
+    pipeline = scenario.new_pipeline(options=_scan_options(args).replace(
+        shards=args.pipeline_shards))
     report = pipeline.run([resolver_ip], domains)
     labels = Counter((l.label, l.sublabel) for l in report.labeled)
     print("resolver:   %s" % resolver_ip)
@@ -558,22 +551,21 @@ def cmd_fullstudy(args):
     from repro.reporting import render_markdown, run_full_study
     scenario = _build(args)
     perf = _perf_registry(args)
+    options = _scan_options(args, delta=_delta_config(args))
     checkpoint = _open_checkpoint(
-        args, scenario, perf,
-        extra_meta={"weeks": args.weeks,
-                    "snoop_sample": args.snoop_sample,
-                    "pipeline_shards": args.pipeline_shards})
+        args, scenario, perf, options,
+        {"weeks": args.weeks, "snoop_sample": args.snoop_sample,
+         "pipeline_shards": args.pipeline_shards})
     obs = _install_obs(args, scenario)
     _check_shards(scenario, args.shards)
     try:
         results = run_full_study(
             scenario, weeks=args.weeks, snoop_sample=args.snoop_sample,
-            pipeline_shards=args.pipeline_shards, shards=args.shards,
-            checkpoint=checkpoint, perf=perf, backoff=args.backoff,
-            progress=lambda message: print(message, file=sys.stderr),
-            **_pacing_arg(args), **_delta_arg(args))
+            pipeline_shards=args.pipeline_shards, checkpoint=checkpoint,
+            perf=perf, options=options,
+            progress=lambda message: print(message, file=sys.stderr))
     except InjectedCrash as crash:
-        _export_trace(args, obs, perf)
+        _export_trace(args, obs, perf, options)
         return _finish_checkpoint(checkpoint, crashed=crash)
     report = render_markdown(results, scenario=scenario)
     if args.out:
@@ -585,7 +577,7 @@ def cmd_fullstudy(args):
     else:
         print(report)
     _report_perf(args, perf)
-    _export_trace(args, obs, perf)
+    _export_trace(args, obs, perf, options)
     return _finish_checkpoint(checkpoint)
 
 
@@ -811,7 +803,7 @@ def build_parser():
     _add_checkpoint(campaign)
     _add_trace(campaign)
     _add_delta(campaign)
-    campaign.add_argument("--weeks", type=int, default=12)
+    campaign.add_argument("--weeks", type=_positive_int, default=12)
     campaign.set_defaults(func=cmd_campaign)
 
     fingerprint = subparsers.add_parser(
@@ -821,8 +813,8 @@ def build_parser():
 
     snoop = subparsers.add_parser("snoop", help="cache-snooping survey")
     _add_common(snoop)
-    snoop.add_argument("--sample", type=int, default=250)
-    snoop.add_argument("--hours", type=int, default=36)
+    snoop.add_argument("--sample", type=_positive_int, default=250)
+    snoop.add_argument("--hours", type=_positive_int, default=36)
     snoop.set_defaults(func=cmd_snoop)
 
     classify = subparsers.add_parser(
@@ -837,8 +829,9 @@ def build_parser():
     _add_checkpoint(fullstudy)
     _add_trace(fullstudy)
     _add_delta(fullstudy)
-    fullstudy.add_argument("--weeks", type=int, default=20)
-    fullstudy.add_argument("--snoop-sample", type=int, default=200)
+    fullstudy.add_argument("--weeks", type=_positive_int, default=20)
+    fullstudy.add_argument("--snoop-sample", type=_positive_int,
+                           default=200)
     fullstudy.add_argument("--out", default=None)
     fullstudy.set_defaults(func=cmd_fullstudy)
 

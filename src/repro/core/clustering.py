@@ -7,18 +7,16 @@ update, so the merge history — returned as a dendrogram — reflects true
 mean pairwise distances, which is what lets an analyst inspect how groups
 formed (the paper's stated reason for choosing hierarchical clustering).
 
-Two agglomeration algorithms produce that history:
-
-* ``nn-chain`` (the default): the nearest-neighbor-chain algorithm.
-  Walks chains of nearest neighbors until a reciprocal pair is found
-  and merges it.  For reducible linkages — average, single, and
-  complete all are — reciprocal nearest neighbors remain reciprocal
-  under later merges, so the merge *tree* is identical to always
-  merging the globally closest pair; only the discovery order differs.
-  O(n²) total after the distance matrix.
-* ``pair-scan``: the direct transcription — rescan all active pairs for
-  the global minimum before every merge, O(n³).  Kept as the oracle the
-  equivalence property tests and benchmarks compare against.
+The history is produced by the nearest-neighbor-chain algorithm: walk
+chains of nearest neighbors until a reciprocal pair is found and merge
+it.  For reducible linkages — average, single, and complete all are —
+reciprocal nearest neighbors remain reciprocal under later merges, so
+the merge *tree* is identical to always merging the globally closest
+pair; only the discovery order differs.  O(n²) total after the distance
+matrix.  The direct transcription — rescan all active pairs for the
+global minimum before every merge, O(n³) — is the oracle
+(``tests/oracles.pair_scan_cluster``) the equivalence property tests
+and ``bench_pipeline`` compare against.
 
 Because reducible linkages are monotone (a merged cluster is never
 closer to a bystander than the nearer of its parts was), sorting the
@@ -86,76 +84,29 @@ def _lance_williams(linkage, size_i, size_j, d_ik, d_jk):
     return max(d_ik, d_jk)  # complete
 
 
-def hierarchical_cluster(items, distance_fn, threshold, linkage="average",
-                         algorithm="nn-chain"):
+def hierarchical_cluster(items, distance_fn, threshold, linkage="average"):
     """Cluster ``items`` bottom-up; returns ``(clusters, dendrogram)``.
 
     ``distance_fn(a, b)`` must be symmetric and non-negative.  ``linkage``
     selects how inter-cluster distance is updated after a merge:
     ``average`` (UPGMA, the paper's choice), ``single``, or ``complete``.
     Merging stops when the smallest inter-cluster distance exceeds
-    ``threshold``.  ``algorithm`` picks the agglomeration strategy —
-    ``nn-chain`` (O(n²), the default) or ``pair-scan`` (O(n³), the
-    direct transcription kept as the equivalence oracle); both produce
-    the same clusters and the same dendrogram up to floating-point
-    noise in tied/accumulated averages.
+    ``threshold``.
     """
     if linkage not in ("average", "single", "complete"):
         raise ValueError("unknown linkage %r" % linkage)
-    if algorithm not in ("nn-chain", "pair-scan"):
-        raise ValueError("unknown algorithm %r" % algorithm)
     n = len(items)
     dendrogram = Dendrogram()
     if n == 0:
         return [], dendrogram
     if n == 1:
         return [Cluster([0], [items[0]])], dendrogram
-    distance = _distance_matrix(items, distance_fn)
-    if algorithm == "pair-scan":
-        members = _agglomerate_pair_scan(n, distance, threshold, linkage,
-                                         dendrogram)
-    else:
-        members = _agglomerate_nn_chain(n, distance, threshold, linkage,
-                                        dendrogram)
+    members = _agglomerate_nn_chain(
+        n, _distance_matrix(items, distance_fn), threshold, linkage,
+        dendrogram)
     clusters = [Cluster(indices, [items[index] for index in indices])
                 for __, indices in sorted(members.items())]
     return clusters, dendrogram
-
-
-def _agglomerate_pair_scan(n, distance, threshold, linkage, dendrogram):
-    """Merge the globally closest pair until it exceeds the threshold."""
-    active = set(range(n))
-    members = {i: [i] for i in range(n)}
-    while len(active) > 1:
-        best = None
-        best_pair = None
-        active_list = sorted(active)
-        for index_a, i in enumerate(active_list):
-            row = distance[i]
-            for j in active_list[index_a + 1:]:
-                d = row[j]
-                if best is None or d < best:
-                    best = d
-                    best_pair = (i, j)
-        if best is None or best > threshold:
-            break
-        i, j = best_pair
-        size_i = len(members[i])
-        size_j = len(members[j])
-        # Lance-Williams update of distances from the merged cluster
-        # (stored under index i) to every other active cluster.
-        for k in active:
-            if k in (i, j):
-                continue
-            updated = _lance_williams(linkage, size_i, size_j,
-                                      distance[i][k], distance[j][k])
-            distance[i][k] = updated
-            distance[k][i] = updated
-        members[i] = members[i] + members[j]
-        del members[j]
-        active.remove(j)
-        dendrogram.record(i, j, best, len(members[i]))
-    return members
 
 
 def _agglomerate_nn_chain(n, distance, threshold, linkage, dendrogram):
@@ -166,7 +117,7 @@ def _agglomerate_nn_chain(n, distance, threshold, linkage, dendrogram):
     then sorts the merges by distance (valid because reducible linkages
     are monotone: every parent merge is at least as distant as its
     children) and replays the prefix at or below the threshold.  The
-    replayed history is exactly what the pair-scan records.
+    replayed history is exactly what a pair-scan would record.
     """
     alive = [True] * n
     size = [1] * n
@@ -199,7 +150,7 @@ def _agglomerate_nn_chain(n, distance, threshold, linkage, dendrogram):
             stack.append(best_j)
             continue
         # Reciprocal nearest neighbors: merge under the smaller index,
-        # exactly as the pair-scan does.
+        # exactly as a pair-scan would.
         stack.pop()
         stack.pop()
         i, j = (top, prev) if top < prev else (prev, top)
@@ -252,7 +203,7 @@ def render_dendrogram(dendrogram, labels=None, width=40):
 
 
 def cluster_deduplicated(keys_items, distance_fn, threshold,
-                         linkage="average", algorithm="nn-chain"):
+                         linkage="average"):
     """Cluster with exact-duplicate collapsing.
 
     ``keys_items`` is a list of ``(dedup_key, item)``; items sharing a key
@@ -275,8 +226,7 @@ def cluster_deduplicated(keys_items, distance_fn, threshold,
         unique_items[slot] = keys_items[indices[0]][1]
         group_indices[slot] = indices
     clusters, dendrogram = hierarchical_cluster(
-        unique_items, distance_fn, threshold, linkage=linkage,
-        algorithm=algorithm)
+        unique_items, distance_fn, threshold, linkage=linkage)
     expanded = []
     for cluster in clusters:
         all_indices = []

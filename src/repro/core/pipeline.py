@@ -1,6 +1,6 @@
 """End-to-end orchestration of the Figure 3 processing chain."""
 
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 from repro.core.acquisition import DataAcquirer
 from repro.core.clustering import cluster_deduplicated
@@ -17,8 +17,10 @@ from repro.core.labeling import (
 )
 from repro.core.prefilter import Prefilterer, ResponseTuple
 from repro.dnswire.name import normalize_name
+from repro.obs.trace import span
 from repro.scanner.domainengine import DomainScanEngine
 from repro.scanner.domainscan import DomainScanner
+from repro.scanner.options import ScanOptions
 from repro.websim.mail import banners_for_provider, provider_for_hostname
 
 
@@ -29,7 +31,7 @@ class PipelineReport:
         self.observations = []
         # Number of domain-scan observations seen.  Equals
         # ``len(observations)`` on a resident run; on a streamed run
-        # (``stream_observations``) the list stays empty — observations
+        # (``options.stream_results``) the list stays empty — observations
         # flowed straight into the prefilter — and only this survives.
         self.observation_count = 0
         self.prefilter = None
@@ -84,22 +86,24 @@ def _nested(outer, inner):
 
 
 class ManipulationPipeline:
-    """Wires scanning, prefiltering, acquisition, clustering, labeling."""
+    """Wires scanning, prefiltering, acquisition, clustering, labeling.
+
+    ``options`` (a :class:`~repro.scanner.options.ScanOptions`) drives
+    the domain scan: ``shards`` forks it, and ``stream_results`` streams
+    its observations straight into the prefilter (bounded memory)
+    instead of collecting the full list first.  Checkpointed runs fall
+    back to resident collection: the domain_scan stage's committed
+    payload must carry the full observation list for resume.
+    """
 
     def __init__(self, network, resolution_service, as_registry, rdns, ca,
                  known_cdn_common_names, source_ip, domain_catalog,
                  cluster_threshold=0.30, diff_threshold=0.5,
                  distance=None, perf=None, fetch_timeout=None,
-                 error_budget=None, shards=1, heartbeat_timeout=None,
-                 stream_observations=False, chunk_rows=65536):
+                 error_budget=None, options=None):
         self.network = network
         self.perf = perf
-        # Stream domain-scan observations straight into the prefilter
-        # (bounded memory) instead of collecting the full list first.
-        # Checkpointed runs fall back to resident collection: the
-        # domain_scan stage's committed payload must carry the full
-        # observation list for resume.
-        self.stream_observations = stream_observations
+        self.options = options or ScanOptions()
         self.service = resolution_service
         self.as_registry = as_registry
         self.rdns = rdns
@@ -128,9 +132,8 @@ class ManipulationPipeline:
         self.distance = MemoizedDistance(distance or PageDistance(),
                                          perf=perf)
         self.domain_engine = DomainScanEngine(
-            DomainScanner(network, source_ip), shards=shards, perf=perf,
-            heartbeat_timeout=heartbeat_timeout,
-            stream_results=stream_observations, chunk_rows=chunk_rows)
+            DomainScanner(network, source_ip), options=self.options,
+            perf=perf)
         self.acquirer = DataAcquirer(network, source_ip,
                                      fetch_timeout=fetch_timeout,
                                      error_budget=error_budget)
@@ -185,16 +188,10 @@ class ManipulationPipeline:
     def _stage(self, name):
         """Perf timer + trace span for one Figure 3 step (no-op when
         neither instrument is active)."""
-        perf_context = (self.perf.stage("pipeline_" + name)
-                        if self.perf is not None else None)
-        tracer = getattr(self.network, "tracer", None)
-        span_context = tracer.span(name) if tracer is not None else None
-        if span_context is None:
-            return perf_context if perf_context is not None \
-                else nullcontext()
-        if perf_context is None:
-            return span_context
-        return _nested(perf_context, span_context)
+        trace = span(self.network, name)
+        if self.perf is None:
+            return trace
+        return _nested(self.perf.stage("pipeline_" + name), trace)
 
     def _unit(self, checkpoint, report, name, compute, apply):
         """One checkpointable stage of the Figure 3 chain.
@@ -269,7 +266,7 @@ class ManipulationPipeline:
         # result is bit-identical) and the full list is never resident.
         # Checkpointed runs stay resident — the committed domain_scan
         # payload must carry the observations a resume re-applies.
-        streaming = self.stream_observations and checkpoint is None
+        streaming = self.options.stream_results and checkpoint is None
         streamed_prefilter = [None]
 
         def compute_domain_scan():

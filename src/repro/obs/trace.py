@@ -25,12 +25,13 @@ context retroactively places every span of the resumed process into the
 original trace.
 
 Disabled tracing is represented by *no tracer at all* (``network.tracer
-is None``); instrumentation points guard with one attribute test and
-allocate nothing.
+is None``); instrumentation points open their spans through
+:func:`span`, which hands back a no-op context then, so a traced and an
+untraced run execute the same statement.
 """
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 _TRACE_SCHEMA_VERSION = 1
 
@@ -41,6 +42,14 @@ def _new_trace_id(seed=None):
         return "%016x" % ((seed * 0x9E3779B97F4A7C15) & ((1 << 64) - 1))
     import os
     return os.urandom(8).hex()
+
+
+def span(network, stage, **attrs):
+    """A span on ``network``'s tracer; a no-op context without one."""
+    tracer = getattr(network, "tracer", None)
+    if tracer is None:
+        return nullcontext()
+    return tracer.span(stage, **attrs)
 
 
 class Tracer:

@@ -39,11 +39,13 @@ from repro.analysis.software import format_software_table
 from repro.analysis.utilization import format_utilization
 from repro.core.labeling import CATEGORY_LABELS
 from repro.datasets import ALL_CATEGORIES, DOMAIN_SETS, SNOOPING_TLDS
+from repro.obs.trace import span
 from repro.scanner import (
     BannerGrabber,
     CacheSnoopingProber,
     ChaosScanner,
     FingerprintMatcher,
+    ScanOptions,
 )
 
 SOCIAL = ("facebook.com", "twitter.com", "youtube.com")
@@ -57,24 +59,19 @@ def _study_unit(checkpoint, network, perf, name, compute):
     ``study`` boundary.  The derived analyses are recomputed either way —
     they are cheap, pure functions of the restored payloads.
     """
-    tracer = getattr(network, "tracer", None)
     if checkpoint is None:
-        if tracer is None:
-            return compute()
-        with tracer.span("study", phase=name):
+        with span(network, "study", phase=name):
             return compute()
     from repro.checkpoint import capture_world_state, restore_world_state
     record = checkpoint.restore(("study", name))
     if record is not None:
         restore_world_state(network, perf, record["state"])
+        tracer = getattr(network, "tracer", None)
         if tracer is not None:
             tracer.emit("study", phase=name, restored=True)
         return record["payload"]
-    if tracer is None:
+    with span(network, "study", phase=name):
         payload = compute()
-    else:
-        with tracer.span("study", phase=name):
-            payload = compute()
     checkpoint.commit(("study", name), payload,
                       state=capture_world_state(network, perf))
     checkpoint.maybe_crash("study", (name,))
@@ -114,14 +111,15 @@ class StudyResults:
 
 def run_full_study(scenario, weeks=20, snoop_sample=200,
                    pipeline_categories=None, progress=None,
-                   pipeline_shards=1, checkpoint=None, shards=1,
-                   perf=None, backoff=2.0, pacing=None, max_pps=None,
-                   delta=None):
+                   pipeline_shards=1, checkpoint=None, perf=None,
+                   options=None):
     """Run the complete methodology; returns a :class:`StudyResults`.
 
     ``weeks`` bounds the longitudinal part (the paper ran 55);
-    ``pipeline_categories`` restricts the §4 pipeline (default: all 13);
-    ``pipeline_shards`` forks the per-category domain scans.
+    ``pipeline_categories`` restricts the §4 pipeline (default: all 13).
+    ``options`` (a :class:`~repro.scanner.options.ScanOptions`) drives
+    the campaign's scans as given and the per-category domain scans
+    at ``pipeline_shards`` shards.
     ``progress`` is an optional callable for status lines.
     ``checkpoint`` (a :class:`repro.checkpoint.CheckpointedRun`) makes
     every phase durable: campaign weeks, the fingerprint and snooping
@@ -131,12 +129,11 @@ def run_full_study(scenario, weeks=20, snoop_sample=200,
     say = progress or (lambda message: None)
     results = StudyResults()
     network = scenario.network
+    options = options or ScanOptions()
 
     say("running %d weekly scans..." % weeks)
-    campaign = scenario.new_campaign(verify=False, shards=shards,
-                                     perf=perf, backoff=backoff,
-                                     pacing=pacing, max_pps=max_pps,
-                                     delta=delta)
+    campaign = scenario.new_campaign(verify=False, perf=perf,
+                                     options=options)
     campaign.run(weeks, checkpoint=(checkpoint.scope("campaign")
                                     if checkpoint is not None else None))
     results.series = magnitude_series(campaign.snapshots)
@@ -181,11 +178,15 @@ def run_full_study(scenario, weeks=20, snoop_sample=200,
     results.utilization = utilization_summary(snoop["traces"])
 
     categories = list(pipeline_categories or ALL_CATEGORIES)
+    # Figure 4 and Table 5 read every report's observations: the domain
+    # scans stay resident whatever the campaign streams.
+    pipeline_options = options.replace(shards=pipeline_shards,
+                                       stream_results=False)
     reports = {}
     for category in categories:
         say("pipeline: %s..." % category)
-        pipeline = scenario.new_pipeline(shards=pipeline_shards,
-                                         perf=perf)
+        pipeline = scenario.new_pipeline(perf=perf,
+                                         options=pipeline_options)
         scope = (checkpoint.scope("pipeline", category)
                  if checkpoint is not None else None)
         reports[category] = pipeline.run(resolvers,

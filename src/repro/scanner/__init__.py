@@ -21,6 +21,7 @@ from repro.scanner.ipv4scan import (
     ScanTargetSpace,
     merge_scan_results,
 )
+from repro.scanner.options import ScanOptions
 from repro.scanner.pacing import PacingConfig, PacingPlan, normalize_pacing
 from repro.scanner.delta import DeltaConfig, normalize_delta
 from repro.scanner.engine import ScanEngine, ShardSupervisor
@@ -54,6 +55,7 @@ __all__ = [
     "ResolverIdCodec",
     "ScanCampaign",
     "ScanEngine",
+    "ScanOptions",
     "ScanResult",
     "ScanTargetSpace",
     "ShardSupervisor",

@@ -16,10 +16,11 @@ scanning the first incomplete week for real.
 """
 
 from repro.netsim.clock import WEEK
+from repro.obs.trace import span
 from repro.scanner import delta as delta_mod
-from repro.scanner.delta import normalize_delta
 from repro.scanner.engine import ScanEngine
 from repro.scanner.ipv4scan import Ipv4Scanner
+from repro.scanner.options import ScanOptions
 
 
 class CampaignError(RuntimeError):
@@ -40,44 +41,34 @@ class WeeklySnapshot:
 
 
 class ScanCampaign:
-    """Drives weekly scans over a target space for a number of weeks."""
+    """Drives weekly scans over a target space for a number of weeks.
+
+    ``options`` (a :class:`~repro.scanner.options.ScanOptions`) is
+    shared, as one object, by the primary and the verification
+    scanner/engine pair.
+    """
 
     def __init__(self, network, churn_model, target_space, source_ip,
                  measurement_domain, blacklist=None,
-                 verification_source_ip=None, shards=1, perf=None,
-                 retries=0, probe_timeout=None, backoff=2.0,
-                 heartbeat_timeout=None, probe_batch=4096, pacing=None,
-                 max_pps=None, stream_results=False, chunk_rows=65536,
-                 delta=None):
+                 verification_source_ip=None, perf=None, options=None):
         self.network = network
         self.churn = churn_model
         self.target_space = target_space
         self.perf = perf
-        self.delta = normalize_delta(delta)
-        self.scanner = Ipv4Scanner(network, source_ip, measurement_domain,
-                                   blacklist=blacklist, perf=perf,
-                                   retries=retries,
-                                   probe_timeout=probe_timeout,
-                                   backoff=backoff,
-                                   probe_batch=probe_batch,
-                                   pacing=pacing, max_pps=max_pps)
-        self.engine = ScanEngine(self.scanner, shards=shards, perf=perf,
-                                 heartbeat_timeout=heartbeat_timeout,
-                                 stream_results=stream_results,
-                                 chunk_rows=chunk_rows)
-        self.verification_scanner = None
-        self.verification_engine = None
+        self.options = options = options or ScanOptions()
+        self.delta = options.delta
+
+        def scan_pair(ip, port):
+            scanner = Ipv4Scanner(network, ip, measurement_domain,
+                                  blacklist=blacklist, source_port=port,
+                                  perf=perf, options=options)
+            return scanner, ScanEngine(scanner, options=options, perf=perf)
+
+        self.scanner, self.engine = scan_pair(source_ip, 31337)
+        self.verification_scanner = self.verification_engine = None
         if verification_source_ip is not None:
-            self.verification_scanner = Ipv4Scanner(
-                network, verification_source_ip, measurement_domain,
-                blacklist=blacklist, source_port=31338, perf=perf,
-                retries=retries, probe_timeout=probe_timeout,
-                backoff=backoff, probe_batch=probe_batch,
-                pacing=pacing, max_pps=max_pps)
-            self.verification_engine = ScanEngine(
-                self.verification_scanner, shards=shards, perf=perf,
-                heartbeat_timeout=heartbeat_timeout,
-                stream_results=stream_results, chunk_rows=chunk_rows)
+            self.verification_scanner, self.verification_engine = \
+                scan_pair(verification_source_ip, 31338)
         self.snapshots = []
 
     def run_week(self, verify=False, checkpoint=None, force_full=False):
@@ -98,14 +89,8 @@ class ScanCampaign:
                 and self.snapshots:
             forecast = self.churn.pending_churn()
         self.churn.step()
-        tracer = getattr(self.network, "tracer", None)
-        if tracer is not None:
-            with tracer.span("week", week=week, verify=bool(verify),
-                             delta=forecast is not None):
-                result, verification = self._scan_week(week, verify,
-                                                       checkpoint,
-                                                       forecast)
-        else:
+        with span(self.network, "week", week=week, verify=bool(verify),
+                  delta=forecast is not None):
             result, verification = self._scan_week(week, verify,
                                                    checkpoint, forecast)
         snapshot = WeeklySnapshot(week, result, verification)

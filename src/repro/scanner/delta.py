@@ -107,11 +107,6 @@ class DeltaConfig:
     def window_mask(self):
         return (~((1 << (32 - self.window_bits)) - 1)) & 0xFFFFFFFF
 
-    def signature(self):
-        return (self.audit_fraction, self.drift_budget,
-                self.full_sweep_every, self.min_audit_failures,
-                self.window_bits)
-
 
 def normalize_delta(delta, audit_fraction=None, drift_budget=None,
                     full_sweep_every=None):

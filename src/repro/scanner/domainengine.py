@@ -28,13 +28,11 @@ worker-local resolver-cache warm-ups are deliberately dropped (replays
 from the identical pre-fork state produce identical answers).
 """
 
-import os
-import shutil
-import tempfile
 import time
 
-from repro.checkpoint.store import SnapshotStore
-from repro.scanner.engine import ShardSupervisor, _plan_checkpointed_shards
+from repro.obs.trace import span
+from repro.scanner.engine import ShardedEngine
+from repro.scanner.ipv4scan import shard_ranges
 
 
 def _absorb_observation_chunks(tail, chunks):
@@ -67,7 +65,6 @@ class _OrderedDelivery:
 
     def __init__(self, ranges, consume, scanner):
         self.ranges = [tuple(r) for r in ranges]
-        self.origin_of_start = {r[0]: i for i, r in enumerate(self.ranges)}
         self.consume = consume
         self.scanner = scanner
         self.parts = {}           # origin -> [(start, observations)]
@@ -76,26 +73,19 @@ class _OrderedDelivery:
         self.cursor = 0
         self.delivered = 0
 
-    def add_restored(self, start, result):
-        origin = self.origin_of_start[start]
-        observations, queries = result
-        self.scanner.queries_sent += queries
-        self.parts.setdefault(origin, []).append((start, observations))
-        self.complete.add(origin)
-        self._flush()
-
     def add_item(self, item, result, mode):
         start, stop, origin, __attempt = item
         observations, queries = result
         if mode != "in-process":
             # In-process rescues already advanced the live counter;
-            # worker shards reconcile here.
+            # worker shards (and restored shards, whose run never
+            # happened in this process) reconcile here.
             self.scanner.queries_sent += queries
         self.parts.setdefault(origin, []).append((start, observations))
-        span = self.covered.get(origin, 0) + (stop - start)
-        self.covered[origin] = span
+        covered = self.covered.get(origin, 0) + (stop - start)
+        self.covered[origin] = covered
         origin_start, origin_stop = self.ranges[origin]
-        if span == origin_stop - origin_start:
+        if covered == origin_stop - origin_start:
             self.complete.add(origin)
         self._flush()
 
@@ -111,52 +101,26 @@ class _OrderedDelivery:
             self.cursor += 1
 
 
-class DomainScanEngine:
+class DomainScanEngine(ShardedEngine):
     """Runs the per-resolver domain scan, optionally sharded.
 
-    ``stream_results`` bounds worker memory the same way the IPv4
-    engine does: workers flush observation chunks of ``chunk_rows``
-    through the pipe, the parent spills them via a
-    :class:`SnapshotStore`, and each shard's observations are folded
-    back together on completion.  Independently, :meth:`scan` accepts a
-    ``consume`` callback that delivers observations incrementally (in
-    exact sequential order) instead of returning them as one list — the
-    classification pipeline's streaming entry point.
+    Streams worker results the way the IPv4 engine does (see
+    :class:`~repro.scanner.engine.ShardedEngine`).  Independently,
+    :meth:`scan` accepts a ``consume`` callback that delivers
+    observations incrementally (in exact sequential order) instead of
+    returning them as one list — the classification pipeline's
+    streaming entry point.
     """
 
-    def __init__(self, scanner, shards=1, perf=None,
-                 heartbeat_timeout=None, stream_results=False,
-                 chunk_rows=65536, spill_dir=None):
-        if shards < 1:
-            raise ValueError("shard count must be >= 1")
-        if chunk_rows < 1:
-            raise ValueError("chunk_rows must be >= 1")
-        self.scanner = scanner
-        self.shards = shards
-        self.perf = perf
-        self.heartbeat_timeout = heartbeat_timeout
-        self.stream_results = stream_results
-        self.chunk_rows = chunk_rows
-        self.spill_dir = spill_dir
+    def __init__(self, scanner, options=None, perf=None,
+                 heartbeat_timeout=None):
+        super().__init__(scanner, options, perf, heartbeat_timeout)
         # Provenance of the last sharded scan (one entry per work item).
         self.provenance = []
 
-    @property
-    def can_fork(self):
-        return hasattr(os, "fork")
-
     def shard_ranges(self, total):
-        """Split ``[0, total)`` resolver indexes into contiguous ranges
-        (same balanced split as ``ScanTargetSpace.shard_ranges``)."""
-        size, remainder = divmod(total, self.shards)
-        ranges = []
-        start = 0
-        for shard in range(self.shards):
-            stop = start + size + (1 if shard < remainder else 0)
-            if stop > start:
-                ranges.append((start, stop))
-            start = stop
-        return ranges
+        """Split ``[0, total)`` resolver indexes into contiguous ranges."""
+        return shard_ranges(total, self.options.shards)
 
     def scan(self, resolver_ips, domains, checkpoint=None, consume=None):
         """Query every domain at every resolver; returns the flat
@@ -177,118 +141,40 @@ class DomainScanEngine:
         domains = list(domains)
         ranges = self.shard_ranges(len(resolver_ips))
         self.provenance = []
-        tracer = getattr(getattr(self.scanner, "network", None),
-                         "tracer", None)
-        if tracer is not None:
-            with tracer.span("domain_scan_engine",
-                             resolvers=len(resolver_ips),
-                             domains=len(domains), shards=len(ranges)):
-                observations = self._scan_inner(resolver_ips, domains,
-                                                ranges, checkpoint,
-                                                consume)
-        else:
-            observations = self._scan_inner(resolver_ips, domains,
-                                            ranges, checkpoint, consume)
+        with span(getattr(self.scanner, "network", None),
+                  "domain_scan_engine", resolvers=len(resolver_ips),
+                  domains=len(domains), shards=len(ranges)):
+            if len(ranges) <= 1 or not self.can_fork:
+                observations = self.scanner.scan(resolver_ips, domains)
+                if consume is not None:
+                    if observations:
+                        consume(observations)
+                    observations = len(observations)
+            else:
+                observations = self._scan_forked(
+                    resolver_ips, domains, ranges, checkpoint, consume)
         if self.perf is not None:
             self.perf.record_seconds("domain_scan_wall",
                                      time.perf_counter() - start)
             self.perf.count("domain_scans_run")
         return observations
 
-    def _scan_inner(self, resolver_ips, domains, ranges, checkpoint,
-                    consume=None):
-        if len(ranges) <= 1 or not self.can_fork:
-            observations = self.scanner.scan(resolver_ips, domains)
-            if consume is None:
-                return observations
-            if observations:
-                consume(observations)
-            return len(observations)
-        return self._scan_forked(resolver_ips, domains, ranges,
-                                 checkpoint=checkpoint, consume=consume)
-
-    def _open_spill_store(self):
-        """The chunk spill store for a streamed scan, or ``(None, None)``
-        (see :meth:`ScanEngine._open_spill_store`)."""
-        if not self.stream_results or \
-                not getattr(self.scanner, "supports_chunks", False):
-            return None, None
-        if self.spill_dir is not None:
-            return SnapshotStore(self.spill_dir, self.perf), None
-        temp = tempfile.mkdtemp(prefix="domainscan-spill-")
-        return SnapshotStore(temp, self.perf), temp
-
-    def _scan_forked(self, resolver_ips, domains, ranges, checkpoint=None,
-                     consume=None):
+    def _scan_forked(self, resolver_ips, domains, ranges, checkpoint,
+                     consume):
         scanner = self.scanner
-        chunk_rows = self.chunk_rows
 
-        def run_range(index_range, on_progress, chunk_sink=None):
+        def scan(**kwargs):
             # Returns (observations, queries delta) so the parent can
             # reconcile ``scanner.queries_sent`` for worker shards,
             # whose increments die with the forked process.
             before = scanner.queries_sent
-            kwargs = {"index_range": index_range}
-            if on_progress is not None:
-                kwargs["on_progress"] = on_progress
-            if chunk_sink is not None:
-                kwargs["chunk_sink"] = chunk_sink
-                kwargs["chunk_rows"] = chunk_rows
             observations = scanner.scan(resolver_ips, domains, **kwargs)
             return observations, scanner.queries_sent - before
 
-        live_ranges, live_origins, on_item_done, restored, \
-            restored_provenance = _plan_checkpointed_shards(
-                scanner.network, self.perf, ranges, checkpoint)
-        streamer = None
-        item_hook = on_item_done
-        if consume is not None:
-            streamer = _OrderedDelivery(ranges, consume, scanner)
-            for start, result in restored:
-                streamer.add_restored(start, result)
-            restored = []               # delivered; do not re-collect
-
-            def item_hook(item, payload, entry):
-                if on_item_done is not None:
-                    on_item_done(item, payload, entry)
-                streamer.add_item(item, payload["result"], entry["mode"])
-
-        spill_store, spill_temp = self._open_spill_store()
-        try:
-            supervisor = ShardSupervisor(
-                scanner.network, run_range, perf=self.perf,
-                heartbeat_timeout=self.heartbeat_timeout,
-                supports_progress=getattr(scanner, "supports_progress",
-                                          False),
-                perf_host=scanner, chunk_store=spill_store,
-                reassemble=_absorb_observation_chunks,
-                retain_results=consume is None)
-            shard_results, provenance = supervisor.run(
-                live_ranges, origins=live_origins,
-                on_item_done=item_hook)
-        finally:
-            if spill_temp is not None:
-                shutil.rmtree(spill_temp, ignore_errors=True)
-        all_provenance = restored_provenance + provenance
-        all_provenance.sort(key=lambda e: (e["start"], e["stop"],
-                                           e["attempt"]))
-        self.provenance = all_provenance
-        if streamer is not None:
-            return streamer.delivered
-        combined = [(start, result, "restored")
-                    for start, result in restored]
-        combined.extend(shard_results)
-        combined.sort(key=lambda entry: entry[0])
-        observations = []
-        for __, (shard_observations, queries), mode in combined:
-            observations.extend(shard_observations)
-            if mode != "in-process":
-                # In-process rescues already advanced the live counter;
-                # worker shards (and restored shards, whose run never
-                # happened in this process) reconcile here.
-                scanner.queries_sent += queries
-        return observations
-
-    def __repr__(self):
-        return "DomainScanEngine(shards=%d, fork=%s)" % (
-            self.shards, self.can_fork)
+        collected = []
+        delivery = _OrderedDelivery(ranges, consume or collected.extend,
+                                    scanner)
+        self.provenance = self._run_sharded(
+            scan, ranges, checkpoint, _absorb_observation_chunks,
+            delivery.add_item)
+        return delivery.delivered if consume is not None else collected

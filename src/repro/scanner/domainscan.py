@@ -13,6 +13,7 @@ from repro.dnswire.constants import QTYPE_NS, RCODE_NOERROR
 from repro.dnswire.message import Message
 from repro.netsim.network import UdpPacket
 from repro.scanner.encoding import ResolverIdCodec
+from repro.scanner.options import CHUNK_ROWS
 
 
 class DnsObservation:
@@ -106,7 +107,7 @@ class DomainScanner:
             injected_suspect=injected, ns_record_count=ns_count)
 
     def scan(self, resolver_ips, domains, index_range=None,
-             on_progress=None, chunk_sink=None, chunk_rows=65536):
+             on_progress=None, chunk_sink=None, chunk_rows=CHUNK_ROWS):
         """Query every domain at every resolver.
 
         ``domains`` is an iterable of domain-name strings.  Returns a flat

@@ -73,8 +73,10 @@ import time
 from collections import deque
 
 from repro.checkpoint.store import SnapshotStore
+from repro.obs.trace import span
 from repro.perf import PerfRegistry, sample_ru_maxrss_kb
 from repro.scanner.ipv4scan import merge_scan_results
+from repro.scanner.options import ScanOptions
 
 # Network traffic counters reconciled from workers back into the parent.
 _NET_COUNTERS = ("udp_queries_sent", "udp_queries_lost",
@@ -140,47 +142,6 @@ def _restore_shard_record(network, perf, payload, origin=None):
         perf.merge(shard_perf, rank=origin)
     for name, amount in (payload.get("perf_counters") or {}).items():
         perf.count(name, amount)
-
-
-def _plan_checkpointed_shards(network, perf, ranges, checkpoint):
-    """Split a sharded run into restored vs. still-to-run work.
-
-    Returns ``(live_ranges, live_origins, on_item_done, restored,
-    restored_provenance)``: committed shards come back as
-    ``(start, result)`` pairs with their side effects re-applied, and
-    ``on_item_done`` commits each newly completed shard — but only items
-    covering a *full* original range (a split half or narrowed rescue is
-    not independently restorable; its origin reruns whole on resume,
-    reproducing the identical escalation path from the same fault
-    draws).  After each commit the crash plane gets its shot at the
-    ``shard`` boundary.
-    """
-    if checkpoint is None:
-        return list(ranges), None, None, [], []
-    restored = []
-    restored_provenance = []
-    live_ranges = []
-    live_origins = []
-    for origin, (start, stop) in enumerate(ranges):
-        record = checkpoint.restore(("shard", origin, start, stop))
-        if record is not None:
-            payload = record["payload"]
-            _restore_shard_record(network, perf, payload, origin=origin)
-            restored.append((start, payload["result"]))
-            restored_provenance.extend(payload.get("provenance") or [])
-        else:
-            live_ranges.append((start, stop))
-            live_origins.append(origin)
-    full_ranges = {origin: tuple(ranges[origin]) for origin in live_origins}
-
-    def on_item_done(item, payload, entry):
-        start, stop, origin, __attempt = item
-        if (start, stop) == full_ranges[origin]:
-            checkpoint.commit(("shard", origin, start, stop), payload)
-        checkpoint.maybe_crash("shard", (origin,))
-
-    return live_ranges, live_origins, on_item_done, restored, \
-        restored_provenance
 
 
 class _Worker:
@@ -278,17 +239,11 @@ class ShardSupervisor:
     non-streaming worker would have shipped.  A worker death discards
     its spilled chunks (the retry re-emits them), and in-process rescues
     stay resident — they never stream.
-
-    ``retain_results=False`` drops each completed item's result after
-    the ``on_item_done`` hook has seen it (``shard_results`` carries
-    ``None`` placeholders): the mode for callers that consume results
-    incrementally through the hook and must not accumulate them.
     """
 
     def __init__(self, network, run_range, perf=None,
                  heartbeat_timeout=None, supports_progress=False,
-                 perf_host=None, chunk_store=None, reassemble=None,
-                 retain_results=True):
+                 perf_host=None, chunk_store=None, reassemble=None):
         self.network = network
         self.run_range = run_range
         self.perf = perf
@@ -298,39 +253,34 @@ class ShardSupervisor:
         self.perf_host = perf_host
         self.chunk_store = chunk_store
         self.reassemble = reassemble
-        self.retain_results = retain_results
 
     def _count(self, name, amount=1):
         if self.perf is not None:
             self.perf.count(name, amount)
 
-    def run(self, ranges, origins=None, on_item_done=None):
-        """Supervise workers over ``ranges``; returns
-        ``(shard_results, provenance)``.
+    def run(self, ranges, origins, on_item_done):
+        """Supervise workers over ``ranges``; returns the provenance,
+        one entry per completed work item.
 
-        ``shard_results`` is ``[(start, result, mode), ...]`` sorted by
-        range start (``mode`` is ``"worker"`` or ``"in-process"``), so
-        callers can concatenate or merge per-shard results in index
-        order and know which of them already mutated parent state.
-        ``provenance`` carries one sorted entry per completed work item.
-
-        ``origins`` optionally names each range's global shard index —
-        a checkpointed resume runs only the not-yet-committed ranges but
-        must keep their original indices so per-origin fault draws
-        (``worker_dies``) and provenance stay identical to a full run.
         ``on_item_done(item, payload, entry)`` fires after each completed
         work item with a self-contained, picklable payload (result +
-        counter deltas + perf); it is the checkpoint commit hook and may
-        raise to abort the run — active workers are reaped first.
+        counter deltas + perf) and is the only way results leave the
+        supervisor — it never accumulates them.  ``entry["mode"]`` is
+        ``"worker"`` or ``"in-process"``, so the caller knows which
+        results already mutated parent state.  The hook may raise to
+        abort the run (the checkpoint crash plane does) — active workers
+        are reaped first.
+
+        ``origins`` names each range's global shard index — a
+        checkpointed resume runs only the not-yet-committed ranges but
+        must keep their original indices so per-origin fault draws
+        (``worker_dies``) and provenance stay identical to a full run.
         """
         plan = getattr(self.network, "faults", None)
         heartbeat_timeout = self.heartbeat_timeout
-        if origins is None:
-            origins = range(len(ranges))
         pending = deque((start, stop, origin, 0)
                         for origin, (start, stop) in zip(origins, ranges))
         active = {}                     # read fd -> _Worker
-        shard_results = []              # (start, result, mode)
         provenance = []
         rescues = []                    # items for in-process fallback
         rescued_origins = set()
@@ -371,10 +321,9 @@ class ShardSupervisor:
                         if worker.chunk_keys:
                             shard["result"] = self._reassemble_result(
                                 shard["result"], worker.chunk_keys)
-                        self._on_success(worker.item, shard, shard_results,
-                                         provenance, counter_deltas,
-                                         fault_deltas, obs_items,
-                                         on_item_done)
+                        self._on_success(worker.item, shard, provenance,
+                                         counter_deltas, fault_deltas,
+                                         obs_items, on_item_done)
                 if heartbeat_timeout is not None:
                     for worker in list(active.values()):
                         if now - worker.last_beat > heartbeat_timeout:
@@ -393,8 +342,8 @@ class ShardSupervisor:
             # independent, so the late retry still produces exactly the
             # bytes and fates the worker would have.
             for start, stop, origin, attempt in sorted(rescues):
-                self._rescue((start, stop, origin, attempt),
-                             shard_results, provenance, on_item_done)
+                self._rescue((start, stop, origin, attempt), provenance,
+                             on_item_done)
         except BaseException:
             # Abort (an injected crash from the commit hook, ^C, ...):
             # reap every live worker so no zombies outlive the run.
@@ -421,11 +370,6 @@ class ShardSupervisor:
         if fault_counters is not None:
             for name, delta in fault_deltas.items():
                 fault_counters[name] = fault_counters.get(name, 0) + delta
-        shard_results.sort(key=lambda entry: entry[0])
-        # Completion order varies run to run; sorted provenance keeps
-        # same-seed runs bit-identical.
-        provenance.sort(key=lambda e: (e["start"], e["stop"],
-                                       e["attempt"]))
         if obs_items:
             tracer = getattr(network, "tracer", None)
             recorder = getattr(network, "recorder", None)
@@ -435,7 +379,7 @@ class ShardSupervisor:
                     tracer.absorb(spans)
                 if recorder is not None and flight:
                     recorder.absorb_state(flight)
-        return shard_results, provenance
+        return provenance
 
     def _spawn(self, item, plan):
         """Fork one worker for a work item; returns its parent-side state."""
@@ -541,12 +485,9 @@ class ShardSupervisor:
                 self._count("shard_failures")
             rescues.append(item)
 
-    def _on_success(self, item, shard, shard_results, provenance,
-                    counter_deltas, fault_deltas, obs_items,
-                    on_item_done=None):
+    def _on_success(self, item, shard, provenance, counter_deltas,
+                    fault_deltas, obs_items, on_item_done):
         start, stop, origin, attempt = item
-        shard_results.append((start, shard["result"]
-                              if self.retain_results else None, "worker"))
         status = ("ok" if attempt == 0
                   else "retried" if attempt == 1 else "split")
         entry = {"shard": origin, "start": start, "stop": stop,
@@ -565,19 +506,18 @@ class ShardSupervisor:
             self.perf.observe("shard_wall_seconds", shard["wall_seconds"])
             if shard["perf"] is not None:
                 self.perf.merge(shard["perf"], rank=origin)
-        if on_item_done is not None:
-            on_item_done(item, {
-                "result": shard["result"],
-                "net_counters": dict(shard["net_counters"]),
-                "fault_counters": dict(shard.get("fault_counters") or {}),
-                "perf": shard["perf"],
-                "wall_seconds": shard["wall_seconds"],
-                "spans": spans,
-                "flight": flight,
-                "provenance": [dict(entry)],
-            }, entry)
+        on_item_done(item, {
+            "result": shard["result"],
+            "net_counters": dict(shard["net_counters"]),
+            "fault_counters": dict(shard.get("fault_counters") or {}),
+            "perf": shard["perf"],
+            "wall_seconds": shard["wall_seconds"],
+            "spans": spans,
+            "flight": flight,
+            "provenance": [dict(entry)],
+        }, entry)
 
-    def _rescue(self, item, shard_results, provenance, on_item_done=None):
+    def _rescue(self, item, provenance, on_item_done):
         """Run one failed range in-process, with checkpoint bookkeeping.
 
         Unlike a worker, an in-process rescue mutates parent state
@@ -592,23 +532,15 @@ class ShardSupervisor:
                        if self.perf is not None else {})
         tracer = getattr(network, "tracer", None)
         spans_before = len(tracer.spans) if tracer is not None else 0
-        if tracer is not None:
-            # Rescues trace live into the parent's instruments (they
-            # mutate parent state directly, unlike worker shards).
-            with tracer.span("shard", origin=origin, attempt=attempt,
-                             start=start, stop=stop, mode="in-process"):
-                result = self.run_range((start, stop), None)
-        else:
+        # Rescues trace live into the parent's instruments (they mutate
+        # parent state directly, unlike worker shards).
+        with span(network, "shard", origin=origin, attempt=attempt,
+                  start=start, stop=stop, mode="in-process"):
             result = self.run_range((start, stop), None)
-        shard_results.append((start, result
-                              if self.retain_results else None,
-                              "in-process"))
         entry = {"shard": origin, "start": start, "stop": stop,
                  "mode": "in-process", "attempt": attempt,
                  "status": "rescued"}
         provenance.append(entry)
-        if on_item_done is None:
-            return
         fault_after = getattr(network, "fault_counters", None) or {}
         perf_after = (dict(self.perf.counters)
                       if self.perf is not None else {})
@@ -659,19 +591,13 @@ class ShardSupervisor:
         fault_before = dict(getattr(network, "fault_counters", None) or {})
         rss_before = sample_ru_maxrss_kb()
         shard_start = time.perf_counter()
-        if chunk_sink is not None:
-            def run():
-                return self.run_range(index_range, on_progress, chunk_sink)
-        else:
-            def run():
-                return self.run_range(index_range, on_progress)
-        if tracer is not None:
-            with tracer.span("shard", origin=origin, attempt=attempt,
-                             start=index_range[0], stop=index_range[1],
-                             mode="worker"):
-                result = run()
-        else:
-            result = run()
+        with span(network, "shard", origin=origin, attempt=attempt,
+                  start=index_range[0], stop=index_range[1], mode="worker"):
+            if chunk_sink is not None:
+                result = self.run_range(index_range, on_progress,
+                                        chunk_sink)
+            else:
+                result = self.run_range(index_range, on_progress)
         wall = time.perf_counter() - shard_start
         worker_perf = (getattr(host, "perf", None)
                        if host is not None else None)
@@ -706,41 +632,121 @@ class ShardSupervisor:
         }
 
 
-class ScanEngine:
-    """Runs Internet-wide scans, optionally sharded across processes.
+class ShardedEngine:
+    """What the IPv4 and the domain scan engine share: the options they
+    obey and the one forked driver, :meth:`_run_sharded`.
 
-    ``stream_results`` bounds worker memory: workers flush their result
-    columns every ``chunk_rows`` rows as pipe frames which the parent
-    spills through a :class:`SnapshotStore` (in ``spill_dir``, or a
-    private temporary directory) and folds back per shard on completion.
-    The merged result is byte-identical to a resident run — streaming
-    changes *where* rows live during the scan, never what they are.
-    Requires a scanner advertising ``supports_chunks``; silently runs
-    resident otherwise (and for in-process rescues).
+    ``options.stream_results`` bounds worker memory: workers flush their
+    results every ``options.chunk_rows`` rows as pipe frames which the
+    parent spills through a :class:`SnapshotStore` in a private
+    temporary directory and folds back per shard on completion.  The
+    outcome is byte-identical to a resident run — streaming changes
+    *where* rows live during the scan, never what they are.  Requires a
+    scanner advertising ``supports_chunks``; silently runs resident
+    otherwise (and for in-process rescues).  ``heartbeat_timeout`` kills
+    workers silent for that many wall-clock seconds (needs a scanner
+    with ``supports_progress``); ``None`` disables.
     """
 
-    def __init__(self, scanner, shards=1, perf=None,
-                 heartbeat_timeout=None, stream_results=False,
-                 chunk_rows=65536, spill_dir=None):
-        if shards < 1:
-            raise ValueError("shard count must be >= 1")
-        if chunk_rows < 1:
-            raise ValueError("chunk_rows must be >= 1")
+    def __init__(self, scanner, options=None, perf=None,
+                 heartbeat_timeout=None):
         self.scanner = scanner
-        self.shards = shards
+        self.options = options or ScanOptions()
         self.perf = perf
-        # Kill workers silent for this many wall-clock seconds (needs a
-        # scanner with ``supports_progress``); ``None`` disables.
         self.heartbeat_timeout = heartbeat_timeout
-        self.stream_results = stream_results
-        self.chunk_rows = chunk_rows
-        self.spill_dir = spill_dir
-        if perf is not None and scanner.perf is None:
-            scanner.perf = perf
 
     @property
     def can_fork(self):
         return hasattr(os, "fork")
+
+    def _run_sharded(self, scan, ranges, checkpoint, reassemble, deliver):
+        """Drive ``scan(index_range=..., ...)`` over ``ranges`` in forked
+        workers; returns the run's sorted provenance.
+
+        Every shard result goes to ``deliver(item, result, mode)`` as it
+        lands; ``reassemble(tail, chunks)`` folds a streamed shard's
+        spilled chunks back first.  With a ``checkpoint``, committed
+        shards are restored (mode ``"restored"``, side effects
+        re-applied) instead of run, and each newly completed one is
+        committed before it is delivered — but only items covering a
+        *full* original range (a split half or narrowed rescue is not
+        independently restorable; its origin reruns whole on resume,
+        reproducing the identical escalation path from the same fault
+        draws).  After each commit the crash plane gets its shot at the
+        ``shard`` boundary.
+        """
+        scanner = self.scanner
+        options = self.options
+
+        def run_range(index_range, on_progress, chunk_sink=None):
+            kwargs = {"index_range": index_range}
+            if on_progress is not None:
+                kwargs["on_progress"] = on_progress
+            if chunk_sink is not None:
+                kwargs["chunk_sink"] = chunk_sink
+                kwargs["chunk_rows"] = options.chunk_rows
+            return scan(**kwargs)
+
+        live_ranges, live_origins, provenance = [], [], []
+        for origin, (start, stop) in enumerate(ranges):
+            record = (checkpoint.restore(("shard", origin, start, stop))
+                      if checkpoint is not None else None)
+            if record is None:
+                live_ranges.append((start, stop))
+                live_origins.append(origin)
+                continue
+            payload = record["payload"]
+            _restore_shard_record(scanner.network, self.perf, payload,
+                                  origin=origin)
+            provenance.extend(payload.get("provenance") or [])
+            deliver((start, stop, origin, 0), payload["result"], "restored")
+
+        def on_item_done(item, payload, entry):
+            if checkpoint is not None:
+                start, stop, origin, __attempt = item
+                if (start, stop) == tuple(ranges[origin]):
+                    checkpoint.commit(("shard", origin, start, stop),
+                                      payload)
+                checkpoint.maybe_crash("shard", (origin,))
+            deliver(item, payload["result"], entry["mode"])
+
+        spill_dir = spill_store = None
+        if options.stream_results and \
+                getattr(scanner, "supports_chunks", False):
+            spill_dir = tempfile.mkdtemp(prefix="scan-spill-")
+            spill_store = SnapshotStore(spill_dir, self.perf)
+        try:
+            supervisor = ShardSupervisor(
+                scanner.network, run_range, perf=self.perf,
+                heartbeat_timeout=self.heartbeat_timeout,
+                supports_progress=getattr(scanner, "supports_progress",
+                                          False),
+                perf_host=scanner, chunk_store=spill_store,
+                reassemble=reassemble)
+            provenance += supervisor.run(live_ranges, live_origins,
+                                         on_item_done)
+        finally:
+            if spill_dir is not None:
+                shutil.rmtree(spill_dir, ignore_errors=True)
+        # Completion order varies run to run; sorted provenance keeps
+        # same-seed runs bit-identical.
+        provenance.sort(key=lambda e: (e["start"], e["stop"],
+                                       e["attempt"]))
+        return provenance
+
+    def __repr__(self):
+        return "%s(shards=%d, fork=%s)" % (
+            type(self).__name__, self.options.shards, self.can_fork)
+
+
+class ScanEngine(ShardedEngine):
+    """Runs Internet-wide scans, optionally sharded across processes."""
+
+    def __init__(self, scanner, options=None, perf=None,
+                 heartbeat_timeout=None):
+        super().__init__(scanner, options, perf, heartbeat_timeout)
+        if perf is not None and scanner.perf is None:
+            scanner.perf = perf
 
     def scan(self, target_space, checkpoint=None):
         """Scan the whole target space; returns one merged ScanResult.
@@ -754,20 +760,12 @@ class ScanEngine:
         start = time.perf_counter()
         network = self.scanner.network
         fault_before = dict(getattr(network, "fault_counters", None) or {})
-        ranges = target_space.shard_ranges(self.shards)
-        tracer = getattr(network, "tracer", None)
-        if tracer is not None:
-            with tracer.span("scan", shards=len(ranges)):
-                if len(ranges) <= 1 or not self.can_fork:
-                    result = self.scanner.scan(target_space)
-                else:
-                    result = self._scan_forked(target_space, ranges,
-                                               checkpoint=checkpoint)
-        elif len(ranges) <= 1 or not self.can_fork:
-            result = self.scanner.scan(target_space)
-        else:
-            result = self._scan_forked(target_space, ranges,
-                                       checkpoint=checkpoint)
+        ranges = target_space.shard_ranges(self.options.shards)
+        with span(network, "scan", shards=len(ranges)):
+            if len(ranges) <= 1 or not self.can_fork:
+                result = self.scanner.scan(target_space)
+            else:
+                result = self._scan_forked(target_space, ranges, checkpoint)
         if self.perf is not None:
             self.perf.record_seconds("scan_wall",
                                      time.perf_counter() - start)
@@ -781,35 +779,8 @@ class ScanEngine:
                         self.perf.count("fault_" + name, delta)
         return result
 
-    # -- forked path -------------------------------------------------------
-
-    def _open_spill_store(self):
-        """The chunk spill store for a streamed scan, or ``(None, None)``.
-
-        Returns ``(store, temp_dir)``; ``temp_dir`` is non-``None`` only
-        when a private directory was created and must be removed after
-        the run."""
-        if not self.stream_results or \
-                not getattr(self.scanner, "supports_chunks", False):
-            return None, None
-        if self.spill_dir is not None:
-            return SnapshotStore(self.spill_dir, self.perf), None
-        temp = tempfile.mkdtemp(prefix="scan-spill-")
-        return SnapshotStore(temp, self.perf), temp
-
-    def _scan_forked(self, target_space, ranges, checkpoint=None):
+    def _scan_forked(self, target_space, ranges, checkpoint):
         scanner = self.scanner
-        chunk_rows = self.chunk_rows
-
-        def run_range(index_range, on_progress, chunk_sink=None):
-            kwargs = {"index_range": index_range}
-            if on_progress is not None:
-                kwargs["on_progress"] = on_progress
-            if chunk_sink is not None:
-                kwargs["chunk_sink"] = chunk_sink
-                kwargs["chunk_rows"] = chunk_rows
-            return scanner.scan(target_space, **kwargs)
-
         prewarm = getattr(scanner, "prewarm", None)
         if prewarm is not None:
             # Build the LFSR walk, the sweep columns and this scan's
@@ -818,36 +789,13 @@ class ScanEngine:
             # per process (and so the plan's counters are tallied once,
             # here, not once per shard or never).
             prewarm(target_space)
-        live_ranges, live_origins, on_item_done, restored, \
-            restored_provenance = _plan_checkpointed_shards(
-                scanner.network, self.perf, ranges, checkpoint)
-        spill_store, spill_temp = self._open_spill_store()
-        try:
-            supervisor = ShardSupervisor(
-                scanner.network, run_range, perf=self.perf,
-                heartbeat_timeout=self.heartbeat_timeout,
-                supports_progress=getattr(scanner, "supports_progress",
-                                          False),
-                perf_host=scanner, chunk_store=spill_store,
-                reassemble=_absorb_result_chunks)
-            shard_results, provenance = supervisor.run(
-                live_ranges, origins=live_origins,
-                on_item_done=on_item_done)
-        finally:
-            if spill_temp is not None:
-                shutil.rmtree(spill_temp, ignore_errors=True)
-        combined = restored + [(start, result)
-                               for start, result, __mode in shard_results]
-        combined.sort(key=lambda entry: entry[0])
-        merged = merge_scan_results(
-            scanner.network.clock.now,
-            [result for __, result in combined])
-        all_provenance = restored_provenance + provenance
-        all_provenance.sort(key=lambda e: (e["start"], e["stop"],
-                                           e["attempt"]))
-        merged.provenance = all_provenance
+        shards = []
+        provenance = self._run_sharded(
+            lambda **kwargs: scanner.scan(target_space, **kwargs),
+            ranges, checkpoint, _absorb_result_chunks,
+            lambda item, result, mode: shards.append((item[0], result)))
+        shards.sort(key=lambda entry: entry[0])
+        merged = merge_scan_results(scanner.network.clock.now,
+                                    [result for __, result in shards])
+        merged.provenance = provenance
         return merged
-
-    def __repr__(self):
-        return "ScanEngine(shards=%d, fork=%s)" % (
-            self.shards, self.can_fork)

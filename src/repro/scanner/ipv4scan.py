@@ -57,11 +57,8 @@ from repro.netsim.address import (
 )
 from repro.scanner.encoding import ProbeBatchEncoder
 from repro.scanner.lfsr import LFSR, TargetBatchIterator, permutation
-from repro.scanner.pacing import (
-    build_pacing_plan,
-    defense_plane,
-    normalize_pacing,
-)
+from repro.scanner.options import BACKOFF, CHUNK_ROWS, ScanOptions
+from repro.scanner.pacing import build_pacing_plan, defense_plane
 
 _M64 = (1 << 64) - 1
 
@@ -81,6 +78,25 @@ def _networks_intersect(left, right):
     """True when two CIDR prefixes share any address."""
     return ((left.base & right.mask) == right.base
             or (right.base & left.mask) == left.base)
+
+
+def shard_ranges(total, shards):
+    """Split ``[0, total)`` into ``shards`` contiguous, balanced ranges.
+
+    Every index lands in exactly one range; empty trailing ranges are
+    dropped (fewer indexes than shards yields fewer ranges).
+    """
+    if shards < 1:
+        raise ValueError("shard count must be >= 1")
+    size, remainder = divmod(total, shards)
+    ranges = []
+    start = 0
+    for shard in range(shards):
+        stop = start + size + (1 if shard < remainder else 0)
+        if stop > start:
+            ranges.append((start, stop))
+        start = stop
+    return ranges
 
 
 class ScanTargetSpace:
@@ -121,25 +137,11 @@ class ScanTargetSpace:
         return None
 
     def shard_ranges(self, shards):
-        """Split ``[0, len(self))`` into ``shards`` contiguous ranges.
-
-        Every index lands in exactly one range; empty trailing ranges are
-        dropped (a space smaller than the shard count yields fewer
-        ranges).  Sharding by index keeps each worker's targets
-        contiguous in address space while the shared LFSR walk still
-        interleaves probe *order* pseudo-randomly within each shard.
-        """
-        if shards < 1:
-            raise ValueError("shard count must be >= 1")
-        size, remainder = divmod(self.total, shards)
-        ranges = []
-        start = 0
-        for shard in range(shards):
-            stop = start + size + (1 if shard < remainder else 0)
-            if stop > start:
-                ranges.append((start, stop))
-            start = stop
-        return ranges
+        """:func:`shard_ranges` over this space.  Sharding by index
+        keeps each worker's targets contiguous in address space while
+        the shared LFSR walk still interleaves probe *order*
+        pseudo-randomly within each shard."""
+        return shard_ranges(self.total, shards)
 
     def __len__(self):
         return self.total
@@ -542,7 +544,7 @@ class ScanResult:
             self.timestamp, len(self.responders))
 
 
-def retry_schedule(probe_timeout, retries, backoff=2.0, rtt_floor=0.0):
+def retry_schedule(probe_timeout, retries, backoff=BACKOFF, rtt_floor=0.0):
     """Effective per-attempt response timeouts for one target.
 
     Pure function: attempt ``k`` waits ``probe_timeout * backoff**k``
@@ -620,17 +622,18 @@ class TargetFilter:
 class Ipv4Scanner:
     """Sends one DNS A probe per target address and aggregates responses.
 
-    ``retries``/``probe_timeout``/``backoff`` configure the attempt
-    schedule of every probed target: up to ``retries`` retransmissions
-    while unanswered, each attempt's timeout growing exponentially from
-    ``probe_timeout`` but never below the target's own deterministic
-    round-trip estimate (adaptive per-target timeout).  The defaults
-    (``retries=0``, ``probe_timeout=None``) are the schedule of length
-    one with no timeout.
+    ``options`` (a :class:`~repro.scanner.options.ScanOptions`) carries
+    the knobs.  ``retries``/``probe_timeout``/``backoff`` configure the
+    attempt schedule of every probed target: up to ``retries``
+    retransmissions while unanswered, each attempt's timeout growing
+    exponentially from ``probe_timeout`` but never below the target's
+    own deterministic round-trip estimate (adaptive per-target
+    timeout).  The defaults (``retries=0``, ``probe_timeout=None``) are
+    the schedule of length one with no timeout.
 
     ``pacing``/``max_pps`` configure the arms-race side (see
-    :mod:`repro.scanner.pacing`): ``pacing="adaptive"`` precomputes an
-    AIMD pacing plan against the network's defense plane and declares a
+    :mod:`repro.scanner.pacing`): adaptive pacing precomputes an AIMD
+    pacing plan against the network's defense plane and declares a
     per-probe rate bucket while scanning; ``max_pps`` caps the declared
     rate (and, with pacing off, is declared as the scan's constant
     rate).  Both default off: scans against defense-free networks are
@@ -645,9 +648,7 @@ class Ipv4Scanner:
 
     def __init__(self, network, source_ip, measurement_domain,
                  blacklist=None, source_port=31337, lfsr_seed=0xACE1,
-                 perf=None, retries=0, probe_timeout=None, backoff=2.0,
-                 timeout_margin=1.25, probe_batch=4096, pacing=None,
-                 max_pps=None):
+                 perf=None, timeout_margin=1.25, options=None):
         self.network = network
         self.source_ip = source_ip
         self.measurement_domain = measurement_domain
@@ -655,20 +656,17 @@ class Ipv4Scanner:
         self.source_port = source_port
         self.lfsr_seed = lfsr_seed
         self.perf = perf
-        if probe_timeout is not None and not probe_timeout > 0:
-            raise ValueError("probe_timeout must be > 0 (or None)")
         if not timeout_margin > 0:
             raise ValueError("timeout_margin must be > 0")
-        if probe_batch < 1:
-            raise ValueError("probe batch size must be >= 1")
-        retry_schedule(probe_timeout, retries, backoff)  # validates both
-        self.retries = retries
-        self.probe_timeout = probe_timeout
-        self.backoff = backoff
         self.timeout_margin = timeout_margin
-        self.probe_batch = probe_batch
-        self.pacing = normalize_pacing(pacing, max_pps)
-        self.max_pps = max_pps
+        # Bound once: the sweep loop reads these, not the options.
+        self.options = options = options or ScanOptions()
+        self.retries = options.retries
+        self.probe_timeout = options.probe_timeout
+        self.backoff = options.backoff
+        self.probe_batch = options.probe_batch
+        self.pacing = options.pacing
+        self.max_pps = options.max_pps
         self._encoder = ProbeBatchEncoder(measurement_domain)
         # Scanner identity folded into probe ids: the verification
         # scanner (different source) must not reuse the primary
@@ -714,7 +712,7 @@ class Ipv4Scanner:
         self._cold_columns(columns, self._pacing_plan(columns))
 
     def scan(self, target_space, index_range=None, on_progress=None,
-             chunk_sink=None, chunk_rows=65536):
+             chunk_sink=None, chunk_rows=CHUNK_ROWS):
         """Scan every allowed address in the target space once.
 
         ``index_range`` restricts the walk to a contiguous ``(start,
@@ -736,8 +734,6 @@ class Ipv4Scanner:
         :meth:`_cold_columns`); every other target takes the wire path
         in :meth:`_sweep`.
         """
-        if chunk_rows < 1:
-            raise ValueError("chunk_rows must be >= 1")
         network = self.network
         result = ScanResult(network.clock.now)
         total = len(target_space)
@@ -859,7 +855,7 @@ class Ipv4Scanner:
 
     def _sweep(self, result, plan, perf=None, pacing=None,
                base_bucket=None, on_progress=None, chunk_sink=None,
-               chunk_rows=65536, replies=None):
+               chunk_rows=None, replies=None):
         """The one send/receive loop every probe goes through.
 
         ``plan`` yields ``(hot_targets, cold_targets, cold_drops)`` per

@@ -114,8 +114,6 @@ def normalize_pacing(pacing, max_pps=None):
         raise ValueError("unknown pacing setting: %r (expected 'off', "
                          "'adaptive', or a PacingConfig)" % (pacing,))
     if max_pps is not None:
-        if max_pps <= 0:
-            raise ValueError("max_pps must be > 0")
         config = PacingConfig(
             initial_pps=min(config.initial_pps, float(max_pps)),
             min_pps=min(config.min_pps, float(max_pps)),

@@ -71,7 +71,12 @@ from repro.resolvers.population import (
     FLAG_PLAIN_NORMAL,
     FLAG_SELF_IP,
 )
-from repro.scanner import Blacklist, ScanCampaign, ScanTargetSpace
+from repro.scanner import (
+    Blacklist,
+    ScanCampaign,
+    ScanOptions,
+    ScanTargetSpace,
+)
 from repro.core.pipeline import ManipulationPipeline
 from repro.websim import (
     CdnProvider,
@@ -201,6 +206,8 @@ class ScenarioConfig:
                  landing_ips_per_country=3, weeks=55,
                  min_pool_count=2, lazy_population=False,
                  node_cache=8192):
+        if scale < 1:
+            raise ValueError("scale must be >= 1")
         if node_cache < 1:
             raise ValueError("node_cache must be >= 1")
         self.scale = scale
@@ -258,22 +265,21 @@ class Scenario:
     def target_space(self):
         return ScanTargetSpace(self.resolver_prefixes)
 
-    def new_campaign(self, verify=True, shards=1, perf=None, retries=0,
-                     probe_timeout=None, backoff=2.0,
-                     heartbeat_timeout=None, probe_batch=4096,
-                     pacing=None, max_pps=None, stream_results=False,
-                     chunk_rows=65536, delta=None):
+    def new_campaign(self, verify=True, perf=None, options=None, **knobs):
+        """A weekly campaign over this world.  The scan knobs come as one
+        :class:`~repro.scanner.options.ScanOptions` (``options=``) or as
+        its fields by keyword (``shards=``, ``retries=``, ...)."""
+        if options is None:
+            options = ScanOptions(**knobs)
+        elif knobs:
+            raise TypeError("pass options= or its fields by keyword, "
+                            "not both (got %s)" % ", ".join(sorted(knobs)))
         return ScanCampaign(
             self.network, self.churn, self.target_space(),
             self.scanner_ip, MEASUREMENT_DOMAIN, blacklist=self.blacklist,
             verification_source_ip=(self.verification_scanner_ip
                                     if verify else None),
-            shards=shards, perf=perf, retries=retries,
-            probe_timeout=probe_timeout, backoff=backoff,
-            heartbeat_timeout=heartbeat_timeout,
-            probe_batch=probe_batch, pacing=pacing, max_pps=max_pps,
-            stream_results=stream_results, chunk_rows=chunk_rows,
-            delta=delta)
+            perf=perf, options=options)
 
     def new_pipeline(self, **kwargs):
         return ManipulationPipeline(

@@ -20,7 +20,8 @@ from repro.inetmodel import ChurnModel, LeasedHost
 from repro.netsim.clock import DAY
 from repro.perf import PerfRegistry
 from repro.resolvers import ResolverNode
-from repro.scanner import DeltaConfig, ScanCampaign, ScanTargetSpace
+from repro.scanner import (DeltaConfig, ScanCampaign, ScanOptions,
+                           ScanTargetSpace)
 from tests.checkpoint.test_resume_equivalence import \
     assert_campaigns_identical
 from tests.conftest import MiniWorld
@@ -86,9 +87,9 @@ def build_delta_world(sabotage_week=None, sabotage_pools=(0,)):
 def make_campaign(world, shards=1, perf=None):
     return ScanCampaign(
         world.network, world.churn, ScanTargetSpace(world.pools),
-        world.client_ip, "scan.dnsstudy.edu", shards=shards, perf=perf,
-        delta=DeltaConfig(audit_fraction=0.9, drift_budget=0.5,
-                          window_bits=26))
+        world.client_ip, "scan.dnsstudy.edu", perf=perf,
+        options=ScanOptions(shards=shards, delta=DeltaConfig(
+            audit_fraction=0.9, drift_budget=0.5, window_bits=26)))
 
 
 def run_clean(build, shards=1):

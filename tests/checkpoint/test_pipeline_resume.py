@@ -21,6 +21,7 @@ from repro.resolvers import (
     ResolverNode,
     StaticIpBehavior,
 )
+from repro.scanner import ScanOptions
 from repro.websim import TransparentProxy, WebServer
 from repro.websim.httpserver import StaticPageServer
 from repro.websim.pages import censorship_landing
@@ -67,7 +68,8 @@ def build_pipeline_world(perf=None, shards=1):
     mini.pipeline = ManipulationPipeline(
         mini.network, mini.service, registry, mini.rdns, mini.ca,
         known_cdn_common_names=(), source_ip=mini.client_ip,
-        domain_catalog=mini.catalog, perf=perf, shards=shards)
+        domain_catalog=mini.catalog, perf=perf,
+        options=ScanOptions(shards=shards))
     return mini
 
 

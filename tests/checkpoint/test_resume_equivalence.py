@@ -18,7 +18,7 @@ from repro.inetmodel import ChurnModel, LeasedHost
 from repro.netsim.clock import DAY, WEEK
 from repro.perf import PerfRegistry
 from repro.resolvers import ResolverNode
-from repro.scanner import ScanCampaign, ScanTargetSpace
+from repro.scanner import ScanCampaign, ScanOptions, ScanTargetSpace
 from tests.conftest import MiniWorld
 
 WEEKS = 3
@@ -79,7 +79,8 @@ def build_campaign_world():
 def make_campaign(world, shards=1, perf=None, verify=False):
     return ScanCampaign(
         world.network, world.churn, ScanTargetSpace([world.pool]),
-        world.client_ip, "scan.dnsstudy.edu", shards=shards, perf=perf,
+        world.client_ip, "scan.dnsstudy.edu", perf=perf,
+        options=ScanOptions(shards=shards),
         verification_source_ip=(world.infra.address_at(777)
                                 if verify else None))
 

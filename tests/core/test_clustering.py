@@ -10,6 +10,7 @@ from repro.core.clustering import (
     cluster_deduplicated,
     hierarchical_cluster,
 )
+from tests.oracles import pair_scan_cluster
 
 
 def scalar_distance(a, b):
@@ -122,11 +123,9 @@ class TestNnChainEquivalence:
 
     def both(self, values, threshold, linkage="average"):
         chain = hierarchical_cluster(values, scalar_distance, threshold,
-                                     linkage=linkage,
-                                     algorithm="nn-chain")
-        scan = hierarchical_cluster(values, scalar_distance, threshold,
-                                    linkage=linkage,
-                                    algorithm="pair-scan")
+                                     linkage=linkage)
+        scan = pair_scan_cluster(values, scalar_distance, threshold,
+                                 linkage=linkage)
         return chain, scan
 
     def assert_equivalent(self, chain, scan):
@@ -138,11 +137,6 @@ class TestNnChainEquivalence:
         # differ by float accumulation order in tied averages.
         assert chain_dendrogram.merge_distances() \
             == pytest.approx(scan_dendrogram.merge_distances())
-
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ValueError):
-            hierarchical_cluster([1], scalar_distance, 1.0,
-                                 algorithm="slink")
 
     def test_small_example_identical_history(self):
         chain, scan = self.both([0.0, 0.1, 0.2, 10.0, 10.1, 50.0], 1.0)

@@ -151,8 +151,13 @@ class TestTraceCli:
         from repro.cli import main
         path = str(tmp_path / "trace.jsonl")
         assert main(["scan", "--scale", "120000", "--seed", "3",
-                     "--trace-out", path]) == 0
+                     "--retries", "1", "--trace-out", path]) == 0
         capsys.readouterr()
+        # The header names the run by the same dict checkpoint meta does.
+        from repro.obs import read_trace
+        from repro.scanner import ScanOptions
+        assert read_trace(path)[0]["options"] == \
+            ScanOptions(retries=1).as_meta()
         assert main(["trace", path, "--validate-only"]) == 0
         assert "valid trace" in capsys.readouterr().out
         assert main(["trace", path]) == 0

@@ -5,12 +5,20 @@ obviously right, and never imported from ``src/``.  The study kernel
 tests compare against the first three input by input, and
 ``tests/test_reporting.py`` swaps all three in for a whole study and
 requires a byte-equal report; ``tests/scanner/test_sweep_lattice.py``
-holds every configuration of the IPv4 sweep to :func:`reference_sweep`.
+holds every configuration of the IPv4 sweep to :func:`reference_sweep`;
+``tests/core/test_clustering.py`` and ``benchmarks/perf/bench_pipeline``
+hold NN-chain clustering to :func:`pair_scan_cluster`.
 """
 
 from collections import Counter
 
-from repro.core.clustering import hierarchical_cluster
+from repro.core.clustering import (
+    Cluster,
+    Dendrogram,
+    _distance_matrix,
+    _lance_williams,
+    hierarchical_cluster,
+)
 from repro.core.distance import jaccard_distance
 from repro.dnswire import Message
 from repro.dnswire.message import HEADER_STRUCT, peek_header
@@ -65,6 +73,54 @@ def pairwise_diff_cluster(diff_profiles, threshold=0.5):
 
     return hierarchical_cluster(diff_profiles, distance, threshold,
                                 linkage="average")
+
+
+def pair_scan_cluster(items, distance_fn, threshold, linkage="average"):
+    """``hierarchical_cluster`` by pair-scan: rescan all active pairs for
+    the global minimum before every merge, O(n³)."""
+    dendrogram = Dendrogram()
+    members = _agglomerate_pair_scan(
+        len(items), _distance_matrix(items, distance_fn), threshold,
+        linkage, dendrogram)
+    clusters = [Cluster(indices, [items[index] for index in indices])
+                for __, indices in sorted(members.items())]
+    return clusters, dendrogram
+
+
+def _agglomerate_pair_scan(n, distance, threshold, linkage, dendrogram):
+    """Merge the globally closest pair until it exceeds the threshold."""
+    active = set(range(n))
+    members = {i: [i] for i in range(n)}
+    while len(active) > 1:
+        best = None
+        best_pair = None
+        active_list = sorted(active)
+        for index_a, i in enumerate(active_list):
+            row = distance[i]
+            for j in active_list[index_a + 1:]:
+                d = row[j]
+                if best is None or d < best:
+                    best = d
+                    best_pair = (i, j)
+        if best is None or best > threshold:
+            break
+        i, j = best_pair
+        size_i = len(members[i])
+        size_j = len(members[j])
+        # Lance-Williams update of distances from the merged cluster
+        # (stored under index i) to every other active cluster.
+        for k in active:
+            if k in (i, j):
+                continue
+            updated = _lance_williams(linkage, size_i, size_j,
+                                      distance[i][k], distance[j][k])
+            distance[i][k] = updated
+            distance[k][i] = updated
+        members[i] = members[i] + members[j]
+        del members[j]
+        active.remove(j)
+        dendrogram.record(i, j, best, len(members[i]))
+    return members
 
 
 def compressor_only_to_wire(message):

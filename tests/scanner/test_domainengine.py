@@ -13,7 +13,7 @@ from repro.datasets import DOMAIN_SETS
 from repro.faults import FaultPlan, FaultProfile
 from repro.netsim import SimClock
 from repro.perf import PerfRegistry
-from repro.scanner import DomainScanEngine, DomainScanner
+from repro.scanner import DomainScanEngine, DomainScanner, ScanOptions
 from repro.scanner.domainscan import DnsObservation
 from repro.scenario import ScenarioConfig, build_scenario
 
@@ -78,39 +78,40 @@ RESOLVERS = ["10.0.0.%d" % i for i in range(10)]
 DOMAINS = ["a.example", "b.example"]
 
 
+def make_engine(scanner, shards, **kwargs):
+    return DomainScanEngine(scanner, options=ScanOptions(shards=shards),
+                            **kwargs)
+
+
 class TestShardRanges:
     def test_partitions_every_index_once(self):
         for shards in (1, 2, 3, 7, 16):
-            engine = DomainScanEngine(FakeDomainScanner(), shards=shards)
+            engine = make_engine(FakeDomainScanner(), shards)
             covered = []
             for start, stop in engine.shard_ranges(10):
                 assert start < stop
                 covered.extend(range(start, stop))
             assert covered == list(range(10))
 
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ValueError):
-            DomainScanEngine(FakeDomainScanner(), shards=0)
-
 
 class TestForkPlumbing:
     def test_sharded_identical_to_sequential(self):
         sequential = FakeDomainScanner().scan(RESOLVERS, DOMAINS)
         for shards in SHARD_COUNTS:
-            engine = DomainScanEngine(FakeDomainScanner(), shards=shards)
+            engine = make_engine(FakeDomainScanner(), shards)
             assert fingerprint(engine.scan(RESOLVERS, DOMAINS)) \
                 == fingerprint(sequential), shards
 
     def test_single_shard_runs_in_process(self):
         scanner = FakeDomainScanner()
-        engine = DomainScanEngine(scanner, shards=1)
+        engine = make_engine(scanner, 1)
         engine.scan(RESOLVERS, DOMAINS)
         assert scanner.scan_calls == [(0, len(RESOLVERS))]
         assert engine.provenance == []
 
     def test_queries_sent_reconciled_from_workers(self):
         scanner = FakeDomainScanner()
-        engine = DomainScanEngine(scanner, shards=4)
+        engine = make_engine(scanner, 4)
         engine.scan(RESOLVERS, DOMAINS)
         # Worker-side increments die with the fork; the parent counter
         # must still account for every query of every shard.
@@ -119,7 +120,7 @@ class TestForkPlumbing:
         assert scanner.scan_calls == []
 
     def test_provenance_covers_all_shards(self):
-        engine = DomainScanEngine(FakeDomainScanner(), shards=3)
+        engine = make_engine(FakeDomainScanner(), 3)
         engine.scan(RESOLVERS, DOMAINS)
         assert [e["status"] for e in engine.provenance] == ["ok"] * 3
         assert [(e["start"], e["stop"]) for e in engine.provenance] \
@@ -127,8 +128,8 @@ class TestForkPlumbing:
 
     def test_heartbeats_seen(self):
         perf = PerfRegistry()
-        engine = DomainScanEngine(FakeDomainScanner(), shards=2,
-                                  perf=perf, heartbeat_timeout=30.0)
+        engine = make_engine(FakeDomainScanner(), 2, perf=perf,
+                             heartbeat_timeout=30.0)
         engine.scan(RESOLVERS, DOMAINS)
         # One heartbeat per resolver, minus the final one per worker
         # when it coalesces with the result frame in a single read.
@@ -136,8 +137,7 @@ class TestForkPlumbing:
 
     def test_perf_counters_ride_back(self):
         perf = PerfRegistry()
-        engine = DomainScanEngine(FakeDomainScanner(), shards=2,
-                                  perf=perf)
+        engine = make_engine(FakeDomainScanner(), 2, perf=perf)
         engine.scan(RESOLVERS, DOMAINS)
         assert perf.counter("domain_scans_run") == 1
         assert perf.seconds("domain_scan_wall") > 0
@@ -151,7 +151,7 @@ class TestDeathRecovery:
             FaultPlan(FaultProfile(kill_shards={1: 1}), seed=1))
         sequential = FakeDomainScanner().scan(RESOLVERS, DOMAINS)
         perf = PerfRegistry()
-        engine = DomainScanEngine(scanner, shards=3, perf=perf)
+        engine = make_engine(scanner, 3, perf=perf)
         observations = engine.scan(RESOLVERS, DOMAINS)
         assert fingerprint(observations) == fingerprint(sequential)
         assert perf.counter("worker_deaths") == 1
@@ -167,7 +167,7 @@ class TestDeathRecovery:
             FaultPlan(FaultProfile(kill_shards={0: 99}), seed=1))
         sequential = FakeDomainScanner().scan(RESOLVERS, DOMAINS)
         perf = PerfRegistry()
-        engine = DomainScanEngine(scanner, shards=2, perf=perf)
+        engine = make_engine(scanner, 2, perf=perf)
         observations = engine.scan(RESOLVERS, DOMAINS)
         assert fingerprint(observations) == fingerprint(sequential)
         assert perf.counter("shard_failures") == 1
@@ -206,7 +206,7 @@ class TestEngineOnScenario:
         scenario, resolvers, domains, baseline = scanned_world
         scanner = DomainScanner(scenario.network,
                                 scenario.pipeline_source_ip)
-        engine = DomainScanEngine(scanner, shards=shards)
+        engine = make_engine(scanner, shards)
         scenario.network.clock.advance(1)
         assert fingerprint(engine.scan(resolvers, domains)) == baseline
 
@@ -221,7 +221,7 @@ class TestEngineOnScenario:
                                     scenario.pipeline_source_ip)
             scenario.network.clock.advance(1)
             lossy_baseline = fingerprint(scanner.scan(resolvers, domains))
-            engine = DomainScanEngine(scanner, shards=4)
+            engine = make_engine(scanner, 4)
             scenario.network.clock.advance(1)
             assert fingerprint(engine.scan(resolvers, domains)) \
                 == lossy_baseline

@@ -8,7 +8,7 @@ probe count — on a full scenario with middleboxes and packet loss.
 import pytest
 
 from repro.netsim import SimClock
-from repro.scanner import ScanEngine, ScanTargetSpace
+from repro.scanner import ScanEngine, ScanOptions, ScanTargetSpace
 from repro.scanner.ipv4scan import ScanResult, merge_scan_results
 from repro.inetmodel import PrefixAllocator
 from repro.perf import PerfRegistry
@@ -87,7 +87,7 @@ class TestEngineForkPlumbing:
     def test_forked_matches_sequential(self):
         space = fake_space()
         sequential = FakeScanner().scan(space)
-        engine = ScanEngine(FakeScanner(), shards=4)
+        engine = ScanEngine(FakeScanner(), options=ScanOptions(shards=4))
         assert engine.can_fork
         result = engine.scan(space)
         assert result.probes_sent == sequential.probes_sent
@@ -96,7 +96,7 @@ class TestEngineForkPlumbing:
 
     def test_counter_deltas_reconciled(self):
         space = fake_space()
-        engine = ScanEngine(FakeScanner(), shards=4)
+        engine = ScanEngine(FakeScanner(), options=ScanOptions(shards=4))
         engine.scan(space)
         # Workers cannot mutate the parent; the engine must apply their
         # traffic-counter deltas explicitly.
@@ -106,7 +106,8 @@ class TestEngineForkPlumbing:
         monkeypatch.setattr(ScanEngine, "can_fork", property(lambda s: False))
         space = fake_space()
         sequential = FakeScanner().scan(space)
-        result = ScanEngine(FakeScanner(), shards=4).scan(space)
+        result = ScanEngine(
+            FakeScanner(), options=ScanOptions(shards=4)).scan(space)
         assert result.responders == sequential.responders
         assert result.probes_sent == sequential.probes_sent
 
@@ -120,7 +121,8 @@ class TestEngineForkPlumbing:
         space = fake_space()
         sequential = FakeScanner().scan(space)
         perf = PerfRegistry()
-        engine = ScanEngine(FakeScanner(), shards=3, perf=perf)
+        engine = ScanEngine(FakeScanner(), options=ScanOptions(shards=3),
+                            perf=perf)
         result = engine.scan(space)
         assert result.responders == sequential.responders
         assert result.probes_sent == sequential.probes_sent
@@ -128,7 +130,8 @@ class TestEngineForkPlumbing:
 
     def test_perf_instrumentation(self):
         perf = PerfRegistry()
-        engine = ScanEngine(FakeScanner(), shards=2, perf=perf)
+        engine = ScanEngine(FakeScanner(), options=ScanOptions(shards=2),
+                            perf=perf)
         engine.scan(fake_space())
         assert perf.counter("scans_run") == 1
         assert perf.seconds("scan_wall") > 0

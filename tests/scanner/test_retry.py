@@ -4,7 +4,7 @@ import pytest
 
 from repro.faults import FaultPlan, FaultProfile
 from repro.perf import PerfRegistry
-from repro.scanner import Ipv4Scanner
+from repro.scanner import Ipv4Scanner, ScanOptions
 from repro.scanner.ipv4scan import retry_schedule
 from repro.scenario import ScenarioConfig, build_scenario
 
@@ -40,9 +40,11 @@ class TestRetrySchedule:
 
 
 class TestScannerKnobValidation:
-    def make(self, mini, **kwargs):
+    def make(self, mini, timeout_margin=1.25, **knobs):
         return Ipv4Scanner(mini.network, mini.client_ip,
-                           "scan.dnsstudy.edu", **kwargs)
+                           "scan.dnsstudy.edu",
+                           timeout_margin=timeout_margin,
+                           options=ScanOptions(**knobs))
 
     @pytest.mark.parametrize("kwargs", [
         {"backoff": 0.5}, {"backoff": 0.0}, {"retries": 2, "backoff": 0.9},

@@ -9,7 +9,7 @@ from repro.faults import FaultPlan, FaultProfile
 from repro.inetmodel import PrefixAllocator
 from repro.netsim import SimClock
 from repro.perf import PerfRegistry
-from repro.scanner import ScanEngine, ScanTargetSpace
+from repro.scanner import ScanEngine, ScanOptions, ScanTargetSpace
 from repro.scanner.ipv4scan import ScanResult
 
 
@@ -64,7 +64,7 @@ class TestDeathRecovery:
         install_kills(scanner, {1: 1})   # shard 1's first worker dies
         sequential = FakeScanner().scan(fake_space())
         perf = PerfRegistry()
-        engine = ScanEngine(scanner, shards=3, perf=perf)
+        engine = ScanEngine(scanner, options=ScanOptions(shards=3), perf=perf)
         result = engine.scan(fake_space())
         assert result.responders == sequential.responders
         assert result.probes_sent == sequential.probes_sent
@@ -80,7 +80,7 @@ class TestDeathRecovery:
         install_kills(scanner, {0: 2})
         sequential = FakeScanner().scan(fake_space())
         perf = PerfRegistry()
-        engine = ScanEngine(scanner, shards=2, perf=perf)
+        engine = ScanEngine(scanner, options=ScanOptions(shards=2), perf=perf)
         result = engine.scan(fake_space())
         assert result.responders == sequential.responders
         assert result.probes_sent == sequential.probes_sent
@@ -101,7 +101,7 @@ class TestDeathRecovery:
         sequential = FakeScanner().scan(space)
         ranges = space.shard_ranges(3)
         perf = PerfRegistry()
-        engine = ScanEngine(scanner, shards=3, perf=perf)
+        engine = ScanEngine(scanner, options=ScanOptions(shards=3), perf=perf)
         result = engine.scan(space)
         assert result.responders == sequential.responders
         assert result.probes_sent == sequential.probes_sent
@@ -123,7 +123,7 @@ class TestDeathRecovery:
     def test_provenance_records_every_work_item(self):
         scanner = FakeScanner()
         install_kills(scanner, {0: 1})
-        engine = ScanEngine(scanner, shards=3)
+        engine = ScanEngine(scanner, options=ScanOptions(shards=3))
         result = engine.scan(fake_space())
         assert len(result.provenance) == 3
         statuses = sorted(e["status"] for e in result.provenance)
@@ -132,7 +132,7 @@ class TestDeathRecovery:
         assert result.degraded_shards[0]["shard"] == 0
 
     def test_clean_run_provenance_all_ok(self):
-        engine = ScanEngine(FakeScanner(), shards=4)
+        engine = ScanEngine(FakeScanner(), options=ScanOptions(shards=4))
         result = engine.scan(fake_space())
         assert len(result.provenance) == 4
         assert all(e["status"] == "ok" for e in result.provenance)
@@ -152,7 +152,8 @@ class TestDeathRecovery:
         counting = CountingScanner()
         counting.network = scanner.network
         perf = PerfRegistry()
-        engine = ScanEngine(counting, shards=3, perf=perf)
+        engine = ScanEngine(counting, options=ScanOptions(shards=3),
+                            perf=perf)
         engine.scan(fake_space())
         # One per completed worker (the killed worker died pre-scan, its
         # retry counted once).
@@ -185,8 +186,8 @@ class TestHungWorkers:
         sequential = FakeScanner().scan(space)
         perf = PerfRegistry()
         scanner = SlowScanner(os.getpid())
-        engine = ScanEngine(scanner, shards=2, perf=perf,
-                            heartbeat_timeout=0.5)
+        engine = ScanEngine(scanner, options=ScanOptions(shards=2),
+                            perf=perf, heartbeat_timeout=0.5)
         started = time.monotonic()
         result = engine.scan(space)
         assert time.monotonic() - started < 30
@@ -198,7 +199,7 @@ class TestHungWorkers:
     def test_heartbeats_observed(self):
         perf = PerfRegistry()
         scanner = SlowScanner(os.getpid())
-        engine = ScanEngine(scanner, shards=2, perf=perf,
-                            heartbeat_timeout=0.5)
+        engine = ScanEngine(scanner, options=ScanOptions(shards=2),
+                            perf=perf, heartbeat_timeout=0.5)
         engine.scan(ScanTargetSpace([PrefixAllocator().allocate(25)]))
         assert perf.counter("heartbeats_seen") >= 1

@@ -30,7 +30,7 @@ from repro.perf import PerfRegistry
 from repro.resolvers import ResolverNode
 from repro.resolvers.resolver import MODE_REFUSED, MODE_SERVFAIL
 from repro.scanner import Blacklist, Ipv4Scanner, ScanTargetSpace
-from repro.scanner import DeltaConfig, ScanCampaign
+from repro.scanner import DeltaConfig, ScanCampaign, ScanOptions
 from repro.scanner.engine import ScanEngine
 from repro.scanner.ipv4scan import ScanResult, merge_scan_results
 from tests.conftest import MiniWorld
@@ -97,14 +97,16 @@ def observed(world, result):
     }
 
 
-def sweep(world, cuts, probe_batch, chunk_rows, prepare=None,
-          **probe_config):
+def sweep(world, cuts, probe_batch, chunk_rows, prepare=None, perf=None,
+          timeout_margin=1.25, **knobs):
     """The production scan, cut into index ranges and (optionally)
     streamed in chunks, merged the way the engine merges shards.
     ``prepare(scanner)`` runs before the first range."""
-    scanner = Ipv4Scanner(world.network, world.client_ip,
-                          MEASUREMENT_DOMAIN, blacklist=world.blacklist,
-                          probe_batch=probe_batch, **probe_config)
+    scanner = Ipv4Scanner(
+        world.network, world.client_ip, MEASUREMENT_DOMAIN,
+        blacklist=world.blacklist, perf=perf,
+        timeout_margin=timeout_margin,
+        options=ScanOptions(probe_batch=probe_batch, **knobs))
     if prepare is not None:
         prepare(scanner)
     total = len(world.space)
@@ -251,9 +253,9 @@ def test_delta_audits_and_refreshes_never_probe_opted_out_space():
         world.network, world.churn,
         ScanTargetSpace(world.static_pools + [world.dynamic_pool]),
         world.client_ip, MEASUREMENT_DOMAIN, blacklist=blacklist,
-        retries=1, delta=DeltaConfig(audit_fraction=1.0, window_bits=26,
-                                     drift_budget=0.99,
-                                     min_audit_failures=1000))
+        options=ScanOptions(retries=1, delta=DeltaConfig(
+            audit_fraction=1.0, window_bits=26, drift_budget=0.99,
+            min_audit_failures=1000)))
     baseline = campaign.run_week().result
     opted_out = [world.static_hosts[0].node.ip,
                  world.dynamic_hosts[0].node.ip]
@@ -283,9 +285,9 @@ class TestForkedShards:
             perf = PerfRegistry()
             scanner = Ipv4Scanner(
                 world.network, world.client_ip, MEASUREMENT_DOMAIN,
-                blacklist=world.blacklist, perf=perf, retries=2,
-                pacing="adaptive")
-            result = ScanEngine(scanner, shards=shards,
+                blacklist=world.blacklist, perf=perf,
+                options=ScanOptions(retries=2, pacing="adaptive"))
+            result = ScanEngine(scanner, options=ScanOptions(shards=shards),
                                 perf=perf).scan(world.space)
             seen = observed(world, result)
             del seen["pickle"]      # provenance names the work items
@@ -378,8 +380,8 @@ class TestHeartbeat:
         tap = WireTap(world)
         beats = []
         scanner = Ipv4Scanner(world.network, world.client_ip,
-                              MEASUREMENT_DOMAIN, retries=3,
-                              probe_batch=4096)
+                              MEASUREMENT_DOMAIN,
+                              options=ScanOptions(retries=3))
         result = scanner.scan(
             world.space, on_progress=lambda: beats.append(len(tap.wire)))
         assert result.probes_sent == len(tap.wire) > 1024
@@ -392,8 +394,9 @@ class TestHeartbeat:
         world = build_world(0.0, False, False, False)
         beats = []
         scanner = Ipv4Scanner(world.network, world.client_ip,
-                              MEASUREMENT_DOMAIN, retries=retries,
-                              probe_batch=16)
+                              MEASUREMENT_DOMAIN,
+                              options=ScanOptions(retries=retries,
+                                                  probe_batch=16))
         result = scanner.scan(world.space,
                               on_progress=lambda: beats.append(None))
         assert len(beats) == result.probes_sent // 1024

@@ -50,6 +50,8 @@ class TestKnobValidation:
         ("--shards", "0"),
         ("--shards", "-2"),
         ("--pipeline-shards", "0"),
+        ("--scale", "0"),
+        ("--scale", "-20000"),
     ])
     def test_nonpositive_knobs_rejected(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -78,6 +80,10 @@ class TestKnobValidation:
         ("--backoff", "-2"),
         ("--backoff", "nan"),
         ("--backoff", "fast"),
+        ("--max-pps", "-5"),
+        ("--max-pps", "0"),
+        ("--max-pps", "nan"),
+        ("--max-pps", "fast"),
     ])
     def test_nonsense_probe_knobs_rejected(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -85,6 +91,20 @@ class TestKnobValidation:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "must be" in err or "is not a" in err
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("campaign", "--weeks", "0"),
+        ("fullstudy", "--weeks", "-1"),
+        ("fullstudy", "--snoop-sample", "0"),
+        ("snoop", "--sample", "0"),
+        ("snoop", "--hours", "-6"),
+    ])
+    def test_nonpositive_run_lengths_rejected(self, command, flag, value,
+                                              capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, flag, value])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
 
     def test_retries_zero_is_valid(self):
         # Zero retries is the single-probe fast path, not nonsense.
@@ -159,6 +179,33 @@ class TestCommands:
         assert "decline ratio" in out
         assert "delta:" in out and "carried" in out
 
+    def test_fullstudy_honours_its_scan_flags(self, monkeypatch, capsys):
+        # Every flag below used to be parsed by fullstudy and dropped;
+        # the study's campaign must now be the one 'campaign' runs.
+        import pickle
+        from repro.scenario import Scenario
+        campaigns = []
+        new_campaign = Scenario.new_campaign
+
+        def spy(scenario, *args, **kwargs):
+            campaigns.append(new_campaign(scenario, *args, **kwargs))
+            return campaigns[-1]
+
+        monkeypatch.setattr(Scenario, "new_campaign", spy)
+        flags = ["--weeks", "1", "--retries", "2", "--probe-timeout", "9",
+                 "--probe-batch", "64", "--stream-results",
+                 "--faults", "none,loss_rate=0.3"] + SMALL
+        assert main(["fullstudy", "--snoop-sample", "3"] + flags) == 0
+        assert main(["campaign"] + flags) == 0
+        study, campaign = campaigns
+        assert study.last().result.retransmissions > 0
+        assert study.options.as_meta() == campaign.options.as_meta()
+        assert (study.options.retries, study.options.probe_timeout,
+                study.options.probe_batch, study.options.stream_results) \
+            == (2, 9.0, 64, True)
+        assert pickle.dumps(study.last().result) == \
+            pickle.dumps(campaign.last().result)
+
     def test_classify_rejects_unknown_set(self, capsys):
         assert main(["classify", "--set", "Nope"] + SMALL) == 2
 
@@ -207,6 +254,26 @@ class TestCheckpointCli:
         with pytest.raises(CheckpointError):
             main(["campaign", "--weeks", "1",
                   "--checkpoint-dir", ckpt] + SMALL)
+
+    @pytest.mark.parametrize("changed", [
+        ["--retries", "2"], ["--probe-batch", "64"], ["--stream-results"],
+        ["--lazy-population"], []],
+        ids=lambda changed: "".join(changed) or "no--delta")
+    def test_resume_under_different_knobs_is_refused(
+            self, tmp_path, capsys, changed):
+        # Crashed under --delta; a resume that differs in any scan knob
+        # (or drops --delta) must be rejected, not silently diverge.
+        from repro.checkpoint import CheckpointError
+        from repro.faults import CRASH_EXIT_CODE
+        ckpt = str(tmp_path / "ckpt")
+        run = ["campaign", "--weeks", "3", "--checkpoint-dir", ckpt,
+               "--faults", "none,crash=week:1"] + SMALL
+        assert main(run + ["--delta"]) == CRASH_EXIT_CODE
+        with pytest.raises(CheckpointError,
+                           match="checkpoint meta mismatch"):
+            main(run + ["--resume"] + (changed + ["--delta"]
+                                       if changed else []))
+        assert main(run + ["--resume", "--delta"]) == 0
 
     def test_campaign_crash_then_resume_matches_plain_run(
             self, tmp_path, capsys):

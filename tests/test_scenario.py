@@ -210,3 +210,12 @@ class TestPoolApportionment:
                 assert sum(apportion(grown_total,
                                      BROADBAND_SPLIT_SHARES)) \
                     == grown_total, country
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("knobs", [{"scale": 0}, {"scale": -2000},
+                                       {"node_cache": 0}])
+    def test_out_of_range_rejected(self, knobs):
+        # scale=0 used to surface as a ZeroDivisionError in scaled().
+        with pytest.raises(ValueError):
+            ScenarioConfig(**knobs)
