@@ -8,7 +8,7 @@ worker ever holds O(population) state.  Two gates:
 * **Identity** — at small scale, the streamed scan's pickled
   :class:`ScanResult` must be byte-identical to the resident
   (non-streaming) scan's, including under a pathological chunk size
-  that forces hundreds of spill chunks.
+  that forces hundreds of chunk frames.
 
 * **Boundedness** — at the profile scale (1:27 ≈ 1M pool members /
   ~38M scan targets for the full profile; 1:134 ≈ 200k members for
@@ -65,8 +65,8 @@ def _run_scan(scenario, shards, stream, chunk_rows, node_cache):
 def _measure_identity(seed, shards, node_cache):
     """Streamed-vs-resident byte identity at small scale.
 
-    chunk_rows=257 forces many small spill chunks through the
-    SnapshotStore; the reassembled result must still pickle to the
+    chunk_rows=257 forces many small chunk frames over the worker
+    pipes; the reassembled result must still pickle to the
     exact bytes of the resident run (``ScanResult.__getstate__``
     canonicalises row order, so chunk partitioning must be invisible).
     """

@@ -1,9 +1,10 @@
 """Chaos-resume smoke run: kill-anywhere resume under injected crashes.
 
 The CI gate for the checkpoint subsystem.  It runs one full study
-uninterrupted and a second one that is crashed at a campaign week
-boundary, crashed again inside the study units, and hit with a torn
-journal append — resuming after every death — and asserts:
+uninterrupted and a second one that is crashed at a shard boundary
+inside the first week's forked, streamed scan, crashed again at the
+week boundary and inside the study units, and hit with a torn journal
+append — resuming after every death — and asserts:
 
 1. every injected crash actually killed an incarnation (exit via
    ``InjectedCrash``) and none re-fired after resume;
@@ -30,6 +31,7 @@ import tempfile
 from repro.checkpoint import CheckpointedRun
 from repro.faults import FaultPlan, InjectedCrash, parse_fault_spec
 from repro.reporting import render_markdown, run_full_study
+from repro.scanner import ScanOptions
 from repro.scenario import ScenarioConfig, build_scenario
 
 SCALE = 120000
@@ -37,11 +39,17 @@ SEED = 3
 WEEKS = 1
 SNOOP_SAMPLE = 5
 CATEGORIES = ("Alexa", "Banking")
+# Two forked shards streaming small chunks, so the shard unit and the
+# parent's in-memory chunk reassembly sit under the crash plane too.
+OPTIONS = ScanOptions(shards=2, stream_results=True, chunk_rows=16)
 SPEC_CLEAN = "none"
-# torn=2 lands on the fingerprint unit's commit record: sequence 0 is
-# the week commit and 1 the journaled week-crash occurrence, which is
-# appended outside the torn-write draw.
-SPEC_CHAOS = "none,crash=week:campaign/0,crash=study:snoop,torn=2"
+# torn=5 lands on the fingerprint unit's commit record: sequences 0-2
+# are the two shard commits and the journaled shard-crash occurrence
+# (in either completion order), 3 the week commit and 4 the week-crash
+# occurrence; crash occurrences are appended outside the torn-write
+# draw.
+SPEC_CHAOS = ("none,crash=shard:campaign/week/0/scan/1,"
+              "crash=week:campaign/0,crash=study:snoop,torn=5")
 MAX_RESTARTS = 8
 
 
@@ -56,7 +64,7 @@ def study(scenario, checkpoint=None):
     return run_full_study(scenario, weeks=WEEKS,
                           snoop_sample=SNOOP_SAMPLE,
                           pipeline_categories=CATEGORIES,
-                          checkpoint=checkpoint)
+                          checkpoint=checkpoint, options=OPTIONS)
 
 
 def run_until_done(directory):
@@ -105,8 +113,8 @@ def main():
         resumed, provenance, crashes, torn_bytes, quarantined = \
             run_until_done(directory)
 
-        failures += check(len(crashes) == 3,
-                          "three injected deaths observed: %s" % crashes)
+        failures += check(len(crashes) == 4,
+                          "four injected deaths observed: %s" % crashes)
         failures += check(torn_bytes > 0 or quarantined > 0,
                           "torn journal tail set aside (%d bytes, "
                           "%d records quarantined)"

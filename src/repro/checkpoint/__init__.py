@@ -6,9 +6,13 @@ together, and ``DESIGN.md`` ("Durability & resume") for the invariants.
 
 from repro.checkpoint.feed import CheckpointFeed, scan_journal
 from repro.checkpoint.journal import Journal, JournalReplay
-from repro.checkpoint.run import CheckpointedRun, CheckpointScope
+from repro.checkpoint.ledger import NET_COUNTERS, Ledger, apply_delta
+from repro.checkpoint.run import (
+    NULL_SCOPE,
+    CheckpointedRun,
+    CheckpointScope,
+)
 from repro.checkpoint.state import (
-    NET_COUNTERS,
     capture_dns_caches,
     capture_world_state,
     churn_digest,
@@ -33,9 +37,12 @@ __all__ = [
     "CheckpointedRun",
     "Journal",
     "JournalReplay",
+    "Ledger",
     "NET_COUNTERS",
+    "NULL_SCOPE",
     "SnapshotCorruption",
     "SnapshotStore",
+    "apply_delta",
     "atomic_write_bytes",
     "atomic_write_text",
     "capture_dns_caches",

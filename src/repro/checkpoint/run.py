@@ -14,6 +14,8 @@ a journal record naming it — so the journal never references a payload
 that might not exist.  On open, the journal is replayed (torn tails and
 corrupt records quarantined, never fatal) and the surviving commit
 records define which units are already done; anything else reruns.
+:meth:`CheckpointScope.unit` is the one implementation of that
+restore-or-run-commit-crash protocol for the synchronous unit kinds.
 
 The fault plane hooks in at exactly two places: ``maybe_crash`` fires a
 seed-keyed :class:`~repro.faults.InjectedCrash` at unit boundaries, and
@@ -28,6 +30,7 @@ import json
 import os
 
 from repro.checkpoint.journal import Journal
+from repro.checkpoint.state import capture_world_state, restore_world_state
 from repro.checkpoint.store import (
     CheckpointError,
     SnapshotCorruption,
@@ -37,6 +40,17 @@ from repro.checkpoint.store import (
 
 _COMMIT = "commit"
 _CRASH = "crash"
+
+
+def _meta_diff(stored, wanted, prefix=""):
+    """``key: stored -> wanted`` for every meta key that differs."""
+    for key in sorted(set(stored) | set(wanted)):
+        old, new = stored.get(key), wanted.get(key)
+        if isinstance(old, dict) and isinstance(new, dict):
+            yield from _meta_diff(old, new, prefix + key + ".")
+        elif old != new:
+            yield "%s%s: %s -> %s" % (prefix, key, json.dumps(old),
+                                      json.dumps(new))
 
 
 class CheckpointScope:
@@ -71,6 +85,70 @@ class CheckpointScope:
 
     def note(self, name, value):
         return self.run.note(name, value)
+
+    def unit(self, kind, key, compute, network, perf=None,
+             extra_state=None, on_restore=None, stage=None, **attrs):
+        """Run one synchronous unit of work, or restore it: the only
+        implementation of the protocol every unit kind obeys.
+
+        Committed: ``on_restore(payload, state)`` replays what the unit
+        did outside the world state (it runs *first*: a deterministic
+        fast-forward such as ``churn.step()`` must see the clock the
+        unit started from), then the world state its commit captured is
+        reinstated and the tracer gets one zero-duration
+        ``restored=True`` marker — named ``stage`` (default ``kind``),
+        carrying ``attrs`` — so a resumed trace still covers the unit.
+        Otherwise: ``compute()`` (which opens its own span), capture the
+        world state plus ``extra_state()``, commit under ``(kind,) +
+        key``, then offer the crash plane the ``kind`` boundary —
+        commit strictly before crash.  Returns the payload either way.
+        """
+        key = tuple(key)
+        record = self.restore((kind,) + key)
+        if record is not None:
+            state = record["state"] or {}
+            if on_restore is not None:
+                on_restore(record["payload"], state)
+            restore_world_state(network, perf, state)
+            tracer = getattr(network, "tracer", None)
+            if tracer is not None:
+                tracer.emit(stage or kind, **attrs, restored=True)
+            return record["payload"]
+        payload = compute()
+        state = capture_world_state(network, perf)
+        if extra_state is not None:
+            state.update(extra_state())
+        self.commit((kind,) + key, payload, state=state)
+        self.maybe_crash(kind, key)
+        return payload
+
+
+class NullScope:
+    """What ``checkpoint=None`` becomes at the API edge: a scope in
+    which nothing is ever committed, so every unit just runs."""
+
+    __slots__ = ()
+
+    def scope(self, *parts):
+        return self
+
+    def restore(self, key):
+        return None
+
+    def commit(self, key, payload, state=None):
+        pass
+
+    def maybe_crash(self, kind, key):
+        pass
+
+    def note(self, name, value):
+        pass
+
+    def unit(self, kind, key, compute, *args, **kwargs):
+        return compute()
+
+
+NULL_SCOPE = NullScope()
 
 
 class CheckpointedRun:
@@ -164,16 +242,22 @@ class CheckpointedRun:
                 "resume=True (--resume) to continue it" % self.directory)
         # Compare in JSON space: the stored meta went through a JSON
         # round-trip, so tuples in the caller's meta arrive as lists.
-        if resume and meta is not None and \
-                existing != json.loads(json.dumps(meta)):
-            raise CheckpointError(
-                "checkpoint meta mismatch: directory was written by %r "
-                "but this run is %r" % (existing, meta))
+        if resume and meta is not None:
+            changed = list(_meta_diff(existing,
+                                      json.loads(json.dumps(meta))))
+            if changed:
+                raise CheckpointError(
+                    "checkpoint meta mismatch: %s was written under "
+                    "other settings (%s)"
+                    % (self.directory, ", ".join(changed)))
 
     # -- unit-of-work API --------------------------------------------------
 
     def scope(self, *parts):
         return CheckpointScope(self, parts)
+
+    def unit(self, *args, **kwargs):
+        return self.scope().unit(*args, **kwargs)
 
     def completed(self, key):
         return tuple(key) in self._completed

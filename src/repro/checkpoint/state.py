@@ -17,12 +17,8 @@ world, refusing to continue from a diverged one.
 
 import hashlib
 
+from repro.checkpoint.ledger import NET_COUNTERS
 from repro.checkpoint.store import CheckpointError
-
-# Cumulative network traffic counters (mirrors the scan engine's
-# reconciliation list; restored absolutely, not as deltas).
-NET_COUNTERS = ("udp_queries_sent", "udp_queries_lost",
-                "udp_responses_corrupted")
 
 
 def _dns_cache_sites(network):

@@ -158,11 +158,11 @@ def _add_common(parser):
                              "triage granularity; results are "
                              "batch-size independent)")
     parser.add_argument("--stream-results", action="store_true",
-                        help="stream per-shard results as fixed-size "
-                             "chunks spilled through the snapshot store "
-                             "instead of holding whole-shard frames "
-                             "(memory bounded by chunk size; results "
-                             "are bit-identical)")
+                        help="scan workers ship their results to the "
+                             "parent as fixed-size chunks while they "
+                             "scan instead of as one whole-shard frame "
+                             "(worker memory bounded by chunk size; "
+                             "results are bit-identical)")
     parser.add_argument("--lazy-population", action="store_true",
                         help="materialize resolver nodes on first probe "
                              "from compact per-pool specs instead of "
@@ -927,8 +927,15 @@ def build_parser():
 
 
 def main(argv=None):
+    from repro.checkpoint import CheckpointError
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CheckpointError as error:
+        # A reused directory, a --resume under other knobs, a damaged
+        # snapshot an observe command cannot fold: the user's to fix.
+        print("error: %s" % error, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from contextlib import contextmanager
 
+from repro.checkpoint import NULL_SCOPE
 from repro.core.acquisition import DataAcquirer
 from repro.core.clustering import cluster_deduplicated
 from repro.core.diffcluster import (
@@ -196,48 +197,35 @@ class ManipulationPipeline:
     def _unit(self, checkpoint, report, name, compute, apply):
         """One checkpointable stage of the Figure 3 chain.
 
-        Without a checkpoint this is just ``apply(compute())``.  With
-        one, a committed stage is restored — its payload re-applied to
-        the report, its degradation entries replayed, and the world
-        state its commit captured (clock, counters, perf, the domain
-        scanner's ``queries_sent``) reinstated — while a fresh stage is
-        committed after it applies, then offers the crash plane a shot
-        at the ``stage`` boundary.
+        ``compute()`` runs the stage, ``apply(payload)`` installs its
+        output on the report — from a fresh run or from a committed one.
+        The commit carries, beside the payload and the world state, the
+        degradation entries the stage recorded and the domain scanner's
+        ``queries_sent``; a restored stage replays both.
         """
-        if checkpoint is not None:
-            record = checkpoint.restore(("stage", name))
-            if record is not None:
-                from repro.checkpoint import restore_world_state
-                payload = record["payload"]
-                apply(payload)
-                for entry in payload.get("degraded") or ():
-                    report.degraded.append(dict(entry))
-                state = record["state"] or {}
-                restore_world_state(self.network, self.perf, state)
-                if "queries_sent" in state and \
-                        hasattr(self.scanner, "queries_sent"):
-                    self.scanner.queries_sent = state["queries_sent"]
-                tracer = getattr(self.network, "tracer", None)
-                if tracer is not None:
-                    # A zero-duration marker keeps the resumed trace's
-                    # stage coverage complete: the stage ran before the
-                    # crash, under the same trace id.
-                    tracer.emit(name, restored=True)
-                return
-        degraded_before = len(report.degraded)
-        payload = compute()
-        apply(payload)
-        if checkpoint is not None:
-            from repro.checkpoint import capture_world_state
-            payload = dict(payload)
+        def run_stage():
+            degraded_before = len(report.degraded)
+            payload = dict(compute())
             payload["degraded"] = [
                 dict(entry) for entry
                 in report.degraded[degraded_before:]]
-            state = capture_world_state(self.network, self.perf)
+            return payload
+
+        def replay(payload, state):
+            for entry in payload.get("degraded") or ():
+                report.degraded.append(dict(entry))
+            if "queries_sent" in state and \
+                    hasattr(self.scanner, "queries_sent"):
+                self.scanner.queries_sent = state["queries_sent"]
+
+        def scanner_state():
             if hasattr(self.scanner, "queries_sent"):
-                state["queries_sent"] = self.scanner.queries_sent
-            checkpoint.commit(("stage", name), payload, state=state)
-            checkpoint.maybe_crash("stage", (name,))
+                return {"queries_sent": self.scanner.queries_sent}
+            return {}
+
+        apply(checkpoint.unit("stage", (name,), run_stage, self.network,
+                              self.perf, extra_state=scanner_state,
+                              on_restore=replay, stage=name))
 
     def run(self, resolver_ips, domains, checkpoint=None):
         """Execute steps 2–6 of Figure 3 for one domain set.
@@ -266,7 +254,9 @@ class ManipulationPipeline:
         # result is bit-identical) and the full list is never resident.
         # Checkpointed runs stay resident — the committed domain_scan
         # payload must carry the observations a resume re-applies.
-        streaming = self.options.stream_results and checkpoint is None
+        checkpoint = checkpoint or NULL_SCOPE
+        streaming = self.options.stream_results and \
+            checkpoint is NULL_SCOPE
         streamed_prefilter = [None]
 
         def compute_domain_scan():
@@ -275,8 +265,7 @@ class ManipulationPipeline:
             count = 0
             with self._stage("domain_scan"):
                 try:
-                    scope = (checkpoint.scope("stage", "domain_scan")
-                             if checkpoint is not None else None)
+                    scope = checkpoint.scope("stage", "domain_scan")
                     if streaming:
                         from repro.core.prefilter import PrefilterResult
                         prefilter = PrefilterResult()

@@ -37,6 +37,7 @@ from repro.analysis.manipulation import (
 )
 from repro.analysis.software import format_software_table
 from repro.analysis.utilization import format_utilization
+from repro.checkpoint import NULL_SCOPE
 from repro.core.labeling import CATEGORY_LABELS
 from repro.datasets import ALL_CATEGORIES, DOMAIN_SETS, SNOOPING_TLDS
 from repro.obs.trace import span
@@ -54,28 +55,15 @@ SOCIAL = ("facebook.com", "twitter.com", "youtube.com")
 def _study_unit(checkpoint, network, perf, name, compute):
     """One checkpointable top-level study phase (fingerprint, snoop...).
 
-    Restores the committed payload and the world state its commit
-    captured, or computes + commits and then offers the crash plane the
-    ``study`` boundary.  The derived analyses are recomputed either way —
-    they are cheap, pure functions of the restored payloads.
+    The derived analyses are recomputed whether the payload was
+    restored or computed — they are cheap, pure functions of it.
     """
-    if checkpoint is None:
+    def phase():
         with span(network, "study", phase=name):
             return compute()
-    from repro.checkpoint import capture_world_state, restore_world_state
-    record = checkpoint.restore(("study", name))
-    if record is not None:
-        restore_world_state(network, perf, record["state"])
-        tracer = getattr(network, "tracer", None)
-        if tracer is not None:
-            tracer.emit("study", phase=name, restored=True)
-        return record["payload"]
-    with span(network, "study", phase=name):
-        payload = compute()
-    checkpoint.commit(("study", name), payload,
-                      state=capture_world_state(network, perf))
-    checkpoint.maybe_crash("study", (name,))
-    return payload
+
+    return checkpoint.unit("study", (name,), phase, network, perf,
+                           phase=name)
 
 
 def format_resume_provenance(provenance):
@@ -130,12 +118,12 @@ def run_full_study(scenario, weeks=20, snoop_sample=200,
     results = StudyResults()
     network = scenario.network
     options = options or ScanOptions()
+    checkpoint = checkpoint or NULL_SCOPE
 
     say("running %d weekly scans..." % weeks)
     campaign = scenario.new_campaign(verify=False, perf=perf,
                                      options=options)
-    campaign.run(weeks, checkpoint=(checkpoint.scope("campaign")
-                                    if checkpoint is not None else None))
+    campaign.run(weeks, checkpoint=checkpoint.scope("campaign"))
     results.series = magnitude_series(campaign.snapshots)
     results.survival = churn_survival(campaign.snapshots)
     first, last = campaign.first().result, campaign.last().result
@@ -187,11 +175,9 @@ def run_full_study(scenario, weeks=20, snoop_sample=200,
         say("pipeline: %s..." % category)
         pipeline = scenario.new_pipeline(perf=perf,
                                          options=pipeline_options)
-        scope = (checkpoint.scope("pipeline", category)
-                 if checkpoint is not None else None)
-        reports[category] = pipeline.run(resolvers,
-                                         list(DOMAIN_SETS[category]),
-                                         checkpoint=scope)
+        reports[category] = pipeline.run(
+            resolvers, list(DOMAIN_SETS[category]),
+            checkpoint=checkpoint.scope("pipeline", category))
         results.prefilter[category] = prefilter_summary(
             reports[category])
     results.table5 = classification_table(reports)

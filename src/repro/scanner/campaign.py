@@ -15,6 +15,7 @@ rebuilt world converged on the one the checkpoint came from, before
 scanning the first incomplete week for real.
 """
 
+from repro.checkpoint import NULL_SCOPE, churn_digest
 from repro.netsim.clock import WEEK
 from repro.obs.trace import span
 from repro.scanner import delta as delta_mod
@@ -80,45 +81,63 @@ class ScanCampaign:
         verdicts in stable prefixes are carried forward with audit
         probes and drift escalation, and only churned prefixes are
         re-probed.  ``force_full`` pins a full sweep regardless (the
-        closing week of :meth:`run` re-baselines this way).
+        closing week of :meth:`run` re-baselines this way).  The week
+        is one checkpoint unit: under a ``checkpoint`` (a
+        :class:`repro.checkpoint` run or scope) a committed week is
+        fast-forwarded instead of scanned (see the module docstring).
         """
+        checkpoint = checkpoint or NULL_SCOPE
         week = len(self.snapshots)
-        forecast = None
-        if self.delta is not None and not force_full and week > 0 \
-                and week % self.delta.full_sweep_every != 0 \
-                and self.snapshots:
-            forecast = self.churn.pending_churn()
-        self.churn.step()
-        with span(self.network, "week", week=week, verify=bool(verify),
-                  delta=forecast is not None):
-            result, verification = self._scan_week(week, verify,
-                                                   checkpoint, forecast)
-        snapshot = WeeklySnapshot(week, result, verification)
+
+        def scan_week():
+            checkpoint.note("resumed_from_week", week)
+            forecast = None
+            if self.delta is not None and not force_full and week > 0 \
+                    and week % self.delta.full_sweep_every != 0:
+                forecast = self.churn.pending_churn()
+            self.churn.step()
+            with span(self.network, "week", week=week, verify=bool(verify),
+                      delta=forecast is not None):
+                result, verification = self._scan_week(
+                    week, verify, checkpoint, forecast)
+            if self.perf is not None:
+                self.perf.count("weeks_scanned")
+            self.network.clock.advance(WEEK)
+            return WeeklySnapshot(week, result, verification)
+
+        def fast_forward(snapshot, state):
+            self.churn.step()
+            recorded = state.get("churn_digest")
+            if recorded is not None and recorded != churn_digest(self.churn):
+                raise CampaignError(
+                    "resume diverged at week %d: the rebuilt churn "
+                    "model does not match the checkpointed one "
+                    "(different seed/scale?)" % week)
+
+        snapshot = checkpoint.unit(
+            "week", (week,), scan_week, self.network, self.perf,
+            extra_state=lambda: {"churn_digest": churn_digest(self.churn)},
+            on_restore=fast_forward, week=week)
         self.snapshots.append(snapshot)
-        if self.perf is not None:
-            self.perf.count("weeks_scanned")
-        self.network.clock.advance(WEEK)
         return snapshot
 
     def _scan_week(self, week, verify, checkpoint, forecast=None):
         if forecast is not None:
             result = delta_mod.run_delta_week(self, week, forecast,
-                                              checkpoint=checkpoint)
+                                              checkpoint)
         else:
-            scan_scope = (checkpoint.scope("week", week, "scan")
-                          if checkpoint is not None else None)
-            result = self.engine.scan(self.target_space,
-                                      checkpoint=scan_scope)
+            result = self.engine.scan(
+                self.target_space,
+                checkpoint=checkpoint.scope("week", week, "scan"))
             if self.delta is not None:
                 delta_mod.mark_full_sweep(result, week,
                                           delta_mod.CAUSE_FULL_SWEEP,
                                           self)
         verification = None
         if verify and self.verification_engine is not None:
-            verify_scope = (checkpoint.scope("week", week, "verify")
-                            if checkpoint is not None else None)
             verification = self.verification_engine.scan(
-                self.target_space, checkpoint=verify_scope)
+                self.target_space,
+                checkpoint=checkpoint.scope("week", week, "verify"))
         return result, verification
 
     def run(self, weeks, verify_last=False, checkpoint=None):
@@ -129,54 +148,15 @@ class ScanCampaign:
         fast-forward instead of re-scanned, and each newly completed
         week is committed before the next begins.
         """
-        # With delta scanning on, the closing week always re-baselines
-        # with a full sweep: the last snapshot feeds the Table 1/2
-        # rankings, which must read measured reality, not carried data.
-        def closing(week):
-            return self.delta is not None and week == weeks - 1
-
-        if checkpoint is None:
-            for week in range(weeks):
-                self.run_week(verify=verify_last and week == weeks - 1,
-                              force_full=closing(week))
-            return self.snapshots
-
-        from repro.checkpoint import (capture_world_state, churn_digest,
-                                      restore_world_state)
-        resume_noted = False
         for week in range(weeks):
-            verify = verify_last and week == weeks - 1
-            record = checkpoint.restore(("week", week))
-            if record is not None:
-                # Fast-forward: replay the churn draw this week made,
-                # install its committed result, and restore the world
-                # state its commit captured.
-                self.churn.step()
-                snapshot = record["payload"]
-                self.snapshots.append(snapshot)
-                state = record["state"] or {}
-                restore_world_state(self.network, self.perf, state)
-                recorded_digest = state.get("churn_digest")
-                if recorded_digest is not None and \
-                        recorded_digest != churn_digest(self.churn):
-                    raise CampaignError(
-                        "resume diverged at week %d: the rebuilt churn "
-                        "model does not match the checkpointed one "
-                        "(different seed/scale?)" % week)
-                tracer = getattr(self.network, "tracer", None)
-                if tracer is not None:
-                    tracer.emit("week", week=week, restored=True)
-                continue
-            if not resume_noted:
-                resume_noted = True
-                checkpoint.note("resumed_from_week", week)
-            self.run_week(verify=verify, checkpoint=checkpoint,
-                          force_full=closing(week))
-            state = capture_world_state(self.network, self.perf)
-            state["churn_digest"] = churn_digest(self.churn)
-            checkpoint.commit(("week", week), self.snapshots[-1],
-                              state=state)
-            checkpoint.maybe_crash("week", (week,))
+            # With delta scanning on, the closing week always
+            # re-baselines with a full sweep: the last snapshot feeds
+            # the Table 1/2 rankings, which must read measured reality,
+            # not carried data.
+            self.run_week(verify=verify_last and week == weeks - 1,
+                          checkpoint=checkpoint,
+                          force_full=(self.delta is not None
+                                      and week == weeks - 1))
         return self.snapshots
 
     def first(self):

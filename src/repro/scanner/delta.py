@@ -194,7 +194,7 @@ def _rows_by_prefix(prior_result, prefixes):
     return rows
 
 
-def run_delta_week(campaign, week, forecast, checkpoint=None):
+def run_delta_week(campaign, week, forecast, checkpoint):
     """Execute one delta week; returns the assembled :class:`ScanResult`.
 
     ``forecast`` is the churn model's pre-step
@@ -269,9 +269,8 @@ def run_delta_week(campaign, week, forecast, checkpoint=None):
         # superseded by the sweep's fresh ones).
         summary["mode"] = "full"
         summary["cause"] = CAUSE_GLOBAL_DRIFT
-        scan_scope = (checkpoint.scope("week", week, "scan")
-                      if checkpoint is not None else None)
-        swept = campaign.engine.scan(space, checkpoint=scan_scope)
+        swept = campaign.engine.scan(
+            space, checkpoint=checkpoint.scope("week", week, "scan"))
         result.merge(swept)
         result.provenance.append(summary)
         result.provenance.append(
@@ -325,10 +324,8 @@ def run_delta_week(campaign, week, forecast, checkpoint=None):
         sweep_space = ScanTargetSpace(
             [prefixes[slot] for slot in range(len(prefixes))
              if slot in escalated_slots])
-        sweep_scope = (checkpoint.scope("week", week, "delta")
-                       if checkpoint is not None else None)
-        result.merge(campaign.engine.scan(sweep_space,
-                                          checkpoint=sweep_scope))
+        result.merge(campaign.engine.scan(
+            sweep_space, checkpoint=checkpoint.scope("week", week, "delta")))
     for window, count, failures in escalated_windows:
         result.provenance.append(
             {"status": "delta_escalated", "window": int_to_ip(window),

@@ -30,6 +30,7 @@ from the identical pre-fork state produce identical answers).
 
 import time
 
+from repro.checkpoint import NULL_SCOPE
 from repro.obs.trace import span
 from repro.scanner.engine import ShardedEngine
 from repro.scanner.ipv4scan import shard_ranges
@@ -152,7 +153,8 @@ class DomainScanEngine(ShardedEngine):
                     observations = len(observations)
             else:
                 observations = self._scan_forked(
-                    resolver_ips, domains, ranges, checkpoint, consume)
+                    resolver_ips, domains, ranges,
+                    checkpoint or NULL_SCOPE, consume)
         if self.perf is not None:
             self.perf.record_seconds("domain_scan_wall",
                                      time.perf_counter() - start)

@@ -26,8 +26,8 @@ Because those properties also make a *repeated* shard scan reproduce
 the exact bytes and fates of the first attempt, worker failure recovery
 is cheap and safe.  The fork/pipe/recovery machinery lives in
 :class:`ShardSupervisor`, which is scanner-agnostic: it drives any
-``run_range((start, stop), on_progress)`` callable over contiguous
-index ranges, so the IPv4 scan (:class:`ScanEngine`) and the per-domain
+``run_range((start, stop), on_progress, chunk_sink)`` callable over
+contiguous index ranges, so the IPv4 scan (:class:`ScanEngine`) and the per-domain
 scan (:class:`repro.scanner.domainengine.DomainScanEngine`) share one
 supervision implementation.  The supervisor watches its workers over
 the result pipe — workers stream single-byte heartbeats while scanning
@@ -50,9 +50,10 @@ counters (``worker_deaths``, ``shard_retries``, ``shard_splits``,
 
 Workers cannot write back into the parent (fork semantics), so parent-
 side state the scan would have advanced — network traffic and fault
-counters, warm resolver caches — is reconciled explicitly: counter
-deltas ride back in the result frame, while cache warm-ups are
-deliberately dropped (the next scan replays the identical resolutions
+counters, warm resolver caches — is reconciled explicitly: every work
+item runs inside a :class:`repro.checkpoint.Ledger` whose delta rides
+back in the result frame (and is the shard's checkpoint payload), while
+cache warm-ups are deliberately dropped (the next scan replays the identical resolutions
 from the identical pre-fork state, so dropped warm-ups cannot change
 any later result).  One observable consequence: every worker re-warms
 the resolution suffix cache in its own copy, so the *traffic* counters
@@ -66,27 +67,22 @@ engines transparently scan in-process.
 import os
 import pickle
 import select
-import shutil
 import signal
-import tempfile
 import time
 from collections import deque
 
-from repro.checkpoint.store import SnapshotStore
+from repro.checkpoint import NULL_SCOPE, Ledger, apply_delta
 from repro.obs.trace import span
-from repro.perf import PerfRegistry, sample_ru_maxrss_kb
+from repro.perf import sample_ru_maxrss_kb
 from repro.scanner.ipv4scan import merge_scan_results
 from repro.scanner.options import ScanOptions
 
-# Network traffic counters reconciled from workers back into the parent.
-_NET_COUNTERS = ("udp_queries_sent", "udp_queries_lost",
-                 "udp_responses_corrupted")
-
 # Pipe protocol: workers stream _HEARTBEAT bytes while scanning, zero
-# or more _CHUNK frames (streamed column chunks, spilled by the parent
-# as they arrive), then one _RESULT frame.  Frames are tag + 4-byte
-# big-endian length + pickled payload; heartbeats are single bytes that
-# may appear between (never inside) frames.
+# or more _CHUNK frames (streamed column chunks, which the parent keeps
+# still pickled until the result lands), then one _RESULT frame.
+# Frames are tag + 4-byte big-endian length + pickled payload;
+# heartbeats are single bytes that may appear between (never inside)
+# frames.
 _HEARTBEAT = b"\x01"
 _RESULT = b"\x02"
 _CHUNK = b"\x03"
@@ -111,54 +107,21 @@ def _write_all(fd, data):
         view = view[os.write(fd, view):]
 
 
-def _restore_shard_record(network, perf, payload, origin=None):
-    """Re-apply a checkpointed shard's side effects to a rebuilt world.
-
-    A restored shard contributed traffic/fault counter deltas, perf
-    numbers, and trace spans/flight events when it originally ran;
-    replaying those (instead of re-scanning) keeps a resumed run's
-    counters — and its trace — identical to an uninterrupted one.
-    """
-    for name, delta in (payload.get("net_counters") or {}).items():
-        setattr(network, name, getattr(network, name, 0) + delta)
-    fault_counters = getattr(network, "fault_counters", None)
-    if fault_counters is not None:
-        for name, delta in (payload.get("fault_counters") or {}).items():
-            fault_counters[name] = fault_counters.get(name, 0) + delta
-    tracer = getattr(network, "tracer", None)
-    if tracer is not None and payload.get("spans"):
-        tracer.absorb(payload["spans"])
-    recorder = getattr(network, "recorder", None)
-    if recorder is not None and payload.get("flight"):
-        recorder.absorb_state(payload["flight"])
-    if perf is None:
-        return
-    wall = payload.get("wall_seconds")
-    if wall is not None:
-        perf.record_seconds("shard_wall", wall)
-        perf.observe("shard_wall_seconds", wall)
-    shard_perf = payload.get("perf")
-    if shard_perf is not None:
-        perf.merge(shard_perf, rank=origin)
-    for name, amount in (payload.get("perf_counters") or {}).items():
-        perf.count(name, amount)
-
-
 class _Worker:
     """Parent-side state of one live worker process.
 
     ``feed`` is an incremental frame parser, not a byte scan: chunk and
     result payloads are arbitrary pickle bytes and may contain the tag
     values, so frames must be walked by their length prefixes.  Complete
-    ``_CHUNK`` frames are handed to ``on_chunk`` (the supervisor's spill
-    hook) as they arrive and never buffered beyond one read, which is
-    what keeps the parent's per-worker memory O(chunk) while streaming.
+    ``_CHUNK`` frames of the current attempt are kept, still pickled, in
+    ``chunks`` until the result frame lands; a worker that dies takes
+    them with it.
     """
 
     __slots__ = ("pid", "fd", "item", "heartbeats", "last_beat",
-                 "buffer", "payload", "on_chunk", "chunk_keys")
+                 "buffer", "payload", "chunks")
 
-    def __init__(self, pid, fd, item, now, on_chunk=None):
+    def __init__(self, pid, fd, item, now):
         self.pid = pid
         self.fd = fd
         self.item = item              # (start, stop, origin, attempt)
@@ -166,8 +129,7 @@ class _Worker:
         self.last_beat = now
         self.buffer = bytearray()     # unparsed pipe bytes
         self.payload = None           # _RESULT payload bytes, once seen
-        self.on_chunk = on_chunk      # callable(payload_bytes) or None
-        self.chunk_keys = []          # spill keys written for this item
+        self.chunks = []              # _CHUNK payload bytes, in order
 
     def feed(self, data, now):
         """Consume pipe bytes: heartbeats, chunk frames, result frame."""
@@ -193,8 +155,7 @@ class _Worker:
                 break                 # payload not yet complete
             payload = bytes(buffer[pos + 5:pos + 5 + need])
             if tag == _CHUNK_BYTE:
-                if self.on_chunk is not None:
-                    self.on_chunk(payload)
+                self.chunks.append(payload)
             else:
                 self.payload = payload
             pos += 5 + need
@@ -214,36 +175,32 @@ class _Worker:
 class ShardSupervisor:
     """Fork/COW worker supervision over contiguous index ranges.
 
-    ``run_range((start, stop), on_progress)`` is the unit of work: it is
-    executed inside a forked worker (with a heartbeat callback when the
-    scanner ``supports_progress``) or in-process for a last-resort
-    rescue, and must return a picklable per-shard result.  The
-    supervisor owns spawning, the heartbeat/result pipe protocol, hang
-    detection, escalating death recovery, and the reconciliation of
-    worker-side network/fault counter deltas back into the parent.
+    ``run_range((start, stop), on_progress, chunk_sink)`` is the unit of
+    work: it is executed inside a forked worker (with a heartbeat
+    callback when the scanner ``supports_progress``) or in-process for a
+    last-resort rescue, and must return a picklable per-shard result.
+    The supervisor owns spawning, the heartbeat/result pipe protocol,
+    hang detection, escalating death recovery, and the reconciliation of
+    what each worker did to its copy of the world back into the parent —
+    every work item runs inside a :class:`repro.checkpoint.Ledger`
+    (``perf_host`` is the ledger's host: the object whose ``perf``
+    registry the work writes to).
 
-    ``perf_host``, when given, is the object whose ``perf`` registry is
-    swapped for a fresh one inside each worker so only shard-local
-    numbers ride back (merging the inherited copy-on-write registry
-    would double-count pre-fork totals).
-
-    ``chunk_store`` (a :class:`repro.checkpoint.store.SnapshotStore`)
-    enables result streaming: ``run_range`` is then called with a third
-    ``chunk_sink`` argument the worker may invoke with fixed-size result
-    chunks, which ride the pipe as ``_CHUNK`` frames and are spilled to
-    the store as they arrive — so neither the worker nor the parent ever
-    holds a whole shard's rows.  When the worker's final frame lands,
-    ``reassemble(tail_result, chunks_iter)`` folds the spilled chunks
+    ``reassemble`` enables result streaming: the worker's ``chunk_sink``
+    ships fixed-size result chunks over the pipe as ``_CHUNK`` frames as
+    they fill, so the worker never holds a whole shard's rows.  The
+    parent keeps the frames as they arrived and, when the worker's final
+    frame lands, ``reassemble(tail_result, chunks_iter)`` folds them
     back into the shard result *before* it enters the success path, so
     checkpoint commits, provenance, and merging see exactly the result a
-    non-streaming worker would have shipped.  A worker death discards
-    its spilled chunks (the retry re-emits them), and in-process rescues
+    non-streaming worker would have shipped.  A dead worker's chunks are
+    dropped with it (the retry re-emits them), and in-process rescues
     stay resident — they never stream.
     """
 
     def __init__(self, network, run_range, perf=None,
                  heartbeat_timeout=None, supports_progress=False,
-                 perf_host=None, chunk_store=None, reassemble=None):
+                 perf_host=None, reassemble=None):
         self.network = network
         self.run_range = run_range
         self.perf = perf
@@ -251,7 +208,6 @@ class ShardSupervisor:
         self.heartbeat_timeout = (heartbeat_timeout
                                   if supports_progress else None)
         self.perf_host = perf_host
-        self.chunk_store = chunk_store
         self.reassemble = reassemble
 
     def _count(self, name, amount=1):
@@ -263,20 +219,20 @@ class ShardSupervisor:
         one entry per completed work item.
 
         ``on_item_done(item, payload, entry)`` fires after each completed
-        work item with a self-contained, picklable payload (result +
-        counter deltas + perf) and is the only way results leave the
-        supervisor — it never accumulates them.  ``entry["mode"]`` is
-        ``"worker"`` or ``"in-process"``, so the caller knows which
-        results already mutated parent state.  The hook may raise to
-        abort the run (the checkpoint crash plane does) — active workers
-        are reaped first.
+        work item with a self-contained, picklable payload (the result,
+        its ledger delta, its provenance entry) and is the only way
+        results leave the supervisor — it never accumulates them.
+        ``entry["mode"]`` is ``"worker"`` or ``"in-process"``, so the
+        caller knows which results already mutated parent state.  The
+        hook may raise to abort the run (the checkpoint crash plane
+        does) — active workers are reaped first.
 
         ``origins`` names each range's global shard index — a
         checkpointed resume runs only the not-yet-committed ranges but
         must keep their original indices so per-origin fault draws
         (``worker_dies``) and provenance stay identical to a full run.
         """
-        plan = getattr(self.network, "faults", None)
+        plan = self.network.faults
         heartbeat_timeout = self.heartbeat_timeout
         pending = deque((start, stop, origin, 0)
                         for origin, (start, stop) in zip(origins, ranges))
@@ -284,12 +240,9 @@ class ShardSupervisor:
         provenance = []
         rescues = []                    # items for in-process fallback
         rescued_origins = set()
-        counter_deltas = {name: 0 for name in _NET_COUNTERS}
-        fault_deltas = {}
-        # Per-item observability batches (worker spans + flight events),
-        # flushed into the parent instruments in sorted item order after
-        # the run — completion order varies, the trace must not.
-        obs_items = []
+        # Worker deltas, applied to the parent in sorted item order
+        # after the run — completion order varies, the trace must not.
+        landed = []
 
         try:
             while pending or active:
@@ -314,16 +267,11 @@ class ShardSupervisor:
                         self._count("heartbeats_seen", worker.heartbeats)
                     shard = worker.shard_payload()
                     if shard is None:
-                        self._discard_chunks(worker)
                         self._on_death(worker.item, pending, rescues,
                                        rescued_origins)
                     else:
-                        if worker.chunk_keys:
-                            shard["result"] = self._reassemble_result(
-                                shard["result"], worker.chunk_keys)
-                        self._on_success(worker.item, shard, provenance,
-                                         counter_deltas, fault_deltas,
-                                         obs_items, on_item_done)
+                        self._on_success(worker, shard, provenance,
+                                         landed, on_item_done)
                 if heartbeat_timeout is not None:
                     for worker in list(active.values()):
                         if now - worker.last_beat > heartbeat_timeout:
@@ -341,9 +289,8 @@ class ShardSupervisor:
             # ranges: probe identity and packet fates are position-
             # independent, so the late retry still produces exactly the
             # bytes and fates the worker would have.
-            for start, stop, origin, attempt in sorted(rescues):
-                self._rescue((start, stop, origin, attempt), provenance,
-                             on_item_done)
+            for item in sorted(rescues):
+                self._rescue(item, provenance, on_item_done)
         except BaseException:
             # Abort (an injected crash from the commit hook, ^C, ...):
             # reap every live worker so no zombies outlive the run.
@@ -360,31 +307,16 @@ class ShardSupervisor:
                     os.waitpid(worker.pid, 0)
                 except ChildProcessError:
                     pass
-                self._discard_chunks(worker)
             raise
 
-        network = self.network
-        for name, delta in counter_deltas.items():
-            setattr(network, name, getattr(network, name) + delta)
-        fault_counters = getattr(network, "fault_counters", None)
-        if fault_counters is not None:
-            for name, delta in fault_deltas.items():
-                fault_counters[name] = fault_counters.get(name, 0) + delta
-        if obs_items:
-            tracer = getattr(network, "tracer", None)
-            recorder = getattr(network, "recorder", None)
-            obs_items.sort(key=lambda entry: entry[0])
-            for __key, spans, flight in obs_items:
-                if tracer is not None and spans:
-                    tracer.absorb(spans)
-                if recorder is not None and flight:
-                    recorder.absorb_state(flight)
+        landed.sort(key=lambda entry: entry[0])
+        for __key, origin, delta in landed:
+            apply_delta(self.network, self.perf, delta, origin)
         return provenance
 
     def _spawn(self, item, plan):
         """Fork one worker for a work item; returns its parent-side state."""
         start, stop, origin, attempt = item
-        streaming = self.chunk_store is not None
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:
@@ -402,7 +334,7 @@ class ShardSupervisor:
                     def on_progress():
                         os.write(write_fd, _HEARTBEAT)
                 chunk_sink = None
-                if streaming:
+                if self.reassemble is not None:
                     def chunk_sink(chunk):
                         data = pickle.dumps(
                             chunk, protocol=pickle.HIGHEST_PROTOCOL)
@@ -410,8 +342,7 @@ class ShardSupervisor:
                                    + len(data).to_bytes(4, "big") + data)
                 payload = pickle.dumps(
                     self._run_shard((start, stop), on_progress,
-                                    origin=origin, attempt=attempt,
-                                    chunk_sink=chunk_sink),
+                                    origin, attempt, chunk_sink),
                     protocol=pickle.HIGHEST_PROTOCOL)
                 _write_all(write_fd, _RESULT
                            + len(payload).to_bytes(4, "big") + payload)
@@ -422,47 +353,7 @@ class ShardSupervisor:
                 # interpreter; only the pipe payload matters.
                 os._exit(status)
         os.close(write_fd)
-        worker = _Worker(pid, read_fd, item, time.monotonic())
-        if streaming:
-            store = self.chunk_store
-
-            def on_chunk(payload, worker=worker):
-                # Spill keyed by the full work-item identity: a retried
-                # or split item must never collide with stale chunks
-                # from an earlier attempt of the same range.
-                key = ("chunk", origin, attempt, start,
-                       len(worker.chunk_keys))
-                store.save(key, payload)
-                worker.chunk_keys.append(key)
-
-            worker.on_chunk = on_chunk
-        return worker
-
-    def _discard_chunks(self, worker):
-        """Drop a dead/aborted worker's spilled chunks (retries re-emit)."""
-        if self.chunk_store is None or not worker.chunk_keys:
-            return
-        for key in worker.chunk_keys:
-            self.chunk_store.discard(key)
-        worker.chunk_keys = []
-
-    def _reassemble_result(self, tail, keys):
-        """Fold spilled chunks back into a shard's tail result.
-
-        Chunks are loaded lazily in emission order and discarded as they
-        are consumed, so reassembly holds at most one chunk beyond the
-        growing result.  The reassembled result is canonically equal to
-        what a non-streaming worker would have shipped (column results
-        sort rows on serialisation, so chunk boundaries leave no trace).
-        """
-        store = self.chunk_store
-
-        def chunks():
-            for key in keys:
-                yield pickle.loads(store.load(key))
-                store.discard(key)
-
-        return self.reassemble(tail, chunks())
+        return _Worker(pid, read_fd, item, time.monotonic())
 
     def _on_death(self, item, pending, rescues, rescued_origins):
         """Escalating recovery: retry, then split, then in-process."""
@@ -485,122 +376,74 @@ class ShardSupervisor:
                 self._count("shard_failures")
             rescues.append(item)
 
-    def _on_success(self, item, shard, provenance, counter_deltas,
-                    fault_deltas, obs_items, on_item_done):
-        start, stop, origin, attempt = item
+    def _on_success(self, worker, shard, provenance, landed, on_item_done):
+        start, stop, origin, attempt = item = worker.item
+        result = shard.pop("result")    # what is left is the ledger delta
+        if worker.chunks:
+            # Chunks are unpickled lazily, in emission order; the
+            # reassembled result is canonically equal to what a
+            # non-streaming worker would have shipped (column results
+            # sort rows on serialisation, so chunk boundaries leave no
+            # trace).
+            result = self.reassemble(result, map(pickle.loads,
+                                                 worker.chunks))
         status = ("ok" if attempt == 0
                   else "retried" if attempt == 1 else "split")
         entry = {"shard": origin, "start": start, "stop": stop,
                  "mode": "worker", "attempt": attempt, "status": status}
         provenance.append(entry)
-        for name in _NET_COUNTERS:
-            counter_deltas[name] += shard["net_counters"][name]
-        for name, delta in shard.get("fault_counters", {}).items():
-            fault_deltas[name] = fault_deltas.get(name, 0) + delta
-        spans = shard.get("spans")
-        flight = shard.get("flight")
-        if spans or flight:
-            obs_items.append(((start, stop, attempt), spans, flight))
-        if self.perf is not None:
-            self.perf.record_seconds("shard_wall", shard["wall_seconds"])
-            self.perf.observe("shard_wall_seconds", shard["wall_seconds"])
-            if shard["perf"] is not None:
-                self.perf.merge(shard["perf"], rank=origin)
-        on_item_done(item, {
-            "result": shard["result"],
-            "net_counters": dict(shard["net_counters"]),
-            "fault_counters": dict(shard.get("fault_counters") or {}),
-            "perf": shard["perf"],
-            "wall_seconds": shard["wall_seconds"],
-            "spans": spans,
-            "flight": flight,
-            "provenance": [dict(entry)],
-        }, entry)
+        landed.append(((start, stop, attempt), origin, shard))
+        on_item_done(item, dict(shard, result=result,
+                                provenance=[dict(entry)]), entry)
 
     def _rescue(self, item, provenance, on_item_done):
-        """Run one failed range in-process, with checkpoint bookkeeping.
+        """Run one failed range in-process.
 
-        Unlike a worker, an in-process rescue mutates parent state
-        directly, so the commit payload captures its counter/perf deltas
-        by differencing around the call.
+        Unlike a worker, a rescue mutates the live parent world (and
+        traces into the parent's instruments), so of its ledger delta
+        only the perf registry is still owed to the parent; the whole
+        delta goes into the commit payload, as a worker's does.
         """
         start, stop, origin, attempt = item
         network = self.network
-        before = {name: getattr(network, name) for name in _NET_COUNTERS}
-        fault_before = dict(getattr(network, "fault_counters", None) or {})
-        perf_before = (dict(self.perf.counters)
-                       if self.perf is not None else {})
-        tracer = getattr(network, "tracer", None)
-        spans_before = len(tracer.spans) if tracer is not None else 0
-        # Rescues trace live into the parent's instruments (they mutate
-        # parent state directly, unlike worker shards).
+        ledger = Ledger(network, self.perf_host)
         with span(network, "shard", origin=origin, attempt=attempt,
                   start=start, stop=stop, mode="in-process"):
             result = self.run_range((start, stop), None)
+        delta = ledger.delta()
+        apply_delta(network, self.perf, delta, origin, in_process=True)
         entry = {"shard": origin, "start": start, "stop": stop,
                  "mode": "in-process", "attempt": attempt,
                  "status": "rescued"}
         provenance.append(entry)
-        fault_after = getattr(network, "fault_counters", None) or {}
-        perf_after = (dict(self.perf.counters)
-                      if self.perf is not None else {})
-        on_item_done(item, {
-            "result": result,
-            "net_counters": {name: getattr(network, name) - before[name]
-                             for name in _NET_COUNTERS},
-            "fault_counters": {
-                name: value - fault_before.get(name, 0)
-                for name, value in fault_after.items()
-                if value - fault_before.get(name, 0)},
-            "perf_counters": {
-                name: value - perf_before.get(name, 0)
-                for name, value in perf_after.items()
-                if value - perf_before.get(name, 0)},
-            "spans": (tracer.spans[spans_before:]
-                      if tracer is not None else None),
-            "provenance": [dict(entry)],
-        }, entry)
+        on_item_done(item, dict(delta, result=result,
+                                provenance=[dict(entry)]), entry)
 
-    def _run_shard(self, index_range, on_progress=None, origin=0,
-                   attempt=0, chunk_sink=None):
-        """Executed inside a worker: one shard run plus bookkeeping."""
+    def _run_shard(self, index_range, on_progress, origin, attempt,
+                   chunk_sink):
+        """Executed inside a worker: one shard run inside a ledger."""
         network = self.network
-        host = self.perf_host
-        # The worker inherits the parent's registry copy-on-write; swap
-        # in a fresh one so only shard-local numbers ride back (merging
-        # the inherited copy would double-count pre-fork totals).
-        if host is not None and getattr(host, "perf", None) is not None:
-            host.perf = PerfRegistry()
-        # Same treatment for the observability instruments: re-namespace
-        # the inherited tracer (span ids stay unique across every worker
-        # of every supervised scan in the process — the prefix carries
-        # the parent's active span id, which is unique per scan, plus
-        # origin, attempt, *and* range start, because both halves of a
-        # split shard share origin and attempt) and clear the inherited
-        # flight ring, so only shard-local spans and events ride back
-        # over the result pipe.
-        tracer = getattr(network, "tracer", None)
-        recorder = getattr(network, "recorder", None)
+        # Shard-local instruments: re-namespace the inherited tracer
+        # (span ids stay unique across every worker of every supervised
+        # scan in the process — the prefix carries the parent's active
+        # span id, which is unique per scan, plus origin, attempt, *and*
+        # range start, because both halves of a split shard share origin
+        # and attempt) and clear the inherited flight ring, so only
+        # shard-local spans and events ride back over the result pipe.
+        tracer = network.tracer
         if tracer is not None:
             tracer.rebase("%s.w%d.%d.%d:" % (tracer.active_span_id or "",
                                              origin, attempt,
                                              index_range[0]))
-        if recorder is not None:
-            recorder.reset()
-        before = {name: getattr(network, name) for name in _NET_COUNTERS}
-        fault_before = dict(getattr(network, "fault_counters", None) or {})
+        if network.recorder is not None:
+            network.recorder.reset()
+        ledger = Ledger(network, self.perf_host)
         rss_before = sample_ru_maxrss_kb()
-        shard_start = time.perf_counter()
         with span(network, "shard", origin=origin, attempt=attempt,
                   start=index_range[0], stop=index_range[1], mode="worker"):
-            if chunk_sink is not None:
-                result = self.run_range(index_range, on_progress,
-                                        chunk_sink)
-            else:
-                result = self.run_range(index_range, on_progress)
-        wall = time.perf_counter() - shard_start
-        worker_perf = (getattr(host, "perf", None)
-                       if host is not None else None)
+            result = self.run_range(index_range, on_progress, chunk_sink)
+        shard = ledger.delta(shard_local=True)
+        worker_perf = shard["perf"]
         if worker_perf is not None:
             # Kernel high-water marks, merged with "max" policy so the
             # parent registry reports the worst worker of the scan.  A
@@ -614,22 +457,8 @@ class ShardSupervisor:
             worker_perf.declare_gauge("worker_rss_growth_kb", "max")
             worker_perf.gauge("worker_rss_growth_kb",
                               max(0, sample_ru_maxrss_kb() - rss_before))
-        fault_after = getattr(network, "fault_counters", None) or {}
-        return {
-            "result": result,
-            "wall_seconds": wall,
-            "net_counters": {
-                name: getattr(network, name) - before[name]
-                for name in _NET_COUNTERS},
-            "fault_counters": {
-                name: value - fault_before.get(name, 0)
-                for name, value in fault_after.items()
-                if value - fault_before.get(name, 0)},
-            "perf": host.perf if host is not None else None,
-            "spans": tracer.spans if tracer is not None else None,
-            "flight": (recorder.export_state()
-                       if recorder is not None else None),
-        }
+        shard["result"] = result
+        return shard
 
 
 class ShardedEngine:
@@ -637,15 +466,15 @@ class ShardedEngine:
     obey and the one forked driver, :meth:`_run_sharded`.
 
     ``options.stream_results`` bounds worker memory: workers flush their
-    results every ``options.chunk_rows`` rows as pipe frames which the
-    parent spills through a :class:`SnapshotStore` in a private
-    temporary directory and folds back per shard on completion.  The
-    outcome is byte-identical to a resident run — streaming changes
-    *where* rows live during the scan, never what they are.  Requires a
-    scanner advertising ``supports_chunks``; silently runs resident
-    otherwise (and for in-process rescues).  ``heartbeat_timeout`` kills
-    workers silent for that many wall-clock seconds (needs a scanner
-    with ``supports_progress``); ``None`` disables.
+    results every ``options.chunk_rows`` rows as pipe frames, which the
+    parent holds until the shard completes and then folds back into its
+    result.  The outcome is byte-identical to a resident run —
+    streaming changes *where* rows live during the scan, never what
+    they are.  Requires a scanner advertising ``supports_chunks``;
+    silently runs resident otherwise (and for in-process rescues).
+    ``heartbeat_timeout`` kills workers silent for that many wall-clock
+    seconds (needs a scanner with ``supports_progress``); ``None``
+    disables.
     """
 
     def __init__(self, scanner, options=None, perf=None,
@@ -665,15 +494,15 @@ class ShardedEngine:
 
         Every shard result goes to ``deliver(item, result, mode)`` as it
         lands; ``reassemble(tail, chunks)`` folds a streamed shard's
-        spilled chunks back first.  With a ``checkpoint``, committed
-        shards are restored (mode ``"restored"``, side effects
-        re-applied) instead of run, and each newly completed one is
-        committed before it is delivered — but only items covering a
-        *full* original range (a split half or narrowed rescue is not
-        independently restorable; its origin reruns whole on resume,
-        reproducing the identical escalation path from the same fault
-        draws).  After each commit the crash plane gets its shot at the
-        ``shard`` boundary.
+        chunks back first.  The shard is the one *asynchronous* unit of
+        work: shards ``checkpoint`` already holds are restored up front
+        (mode ``"restored"``, their ledger delta re-applied) instead of
+        run, and each newly completed one is committed before it is
+        delivered — but only items covering a *full* original range (a
+        split half or narrowed rescue is not independently restorable;
+        its origin reruns whole on resume, reproducing the identical
+        escalation path from the same fault draws).  After each commit
+        the crash plane gets its shot at the ``shard`` boundary.
         """
         scanner = self.scanner
         options = self.options
@@ -689,45 +518,36 @@ class ShardedEngine:
 
         live_ranges, live_origins, provenance = [], [], []
         for origin, (start, stop) in enumerate(ranges):
-            record = (checkpoint.restore(("shard", origin, start, stop))
-                      if checkpoint is not None else None)
+            record = checkpoint.restore(("shard", origin, start, stop))
             if record is None:
                 live_ranges.append((start, stop))
                 live_origins.append(origin)
                 continue
+            # Replaying the shard's delta (instead of re-scanning) keeps
+            # a resumed run's counters — and its trace — identical to an
+            # uninterrupted one.
             payload = record["payload"]
-            _restore_shard_record(scanner.network, self.perf, payload,
-                                  origin=origin)
+            apply_delta(scanner.network, self.perf, payload, origin)
             provenance.extend(payload.get("provenance") or [])
             deliver((start, stop, origin, 0), payload["result"], "restored")
 
         def on_item_done(item, payload, entry):
-            if checkpoint is not None:
-                start, stop, origin, __attempt = item
-                if (start, stop) == tuple(ranges[origin]):
-                    checkpoint.commit(("shard", origin, start, stop),
-                                      payload)
-                checkpoint.maybe_crash("shard", (origin,))
+            start, stop, origin, __attempt = item
+            if (start, stop) == tuple(ranges[origin]):
+                checkpoint.commit(("shard", origin, start, stop), payload)
+            checkpoint.maybe_crash("shard", (origin,))
             deliver(item, payload["result"], entry["mode"])
 
-        spill_dir = spill_store = None
-        if options.stream_results and \
-                getattr(scanner, "supports_chunks", False):
-            spill_dir = tempfile.mkdtemp(prefix="scan-spill-")
-            spill_store = SnapshotStore(spill_dir, self.perf)
-        try:
-            supervisor = ShardSupervisor(
-                scanner.network, run_range, perf=self.perf,
-                heartbeat_timeout=self.heartbeat_timeout,
-                supports_progress=getattr(scanner, "supports_progress",
-                                          False),
-                perf_host=scanner, chunk_store=spill_store,
-                reassemble=reassemble)
-            provenance += supervisor.run(live_ranges, live_origins,
-                                         on_item_done)
-        finally:
-            if spill_dir is not None:
-                shutil.rmtree(spill_dir, ignore_errors=True)
+        streaming = options.stream_results and \
+            getattr(scanner, "supports_chunks", False)
+        supervisor = ShardSupervisor(
+            scanner.network, run_range, perf=self.perf,
+            heartbeat_timeout=self.heartbeat_timeout,
+            supports_progress=getattr(scanner, "supports_progress", False),
+            perf_host=scanner,
+            reassemble=reassemble if streaming else None)
+        provenance += supervisor.run(live_ranges, live_origins,
+                                     on_item_done)
         # Completion order varies run to run; sorted provenance keeps
         # same-seed runs bit-identical.
         provenance.sort(key=lambda e: (e["start"], e["stop"],
@@ -759,24 +579,21 @@ class ScanEngine(ShardedEngine):
         """
         start = time.perf_counter()
         network = self.scanner.network
-        fault_before = dict(getattr(network, "fault_counters", None) or {})
+        ledger = Ledger(network)
         ranges = target_space.shard_ranges(self.options.shards)
         with span(network, "scan", shards=len(ranges)):
             if len(ranges) <= 1 or not self.can_fork:
                 result = self.scanner.scan(target_space)
             else:
-                result = self._scan_forked(target_space, ranges, checkpoint)
+                result = self._scan_forked(target_space, ranges,
+                                           checkpoint or NULL_SCOPE)
         if self.perf is not None:
             self.perf.record_seconds("scan_wall",
                                      time.perf_counter() - start)
             self.perf.count("scans_run")
             # Flush this scan's injected/absorbed fault deltas.
-            fault_after = getattr(network, "fault_counters", None)
-            if fault_after:
-                for name, value in fault_after.items():
-                    delta = value - fault_before.get(name, 0)
-                    if delta:
-                        self.perf.count("fault_" + name, delta)
+            for name, amount in ledger.fault_delta().items():
+                self.perf.count("fault_" + name, amount)
         return result
 
     def _scan_forked(self, target_space, ranges, checkpoint):

@@ -326,11 +326,12 @@ class ScanResult:
     # -- streaming chunks --------------------------------------------------
     #
     # A streaming scan never holds a whole shard's columns: it detaches
-    # them as raw-buffer chunks (take_chunk) that the engine spills to
-    # disk, and the final result carries only the scalar tail plus the
-    # last partial columns.  Reassembly (absorb_chunk per spilled chunk,
-    # in any order) is exact: __getstate__ canonically row-sorts, so the
-    # reassembled result pickles byte-identically to a resident one.
+    # them as raw-buffer chunks (take_chunk) that the engine ships to
+    # the parent as they fill, and the final result carries only the
+    # scalar tail plus the last partial columns.  Reassembly
+    # (absorb_chunk per chunk, in any order) is exact: __getstate__
+    # canonically row-sorts, so the reassembled result pickles
+    # byte-identically to a resident one.
 
     def row_count(self):
         """Rows currently resident in the columns."""
@@ -484,10 +485,7 @@ class ScanResult:
     # emitted sorted, so any completion order serializes identically.
 
     def __getstate__(self):
-        rows = sorted(zip(self._targets, self._rcodes, self._flags))
-        targets = array("I", (row[0] for row in rows))
-        rcodes = array("B", (row[1] for row in rows))
-        flags = array("B", (row[2] for row in rows))
+        targets, rcodes, flags = self.canonical_columns()
 
         # Pickle output must depend on *values* only, never on string
         # object identity: the pickler memoizes by id, so a provenance
@@ -505,9 +503,9 @@ class ScanResult:
             "provenance": [{intern(key): canonical(value)
                             for key, value in entry.items()}
                            for entry in self.provenance],
-            "targets": targets.tobytes(),
-            "rcodes": rcodes.tobytes(),
-            "flags": flags.tobytes(),
+            "targets": targets,
+            "rcodes": rcodes,
+            "flags": flags,
         }
         if self.suppressed:
             # Canonical (sorted) and omitted when empty, so pickles of

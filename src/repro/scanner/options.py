@@ -29,7 +29,7 @@ class ScanOptions:
     walk ``probe_batch`` at a time; ``pacing`` (``None`` or a
     :class:`~repro.scanner.pacing.PacingConfig`, built from the CLI
     spellings) and ``max_pps`` are the arms-race side; ``stream_results``
-    ships worker results as ``chunk_rows``-row chunks spilled to disk;
+    ships worker results to the parent in ``chunk_rows``-row chunks;
     ``delta`` (``None`` or a :class:`~repro.scanner.delta.DeltaConfig`)
     turns a campaign differential.  Results are bit-identical across
     ``shards``, ``probe_batch``, ``stream_results`` and ``chunk_rows``.

@@ -4,8 +4,12 @@ import os
 
 import pytest
 
-from repro.checkpoint import CheckpointedRun, CheckpointError
+from repro.checkpoint import (NULL_SCOPE, CheckpointedRun,
+                              CheckpointError)
 from repro.faults import FaultPlan, FaultProfile, InjectedCrash
+from repro.netsim import Network, SimClock
+from repro.obs import Tracer
+from repro.perf import PerfRegistry
 
 
 def open_run(tmp_path, **kwargs):
@@ -76,6 +80,132 @@ class TestMetaValidation:
         run.close()
         with pytest.raises(CheckpointError):
             open_run(tmp_path, meta={"seed": 8}, resume=True)
+
+
+def traced_world():
+    network = Network(SimClock())
+    network.tracer = Tracer(clock=network.clock, seed=1)
+    return network, PerfRegistry()
+
+
+def unit_work(network, perf, calls):
+    """A unit's compute: moves the clock, a traffic counter and perf."""
+    def compute():
+        calls.append("compute")
+        network.clock.advance(60.0)
+        network.udp_queries_sent += 5
+        perf.count("probes_sent", 5)
+        return {"rows": [1, 2, 3]}
+    return compute
+
+
+# The protocol, stated once: (how the scope is reached, commit key the
+# unit must land under, crash point it must offer).
+ENTRIES = [
+    (lambda run: run, ("week", 0), "week:0"),
+    (lambda run: run.scope("campaign"), ("campaign", "week", 0),
+     "week:campaign/0"),
+    (lambda run: run.scope("pipeline", "Alexa"),
+     ("pipeline", "Alexa", "week", 0), "week:pipeline/Alexa/0"),
+]
+
+
+@pytest.mark.parametrize("enter, commit_key, crash_point", ENTRIES)
+class TestUnitProtocol:
+    def test_fresh_unit_computes_commits_then_offers_the_crash(
+            self, tmp_path, enter, commit_key, crash_point):
+        plan = FaultPlan(FaultProfile(crash_points=(crash_point,)), seed=3)
+        run = open_run(tmp_path, fault_plan=plan)
+        network, perf = traced_world()
+        calls = []
+        commit, maybe_crash = run.commit, run.maybe_crash
+        # Shadowed on the instance, as the e2e benchmark's recorder
+        # does: the protocol must reach both through it.
+        run.commit = lambda *a, **k: (calls.append("commit"),
+                                      commit(*a, **k))[1]
+        run.maybe_crash = lambda *a, **k: (calls.append("crash"),
+                                           maybe_crash(*a, **k))[1]
+        with pytest.raises(InjectedCrash) as crash:
+            enter(run).unit("week", (0,), unit_work(network, perf, calls),
+                            network, perf,
+                            extra_state=lambda: {"churn_digest": "abc"})
+        assert crash.value.point == crash_point
+        assert calls == ["compute", "commit", "crash"]
+        record = run.restore(commit_key)
+        assert record["payload"] == {"rows": [1, 2, 3]}
+        state = record["state"]
+        assert state["churn_digest"] == "abc"
+        assert state["clock"] == 60.0
+        assert state["net_counters"]["udp_queries_sent"] == 5
+        assert state["perf"]["counters"] == {"probes_sent": 5}
+        # No marker for a unit that really ran.
+        assert network.tracer.spans == []
+
+    def test_committed_unit_is_restored_not_computed(
+            self, tmp_path, enter, commit_key, crash_point):
+        run = open_run(tmp_path)
+        network, perf = traced_world()
+        enter(run).unit("week", (0,), unit_work(network, perf, []),
+                        network, perf,
+                        extra_state=lambda: {"churn_digest": "abc"})
+        run.close()
+
+        resumed = open_run(tmp_path, resume=True)
+        network, perf = traced_world()
+        calls, seen = [], []
+
+        def on_restore(payload, state):
+            # Runs before the world is reinstated: a fast-forward step
+            # must see the clock the unit started from.
+            seen.append((payload, state["churn_digest"],
+                         network.clock.now))
+
+        payload = enter(resumed).unit(
+            "week", (0,), unit_work(network, perf, calls), network, perf,
+            on_restore=on_restore, week=0)
+        assert calls == []
+        assert payload == {"rows": [1, 2, 3]}
+        assert seen == [({"rows": [1, 2, 3]}, "abc", 0.0)]
+        assert network.clock.now == 60.0
+        assert network.udp_queries_sent == 5
+        assert perf.counter("probes_sent") == 5
+        assert [(s["stage"], s["attrs"]) for s in network.tracer.spans] \
+            == [("week", {"week": 0, "restored": True})]
+        assert resumed.provenance["units_restored"] == 1
+
+    def test_failed_compute_commits_nothing(
+            self, tmp_path, enter, commit_key, crash_point):
+        run = open_run(tmp_path)
+        network, perf = traced_world()
+
+        def compute():
+            raise RuntimeError("scan failed")
+
+        with pytest.raises(RuntimeError):
+            enter(run).unit("week", (0,), compute, network, perf)
+        assert not run.completed(commit_key)
+        assert run.provenance["units_committed"] == 0
+
+
+class TestNullScope:
+    def test_unit_is_compute_only(self):
+        network, perf = traced_world()
+        calls = []
+        scope = NULL_SCOPE.scope("campaign").scope("week", 3)
+        assert scope is NULL_SCOPE
+        payload = scope.unit(
+            "week", (0,), unit_work(network, perf, calls), network, perf,
+            extra_state=lambda: calls.append("extra_state"),
+            on_restore=lambda *a: calls.append("on_restore"), week=0)
+        assert payload == {"rows": [1, 2, 3]}
+        assert calls == ["compute"]
+        assert network.tracer.spans == []
+
+    def test_shard_unit_calls_are_inert(self):
+        assert NULL_SCOPE.restore(("shard", 0, 0, 8)) is None
+        assert NULL_SCOPE.commit(("shard", 0, 0, 8), "payload") is None
+        assert NULL_SCOPE.maybe_crash("shard", (0,)) is None
+        assert NULL_SCOPE.note("resumed_from_week", 0) is None
 
 
 class TestCrashPlane:

@@ -1,7 +1,7 @@
 """Streamed-chunk lifecycle of :class:`ScanResult`.
 
 The streaming scan detaches columns as raw-bytes chunks
-(:meth:`take_chunk`), spills them, and folds them back
+(:meth:`take_chunk`), ships them to the parent, and folds them back
 (:meth:`absorb_chunk`) before the normal shard :meth:`merge`.  These
 tests pin the invariants that path leans on: zero-row chunks are
 harmless, reassembly order is invisible (canonical pickling), and the

@@ -37,6 +37,8 @@ class FakeNetwork:
         self.udp_responses_corrupted = 0
         self.faults = None
         self.fault_counters = {}
+        self.tracer = None
+        self.recorder = None
 
     def install_faults(self, plan):
         self.faults = plan

@@ -21,6 +21,10 @@ class FakeNetwork:
         self.udp_queries_sent = 0
         self.udp_queries_lost = 0
         self.udp_responses_corrupted = 0
+        self.faults = None
+        self.fault_counters = {}
+        self.tracer = None
+        self.recorder = None
 
 
 class FakeScanner:

@@ -1,6 +1,8 @@
 """Worker supervision: death recovery, narrow rescans, hung-worker kill."""
 
 import os
+import pickle
+import tempfile
 import time
 
 import pytest
@@ -11,6 +13,7 @@ from repro.netsim import SimClock
 from repro.perf import PerfRegistry
 from repro.scanner import ScanEngine, ScanOptions, ScanTargetSpace
 from repro.scanner.ipv4scan import ScanResult
+from repro.scanner.options import CHUNK_ROWS
 
 
 class FakeNetwork:
@@ -21,6 +24,8 @@ class FakeNetwork:
         self.udp_responses_corrupted = 0
         self.faults = None
         self.fault_counters = {}
+        self.tracer = None
+        self.recorder = None
 
     def install_faults(self, plan):
         self.faults = plan
@@ -159,6 +164,137 @@ class TestDeathRecovery:
         # retry counted once).
         assert scanner.network.fault_counters["synthetic"] == 3
         assert perf.counter("fault_synthetic") == 3
+
+
+class RecordingScope:
+    """Checkpoint-scope double: keeps what the shard unit commits."""
+
+    def __init__(self):
+        self.committed = {}
+
+    def restore(self, key):
+        return None
+
+    def commit(self, key, payload, state=None):
+        self.committed[key] = payload
+
+    def maybe_crash(self, kind, key):
+        pass
+
+
+class TimedScanner(FakeScanner):
+    """Times its scans into whatever registry it currently holds."""
+
+    def scan(self, target_space, index_range=None):
+        with self.perf.stage("fake_scan"):
+            return FakeScanner.scan(self, target_space, index_range)
+
+
+class TestRescuedShardCommit:
+    def test_rescued_shard_commits_what_a_worker_shard_commits(self):
+        # Four one-index shards; shard 2's worker dies on both attempts
+        # and a one-index range cannot split, so it is rescued
+        # in-process — as a full original range, hence committed.
+        space = ScanTargetSpace([PrefixAllocator().allocate(30)])
+        assert space.shard_ranges(4)[2] == (2, 3)
+        scanner = TimedScanner()
+        install_kills(scanner, {2: 99})
+        perf = PerfRegistry()
+        scope = RecordingScope()
+        engine = ScanEngine(scanner, options=ScanOptions(shards=4),
+                            perf=perf)
+        result = engine.scan(space, checkpoint=scope)
+        assert [e["status"] for e in result.provenance] == \
+            ["ok", "ok", "rescued", "ok"]
+        worker = scope.committed[("shard", 0, 0, 1)]
+        rescued = scope.committed[("shard", 2, 2, 3)]
+        assert sorted(rescued) == sorted(worker)
+        assert rescued["wall_seconds"] > 0
+        assert rescued["perf"].timers["fake_scan"][1] == 1
+        assert rescued["net_counters"]["udp_queries_sent"] == 1
+        # The parent's registry got the rescue's numbers exactly once,
+        # and the scanner got its own registry back.
+        assert perf.timers["fake_scan"][1] == 4
+        assert perf.timers["shard_wall"][1] == 4
+        assert scanner.perf is perf
+
+
+class ChunkingScanner(FakeScanner):
+    """Streams: flushes its resident rows to ``chunk_sink`` whenever
+    they reach ``chunk_rows``.  With a ``death_marker`` path, the first
+    worker to claim it ships what it holds as one more chunk ten
+    indexes in, then dies — a death with chunks already on the pipe."""
+
+    supports_chunks = True
+
+    def __init__(self, death_marker=None):
+        super().__init__()
+        self.death_marker = death_marker
+
+    def _claims_death(self):
+        try:
+            os.close(os.open(self.death_marker,
+                             os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            return False
+        return True
+
+    def scan(self, target_space, index_range=None, chunk_sink=None,
+             chunk_rows=None):
+        start, stop = (index_range if index_range is not None
+                       else (0, len(target_space)))
+        result = ScanResult(self.network.clock.now)
+        for index in range(start, stop):
+            result.probes_sent += 1
+            self.network.udp_queries_sent += 1
+            if index % 3 == 0:
+                ip = target_space.ip_at(index)
+                result.record(ip, index % 2, ip)
+            if chunk_sink is None:
+                continue
+            if result.row_count() >= chunk_rows:
+                chunk_sink(result.take_chunk())
+            if self.death_marker is not None and index == start + 9 \
+                    and self._claims_death():
+                chunk_sink(result.take_chunk())
+                os._exit(1)
+        return result
+
+
+def streamed_engine(scanner, perf=None, chunk_rows=CHUNK_ROWS):
+    return ScanEngine(scanner, perf=perf, options=ScanOptions(
+        shards=2, stream_results=True, chunk_rows=chunk_rows))
+
+
+class TestStreamedChunks:
+    @pytest.mark.parametrize("chunk_rows", [1, 257, CHUNK_ROWS])
+    def test_dead_attempts_chunks_are_dropped(self, tmp_path, chunk_rows):
+        sequential = FakeScanner().scan(fake_space())
+        perf = PerfRegistry()
+        scanner = ChunkingScanner(str(tmp_path / "died"))
+        result = streamed_engine(scanner, perf, chunk_rows).scan(
+            fake_space())
+        assert perf.counter("worker_deaths") == 1
+        assert perf.counter("shard_retries") == 1
+        # Every row once: the dead attempt's chunks did not survive it.
+        assert result.row_count() == sequential.row_count()
+        assert sorted(result.iter_rows()) == sorted(sequential.iter_rows())
+        assert result.probes_sent == sequential.probes_sent
+
+    def test_streaming_touches_no_disk(self, monkeypatch):
+        resident = ScanEngine(ChunkingScanner(),
+                              options=ScanOptions(shards=2)).scan(
+                                  fake_space())
+
+        def no_disk(*args, **kwargs):
+            raise AssertionError("a streamed scan went to disk")
+
+        monkeypatch.setattr(tempfile, "mkdtemp", no_disk)
+        monkeypatch.setattr(os, "fsync", no_disk)
+        streamed = streamed_engine(ChunkingScanner(), chunk_rows=8).scan(
+            fake_space())
+        assert streamed.row_count() > 8
+        assert pickle.dumps(streamed) == pickle.dumps(resident)
 
 
 class SlowScanner(FakeScanner):

@@ -247,13 +247,28 @@ class TestCheckpointCli:
 
     def test_reopening_a_used_directory_without_resume_refused(
             self, tmp_path, capsys):
-        from repro.checkpoint import CheckpointError
         ckpt = str(tmp_path / "ckpt")
-        assert main(["campaign", "--weeks", "1",
-                     "--checkpoint-dir", ckpt] + SMALL) == 0
-        with pytest.raises(CheckpointError):
-            main(["campaign", "--weeks", "1",
-                  "--checkpoint-dir", ckpt] + SMALL)
+        run = ["campaign", "--weeks", "1", "--checkpoint-dir", ckpt] + SMALL
+        assert main(run) == 0
+        capsys.readouterr()
+        # A one-line error and exit 2, not a traceback.
+        assert main(run) == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith("error: checkpoint directory")
+        assert "already holds a run" in error and "--resume" in error
+
+    def test_resume_with_other_weeks_names_the_key_that_differs(
+            self, tmp_path, capsys):
+        ckpt = str(tmp_path / "ckpt")
+        run = ["campaign", "--checkpoint-dir", ckpt] + SMALL
+        assert main(run + ["--weeks", "2"]) == 0
+        capsys.readouterr()
+        assert main(run + ["--weeks", "3", "--resume"]) == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith("error: checkpoint meta mismatch")
+        # Only what differs is named — not both meta dicts.
+        assert "weeks: 2 -> 3" in error
+        assert "seed" not in error and "scale" not in error
 
     @pytest.mark.parametrize("changed", [
         ["--retries", "2"], ["--probe-batch", "64"], ["--stream-results"],
@@ -263,16 +278,15 @@ class TestCheckpointCli:
             self, tmp_path, capsys, changed):
         # Crashed under --delta; a resume that differs in any scan knob
         # (or drops --delta) must be rejected, not silently diverge.
-        from repro.checkpoint import CheckpointError
         from repro.faults import CRASH_EXIT_CODE
         ckpt = str(tmp_path / "ckpt")
         run = ["campaign", "--weeks", "3", "--checkpoint-dir", ckpt,
                "--faults", "none,crash=week:1"] + SMALL
         assert main(run + ["--delta"]) == CRASH_EXIT_CODE
-        with pytest.raises(CheckpointError,
-                           match="checkpoint meta mismatch"):
-            main(run + ["--resume"] + (changed + ["--delta"]
-                                       if changed else []))
+        capsys.readouterr()
+        assert main(run + ["--resume"] + (changed + ["--delta"]
+                                          if changed else [])) == 2
+        assert "error: checkpoint meta mismatch" in capsys.readouterr().err
         assert main(run + ["--resume", "--delta"]) == 0
 
     def test_campaign_crash_then_resume_matches_plain_run(
