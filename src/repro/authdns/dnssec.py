@@ -22,12 +22,14 @@ Strategies:
   client knows about).
 """
 
+from repro.dnswire.client import ask
 from repro.dnswire.constants import QTYPE_A
-from repro.dnswire.message import Message
 from repro.dnswire.name import normalize_name
 from repro.dnswire.records import ResourceRecord
-from repro.netsim.network import UdpPacket
 from repro.util import stable_hash
+
+# UDP source port: it keys packet fates (DESIGN.md "Stub DNS client").
+SOURCE_PORT = 31800
 
 SIG_LABEL = "_repro-rrsig"
 
@@ -118,29 +120,20 @@ class ValidatingClient:
     """
 
     def __init__(self, network, source_ip, validator=None,
-                 strategy=STRATEGY_FIRST, source_port=31800):
+                 strategy=STRATEGY_FIRST):
         self.network = network
         self.source_ip = source_ip
         self.validator = validator
         self.strategy = strategy
-        self.source_port = source_port
         self._txid = 0
 
     def query(self, server_ip, name):
         """Resolve ``name`` via ``server_ip``; returns (addresses,
         authenticated) where authenticated reports signature validity."""
         self._txid = (self._txid + 1) & 0xFFFF
-        query = Message.query(name, txid=self._txid)
-        packet = UdpPacket(self.source_ip, self.source_port, server_ip,
-                           53, query.to_wire())
-        messages = []
-        for response in self.network.send_udp(packet):
-            try:
-                message = Message.from_wire(response.packet.payload)
-            except ValueError:
-                continue
-            if message.header.qr and message.header.txid == self._txid:
-                messages.append(message)
+        messages = [message for message, __ in ask(
+            self.network, self.source_ip, SOURCE_PORT, server_ip, name,
+            self._txid)]
         if not messages:
             return [], False
         if self.strategy == STRATEGY_WAIT_SIGNED and \

@@ -5,6 +5,7 @@ Honest recursive resolvers embed one of these engines; the trusted
 resolvers used by the prefilter do too.
 """
 
+from repro.dnswire.client import ask
 from repro.dnswire.constants import (
     QTYPE_A,
     QTYPE_CNAME,
@@ -13,9 +14,7 @@ from repro.dnswire.constants import (
     RCODE_NXDOMAIN,
     RCODE_SERVFAIL,
 )
-from repro.dnswire.message import Message
 from repro.dnswire.name import normalize_name
-from repro.netsim.network import UdpPacket
 
 MAX_REFERRALS = 24
 MAX_CNAME_CHAIN = 8
@@ -46,30 +45,18 @@ class ResolutionResult:
 class IterativeResolver:
     """Resolves names by walking the hierarchy from the root servers."""
 
-    def __init__(self, root_server_ips, source_ip, txid_rng=None):
+    def __init__(self, root_server_ips, source_ip):
         if not root_server_ips:
             raise ValueError("need at least one root server")
         self.root_server_ips = list(root_server_ips)
         self.source_ip = source_ip
         self._txid = 1
 
-    def _next_txid(self):
-        self._txid = (self._txid + 1) & 0xFFFF
-        return self._txid
-
     def _ask(self, network, server_ip, name, qtype):
-        query = Message.query(name, qtype=qtype, txid=self._next_txid(),
-                              rd=False)
-        packet = UdpPacket(self.source_ip, 40000 + (self._txid % 1000),
-                           server_ip, 53, query.to_wire())
-        for response in network.send_udp(packet):
-            try:
-                message = Message.from_wire(response.packet.payload)
-            except ValueError:
-                continue
-            if message.header.txid == query.header.txid and message.header.qr:
-                return message
-        return None
+        self._txid = (self._txid + 1) & 0xFFFF
+        answers = ask(network, self.source_ip, 40000 + (self._txid % 1000),
+                      server_ip, name, self._txid, qtype=qtype, rd=False)
+        return answers[0][0] if answers else None
 
     def resolve(self, network, name, qtype=QTYPE_A):
         """Iteratively resolve ``name``; returns a :class:`ResolutionResult`.

@@ -6,8 +6,9 @@ crash and resume).  The write side — :class:`repro.checkpoint.Journal`
 — replays destructively: torn tails are truncated away and damaged
 spans moved to the quarantine sidecar, which is correct for the process
 that *owns* the directory and catastrophic for an observer peeking at a
-live one.  :class:`CheckpointFeed` therefore re-walks the same framing
-read-only: intact records are decoded in append order, damage is
+live one.  :class:`CheckpointFeed` therefore takes the same frame walk
+(:func:`~repro.checkpoint.journal.walk_frames`) read-only: intact
+records are decoded in append order, damage is
 *skipped* (counted, never moved or truncated), and every intact record
 carries a sequence number so an incremental consumer can persist a
 cursor and resume the tail later.
@@ -19,10 +20,9 @@ without ever writing to the directory.
 
 import json
 import os
-import pickle
 import zlib
 
-from repro.checkpoint.journal import _HEADER_SIZE, _MAGIC, _MAX_RECORD
+from repro.checkpoint.journal import walk_frames
 from repro.checkpoint.store import (
     SnapshotCorruption,
     decode_snapshot,
@@ -45,25 +45,10 @@ def scan_journal(path, start=0):
             data = handle.read()
     except FileNotFoundError:
         return
-    offset = 0
     seq = 0
-    size = len(data)
-    while offset < size:
-        header = data[offset:offset + _HEADER_SIZE]
-        if len(header) < _HEADER_SIZE or header[:2] != _MAGIC:
-            break                      # torn tail / lost framing: stop
-        length = int.from_bytes(header[2:6], "big")
-        end = offset + _HEADER_SIZE + length
-        if length > _MAX_RECORD or end > size:
-            break                      # bad length / torn tail
-        payload = data[offset + _HEADER_SIZE:end]
-        offset = end
-        if zlib.crc32(payload) != int.from_bytes(header[6:10], "big"):
-            continue                   # corrupt record: owner quarantines
-        try:
-            record = pickle.loads(payload)
-        except Exception:
-            continue
+    for __, __, record, damage in walk_frames(data):
+        if damage is not None:
+            continue                   # the owner quarantines it
         if seq >= start:
             yield seq, record
         seq += 1

@@ -30,6 +30,47 @@ _HEADER_SIZE = 2 + 4 + 4
 _MAX_RECORD = 1 << 28
 
 
+def walk_frames(data):
+    """The one reader of the frame format: yield ``(start, end, record,
+    damage)`` for each frame of a journal image, in file order.
+
+    An intact frame has ``damage`` ``None`` and its decoded ``record``.
+    A damaged one has ``record`` ``None`` and the quarantine reason:
+    ``"crc-mismatch"`` and ``"unpicklable"`` kept their framing, so the
+    walk goes on at ``end``; ``"torn-tail"``, ``"lost-framing"`` and
+    ``"bad-length"`` did not — ``end`` is ``None``, everything from
+    ``start`` on is lost, and the walk is over.
+    """
+    offset = 0
+    size = len(data)
+    while offset < size:
+        header = data[offset:offset + _HEADER_SIZE]
+        length = int.from_bytes(header[2:6], "big")
+        end = offset + _HEADER_SIZE + length
+        if len(header) < _HEADER_SIZE:
+            damage = "torn-tail"
+        elif header[:2] != _MAGIC:
+            damage = "lost-framing"
+        elif length > _MAX_RECORD:
+            damage = "bad-length"
+        else:
+            damage = "torn-tail" if end > size else None
+        if damage is not None:
+            yield offset, None, None, damage
+            return
+        payload = data[offset + _HEADER_SIZE:end]
+        record = None
+        if zlib.crc32(payload) != int.from_bytes(header[6:10], "big"):
+            damage = "crc-mismatch"
+        else:
+            try:
+                record = pickle.loads(payload)
+            except Exception:
+                damage = "unpicklable"
+        yield offset, end, record, damage
+        offset = end
+
+
 class JournalReplay:
     """Outcome of replaying one journal file."""
 
@@ -72,47 +113,19 @@ class Journal:
                 data = handle.read()
         except FileNotFoundError:
             data = b""
-        offset = 0
         truncate_at = None
-        size = len(data)
-        while offset < size:
-            header = data[offset:offset + _HEADER_SIZE]
-            if len(header) < _HEADER_SIZE or header[:2] != _MAGIC:
-                reason = ("torn-tail" if len(header) < _HEADER_SIZE
-                          else "lost-framing")
-                self._quarantine(quarantine, data[offset:], reason, replay)
-                truncate_at = offset
-                break
-            length = int.from_bytes(header[2:6], "big")
-            end = offset + _HEADER_SIZE + length
-            if length > _MAX_RECORD:
-                self._quarantine(quarantine, data[offset:], "bad-length",
-                                 replay)
-                truncate_at = offset
-                break
-            if end > size:
-                self._quarantine(quarantine, data[offset:], "torn-tail",
-                                 replay)
-                truncate_at = offset
-                break
-            payload = data[offset + _HEADER_SIZE:end]
-            if zlib.crc32(payload) != int.from_bytes(header[6:10], "big"):
-                self._quarantine(quarantine, data[offset:end],
-                                 "crc-mismatch", replay)
-                offset = end
+        for start, end, record, damage in walk_frames(data):
+            if damage is None:
+                replay.records.append(record)
+                replay.replayed += 1
                 continue
-            try:
-                record = pickle.loads(payload)
-            except Exception:
-                self._quarantine(quarantine, data[offset:end],
-                                 "unpicklable", replay)
-                offset = end
-                continue
-            replay.records.append(record)
-            replay.replayed += 1
-            offset = end
+            replay.quarantined += 1
+            if quarantine is not None:
+                quarantine(data[start:end], damage)
+            if end is None:
+                truncate_at = start
         if truncate_at is not None:
-            replay.torn_bytes = size - truncate_at
+            replay.torn_bytes = len(data) - truncate_at
             with open(self.path, "r+b") as handle:
                 handle.truncate(truncate_at)
                 handle.flush()
@@ -123,11 +136,6 @@ class Journal:
             self._count("checkpoint_journal_records_quarantined",
                         replay.quarantined)
         return replay
-
-    def _quarantine(self, quarantine, raw, reason, replay):
-        replay.quarantined += 1
-        if quarantine is not None and raw:
-            quarantine(raw, reason)
 
     # -- append ------------------------------------------------------------
 

@@ -11,17 +11,19 @@ For mail hostnames it collects IMAP/POP3/SMTP greeting banners instead.
 
 import re
 
-from repro.dnswire.constants import QTYPE_A, RCODE_NOERROR
-from repro.dnswire.message import Message
+from repro.dnswire.client import ask
+from repro.dnswire.constants import RCODE_NOERROR
 from repro.dnswire.name import normalize_name
 from repro.netsim.address import is_private
-from repro.netsim.network import UdpPacket
 from repro.websim.http import HttpRequest
 from repro.websim.mail import MAIL_PORTS
 
 _IFRAME_RE = re.compile(r"""<iframe\b[^>]*\bsrc\s*=\s*["']([^"']+)["']""",
                         re.IGNORECASE)
 _URL_RE = re.compile(r"^(https?)://([^/]+)(/.*)?$", re.IGNORECASE)
+
+# UDP source port: it keys packet fates (DESIGN.md "Stub DNS client").
+SOURCE_PORT = 31600
 
 
 class HttpCapture:
@@ -74,11 +76,10 @@ class DataAcquirer:
     """Fetches HTTP(S) content and mail banners for response tuples."""
 
     def __init__(self, network, source_ip, max_redirects=2,
-                 source_port=31600, fetch_timeout=None, error_budget=None):
+                 fetch_timeout=None, error_budget=None):
         self.network = network
         self.source_ip = source_ip
         self.max_redirects = max_redirects
-        self.source_port = source_port
         # Timeout bound on every TCP fetch (HTTP and banner connects):
         # a fault-injected stall past this fails the fetch instead of
         # hanging the whole acquisition stage.
@@ -97,18 +98,10 @@ class DataAcquirer:
     def _resolve_at(self, resolver_ip, name):
         """Resolve ``name`` at the resolver under study (redirect chasing)."""
         self._txid = (self._txid + 1) & 0xFFFF
-        query = Message.query(name, qtype=QTYPE_A, txid=self._txid)
-        packet = UdpPacket(self.source_ip, self.source_port, resolver_ip,
-                           53, query.to_wire())
-        for response in self.network.send_udp(packet):
-            try:
-                message = Message.from_wire(response.packet.payload)
-            except ValueError:
-                continue
-            if message.header.qr and message.header.txid == self._txid:
-                if message.rcode == RCODE_NOERROR:
-                    return message.a_addresses()
-                return []
+        answers = ask(self.network, self.source_ip, SOURCE_PORT,
+                      resolver_ip, name, self._txid)
+        if answers and answers[0][0].rcode == RCODE_NOERROR:
+            return answers[0][0].a_addresses()
         return []
 
     # -- HTTP -----------------------------------------------------------------

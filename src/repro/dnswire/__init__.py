@@ -4,6 +4,8 @@ This package implements the on-the-wire DNS format used by every other
 subsystem: the scanners craft real DNS query packets with it, the simulated
 resolvers and authoritative servers parse and answer them, and the analysis
 pipeline decodes the responses.  Nothing above this layer touches raw bytes.
+:mod:`repro.dnswire.client` (imported by name, since it needs the network
+simulator) is the one client-side exchange built on it.
 """
 
 from repro.dnswire.constants import (

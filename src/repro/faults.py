@@ -34,7 +34,7 @@ campaign anywhere and assert a resumed run converges bit-identically.
 
 import zlib
 
-_M64 = (1 << 64) - 1
+from repro.util import M64, mix64
 
 # Exit code for a run terminated by an injected crash (BSD EX_SOFTWARE).
 CRASH_EXIT_CODE = 70
@@ -53,17 +53,6 @@ class InjectedCrash(BaseException):
         super().__init__("injected %s crash at %s" % (kind, point))
         self.kind = kind
         self.point = point
-
-
-def _mix64(value):
-    """splitmix64 finaliser (see :mod:`repro.netsim.network`)."""
-    value &= _M64
-    value ^= value >> 30
-    value = (value * 0xBF58476D1CE4E5B9) & _M64
-    value ^= value >> 27
-    value = (value * 0x94D049BB133111EB) & _M64
-    value ^= value >> 31
-    return value
 
 
 # Fault-plane salts: disjoint from the network's packet-fate salts
@@ -261,16 +250,16 @@ class FaultPlan:
             profile = PROFILES[profile]
         self.profile = profile
         self.seed = seed
-        self._seed_high = (_mix64(seed ^ 0xFA017) << 1) & _M64
+        self._seed_high = (mix64(seed ^ 0xFA017) << 1) & M64
 
     # -- draw primitives --------------------------------------------------
 
     def _chance(self, salt, key, occurrence, rate):
         if rate <= 0.0:
             return False
-        draw = _mix64(self._seed_high ^ (salt << 56) ^ (key & _M64)
-                      ^ _mix64(occurrence + 1))
-        return draw < rate * (_M64 + 1)
+        draw = mix64(self._seed_high ^ (salt << 56) ^ (key & M64)
+                     ^ mix64(occurrence + 1))
+        return draw < rate * (M64 + 1)
 
     # -- UDP query plane --------------------------------------------------
 
@@ -399,7 +388,7 @@ class FaultPlan:
             return False
         if not self._chance(_SALT_FLAP, ip_int, 0, profile.flap_share):
             return False
-        phase = _mix64(self._seed_high ^ (_SALT_FLAP << 48) ^ ip_int) \
+        phase = mix64(self._seed_high ^ (_SALT_FLAP << 48) ^ ip_int) \
             % profile.flap_period
         week = int(now // _WEEK)
         position = (week + phase) % profile.flap_period

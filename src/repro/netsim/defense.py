@@ -49,9 +49,7 @@ and tallies via ``count_fault`` so the counters survive forked workers.
 
 from repro.netsim.address import RangeIndex, ip_to_int
 from repro.netsim.middlebox import Middlebox, PATH_DROP, PATH_IGNORE
-from repro.netsim.network import _mix64
-
-_M64 = (1 << 64) - 1
+from repro.util import M64, mix64
 
 # Hash salts for defense draws — disjoint from the network's packet-fate
 # salts (0x51-0x54), the fault plane's (0x55-0x57, 0x61-0x6A).
@@ -73,9 +71,9 @@ TARPIT_STALL_COUNTER = "tarpit_stall_ms"
 
 def _draw(seed, salt, src_int, dst_int):
     """Uniform 64-bit draw, pure in (seed, salt, src, dst)."""
-    return _mix64(((seed & 0xFFFFFFFF) << 24) ^ (salt << 56) ^
-                  ((src_int * 0x9E3779B1) & _M64) ^
-                  ((dst_int * 0x85EBCA77) & _M64))
+    return mix64(((seed & 0xFFFFFFFF) << 24) ^ (salt << 56) ^
+                 ((src_int * 0x9E3779B1) & M64) ^
+                 ((dst_int * 0x85EBCA77) & M64))
 
 
 class DefenseMiddlebox(Middlebox):
@@ -192,7 +190,7 @@ class TokenBucketRateLimiter(DefenseMiddlebox):
             share = min(1.0 - self.sustainable_pps / rate_bucket,
                         self.overload_drop_share)
         draw = _draw(self.seed, _SALT_RATE_LIMIT, src_int, dst_int)
-        if draw < int(share * _M64):
+        if draw < int(share * M64):
             return CAUSE_RATE_LIMITED
         return None
 
@@ -233,7 +231,7 @@ class ReactiveBlocklister(DefenseMiddlebox):
             return CAUSE_BLOCKLISTED
         if rate_bucket >= self.warn_pps:
             draw = _draw(self.seed, _SALT_BLOCKLIST, src_int, dst_int)
-            if draw < int(self.warn_drop_share * _M64):
+            if draw < int(self.warn_drop_share * M64):
                 return CAUSE_BLOCKLIST_WARNING
         return None
 
@@ -274,7 +272,7 @@ class Tarpit(DefenseMiddlebox):
             return None
         if self.trap_share < 1.0:
             draw = _draw(self.seed, _SALT_TARPIT, src_int, dst_int)
-            if draw >= int(self.trap_share * _M64):
+            if draw >= int(self.trap_share * M64):
                 return None
         return CAUSE_TARPIT
 
@@ -282,7 +280,7 @@ class Tarpit(DefenseMiddlebox):
         """Virtual seconds one trapped flow burns, seeded per flow."""
         lo, hi = self.stall_range
         draw = _draw(self.seed, _SALT_STALL, src_int, dst_int)
-        return lo + (draw / _M64) * (hi - lo)
+        return lo + (draw / M64) * (hi - lo)
 
     def _on_drop(self, src_ip, dst_int, network):
         network.count_fault(self.drop_cause)

@@ -16,24 +16,7 @@ from repro.netsim.middlebox import (
     PATH_INSPECT,
     Middlebox,
 )
-
-# splitmix64 finaliser: mixes a flow key into an evenly distributed
-# 64-bit value.  Used for packet-fate decisions (loss, corruption) so the
-# outcome of each delivery is a pure function of (network seed, flow,
-# occurrence) — independent of how concurrent flows interleave, which is
-# what lets sharded scan workers reproduce a sequential scan exactly.
-_M64 = (1 << 64) - 1
-
-
-def _mix64(value):
-    value &= _M64
-    value ^= value >> 30
-    value = (value * 0xBF58476D1CE4E5B9) & _M64
-    value ^= value >> 27
-    value = (value * 0x94D049BB133111EB) & _M64
-    value ^= value >> 31
-    return value
-
+from repro.util import M64, mix64
 
 _SALT_QUERY_LOSS = 0x51
 _SALT_RESPONSE_LOSS = 0x52
@@ -183,7 +166,7 @@ class Network:
         # 4-tuple -> unsalted flow key, occurrence -> mixed occurrence.
         self._flow_key_cache = {}
         self._occurrence_mix = {}
-        self._seed_high = (seed << 32) & _M64
+        self._seed_high = (seed << 32) & M64
         self.udp_queries_sent = 0
         self.udp_queries_lost = 0
         self.udp_responses_corrupted = 0
@@ -288,8 +271,8 @@ class Network:
             ip_to_int(src_ip) * 0x9E3779B1 ^ ip_to_int(dst_ip) * 0x85EBCA77
             ^ port << 1)
         occurrence = self._occurrence(key)
-        draw = _mix64(self._seed_high ^ key ^ _mix64(occurrence + 1))
-        return draw < loss_rate * (_M64 + 1)
+        draw = mix64(self._seed_high ^ key ^ mix64(occurrence + 1))
+        return draw < loss_rate * (M64 + 1)
 
     def _tcp_connect(self, src_ip, dst_ip, port, timeout):
         """Fault hook for one TCP connect; False = failed (hung past
@@ -344,10 +327,10 @@ class Network:
         self._flow_counts[key] = occurrence + 1
         mixed = self._occurrence_mix.get(occurrence)
         if mixed is None:
-            mixed = _mix64(occurrence + 1)
+            mixed = mix64(occurrence + 1)
             self._occurrence_mix[occurrence] = mixed
-        draw = _mix64(self._seed_high ^ key ^ mixed)
-        return draw < rate * (_M64 + 1)
+        draw = mix64(self._seed_high ^ key ^ mixed)
+        return draw < rate * (M64 + 1)
 
     # -- batched scan sweep ------------------------------------------------
     #
@@ -521,21 +504,21 @@ class Network:
         are lost: bit-identical to the draws :meth:`send_probe`
         computes, because they *are* the same pure hash of (seed, salt,
         flow, occurrence)."""
-        scaled_rate = self.loss_rate * (_M64 + 1)
+        scaled_rate = self.loss_rate * (M64 + 1)
         seed_high = self._seed_high
-        occurrences = [_mix64(occurrence + 1)
+        occurrences = [mix64(occurrence + 1)
                        for occurrence in range(attempts)]
         lost = bytearray(len(addresses))
         for position, value in enumerate(addresses):
             key = seed_high ^ flow_const ^ value * 0x85EBCA77
             for mixed in occurrences:
-                # splitmix64 finaliser, inlined (== _mix64); the key
-                # matches send_probe's query-loss key exactly.
-                draw = (key ^ mixed) & _M64
+                # repro.util.mix64, inlined; the key matches
+                # send_probe's query-loss key exactly.
+                draw = (key ^ mixed) & M64
                 draw ^= draw >> 30
-                draw = (draw * 0xBF58476D1CE4E5B9) & _M64
+                draw = (draw * 0xBF58476D1CE4E5B9) & M64
                 draw ^= draw >> 27
-                draw = (draw * 0x94D049BB133111EB) & _M64
+                draw = (draw * 0x94D049BB133111EB) & M64
                 draw ^= draw >> 31
                 if draw < scaled_rate:
                     lost[position] += 1
@@ -623,8 +606,8 @@ class Network:
             recorder.record(self.clock.now, "lost", src_ip, dst_int,
                             drop_cause or "middlebox_drop")
         if delivered and loss_rate > 0:
-            # Query-loss fate, inlined (bit-identical to _packet_fate
-            # with _SALT_QUERY_LOSS): one draw per probe is the single
+            # Query-loss fate: _packet_fate with _SALT_QUERY_LOSS and
+            # repro.util.mix64, inlined — one draw per probe is the
             # hottest fate decision, so it skips the call overhead.
             now = self.clock.now
             if now != self._flow_epoch:
@@ -637,15 +620,15 @@ class Network:
             self._flow_counts[key] = occurrence + 1
             mixed = self._occurrence_mix.get(occurrence)
             if mixed is None:
-                mixed = _mix64(occurrence + 1)
+                mixed = mix64(occurrence + 1)
                 self._occurrence_mix[occurrence] = mixed
-            draw = (self._seed_high ^ key ^ mixed) & _M64
+            draw = (self._seed_high ^ key ^ mixed) & M64
             draw ^= draw >> 30
-            draw = (draw * 0xBF58476D1CE4E5B9) & _M64
+            draw = (draw * 0xBF58476D1CE4E5B9) & M64
             draw ^= draw >> 27
-            draw = (draw * 0x94D049BB133111EB) & _M64
+            draw = (draw * 0x94D049BB133111EB) & M64
             draw ^= draw >> 31
-            delivered = draw >= loss_rate * (_M64 + 1)
+            delivered = draw >= loss_rate * (M64 + 1)
             if not delivered and recorder is not None:
                 recorder.record(now, "lost", src_ip, dst_int,
                                 "baseline_loss")

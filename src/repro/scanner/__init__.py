@@ -5,7 +5,9 @@ address encoded in the query name, weekly scan campaigns with blacklisting
 and verification scans, CHAOS software fingerprinting, TCP banner grabbing
 with a regex fingerprint database, DNS cache snooping, and the domain
 scans whose responses feed the classification pipeline (resolver identity
-encoded in txid bits + UDP source port + 0x20 case pattern).
+encoded in txid bits + UDP source port + 0x20 case pattern).  Every probe
+but the IPv4 sweep sends through the one stub client,
+:func:`repro.dnswire.client.ask`, and is a decoder over what it accepts.
 """
 
 from repro.scanner.lfsr import LFSR, MAXIMAL_TAPS

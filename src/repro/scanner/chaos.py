@@ -6,13 +6,15 @@ NOERROR without version data, administrator-hidden strings, or a usable
 software/version string.
 """
 
+from repro.dnswire.client import ask
 from repro.dnswire.constants import (
     CLASS_CH,
     QTYPE_TXT,
     RCODE_NOERROR,
 )
-from repro.dnswire.message import Message
-from repro.netsim.network import UdpPacket
+
+# UDP source port: it keys packet fates (DESIGN.md "Stub DNS client").
+SOURCE_PORT = 31400
 
 # Response-pair classification outcomes.
 OUTCOME_ERROR = "error"            # REFUSED/SERVFAIL for both queries
@@ -40,28 +42,17 @@ class ChaosScanner:
 
     QUERY_NAMES = ("version.bind", "version.server")
 
-    def __init__(self, network, source_ip, version_matcher=None,
-                 source_port=31400):
+    def __init__(self, network, source_ip):
         self.network = network
         self.source_ip = source_ip
-        self.source_port = source_port
-        self.version_matcher = version_matcher
         self._txid = 0
 
     def _ask(self, resolver_ip, qname):
         self._txid = (self._txid + 1) & 0xFFFF
-        query = Message.query(qname, qtype=QTYPE_TXT, qclass=CLASS_CH,
-                              txid=self._txid)
-        packet = UdpPacket(self.source_ip, self.source_port,
-                           resolver_ip, 53, query.to_wire())
-        for response in self.network.send_udp(packet):
-            try:
-                message = Message.from_wire(response.packet.payload)
-            except ValueError:
-                continue
-            if message.header.qr and message.header.txid == self._txid:
-                return message
-        return None
+        answers = ask(self.network, self.source_ip, SOURCE_PORT,
+                      resolver_ip, qname, self._txid, qtype=QTYPE_TXT,
+                      qclass=CLASS_CH)
+        return answers[0][0] if answers else None
 
     def _txt_value(self, message):
         if message is None or message.rcode != RCODE_NOERROR:
@@ -74,9 +65,7 @@ class ChaosScanner:
         return None
 
     def _looks_like_version(self, text):
-        """Heuristic + catalog: does the string identify real software?"""
-        if self.version_matcher is not None:
-            return self.version_matcher(text) is not None
+        """Heuristic: does the string identify real software?"""
         lowered = text.lower()
         has_digit = any(ch.isdigit() for ch in lowered)
         known = any(token in lowered for token in (

@@ -52,7 +52,8 @@ refresh probes before re-entering an interrupted escalation sweep).
 """
 
 from repro.netsim.address import int_to_ip
-from repro.scanner.ipv4scan import ScanResult, ScanTargetSpace, _mix64
+from repro.scanner.ipv4scan import ScanResult, ScanTargetSpace
+from repro.util import M64, mix64
 
 # Attribution causes (flight recorder + provenance + carried tallies).
 DELTA_CAUSE_PREFIX = "delta:"
@@ -64,7 +65,6 @@ CAUSE_GLOBAL_DRIFT = "delta:global-drift"  # campaign-wide escalation
 CAUSE_FULL_SWEEP = "delta:full-sweep"     # scheduled re-baselining sweep
 
 _SALT_AUDIT = 0xA7
-_M64 = (1 << 64) - 1
 
 
 class DeltaConfig:
@@ -149,9 +149,9 @@ def audit_sample(identity, epoch, values, fraction):
     successive weeks audit different slices of the carried set.
     """
     threshold = int(fraction * float(1 << 64))
-    salt = (_SALT_AUDIT << 56) ^ (identity & _M64) ^ ((epoch & _M64) << 8)
+    salt = (_SALT_AUDIT << 56) ^ (identity & M64) ^ ((epoch & M64) << 8)
     return {value for value in values
-            if _mix64(salt ^ (value * 0x9E3779B1)) < threshold}
+            if mix64(salt ^ (value * 0x9E3779B1)) < threshold}
 
 
 def _record_delta_event(network, source_ip, dst, cause):

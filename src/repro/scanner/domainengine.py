@@ -28,8 +28,6 @@ worker-local resolver-cache warm-ups are deliberately dropped (replays
 from the identical pre-fork state produce identical answers).
 """
 
-import time
-
 from repro.checkpoint import NULL_SCOPE
 from repro.obs.trace import span
 from repro.scanner.engine import ShardedEngine
@@ -137,14 +135,14 @@ class DomainScanEngine(ShardedEngine):
         observations delivered instead of a list, so the engine never
         accumulates the full observation set.
         """
-        start = time.perf_counter()
         resolver_ips = list(resolver_ips)
         domains = list(domains)
         ranges = self.shard_ranges(len(resolver_ips))
         self.provenance = []
-        with span(getattr(self.scanner, "network", None),
-                  "domain_scan_engine", resolvers=len(resolver_ips),
-                  domains=len(domains), shards=len(ranges)):
+        with self._measured("domain_scan_wall", "domain_scans_run"), \
+                span(self.network, "domain_scan_engine",
+                     resolvers=len(resolver_ips), domains=len(domains),
+                     shards=len(ranges)):
             if len(ranges) <= 1 or not self.can_fork:
                 observations = self.scanner.scan(resolver_ips, domains)
                 if consume is not None:
@@ -155,10 +153,6 @@ class DomainScanEngine(ShardedEngine):
                 observations = self._scan_forked(
                     resolver_ips, domains, ranges,
                     checkpoint or NULL_SCOPE, consume)
-        if self.perf is not None:
-            self.perf.record_seconds("domain_scan_wall",
-                                     time.perf_counter() - start)
-            self.perf.count("domain_scans_run")
         return observations
 
     def _scan_forked(self, resolver_ips, domains, ranges, checkpoint,

@@ -9,9 +9,8 @@ query, which is how the Great Firewall's injected-then-genuine double
 answers are detected (§4.2).
 """
 
+from repro.dnswire.client import ask
 from repro.dnswire.constants import QTYPE_NS, RCODE_NOERROR
-from repro.dnswire.message import Message
-from repro.netsim.network import UdpPacket
 from repro.scanner.encoding import ResolverIdCodec
 from repro.scanner.options import CHUNK_ROWS
 
@@ -74,19 +73,11 @@ class DomainScanner:
         """Query one domain at one resolver; returns a
         :class:`DnsObservation` or ``None`` when no response arrived."""
         txid, src_port, cased_qname = self.codec.encode(resolver_id, domain)
-        query = Message.query(cased_qname, txid=txid)
-        packet = UdpPacket(self.source_ip, src_port, resolver_ip, 53,
-                           query.to_wire())
         self.queries_sent += 1
         responses = []
         injected = False
-        for response in self.network.send_udp(packet):
-            try:
-                message = Message.from_wire(response.packet.payload)
-            except ValueError:
-                continue
-            if not message.header.qr:
-                continue
+        for message, response in ask(self.network, self.source_ip, src_port,
+                                     resolver_ip, cased_qname, txid):
             echoed = (message.question.name if message.question
                       else cased_qname)
             decoded_id = self.codec.decode(

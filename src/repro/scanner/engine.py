@@ -70,6 +70,7 @@ import select
 import signal
 import time
 from collections import deque
+from contextlib import contextmanager
 
 from repro.checkpoint import NULL_SCOPE, Ledger, apply_delta
 from repro.obs.trace import span
@@ -480,6 +481,9 @@ class ShardedEngine:
     def __init__(self, scanner, options=None, perf=None,
                  heartbeat_timeout=None):
         self.scanner = scanner
+        # Held apart from the scanner: a stand-in scanner swapped in
+        # later (the pipeline's degradation tests) need not carry one.
+        self.network = scanner.network
         self.options = options or ScanOptions()
         self.perf = perf
         self.heartbeat_timeout = heartbeat_timeout
@@ -487,6 +491,20 @@ class ShardedEngine:
     @property
     def can_fork(self):
         return hasattr(os, "fork")
+
+    @contextmanager
+    def _measured(self, timer, counter):
+        """Account one whole scan (in-process or forked) to ``perf``:
+        its wall time, its count, and the ``fault_*`` deltas of every
+        fault the plan injected or the scan absorbed meanwhile."""
+        start = time.perf_counter()
+        ledger = Ledger(self.network)
+        yield
+        if self.perf is not None:
+            self.perf.record_seconds(timer, time.perf_counter() - start)
+            self.perf.count(counter)
+            for name, amount in ledger.fault_delta().items():
+                self.perf.count("fault_" + name, amount)
 
     def _run_sharded(self, scan, ranges, checkpoint, reassemble, deliver):
         """Drive ``scan(index_range=..., ...)`` over ``ranges`` in forked
@@ -577,23 +595,14 @@ class ScanEngine(ShardedEngine):
         single-process scan has no sub-scan units; its enclosing
         campaign week is the unit of durability.)
         """
-        start = time.perf_counter()
-        network = self.scanner.network
-        ledger = Ledger(network)
         ranges = target_space.shard_ranges(self.options.shards)
-        with span(network, "scan", shards=len(ranges)):
+        with self._measured("scan_wall", "scans_run"), \
+                span(self.network, "scan", shards=len(ranges)):
             if len(ranges) <= 1 or not self.can_fork:
                 result = self.scanner.scan(target_space)
             else:
                 result = self._scan_forked(target_space, ranges,
                                            checkpoint or NULL_SCOPE)
-        if self.perf is not None:
-            self.perf.record_seconds("scan_wall",
-                                     time.perf_counter() - start)
-            self.perf.count("scans_run")
-            # Flush this scan's injected/absorbed fault deltas.
-            for name, amount in ledger.fault_delta().items():
-                self.perf.count("fault_" + name, amount)
         return result
 
     def _scan_forked(self, target_space, ranges, checkpoint):

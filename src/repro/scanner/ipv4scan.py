@@ -59,19 +59,7 @@ from repro.scanner.encoding import ProbeBatchEncoder
 from repro.scanner.lfsr import LFSR, TargetBatchIterator, permutation
 from repro.scanner.options import BACKOFF, CHUNK_ROWS, ScanOptions
 from repro.scanner.pacing import build_pacing_plan, defense_plane
-
-_M64 = (1 << 64) - 1
-
-
-def _mix64(value):
-    """splitmix64 finaliser (see :mod:`repro.netsim.network`)."""
-    value &= _M64
-    value ^= value >> 30
-    value = (value * 0xBF58476D1CE4E5B9) & _M64
-    value ^= value >> 27
-    value = (value * 0x94D049BB133111EB) & _M64
-    value ^= value >> 31
-    return value
+from repro.util import M64, mix64
 
 
 def _networks_intersect(left, right):
@@ -670,7 +658,7 @@ class Ipv4Scanner:
         # scanner (different source) must not reuse the primary
         # scanner's query names even when probing the same target at the
         # same simulated time.
-        self._identity = _mix64(
+        self._identity = mix64(
             (ip_to_int(source_ip) << 17) ^ source_port ^ lfsr_seed)
         # The pacing plan of the scan in progress: (columns, clock,
         # plan).  Built once per scan — by prewarm in the parent when
@@ -921,14 +909,14 @@ class Ipv4Scanner:
                         network.scan_rate_bucket = paced_rates(
                             value, base_bucket)
                     targets += 1
-                    # Probe identity: splitmix64 finaliser, inlined
-                    # (== _mix64) — a pure hash of (scanner, epoch,
-                    # target), independent of probe order.
-                    key = (seed_epoch ^ value) & _M64
+                    # Probe identity: repro.util.mix64, inlined — a
+                    # pure hash of (scanner, epoch, target),
+                    # independent of probe order.
+                    key = (seed_epoch ^ value) & M64
                     key ^= key >> 30
-                    key = (key * 0xBF58476D1CE4E5B9) & _M64
+                    key = (key * 0xBF58476D1CE4E5B9) & M64
                     key ^= key >> 27
-                    key = (key * 0x94D049BB133111EB) & _M64
+                    key = (key * 0x94D049BB133111EB) & M64
                     key ^= key >> 31
                     txid, payload = encode(key, value)
                     target_ip = int_to_ip(value)

@@ -39,20 +39,9 @@ from itertools import compress
 
 from repro.netsim.address import RangeIndex
 from repro.netsim.defense import CAUSE_BLOCKLISTED
+from repro.util import mix64
 
-_M64 = (1 << 64) - 1
 _SALT_REENTRY = 0x76
-
-
-def _mix64(value):
-    """splitmix64 finaliser (see :mod:`repro.netsim.network`)."""
-    value &= _M64
-    value ^= value >> 30
-    value = (value * 0xBF58476D1CE4E5B9) & _M64
-    value ^= value >> 27
-    value = (value * 0x94D049BB133111EB) & _M64
-    value ^= value >> 31
-    return value
 
 
 class PacingConfig:
@@ -314,10 +303,10 @@ def build_pacing_plan(plane, src_int, identity, walk, selector,
             window.dark_cause = fate
             continue
         window.trips += 1
-        jitter = _mix64((_SALT_REENTRY << 56) ^ identity
-                        ^ window.base * 0x9E3779B1
-                        ^ range_base * 0x85EBCA77
-                        ^ window.trips) % (config.cooloff_jitter or 1)
+        jitter = mix64((_SALT_REENTRY << 56) ^ identity
+                       ^ window.base * 0x9E3779B1
+                       ^ range_base * 0x85EBCA77
+                       ^ window.trips) % (config.cooloff_jitter or 1)
         if fate == CAUSE_BLOCKLISTED:
             # The blocklist entry decays after a seeded span (the box's
             # ban_span); suppress exactly that many targets, then

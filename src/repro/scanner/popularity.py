@@ -14,9 +14,10 @@ over several cycles.  The mean observed gap estimates the per-TLD
 request rate; aggregated over TLDs it ranks resolvers by client load.
 """
 
-from repro.dnswire.constants import QTYPE_NS
-from repro.dnswire.message import Message
-from repro.netsim.network import UdpPacket
+from repro.scanner.snooping import snoop_ns_ttl
+
+# UDP source port: it keys packet fates (DESIGN.md "Stub DNS client").
+SOURCE_PORT = 31700
 
 CLASS_HEAVY = "heavy"        # re-adds within seconds: busy resolver
 CLASS_MODERATE = "moderate"  # re-adds within minutes
@@ -74,7 +75,7 @@ class PopularityProber:
 
     def __init__(self, network, source_ip, tlds, fine_interval=0.5,
                  coarse_interval=600.0, fine_window=30.0,
-                 max_fine_probes=4000, source_port=31700):
+                 max_fine_probes=4000):
         self.network = network
         self.source_ip = source_ip
         self.tlds = tuple(tlds)
@@ -82,7 +83,6 @@ class PopularityProber:
         self.coarse_interval = coarse_interval
         self.fine_window = fine_window
         self.max_fine_probes = max_fine_probes
-        self.source_port = source_port
         self._txid = 0
         self.probes_sent = 0
 
@@ -90,22 +90,9 @@ class PopularityProber:
         """One NS probe; returns the observed TTL, ``None`` when silent
         or uncached, ``"empty"`` for empty answers."""
         self._txid = (self._txid + 1) & 0xFFFF
-        query = Message.query(tld, qtype=QTYPE_NS, txid=self._txid,
-                              rd=False)
-        packet = UdpPacket(self.source_ip, self.source_port, resolver_ip,
-                           53, query.to_wire())
         self.probes_sent += 1
-        for response in self.network.send_udp(packet):
-            try:
-                message = Message.from_wire(response.packet.payload)
-            except ValueError:
-                continue
-            if not message.header.qr or message.header.txid != self._txid:
-                continue
-            ttls = [record.ttl for record in message.answers
-                    if record.rtype == QTYPE_NS]
-            return max(ttls) if ttls else "empty"
-        return None
+        return snoop_ns_ttl(self.network, self.source_ip, SOURCE_PORT,
+                            resolver_ip, tld, self._txid)
 
     def _measure_one_gap(self, resolver_ip, tld):
         """Track one expiry/re-add cycle; returns the gap or ``None``.

@@ -7,10 +7,25 @@ a TLD whose entry expires and later reappears at full TTL was re-added by
 a real client, so the resolver is in use.
 """
 
+from repro.dnswire.client import ask
 from repro.dnswire.constants import QTYPE_NS
-from repro.dnswire.message import Message
-from repro.netsim.clock import HOUR
-from repro.netsim.network import UdpPacket
+
+# UDP source port: it keys packet fates (DESIGN.md "Stub DNS client").
+SOURCE_PORT = 31500
+
+
+def snoop_ns_ttl(network, source_ip, source_port, resolver_ip, tld, txid):
+    """One non-recursive NS probe, decoded from the first accepted
+    answer: its largest NS TTL, ``"empty"`` when it carries no NS
+    record, ``None`` when nothing acceptable arrived."""
+    # rd=False: cache snooping must not trigger recursion itself.
+    answers = ask(network, source_ip, source_port, resolver_ip, tld, txid,
+                  qtype=QTYPE_NS, rd=False)
+    if not answers:
+        return None
+    ttls = [record.ttl for record in answers[0][0].answers
+            if record.rtype == QTYPE_NS]
+    return max(ttls) if ttls else "empty"
 
 
 class SnoopingTrace:
@@ -44,34 +59,18 @@ class CacheSnoopingProber:
     """Runs the periodic snooping probes against a resolver sample."""
 
     def __init__(self, network, source_ip, tlds, interval_minutes=60,
-                 duration_hours=36, source_port=31500):
+                 duration_hours=36):
         self.network = network
         self.source_ip = source_ip
         self.tlds = tuple(tlds)
         self.interval_minutes = interval_minutes
         self.duration_hours = duration_hours
-        self.source_port = source_port
         self._txid = 0
 
     def _ask(self, resolver_ip, tld):
         self._txid = (self._txid + 1) & 0xFFFF
-        # rd=False: cache snooping must not trigger recursion itself.
-        query = Message.query(tld, qtype=QTYPE_NS, txid=self._txid, rd=False)
-        packet = UdpPacket(self.source_ip, self.source_port,
-                           resolver_ip, 53, query.to_wire())
-        for response in self.network.send_udp(packet):
-            try:
-                message = Message.from_wire(response.packet.payload)
-            except ValueError:
-                continue
-            if not message.header.qr or message.header.txid != self._txid:
-                continue
-            ns_ttls = [record.ttl for record in message.answers
-                       if record.rtype == QTYPE_NS]
-            if ns_ttls:
-                return max(ns_ttls)
-            return "empty"
-        return None
+        return snoop_ns_ttl(self.network, self.source_ip, SOURCE_PORT,
+                            resolver_ip, tld, self._txid)
 
     def run(self, resolver_ips):
         """Probe all resolvers for the configured duration.

@@ -2,6 +2,27 @@
 
 import zlib
 
+M64 = (1 << 64) - 1
+
+
+def mix64(value):
+    """splitmix64 finaliser: an evenly distributed 64-bit mix of a key.
+
+    Packet fates, fault draws, probe identities and pacing jitter are
+    pure functions of (seed, flow, occurrence) through this hash —
+    independent of how concurrent flows interleave, which is what lets
+    sharded scan workers reproduce a sequential scan exactly.  The
+    per-probe loops (``Network.send_probe``, ``Network._query_losses``,
+    ``Ipv4Scanner._sweep``) inline it and say so.
+    """
+    value &= M64
+    value ^= value >> 30
+    value = (value * 0xBF58476D1CE4E5B9) & M64
+    value ^= value >> 27
+    value = (value * 0x94D049BB133111EB) & M64
+    value ^= value >> 31
+    return value
+
 
 def stable_hash(*parts):
     """A process-independent hash of the given parts.

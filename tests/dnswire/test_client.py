@@ -1,0 +1,279 @@
+"""The stub DNS client and its seven consumers, against fake networks.
+
+Three things no other suite shows: what :func:`repro.dnswire.client.ask`
+accepts when the peer is hostile (and that every consumer degrades to
+its "no answer" value instead of raising), that each consumer's
+``(source port, txid)`` sequence — the key of every packet fate — is
+the one the literals below pin, and that the trusted resolver's txid
+survives a checkpoint round trip.
+"""
+
+import random
+
+import pytest
+
+from repro.authdns.dnssec import ValidatingClient
+from repro.authdns.resolution import IterativeResolver
+from repro.checkpoint.state import capture_dns_caches, restore_dns_caches
+from repro.core.acquisition import DataAcquirer
+from repro.dnswire import (
+    CLASS_CH,
+    CLASS_IN,
+    QTYPE_A,
+    QTYPE_NS,
+    QTYPE_TXT,
+    RCODE_NOERROR,
+    RCODE_SERVFAIL,
+    Message,
+    ResourceRecord,
+)
+from repro.dnswire.client import ask
+from repro.netsim import SimClock
+from repro.netsim.network import UdpResponse
+from repro.resolvers import ResolverNode
+from repro.scanner.chaos import ChaosScanner
+from repro.scanner.domainscan import DomainScanner
+from repro.scanner.popularity import PopularityProber
+from repro.scanner.snooping import CacheSnoopingProber
+from tests.conftest import MiniWorld
+
+CLIENT = "198.51.100.7"
+SERVER = "203.0.113.9"
+ADDRESS = "192.0.2.80"
+NS_TTL = 777
+
+
+class ScriptedNetwork:
+    """Records every query's flow; answers with ``script(query)``'s
+    payloads, in order."""
+
+    def __init__(self, script=lambda query: ()):
+        self.clock = SimClock()
+        self.script = script
+        self.flows = []
+
+    def send_udp(self, packet):
+        query = Message.from_wire(packet.payload)
+        question = query.question
+        self.flows.append((packet.src_port, packet.dst_port,
+                           query.header.txid, query.header.rd,
+                           question.qtype, question.qclass, question.name))
+        return [UdpResponse(packet.reply(payload), 0.01 * (order + 1))
+                for order, payload in enumerate(self.script(query))]
+
+
+def genuine_answer(query):
+    """What an honest server would say, per question type."""
+    question = query.question
+    response = query.make_response()
+    if question.qtype == QTYPE_NS:
+        record = ResourceRecord.ns(question.name, "ns1.example", ttl=NS_TTL)
+    elif question.qtype == QTYPE_TXT:
+        record = ResourceRecord.txt(question.name, ["9.9.4-bind"])
+    else:
+        record = ResourceRecord.a(question.name, ADDRESS, ttl=60)
+    response.answers.append(record)
+    return response
+
+
+def hostile_peer(query, genuine=True):
+    """SNIPPETS.md Snippet 1's catalogue, in one exchange: garbage, a
+    truncation, the query echoed back (QR=0), another transaction's
+    answer, then — with ``genuine`` — an oversized answer and the
+    plain one."""
+    good = genuine_answer(query)
+    stranger = genuine_answer(query)
+    stranger.header.txid = (query.header.txid + 1) & 0xFFFF
+    oversized = genuine_answer(query)
+    oversized.additionals.extend(
+        ResourceRecord.txt("pad%d.example" % index, ["x" * 200])
+        for index in range(3))
+    assert len(oversized.to_wire()) > 512
+    payloads = [random.Random(query.header.txid).randbytes(40),
+                good.to_wire()[:8], query.to_wire(), stranger.to_wire()]
+    if genuine:
+        payloads += [oversized.to_wire(), good.to_wire()]
+    return payloads
+
+
+def only_hostile(query):
+    return hostile_peer(query, genuine=False)
+
+
+def drive_domainscan(network):
+    observation = DomainScanner(network, CLIENT).query_domain(
+        SERVER, 5, "example.com")
+    return observation and (observation.rcode, observation.addresses,
+                            len(observation.all_responses))
+
+
+def drive_snooping(network):
+    prober = CacheSnoopingProber(network, CLIENT, ["com"], duration_hours=0)
+    return prober.run([SERVER])[0].values_for("com")
+
+
+def drive_iterative(network):
+    result = IterativeResolver([SERVER], CLIENT).resolve(network,
+                                                         "example.com")
+    return result.rcode, result.a_addresses()
+
+
+# (consumer, drive, value when answered, value when nothing acceptable)
+CONSUMERS = [
+    ("domainscan", drive_domainscan, (RCODE_NOERROR, [ADDRESS], 2), None),
+    ("snooping", drive_snooping, [NS_TTL], [None]),
+    ("popularity",
+     lambda network: PopularityProber(network, CLIENT, ["com"])
+     ._observe_ttl(SERVER, "com"), NS_TTL, None),
+    ("chaos",
+     lambda network: ChaosScanner(network, CLIENT).probe(SERVER).outcome,
+     "version", "silent"),
+    ("acquisition",
+     lambda network: DataAcquirer(network, CLIENT)
+     ._resolve_at(SERVER, "example.com"), [ADDRESS], []),
+    ("iterative", drive_iterative, (RCODE_NOERROR, [ADDRESS]),
+     (RCODE_SERVFAIL, [])),
+    ("validating",
+     lambda network: ValidatingClient(network, CLIENT)
+     .query(SERVER, "example.com"), ([ADDRESS], False), ([], False)),
+]
+
+
+class TestHostilePeers:
+    def test_ask_keeps_only_matching_responses(self):
+        network = ScriptedNetwork(hostile_peer)
+        answers = ask(network, CLIENT, 31999, SERVER, "example.com", 7)
+        sent = hostile_peer(Message.query("example.com", txid=7))
+        assert [response.packet.payload for __, response in answers] \
+            == sent[-2:]
+        assert all(message.header.qr and message.header.txid == 7
+                   for message, __ in answers)
+
+    def test_ask_returns_nothing_without_a_matching_response(self):
+        network = ScriptedNetwork(only_hostile)
+        assert ask(network, CLIENT, 31999, SERVER, "example.com", 7) == []
+        assert len(network.flows) == 1
+
+    @pytest.mark.parametrize("name,drive,answered,silent", CONSUMERS,
+                             ids=[row[0] for row in CONSUMERS])
+    def test_consumer_decodes_or_reports_no_answer(self, name, drive,
+                                                   answered, silent):
+        assert drive(ScriptedNetwork(hostile_peer)) == answered
+        assert drive(ScriptedNetwork(only_hostile)) == silent
+
+
+def first_flows(drive):
+    network = ScriptedNetwork()
+    drive(network)
+    return network.flows[:3]
+
+
+def three_names(query):
+    for name in ("a.example", "b.example", "c.example"):
+        query(SERVER, name)
+
+
+# (src_port, dst_port, txid, rd, qtype, qclass, qname) of each consumer's
+# first three queries, captured at the commit before the shared client
+# existed (a6fa08e).  Packet fates are keyed by flow 4-tuple +
+# occurrence: a change here re-keys every loss, fault and corruption
+# draw of the study, so it must be deliberate.
+PINNED_FLOWS = {
+    "domainscan": [
+        (33000, 53, 0, True, QTYPE_A, CLASS_IN, "example.com"),
+        (33000, 53, 513, True, QTYPE_A, CLASS_IN, "bank.example.org"),
+        (33001, 53, 4464, True, QTYPE_A, CLASS_IN, "Example.com")],
+    "snooping": [
+        (31500, 53, 1, False, QTYPE_NS, CLASS_IN, "com"),
+        (31500, 53, 2, False, QTYPE_NS, CLASS_IN, "net"),
+        (31500, 53, 3, False, QTYPE_NS, CLASS_IN, "org")],
+    "popularity": [
+        (31700, 53, 1, False, QTYPE_NS, CLASS_IN, "com"),
+        (31700, 53, 2, False, QTYPE_NS, CLASS_IN, "com"),
+        (31700, 53, 3, False, QTYPE_NS, CLASS_IN, "net")],
+    "chaos": [
+        (31400, 53, 1, True, QTYPE_TXT, CLASS_CH, "version.bind"),
+        (31400, 53, 2, True, QTYPE_TXT, CLASS_CH, "version.server"),
+        (31400, 53, 3, True, QTYPE_TXT, CLASS_CH, "version.bind")],
+    "acquisition": [
+        (31600, 53, 1, True, QTYPE_A, CLASS_IN, "a.example"),
+        (31600, 53, 2, True, QTYPE_A, CLASS_IN, "b.example"),
+        (31600, 53, 3, True, QTYPE_A, CLASS_IN, "c.example")],
+    "iterative": [
+        (40002, 53, 2, False, QTYPE_A, CLASS_IN, "www.example.com"),
+        (40003, 53, 3, False, QTYPE_A, CLASS_IN, "www.example.com"),
+        (40004, 53, 4, False, QTYPE_A, CLASS_IN, "www.example.com")],
+    "validating": [
+        (31800, 53, 1, True, QTYPE_A, CLASS_IN, "a.example"),
+        (31800, 53, 2, True, QTYPE_A, CLASS_IN, "b.example"),
+        (31800, 53, 3, True, QTYPE_A, CLASS_IN, "c.example")],
+}
+
+
+def pinned_domainscan(network):
+    scanner = DomainScanner(network, CLIENT)
+    for resolver_id, domain in ((0, "example.com"),
+                                (513, "bank.example.org"),
+                                (70000, "example.com")):
+        scanner.query_domain(SERVER, resolver_id, domain)
+
+
+PINNED_DRIVES = {
+    "domainscan": pinned_domainscan,
+    "snooping": lambda network: CacheSnoopingProber(
+        network, CLIENT, ["com", "net", "org"], duration_hours=0)
+    .run([SERVER]),
+    "popularity": lambda network: PopularityProber(
+        network, CLIENT, ["com", "net"]).estimate(SERVER),
+    "chaos": lambda network: ChaosScanner(network, CLIENT).scan(
+        [SERVER, "203.0.113.10"]),
+    "acquisition": lambda network: three_names(
+        DataAcquirer(network, CLIENT)._resolve_at),
+    "iterative": lambda network: IterativeResolver(
+        ["192.0.2.1", "192.0.2.2", "192.0.2.3"], CLIENT)
+    .resolve(network, "www.example.com"),
+    "validating": lambda network: three_names(
+        ValidatingClient(network, CLIENT).query),
+}
+
+
+class TestPinnedFlows:
+    @pytest.mark.parametrize("consumer", sorted(PINNED_FLOWS))
+    def test_first_three_queries(self, consumer):
+        assert first_flows(PINNED_DRIVES[consumer]) \
+            == PINNED_FLOWS[consumer]
+
+    def test_txid_wraps_at_16_bits(self):
+        network = ScriptedNetwork()
+        scanner = ChaosScanner(network, CLIENT)
+        scanner._txid = 0xFFFE
+        scanner.scan([SERVER])
+        assert [flow[2] for flow in network.flows] == [0xFFFF, 0]
+
+    def test_trusted_txid_round_trips_through_a_checkpoint(self):
+        def world():
+            mini = MiniWorld()
+            mini.add_web_domain("plain.com", "198.18.0.10")
+            mini.network.register(ResolverNode(
+                mini.infra.address_at(42000),
+                resolution_service=mini.service))
+            return mini
+
+        def next_flow(mini):
+            seen = []
+            send_udp = mini.network.send_udp
+            mini.network.send_udp = lambda packet: (
+                seen.append((packet.src_port,
+                             Message.from_wire(packet.payload).header.txid))
+                or send_udp(packet))
+            mini.service._trusted.resolve(mini.network, "www.plain.com")
+            return seen[0]
+
+        crashed = world()
+        crashed.service.resolve_trusted(crashed.network, "plain.com")
+        captured = capture_dns_caches(crashed.network)
+        assert captured[("service", 0)]["trusted_txid"] \
+            == crashed.service._trusted._txid > 1
+        resumed = world()
+        restore_dns_caches(resumed.network, captured)
+        assert next_flow(resumed) == next_flow(crashed) != next_flow(world())

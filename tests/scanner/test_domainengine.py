@@ -229,3 +229,25 @@ class TestEngineOnScenario:
                 == lossy_baseline
         finally:
             scenario.network.install_faults(None)
+
+    @pytest.mark.parametrize("shards", (1, 2))
+    def test_injected_faults_reach_perf(self, scanned_world, shards):
+        # ``--perf`` must show the domain scan's share of the injected
+        # faults, forked or not — the flush both engines share.
+        scenario, resolvers, domains, __ = scanned_world
+        network = scenario.network
+        network.install_faults(FaultPlan(FaultProfile(loss_rate=0.2),
+                                         seed=9))
+        try:
+            perf = PerfRegistry()
+            engine = make_engine(
+                DomainScanner(network, scenario.pipeline_source_ip),
+                shards, perf=perf)
+            network.clock.advance(1)
+            before = network.fault_counters.get("injected_loss", 0)
+            engine.scan(resolvers, domains)
+            moved = network.fault_counters["injected_loss"] - before
+            assert moved > 0
+            assert perf.counter("fault_injected_loss") == moved
+        finally:
+            network.install_faults(None)

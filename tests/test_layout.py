@@ -1,0 +1,57 @@
+"""Layout guards: code that was folded into one shared function stays
+folded.  Each case greps ``src/repro`` and compares the files that
+match with an allow-list; the failure message names the function to
+call instead of growing a new copy."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+CLIENT = ("the stub DNS client, repro.dnswire.client.ask (DESIGN.md "
+          "\"Stub DNS client\"): allocate a txid and a source port, call "
+          "it, decode what it accepted")
+
+# (what is guarded, regex over source lines, subtree left out, files
+#  allowed to match, where the shared code lives)
+GUARDS = [
+    ("send_udp( callers", r"(?<!def )\bsend_udp\(", None,
+     {"dnswire/client.py",          # the one client-side exchange
+      "resolvers/resolver.py"},     # _forward's raw relay: parses nothing
+     CLIENT),
+    # A ``Message.query(...)`` mention in a docstring is not a call.
+    ("Message.query( callers", r"(?<!`)\bMessage\.query\(", "dnswire/",
+     set(), CLIENT),
+    ("Message.from_wire( callers", r"\bMessage\.from_wire\(", "dnswire/",
+     {"resolvers/resolver.py",      # the three servers: parse a query
+      "authdns/server.py",          # or stay silent
+      "netsim/gfw.py"},
+     CLIENT + "; a server-side parser belongs with the three that exist"),
+    ("splitmix64 finaliser definitions", r"\bdef _?mix64\(", None,
+     {"util.py"},
+     "repro.util.mix64 (the per-probe loops inline it and say so)"),
+]
+
+
+def files_matching(pattern, outside=None):
+    regex = re.compile(pattern)
+    matched = set()
+    for path in SRC.rglob("*.py"):
+        name = path.relative_to(SRC).as_posix()
+        if outside is not None and name.startswith(outside):
+            continue
+        if any(regex.search(line) for line in path.read_text().splitlines()):
+            matched.add(name)
+    return matched
+
+
+@pytest.mark.parametrize("what,pattern,outside,allowed,instead", GUARDS,
+                         ids=[guard[0] for guard in GUARDS])
+def test_single_copy(what, pattern, outside, allowed, instead):
+    matched = files_matching(pattern, outside)
+    assert not matched - allowed, "%s grew in %s — use %s" % (
+        what, sorted(matched - allowed), instead)
+    assert not allowed - matched, "stale allow-list for %s: %s" % (
+        what, sorted(allowed - matched))
