@@ -449,22 +449,15 @@ def cmd_fingerprint(args):
         format_software_table,
         software_table,
     )
-    from repro.scanner import (
-        BannerGrabber,
-        ChaosScanner,
-        FingerprintMatcher,
-    )
+    from repro.reporting import fingerprint_phase
     scenario = _build(args)
     resolvers = sorted(
         _scan(scenario, _scan_options(args)).result.noerror)
-    chaos = ChaosScanner(scenario.network, scenario.scanner_ip)
-    print(format_software_table(software_table(chaos.scan(resolvers))))
+    fingerprint = fingerprint_phase(scenario, resolvers)
+    print(format_software_table(software_table(fingerprint["software"])))
     print()
-    grabber = BannerGrabber(scenario.network, scenario.scanner_ip)
-    classifications = FingerprintMatcher().classify_all(
-        grabber.grab_all(resolvers))
-    print(format_device_table(device_table(classifications,
-                                           total_scanned=len(resolvers))))
+    print(format_device_table(device_table(
+        fingerprint["classifications"], total_scanned=len(resolvers))))
     return 0
 
 
@@ -473,15 +466,12 @@ def cmd_snoop(args):
         format_utilization,
         utilization_summary,
     )
-    from repro.datasets import SNOOPING_TLDS
-    from repro.scanner import CacheSnoopingProber
+    from repro.reporting import snoop_phase
     scenario = _build(args)
     resolvers = sorted(
         _scan(scenario, _scan_options(args)).result.noerror)[:args.sample]
-    prober = CacheSnoopingProber(scenario.network, scenario.scanner_ip,
-                                 SNOOPING_TLDS,
-                                 duration_hours=args.hours)
-    print(format_utilization(utilization_summary(prober.run(resolvers))))
+    snoop = snoop_phase(scenario, resolvers, hours=args.hours)
+    print(format_utilization(utilization_summary(snoop["traces"])))
     return 0
 
 
@@ -534,7 +524,7 @@ def cmd_audit(args):
     report = pipeline.run([resolver_ip], domains)
     labels = Counter((l.label, l.sublabel) for l in report.labeled)
     print("resolver:   %s" % resolver_ip)
-    print("responses:  %d" % report.observation_count)
+    print("responses:  %d" % len(report.observations))
     print("suspicious: %d tuples" % len(report.prefilter.unknown))
     if not labels:
         print("verdict:    CLEAN")

@@ -16,7 +16,7 @@ pair; only the discovery order differs.  O(n²) total after the distance
 matrix.  The direct transcription — rescan all active pairs for the
 global minimum before every merge, O(n³) — is the oracle
 (``tests/oracles.pair_scan_cluster``) the equivalence property tests
-and ``bench_pipeline`` compare against.
+compare against.
 
 Because reducible linkages are monotone (a merged cluster is never
 closer to a bystander than the nearer of its parts was), sorting the

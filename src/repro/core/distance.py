@@ -149,76 +149,12 @@ class PageDistance:
                    for name, value in distances.items()) / self.total_weight
 
 
-class MemoizedDistance:
-    """Memoizing wrapper around a symmetric distance callable.
-
-    The page distance is by far the most expensive per-call operation in
-    the pipeline (three edit distances and three multiset Jaccards per
-    pair), and agglomerative clustering asks for the same pairs again
-    across runs of the same pipeline (weekly campaigns, ground-truth
-    comparisons).
-    Keyed by the identity of the two profile objects — cheap, and exact
-    as long as profiles are immutable once built, which
-    :class:`FeatureCache` guarantees by returning the same profile
-    object for the same body.  The memo keeps references to both
-    profiles so ids cannot be recycled under it.
-
-    ``evaluations`` counts true underlying calls, ``hits`` the pairs
-    answered from the memo; both are mirrored into ``perf`` when a
-    registry is supplied (``distance_evals`` / ``distance_cache_hits``).
-    ``avoided`` accumulates pairs a caller-side layer answered without
-    consulting the memo at all (the clustering stage deduplicates
-    identical bodies *before* building its distance matrix, and
-    ``hierarchical_cluster`` asks for each remaining pair exactly once)
-    — credited via :meth:`credit_avoided` so :meth:`hit_rate` reports
-    the fraction of logical pair evaluations that skipped the
-    underlying distance, not just the memo's own (structurally ~zero)
-    hit share.
-    """
-
-    def __init__(self, distance, perf=None):
-        self.distance = distance
-        self.perf = perf
-        self._memo = {}     # (id, id) -> (value, profile, profile)
-        self.evaluations = 0
-        self.hits = 0
-        self.avoided = 0
-
-    def __call__(self, profile_a, profile_b):
-        key = ((id(profile_a), id(profile_b))
-               if id(profile_a) <= id(profile_b)
-               else (id(profile_b), id(profile_a)))
-        entry = self._memo.get(key)
-        if entry is not None:
-            self.hits += 1
-            if self.perf is not None:
-                self.perf.count("distance_cache_hits")
-            return entry[0]
-        value = self.distance(profile_a, profile_b)
-        self.evaluations += 1
-        if self.perf is not None:
-            self.perf.count("distance_evals")
-        self._memo[key] = (value, profile_a, profile_b)
-        return value
-
-    def credit_avoided(self, pairs):
-        """Credit ``pairs`` pair-evaluations short-circuited upstream."""
-        if pairs > 0:
-            self.avoided += pairs
-
-    def hit_rate(self):
-        saved = self.hits + self.avoided
-        total = self.evaluations + saved
-        return saved / total if total else 0.0
-
-
 class FeatureCache:
     """Body-keyed memo of extracted :class:`PageProfile` objects.
 
-    Guarantees one profile object per distinct body, which both avoids
+    Guarantees one profile object per distinct body, which avoids
     re-parsing identical pages (the overwhelmingly common case across
-    resolvers) and makes profile identity a stable cache key for
-    :class:`MemoizedDistance`.  Counters mirror into ``perf`` as
+    resolvers).  Counters mirror into ``perf`` as
     ``feature_extractions`` / ``feature_cache_hits``.
     """
 

@@ -1,6 +1,6 @@
 """End-to-end orchestration of the Figure 3 processing chain."""
 
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 from repro.checkpoint import NULL_SCOPE
 from repro.core.acquisition import DataAcquirer
@@ -10,13 +10,13 @@ from repro.core.diffcluster import (
     build_diff_profile,
     diff_cluster,
 )
-from repro.core.distance import FeatureCache, MemoizedDistance, PageDistance
+from repro.core.distance import FeatureCache, PageDistance
 from repro.core.labeling import (
     ClusterLabeler,
     LABEL_MISC,
     SUBLABEL_UNCLASSIFIED,
 )
-from repro.core.prefilter import Prefilterer, ResponseTuple
+from repro.core.prefilter import Prefilterer, PrefilterResult, ResponseTuple
 from repro.dnswire.name import normalize_name
 from repro.obs.trace import span
 from repro.scanner.domainengine import DomainScanEngine
@@ -24,18 +24,23 @@ from repro.scanner.domainscan import DomainScanner
 from repro.scanner.options import ScanOptions
 from repro.websim.mail import banners_for_provider, provider_for_hostname
 
+# Merge thresholds of the coarse clustering (§3.6) and of the
+# fine-grained diff clustering, and the page distance of the former.
+CLUSTER_THRESHOLD = 0.30
+DIFF_THRESHOLD = 0.5
+PAGE_DISTANCE = PageDistance()
+
 
 class PipelineReport:
-    """Everything the pipeline produced, for the analysis layer."""
+    """Everything the pipeline produced, for the analysis layer.
+
+    A fresh report is also every stage's fallback: what a field holds
+    here is what it holds after its stage failed.
+    """
 
     def __init__(self):
         self.observations = []
-        # Number of domain-scan observations seen.  Equals
-        # ``len(observations)`` on a resident run; on a streamed run
-        # (``options.stream_results``) the list stays empty — observations
-        # flowed straight into the prefilter — and only this survives.
-        self.observation_count = 0
-        self.prefilter = None
+        self.prefilter = PrefilterResult()
         self.http_captures = []
         self.mail_captures = []
         self.failed_captures = []
@@ -50,6 +55,20 @@ class PipelineReport:
 
     def mark_degraded(self, stage, reason):
         self.degraded.append({"stage": stage, "reason": reason})
+
+    def install(self, field, value):
+        """Set one stage payload field, computed or restored from a
+        commit."""
+        if value is None:
+            # The stage failed: the field keeps what a fresh report
+            # holds, so no fallback is written per stage.
+            value = getattr(PipelineReport(), field)
+        if field == "http_captures":
+            # The payload carries every capture attempted; the ones
+            # that never fetched are filed apart.
+            self.failed_captures = [c for c in value if not c.fetched]
+            value = [c for c in value if c.fetched]
+        setattr(self, field, value)
 
     @property
     def is_degraded(self):
@@ -75,33 +94,23 @@ class PipelineReport:
 
     def __repr__(self):
         return ("PipelineReport(%d observations, %d captures, %d clusters)"
-                % (self.observation_count, len(self.http_captures),
+                % (len(self.observations), len(self.http_captures),
                    len(self.clusters)))
-
-
-@contextmanager
-def _nested(outer, inner):
-    """Enter two context managers as one (perf timer around span)."""
-    with outer, inner:
-        yield
 
 
 class ManipulationPipeline:
     """Wires scanning, prefiltering, acquisition, clustering, labeling.
 
     ``options`` (a :class:`~repro.scanner.options.ScanOptions`) drives
-    the domain scan: ``shards`` forks it, and ``stream_results`` streams
-    its observations straight into the prefilter (bounded memory)
-    instead of collecting the full list first.  Checkpointed runs fall
-    back to resident collection: the domain_scan stage's committed
-    payload must carry the full observation list for resume.
+    the domain scan: ``shards`` forks it.  Its observations are always
+    resident — Figure 4 and Table 5 read them off the report, and the
+    prefilter result retains them anyway.
     """
 
     def __init__(self, network, resolution_service, as_registry, rdns, ca,
                  known_cdn_common_names, source_ip, domain_catalog,
-                 cluster_threshold=0.30, diff_threshold=0.5,
-                 distance=None, perf=None, fetch_timeout=None,
-                 error_budget=None, options=None):
+                 perf=None, fetch_timeout=None, error_budget=None,
+                 options=None):
         self.network = network
         self.perf = perf
         self.options = options or ScanOptions()
@@ -113,25 +122,18 @@ class ManipulationPipeline:
         self.source_ip = source_ip
         self.domain_catalog = {normalize_name(d.name): d
                                for d in domain_catalog}
-        self.cluster_threshold = cluster_threshold
-        self.diff_threshold = diff_threshold
         if perf is not None:
-            # Shard-merge reduction policies for the pipeline gauges
-            # (set once per run; any shard's copy is equally current, so
-            # the highest shard index deterministically wins) and the
+            # Shard-merge reduction policy for the pipeline gauge (set
+            # once per run; any shard's copy is equally current, so the
+            # highest shard index deterministically wins) and the
             # derived QPS rate surfaced by ``format_report``.
-            perf.declare_gauge("pipeline_domain_scan_qps", "last")
-            perf.declare_gauge("pipeline_distance_cache_hit_rate", "last")
             perf.declare_gauge("pipeline_feature_cache_hit_rate", "last")
             perf.declare_rate("pipeline_domain_qps",
                               "pipeline_domain_queries",
                               "pipeline_domain_scan")
-        # Distance and feature evaluations are memoized for the life of
-        # the pipeline: weekly re-runs over largely unchanged content
-        # answer most cluster pairs from the caches.
+        # One profile per distinct body for the life of the pipeline.
         self.features = FeatureCache(perf=perf)
-        self.distance = MemoizedDistance(distance or PageDistance(),
-                                         perf=perf)
+        self.distance = PAGE_DISTANCE
         self.domain_engine = DomainScanEngine(
             DomainScanner(network, source_ip), options=self.options,
             perf=perf)
@@ -185,27 +187,153 @@ class ManipulationPipeline:
         return bodies
 
     # -- the chain ------------------------------------------------------------
+    #
+    # One function per Figure 3 step.  Each takes the report so far and
+    # the run's inputs, and returns its payload: the report fields it
+    # owns (``STAGES`` below).  Timing, tracing, failure and
+    # checkpointing are ``_unit``'s, not theirs.
 
-    def _stage(self, name):
-        """Perf timer + trace span for one Figure 3 step (no-op when
-        neither instrument is active)."""
-        trace = span(self.network, name)
-        if self.perf is None:
-            return trace
-        return _nested(self.perf.stage("pipeline_" + name), trace)
+    def _scan_domains(self, report, resolver_ips, domains, checkpoint):
+        """Step 2: the domain scan (sharded when ``options.shards`` > 1)."""
+        queries_before = getattr(self.scanner, "queries_sent", 0)
+        try:
+            observations = self.domain_engine.scan(
+                resolver_ips, [d.name for d in domains],
+                checkpoint=checkpoint.scope("stage", "domain_scan"))
+        finally:
+            if self.perf is not None:
+                self.perf.count("pipeline_domain_queries",
+                                getattr(self.scanner, "queries_sent", 0)
+                                - queries_before)
+        return {"observations": observations}
 
-    def _unit(self, checkpoint, report, name, compute, apply):
+    def _prefilter(self, report, resolver_ips, domains, checkpoint):
+        """Step 3: DNS-based prefiltering."""
+        return {"prefilter": self.prefilterer.process(
+            report.observations, self.domain_catalog)}
+
+    def _ground_truth(self, report, resolver_ips, domains, checkpoint):
+        """Ground truth content, used by labeling and diff clustering."""
+        return {"ground_truth_bodies": self.collect_ground_truth(domains)}
+
+    def _acquire(self, report, resolver_ips, domains, checkpoint):
+        """Step 4: data acquisition for unknown tuples."""
+        http_captures, mail_captures = self.acquirer.acquire(
+            report.prefilter.unknown, self.domain_catalog)
+        if self.acquirer.budget_exhausted:
+            report.mark_degraded(
+                "acquisition",
+                "error budget exhausted after %d unreachable fetches"
+                % self.acquirer.failed_fetches)
+        return {"http_captures": http_captures,
+                "mail_captures": mail_captures}
+
+    def _cluster(self, report, resolver_ips, domains, checkpoint):
+        """Step 5: coarse clustering (deduplicating identical bodies)."""
+        perf = self.perf
+        profile_of = self.features.profile_of
+        keyed = [(capture.body, capture)
+                 for capture in report.http_captures]
+        if perf is not None:
+            # Pair evaluations the body dedup spares the distance
+            # matrix: all-pairs over captures minus all-pairs over
+            # distinct bodies.
+            total = len(keyed)
+            unique = len({key for key, __ in keyed})
+            perf.count("pipeline_distance_evals_avoided",
+                       (total * (total - 1) - unique * (unique - 1)) // 2)
+
+        def distance(a, b):
+            if perf is not None:
+                perf.count("distance_evals")
+            return self.distance(profile_of(a.body), profile_of(b.body))
+
+        clusters, dendrogram = cluster_deduplicated(
+            keyed, distance, CLUSTER_THRESHOLD)
+        return {"clusters": clusters, "dendrogram": dendrogram}
+
+    def _label(self, report, resolver_ips, domains, checkpoint):
+        """Step 6: labeling, then fine-grained diff clustering of
+        near-original modifications."""
+        perf = self.perf
+        if perf is not None:
+            perf.count("pipeline_observations", len(report.observations))
+            perf.count("pipeline_captures", len(report.http_captures))
+        labeler = ClusterLabeler(report.ground_truth_bodies)
+        labeled = labeler.label_clusters(report.clusters)
+        # The diff depends on the page and the site's ground truth
+        # only, so resolvers that returned the same page for a domain
+        # share one.
+        diff_clusters = []
+        diff_profiles = []
+        reused = 0
+        built = {}
+        for capture in report.http_captures:
+            domain = normalize_name(capture.domain)
+            truths = report.ground_truth_bodies.get(domain)
+            if not truths or not capture.body:
+                continue
+            page = (capture.body, domain)
+            first = built.get(page)
+            if first is None:
+                profile = built[page] = build_diff_profile(capture, truths)
+            else:
+                profile = DiffProfile(capture, first.added, first.removed,
+                                      first.similarity_to_truth)
+                reused += 1
+            if 0 < profile.modification_size <= 40:
+                diff_profiles.append(profile)
+        if diff_profiles:
+            diff_clusters, __ = diff_cluster(diff_profiles,
+                                             threshold=DIFF_THRESHOLD)
+        if perf is not None:
+            # The duplication the diff stage lives off: profiles
+            # clustered, distinct modifications among them, and
+            # captures that took their diff from an identical page.
+            perf.count("pipeline_diff_profiles", len(diff_profiles))
+            perf.count("pipeline_diff_signatures",
+                       len({profile.signature
+                            for profile in diff_profiles}))
+            perf.count("pipeline_diff_profile_reuse", reused)
+            perf.gauge("pipeline_feature_cache_hit_rate",
+                       self.features.hit_rate())
+        return {"labeled": labeled, "diff_clusters": diff_clusters}
+
+    # Stage name (its commit key, timer and span), the report fields
+    # its payload carries, its function.  A failed stage leaves those
+    # fields as a fresh ``PipelineReport`` holds them.
+    STAGES = (
+        ("domain_scan", ("observations",), _scan_domains),
+        ("prefilter", ("prefilter",), _prefilter),
+        ("ground_truth", ("ground_truth_bodies",), _ground_truth),
+        ("acquisition", ("http_captures", "mail_captures"), _acquire),
+        ("clustering", ("clusters", "dendrogram"), _cluster),
+        ("labeling", ("labeled", "diff_clusters"), _label),
+    )
+
+    def _unit(self, checkpoint, report, name, fields, stage):
         """One checkpointable stage of the Figure 3 chain.
 
-        ``compute()`` runs the stage, ``apply(payload)`` installs its
-        output on the report — from a fresh run or from a committed one.
-        The commit carries, beside the payload and the world state, the
-        degradation entries the stage recorded and the domain scanner's
-        ``queries_sent``; a restored stage replays both.
+        ``stage()`` runs it, under its perf timer and trace span; if it
+        raises, the failure goes to ``report.degraded`` and its payload
+        is ``None`` for each of its fields.  The payload — computed or
+        restored from a commit — is then installed on the report
+        (``None`` as the fresh report's value: the empty fallback).
+        The commit carries, beside the payload and the world
+        state, the degradation entries the stage recorded and the
+        domain scanner's ``queries_sent``; a restored stage replays
+        both.
         """
         def run_stage():
             degraded_before = len(report.degraded)
-            payload = dict(compute())
+            timer = (self.perf.stage("pipeline_" + name)
+                     if self.perf is not None else nullcontext())
+            with timer, span(self.network, name):
+                try:
+                    payload = stage()
+                except Exception as error:
+                    report.mark_degraded(name, repr(error))
+                    payload = dict.fromkeys(fields)
             payload["degraded"] = [
                 dict(entry) for entry
                 in report.degraded[degraded_before:]]
@@ -223,9 +351,11 @@ class ManipulationPipeline:
                 return {"queries_sent": self.scanner.queries_sent}
             return {}
 
-        apply(checkpoint.unit("stage", (name,), run_stage, self.network,
-                              self.perf, extra_state=scanner_state,
-                              on_restore=replay, stage=name))
+        payload = checkpoint.unit("stage", (name,), run_stage, self.network,
+                                  self.perf, extra_state=scanner_state,
+                                  on_restore=replay, stage=name)
+        for field in fields:
+            report.install(field, payload[field])
 
     def run(self, resolver_ips, domains, checkpoint=None):
         """Execute steps 2–6 of Figure 3 for one domain set.
@@ -245,235 +375,12 @@ class ManipulationPipeline:
         the earlier stages' outputs (and world state) restored.
         """
         report = PipelineReport()
-        names = [d.name for d in domains]
         resolver_ips = list(resolver_ips)
-
-        # Step 2: domain scan (sharded across workers when shards > 1).
-        # A streamed run fuses steps 2+3: observation batches flow into
-        # the prefilter as shards complete (in sequential order, so the
-        # result is bit-identical) and the full list is never resident.
-        # Checkpointed runs stay resident — the committed domain_scan
-        # payload must carry the observations a resume re-applies.
         checkpoint = checkpoint or NULL_SCOPE
-        streaming = self.options.stream_results and \
-            checkpoint is NULL_SCOPE
-        streamed_prefilter = [None]
-
-        def compute_domain_scan():
-            queries_before = getattr(self.scanner, "queries_sent", 0)
-            observations = []
-            count = 0
-            with self._stage("domain_scan"):
-                try:
-                    scope = checkpoint.scope("stage", "domain_scan")
-                    if streaming:
-                        from repro.core.prefilter import PrefilterResult
-                        prefilter = PrefilterResult()
-
-                        def consume(batch):
-                            self.prefilterer.process_into(
-                                prefilter, batch, self.domain_catalog)
-
-                        count = self.domain_engine.scan(
-                            resolver_ips, names, checkpoint=scope,
-                            consume=consume)
-                        streamed_prefilter[0] = prefilter
-                    else:
-                        observations = self.domain_engine.scan(
-                            resolver_ips, names, checkpoint=scope)
-                        count = len(observations)
-                except Exception as error:
-                    report.mark_degraded("domain_scan", repr(error))
-            if self.perf is not None:
-                self.perf.count("pipeline_domain_queries",
-                                getattr(self.scanner, "queries_sent", 0)
-                                - queries_before)
-                self.perf.gauge(
-                    "pipeline_domain_scan_qps",
-                    self.perf.rate("pipeline_domain_queries",
-                                   "pipeline_domain_scan"))
-            return {"observations": observations, "count": count}
-
-        def apply_domain_scan(payload):
-            report.observations = payload["observations"]
-            report.observation_count = payload.get(
-                "count", len(payload["observations"]))
-
-        self._unit(checkpoint, report, "domain_scan",
-                   compute_domain_scan, apply_domain_scan)
-
-        # Step 3: DNS-based prefiltering (already folded in when
-        # streaming — the stage then just installs the result).
-        def compute_prefilter():
-            prefilter = None
-            with self._stage("prefilter"):
-                try:
-                    if streaming:
-                        prefilter = streamed_prefilter[0]
-                    else:
-                        prefilter = self.prefilterer.process(
-                            report.observations, self.domain_catalog)
-                except Exception as error:
-                    report.mark_degraded("prefilter", repr(error))
-            return {"prefilter": prefilter}
-
-        def apply_prefilter(payload):
-            report.prefilter = payload["prefilter"]
-
-        self._unit(checkpoint, report, "prefilter",
-                   compute_prefilter, apply_prefilter)
-
-        # Ground truth content, used by labeling and diff clustering.
-        def compute_ground_truth():
-            bodies = {}
-            with self._stage("ground_truth"):
-                try:
-                    bodies = self.collect_ground_truth(domains)
-                except Exception as error:
-                    report.mark_degraded("ground_truth", repr(error))
-            return {"ground_truth_bodies": bodies}
-
-        def apply_ground_truth(payload):
-            report.ground_truth_bodies = payload["ground_truth_bodies"]
-
-        self._unit(checkpoint, report, "ground_truth",
-                   compute_ground_truth, apply_ground_truth)
-
-        # Step 4: data acquisition for unknown tuples.
-        def compute_acquisition():
-            unknown = (report.prefilter.unknown
-                       if report.prefilter is not None else [])
-            with self._stage("acquisition"):
-                try:
-                    http_captures, mail_captures = self.acquirer.acquire(
-                        unknown, self.domain_catalog)
-                except Exception as error:
-                    report.mark_degraded("acquisition", repr(error))
-                    http_captures, mail_captures = [], []
-                if self.acquirer.budget_exhausted:
-                    report.mark_degraded(
-                        "acquisition",
-                        "error budget exhausted after %d unreachable "
-                        "fetches" % self.acquirer.failed_fetches)
-            return {"http_captures": http_captures,
-                    "mail_captures": mail_captures}
-
-        def apply_acquisition(payload):
-            http_captures = payload["http_captures"]
-            report.mail_captures = payload["mail_captures"]
-            report.http_captures = [c for c in http_captures if c.fetched]
-            report.failed_captures = [c for c in http_captures
-                                      if not c.fetched]
-
-        self._unit(checkpoint, report, "acquisition",
-                   compute_acquisition, apply_acquisition)
-
-        # Step 5: coarse clustering (deduplicating identical bodies).
-        def compute_clustering():
-            profile_of = (
-                lambda capture: self.features.profile_of(capture.body))
-            keyed = [(capture.body, capture)
-                     for capture in report.http_captures]
-            with self._stage("clustering"):
-                try:
-                    clusters, dendrogram = cluster_deduplicated(
-                        keyed,
-                        lambda a, b: self.distance(profile_of(a),
-                                                   profile_of(b)),
-                        self.cluster_threshold)
-                except Exception as error:
-                    report.mark_degraded("clustering", repr(error))
-                    clusters, dendrogram = [], None
-            if self.perf is not None:
-                # Pair evaluations the body dedup spared the distance
-                # matrix: all-pairs over captures minus all-pairs over
-                # distinct bodies.
-                total = len(keyed)
-                unique = len({key for key, __ in keyed})
-                avoided = (total * (total - 1)
-                           - unique * (unique - 1)) // 2
-                self.perf.count("pipeline_distance_evals_avoided",
-                                avoided)
-                # Fold the short-circuited pairs into the memo's stats:
-                # hierarchical_cluster asks for each deduplicated pair
-                # exactly once, so without this credit the hit-rate
-                # gauge reads 0.0 while thousands of pair evaluations
-                # were in fact avoided.
-                self.distance.credit_avoided(avoided)
-            return {"clusters": clusters, "dendrogram": dendrogram}
-
-        def apply_clustering(payload):
-            report.clusters = payload["clusters"]
-            report.dendrogram = payload["dendrogram"]
-
-        self._unit(checkpoint, report, "clustering",
-                   compute_clustering, apply_clustering)
-
-        # Step 6: labeling.
-        def compute_labeling():
-            labeled = []
-            diff_clusters = []
-            diff_profiles = []
-            reused = 0
-            with self._stage("labeling"):
-                try:
-                    labeler = ClusterLabeler(report.ground_truth_bodies)
-                    labeled = labeler.label_clusters(report.clusters)
-                    # Fine-grained diff clustering of near-original
-                    # modifications.  The diff depends on the page and
-                    # the site's ground truth only, so resolvers that
-                    # returned the same page for a domain share one.
-                    built = {}
-                    for capture in report.http_captures:
-                        domain = normalize_name(capture.domain)
-                        truths = report.ground_truth_bodies.get(domain)
-                        if not truths or not capture.body:
-                            continue
-                        page = (capture.body, domain)
-                        first = built.get(page)
-                        if first is None:
-                            profile = built[page] = build_diff_profile(
-                                capture, truths)
-                        else:
-                            profile = DiffProfile(
-                                capture, first.added, first.removed,
-                                first.similarity_to_truth)
-                            reused += 1
-                        if 0 < profile.modification_size <= 40:
-                            diff_profiles.append(profile)
-                    if diff_profiles:
-                        diff_clusters, __ = diff_cluster(
-                            diff_profiles, threshold=self.diff_threshold)
-                except Exception as error:
-                    report.mark_degraded("labeling", repr(error))
-                    labeled = []
-                    diff_clusters = []
-            if self.perf is not None:
-                self.perf.count("pipeline_observations",
-                                report.observation_count)
-                self.perf.count("pipeline_captures",
-                                len(report.http_captures))
-                # The duplication the diff stage lives off: profiles
-                # clustered, distinct modifications among them, and
-                # captures that took their diff from an identical page.
-                self.perf.count("pipeline_diff_profiles",
-                                len(diff_profiles))
-                self.perf.count("pipeline_diff_signatures",
-                                len({profile.signature
-                                     for profile in diff_profiles}))
-                self.perf.count("pipeline_diff_profile_reuse", reused)
-                self.perf.gauge("pipeline_distance_cache_hit_rate",
-                                self.distance.hit_rate())
-                self.perf.gauge("pipeline_feature_cache_hit_rate",
-                                self.features.hit_rate())
-            return {"labeled": labeled, "diff_clusters": diff_clusters}
-
-        def apply_labeling(payload):
-            report.labeled = payload["labeled"]
-            report.diff_clusters = payload["diff_clusters"]
-
-        self._unit(checkpoint, report, "labeling",
-                   compute_labeling, apply_labeling)
+        for name, fields, stage in self.STAGES:
+            self._unit(checkpoint, report, name, fields,
+                       lambda: stage(self, report, resolver_ips, domains,
+                                     checkpoint))
         return report
 
     # -- mail classification --------------------------------------------------

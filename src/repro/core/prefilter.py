@@ -179,18 +179,6 @@ class Prefilterer:
         :class:`PrefilterResult`.
         """
         result = PrefilterResult()
-        self.process_into(result, observations, domain_catalog)
-        return result
-
-    def process_into(self, result, observations, domain_catalog):
-        """Fold a batch of observations into an existing result.
-
-        The streaming entry point: the pipeline calls this once per
-        observation chunk as the domain scan delivers them, so the full
-        observation list never has to be resident.  Classification is
-        per-observation, so chunked processing is bit-identical to one
-        :meth:`process` call over the concatenated list.
-        """
         for observation in observations:
             result.observations += 1
             domain = normalize_name(observation.domain)
@@ -230,3 +218,4 @@ class Prefilterer:
                     result.unknown.append(ResponseTuple(
                         domain, address, observation.resolver_ip,
                         observation))
+        return result

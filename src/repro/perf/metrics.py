@@ -13,10 +13,9 @@ timers, and histograms merge exactly (commutative sums), but a bare
 "last value wins" gauge would make the merged value depend on shard
 *completion* order, which is nondeterministic.  Gauges therefore carry a
 declared merge policy (:meth:`PerfRegistry.declare_gauge`): ``last``
-keeps the value from the highest shard index, ``max``/``min``/``sum``
-reduce, ``mean`` weights by contribution count — all order-independent
-when :meth:`merge` is told the shard's index via ``rank``.  Undeclared
-gauges keep the legacy overwrite semantics.
+keeps the value from the highest shard index, ``max`` the largest —
+both order-independent when :meth:`merge` is told the shard's index
+via ``rank``.  Undeclared gauges keep the legacy overwrite semantics.
 """
 
 import sys
@@ -25,7 +24,7 @@ from contextlib import contextmanager
 
 from repro.obs.hist import LogHistogram
 
-GAUGE_POLICIES = ("last", "max", "min", "mean", "sum")
+GAUGE_POLICIES = ("last", "max")
 
 
 def sample_ru_maxrss_kb():
@@ -57,7 +56,6 @@ class PerfRegistry:
         self.histograms = {}      # name -> LogHistogram
         self.gauge_policies = {}  # name -> declared merge policy
         self._gauge_ranks = {}    # name -> shard index of current value
-        self._gauge_state = {}    # name -> [sum, weight] (mean policy)
         # Derived rates printed by format_report: name -> [counter, timer].
         self.rates = {"probes_per_sec": ["probes_sent", "scan_wall"]}
 
@@ -83,8 +81,6 @@ class PerfRegistry:
         """Set the gauge ``name`` (rates, ratios, sizes) — unlike
         counters these overwrite rather than accumulate."""
         self.gauges[name] = value
-        if self.gauge_policies.get(name) == "mean":
-            self._gauge_state[name] = [float(value), 1]
 
     def gauge_value(self, name, default=0.0):
         return self.gauges.get(name, default)
@@ -189,21 +185,6 @@ class PerfRegistry:
         elif policy == "max":
             if name not in self.gauges or value > self.gauges[name]:
                 self.gauges[name] = value
-        elif policy == "min":
-            if name not in self.gauges or value < self.gauges[name]:
-                self.gauges[name] = value
-        elif policy == "sum":
-            self.gauges[name] = self.gauges.get(name, 0) + value
-        elif policy == "mean":
-            state = self._gauge_state.get(name)
-            if state is None:
-                state = self._gauge_state[name] = (
-                    [float(self.gauges[name]), 1] if name in self.gauges
-                    else [0.0, 0])
-            incoming = other._gauge_state.get(name, [float(value), 1])
-            state[0] += incoming[0]
-            state[1] += incoming[1]
-            self.gauges[name] = state[0] / state[1] if state[1] else 0.0
 
     def snapshot(self):
         """A plain-dict view, suitable for ``json.dump``."""
@@ -212,8 +193,6 @@ class PerfRegistry:
             "gauges": dict(self.gauges),
             "gauge_policies": dict(self.gauge_policies),
             "gauge_ranks": dict(self._gauge_ranks),
-            "gauge_state": {name: list(state)
-                            for name, state in self._gauge_state.items()},
             "timers": {name: {"seconds": total, "entries": entries}
                        for name, (total, entries) in self.timers.items()},
             "histograms": {name: histogram.snapshot()
@@ -233,9 +212,6 @@ class PerfRegistry:
         self.gauges = dict(snapshot.get("gauges") or {})
         self.gauge_policies = dict(snapshot.get("gauge_policies") or {})
         self._gauge_ranks = dict(snapshot.get("gauge_ranks") or {})
-        self._gauge_state = {name: list(state)
-                             for name, state
-                             in (snapshot.get("gauge_state") or {}).items()}
         self.timers = {name: [entry["seconds"], entry["entries"]]
                        for name, entry
                        in (snapshot.get("timers") or {}).items()}

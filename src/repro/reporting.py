@@ -66,6 +66,25 @@ def _study_unit(checkpoint, network, perf, name, compute):
                            phase=name)
 
 
+def fingerprint_phase(scenario, resolvers):
+    """§2.4: the CHAOS software scan and the banner-grab device
+    classification of ``resolvers`` (Tables 3 and 4's raw rows)."""
+    chaos = ChaosScanner(scenario.network, scenario.scanner_ip)
+    software_rows = chaos.scan(resolvers)
+    grabber = BannerGrabber(scenario.network, scenario.scanner_ip)
+    classifications = FingerprintMatcher().classify_all(
+        grabber.grab_all(resolvers))
+    return {"software": software_rows,
+            "classifications": classifications}
+
+
+def snoop_phase(scenario, resolvers, hours=36):
+    """§2.6: ``hours`` of cache snooping at ``resolvers``."""
+    prober = CacheSnoopingProber(scenario.network, scenario.scanner_ip,
+                                 SNOOPING_TLDS, duration_hours=hours)
+    return {"traces": prober.run(resolvers)}
+
+
 def format_resume_provenance(provenance):
     """Render a checkpoint run's resume provenance for stderr/logs."""
     lines = ["[resume provenance]"]
@@ -139,17 +158,9 @@ def run_full_study(scenario, weeks=20, snoop_sample=200,
 
     say("fingerprinting %d resolvers..." % len(resolvers))
 
-    def compute_fingerprint():
-        chaos = ChaosScanner(scenario.network, scenario.scanner_ip)
-        software_rows = chaos.scan(resolvers)
-        grabber = BannerGrabber(scenario.network, scenario.scanner_ip)
-        classifications = FingerprintMatcher().classify_all(
-            grabber.grab_all(resolvers))
-        return {"software": software_rows,
-                "classifications": classifications}
-
-    fingerprint = _study_unit(checkpoint, network, perf, "fingerprint",
-                              compute_fingerprint)
+    fingerprint = _study_unit(
+        checkpoint, network, perf, "fingerprint",
+        lambda: fingerprint_phase(scenario, resolvers))
     results.software = software_table(fingerprint["software"])
     results.devices = device_table(fingerprint["classifications"],
                                    total_scanned=len(resolvers))
@@ -157,19 +168,13 @@ def run_full_study(scenario, weeks=20, snoop_sample=200,
     say("snooping %d resolver caches..." % min(snoop_sample,
                                                len(resolvers)))
 
-    def compute_snoop():
-        prober = CacheSnoopingProber(scenario.network, scenario.scanner_ip,
-                                     SNOOPING_TLDS, duration_hours=36)
-        return {"traces": prober.run(resolvers[:snoop_sample])}
-
-    snoop = _study_unit(checkpoint, network, perf, "snoop", compute_snoop)
+    snoop = _study_unit(
+        checkpoint, network, perf, "snoop",
+        lambda: snoop_phase(scenario, resolvers[:snoop_sample]))
     results.utilization = utilization_summary(snoop["traces"])
 
     categories = list(pipeline_categories or ALL_CATEGORIES)
-    # Figure 4 and Table 5 read every report's observations: the domain
-    # scans stay resident whatever the campaign streams.
-    pipeline_options = options.replace(shards=pipeline_shards,
-                                       stream_results=False)
+    pipeline_options = options.replace(shards=pipeline_shards)
     reports = {}
     for category in categories:
         say("pipeline: %s..." % category)

@@ -12,7 +12,6 @@ answers are detected (§4.2).
 from repro.dnswire.client import ask
 from repro.dnswire.constants import QTYPE_NS, RCODE_NOERROR
 from repro.scanner.encoding import ResolverIdCodec
-from repro.scanner.options import CHUNK_ROWS
 
 
 class DnsObservation:
@@ -59,9 +58,6 @@ class DomainScanner:
     # The scan loop can report progress per resolver, so the shard
     # engine's heartbeat supervision works (see scanner.engine).
     supports_progress = True
-    # ... and can flush observation chunks mid-scan, so the engine's
-    # result streaming bounds worker memory (see DomainScanEngine).
-    supports_chunks = True
 
     def __init__(self, network, source_ip, codec=None):
         self.network = network
@@ -98,7 +94,7 @@ class DomainScanner:
             injected_suspect=injected, ns_record_count=ns_count)
 
     def scan(self, resolver_ips, domains, index_range=None,
-             on_progress=None, chunk_sink=None, chunk_rows=CHUNK_ROWS):
+             on_progress=None):
         """Query every domain at every resolver.
 
         ``domains`` is an iterable of domain-name strings.  Returns a flat
@@ -111,12 +107,6 @@ class DomainScanner:
         a sequential scan would emit for those resolvers.  ``on_progress``
         (no arguments) is invoked once per resolver — the heartbeat hook
         for worker supervision.
-
-        ``chunk_sink`` streams results: whenever at least ``chunk_rows``
-        observations have accumulated they are handed off (as a list, at
-        a resolver boundary so chunk + tail concatenation reproduces
-        sequential order exactly) and dropped from the resident list;
-        only the final partial chunk is returned.
         """
         resolver_ips = list(resolver_ips)
         start, stop = (index_range if index_range is not None
@@ -131,7 +121,4 @@ class DomainScanner:
                     observations.append(observation)
             if on_progress is not None:
                 on_progress()
-            if chunk_sink is not None and len(observations) >= chunk_rows:
-                chunk_sink(observations)
-                observations = []
         return observations

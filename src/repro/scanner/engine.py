@@ -512,8 +512,10 @@ class ShardedEngine:
 
         Every shard result goes to ``deliver(item, result, mode)`` as it
         lands; ``reassemble(tail, chunks)`` folds a streamed shard's
-        chunks back first.  The shard is the one *asynchronous* unit of
-        work: shards ``checkpoint`` already holds are restored up front
+        chunks back first (``None``: this engine's results stay
+        resident whatever ``options.stream_results`` says).  The shard
+        is the one *asynchronous* unit of work: shards ``checkpoint``
+        already holds are restored up front
         (mode ``"restored"``, their ledger delta re-applied) instead of
         run, and each newly completed one is committed before it is
         delivered — but only items covering a *full* original range (a

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.distance import (
     FeatureCache,
-    MemoizedDistance,
     PageDistance,
     edit_distance,
     jaccard_distance,
@@ -254,74 +253,6 @@ class TestPageDistance:
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError):
             PageDistance(weights={"title": 0.0})
-
-
-class TestMemoizedDistance:
-    def make(self, perf=None):
-        calls = []
-
-        def counting(a, b):
-            calls.append((a, b))
-            return abs(a - b)
-
-        return MemoizedDistance(counting, perf=perf), calls
-
-    def test_memoizes_by_identity(self):
-        memo, calls = self.make()
-        a, b = 1.0, 3.0
-        assert memo(a, b) == 2.0
-        assert memo(a, b) == 2.0
-        assert len(calls) == 1
-        assert memo.evaluations == 1
-        assert memo.hits == 1
-
-    def test_symmetric_key(self):
-        memo, calls = self.make()
-        a, b = 1.0, 3.0
-        memo(a, b)
-        assert memo(b, a) == 2.0
-        assert len(calls) == 1
-
-    def test_hit_rate(self):
-        memo, __ = self.make()
-        assert memo.hit_rate() == 0.0
-        a, b = 1.0, 3.0
-        memo(a, b)
-        memo(a, b)
-        memo(a, b)
-        assert memo.hit_rate() == pytest.approx(2 / 3)
-
-    def test_perf_counters_mirrored(self):
-        from repro.perf import PerfRegistry
-        perf = PerfRegistry()
-        memo, __ = self.make(perf=perf)
-        a, b = 1.0, 3.0
-        memo(a, b)
-        memo(a, b)
-        assert perf.counter("distance_evals") == 1
-        assert perf.counter("distance_cache_hits") == 1
-
-    def test_avoided_pairs_counted_in_hit_rate(self):
-        # The clustering stage deduplicates identical bodies before it
-        # builds a distance matrix and then asks for each surviving
-        # pair exactly once: the memo itself sees zero repeats.  The
-        # dedup credit is what keeps the gauge honest (the regression
-        # was a hit rate of 0.0 alongside thousands of avoided pairs).
-        memo, calls = self.make()
-        a, b = 1.0, 3.0
-        memo(a, b)
-        assert memo.hit_rate() == 0.0
-        memo.credit_avoided(3)
-        assert memo.avoided == 3
-        assert memo.hit_rate() == pytest.approx(3 / 4)
-        assert len(calls) == 1
-
-    def test_credit_avoided_ignores_nonpositive(self):
-        memo, __ = self.make()
-        memo.credit_avoided(0)
-        memo.credit_avoided(-5)
-        assert memo.avoided == 0
-        assert memo.hit_rate() == 0.0
 
 
 class TestFeatureCache:

@@ -92,6 +92,31 @@ class TestReportDegradation:
         assert report.http_captures == []
         assert report.clusters == []
 
+    def test_prefilter_failure_leaves_an_empty_prefilter(self, world):
+        from repro.analysis.manipulation import prefilter_summary
+        pipeline = make_pipeline(world)
+
+        def broken_process(observations, domain_catalog):
+            raise RuntimeError("prefilter rules crashed")
+
+        pipeline.prefilterer.process = broken_process
+        report = pipeline.run(list(world.resolver_ips.values()),
+                              world.catalog)
+        assert report.degraded == [
+            {"stage": "prefilter",
+             "reason": repr(RuntimeError("prefilter rules crashed"))}]
+        # The later stages ran (on nothing to acquire), and the report's
+        # consumers meet an empty prefilter, not ``None``.
+        assert len(report.observations) == 2
+        assert report.ground_truth_bodies
+        assert report.http_captures == [] and report.labeled == []
+        summary = prefilter_summary(report)
+        assert summary["observations"] == 0
+        assert summary["unknown_tuples"] == 0
+        # A restored commit of the failed stage installs the same way.
+        report.install("prefilter", None)
+        assert prefilter_summary(report) == summary
+
     def test_acquisition_failure_keeps_prefilter(self, world):
         pipeline = make_pipeline(world)
 

@@ -6,8 +6,8 @@ tests compare against the first three input by input, and
 ``tests/test_reporting.py`` swaps all three in for a whole study and
 requires a byte-equal report; ``tests/scanner/test_sweep_lattice.py``
 holds every configuration of the IPv4 sweep to :func:`reference_sweep`;
-``tests/core/test_clustering.py`` and ``benchmarks/perf/bench_pipeline``
-hold NN-chain clustering to :func:`pair_scan_cluster`.
+``tests/core/test_clustering.py`` holds NN-chain clustering to
+:func:`pair_scan_cluster`.
 """
 
 from collections import Counter

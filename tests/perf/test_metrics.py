@@ -15,8 +15,8 @@ class TestCounters:
 class TestGauges:
     def test_set_and_read(self):
         perf = PerfRegistry()
-        perf.gauge("pipeline_domain_scan_qps", 125.0)
-        assert perf.gauge_value("pipeline_domain_scan_qps") == 125.0
+        perf.gauge("qps", 125.0)
+        assert perf.gauge_value("qps") == 125.0
         assert perf.gauge_value("missing") == 0.0
         assert perf.gauge_value("missing", default=-1.0) == -1.0
 
@@ -64,9 +64,7 @@ class TestGaugePolicies:
         import itertools
 
         values = [0.2, 0.9, 0.5]
-        for policy, expected in (("last", 0.5), ("max", 0.9),
-                                 ("min", 0.2), ("sum", 1.6),
-                                 ("mean", 1.6 / 3)):
+        for policy, expected in (("last", 0.5), ("max", 0.9)):
             for order in itertools.permutations(range(len(values))):
                 parent = PerfRegistry()
                 parent.declare_gauge("g", policy)
@@ -101,10 +99,8 @@ class TestGaugePolicies:
             registry = PerfRegistry()
             registry.declare_gauge("hit_rate", "last")
             registry.declare_gauge("peak_qps", "max")
-            registry.declare_gauge("probes_total", "sum")
             registry.gauge("hit_rate", 0.1 * (rank + 1))
             registry.gauge("peak_qps", 100.0 * (3 - rank))
-            registry.gauge("probes_total", 10.0 * (rank + 1))
             registry.count("probes_sent", rank + 1)
             registry.record_seconds("shard_wall", 0.5)
             registry.observe_many("probe_rtt_seconds",
@@ -203,10 +199,14 @@ class TestAggregation:
         registry = PerfRegistry()
         registry.count("stale", 99)
         registry.observe("stale_hist", 1.0)
-        registry.restore({"counters": {"fresh": 1}})
+        # ``gauge_state``: bookkeeping of a gauge policy older
+        # checkpoints' perf snapshots still carry; ignored.
+        registry.restore({"counters": {"fresh": 1},
+                          "gauge_state": {"g": [1.0, 2]}})
         assert registry.counter("stale") == 0
         assert registry.counter("fresh") == 1
         assert registry.histograms == {}
+        assert "gauge_state" not in registry.snapshot()
 
 
 class TestHistograms:

@@ -233,6 +233,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "snooped resolvers" in out
 
+    def test_fingerprint(self, capsys):
+        assert main(["fingerprint"] + SMALL) == 0
+        out = capsys.readouterr().out
+        assert "CHAOS responders" in out      # Table 3
+        assert "TCP responders" in out        # Table 4
+
 
 class TestCheckpointCli:
     def test_checkpoint_flags_parse(self):

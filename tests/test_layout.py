@@ -14,6 +14,10 @@ CLIENT = ("the stub DNS client, repro.dnswire.client.ask (DESIGN.md "
           "\"Stub DNS client\"): allocate a txid and a source port, call "
           "it, decode what it accepted")
 
+STAGES = ("the stage table, ManipulationPipeline.STAGES (DESIGN.md "
+          "\"Pipeline parallelism\"): a stage returns its payload or "
+          "raises, _unit does the rest")
+
 # (what is guarded, regex over source lines, subtree left out, files
 #  allowed to match, where the shared code lives)
 GUARDS = [
@@ -32,6 +36,19 @@ GUARDS = [
     ("splitmix64 finaliser definitions", r"\bdef _?mix64\(", None,
      {"util.py"},
      "repro.util.mix64 (the per-probe loops inline it and say so)"),
+    (".stream_results readers", r"\.stream_results\b", None,
+     {"scanner/engine.py",          # ShardedEngine._run_sharded: the reader
+      "scanner/options.py",         # declared
+      "cli.py"},                    # parsed
+     "ShardedEngine._run_sharded(reassemble=): pass a reassembler to "
+     "stream, None to stay resident (DESIGN.md \"Streaming results\")"),
+    ("mark_degraded( callers", r"(?<!def )\bmark_degraded\(", None,
+     {"core/pipeline.py"}, STAGES),
+    ("the streamed domain scan and the distance memo",
+     r"consume=|process_into|observation_count|MemoizedDistance", None,
+     set(),
+     "report.observations (the domain scan is resident) and "
+     "PAGE_DISTANCE called directly; " + STAGES),
 ]
 
 
@@ -55,3 +72,14 @@ def test_single_copy(what, pattern, outside, allowed, instead):
         what, sorted(matched - allowed), instead)
     assert not allowed - matched, "stale allow-list for %s: %s" % (
         what, sorted(allowed - matched))
+
+
+def test_one_degradation_handler():
+    """A stage that raises is ``ManipulationPipeline._unit``'s to record;
+    the only other entry is the acquisition stage's exhausted error
+    budget, which is not an exception."""
+    source = (SRC / "core" / "pipeline.py").read_text()
+    assert source.count("except Exception") == 1, \
+        "a stage grew its own failure handling — raise, use " + STAGES
+    assert len(re.findall(r"(?<!def )\bmark_degraded\(", source)) == 2, \
+        "mark_degraded( call sites changed — use " + STAGES
