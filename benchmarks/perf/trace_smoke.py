@@ -13,7 +13,10 @@ trace to JSONL, and asserts:
 3. faults actually fired, and **every** lost probe in the flight ring
    carries a drop cause (100% loss attribution), with the injected
    fault rule visible among the causes;
-4. the `repro trace` CLI renders the report and validates the file.
+4. the `repro trace` CLI renders the report and validates the file;
+5. a command that is not a bare scan (``classify``: sweep + pipeline)
+   exports a trace the same CLI validates — tracing is the command
+   session's, not a per-command feature.
 
 Usage::
 
@@ -99,6 +102,21 @@ def main(argv=None):
         "`repro trace --validate-only` accepts the export")
     failures += check(cli_main(["trace", trace_path]) == 0,
                       "`repro trace` renders the report")
+
+    classify_path = os.path.join(os.path.dirname(trace_path),
+                                 "classify_" + os.path.basename(trace_path))
+    failures += check(
+        cli_main(["classify", "--set", "Dating", "--scale", str(SCALE),
+                  "--seed", str(SEED), "--trace-out", classify_path]) == 0,
+        "traced classify exits 0")
+    failures += check(
+        cli_main(["trace", classify_path, "--validate-only"]) == 0,
+        "`repro trace --validate-only` accepts the classify export")
+    stages = {r["stage"] for r in read_trace(classify_path)
+              if r.get("type") == "span"}
+    failures += check({"scan", "clustering"} <= stages,
+                      "classify trace spans sweep and pipeline stages (%s)"
+                      % sorted(stages))
 
     if failures:
         print("trace smoke: %d failure(s)" % failures, file=sys.stderr)

@@ -230,13 +230,18 @@ class CheckpointedRun:
             raise CheckpointError("unreadable meta.json in %s"
                                   % self.directory)
         has_journal = os.path.exists(self._journal_path)
-        if existing is None:
+        if existing is None or not (resume or has_journal):
+            # An empty directory — or a meta with no journal beside it:
+            # whatever wrote it committed nothing, so a fresh run under
+            # other settings owns the directory (and a later --resume of
+            # *that* run must compare against its meta, not the stale
+            # one).
             if meta is not None:
                 atomic_write_text(self._meta_path,
                                   json.dumps(meta, sort_keys=True,
                                              indent=1) + "\n")
             return
-        if not resume and has_journal:
+        if not resume:
             raise CheckpointError(
                 "checkpoint directory %s already holds a run; pass "
                 "resume=True (--resume) to continue it" % self.directory)

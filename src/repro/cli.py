@@ -8,15 +8,24 @@ Usage::
     python -m repro.cli snoop --sample 300   # §2.6 utilization
     python -m repro.cli classify --set Adult # §4 pipeline for one set
     python -m repro.cli audit 1.2.3.4        # audit one resolver
+    python -m repro.cli fullstudy            # all of the above, one report
 
-Common options: ``--scale`` (1:N of the paper's Internet, default 20000)
-and ``--seed``.  All output is plain text on stdout.
+Each of these seven is a body run inside one `_session`, which owns the
+lifecycle (world, options, checkpoint, instruments, crash handling) and
+reads the flag groups the command declares: world flags (``--scale``,
+1:N of the paper's Internet, default 20000; ``--seed``) and instrument
+flags on all seven, sweep, pipeline and campaign flags where they are
+read.  All output is plain text on stdout.
 """
 
 import argparse
 import os
 import sys
+from contextlib import contextmanager
+from types import SimpleNamespace
 
+from repro.faults import (CRASH_EXIT_CODE, FaultPlan, InjectedCrash,
+                          parse_fault_spec)
 from repro.perf import PerfRegistry
 from repro.scanner import ScanOptions, normalize_delta
 from repro.scanner.options import BACKOFF, PROBE_BATCH
@@ -126,23 +135,33 @@ def _endpoint(text):
     return (host, port)
 
 
-def _add_common(parser):
+def _add_world(parser):
+    """World flags: what `_build` and `_run_meta` read.  Every study
+    command takes them."""
     parser.add_argument("--scale", type=_positive_int, default=20000,
                         help="1:N scale of the simulated Internet")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--shards", type=_positive_int, default=1,
-                        help="scan worker processes (fork-based)")
-    parser.add_argument("--pipeline-shards", type=_positive_int,
-                        default=1, metavar="N",
-                        help="worker processes for the classification "
-                             "pipeline's domain scan (classify/audit/"
-                             "fullstudy)")
-    parser.add_argument("--perf", action="store_true",
-                        help="print a throughput report to stderr")
     parser.add_argument("--faults", default=None, metavar="SPEC",
                         help="deterministic fault plan: a profile name "
                              "(none/mild/aggressive) plus overrides, "
                              "e.g. 'aggressive,loss_rate=0.2,kill=0'")
+    parser.add_argument("--lazy-population", action="store_true",
+                        help="materialize resolver nodes on first probe "
+                             "from compact per-pool specs instead of "
+                             "building every node up front (memory "
+                             "bounded by --node-cache)")
+    parser.add_argument("--node-cache", type=_positive_int, default=8192,
+                        metavar="N",
+                        help="live materialized nodes kept per worker "
+                             "under --lazy-population (LRU-evicted "
+                             "beyond this)")
+
+
+def _add_sweep(parser):
+    """Sweep flags: the `ScanOptions` fields `_scan_options` reads.
+    Every study command that runs an IPv4 sweep takes them."""
+    parser.add_argument("--shards", type=_positive_int, default=1,
+                        help="scan worker processes (fork-based)")
     parser.add_argument("--retries", type=_non_negative_int, default=0,
                         help="probe retransmissions per unanswered "
                              "target (exponential backoff)")
@@ -163,16 +182,6 @@ def _add_common(parser):
                              "scan instead of as one whole-shard frame "
                              "(worker memory bounded by chunk size; "
                              "results are bit-identical)")
-    parser.add_argument("--lazy-population", action="store_true",
-                        help="materialize resolver nodes on first probe "
-                             "from compact per-pool specs instead of "
-                             "building every node up front (memory "
-                             "bounded by --node-cache)")
-    parser.add_argument("--node-cache", type=_positive_int, default=8192,
-                        metavar="N",
-                        help="live materialized nodes kept per worker "
-                             "under --lazy-population (LRU-evicted "
-                             "beyond this)")
     parser.add_argument("--backoff", type=_backoff_factor,
                         default=BACKOFF, metavar="FACTOR",
                         help="retransmission timeout growth factor "
@@ -188,7 +197,26 @@ def _add_common(parser):
                              "adaptive controller's upper bound")
 
 
-def _add_delta(parser):
+def _add_pipeline(parser):
+    parser.add_argument("--pipeline-shards", type=_positive_int,
+                        default=1, metavar="N",
+                        help="worker processes for the classification "
+                             "pipeline's domain scan")
+
+
+def _add_campaign(parser):
+    """Campaign flags, for the two commands whose work is a multi-week
+    campaign cut into durable units: ``--checkpoint-dir/--resume``
+    (`_open_checkpoint`) and the ``--delta`` family (`_scan_options`)."""
+    parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
+                        help="directory for the crash-safe write-ahead "
+                             "journal and per-unit snapshots; completed "
+                             "weeks/stages/shards are committed durably "
+                             "as they finish")
+    parser.add_argument("--resume", action="store_true",
+                        help="resume an interrupted run from "
+                             "--checkpoint-dir, re-entering at the "
+                             "first incomplete unit of work")
     parser.add_argument("--delta", action="store_true",
                         help="differential campaign: carry the prior "
                              "week's verdicts in stable prefixes, "
@@ -212,17 +240,29 @@ def _add_delta(parser):
                              "interval under --delta (default 4)")
 
 
-def _delta_config(args):
-    """The --delta flag family (campaign/fullstudy) as a DeltaConfig."""
-    if not args.delta:
-        return None
-    return normalize_delta(True, audit_fraction=args.audit_fraction,
-                           drift_budget=args.drift_budget,
-                           full_sweep_every=args.full_sweep_every)
+def _add_instruments(parser, perf=True):
+    """Instrument flags: ``--perf`` (`_report_perf`) and
+    ``--trace/--trace-out`` (`_tracing`, `_export_trace`)."""
+    if perf:
+        parser.add_argument("--perf", action="store_true",
+                            help="print a throughput report to stderr")
+    parser.add_argument("--trace", action="store_true",
+                        help="record spans and wire-level flight events "
+                             "(see 'repro trace' for rendering)")
+    parser.add_argument("--trace-out", default=None, metavar="PATH",
+                        help="trace export path (JSONL; implies --trace; "
+                             "default trace.jsonl)")
 
 
-def _scan_options(args, delta=None):
+def _scan_options(args):
     """Every scan knob of this invocation, read and validated once."""
+    if not args.sweep_flags:
+        return ScanOptions()
+    delta = None
+    if args.campaign_flags and args.delta:
+        delta = normalize_delta(True, audit_fraction=args.audit_fraction,
+                                drift_budget=args.drift_budget,
+                                full_sweep_every=args.full_sweep_every)
     return ScanOptions(
         shards=args.shards, retries=args.retries,
         probe_timeout=args.probe_timeout, backoff=args.backoff,
@@ -240,74 +280,48 @@ def _run_meta(args, options):
             "options": options.as_meta()}
 
 
-def _add_trace(parser):
-    parser.add_argument("--trace", action="store_true",
-                        help="record spans and wire-level flight events "
-                             "(see 'repro trace' for rendering)")
-    parser.add_argument("--trace-out", default=None, metavar="PATH",
-                        help="trace export path (JSONL; implies --trace; "
-                             "default trace.jsonl)")
-
-
-def _install_obs(args, scenario):
-    """Attach the observability bundle when tracing was requested."""
-    if not (getattr(args, "trace", False)
-            or getattr(args, "trace_out", None)):
-        return None
+def _tracing(args, clock=None, seed=None):
+    """The observability bundle ``--trace/--trace-out`` ask for, for
+    study and observe commands alike.  Without either flag the bundle is
+    disabled: its tracer is ``None`` and installing it attaches nothing."""
     from repro.obs import Observability
-    obs = Observability(clock=scenario.network.clock, seed=args.seed)
-    obs.install(scenario.network)
-    return obs
+    return Observability(clock=clock, seed=seed,
+                         enabled=args.trace or bool(args.trace_out))
 
 
-def _export_trace(args, obs, perf, options):
+def _export_trace(args, obs, perf, meta):
     """Write the recorded trace (also on the injected-crash path, so a
     crashed run's partial trace survives for inspection)."""
-    if obs is None:
+    if not obs.enabled:
         return
-    path = getattr(args, "trace_out", None) or "trace.jsonl"
-    spans, events = obs.export(path, perf=perf,
-                               meta=_run_meta(args, options))
+    path = args.trace_out or "trace.jsonl"
+    spans, events = obs.export(path, perf=perf, meta=meta)
     print("trace: %d spans, %d flight events written to %s"
           % (spans, events, path), file=sys.stderr)
 
 
-def _add_checkpoint(parser):
-    parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                        help="directory for the crash-safe write-ahead "
-                             "journal and per-unit snapshots; completed "
-                             "weeks/stages/shards are committed durably "
-                             "as they finish")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume an interrupted run from "
-                             "--checkpoint-dir, re-entering at the "
-                             "first incomplete unit of work")
-
-
-def _open_checkpoint(args, scenario, perf, options, extra_meta):
-    """Build the CheckpointedRun for this command, or ``None``."""
-    directory = getattr(args, "checkpoint_dir", None)
-    if not directory:
-        if getattr(args, "resume", False):
+def _open_checkpoint(args, scenario, perf, meta):
+    """Build the CheckpointedRun ``--checkpoint-dir`` asks for, or
+    ``None``."""
+    if not args.checkpoint_dir:
+        if args.resume:
             raise SystemExit("--resume requires --checkpoint-dir")
         return None
     from repro.checkpoint import CheckpointedRun
-    meta = _run_meta(args, options)
-    meta.update(extra_meta)
     checkpoint = CheckpointedRun(
-        directory, meta=meta, resume=getattr(args, "resume", False),
-        fault_plan=getattr(scenario.network, "faults", None), perf=perf)
+        args.checkpoint_dir, meta=meta, resume=args.resume,
+        fault_plan=scenario.network.faults, perf=perf)
     if checkpoint.provenance["journal_records_replayed"] or \
             checkpoint.provenance["journal_records_quarantined"]:
         print("checkpoint: replayed %d journal records "
               "(%d quarantined) from %s"
               % (checkpoint.provenance["journal_records_replayed"],
                  checkpoint.provenance["journal_records_quarantined"],
-                 directory), file=sys.stderr)
+                 args.checkpoint_dir), file=sys.stderr)
     return checkpoint
 
 
-def _finish_checkpoint(checkpoint, crashed=None):
+def _finish_checkpoint(checkpoint, crashed):
     """Write provenance and report the run's durability outcome."""
     if checkpoint is None:
         return 0
@@ -321,10 +335,7 @@ def _finish_checkpoint(checkpoint, crashed=None):
           file=sys.stderr)
     print("checkpoint provenance written to %s" % path, file=sys.stderr)
     checkpoint.close()
-    if crashed is not None:
-        from repro.faults import CRASH_EXIT_CODE
-        return CRASH_EXIT_CODE
-    return 0
+    return 0 if crashed is None else CRASH_EXIT_CODE
 
 
 def _build(args):
@@ -335,15 +346,10 @@ def _build(args):
         lazy_population=args.lazy_population,
         node_cache=args.node_cache))
     if args.faults:
-        from repro.faults import FaultPlan, parse_fault_spec
         plan = FaultPlan(parse_fault_spec(args.faults), seed=args.seed)
         scenario.network.install_faults(plan)
         print("fault plan: %r" % plan, file=sys.stderr)
     return scenario
-
-
-def _perf_registry(args):
-    return PerfRegistry() if getattr(args, "perf", False) else None
 
 
 def _report_perf(args, perf):
@@ -366,37 +372,68 @@ def _check_shards(scenario, shards):
             "scale; use at most one shard per target" % (shards, targets))
 
 
-def _scan(scenario, options, perf=None):
+@contextmanager
+def _session(args, extra_meta=None):
+    """The run lifecycle of every study command, in its one order.
+
+    World and fault plan first: everything below hangs off them.  The
+    options are validated against the world *before* the checkpoint
+    opens, so a rejected invocation leaves nothing durable behind.  The
+    checkpoint (its meta: `_run_meta` plus the command's ``extra_meta``)
+    opens before the instruments go on, so the trace holds the
+    command's work and none of the setup.  An injected crash skips the
+    perf report but still exports the trace and closes the checkpoint;
+    ``run.status`` is the command's exit code either way.
+    """
+    scenario = _build(args)
+    perf = PerfRegistry() if args.perf else None
+    options = _scan_options(args)
     _check_shards(scenario, options.shards)
-    campaign = scenario.new_campaign(verify=False, perf=perf,
-                                     options=options)
-    return campaign.run_week()
+    meta = _run_meta(args, options)
+    checkpoint = None
+    if args.campaign_flags:
+        checkpoint = _open_checkpoint(args, scenario, perf,
+                                      dict(meta, **extra_meta))
+    obs = _tracing(args, scenario.network.clock, args.seed)
+    obs.install(scenario.network)
+    run = SimpleNamespace(scenario=scenario, perf=perf, options=options,
+                          checkpoint=checkpoint, status=0)
+    crashed = None
+    try:
+        yield run
+    except InjectedCrash as crash:
+        crashed = crash
+    else:
+        _report_perf(args, perf)
+    _export_trace(args, obs, perf, meta)
+    run.status = _finish_checkpoint(checkpoint, crashed)
+
+
+def _sweep(run):
+    """One Internet-wide scan under the session's options."""
+    campaign = run.scenario.new_campaign(verify=False, perf=run.perf,
+                                         options=run.options)
+    return campaign.run_week().result
 
 
 def cmd_scan(args):
-    scenario = _build(args)
-    perf = _perf_registry(args)
-    obs = _install_obs(args, scenario)
-    options = _scan_options(args)
-    snapshot = _scan(scenario, options, perf)
-    counts = snapshot.result.counts()
-    print("probes sent:      %d" % snapshot.result.probes_sent)
-    print("responders:       %d" % counts["all"])
-    print("  NOERROR:        %d" % counts["noerror"])
-    print("  REFUSED:        %d" % counts["refused"])
-    print("  SERVFAIL:       %d" % counts["servfail"])
-    print("divergent source: %d" % len(snapshot.result.divergent_sources))
-    if snapshot.result.retransmissions:
-        print("retransmissions:  %d" % snapshot.result.retransmissions)
-    degraded = snapshot.result.degraded_shards
-    if degraded:
-        print("degraded shards:  %d" % len(degraded))
-    if snapshot.result.suppressed:
-        print("suppressed:       %d targets (pacing gave windows up)"
-              % snapshot.result.suppressed_targets)
-    _report_perf(args, perf)
-    _export_trace(args, obs, perf, options)
-    return 0
+    with _session(args) as run:
+        result = _sweep(run)
+        counts = result.counts()
+        print("probes sent:      %d" % result.probes_sent)
+        print("responders:       %d" % counts["all"])
+        print("  NOERROR:        %d" % counts["noerror"])
+        print("  REFUSED:        %d" % counts["refused"])
+        print("  SERVFAIL:       %d" % counts["servfail"])
+        print("divergent source: %d" % len(result.divergent_sources))
+        if result.retransmissions:
+            print("retransmissions:  %d" % result.retransmissions)
+        if result.degraded_shards:
+            print("degraded shards:  %d" % len(result.degraded_shards))
+        if result.suppressed:
+            print("suppressed:       %d targets (pacing gave windows up)"
+                  % result.suppressed_targets)
+    return run.status
 
 
 def cmd_campaign(args):
@@ -406,41 +443,28 @@ def cmd_campaign(args):
         format_series,
         magnitude_series,
     )
-    from repro.faults import InjectedCrash
-    scenario = _build(args)
-    perf = _perf_registry(args)
-    options = _scan_options(args, delta=_delta_config(args))
-    checkpoint = _open_checkpoint(args, scenario, perf, options,
-                                  {"weeks": args.weeks})
-    obs = _install_obs(args, scenario)
-    _check_shards(scenario, args.shards)
-    campaign = scenario.new_campaign(verify=False, perf=perf,
-                                     options=options)
-    try:
-        campaign.run(args.weeks, checkpoint=checkpoint)
-    except InjectedCrash as crash:
-        _export_trace(args, obs, perf, options)
-        return _finish_checkpoint(checkpoint, crashed=crash)
-    series = magnitude_series(campaign.snapshots)
-    print(format_series(series))
-    print("decline ratio: %.2f" % decline_ratio(series))
-    print()
-    print(format_survival(churn_survival(campaign.snapshots)))
-    if campaign.delta is not None:
-        from repro.scanner.delta import delta_summary
-        totals = delta_summary(campaign.snapshots)
+    with _session(args, {"weeks": args.weeks}) as run:
+        campaign = run.scenario.new_campaign(verify=False, perf=run.perf,
+                                             options=run.options)
+        campaign.run(args.weeks, checkpoint=run.checkpoint)
+        series = magnitude_series(campaign.snapshots)
+        print(format_series(series))
+        print("decline ratio: %.2f" % decline_ratio(series))
         print()
-        print("delta: %d delta weeks / %d full sweeps, %d verdicts "
-              "carried, %d audited (%d failed), %d refreshed, "
-              "%d window escalations, %d global escalations"
-              % (totals["delta_weeks"], totals["full_weeks"],
-                 totals["carried"], totals["audited"],
-                 totals["audit_failures"], totals["refreshed"],
-                 totals["escalated_windows"],
-                 totals["global_escalations"]))
-    _report_perf(args, perf)
-    _export_trace(args, obs, perf, options)
-    return _finish_checkpoint(checkpoint)
+        print(format_survival(churn_survival(campaign.snapshots)))
+        if campaign.delta is not None:
+            from repro.scanner.delta import delta_summary
+            totals = delta_summary(campaign.snapshots)
+            print()
+            print("delta: %d delta weeks / %d full sweeps, %d verdicts "
+                  "carried, %d audited (%d failed), %d refreshed, "
+                  "%d window escalations, %d global escalations"
+                  % (totals["delta_weeks"], totals["full_weeks"],
+                     totals["carried"], totals["audited"],
+                     totals["audit_failures"], totals["refreshed"],
+                     totals["escalated_windows"],
+                     totals["global_escalations"]))
+    return run.status
 
 
 def cmd_fingerprint(args):
@@ -450,15 +474,16 @@ def cmd_fingerprint(args):
         software_table,
     )
     from repro.reporting import fingerprint_phase
-    scenario = _build(args)
-    resolvers = sorted(
-        _scan(scenario, _scan_options(args)).result.noerror)
-    fingerprint = fingerprint_phase(scenario, resolvers)
-    print(format_software_table(software_table(fingerprint["software"])))
-    print()
-    print(format_device_table(device_table(
-        fingerprint["classifications"], total_scanned=len(resolvers))))
-    return 0
+    with _session(args) as run:
+        resolvers = sorted(_sweep(run).noerror)
+        fingerprint = fingerprint_phase(run.scenario, resolvers)
+        print(format_software_table(
+            software_table(fingerprint["software"])))
+        print()
+        print(format_device_table(device_table(
+            fingerprint["classifications"],
+            total_scanned=len(resolvers))))
+    return run.status
 
 
 def cmd_snoop(args):
@@ -467,12 +492,11 @@ def cmd_snoop(args):
         utilization_summary,
     )
     from repro.reporting import snoop_phase
-    scenario = _build(args)
-    resolvers = sorted(
-        _scan(scenario, _scan_options(args)).result.noerror)[:args.sample]
-    snoop = snoop_phase(scenario, resolvers, hours=args.hours)
-    print(format_utilization(utilization_summary(snoop["traces"])))
-    return 0
+    with _session(args) as run:
+        resolvers = sorted(_sweep(run).noerror)[:args.sample]
+        snoop = snoop_phase(run.scenario, resolvers, hours=args.hours)
+        print(format_utilization(utilization_summary(snoop["traces"])))
+    return run.status
 
 
 def cmd_classify(args):
@@ -482,93 +506,83 @@ def cmd_classify(args):
         print("unknown domain set %r; choose from: %s"
               % (args.set, ", ".join(ALL_CATEGORIES)), file=sys.stderr)
         return 2
-    scenario = _build(args)
-    perf = _perf_registry(args)
-    options = _scan_options(args)
-    resolvers = sorted(_scan(scenario, options, perf).result.noerror)
-    pipeline = scenario.new_pipeline(
-        perf=perf, options=options.replace(shards=args.pipeline_shards))
-    report = pipeline.run(resolvers, list(DOMAIN_SETS[args.set]))
-    stats = report.prefilter.stats()
-    print("domain set:    %s" % args.set)
-    print("observations:  %d" % stats["observations"])
-    print("legitimate:    %.1f%%" % (100 * stats["legitimate_share"]))
-    print("empty answers: %.1f%%" % (100 * stats["empty_share"]))
-    print("unexpected:    %.1f%%" % (100 * stats["unknown_share"]))
-    print("clusters:      %d" % len(report.clusters))
-    for (label, sublabel), count in Counter(
-            (l.label, l.sublabel) for l in report.labeled).most_common():
-        name = label if not sublabel else "%s (%s)" % (label, sublabel)
-        print("  %-36s %d" % (name, count))
-    print("classified:    %.1f%%" % (100 * report.classified_share()))
-    _report_perf(args, perf)
-    return 0
+    with _session(args) as run:
+        resolvers = sorted(_sweep(run).noerror)
+        pipeline = run.scenario.new_pipeline(
+            perf=run.perf,
+            options=run.options.replace(shards=args.pipeline_shards))
+        report = pipeline.run(resolvers, list(DOMAIN_SETS[args.set]))
+        stats = report.prefilter.stats()
+        print("domain set:    %s" % args.set)
+        print("observations:  %d" % stats["observations"])
+        print("legitimate:    %.1f%%" % (100 * stats["legitimate_share"]))
+        print("empty answers: %.1f%%" % (100 * stats["empty_share"]))
+        print("unexpected:    %.1f%%" % (100 * stats["unknown_share"]))
+        print("clusters:      %d" % len(report.clusters))
+        for (label, sublabel), count in Counter(
+                (l.label, l.sublabel)
+                for l in report.labeled).most_common():
+            name = label if not sublabel else "%s (%s)" % (label, sublabel)
+            print("  %-36s %d" % (name, count))
+        print("classified:    %.1f%%" % (100 * report.classified_share()))
+    return run.status
 
 
 def cmd_audit(args):
     from collections import Counter
     from repro.datasets import DOMAIN_SETS
-    scenario = _build(args)
-    resolver_ip = args.resolver
-    if scenario.network.node_at(resolver_ip) is None:
-        # Pick an actual resolver when the requested address is empty
-        # (addresses differ per seed/scale).
-        resolver_ip = scenario.online_resolver_ips()[0]
-        print("no host at %s; auditing %s instead"
-              % (args.resolver, resolver_ip), file=sys.stderr)
-    domains = (list(DOMAIN_SETS["Banking"]) + list(DOMAIN_SETS["Alexa"])
-               + list(DOMAIN_SETS["Adult"]) + list(DOMAIN_SETS["Gambling"])
-               + list(DOMAIN_SETS["NX"]))
-    pipeline = scenario.new_pipeline(options=_scan_options(args).replace(
-        shards=args.pipeline_shards))
-    report = pipeline.run([resolver_ip], domains)
-    labels = Counter((l.label, l.sublabel) for l in report.labeled)
-    print("resolver:   %s" % resolver_ip)
-    print("responses:  %d" % len(report.observations))
-    print("suspicious: %d tuples" % len(report.prefilter.unknown))
-    if not labels:
-        print("verdict:    CLEAN")
-    else:
-        print("verdict:    MANIPULATING")
-        for (label, sublabel), count in labels.most_common():
-            name = label if not sublabel else "%s/%s" % (label, sublabel)
-            print("  %-30s x%d" % (name, count))
-    return 0
+    with _session(args) as run:
+        resolver_ip = args.resolver
+        if run.scenario.network.node_at(resolver_ip) is None:
+            # Pick an actual resolver when the requested address is
+            # empty (addresses differ per seed/scale).
+            resolver_ip = run.scenario.online_resolver_ips()[0]
+            print("no host at %s; auditing %s instead"
+                  % (args.resolver, resolver_ip), file=sys.stderr)
+        domains = (list(DOMAIN_SETS["Banking"]) + list(DOMAIN_SETS["Alexa"])
+                   + list(DOMAIN_SETS["Adult"])
+                   + list(DOMAIN_SETS["Gambling"])
+                   + list(DOMAIN_SETS["NX"]))
+        pipeline = run.scenario.new_pipeline(
+            perf=run.perf,
+            options=run.options.replace(shards=args.pipeline_shards))
+        report = pipeline.run([resolver_ip], domains)
+        labels = Counter((l.label, l.sublabel) for l in report.labeled)
+        print("resolver:   %s" % resolver_ip)
+        print("responses:  %d" % len(report.observations))
+        print("suspicious: %d tuples" % len(report.prefilter.unknown))
+        if not labels:
+            print("verdict:    CLEAN")
+        else:
+            print("verdict:    MANIPULATING")
+            for (label, sublabel), count in labels.most_common():
+                name = label if not sublabel else "%s/%s" % (label,
+                                                             sublabel)
+                print("  %-30s x%d" % (name, count))
+    return run.status
 
 
 def cmd_fullstudy(args):
-    from repro.faults import InjectedCrash
     from repro.reporting import render_markdown, run_full_study
-    scenario = _build(args)
-    perf = _perf_registry(args)
-    options = _scan_options(args, delta=_delta_config(args))
-    checkpoint = _open_checkpoint(
-        args, scenario, perf, options,
-        {"weeks": args.weeks, "snoop_sample": args.snoop_sample,
-         "pipeline_shards": args.pipeline_shards})
-    obs = _install_obs(args, scenario)
-    _check_shards(scenario, args.shards)
-    try:
+    with _session(args, {"weeks": args.weeks,
+                         "snoop_sample": args.snoop_sample,
+                         "pipeline_shards": args.pipeline_shards}) as run:
         results = run_full_study(
-            scenario, weeks=args.weeks, snoop_sample=args.snoop_sample,
-            pipeline_shards=args.pipeline_shards, checkpoint=checkpoint,
-            perf=perf, options=options,
+            run.scenario, weeks=args.weeks,
+            snoop_sample=args.snoop_sample,
+            pipeline_shards=args.pipeline_shards,
+            checkpoint=run.checkpoint, perf=run.perf, options=run.options,
             progress=lambda message: print(message, file=sys.stderr))
-    except InjectedCrash as crash:
-        _export_trace(args, obs, perf, options)
-        return _finish_checkpoint(checkpoint, crashed=crash)
-    report = render_markdown(results, scenario=scenario)
-    if args.out:
-        # Atomic replace: a crash mid-write must never leave a torn
-        # report where a complete one (from a previous run) stood.
-        from repro.checkpoint import atomic_write_text
-        atomic_write_text(args.out, report + "\n")
-        print("report written to %s" % args.out, file=sys.stderr)
-    else:
-        print(report)
-    _report_perf(args, perf)
-    _export_trace(args, obs, perf, options)
-    return _finish_checkpoint(checkpoint)
+        report = render_markdown(results, scenario=run.scenario)
+        if args.out:
+            # Atomic replace: a crash mid-write must never leave a torn
+            # report where a complete one (from a previous run) stood.
+            from repro.checkpoint import atomic_write_text
+            atomic_write_text(args.out, report + "\n")
+            print("report written to %s" % args.out, file=sys.stderr)
+        else:
+            print(report)
+    return run.status
 
 
 def cmd_trace(args):
@@ -604,7 +618,7 @@ def _observe_geo(args):
     """Geography enrichment for ingest, rebuilt from the checkpoint's
     own recorded scale/seed — the scenario's prefix->country/AS mapping
     is deterministic, so this is the world the campaign scanned."""
-    if getattr(args, "no_geo", False):
+    if args.no_geo:
         return None
     from repro.checkpoint import CheckpointFeed
     from repro.observatory import scenario_geo
@@ -620,24 +634,8 @@ def _observe_geo(args):
     return scenario_geo(scenario)
 
 
-def _observe_tracer(args):
-    if not (getattr(args, "trace", False)
-            or getattr(args, "trace_out", None)):
-        return None
-    from repro.obs import Tracer
-    return Tracer(seed=getattr(args, "seed", None))
-
-
-def _export_observe_trace(args, tracer, perf):
-    if tracer is None:
-        return
-    from repro.obs import export_trace
-    path = getattr(args, "trace_out", None) or "trace.jsonl"
-    meta = {"command": "observe-%s" % args.observe_command}
-    spans, events = export_trace(path, tracer=tracer, perf=perf,
-                                 meta=meta)
-    print("trace: %d spans, %d flight events written to %s"
-          % (spans, events, path), file=sys.stderr)
+def _observe_meta(args):
+    return {"command": "observe-%s" % args.observe_command}
 
 
 def _ingest_once(store, args, geo, perf, tracer):
@@ -663,20 +661,20 @@ def cmd_observe_ingest(args):
                          % args.source)
     store = _open_store(args, create=True)
     geo = _observe_geo(args)
-    perf = _perf_registry(args)
-    tracer = _observe_tracer(args)
+    perf = PerfRegistry() if args.perf else None
+    obs = _tracing(args)
     try:
-        _ingest_once(store, args, geo, perf, tracer)
+        _ingest_once(store, args, geo, perf, obs.tracer)
         while args.watch:
             time.sleep(args.ingest_poll)
-            _ingest_once(store, args, geo, perf, tracer)
+            _ingest_once(store, args, geo, perf, obs.tracer)
     except KeyboardInterrupt:
         pass
     print("store: %d resolvers, %d weeks, generation %d in %s"
           % (len(store), len(store.weeks()), store.generation,
              args.store_dir))
     _report_perf(args, perf)
-    _export_observe_trace(args, tracer, perf)
+    _export_trace(args, obs, perf, _observe_meta(args))
     return 0
 
 
@@ -750,11 +748,11 @@ def cmd_observe_serve(args):
                          % args.source)
     store = _open_store(args, create=bool(args.source))
     perf = PerfRegistry()
-    tracer = _observe_tracer(args)
+    obs = _tracing(args)
     geo = _observe_geo(args) if args.source else None
-    observatory = Observatory(store, perf=perf, tracer=tracer)
+    observatory = Observatory(store, perf=perf, tracer=obs.tracer)
     if args.source:
-        _ingest_once(store, args, geo, perf, tracer)
+        _ingest_once(store, args, geo, perf, obs.tracer)
     host, port = args.listen
     server = ObservatoryServer(observatory, host=host, port=port)
     server.start()
@@ -766,12 +764,12 @@ def cmd_observe_serve(args):
             time.sleep(args.ingest_poll)
             if args.source:
                 with server.lock:
-                    _ingest_once(store, args, geo, perf, tracer)
+                    _ingest_once(store, args, geo, perf, obs.tracer)
     except KeyboardInterrupt:
         pass
     finally:
         server.stop()
-    _export_observe_trace(args, tracer, perf)
+    _export_trace(args, obs, perf, _observe_meta(args))
     return 0
 
 
@@ -782,53 +780,44 @@ def build_parser():
                     "Classification of Open DNS Resolvers' (IMC 2015)")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    scan = subparsers.add_parser("scan", help="one Internet-wide scan")
-    _add_common(scan)
-    _add_trace(scan)
-    scan.set_defaults(func=cmd_scan)
+    def study(name, body, text, *groups):
+        """One study command: world and instrument flags, plus the flag
+        ``groups`` its body (or `_session` on its behalf) reads."""
+        sub = subparsers.add_parser(name, help=text)
+        for add_group in (_add_world, _add_instruments) + groups:
+            add_group(sub)
+        sub.set_defaults(func=body, sweep_flags=_add_sweep in groups,
+                         campaign_flags=_add_campaign in groups)
+        return sub
 
-    campaign = subparsers.add_parser("campaign",
-                                     help="weekly scan campaign")
-    _add_common(campaign)
-    _add_checkpoint(campaign)
-    _add_trace(campaign)
-    _add_delta(campaign)
+    study("scan", cmd_scan, "one Internet-wide scan", _add_sweep)
+
+    campaign = study("campaign", cmd_campaign, "weekly scan campaign",
+                     _add_sweep, _add_campaign)
     campaign.add_argument("--weeks", type=_positive_int, default=12)
-    campaign.set_defaults(func=cmd_campaign)
 
-    fingerprint = subparsers.add_parser(
-        "fingerprint", help="software + device fingerprinting")
-    _add_common(fingerprint)
-    fingerprint.set_defaults(func=cmd_fingerprint)
+    study("fingerprint", cmd_fingerprint,
+          "software + device fingerprinting", _add_sweep)
 
-    snoop = subparsers.add_parser("snoop", help="cache-snooping survey")
-    _add_common(snoop)
+    snoop = study("snoop", cmd_snoop, "cache-snooping survey", _add_sweep)
     snoop.add_argument("--sample", type=_positive_int, default=250)
     snoop.add_argument("--hours", type=_positive_int, default=36)
-    snoop.set_defaults(func=cmd_snoop)
 
-    classify = subparsers.add_parser(
-        "classify", help="manipulation pipeline for one domain set")
-    _add_common(classify)
+    classify = study("classify", cmd_classify,
+                     "manipulation pipeline for one domain set",
+                     _add_sweep, _add_pipeline)
     classify.add_argument("--set", default="Banking")
-    classify.set_defaults(func=cmd_classify)
 
-    fullstudy = subparsers.add_parser(
-        "fullstudy", help="run every experiment, emit one report")
-    _add_common(fullstudy)
-    _add_checkpoint(fullstudy)
-    _add_trace(fullstudy)
-    _add_delta(fullstudy)
+    fullstudy = study("fullstudy", cmd_fullstudy,
+                      "run every experiment, emit one report",
+                      _add_sweep, _add_pipeline, _add_campaign)
     fullstudy.add_argument("--weeks", type=_positive_int, default=20)
     fullstudy.add_argument("--snoop-sample", type=_positive_int,
                            default=200)
     fullstudy.add_argument("--out", default=None)
-    fullstudy.set_defaults(func=cmd_fullstudy)
 
-    audit = subparsers.add_parser("audit", help="audit one resolver")
-    _add_common(audit)
+    audit = study("audit", cmd_audit, "audit one resolver", _add_pipeline)
     audit.add_argument("resolver")
-    audit.set_defaults(func=cmd_audit)
 
     trace = subparsers.add_parser(
         "trace", help="validate and render an exported trace")
@@ -869,9 +858,7 @@ def build_parser():
     ingest.add_argument("--watch", action="store_true",
                         help="keep polling the journal for new commits "
                              "until interrupted")
-    ingest.add_argument("--perf", action="store_true",
-                        help="print a throughput report to stderr")
-    _add_trace(ingest)
+    _add_instruments(ingest)
     ingest.set_defaults(func=cmd_observe_ingest)
 
     lookup = observe_sub.add_parser(
@@ -910,7 +897,7 @@ def build_parser():
     serve.add_argument("--listen", type=_endpoint,
                        default=("127.0.0.1", 8053), metavar="HOST:PORT",
                        help="listen address (port 0: OS-assigned)")
-    _add_trace(serve)
+    _add_instruments(serve, perf=False)
     serve.set_defaults(func=cmd_observe_serve)
 
     return parser

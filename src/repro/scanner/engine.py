@@ -471,8 +471,8 @@ class ShardedEngine:
     parent holds until the shard completes and then folds back into its
     result.  The outcome is byte-identical to a resident run —
     streaming changes *where* rows live during the scan, never what
-    they are.  Requires a scanner advertising ``supports_chunks``;
-    silently runs resident otherwise (and for in-process rescues).
+    they are.  An engine streams iff it passes ``_run_sharded`` a
+    reassembler; in-process rescues always run resident.
     ``heartbeat_timeout`` kills workers silent for that many wall-clock
     seconds (needs a scanner with ``supports_progress``); ``None``
     disables.
@@ -558,14 +558,12 @@ class ShardedEngine:
             checkpoint.maybe_crash("shard", (origin,))
             deliver(item, payload["result"], entry["mode"])
 
-        streaming = options.stream_results and \
-            getattr(scanner, "supports_chunks", False)
         supervisor = ShardSupervisor(
             scanner.network, run_range, perf=self.perf,
             heartbeat_timeout=self.heartbeat_timeout,
             supports_progress=getattr(scanner, "supports_progress", False),
             perf_host=scanner,
-            reassemble=reassemble if streaming else None)
+            reassemble=reassemble if options.stream_results else None)
         provenance += supervisor.run(live_ranges, live_origins,
                                      on_item_done)
         # Completion order varies run to run; sorted provenance keeps

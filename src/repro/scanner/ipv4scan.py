@@ -629,8 +629,6 @@ class Ipv4Scanner:
     # The engine checks this before passing its heartbeat callback
     # (scanner doubles in tests may not accept ``on_progress``).
     supports_progress = True
-    # ... and this before passing a streaming chunk sink (same reason).
-    supports_chunks = True
 
     def __init__(self, network, source_ip, measurement_domain,
                  blacklist=None, source_port=31337, lfsr_seed=0xACE1,

@@ -225,8 +225,6 @@ class ChunkingScanner(FakeScanner):
     worker to claim it ships what it holds as one more chunk ten
     indexes in, then dies — a death with chunks already on the pipe."""
 
-    supports_chunks = True
-
     def __init__(self, death_marker=None):
         super().__init__()
         self.death_marker = death_marker

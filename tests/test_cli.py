@@ -36,26 +36,46 @@ class TestParser:
             ["classify", "--pipeline-shards", "4"])
         assert args.pipeline_shards == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--pipeline-shards", "2"],
+        ["campaign", "--pipeline-shards", "2"],
+        ["fingerprint", "--pipeline-shards", "2"],
+        ["snoop", "--pipeline-shards", "2"],
+        ["audit", "203.0.113.7", "--shards", "2"],
+        ["audit", "203.0.113.7", "--retries", "1"],
+        ["classify", "--checkpoint-dir", "/tmp/c"],
+    ], ids=" ".join)
+    def test_flags_a_command_does_not_read_are_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestKnobValidation:
     """Nonsensical knob values must die at the parser (or with a clear
     error), not as an arbitrary traceback mid-scan."""
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--probe-batch", "0"),
-        ("--probe-batch", "-5"),
-        ("--probe-batch", "many"),
-        ("--node-cache", "0"),
-        ("--node-cache", "-1"),
-        ("--shards", "0"),
-        ("--shards", "-2"),
-        ("--pipeline-shards", "0"),
-        ("--scale", "0"),
-        ("--scale", "-20000"),
-    ])
-    def test_nonpositive_knobs_rejected(self, flag, value, capsys):
+    NONPOSITIVE = [
+        ("scan", "--probe-batch", "0"),
+        ("scan", "--probe-batch", "-5"),
+        ("scan", "--probe-batch", "many"),
+        ("scan", "--node-cache", "0"),
+        ("scan", "--node-cache", "-1"),
+        ("scan", "--shards", "0"),
+        ("scan", "--shards", "-2"),
+        # scan runs no pipeline and no longer takes the flag.
+        ("classify", "--pipeline-shards", "0"),
+        ("scan", "--scale", "0"),
+        ("scan", "--scale", "-20000"),
+    ]
+
+    @pytest.mark.parametrize("command,flag,value", NONPOSITIVE,
+                             ids=["%s-%s" % row[1:] for row in NONPOSITIVE])
+    def test_nonpositive_knobs_rejected(self, command, flag, value,
+                                        capsys):
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["scan", flag, value])
+            build_parser().parse_args([command, flag, value])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "positive integer" in err or "is not an integer" in err
@@ -240,6 +260,32 @@ class TestCommands:
         assert "TCP responders" in out        # Table 4
 
 
+class TestSession:
+    """The run lifecycle is `_session`'s, so every study command gets
+    all of it — not the subset its body happened to type."""
+
+    @pytest.mark.parametrize("argv", [
+        ["scan"],
+        ["campaign", "--weeks", "1"],
+        ["fingerprint"],
+        ["snoop", "--sample", "5", "--hours", "2"],
+        ["classify", "--set", "Dating"],
+        ["audit", "203.0.113.7"],
+        ["fullstudy", "--weeks", "1", "--snoop-sample", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_perf_and_trace_are_honoured(self, argv, tmp_path, capsys):
+        from repro.obs import read_trace, validate_trace
+        path = str(tmp_path / "trace.jsonl")
+        assert main(argv + SMALL + ["--perf", "--trace-out", path]) == 0
+        assert "[perf %s]" % argv[0] in capsys.readouterr().err
+        records = read_trace(path)
+        assert validate_trace(records)["spans"] > 0
+        head = records[0]
+        assert (head["command"], head["scale"], head["seed"]) == \
+            (argv[0], 120000, 3)
+        assert head["options"]["shards"] == 1
+
+
 class TestCheckpointCli:
     def test_checkpoint_flags_parse(self):
         args = build_parser().parse_args(
@@ -262,6 +308,28 @@ class TestCheckpointCli:
         error = capsys.readouterr().err.splitlines()[-1]
         assert error.startswith("error: checkpoint directory")
         assert "already holds a run" in error and "--resume" in error
+
+    def test_rejected_invocation_leaves_no_meta_behind(self, tmp_path):
+        import os
+        ckpt = str(tmp_path / "ckpt")
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--weeks", "1", "--shards", "9999999",
+                  "--checkpoint-dir", ckpt] + SMALL)
+        assert "exceeds" in str(exc.value)
+        assert not os.path.exists(os.path.join(ckpt, "meta.json"))
+
+    def test_stale_meta_without_a_journal_is_rewritten(self, tmp_path,
+                                                       capsys):
+        # What a run stopped before its first commit leaves behind must
+        # not decide what the next run's --resume is compared against.
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        (ckpt / "meta.json").write_text(
+            '{"command": "campaign", "options": {"shards": 9999999}}')
+        run = ["campaign", "--weeks", "1",
+               "--checkpoint-dir", str(ckpt)] + SMALL
+        assert main(run) == 0
+        assert main(run + ["--resume"]) == 0
 
     def test_resume_with_other_weeks_names_the_key_that_differs(
             self, tmp_path, capsys):
@@ -302,10 +370,15 @@ class TestCheckpointCli:
         assert main(["campaign", "--weeks", "2"] + SMALL) == 0
         plain = capsys.readouterr().out
         ckpt = str(tmp_path / "ckpt")
+        trace = str(tmp_path / "crashed.jsonl")
         faulted = SMALL + ["--faults", "none,crash=week:0"]
-        assert main(["campaign", "--weeks", "2",
-                     "--checkpoint-dir", ckpt] + faulted) == \
-            CRASH_EXIT_CODE
+        assert main(["campaign", "--weeks", "2", "--checkpoint-dir", ckpt,
+                     "--trace-out", trace] + faulted) == CRASH_EXIT_CODE
+        # The crash path still exports the trace and the provenance.
+        crashed = capsys.readouterr().err
+        assert "injected crash" in crashed
+        assert "[resume provenance]" in crashed
+        assert main(["trace", trace, "--validate-only"]) == 0
         capsys.readouterr()
         assert main(["campaign", "--weeks", "2", "--checkpoint-dir",
                      ckpt, "--resume"] + faulted) == 0
@@ -328,7 +401,11 @@ class TestCheckpointCli:
         resumed_out = str(tmp_path / "resumed.md")
         faulted = ["--faults", "none,crash=study:fingerprint",
                    "--checkpoint-dir", ckpt, "--out", resumed_out]
-        assert main(args + faulted) == CRASH_EXIT_CODE
+        trace = str(tmp_path / "crashed.jsonl")
+        assert main(args + faulted + ["--trace-out", trace]) == \
+            CRASH_EXIT_CODE
+        assert "[resume provenance]" in capsys.readouterr().err
+        assert main(["trace", trace, "--validate-only"]) == 0
         # Atomic --out: the crashed run must not leave a torn report.
         assert not os.path.exists(resumed_out)
         assert main(args + faulted + ["--resume"]) == 0
@@ -433,10 +510,15 @@ class TestObserveCli:
         assert main(["campaign", "--weeks", "2",
                      "--checkpoint-dir", ckpt] + SMALL) == 0
         capsys.readouterr()
-        assert main(["observe", "ingest", "--from", ckpt,
-                     "--store-dir", store, "--no-geo"]) == 0
+        trace = str(tmp_path / "ingest.jsonl")
+        assert main(["observe", "ingest", "--from", ckpt, "--store-dir",
+                     store, "--no-geo", "--trace-out", trace]) == 0
         captured = capsys.readouterr()
         assert "2 weeks" in captured.err
+        from repro.obs import read_trace, validate_trace
+        records = read_trace(trace)
+        assert validate_trace(records)["spans"] > 0
+        assert records[0]["command"] == "observe-ingest"
         assert main(["observe", "stats", "--store-dir", store]) == 0
         import json
         stats = json.loads(capsys.readouterr().out)

@@ -83,3 +83,27 @@ def test_one_degradation_handler():
         "a stage grew its own failure handling — raise, use " + STAGES
     assert len(re.findall(r"(?<!def )\bmark_degraded\(", source)) == 2, \
         "mark_degraded( call sites changed — use " + STAGES
+
+
+def test_one_command_session():
+    """Every study command's lifecycle is ``cli._session``'s: one crash
+    handler, one place tracing is constructed, no flag sniffed."""
+    source = (SRC / "cli.py").read_text()
+    session = ("cli._session (DESIGN.md \"Command session\"): a command "
+               "is a body inside `with _session(args) as run:`")
+    assert source.count("except InjectedCrash") == 1, \
+        "a command grew its own crash handling — use " + session
+    assert "getattr(args" not in source, \
+        "a flag is sniffed, not declared — add it to the flag group of " \
+        "the commands that read it; the rest is " + session
+    functions = re.split(r"^(?=def |@contextmanager)", source, flags=re.M)
+    builders = [text.split("(")[0] for text in functions
+                if re.search(r"\b(Observability|Tracer)\(", text)]
+    assert builders == ["def _tracing"], \
+        "tracing is constructed in %s — study commands get it from %s, " \
+        "observe commands call _tracing" % (builders, session)
+    for once in ("_open_checkpoint(", "_finish_checkpoint(",
+                 "_check_shards(", ".install("):
+        assert len(re.findall(r"(?<!def )" + re.escape(once),
+                              source)) == 1, \
+            "%s) has a second call site — use %s" % (once, session)
