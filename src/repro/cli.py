@@ -24,6 +24,7 @@ import sys
 from contextlib import contextmanager
 from types import SimpleNamespace
 
+from repro.datasets import DOMAIN_SETS
 from repro.faults import (CRASH_EXIT_CODE, FaultPlan, InjectedCrash,
                           parse_fault_spec)
 from repro.perf import PerfRegistry
@@ -501,11 +502,6 @@ def cmd_snoop(args):
 
 def cmd_classify(args):
     from collections import Counter
-    from repro.datasets import ALL_CATEGORIES, DOMAIN_SETS
-    if args.set not in DOMAIN_SETS:
-        print("unknown domain set %r; choose from: %s"
-              % (args.set, ", ".join(ALL_CATEGORIES)), file=sys.stderr)
-        return 2
     with _session(args) as run:
         resolvers = sorted(_sweep(run).noerror)
         pipeline = run.scenario.new_pipeline(
@@ -530,7 +526,6 @@ def cmd_classify(args):
 
 def cmd_audit(args):
     from collections import Counter
-    from repro.datasets import DOMAIN_SETS
     with _session(args) as run:
         resolver_ip = args.resolver
         if run.scenario.network.node_at(resolver_ip) is None:
@@ -806,7 +801,8 @@ def build_parser():
     classify = study("classify", cmd_classify,
                      "manipulation pipeline for one domain set",
                      _add_sweep, _add_pipeline)
-    classify.add_argument("--set", default="Banking")
+    classify.add_argument("--set", default="Banking",
+                          choices=sorted(DOMAIN_SETS))
 
     fullstudy = study("fullstudy", cmd_fullstudy,
                       "run every experiment, emit one report",

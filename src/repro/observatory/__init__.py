@@ -6,8 +6,8 @@ Three layers (see ``DESIGN.md``, "Observatory"):
   and folds weekly snapshots, fingerprint studies, and manipulation
   verdicts into the store — incrementally and idempotently;
 * :mod:`repro.observatory.store` keeps what was folded as compact
-  columnar records plus spillable per-week columns, versioned on disk
-  with atomic generation swaps;
+  columnar records plus each week's committed ``ScanResult``, versioned
+  on disk with atomic generation swaps;
 * :mod:`repro.observatory.query` / :mod:`repro.observatory.service`
   answer point lookups, the Table 1/2 rankings, the Figure 2 survival
   curve, and per-prefix churn timelines — from the store alone, through
@@ -22,11 +22,7 @@ from repro.observatory.ingest import (
 )
 from repro.observatory.query import Observatory
 from repro.observatory.service import ObservatoryServer
-from repro.observatory.store import (
-    ObservatoryError,
-    ResolverStore,
-    WeekColumns,
-)
+from repro.observatory.store import ObservatoryError, ResolverStore
 
 __all__ = [
     "GeoSource",
@@ -35,7 +31,6 @@ __all__ = [
     "ObservatoryError",
     "ObservatoryServer",
     "ResolverStore",
-    "WeekColumns",
     "ingest_checkpoint",
     "scenario_geo",
 ]

@@ -4,11 +4,10 @@ The feed is a campaign/fullstudy checkpoint directory (see
 :class:`repro.checkpoint.CheckpointFeed`); the units worth folding are:
 
 * **weekly snapshots** — commit keys ending ``("week", N)`` whose
-  payload is a :class:`~repro.scanner.campaign.WeeklySnapshot`: the
-  scan's observation columns become that week's
-  :class:`~repro.observatory.store.WeekColumns` plus per-resolver
-  first/last-week, rcode, and flag updates (``delta:*`` carried rows
-  keep their ``FLAG_CARRIED`` provenance bit);
+  payload is a :class:`~repro.scanner.campaign.WeeklySnapshot`: its
+  rows become per-resolver first/last-week, rcode, and flag updates
+  (``delta:*`` carried rows keep their ``FLAG_CARRIED`` provenance
+  bit), and its ``ScanResult`` is stored as that week, unchanged;
 * **fingerprint study units** — ``("study", "fingerprint")``: CHAOS
   software outcomes and device classifications per resolver;
 * **pipeline labeling stages** — ``("pipeline", <set>, "stage",
@@ -19,26 +18,16 @@ remembered as ``key -> payload digest`` in the store, so re-ingesting a
 replayed journal span — same crash-resumed campaign, same directory
 ingested twice, an observer polling a live run — folds nothing twice.
 A unit whose payload *changed* (a re-committed key) replaces cleanly,
-because week folding rebuilds that week's columns from the payload
-rather than accumulating into them.
+because week folding stores the new payload's result in place of the
+old one rather than accumulating into it.
 """
 
 import pickle
 import time
 import zlib
-from array import array
 
 from repro.checkpoint.feed import CheckpointFeed
-from repro.dnswire.constants import (
-    RCODE_NOERROR,
-    RCODE_REFUSED,
-    RCODE_SERVFAIL,
-)
-from repro.netsim.address import int_to_ip
-from repro.observatory.store import WeekColumns
-
-_RCODE_NAMES = {RCODE_NOERROR: "noerror", RCODE_REFUSED: "refused",
-                RCODE_SERVFAIL: "servfail"}
+from repro.netsim.address import int_to_ip, ip_to_int
 
 
 class GeoSource:
@@ -181,58 +170,20 @@ def _fold_unit(store, feed, key, record, geo, report):
 
 
 def _fold_week(store, key, payload, geo, report):
-    """Fold one WeeklySnapshot into week columns + resolver records."""
+    """Fold one WeeklySnapshot: its rows into the resolver records, in
+    canonical (target, rcode, flags) order, then its result as the week."""
     result = getattr(payload, "result", None)
     week = getattr(payload, "week", None)
     if result is None or not isinstance(week, int):
         return False  # a shard sub-commit or foreign payload: not a week
-    columns = WeekColumns(week)
-    targets_raw, rcodes_raw, flags_raw = result.canonical_columns()
-    targets = array("I")
-    targets.frombytes(targets_raw)
-    rcodes = array("B")
-    rcodes.frombytes(rcodes_raw)
-    flags = array("B")
-    flags.frombytes(flags_raw)
-    seen = set()
-    noerror = set()
-    for value, rcode, row_flags in zip(targets, rcodes, flags):
+    for value, rcode, row_flags in sorted(result.iter_rows()):
         store.observe(value, week, rcode, row_flags)
         if geo is not None and store.geo_of(value)[0] == "??":
             country, rir, asn = geo.locate(int_to_ip(value))
             store.locate(value, country, rir, asn)
-        seen.add(value)
-        if rcode == RCODE_NOERROR:
-            noerror.add(value)
-    columns.targets = array("I", sorted(seen))
-    columns.noerror = array("I", sorted(noerror))
-    columns.probes_sent = result.probes_sent
-    columns.carried_targets = result.carried_targets
-    columns.suppressed_targets = result.suppressed_targets
-    columns.counts = _rcode_counts(targets, rcodes)
-    columns.mode = _week_mode(result)
-    store.put_week(columns)
+    store.put_week(week, result)
     report.weeks_folded.append(week)
     return True
-
-
-def _rcode_counts(targets, rcodes):
-    buckets = {}
-    for name in _RCODE_NAMES.values():
-        buckets[name] = set()
-    other = set()
-    for value, rcode in zip(targets, rcodes):
-        buckets.get(_RCODE_NAMES.get(rcode), other).add(value)
-    counts = {name: len(bucket) for name, bucket in buckets.items()}
-    counts["other"] = len(other)
-    return counts
-
-
-def _week_mode(result):
-    for entry in result.provenance:
-        if entry.get("kind") == "delta" and entry.get("status") == "ok":
-            return entry.get("mode", "delta")
-    return "full"
 
 
 def _fold_fingerprint(store, key, payload, geo, report):
@@ -271,5 +222,4 @@ def _fold_labeling(store, key, payload, geo, report):
 
 
 def _ip_int(ip):
-    from repro.netsim.address import ip_to_int
     return ip_to_int(ip) if isinstance(ip, str) else ip

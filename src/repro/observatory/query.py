@@ -3,12 +3,12 @@
 Point lookups read straight off the store's columnar records (a dict
 probe plus a dozen array reads — the millions-of-cheap-queries path).
 Aggregates — the Table 1/2 fluctuation rankings, the Figure 2 survival
-curve — are *not* re-implemented here: the store's per-week columns are
-wrapped in lightweight result views exposing exactly the ``responders``
-/ ``noerror`` surface the batch analysis reads, and the real
-:mod:`repro.analysis` functions run over them.  Identity with the batch
-``fullstudy`` report is therefore structural, not coincidental: same
-code, same inputs, byte-identical tables.
+curve — are *not* re-implemented here: the store keeps each week as the
+``ScanResult`` the campaign committed, and the real
+:mod:`repro.analysis` functions run over those, wrapped in
+``WeeklySnapshot`` exactly as the batch report wraps them.  Identity
+with the batch ``fullstudy`` report is therefore structural, not
+coincidental: same code, same inputs, byte-identical tables.
 
 Every query is counted (``observatory_queries_served``) and timed into
 a ``observatory_lookup_seconds`` / ``observatory_aggregate_seconds``
@@ -22,41 +22,9 @@ from repro.analysis.geography import (
     country_fluctuation,
     rir_fluctuation,
 )
-from repro.netsim.address import Ipv4Network, int_to_ip
-
-
-class _WeekResultView:
-    """A stored week, quacking like a ``ScanResult`` for the analysis
-    layer: ``responders`` and ``noerror`` as sets of dotted quads."""
-
-    __slots__ = ("columns", "_responders", "_noerror")
-
-    def __init__(self, columns):
-        self.columns = columns
-        self._responders = None
-        self._noerror = None
-
-    @property
-    def responders(self):
-        if self._responders is None:
-            self._responders = set(map(int_to_ip, self.columns.targets))
-        return self._responders
-
-    @property
-    def noerror(self):
-        if self._noerror is None:
-            self._noerror = set(map(int_to_ip, self.columns.noerror))
-        return self._noerror
-
-
-class _WeekSnapshotView:
-    """``WeeklySnapshot`` shape (``.week`` + ``.result``) over a view."""
-
-    __slots__ = ("week", "result")
-
-    def __init__(self, week, result):
-        self.week = week
-        self.result = result
+from repro.netsim.address import Ipv4Network
+from repro.observatory.store import week_mode
+from repro.scanner.campaign import WeeklySnapshot
 
 
 class _StoreGeoView:
@@ -129,22 +97,19 @@ class Observatory:
         self._served("observatory_aggregate_seconds", started)
         return matches
 
-    # -- week views --------------------------------------------------------
-
-    def week_view(self, week):
-        return _WeekResultView(self.store.week(week))
+    # -- weeks ---------------------------------------------------------------
 
     def snapshots(self):
-        """Every stored week as a snapshot view, ascending — the exact
-        input shape :func:`repro.analysis.churn.churn_survival` takes."""
-        return [_WeekSnapshotView(week, self.week_view(week))
+        """Every stored week as a ``WeeklySnapshot``, ascending — the
+        input :func:`repro.analysis.churn.churn_survival` takes."""
+        return [WeeklySnapshot(week, self.store.week(week))
                 for week in self.store.weeks()]
 
     def first_last(self):
         weeks = self.store.weeks()
         if not weeks:
             raise LookupError("observatory store holds no weeks yet")
-        return self.week_view(weeks[0]), self.week_view(weeks[-1])
+        return self.store.week(weeks[0]), self.store.week(weeks[-1])
 
     # -- aggregates (Table 1 / Table 2 / Figure 2) -------------------------
 
@@ -188,16 +153,16 @@ class Observatory:
         rows = []
         previous = set()
         for week in self.store.weeks():
-            columns = self.store.week(week)
-            inside = {value for value in columns.targets
+            result = self.store.week(week)
+            inside = {value for value, __, __ in result.iter_rows()
                       if network.contains_int(value)}
             rows.append({
                 "week": week,
                 "responders": len(inside),
                 "new": len(inside - previous),
                 "gone": len(previous - inside),
-                "mode": columns.mode,
-                "carried": columns.carried_targets,
+                "mode": week_mode(result),
+                "carried": result.carried_targets,
             })
             previous = inside
         self._served("observatory_aggregate_seconds", started)

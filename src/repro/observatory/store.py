@@ -4,16 +4,17 @@ One :class:`ResolverStore` holds everything the observatory knows about
 every resolver ever seen across a campaign's weekly scans, in the same
 structure-of-arrays idiom as :class:`~repro.scanner.ipv4scan.ScanResult`:
 per-resolver facts live in parallel arrays indexed by a dense row
-number (``ip -> row`` through one dict), and bulky per-week observation
-columns live in separate spillable payloads so memory stays bounded by
-the week cache, not the campaign length.
+number (``ip -> row`` through one dict).  Each week is the
+:class:`~repro.scanner.ipv4scan.ScanResult` the campaign committed,
+kept as it was recorded and spilled to its own payload, so memory stays
+bounded by the week cache, not the campaign length.
 
 On-disk layout (``store_dir``)::
 
-    MANIFEST.json        current generation + cursors + week digests
+    MANIFEST.json        format + generation + cursors + week digests
     gen-00000007/
         records.snap     per-resolver SoA columns (checksummed pickle)
-        week-00003.snap  one week's observation columns
+        week-00003.snap  week 3's ScanResult, in the checkpoint's bytes
 
 Persistence is *generational*: :meth:`save` writes a complete new
 ``gen-N`` directory (unchanged week payloads are hard-linked from the
@@ -42,64 +43,74 @@ from repro.checkpoint.store import (
     encode_snapshot,
     fsync_directory,
 )
+from repro.dnswire.constants import (
+    RCODE_NOERROR,
+    RCODE_REFUSED,
+    RCODE_SERVFAIL,
+)
 from repro.netsim.address import int_to_ip, ip_to_int
 
-_FORMAT = 1
+_FORMAT = 2
 _NO_WEEK = -1
+
+# The per-resolver SoA columns, one row per distinct resolver IP:
+# (name, array typecode — None for a list of python ints, value of a
+# new row — None for the resolver's own address).
+_RECORD_COLUMNS = (
+    ("ips", "I", None),
+    ("first_week", "i", _NO_WEEK),
+    ("last_week", "i", _NO_WEEK),
+    ("weeks_mask", None, 0),         # python ints: unbounded weeks
+    ("last_rcode", "B", 0),
+    ("flags", "B", 0),               # OR of observed row flags
+    ("country", "H", 0),             # code into the geo table
+    ("asn", "I", 0),                 # 0 = unknown
+    ("software", "H", 0),            # 0 = never fingerprinted
+    ("device", "H", 0),              # 0 = never classified
+    ("verdict", "H", 0),             # 0 = never judged
+)
+
+_RCODE_NAMES = {RCODE_NOERROR: "noerror", RCODE_REFUSED: "refused",
+                RCODE_SERVFAIL: "servfail"}
 
 
 class ObservatoryError(RuntimeError):
     """A store directory cannot be used as requested."""
 
 
-class WeekColumns:
-    """One week's observation columns plus its scalar summary."""
+def week_mode(result):
+    """``"delta"`` for a week the delta scanner assembled from carried
+    verdicts, ``"full"`` for a swept one."""
+    for entry in result.provenance:
+        if entry.get("kind") == "delta" and entry.get("status") == "ok":
+            return entry.get("mode", "delta")
+    return "full"
 
-    __slots__ = ("week", "targets", "noerror", "probes_sent",
-                 "carried_targets", "suppressed_targets", "mode",
-                 "counts")
 
-    def __init__(self, week):
-        self.week = week
-        self.targets = array("I")     # sorted unique responder ints
-        self.noerror = array("I")     # sorted unique NOERROR responders
-        self.probes_sent = 0
-        self.carried_targets = 0
-        self.suppressed_targets = 0
-        self.mode = "full"            # "full" | "delta"
-        self.counts = {}              # rcode-bucket name -> count
+def _week_digest(week, result):
+    """Content digest of one stored week: a JSON summary, then the
+    sorted unique responders, then the sorted unique NOERROR responders.
 
-    def digest(self):
-        """Content digest for hard-link reuse across generations."""
-        summary = json.dumps(
-            [self.week, self.probes_sent, self.carried_targets,
-             self.suppressed_targets, self.mode,
-             sorted(self.counts.items())], sort_keys=True)
-        crc = zlib.crc32(summary.encode("utf-8"))
-        crc = zlib.crc32(self.targets.tobytes(), crc)
-        crc = zlib.crc32(self.noerror.tobytes(), crc)
-        return "%08x" % crc
-
-    def to_payload(self):
-        return {"week": self.week, "targets": self.targets.tobytes(),
-                "noerror": self.noerror.tobytes(),
-                "probes_sent": self.probes_sent,
-                "carried_targets": self.carried_targets,
-                "suppressed_targets": self.suppressed_targets,
-                "mode": self.mode,
-                "counts": sorted(self.counts.items())}
-
-    @classmethod
-    def from_payload(cls, payload):
-        columns = cls(payload["week"])
-        columns.targets.frombytes(payload["targets"])
-        columns.noerror.frombytes(payload["noerror"])
-        columns.probes_sent = payload["probes_sent"]
-        columns.carried_targets = payload["carried_targets"]
-        columns.suppressed_targets = payload["suppressed_targets"]
-        columns.mode = payload["mode"]
-        columns.counts = dict(payload["counts"])
-        return columns
+    It must stay equal, bit for bit, to the digest format 1 stored: the
+    week digests feed :meth:`ResolverStore.digest`, which a store
+    re-ingested from the same checkpoint directory must reproduce."""
+    by_rcode = {}
+    for value, rcode, __ in result.iter_rows():
+        by_rcode.setdefault(rcode, set()).add(value)
+    counts = {name: len(by_rcode.get(rcode, ()))
+              for rcode, name in _RCODE_NAMES.items()}
+    counts["other"] = len(set().union(
+        *(values for rcode, values in by_rcode.items()
+          if rcode not in _RCODE_NAMES)))
+    summary = json.dumps(
+        [week, result.probes_sent, result.carried_targets,
+         result.suppressed_targets, week_mode(result),
+         sorted(counts.items())], sort_keys=True)
+    crc = zlib.crc32(summary.encode("utf-8"))
+    for values in (set().union(*by_rcode.values()),
+                   by_rcode.get(RCODE_NOERROR, ())):
+        crc = zlib.crc32(array("I", sorted(values)).tobytes(), crc)
+    return "%08x" % crc
 
 
 class _StringTable:
@@ -122,7 +133,7 @@ class _StringTable:
 
 
 class ResolverStore:
-    """Columnar per-resolver records plus spillable per-week columns."""
+    """Columnar per-resolver records plus spillable weekly results."""
 
     def __init__(self, directory=None, week_cache=8):
         if week_cache < 1:
@@ -130,23 +141,14 @@ class ResolverStore:
         self.directory = directory
         self.week_cache = week_cache
         self.generation = 0
-        # Per-resolver SoA columns, one row per distinct resolver IP.
         self._rows = {}                  # ip int -> row index
-        self._ips = array("I")
-        self._first_week = array("i")
-        self._last_week = array("i")
-        self._weeks_mask = []            # python ints: unbounded weeks
-        self._last_rcode = array("B")
-        self._flags = array("B")         # OR of observed row flags
-        self._country = array("H")      # code into the geo table
-        self._asn = array("I")           # 0 = unknown
-        self._software = array("H")      # 0 = never fingerprinted
-        self._device = array("H")        # 0 = never classified
-        self._verdict = array("H")       # 0 = never judged
+        for name, typecode, __ in _RECORD_COLUMNS:
+            setattr(self, "_" + name,
+                    [] if typecode is None else array(typecode))
         self._geo_table = _StringTable([("??", "???")])
         self._label_table = _StringTable([""])
-        # Per-week columns: resident dict + manifest-known week digests.
-        self._weeks = {}                 # week -> WeekColumns (resident)
+        # Weeks: resident results + manifest-known week digests.
+        self._weeks = {}                 # week -> ScanResult (resident)
         self._week_digests = {}          # week -> digest (all known weeks)
         self._week_lru = []              # residency order, oldest first
         self._dirty_weeks = set()
@@ -164,17 +166,9 @@ class ResolverStore:
         row = self._rows.get(value)
         if row is None:
             row = self._rows[value] = len(self._ips)
-            self._ips.append(value)
-            self._first_week.append(_NO_WEEK)
-            self._last_week.append(_NO_WEEK)
-            self._weeks_mask.append(0)
-            self._last_rcode.append(0)
-            self._flags.append(0)
-            self._country.append(0)
-            self._asn.append(0)
-            self._software.append(0)
-            self._device.append(0)
-            self._verdict.append(0)
+            for name, __, new in _RECORD_COLUMNS:
+                getattr(self, "_" + name).append(
+                    value if new is None else new)
         return row
 
     def observe(self, value, week, rcode, flags):
@@ -291,32 +285,32 @@ class ResolverStore:
         country, rir = self._geo_table.value(self._country[row])
         return (country, rir, self._asn[row] or None)
 
-    # -- per-week columns ---------------------------------------------------
+    # -- weekly results -----------------------------------------------------
 
     def weeks(self):
         """All known week numbers, ascending (resident or spilled)."""
-        known = set(self._weeks) | set(self._week_digests)
-        return sorted(known)
+        return sorted(self._week_digests)
 
-    def put_week(self, columns):
-        self._weeks[columns.week] = columns
-        self._dirty_weeks.add(columns.week)
-        self._week_digests[columns.week] = columns.digest()
-        self._touch_week(columns.week)
+    def put_week(self, week, result):
+        """Store ``result``, the week's committed ``ScanResult``, as is."""
+        self._weeks[week] = result
+        self._dirty_weeks.add(week)
+        self._week_digests[week] = _week_digest(week, result)
+        self._touch_week(week)
 
     def week(self, week):
-        """One week's columns, loading from the current generation on
-        demand; resident weeks are bounded by ``week_cache`` (dirty
-        weeks are never evicted — they exist nowhere else yet)."""
-        columns = self._weeks.get(week)
-        if columns is None:
+        """One week's ``ScanResult``, loading from the current
+        generation on demand; resident weeks are bounded by
+        ``week_cache`` (dirty weeks are never evicted — they exist
+        nowhere else yet)."""
+        result = self._weeks.get(week)
+        if result is None:
             if week not in self._week_digests or self.directory is None:
                 raise KeyError(week)
-            columns = WeekColumns.from_payload(self._load_payload(
-                self._week_filename(week)))
-            self._weeks[week] = columns
+            result = self._weeks[week] = self._load_payload(
+                self._week_filename(week))
         self._touch_week(week)
-        return columns
+        return result
 
     def _touch_week(self, week):
         if week in self._week_lru:
@@ -379,47 +373,38 @@ class ResolverStore:
             return decode_snapshot(handle.read())
 
     def _records_payload(self):
-        return {
-            "format": _FORMAT,
-            "ips": self._ips.tobytes(),
-            "first_week": self._first_week.tobytes(),
-            "last_week": self._last_week.tobytes(),
-            "weeks_mask": list(self._weeks_mask),
-            "last_rcode": self._last_rcode.tobytes(),
-            "flags": self._flags.tobytes(),
-            "country": self._country.tobytes(),
-            "asn": self._asn.tobytes(),
-            "software": self._software.tobytes(),
-            "device": self._device.tobytes(),
-            "verdict": self._verdict.tobytes(),
-            "geo_table": list(self._geo_table.values),
-            "label_table": list(self._label_table.values),
-            "ingested": dict(self.ingested),
-            "cursors": dict(self.cursors),
-            "meta": dict(self.meta),
-        }
+        payload = {"format": _FORMAT}
+        for name, typecode, __ in _RECORD_COLUMNS:
+            column = getattr(self, "_" + name)
+            payload[name] = (list(column) if typecode is None
+                             else column.tobytes())
+        payload.update(geo_table=list(self._geo_table.values),
+                       label_table=list(self._label_table.values),
+                       ingested=dict(self.ingested),
+                       cursors=dict(self.cursors),
+                       meta=dict(self.meta))
+        return payload
 
-    def _restore_records(self, payload):
-        if payload.get("format") != _FORMAT:
-            raise ObservatoryError("unknown store format %r"
-                                   % payload.get("format"))
-        self._ips = array("I")
-        self._ips.frombytes(payload["ips"])
-        self._first_week = array("i")
-        self._first_week.frombytes(payload["first_week"])
-        self._last_week = array("i")
-        self._last_week.frombytes(payload["last_week"])
-        self._weeks_mask = list(payload["weeks_mask"])
-        for name in ("last_rcode", "flags"):
-            column = array("B")
-            column.frombytes(payload[name])
-            setattr(self, "_" + name, column)
-        for name in ("country", "software", "device", "verdict"):
-            column = array("H")
-            column.frombytes(payload[name])
-            setattr(self, "_" + name, column)
-        self._asn = array("I")
-        self._asn.frombytes(payload["asn"])
+    def _restore(self, manifest):
+        """Load the records and week digests ``manifest`` names.
+
+        Only the current format is read: a store is derived data, so an
+        older one is rebuilt from its checkpoint directory, not
+        converted."""
+        if manifest.get("format") != _FORMAT:
+            raise ObservatoryError(
+                "%s holds an observatory store in format %s, not %d; "
+                "re-ingest the untouched checkpoint directory into a "
+                "fresh --store-dir" % (self.directory,
+                                       manifest.get("format"), _FORMAT))
+        self.generation = manifest["generation"]
+        self._week_digests = {int(week): digest for week, digest
+                              in manifest["weeks"].items()}
+        payload = self._load_payload("records.snap")
+        for name, typecode, __ in _RECORD_COLUMNS:
+            setattr(self, "_" + name,
+                    list(payload[name]) if typecode is None
+                    else array(typecode, payload[name]))
         self._geo_table = _StringTable(
             tuple(entry) for entry in payload["geo_table"])
         self._label_table = _StringTable(payload["label_table"])
@@ -458,8 +443,7 @@ class ResolverStore:
                 except OSError:
                     shutil.copyfile(source, target)
             else:
-                self._write_snapshot(target,
-                                     self.week(week).to_payload())
+                self._write_snapshot(target, self.week(week))
         fsync_directory(new_dir)
         manifest = {
             "format": _FORMAT,
@@ -504,16 +488,11 @@ class ResolverStore:
     @classmethod
     def open(cls, directory, week_cache=8):
         """Open an existing store directory at its current generation."""
-        store = cls(directory, week_cache=week_cache)
-        manifest = store.read_manifest()
-        if manifest is None:
+        store = cls.open_or_create(directory, week_cache=week_cache)
+        if store.generation == 0:
             raise ObservatoryError(
                 "no observatory store in %s (missing MANIFEST.json); "
                 "run 'repro observe ingest' first" % directory)
-        store.generation = manifest["generation"]
-        store._restore_records(store._load_payload("records.snap"))
-        store._week_digests = {int(week): digest for week, digest
-                               in manifest["weeks"].items()}
         return store
 
     @classmethod
@@ -521,10 +500,7 @@ class ResolverStore:
         store = cls(directory, week_cache=week_cache)
         manifest = store.read_manifest()
         if manifest is not None:
-            store.generation = manifest["generation"]
-            store._restore_records(store._load_payload("records.snap"))
-            store._week_digests = {int(week): digest for week, digest
-                                   in manifest["weeks"].items()}
+            store._restore(manifest)
         return store
 
     def read_manifest(self):

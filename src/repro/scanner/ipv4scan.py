@@ -375,8 +375,6 @@ class ScanResult:
         rcode, flags) row-sort order — the same canonical form
         :meth:`__getstate__` ships — so two results holding the same
         observations in any internal order yield identical buffers.
-        The observatory's ingest layer folds and digests week columns
-        off this view without paying a full pickle round trip.
         """
         rows = sorted(zip(self._targets, self._rcodes, self._flags))
         return (array("I", (row[0] for row in rows)).tobytes(),

@@ -198,14 +198,15 @@ PARKING_DEAD_SHARE = 0.030     # parking for dead/re-registered domains
 PARKING_DEAD_SHARE_CN = 0.350  # much higher in CN (the two CN domains)
 STALE_CDN_SHARE = 0.0025
 
+LANDING_IPS_PER_COUNTRY = 3    # censorship landing-page hosts per censor
+MIN_POOL_COUNT = 2             # floor of every scaled resolver pool
+
 
 class ScenarioConfig:
     """Tunable knobs for scenario construction."""
 
     def __init__(self, scale=2000, seed=7, loss_rate=0.002,
-                 landing_ips_per_country=3, weeks=55,
-                 min_pool_count=2, lazy_population=False,
-                 node_cache=8192):
+                 lazy_population=False, node_cache=8192):
         if scale < 1:
             raise ValueError("scale must be >= 1")
         if node_cache < 1:
@@ -213,9 +214,6 @@ class ScenarioConfig:
         self.scale = scale
         self.seed = seed
         self.loss_rate = loss_rate
-        self.landing_ips_per_country = landing_ips_per_country
-        self.weeks = weeks
-        self.min_pool_count = min_pool_count
         # Memory-bounded mode: resolver pools keep compact derivation
         # records and materialize nodes on first probe through an LRU of
         # at most ``node_cache`` live nodes (see DESIGN.md
@@ -223,9 +221,7 @@ class ScenarioConfig:
         self.lazy_population = lazy_population
         self.node_cache = node_cache
 
-    def scaled(self, paper_count, minimum=None):
-        if minimum is None:
-            minimum = self.min_pool_count
+    def scaled(self, paper_count, minimum=MIN_POOL_COUNT):
         return max(minimum, int(round(paper_count / self.scale)))
 
 
@@ -499,7 +495,7 @@ def _build_special_hosts(scenario, builder):
             "%s National Gateway" % country, country,
             AutonomousSystem.ENTERPRISE, 26)
         ips = []
-        for variant in range(config.landing_ips_per_country):
+        for variant in range(LANDING_IPS_PER_COUNTRY):
             ip = prefix.address_at(variant + 5)
             network.register(StaticPageServer(
                 ip, pages.censorship_landing(country, variant)))
@@ -882,7 +878,7 @@ def _assign_case_study_resolvers(scenario, rng):
 BROADBAND_SPLIT_SHARES = (0.62, 0.26, 0.12)
 
 
-def split_pool_counts(count, change, min_pool_count=2):
+def split_pool_counts(count, change):
     """Per-AS broadband pool counts for one country.
 
     Returns ``(pool_counts, grown_counts)``: the initial per-AS counts
@@ -894,7 +890,7 @@ def split_pool_counts(count, change, min_pool_count=2):
     all counts (a 4-host country rounds to 2+1+0 = 3 hosts); Hamilton's
     method is exact before the minimum floors.
     """
-    minimums = [min_pool_count] * len(BROADBAND_SPLIT_SHARES)
+    minimums = [MIN_POOL_COUNT] * len(BROADBAND_SPLIT_SHARES)
     pool_counts = apportion(count, BROADBAND_SPLIT_SHARES,
                             minimums=minimums)
     if change > 0:
@@ -913,8 +909,7 @@ def _build_population(scenario, builder):
         scenario.network, scenario.churn, scenario.service,
         rdns=scenario.rdns, snooping_tlds=SNOOPING_TLDS,
         seed=config.seed + 2,
-        lazy=getattr(config, "lazy_population", False),
-        node_cache=getattr(config, "node_cache", 8192))
+        lazy=config.lazy_population, node_cache=config.node_cache)
     rng = random.Random(config.seed + 3)
     gfw_prefixes = []
     decline_specs = []
@@ -931,8 +926,7 @@ def _build_population(scenario, builder):
             special_as_change = {0: -0.978, 1: -0.30, 2: -0.30}
         elif country == "KR":
             special_as_change = {0: -0.9999, 1: -0.62, 2: -0.62}
-        pool_counts, grown_counts = split_pool_counts(
-            count, change, min_pool_count=config.min_pool_count)
+        pool_counts, grown_counts = split_pool_counts(count, change)
         for index, name in enumerate(splits):
             pool_count = pool_counts[index]
             prefix_length = _prefix_length_for(pool_count)

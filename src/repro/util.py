@@ -66,7 +66,7 @@ def apportion(total, weights, minimums=None):
 
     ``minimums`` (optional, same length) clamps each share from below
     *after* apportionment.  Clamping can push the sum above ``total`` —
-    the same semantics as per-pool ``min_pool_count`` floors.
+    the same semantics as the per-pool ``MIN_POOL_COUNT`` floor.
     """
     if total < 0:
         raise ValueError("total must be >= 0")

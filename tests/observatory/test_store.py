@@ -1,26 +1,28 @@
 """ResolverStore: columnar records, generation swaps, bounded residency."""
 
+import json
 import os
 
 import pytest
 
 from repro.netsim.address import ip_to_int
-from repro.observatory import ObservatoryError, ResolverStore, WeekColumns
+from repro.observatory import ObservatoryError, ResolverStore
 from repro.scanner import ScanResult
 
 FLAG_CARRIED = ScanResult.FLAG_CARRIED
 
 
-def make_week(week, targets, noerror=None):
-    from array import array
-    columns = WeekColumns(week)
-    columns.targets = array("I", sorted(targets))
-    columns.noerror = array("I", sorted(noerror if noerror is not None
-                                        else targets))
-    columns.probes_sent = len(targets)
-    columns.counts = {"noerror": len(columns.noerror),
-                      "refused": 0, "servfail": 0, "other": 0}
-    return columns
+def make_week(targets):
+    """A week's ScanResult: one NOERROR row per target."""
+    result = ScanResult(0.0)
+    for value in targets:
+        result.record_value(value, 0, False)
+    result.probes_sent = len(targets)
+    return result
+
+
+def responders(result):
+    return sorted(value for value, __, __ in result.iter_rows())
 
 
 def populate(store):
@@ -29,7 +31,7 @@ def populate(store):
     for week, alive in enumerate(([a, b, c], [a, c], [a])):
         for value in alive:
             store.observe(value, week, 0, 0)
-        store.put_week(make_week(week, alive))
+        store.put_week(week, make_week(alive))
     store.observe(b, 1, 5, FLAG_CARRIED)     # late REFUSED sighting
     store.locate(a, "US", "ARIN", 64500)
     store.locate(c, "DE", "RIPE", 64501)
@@ -81,7 +83,7 @@ class TestRecords:
         for store, order in ((one, ("A", "B", "C")),
                              (two, ("C", "A", "B"))):
             store.observe(value, 0, 0, 0)
-            store.put_week(make_week(0, [value]))
+            store.put_week(0, make_week([value]))
             for label in order:
                 store.add_verdict(value, label, "x")
         assert one.digest() == two.digest()
@@ -99,12 +101,30 @@ class TestPersistence:
             == store.record("192.168.7.9")
         assert reopened.weeks() == [0, 1, 2]
         assert [w for w in reopened.weeks()
-                if list(reopened.week(w).targets)
-                == list(store.week(w).targets)] == [0, 1, 2]
+                if responders(reopened.week(w))
+                == responders(store.week(w))] == [0, 1, 2]
 
     def test_open_missing_store_is_a_clear_error(self, tmp_path):
         with pytest.raises(ObservatoryError):
             ResolverStore.open(str(tmp_path / "nothing"))
+
+    def test_format_1_store_is_refused_with_the_fix(self, tmp_path):
+        directory = str(tmp_path / "store")
+        store = ResolverStore(directory)
+        populate(store)
+        store.save()
+        manifest_path = os.path.join(directory, "MANIFEST.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        manifest["format"] = 1
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        for opener in (ResolverStore.open, ResolverStore.open_or_create):
+            with pytest.raises(ObservatoryError) as exc:
+                opener(directory)
+            message = str(exc.value)
+            assert "format 1" in message and "re-ingest" in message
+            assert "\n" not in message
 
     def test_generation_swap_prunes_old_and_links_unchanged(self,
                                                             tmp_path):
@@ -114,7 +134,7 @@ class TestPersistence:
         # Fold one new week; old week files are carried into gen-2.
         value = ip_to_int("10.9.9.9")
         store.observe(value, 3, 0, 0)
-        store.put_week(make_week(3, [value]))
+        store.put_week(3, make_week([value]))
         assert store.save() == 2
         names = sorted(os.listdir(tmp_path / "store"))
         assert names == ["MANIFEST.json", "gen-00000002"]
@@ -140,13 +160,13 @@ class TestResidency:
                   for octet in range(1, 6)]
         for week, value in enumerate(values):
             store.observe(value, week, 0, 0)
-            store.put_week(make_week(week, [value]))
+            store.put_week(week, make_week([value]))
         # All dirty: nothing evictable yet.
         assert store.resident_weeks() == [0, 1, 2, 3, 4]
         store.save()
         assert len(store.resident_weeks()) <= 2
         # Evicted weeks lazy-load from the generation on demand.
-        assert list(store.week(0).targets) == [values[0]]
+        assert responders(store.week(0)) == [values[0]]
         assert len(store.resident_weeks()) <= 2
 
     def test_week_cache_must_be_positive(self):

@@ -227,7 +227,12 @@ class TestCommands:
             pickle.dumps(campaign.last().result)
 
     def test_classify_rejects_unknown_set(self, capsys):
-        assert main(["classify", "--set", "Nope"] + SMALL) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--set", "Nope"] + SMALL)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'Nope'" in err
+        assert "'Adult', 'Alexa'" in err and "'Tracking'" in err
 
     def test_classify(self, capsys):
         assert main(["classify", "--set", "Dating"] + SMALL) == 0
@@ -547,6 +552,18 @@ class TestObserveCli:
             main(["observe", "stats",
                   "--store-dir", str(tmp_path / "empty")])
         assert "repro observe ingest" in str(exc.value)
+
+    def test_format_1_store_is_a_one_line_error(self, tmp_path):
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "MANIFEST.json").write_text(
+            '{"format": 1, "generation": 1, "weeks": {}}\n')
+        with pytest.raises(SystemExit) as exc:
+            main(["observe", "stats", "--store-dir", str(store)])
+        # A string code: the interpreter prints it and exits 1.
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith("error: ") and "re-ingest" in message
 
     def test_ingest_missing_checkpoint_is_a_clear_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -49,6 +49,12 @@ GUARDS = [
      set(),
      "report.observations (the domain scan is resident) and "
      "PAGE_DISTANCE called directly; " + STAGES),
+    ("a second spelling of a scan week",
+     r"WeekColumns|_WeekResultView|_WeekSnapshotView|_rcode_counts", None,
+     set(),
+     "the committed ScanResult: ResolverStore.put_week(week, result) / "
+     "week(w), wrapped in WeeklySnapshot for repro.analysis (DESIGN.md "
+     "\"Observatory\")"),
 ]
 
 

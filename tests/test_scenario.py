@@ -9,7 +9,12 @@ from repro.datasets import (
     all_domains,
 )
 from repro.netsim.gfw import GreatFirewall
-from repro.scenario import COUNTRY_PLAN, ScenarioConfig, build_scenario
+from repro.scenario import (
+    COUNTRY_PLAN,
+    LANDING_IPS_PER_COUNTRY,
+    ScenarioConfig,
+    build_scenario,
+)
 from repro.websim.pages import CENSOR_COUNTRIES
 
 
@@ -119,8 +124,7 @@ class TestBuiltWorld:
     def test_landing_pages_for_all_censor_countries(self, small_scenario):
         assert set(small_scenario.landing_ips) == set(CENSOR_COUNTRIES)
         for ips in small_scenario.landing_ips.values():
-            assert len(ips) == \
-                small_scenario.config.landing_ips_per_country
+            assert len(ips) == LANDING_IPS_PER_COUNTRY
 
     def test_case_study_groups_nonempty(self, small_scenario):
         groups = small_scenario.case_study_resolvers
