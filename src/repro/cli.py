@@ -19,6 +19,7 @@ read.  All output is plain text on stdout.
 """
 
 import argparse
+import gc
 import os
 import sys
 from contextlib import contextmanager
@@ -387,27 +388,34 @@ def _session(args, extra_meta=None):
     ``run.status`` is the command's exit code either way.
     """
     scenario = _build(args)
-    perf = PerfRegistry() if args.perf else None
-    options = _scan_options(args)
-    _check_shards(scenario, options.shards)
-    meta = _run_meta(args, options)
-    checkpoint = None
-    if args.campaign_flags:
-        checkpoint = _open_checkpoint(args, scenario, perf,
-                                      dict(meta, **extra_meta))
-    obs = _tracing(args, scenario.network.clock, args.seed)
-    obs.install(scenario.network)
-    run = SimpleNamespace(scenario=scenario, perf=perf, options=options,
-                          checkpoint=checkpoint, status=0)
-    crashed = None
+    # The world lives as long as the command: take it out of the
+    # collector's full passes, and hand it back when the session ends
+    # so in-process callers can free it.
+    gc.freeze()
     try:
-        yield run
-    except InjectedCrash as crash:
-        crashed = crash
-    else:
-        _report_perf(args, perf)
-    _export_trace(args, obs, perf, meta)
-    run.status = _finish_checkpoint(checkpoint, crashed)
+        perf = PerfRegistry() if args.perf else None
+        options = _scan_options(args)
+        _check_shards(scenario, options.shards)
+        meta = _run_meta(args, options)
+        checkpoint = None
+        if args.campaign_flags:
+            checkpoint = _open_checkpoint(args, scenario, perf,
+                                          dict(meta, **extra_meta))
+        obs = _tracing(args, scenario.network.clock, args.seed)
+        obs.install(scenario.network)
+        run = SimpleNamespace(scenario=scenario, perf=perf, options=options,
+                              checkpoint=checkpoint, status=0)
+        crashed = None
+        try:
+            yield run
+        except InjectedCrash as crash:
+            crashed = crash
+        else:
+            _report_perf(args, perf)
+        _export_trace(args, obs, perf, meta)
+        run.status = _finish_checkpoint(checkpoint, crashed)
+    finally:
+        gc.unfreeze()
 
 
 def _sweep(run):

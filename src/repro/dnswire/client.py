@@ -9,9 +9,19 @@ silently; see DESIGN.md "Stub DNS client"), and how it decodes what
 :func:`ask` accepted.
 """
 
+from functools import lru_cache
+
 from repro.dnswire.constants import CLASS_IN, QTYPE_A
-from repro.dnswire.message import Message
+from repro.dnswire.message import Message, peek_header
 from repro.netsim.network import UdpPacket
+
+
+@lru_cache(maxsize=4096)
+def _query_frame(qname, qtype, qclass, rd):
+    """A query's wire form after its two txid bytes: the same for every
+    txid, so each question is encoded once."""
+    return Message.query(qname, qtype=qtype, qclass=qclass,
+                         rd=rd).to_wire()[2:]
 
 
 def ask(network, source_ip, source_port, server_ip, qname, txid,
@@ -23,18 +33,20 @@ def ask(network, source_ip, source_port, server_ip, qname, txid,
     ``txid``.  On-path injections that pass are kept (a forged answer
     racing the genuine one is a finding, not noise); everything else —
     garbage, truncations, echoed queries, other transactions' answers —
-    is dropped silently, never raised.
+    is dropped silently, never raised.  The header decides first, so
+    only a datagram that could be accepted is parsed.
     """
-    query = Message.query(qname, qtype=qtype, qclass=qclass, txid=txid,
-                          rd=rd)
     packet = UdpPacket(source_ip, source_port, server_ip, 53,
-                       query.to_wire())
+                       txid.to_bytes(2, "big")
+                       + _query_frame(qname, qtype, qclass, rd))
     accepted = []
     for response in network.send_udp(packet):
+        payload = response.packet.payload
+        header = peek_header(payload)
+        if header is None or not header[1] or header[0] != txid:
+            continue
         try:
-            message = Message.from_wire(response.packet.payload)
+            accepted.append((Message.from_wire(payload), response))
         except ValueError:
             continue
-        if message.header.qr and message.header.txid == txid:
-            accepted.append((message, response))
     return accepted

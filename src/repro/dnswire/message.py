@@ -4,13 +4,10 @@ import struct
 
 from repro.dnswire import constants
 from repro.dnswire.name import (
-    MAX_LABEL_LENGTH,
     NameCompressor,
-    NameError_,
     decode_name,
     encode_name,
     normalize_name,
-    split_labels,
 )
 from repro.dnswire.records import ResourceRecord
 
@@ -177,14 +174,7 @@ class Message:
                 if first is None:
                     first = name
                     first_key = normalize_name(name)
-                    name_wire = bytearray()
-                    for label in split_labels(name):
-                        raw = label.encode("ascii")
-                        if len(raw) > MAX_LABEL_LENGTH:
-                            raise NameError_("label too long in %r" % name)
-                        name_wire.append(len(raw))
-                        name_wire += raw
-                    name_wire.append(0)
+                    name_wire = encode_name(name)
                 elif first_key and normalize_name(name) == first_key:
                     # (The root name is a lone zero byte, never a
                     # pointer target.)

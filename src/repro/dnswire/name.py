@@ -116,6 +116,9 @@ class NameCompressor:
             # no label splitting at all.  Only reachable offsets are
             # ever stored, so no < 0x4000 re-check is needed.
             return bytes((_POINTER_MASK | (known >> 8), known & 0xFF))
+        # The whole name first, so a name encode_name refuses is refused
+        # here too; the loop below only decides where the pointer goes.
+        wire = encode_name(name)
         labels = split_labels(name)
         # Normalised suffixes built once, right-to-left — the original
         # per-position join/normalize repeated tail work per label.
@@ -124,24 +127,17 @@ class NameCompressor:
         for i in range(len(labels) - 1, 0, -1):
             tail = labels[i].lower() + ("." + tail if tail else tail)
             suffixes[i] = tail
-        out = bytearray()
+        pos = 0
         for i, label in enumerate(labels):
             if i:
                 known = offsets.get(suffixes[i])
                 if known is not None:
-                    out.append(_POINTER_MASK | (known >> 8))
-                    out.append(known & 0xFF)
-                    return bytes(out)
-            offset_here = current_offset + len(out)
-            if offset_here < 0x4000:
-                offsets[suffixes[i]] = offset_here
-            raw = label.encode("ascii")
-            if len(raw) > MAX_LABEL_LENGTH:
-                raise NameError_("label too long in %r" % name)
-            out.append(len(raw))
-            out.extend(raw)
-        out.append(0)
-        return bytes(out)
+                    return wire[:pos] + bytes(
+                        (_POINTER_MASK | (known >> 8), known & 0xFF))
+            if current_offset + pos < 0x4000:
+                offsets[suffixes[i]] = current_offset + pos
+            pos += len(label) + 1
+        return wire
 
 
 def apply_0x20(name, bits):

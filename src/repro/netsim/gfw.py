@@ -13,15 +13,13 @@ genuine reply.
 
 import random
 
-from repro.dnswire.constants import CLASS_IN, QTYPE_A
-from repro.dnswire.message import Message
-from repro.dnswire.name import decode_name, normalize_name
+from repro.dnswire.constants import CLASS_IN, QTYPE_A, RCODE_NOERROR
+from repro.dnswire.name import normalize_name
 from repro.dnswire.records import ResourceRecord
+from repro.dnswire.wire import answer_wire, peek_query
 from repro.netsim.address import int_to_ip, ip_to_int
 from repro.netsim.middlebox import PATH_IGNORE, PATH_INSPECT, Middlebox
 from repro.netsim.network import UdpResponse
-
-_QTYPE_A_IN_WIRE = b"\x00\x01\x00\x01"
 
 
 class GreatFirewall(Middlebox):
@@ -60,6 +58,13 @@ class GreatFirewall(Middlebox):
             if len(self._inside_cache) < 1 << 20:
                 self._inside_cache[ip] = cached
         return cached
+
+    def poisons(self, ip, name):
+        """True when a resolver at ``ip`` looking ``name`` up gets a
+        forged answer: it sits inside the watched prefixes, so its
+        queries to the outside hierarchy cross this box, and the name
+        is censored."""
+        return self._inside(ip) and self.censors_name(name)
 
     def censors_name(self, name):
         """True when ``name`` or any parent domain is on the censor list."""
@@ -141,36 +146,17 @@ class GreatFirewall(Middlebox):
     def inject_responses(self, packet, network):
         if packet.dst_port != 53 or not self._crosses_boundary(packet):
             return []
-        # Light triage before any full message parse: an on-path injector
-        # only needs the query bit, a single question, and its name.
-        payload = packet.payload
-        if (len(payload) < 12 or payload[2] & 0x80
-                or payload[4:6] != b"\x00\x01"):
+        query = peek_query(packet.payload)
+        if query is None:
             return []
-        try:
-            name, pos = decode_name(payload, 12)
-        except (ValueError, IndexError):
+        name, qtype, qclass = query
+        if qtype != QTYPE_A or qclass != CLASS_IN \
+                or not self.censors_name(name):
             return []
-        if payload[pos:pos + 4] != _QTYPE_A_IN_WIRE:
-            return []
-        if not self.censors_name(name):
-            return []
-        # Censored A query confirmed (rare path): parse fully to echo the
-        # question section faithfully in the forged answer.
-        try:
-            query = Message.from_wire(packet.payload)
-        except ValueError:
-            return []
-        question = query.question
-        if question is None or query.header.qr:
-            return []
-        if question.qtype != QTYPE_A or question.qclass != CLASS_IN:
-            return []
-        forged = query.make_response()
-        forged.answers.append(ResourceRecord.a(
-            question.name,
-            self.forged_address(question.name, client_key=packet.src_ip),
-            ttl=300))
+        forged = ResourceRecord.a(
+            name, self.forged_address(name, client_key=packet.src_ip),
+            ttl=300)
         self.injection_count += 1
-        reply = packet.reply(forged.to_wire())
+        reply = packet.reply(answer_wire(packet.payload, name,
+                                         RCODE_NOERROR, True, [forged]))
         return [UdpResponse(reply, self.injection_latency, injected=True)]

@@ -143,6 +143,7 @@ class Network:
         self.corruption_rate = corruption_rate
         self.base_latency = base_latency
         self.middleboxes = []
+        self._boxes_by_kind = {}
         self._response_droppers = []
         # (box, bound path_verdict or None) pairs, rebuilt whenever a
         # middlebox is added; binding once keeps the per-packet verdict
@@ -216,8 +217,18 @@ class Network:
     def node_count(self):
         return len(self._nodes)
 
+    def middleboxes_of(self, kind):
+        """The registered middleboxes that are ``kind`` instances, in
+        registration order (kept until the next :meth:`add_middlebox`)."""
+        boxes = self._boxes_by_kind.get(kind)
+        if boxes is None:
+            boxes = self._boxes_by_kind[kind] = [
+                box for box in self.middleboxes if isinstance(box, kind)]
+        return boxes
+
     def add_middlebox(self, middlebox):
         self.middleboxes.append(middlebox)
+        self._boxes_by_kind = {}
         # Boxes without a path_verdict (duck-typed test doubles) are
         # conservatively inspected for every packet.
         self._path_checks = [

@@ -36,20 +36,30 @@ class DnsCache:
             del self._entries[victim]
         self._entries[key] = (list(records), now, ttl)
 
-    def get(self, name, qtype, now):
-        """Records with decayed TTLs, or ``None`` when absent/expired."""
-        entry = self._entries.get((name.lower(), qtype))
+    def lookup(self, name, qtype, now):
+        """``(stored records, decayed TTL)``, or ``None`` when
+        absent/expired.  The records are the entry's own, as stored."""
+        key = (name.lower(), qtype)
+        entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             return None
         records, stored_at, ttl = entry
         remaining = ttl - (now - stored_at)
         if remaining <= 0:
-            del self._entries[(name.lower(), qtype)]
+            del self._entries[key]
             self.misses += 1
             return None
         self.hits += 1
-        return [record.with_ttl(int(remaining)) for record in records]
+        return records, int(remaining)
+
+    def get(self, name, qtype, now):
+        """Records with decayed TTLs, or ``None`` when absent/expired."""
+        entry = self.lookup(name, qtype, now)
+        if entry is None:
+            return None
+        records, ttl = entry
+        return [record.with_ttl(ttl) for record in records]
 
     def flush(self):
         self._entries.clear()

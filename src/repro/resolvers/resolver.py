@@ -11,14 +11,13 @@ from repro.dnswire.constants import (
     QTYPE_TXT,
     RCODE_NOERROR,
     RCODE_NOTIMP,
-    RCODE_NXDOMAIN,
     RCODE_REFUSED,
     RCODE_SERVFAIL,
 )
-from repro.dnswire.message import Message
 from repro.dnswire.name import normalize_name
-from repro.util import stable_hash
 from repro.dnswire.records import ResourceRecord
+from repro.dnswire.wire import answer_wire, peek_query
+from repro.util import stable_hash
 from repro.authdns.resolution import IterativeResolver
 from repro.netsim.address import ip_to_int
 from repro.netsim.gfw import GreatFirewall
@@ -46,10 +45,11 @@ class HonestResult:
     __slots__ = ("rcode", "addresses", "ttl", "extra_records")
 
     def __init__(self, rcode, addresses=(), ttl=300, extra_records=()):
+        # Kept as given: every caller hands over sequences of its own.
         self.rcode = rcode
-        self.addresses = list(addresses)
+        self.addresses = addresses
         self.ttl = ttl
-        self.extra_records = list(extra_records)
+        self.extra_records = extra_records
 
     def __repr__(self):
         return "HonestResult(rcode=%d, %r)" % (self.rcode, self.addresses)
@@ -103,13 +103,6 @@ class ResolutionService:
         return HonestResult(result.rcode, result.a_addresses(),
                             result.min_ttl(), extra_records=signatures)
 
-    def _gfw_for(self, network, resolver_ip, name):
-        for box in network.middleboxes:
-            if isinstance(box, GreatFirewall):
-                if box._inside(resolver_ip) and box.censors_name(name):
-                    return box
-        return None
-
     def _wildcard_suffix(self, name):
         for suffix in self.wildcard_suffixes:
             if name.endswith("." + suffix) or name == suffix:
@@ -157,10 +150,12 @@ class ResolutionService:
     def resolve_for(self, network, resolver, name):
         """What resolver ``resolver`` honestly obtains for ``name``."""
         name = normalize_name(name)
-        gfw = self._gfw_for(network, resolver.ip, name)
-        if gfw is not None and not resolver.gfw_immune:
-            # Live resolution from inside the firewall: poisoned.
-            return self._iterative(network, name, source_ip=resolver.ip)
+        if not resolver.gfw_immune:
+            for gfw in network.middleboxes_of(GreatFirewall):
+                if gfw.poisons(resolver.ip, name):
+                    # Live resolution from inside the firewall: poisoned.
+                    return self._iterative(network, name,
+                                           source_ip=resolver.ip)
         pool = self._cdn_pool_for(name)
         if pool:
             offset = stable_hash(resolver.ip, name) % len(pool)
@@ -225,21 +220,19 @@ class ResolverNode(Node):
             # unreachable this week — silence, exactly like churn.
             network.count_fault("resolver_flap")
             return None
-        try:
-            query = Message.from_wire(packet.payload)
-        except ValueError:
+        query = peek_query(packet.payload)
+        if query is None:
             return None
-        if query.header.qr or query.question is None:
-            return None
+        qname, qtype, qclass = query
         self.query_count += 1
-        if self.forward_to is not None and query.question is not None \
-                and query.question.qclass == CLASS_IN \
-                and query.question.qtype != QTYPE_NS:
+        if self.forward_to is not None and qclass == CLASS_IN \
+                and qtype != QTYPE_NS:
             return self._forward(packet, network)
-        response = self.respond(query, network, client_ip=packet.src_ip)
-        if response is None:
+        answer = self.respond(qname, qtype, qclass, network,
+                              client_ip=packet.src_ip)
+        if answer is None:
             return None
-        payload = response.to_wire()
+        payload = answer_wire(packet.payload, qname, *answer)
         if self.answer_source_ip is not None:
             return [(payload, self.answer_source_ip)]
         return payload
@@ -261,58 +254,52 @@ class ResolverNode(Node):
         return any(client_ip in network for network
                    in self.allowed_networks)
 
-    def respond(self, query, network, client_ip=None):
-        """Build the full response message for a parsed query."""
-        question = query.question
-        if question.qclass == CLASS_CH and question.qtype == QTYPE_TXT:
-            return self._chaos_response(query)
+    def respond(self, qname, qtype, qclass, network, client_ip=None):
+        """The answer to one question, as ``(rcode, ra, answer
+        records)`` for :func:`~repro.dnswire.wire.answer_wire`, or
+        ``None`` for silence."""
+        if qclass == CLASS_CH and qtype == QTYPE_TXT:
+            return self._chaos_response(qname)
         if self.response_mode == MODE_SILENT:
             return None
-        if not self._client_allowed(client_ip):
-            return query.make_response(rcode=RCODE_REFUSED, ra=False)
-        if self.response_mode == MODE_REFUSED:
-            return query.make_response(rcode=RCODE_REFUSED, ra=False)
+        if self.response_mode == MODE_REFUSED \
+                or not self._client_allowed(client_ip):
+            return RCODE_REFUSED, False, ()
         if self.response_mode == MODE_SERVFAIL:
-            return query.make_response(rcode=RCODE_SERVFAIL)
-        if question.qclass != CLASS_IN:
-            return query.make_response(rcode=RCODE_NOTIMP)
-        if question.qtype == QTYPE_A:
-            return self._a_response(query, network)
-        if question.qtype == QTYPE_NS:
-            return self._ns_response(query, network)
-        if question.qtype == QTYPE_PTR:
-            return self._ptr_response(query, network)
-        return query.make_response(rcode=RCODE_NOTIMP)
+            return RCODE_SERVFAIL, True, ()
+        if qclass != CLASS_IN:
+            return RCODE_NOTIMP, True, ()
+        if qtype == QTYPE_A:
+            return self._a_response(qname, network)
+        if qtype == QTYPE_NS:
+            return self._ns_response(qname, network)
+        if qtype == QTYPE_PTR:
+            return self._ptr_response(qname, network)
+        return RCODE_NOTIMP, True, ()
 
-    def _a_response(self, query, network):
-        qname = query.question.name
+    def _a_response(self, qname, network):
         for behavior in self.behaviors:
             answer = behavior.answer(self, qname, network)
             if answer is not None:
-                return self._build_from_behavior(query, answer)
+                return (answer.rcode, True,
+                        self._behavior_records(qname, answer))
         honest = self.resolve_honest(qname, network)
-        response = query.make_response(rcode=honest.rcode)
-        for address in honest.addresses:
-            response.answers.append(
-                ResourceRecord.a(qname, address, ttl=honest.ttl))
+        records = [ResourceRecord.a(qname, address, ttl=honest.ttl)
+                   for address in honest.addresses]
         # DNSSEC signature records pass through unmodified.
-        response.answers.extend(honest.extra_records)
-        return response
+        records.extend(honest.extra_records)
+        return honest.rcode, True, records
 
-    def _build_from_behavior(self, query, answer):
-        response = query.make_response(rcode=answer.rcode)
-        qname = query.question.name
+    @staticmethod
+    def _behavior_records(qname, answer):
         if answer.ns_only:
             apex = ".".join(normalize_name(qname).split(".")[-2:])
-            response.answers.append(
-                ResourceRecord.ns(qname, "ns1.%s" % apex, ttl=answer.ttl))
-            return response
+            return [ResourceRecord.ns(qname, "ns1.%s" % apex,
+                                      ttl=answer.ttl)]
         if answer.empty:
-            return response
-        for address in answer.addresses:
-            response.answers.append(
-                ResourceRecord.a(qname, address, ttl=answer.ttl))
-        return response
+            return ()
+        return [ResourceRecord.a(qname, address, ttl=answer.ttl)
+                for address in answer.addresses]
 
     def resolve_honest(self, qname, network):
         """Hierarchy-following resolution with this resolver's cache."""
@@ -320,15 +307,17 @@ class ResolverNode(Node):
             return HonestResult(RCODE_SERVFAIL)
         name = normalize_name(qname)
         now = network.clock.now
-        cached = self.cache.get(name, QTYPE_A, now)
+        cached = self.cache.lookup(name, QTYPE_A, now)
         if cached is not None:
+            # A hit answers with the entry's decayed TTL; only the extra
+            # records (DNSSEC signatures) are re-stamped with it.
+            records, ttl = cached
             return HonestResult(
                 RCODE_NOERROR,
-                [record.data.address for record in cached
-                 if record.rtype == QTYPE_A],
-                cached[0].ttl if cached else 300,
-                extra_records=[record for record in cached
-                               if record.rtype != QTYPE_A])
+                [record.data.address for record in records
+                 if record.rtype == QTYPE_A], ttl,
+                [record.with_ttl(ttl) for record in records
+                 if record.rtype != QTYPE_A])
         result = self.service.resolve_for(network, self, name)
         if result.rcode == RCODE_NOERROR and result.addresses:
             self.cache.put(
@@ -338,45 +327,38 @@ class ResolverNode(Node):
                 now, ttl=result.ttl)
         return result
 
-    def _ns_response(self, query, network):
+    def _ns_response(self, qname, network):
         """Cache-snooping view: NS records for TLDs with live cache TTLs."""
-        tld = normalize_name(query.question.name)
+        tld = normalize_name(qname)
         observable = self.activity.observable_ttl(tld, network.clock.now)
         if self.activity.style == CacheActivityModel.STYLE_UNREACHABLE:
             return None
         if observable == "silent":
             return None
-        response = query.make_response()
         if observable is None or observable == "empty":
-            return response
-        for host in ("a.nic.%s" % tld, "b.nic.%s" % tld):
-            response.answers.append(
-                ResourceRecord.ns(query.question.name, host,
-                                  ttl=int(observable)))
-        return response
+            return RCODE_NOERROR, True, ()
+        return RCODE_NOERROR, True, [
+            ResourceRecord.ns(qname, host, ttl=int(observable))
+            for host in ("a.nic.%s" % tld, "b.nic.%s" % tld)]
 
-    def _ptr_response(self, query, network):
+    def _ptr_response(self, qname, network):
         if self.service is None:
-            return query.make_response(rcode=RCODE_SERVFAIL)
+            return RCODE_SERVFAIL, True, ()
         # PTR answers come from the registry-backed in-addr.arpa zone.
         resolver = IterativeResolver(self.service.root_ips, self.ip)
-        result = resolver.resolve(network, query.question.name, QTYPE_PTR)
-        response = query.make_response(rcode=result.rcode)
-        response.answers.extend(result.records)
-        return response
+        result = resolver.resolve(network, qname, QTYPE_PTR)
+        return result.rcode, True, result.records
 
-    def _chaos_response(self, query):
+    def _chaos_response(self, qname):
         """Answer CHAOS version.bind / version.server per software style."""
-        qname = normalize_name(query.question.name)
-        if qname not in ("version.bind", "version.server"):
-            return query.make_response(rcode=RCODE_NOTIMP)
+        if normalize_name(qname) not in ("version.bind", "version.server"):
+            return RCODE_NOTIMP, True, ()
         if self.chaos_style == STYLE_ERROR:
             rcode = RCODE_REFUSED if self._hidden_rng.random() < 0.7 \
                 else RCODE_SERVFAIL
-            return query.make_response(rcode=rcode)
+            return rcode, True, ()
         if self.chaos_style == STYLE_NO_VERSION:
-            return query.make_response()
-        response = query.make_response()
+            return RCODE_NOERROR, True, ()
         if self.chaos_style == STYLE_HIDDEN:
             from repro.resolvers.software import HIDDEN_VERSION_STRINGS
             text = HIDDEN_VERSION_STRINGS[
@@ -384,9 +366,7 @@ class ResolverNode(Node):
         else:  # STYLE_VERSION
             text = (self.software.version_string if self.software
                     else "unknown")
-        response.answers.append(
-            ResourceRecord.txt(query.question.name, [text]))
-        return response
+        return RCODE_NOERROR, True, [ResourceRecord.txt(qname, [text])]
 
     # -- TCP fingerprinting surface -------------------------------------------
 

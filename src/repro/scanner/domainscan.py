@@ -11,7 +11,7 @@ answers are detected (§4.2).
 
 from repro.dnswire.client import ask
 from repro.dnswire.constants import QTYPE_NS, RCODE_NOERROR
-from repro.scanner.encoding import ResolverIdCodec
+from repro.scanner.encoding import TXID_BITS, ResolverIdCodec
 
 
 class DnsObservation:
@@ -65,10 +65,15 @@ class DomainScanner:
         self.codec = codec or ResolverIdCodec()
         self.queries_sent = 0
 
-    def query_domain(self, resolver_ip, resolver_id, domain):
+    def query_domain(self, resolver_ip, resolver_id, domain,
+                     cased_qname=None):
         """Query one domain at one resolver; returns a
-        :class:`DnsObservation` or ``None`` when no response arrived."""
-        txid, src_port, cased_qname = self.codec.encode(resolver_id, domain)
+        :class:`DnsObservation` or ``None`` when no response arrived.
+        ``cased_qname`` is ``codec.case(resolver_id, domain)`` when the
+        caller already has it."""
+        txid, src_port = self.codec.flow(resolver_id)
+        if cased_qname is None:
+            cased_qname = self.codec.case(resolver_id, domain)
         self.queries_sent += 1
         responses = []
         injected = False
@@ -111,12 +116,20 @@ class DomainScanner:
         resolver_ips = list(resolver_ips)
         start, stop = (index_range if index_range is not None
                        else (0, len(resolver_ips)))
+        domains = list(domains)
         observations = []
+        window = cased = None
         for resolver_id in range(start, stop):
             resolver_ip = resolver_ips[resolver_id]
-            for domain in domains:
+            if resolver_id >> TXID_BITS != window:
+                # The 0x20 pattern is the port window's: case the
+                # domains once per window, not once per query.
+                window = resolver_id >> TXID_BITS
+                cased = [self.codec.case(resolver_id, domain)
+                         for domain in domains]
+            for domain, cased_qname in zip(domains, cased):
                 observation = self.query_domain(resolver_ip, resolver_id,
-                                                domain)
+                                                domain, cased_qname)
                 if observation is not None:
                     observations.append(observation)
             if on_progress is not None:

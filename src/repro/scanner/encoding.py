@@ -131,13 +131,19 @@ class ResolverIdCodec:
 
     def encode(self, resolver_id, domain):
         """Return ``(txid, src_port, cased_qname)`` for a scan query."""
+        return self.flow(resolver_id) + (self.case(resolver_id, domain),)
+
+    def flow(self, resolver_id):
+        """``(txid, src_port)`` of a scan query to ``resolver_id``."""
         if not 0 <= resolver_id <= MAX_RESOLVER_ID:
             raise ValueError("resolver id %d exceeds 25 bits" % resolver_id)
-        txid = resolver_id & 0xFFFF
-        high = resolver_id >> TXID_BITS
-        src_port = self.base_port + high
-        cased = apply_0x20(normalize_name(domain), high)
-        return txid, src_port, cased
+        return (resolver_id & 0xFFFF,
+                self.base_port + (resolver_id >> TXID_BITS))
+
+    def case(self, resolver_id, domain):
+        """``domain`` in the 0x20 pattern of ``resolver_id``'s port
+        window: the same for all 65 536 ids that share a source port."""
+        return apply_0x20(normalize_name(domain), resolver_id >> TXID_BITS)
 
     def decode(self, txid, response_dst_port, echoed_qname):
         """Recover the resolver id from a response's fields.

@@ -11,6 +11,7 @@ survives a checkpoint round trip.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.authdns.dnssec import ValidatingClient
 from repro.authdns.resolution import IterativeResolver
@@ -36,6 +37,7 @@ from repro.scanner.domainscan import DomainScanner
 from repro.scanner.popularity import PopularityProber
 from repro.scanner.snooping import CacheSnoopingProber
 from tests.conftest import MiniWorld
+from tests.oracles import message_ask
 
 CLIENT = "198.51.100.7"
 SERVER = "203.0.113.9"
@@ -51,8 +53,10 @@ class ScriptedNetwork:
         self.clock = SimClock()
         self.script = script
         self.flows = []
+        self.payloads = []
 
     def send_udp(self, packet):
+        self.payloads.append(packet.payload)
         query = Message.from_wire(packet.payload)
         question = query.question
         self.flows.append((packet.src_port, packet.dst_port,
@@ -98,6 +102,22 @@ def hostile_peer(query, genuine=True):
 
 def only_hostile(query):
     return hostile_peer(query, genuine=False)
+
+
+_QUERY = Message.query("Example.com", txid=7)
+_GOOD = genuine_answer(_QUERY).to_wire()
+
+# What a peer may send back: the catalogue above, noise, every
+# truncation and one-byte corruption of a good answer, and a header that
+# passes the peek (txid 7, QR set) over an arbitrary body.
+DATAGRAMS = st.one_of(
+    st.sampled_from(hostile_peer(_QUERY)),
+    st.binary(max_size=64),
+    st.integers(0, len(_GOOD)).map(lambda cut: _GOOD[:cut]),
+    st.tuples(st.integers(0, len(_GOOD) - 1), st.integers(0, 255)).map(
+        lambda flip: _GOOD[:flip[0]] + bytes((flip[1],))
+        + _GOOD[flip[0] + 1:]),
+    st.binary(max_size=48).map(lambda body: b"\x00\x07\x80" + body))
 
 
 def drive_domainscan(network):
@@ -160,6 +180,23 @@ class TestHostilePeers:
                                                    answered, silent):
         assert drive(ScriptedNetwork(hostile_peer)) == answered
         assert drive(ScriptedNetwork(only_hostile)) == silent
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(DATAGRAMS, max_size=6), st.booleans())
+    def test_ask_accepts_what_the_message_round_trip_accepts(
+            self, datagrams, rd):
+        """The header peek drops nothing the full parse would keep, and
+        the template sends the bytes ``Message.query`` would."""
+        exchanges = []
+        for client in (ask, message_ask):
+            network = ScriptedNetwork(lambda query: datagrams)
+            answers = client(network, CLIENT, 31999, SERVER, "Example.com",
+                             7, rd=rd)
+            exchanges.append((network.payloads, [
+                (response.packet.payload, response.latency,
+                 message.header.txid, message.header.qr)
+                for message, response in answers]))
+        assert exchanges[0] == exchanges[1]
 
 
 def first_flows(drive):
@@ -237,11 +274,53 @@ PINNED_DRIVES = {
 }
 
 
+# The same three queries' payloads, byte for byte (hex), captured at the
+# commit before queries were sent from per-question templates (8ff27f8).
+PINNED_PAYLOADS = {
+    "domainscan": [
+        "000001000001000000000000076578616d706c6503636f6d0000010001",
+        "0201010000010000000000000462616e6b076578616d706c65036f7267000001"
+        "0001",
+        "117001000001000000000000074578616d706c6503636f6d0000010001"],
+    "snooping": [
+        "00010000000100000000000003636f6d0000020001",
+        "000200000001000000000000036e65740000020001",
+        "000300000001000000000000036f72670000020001"],
+    "popularity": [
+        "00010000000100000000000003636f6d0000020001",
+        "00020000000100000000000003636f6d0000020001",
+        "000300000001000000000000036e65740000020001"],
+    "chaos": [
+        "0001010000010000000000000776657273696f6e0462696e640000100003",
+        "0002010000010000000000000776657273696f6e067365727665720000100003",
+        "0003010000010000000000000776657273696f6e0462696e640000100003"],
+    "acquisition": [
+        "0001010000010000000000000161076578616d706c650000010001",
+        "0002010000010000000000000162076578616d706c650000010001",
+        "0003010000010000000000000163076578616d706c650000010001"],
+    "iterative": [
+        "00020000000100000000000003777777076578616d706c6503636f6d0000010001",
+        "00030000000100000000000003777777076578616d706c6503636f6d0000010001",
+        "00040000000100000000000003777777076578616d706c6503636f6d0000010001"],
+    "validating": [
+        "0001010000010000000000000161076578616d706c650000010001",
+        "0002010000010000000000000162076578616d706c650000010001",
+        "0003010000010000000000000163076578616d706c650000010001"],
+}
+
+
 class TestPinnedFlows:
     @pytest.mark.parametrize("consumer", sorted(PINNED_FLOWS))
     def test_first_three_queries(self, consumer):
         assert first_flows(PINNED_DRIVES[consumer]) \
             == PINNED_FLOWS[consumer]
+
+    @pytest.mark.parametrize("consumer", sorted(PINNED_PAYLOADS))
+    def test_first_three_payloads(self, consumer):
+        network = ScriptedNetwork()
+        PINNED_DRIVES[consumer](network)
+        assert [payload.hex() for payload in network.payloads[:3]] \
+            == PINNED_PAYLOADS[consumer]
 
     def test_txid_wraps_at_16_bits(self):
         network = ScriptedNetwork()

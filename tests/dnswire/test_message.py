@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dnswire import constants
 from repro.dnswire.message import Header, Message, Question
-from repro.dnswire.name import decode_name, normalize_name
+from repro.dnswire.name import NameError_, decode_name, normalize_name
 from repro.dnswire.records import ResourceRecord
 from tests.oracles import compressor_only_to_wire
 
@@ -93,6 +93,20 @@ class TestMessage:
             rcode=constants.RCODE_NXDOMAIN)
         assert response.rcode == constants.RCODE_NXDOMAIN
         assert response.header.qr
+
+    @pytest.mark.parametrize("name", ["a..example.com",
+                                      ".".join(["a" * 60] * 5)],
+                             ids=["empty label", "305 bytes"])
+    def test_malformed_names_never_reach_the_wire(self, name):
+        """A question name ``encode_name`` refuses is refused as the
+        first name too (it used to go out ending at the empty label, or
+        over-long), and so is a record owner name."""
+        with pytest.raises(NameError_):
+            Message.query(name).to_wire()
+        response = Message.query("example.com").make_response()
+        response.answers.append(ResourceRecord.a(name, "192.0.2.1"))
+        with pytest.raises(NameError_):
+            response.to_wire()
 
     def test_truncated_raises(self):
         with pytest.raises(ValueError):

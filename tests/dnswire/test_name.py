@@ -105,6 +105,17 @@ class TestCompression:
         second = compressor.encode("example.com", 12 + len(first))
         assert len(second) == 2
 
+    @pytest.mark.parametrize("name", ["a..example.com",
+                                      ".".join(["a" * 60] * 5)],
+                             ids=["empty label", "305 bytes"])
+    def test_refuses_what_encode_name_refuses(self, name):
+        compressor = NameCompressor()
+        compressor.encode("example.com", 12)
+        with pytest.raises(NameError_):
+            encode_name(name)
+        with pytest.raises(NameError_):
+            compressor.encode(name, 25)
+
     def test_decode_rejects_forward_pointer(self):
         # Pointer at offset 0 pointing to offset 10 (forward).
         data = bytes([0xC0, 10]) + b"\x00" * 12

@@ -89,6 +89,20 @@ class TestInjection:
         packet = UdpPacket("1.0.0.1", 5353, "110.0.0.5", 8080, query)
         assert network.send_udp(packet) == []
 
+    def test_forged_bytes_are_pinned(self):
+        """A censored exchange, captured before the forged answer was
+        written by ``answer_wire`` (8ff27f8): the query's header and
+        question echoed, one A record behind a pointer to the name."""
+        query = bytes.fromhex(
+            "123401000001000000000000037777770846616365426f6f6b03636f6d"
+            "0000010001")
+        network = make_network(make_gfw())
+        responses = network.send_udp(
+            UdpPacket("1.0.0.1", 5353, "110.0.0.5", 53, query))
+        assert [response.packet.payload.hex() for response in responses] \
+            == ["123481800001000100000000037777770846616365426f6f6b03636f"
+                "6d0000010001c00c000100010000012c0004505e0fc1"]
+
     def test_injection_counter(self):
         gfw = make_gfw()
         network = make_network(gfw)

@@ -7,11 +7,14 @@ tests compare against the first three input by input, and
 requires a byte-equal report; ``tests/scanner/test_sweep_lattice.py``
 holds every configuration of the IPv4 sweep to :func:`reference_sweep`;
 ``tests/core/test_clustering.py`` holds NN-chain clustering to
-:func:`pair_scan_cluster`.
+:func:`pair_scan_cluster`; ``tests/resolvers/test_wire_path.py`` holds
+the resolver's wire path to :class:`MessageResolverNode`, and
+``tests/dnswire/test_client.py`` the stub client to :func:`message_ask`.
 """
 
 from collections import Counter
 
+from repro.authdns.resolution import IterativeResolver
 from repro.core.clustering import (
     Cluster,
     Dendrogram,
@@ -21,9 +24,21 @@ from repro.core.clustering import (
 )
 from repro.core.distance import jaccard_distance
 from repro.dnswire import Message
+from repro.dnswire.constants import (CLASS_CH, CLASS_IN, QTYPE_A, QTYPE_NS,
+                                     QTYPE_PTR, QTYPE_TXT, RCODE_NOERROR,
+                                     RCODE_NOTIMP, RCODE_REFUSED,
+                                     RCODE_SERVFAIL)
 from repro.dnswire.message import HEADER_STRUCT, peek_header
-from repro.dnswire.name import NameCompressor
+from repro.dnswire.name import NameCompressor, normalize_name
+from repro.dnswire.records import ResourceRecord
 from repro.netsim.address import int_to_ip, ip_to_int
+from repro.netsim.network import UdpPacket
+from repro.resolvers.cache import CacheActivityModel
+from repro.resolvers.resolver import (MODE_REFUSED, MODE_SERVFAIL,
+                                      MODE_SILENT, HonestResult,
+                                      ResolverNode)
+from repro.resolvers.software import (HIDDEN_VERSION_STRINGS, STYLE_ERROR,
+                                      STYLE_HIDDEN, STYLE_NO_VERSION)
 from repro.scanner.ipv4scan import ScanResult, TargetFilter
 from repro.scanner.lfsr import LFSR
 from repro.scanner.pacing import (build_pacing_plan, defense_plane,
@@ -121,6 +136,182 @@ def _agglomerate_pair_scan(n, distance, threshold, linkage, dendrogram):
         active.remove(j)
         dendrogram.record(i, j, best, len(members[i]))
     return members
+
+
+# -- the stub exchange through Message objects ------------------------------
+
+def message_ask(network, source_ip, source_port, server_ip, qname, txid,
+                qtype=QTYPE_A, qclass=CLASS_IN, rd=True):
+    """``repro.dnswire.client.ask`` as a ``Message`` round trip: build
+    the query object and encode it, parse every datagram, then judge."""
+    query = Message.query(qname, qtype=qtype, qclass=qclass, txid=txid,
+                          rd=rd)
+    packet = UdpPacket(source_ip, source_port, server_ip, 53,
+                       query.to_wire())
+    accepted = []
+    for response in network.send_udp(packet):
+        try:
+            message = Message.from_wire(response.packet.payload)
+        except ValueError:
+            continue
+        if message.header.qr and message.header.txid == txid:
+            accepted.append((message, response))
+    return accepted
+
+
+class MessageResolverNode(ResolverNode):
+    """``ResolverNode`` answering through ``Message`` objects: parse the
+    query, build the response message, encode it.  Same constructor,
+    same state; only the wire work differs from the production node."""
+
+    def handle_udp(self, packet, network):
+        if packet.dst_port != 53:
+            return None
+        faults = getattr(network, "faults", None)
+        if faults is not None and faults.resolver_offline(
+                ip_to_int(self.ip), network.clock.now):
+            network.count_fault("resolver_flap")
+            return None
+        try:
+            query = Message.from_wire(packet.payload)
+        except ValueError:
+            return None
+        if query.header.qr or query.question is None:
+            return None
+        self.query_count += 1
+        if self.forward_to is not None \
+                and query.question.qclass == CLASS_IN \
+                and query.question.qtype != QTYPE_NS:
+            return self._forward(packet, network)
+        response = self.respond(query, network, client_ip=packet.src_ip)
+        if response is None:
+            return None
+        payload = response.to_wire()
+        if self.answer_source_ip is not None:
+            return [(payload, self.answer_source_ip)]
+        return payload
+
+    def respond(self, query, network, client_ip=None):
+        question = query.question
+        if question.qclass == CLASS_CH and question.qtype == QTYPE_TXT:
+            return self._chaos_response(query)
+        if self.response_mode == MODE_SILENT:
+            return None
+        if not self._client_allowed(client_ip):
+            return query.make_response(rcode=RCODE_REFUSED, ra=False)
+        if self.response_mode == MODE_REFUSED:
+            return query.make_response(rcode=RCODE_REFUSED, ra=False)
+        if self.response_mode == MODE_SERVFAIL:
+            return query.make_response(rcode=RCODE_SERVFAIL)
+        if question.qclass != CLASS_IN:
+            return query.make_response(rcode=RCODE_NOTIMP)
+        if question.qtype == QTYPE_A:
+            return self._a_response(query, network)
+        if question.qtype == QTYPE_NS:
+            return self._ns_response(query, network)
+        if question.qtype == QTYPE_PTR:
+            return self._ptr_response(query, network)
+        return query.make_response(rcode=RCODE_NOTIMP)
+
+    def _a_response(self, query, network):
+        qname = query.question.name
+        for behavior in self.behaviors:
+            answer = behavior.answer(self, qname, network)
+            if answer is not None:
+                return self._build_from_behavior(query, answer)
+        honest = self.resolve_honest(qname, network)
+        response = query.make_response(rcode=honest.rcode)
+        for address in honest.addresses:
+            response.answers.append(
+                ResourceRecord.a(qname, address, ttl=honest.ttl))
+        response.answers.extend(honest.extra_records)
+        return response
+
+    def _build_from_behavior(self, query, answer):
+        response = query.make_response(rcode=answer.rcode)
+        qname = query.question.name
+        if answer.ns_only:
+            apex = ".".join(normalize_name(qname).split(".")[-2:])
+            response.answers.append(
+                ResourceRecord.ns(qname, "ns1.%s" % apex, ttl=answer.ttl))
+            return response
+        if answer.empty:
+            return response
+        for address in answer.addresses:
+            response.answers.append(
+                ResourceRecord.a(qname, address, ttl=answer.ttl))
+        return response
+
+    def resolve_honest(self, qname, network):
+        """Every cached record copied through ``with_ttl``, then sorted
+        into two lists."""
+        if self.service is None:
+            return HonestResult(RCODE_SERVFAIL)
+        name = normalize_name(qname)
+        now = network.clock.now
+        cached = self.cache.get(name, QTYPE_A, now)
+        if cached is not None:
+            return HonestResult(
+                RCODE_NOERROR,
+                [record.data.address for record in cached
+                 if record.rtype == QTYPE_A],
+                cached[0].ttl if cached else 300,
+                extra_records=[record for record in cached
+                               if record.rtype != QTYPE_A])
+        result = self.service.resolve_for(network, self, name)
+        if result.rcode == RCODE_NOERROR and result.addresses:
+            self.cache.put(
+                name, QTYPE_A,
+                [ResourceRecord.a(name, a, ttl=result.ttl)
+                 for a in result.addresses] + list(result.extra_records),
+                now, ttl=result.ttl)
+        return result
+
+    def _ns_response(self, query, network):
+        tld = normalize_name(query.question.name)
+        observable = self.activity.observable_ttl(tld, network.clock.now)
+        if self.activity.style == CacheActivityModel.STYLE_UNREACHABLE:
+            return None
+        if observable == "silent":
+            return None
+        response = query.make_response()
+        if observable is None or observable == "empty":
+            return response
+        for host in ("a.nic.%s" % tld, "b.nic.%s" % tld):
+            response.answers.append(
+                ResourceRecord.ns(query.question.name, host,
+                                  ttl=int(observable)))
+        return response
+
+    def _ptr_response(self, query, network):
+        if self.service is None:
+            return query.make_response(rcode=RCODE_SERVFAIL)
+        resolver = IterativeResolver(self.service.root_ips, self.ip)
+        result = resolver.resolve(network, query.question.name, QTYPE_PTR)
+        response = query.make_response(rcode=result.rcode)
+        response.answers.extend(result.records)
+        return response
+
+    def _chaos_response(self, query):
+        qname = normalize_name(query.question.name)
+        if qname not in ("version.bind", "version.server"):
+            return query.make_response(rcode=RCODE_NOTIMP)
+        if self.chaos_style == STYLE_ERROR:
+            rcode = RCODE_REFUSED if self._hidden_rng.random() < 0.7 \
+                else RCODE_SERVFAIL
+            return query.make_response(rcode=rcode)
+        if self.chaos_style == STYLE_NO_VERSION:
+            return query.make_response()
+        response = query.make_response()
+        if self.chaos_style == STYLE_HIDDEN:
+            text = HIDDEN_VERSION_STRINGS[
+                self._hidden_rng.randrange(len(HIDDEN_VERSION_STRINGS))]
+        else:
+            text = (self.software.version_string if self.software
+                    else "unknown")
+        response.answers.append(
+            ResourceRecord.txt(query.question.name, [text]))
+        return response
 
 
 def compressor_only_to_wire(message):

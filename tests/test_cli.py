@@ -187,6 +187,17 @@ class TestCommands:
         assert "NOERROR" in out
         assert "probes sent" in out
 
+    def test_world_is_frozen_for_the_command_only(self, monkeypatch):
+        import gc
+        from repro import cli
+        frozen = []
+        sweep = cli._sweep
+        monkeypatch.setattr(cli, "_sweep", lambda run: (
+            frozen.append(gc.get_freeze_count()) or sweep(run)))
+        assert main(["scan"] + SMALL) == 0
+        assert frozen[0] > 0
+        assert gc.get_freeze_count() == 0
+
     def test_campaign(self, capsys):
         assert main(["campaign", "--weeks", "2"] + SMALL) == 0
         out = capsys.readouterr().out

@@ -18,21 +18,37 @@ STAGES = ("the stage table, ManipulationPipeline.STAGES (DESIGN.md "
           "\"Pipeline parallelism\"): a stage returns its payload or "
           "raises, _unit does the rest")
 
-# (what is guarded, regex over source lines, subtree left out, files
-#  allowed to match, where the shared code lives)
+WIRE = ("the wire path, repro.dnswire.wire (DESIGN.md \"Stub DNS "
+        "client\" → *Wire path*): peek_query reads the question, the "
+        "answer logic returns (rcode, ra, records), answer_wire writes "
+        "the reply")
+
+
+def outside(subtree):
+    return lambda name: not name.startswith(subtree)
+
+
+def inside(subtree):
+    return lambda name: name.startswith(subtree)
+
+
+# (what is guarded, regex over source lines, which files are searched
+#  (None: all), files allowed to match, where the shared code lives)
 GUARDS = [
     ("send_udp( callers", r"(?<!def )\bsend_udp\(", None,
      {"dnswire/client.py",          # the one client-side exchange
       "resolvers/resolver.py"},     # _forward's raw relay: parses nothing
      CLIENT),
     # A ``Message.query(...)`` mention in a docstring is not a call.
-    ("Message.query( callers", r"(?<!`)\bMessage\.query\(", "dnswire/",
-     set(), CLIENT),
-    ("Message.from_wire( callers", r"\bMessage\.from_wire\(", "dnswire/",
-     {"resolvers/resolver.py",      # the three servers: parse a query
-      "authdns/server.py",          # or stay silent
-      "netsim/gfw.py"},
-     CLIENT + "; a server-side parser belongs with the three that exist"),
+    ("Message.query( callers", r"(?<!`)\bMessage\.query\(",
+     outside("dnswire/"), set(), CLIENT),
+    ("Message.from_wire( callers", r"\bMessage\.from_wire\(",
+     outside("dnswire/"),
+     {"authdns/server.py"},         # parses a query or stays silent
+     CLIENT + "; a server answering a stub query uses " + WIRE),
+    ("message objects built by the resolvers",
+     r"\b(Message|Header|Question|make_response)\(", inside("resolvers/"),
+     set(), WIRE),
     ("splitmix64 finaliser definitions", r"\bdef _?mix64\(", None,
      {"util.py"},
      "repro.util.mix64 (the per-probe loops inline it and say so)"),
@@ -58,22 +74,22 @@ GUARDS = [
 ]
 
 
-def files_matching(pattern, outside=None):
+def files_matching(pattern, searched=None):
     regex = re.compile(pattern)
     matched = set()
     for path in SRC.rglob("*.py"):
         name = path.relative_to(SRC).as_posix()
-        if outside is not None and name.startswith(outside):
+        if searched is not None and not searched(name):
             continue
         if any(regex.search(line) for line in path.read_text().splitlines()):
             matched.add(name)
     return matched
 
 
-@pytest.mark.parametrize("what,pattern,outside,allowed,instead", GUARDS,
+@pytest.mark.parametrize("what,pattern,searched,allowed,instead", GUARDS,
                          ids=[guard[0] for guard in GUARDS])
-def test_single_copy(what, pattern, outside, allowed, instead):
-    matched = files_matching(pattern, outside)
+def test_single_copy(what, pattern, searched, allowed, instead):
+    matched = files_matching(pattern, searched)
     assert not matched - allowed, "%s grew in %s — use %s" % (
         what, sorted(matched - allowed), instead)
     assert not allowed - matched, "stale allow-list for %s: %s" % (
