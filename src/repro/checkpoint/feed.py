@@ -54,6 +54,14 @@ def scan_journal(path, start=0):
         seq += 1
 
 
+def commits_of(records):
+    """Yield ``(seq, key_tuple, record)`` for the commit records among
+    ``(seq, record)`` pairs."""
+    for seq, record in records:
+        if isinstance(record, dict) and record.get("kind") == "commit":
+            yield seq, tuple(record["key"]), record
+
+
 class CheckpointFeed:
     """One checkpoint directory, viewed as an ingestible record stream."""
 
@@ -87,9 +95,7 @@ class CheckpointFeed:
 
     def commits(self, start=0):
         """Yield ``(seq, key_tuple, record)`` for commit records only."""
-        for seq, record in self.records(start=start):
-            if isinstance(record, dict) and record.get("kind") == "commit":
-                yield seq, tuple(record["key"]), record
+        return commits_of(self.records(start=start))
 
     def record_count(self):
         """Total intact records currently in the journal (for lag)."""

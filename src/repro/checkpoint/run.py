@@ -9,9 +9,11 @@ A :class:`CheckpointedRun` owns one checkpoint directory::
     <dir>/provenance.json  resume provenance (written on request)
 
 Commit protocol for one unit of work (a campaign week, a pipeline
-stage, a scan shard): write the snapshot atomically first, then append
-a journal record naming it — so the journal never references a payload
-that might not exist.  On open, the journal is replayed (torn tails and
+stage, a scan shard): write the payload snapshot and, for a unit that
+captured world state, the state snapshot beside it atomically first,
+then append a small journal record naming them — so the journal never
+references a file that might not exist, and reading it never decodes a
+world state.  On open, the journal is replayed (torn tails and
 corrupt records quarantined, never fatal) and the surviving commit
 records define which units are already done; anything else reruns.
 :meth:`CheckpointScope.unit` is the one implementation of that
@@ -40,6 +42,7 @@ from repro.checkpoint.store import (
 
 _COMMIT = "commit"
 _CRASH = "crash"
+_STATE = ("state",)     # a unit's state snapshot is keyed ``key + _STATE``
 
 
 def _meta_diff(stored, wanted, prefix=""):
@@ -207,7 +210,10 @@ class CheckpointedRun:
         if self.perf is not None:
             self.perf.count("checkpoint_quarantined_bytes", len(raw))
 
-    def _quarantine_snapshot(self, key, reason):
+    def _quarantine_snapshot(self, unit, key, reason):
+        """Set aside snapshot ``key`` of committed ``unit`` and forget
+        the unit, so it reruns; returns ``None`` for :meth:`restore`."""
+        del self._completed[unit]
         path = self.store.path_for(key)
         self._snapshots_quarantined += 1
         try:
@@ -269,33 +275,37 @@ class CheckpointedRun:
 
     def restore(self, key):
         """Load a committed unit; returns ``{"payload", "state"}`` or
-        ``None`` (unit not committed, or its snapshot was damaged — in
-        which case the snapshot is quarantined and the unit reruns)."""
+        ``None`` (unit not committed, or one of its snapshots is missing
+        or damaged — in which case that file is quarantined and the unit
+        reruns).  A record written before state snapshots existed
+        carries its state inline."""
         key = tuple(key)
         record = self._completed.get(key)
         if record is None:
             return None
-        try:
-            payload = self.store.load(key)
-        except FileNotFoundError:
-            self._quarantine_snapshot(key, "missing")
-            del self._completed[key]
-            return None
-        except SnapshotCorruption:
-            self._quarantine_snapshot(key, "corrupt")
-            del self._completed[key]
-            return None
+        loaded = {"state": record.get("state")}
+        names = {"payload": key}
+        if record.get("state_snapshot"):
+            names["state"] = key + _STATE
+        for field, name in names.items():
+            try:
+                loaded[field] = self.store.load(name)
+            except FileNotFoundError:
+                return self._quarantine_snapshot(key, name, "missing")
+            except SnapshotCorruption:
+                return self._quarantine_snapshot(key, name, "corrupt")
         self._units_restored += 1
         if self.perf is not None:
             self.perf.count("checkpoint_units_restored")
-        return {"payload": payload, "state": record.get("state")}
+        return loaded
 
     def commit(self, key, payload, state=None):
-        """Durably record one completed unit (snapshot, then journal)."""
+        """Durably record one completed unit (snapshots, then journal)."""
         key = tuple(key)
-        snapshot_name = self.store.save(key, payload)
-        record = {"kind": _COMMIT, "key": key, "snapshot": snapshot_name,
-                  "state": state}
+        record = {"kind": _COMMIT, "key": key,
+                  "snapshot": self.store.save(key, payload),
+                  "state_snapshot": None if state is None
+                  else self.store.save(key + _STATE, state)}
         plan = self.fault_plan
         if plan is not None and plan.torn_write(self.journal.seq,
                                                 self._torn_epoch):

@@ -16,19 +16,21 @@ a ``observatory_lookup_seconds`` / ``observatory_aggregate_seconds``
 """
 
 import time
+from collections import Counter
 
 from repro.analysis.churn import churn_survival
 from repro.analysis.geography import (
     country_fluctuation,
     rir_fluctuation,
 )
-from repro.netsim.address import Ipv4Network
+from repro.netsim.address import Ipv4Network, ip_to_int
 from repro.observatory.store import week_mode
 from repro.scanner.campaign import WeeklySnapshot
 
 
 class _StoreGeoView:
-    """``GeoIpDatabase`` shape answered from the store's geo columns."""
+    """``GeoIpDatabase`` shape answered from the store's geo columns
+    (``geo_of``: one row probe, no per-responder record dict)."""
 
     __slots__ = ("store",)
 
@@ -36,18 +38,12 @@ class _StoreGeoView:
         self.store = store
 
     def count_by_country(self, ips):
-        counts = {}
-        for ip in ips:
-            code = self.store.record(ip)["country"]
-            counts[code] = counts.get(code, 0) + 1
-        return counts
+        geo_of = self.store.geo_of
+        return Counter(geo_of(ip_to_int(ip))[0] for ip in ips)
 
     def count_by_rir(self, ips):
-        counts = {}
-        for ip in ips:
-            registry = self.store.record(ip)["rir"]
-            counts[registry] = counts.get(registry, 0) + 1
-        return counts
+        geo_of = self.store.geo_of
+        return Counter(geo_of(ip_to_int(ip))[1] for ip in ips)
 
 
 class Observatory:

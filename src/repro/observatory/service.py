@@ -70,6 +70,9 @@ class _ObservatoryHandler(BaseHTTPRequestHandler):
             return 200, record
         if parts == ["rankings", "countries"]:
             top = int(query.get("top", ["10"])[0])
+            if top <= 0:
+                raise ValueError("top must be a positive integer "
+                                 "(got %d)" % top)
             rows, top_share = observatory.country_rankings(top=top)
             return 200, {"rows": rows, "top_share": top_share}
         if parts == ["rankings", "rirs"]:

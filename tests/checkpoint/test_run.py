@@ -1,11 +1,12 @@
 """Tests for the CheckpointedRun supervisor (commit/restore/resume)."""
 
 import os
+import pickle
 
 import pytest
 
 from repro.checkpoint import (NULL_SCOPE, CheckpointedRun,
-                              CheckpointError)
+                              CheckpointError, scan_journal)
 from repro.faults import FaultPlan, FaultProfile, InjectedCrash
 from repro.netsim import Network, SimClock
 from repro.obs import Tracer
@@ -57,6 +58,73 @@ class TestCommitRestore:
         run.close()
         resumed = open_run(tmp_path, resume=True)
         assert resumed.restore(("week", 0)) is None
+
+
+class TestStateSnapshot:
+    """A unit's world state is its own snapshot beside the payload; the
+    journal record only names it."""
+
+    def test_state_is_a_snapshot_not_a_journal_field(self, tmp_path):
+        run = open_run(tmp_path)
+        record = run.commit(("week", 0), "payload", state={"clock": 7.0})
+        assert "state" not in record
+        assert record["state_snapshot"] == os.path.basename(
+            run.store.path_for(("week", 0, "state")))
+        assert run.store.load(("week", 0, "state")) == {"clock": 7.0}
+        # A unit without state (a scan shard) writes no state file.
+        assert run.commit(("shard", 0), "x")["state_snapshot"] is None
+        assert not os.path.exists(run.store.path_for(("shard", 0, "state")))
+
+    def test_parent_record_with_inline_state_restores(self, tmp_path):
+        # What an older version appended: the state inside the record.
+        run = open_run(tmp_path)
+        run.journal.append({"kind": "commit", "key": ("week", 0),
+                            "snapshot": run.store.save(("week", 0), "w0"),
+                            "state": {"clock": 7.0}})
+        run.close()
+        resumed = open_run(tmp_path, resume=True)
+        assert resumed.restore(("week", 0)) == {"payload": "w0",
+                                                "state": {"clock": 7.0}}
+
+    @pytest.mark.parametrize("damage", ["missing", "corrupt"])
+    def test_damaged_state_is_quarantined_and_the_unit_reruns(
+            self, tmp_path, damage):
+        from tests.checkpoint.test_resume_equivalence import (
+            WEEKS, build_campaign_world, campaign_fingerprint,
+            make_campaign, run_campaign_until_done)
+        directory = str(tmp_path / "ckpt")
+        clean = run_campaign_until_done(directory, None)[0]
+        path = open_run(tmp_path, resume=True).store.path_for(
+            ("week", 1, "state"))
+        if damage == "missing":
+            os.remove(path)
+        else:
+            with open(path, "r+b") as handle:
+                handle.seek(-1, os.SEEK_END)
+                handle.write(b"\x00")
+        resumed = make_campaign(build_campaign_world())
+        run = open_run(tmp_path, resume=True)
+        resumed.run(WEEKS, checkpoint=run)
+        provenance = run.provenance
+        run.close()
+        assert provenance["snapshots_quarantined"] == 1
+        assert provenance["units_restored"] == 2
+        assert provenance["units_committed"] == 1
+        assert (os.listdir(os.path.join(directory, ".quarantine"))
+                == (["0000.corrupt.snap"] if damage == "corrupt" else []))
+        assert os.path.exists(path)           # recommitted
+        assert campaign_fingerprint(resumed) == campaign_fingerprint(clean)
+        assert [pickle.dumps(snapshot) for snapshot in resumed.snapshots] \
+            == [pickle.dumps(snapshot) for snapshot in clean.snapshots]
+
+    def test_every_journal_record_is_small(self, tmp_path):
+        from tests.observatory.conftest import run_checkpointed_campaign
+        directory = tmp_path / "ckpt"
+        run_checkpointed_campaign(directory)
+        records = [record for __, record
+                   in scan_journal(str(directory / "journal.wal"))]
+        assert len(records) >= 3
+        assert all(len(pickle.dumps(record)) < 1024 for record in records)
 
 
 class TestMetaValidation:

@@ -1,10 +1,13 @@
 """Ingest: incremental, idempotent, crash-resume indistinguishable."""
 
+import os
 import pickle
 
 import pytest
 
-from repro.checkpoint import CheckpointedRun
+from repro.checkpoint import (CheckpointedRun, Journal, SnapshotStore,
+                              scan_journal)
+from repro.checkpoint.feed import CheckpointFeed
 from repro.faults import FaultPlan, FaultProfile, InjectedCrash
 from repro.observatory import ResolverStore, ingest_checkpoint
 from repro.obs import Tracer
@@ -87,7 +90,65 @@ class TestFolding:
         assert len(spans) == 1 and spans[0]["status"] == "ok"
 
 
+def rewrite_as_parent(directory):
+    """Turn a checkpoint directory into what an older version wrote:
+    each commit record carries its world state inline, and no state
+    snapshot exists."""
+    journal_path = os.path.join(str(directory), "journal.wal")
+    store = SnapshotStore(os.path.join(str(directory), "snapshots"))
+    records = [record for __, record in scan_journal(journal_path)]
+    os.remove(journal_path)
+    journal = Journal(journal_path)
+    for record in records:
+        if record["kind"] == "commit":
+            state_key = tuple(record["key"]) + ("state",)
+            record["state"] = None
+            if record.pop("state_snapshot"):
+                record["state"] = store.load(state_key)
+                os.remove(store.path_for(state_key))
+        journal.append(record)
+    journal.close()
+
+
+class TestParentWrittenDirectory:
+    def test_parent_format_journal_still_ingests(self, tmp_path):
+        run_checkpointed_campaign(tmp_path / "ckpt")
+        rewrite_as_parent(tmp_path / "ckpt")
+        assert all("state" in record for __, key, record
+                   in CheckpointFeed(str(tmp_path / "ckpt")).commits())
+        bare, report = ingest_fresh(tmp_path / "ckpt", tmp_path, "bare")
+        assert report.weeks_folded == list(range(WEEKS))
+        assert bare.digest() == "f319a2f5"    # TestFolding's pin
+
+    def test_parent_format_journal_still_resumes(self, tmp_path):
+        # Three weeks restored from inline state, then a fourth scanned
+        # from the world they reinstate: equal to one clean run.
+        run_checkpointed_campaign(tmp_path / "ckpt")
+        rewrite_as_parent(tmp_path / "ckpt")
+        campaign = make_campaign(build_world())
+        checkpoint = CheckpointedRun(str(tmp_path / "ckpt"), resume=True)
+        campaign.run(WEEKS + 1, checkpoint=checkpoint)
+        checkpoint.close()
+        assert checkpoint.provenance["units_restored"] == WEEKS
+        clean = make_campaign(build_world())
+        clean.run(WEEKS + 1)
+        assert [pickle.dumps(snapshot) for snapshot in campaign.snapshots] \
+            == [pickle.dumps(snapshot) for snapshot in clean.snapshots]
+
+
 class TestIdempotence:
+    def test_noop_ingest_loads_no_snapshot(self, campaign_checkpoint,
+                                           tmp_path, monkeypatch):
+        directory, __, __ = campaign_checkpoint
+        store, __ = ingest_fresh(directory, tmp_path)
+        loads = []
+        real_load = CheckpointFeed.load
+        monkeypatch.setattr(CheckpointFeed, "load", lambda feed, key: (
+            loads.append(key), real_load(feed, key))[1])
+        again = ingest_checkpoint(store, str(directory))
+        assert not again.changed() and again.lag_records == 0
+        assert loads == []
+
     def test_reingesting_the_same_journal_is_a_noop(
             self, campaign_checkpoint, tmp_path):
         directory, __, __ = campaign_checkpoint

@@ -102,3 +102,11 @@ class TestRoutes:
         get(server, "/resolver/" + ip)
         assert observatory.perf.counter("observatory_queries_served") \
             == before + 1
+
+    @pytest.mark.parametrize("top", ["-3", "0", "ten"])
+    def test_top_must_be_a_positive_integer(self, served, top):
+        server, __, __ = served
+        with pytest.raises(urllib.error.HTTPError) as error:
+            get(server, "/rankings/countries?top=" + top)
+        assert error.value.code == 400
+        assert "error" in json.loads(error.value.read())
