@@ -56,9 +56,7 @@ def capture_dns_caches(network):
     captured = {}
     for key, holder in _dns_cache_sites(network):
         if key[0] == "node":
-            captured[key] = {"entries": dict(holder._entries),
-                             "hits": holder.hits,
-                             "misses": holder.misses}
+            captured[key] = {"entries": dict(holder._entries)}
         else:
             # The trusted resolver's txid is sequential state too: it
             # picks the source port of every hierarchy query, which keys
@@ -82,9 +80,8 @@ def restore_dns_caches(network, captured):
             continue
         if key[0] == "node":
             holder._entries.clear()
+            # (Hit/miss counters an older capture carries are ignored.)
             holder._entries.update(state["entries"])
-            holder.hits = state["hits"]
-            holder.misses = state["misses"]
         else:
             holder._cache.clear()
             holder._cache.update(state["names"])

@@ -13,6 +13,7 @@ from functools import lru_cache
 
 from repro.dnswire.constants import CLASS_IN, QTYPE_A
 from repro.dnswire.message import Message, peek_header
+from repro.dnswire.wire import WireReply
 from repro.netsim.network import UdpPacket
 
 
@@ -34,19 +35,24 @@ def ask(network, source_ip, source_port, server_ip, qname, txid,
     racing the genuine one is a finding, not noise); everything else —
     garbage, truncations, echoed queries, other transactions' answers —
     is dropped silently, never raised.  The header decides first, so
-    only a datagram that could be accepted is parsed.
+    only a datagram that could be accepted is parsed.  A reply still
+    unrendered (a ``WireReply``) answers this very query: never parsed.
     """
     packet = UdpPacket(source_ip, source_port, server_ip, 53,
                        txid.to_bytes(2, "big")
                        + _query_frame(qname, qtype, qclass, rd))
     accepted = []
-    for response in network.send_udp(packet):
+    for response in network.send_udp(packet, rendered=False):
         payload = response.packet.payload
-        header = peek_header(payload)
-        if header is None or not header[1] or header[0] != txid:
-            continue
         try:
-            accepted.append((Message.from_wire(payload), response))
+            if type(payload) is WireReply:
+                message = payload.message()
+            else:
+                header = peek_header(payload)
+                if header is None or not header[1] or header[0] != txid:
+                    continue
+                message = Message.from_wire(payload)
         except ValueError:
             continue
+        accepted.append((message, response))
     return accepted

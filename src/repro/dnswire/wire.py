@@ -5,11 +5,17 @@ class, and echoes the rest: :func:`peek_query` reads those off the
 datagram and :func:`answer_wire` writes the reply around the query's
 bytes, so no :class:`~repro.dnswire.message.Message` is built.  Both
 work on one query shape (see :func:`peek_query`); a server stays silent
-for anything else.
+for anything else.  A :class:`WireReply` renders them only when read.
 """
 
+from functools import lru_cache
+
+from repro.dnswire.message import Header, Message, Question
 from repro.dnswire.name import MAX_NAME_LENGTH, NameCompressor, \
     normalize_name
+from repro.dnswire.records import (AData, CnameData, MxData, NsData,
+                                   PtrData, ResourceRecord, TxtData,
+                                   decode_rdata)
 
 # qdcount=1, ancount=nscount=arcount=0: the header tail of the one shape.
 _ONE_QUESTION = b"\x00\x01\x00\x00\x00\x00\x00\x00"
@@ -76,3 +82,66 @@ def answer_wire(query, qname, rcode, ra, records):
             name_wire = compressor.encode(record.name, len(out))
         out += record.to_wire(name_wire)
     return bytes(out)
+
+
+# Rdata whose equality covers all it writes (not SoaData, OpaqueData).
+_EXACT_RDATA = (AData, NsData, CnameData, PtrData, TxtData, MxData)
+
+
+@lru_cache(maxsize=4096)
+def _reads_back(rtype, data):
+    """Whether ``data`` parses back equal under ``rtype`` — not text the
+    codec rewrites or refuses (``"010.0.0.1"``, a trailing dot)."""
+    if type(data) not in _EXACT_RDATA or data.rtype != rtype:
+        return False
+    try:
+        raw = data.to_wire()
+    except ValueError:
+        return False
+    return decode_rdata(rtype, raw, 0, len(raw)) == data
+
+
+class WireReply:
+    """A server's ``(rcode, ra, records)`` answer to ``query``, which
+    :func:`peek_query` read as ``question``.  :meth:`wire` (or
+    ``bytes(reply)``) renders :func:`answer_wire`'s bytes on the first
+    read; :meth:`message` is what they parse to, built without them."""
+
+    __slots__ = ("query", "question", "rcode", "ra", "records", "_wire")
+
+    def __init__(self, query, question, rcode, ra, records):
+        self.query = query
+        self.question = question
+        self.rcode = rcode
+        self.ra = ra
+        self.records = records
+        self._wire = None
+
+    def wire(self):
+        if self._wire is None:
+            self._wire = answer_wire(self.query, self.question[0],
+                                     self.rcode, self.ra, self.records)
+        return self._wire
+
+    __bytes__ = wire
+
+    def message(self):
+        """``Message.from_wire(self.wire())``, field for field, from the
+        tuple when each record's owner reads back as the question name
+        and its rdata as held (rdata objects are shared); else parsed."""
+        qname, qtype, qclass = self.question
+        key = qname.lower()     # peek_query's names have no trailing dot
+        answers = []
+        for record in self.records:
+            if record.name != qname and normalize_name(record.name) != key \
+                    or not _reads_back(record.rtype, record.data):
+                return Message.from_wire(self.wire())
+            answers.append(ResourceRecord(qname, record.rtype, record.rclass,
+                                          record.ttl & 0xFFFFFFFF,
+                                          record.data))
+        query = self.query
+        return Message(Header(query[0] << 8 | query[1], True,
+                              query[2] >> 3 & 0xF, False, False,
+                              bool(query[2] & 1), bool(self.ra),
+                              self.rcode & 0xF),
+                       [Question(qname, qtype, qclass)], answers)

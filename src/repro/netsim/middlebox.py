@@ -47,7 +47,10 @@ class Middlebox:
         return False
 
     def drops_response(self, query_packet, response_packet, network):
-        """Return True to silently drop a response on its way back."""
+        """Return True to silently drop a response on its way back.
+
+        ``response_packet.payload`` may be unrendered (a ``WireReply``);
+        ``bytes()`` of it gives the datagram."""
         return False
 
     def inject_responses(self, packet, network):

@@ -73,7 +73,7 @@ class UdpPacket:
     def __repr__(self):
         return "UdpPacket(%s:%d -> %s:%d, %d bytes)" % (
             self.src_ip, self.src_port, self.dst_ip, self.dst_port,
-            len(self.payload))
+            len(bytes(self.payload)))
 
 
 class UdpResponse:
@@ -103,8 +103,9 @@ class Node:
         self.ip = ip
 
     def handle_udp(self, packet, network):
-        """Handle a UDP datagram; return payload bytes, a list of
-        (payload, source_ip) pairs, or ``None`` to stay silent."""
+        """Handle a UDP datagram; return a payload (bytes, or what
+        ``bytes()`` renders), a list of (payload, source_ip) pairs, or
+        ``None`` to stay silent."""
         return None
 
     def tcp_ports(self):
@@ -547,17 +548,20 @@ class Network:
 
     # -- UDP --------------------------------------------------------------
 
-    def send_udp(self, packet):
-        """Deliver a UDP packet; return responses sorted by arrival time."""
+    def send_udp(self, packet, rendered=True):
+        """Deliver a UDP packet; return responses sorted by arrival time,
+        each payload bytes — or, with ``rendered`` false, as the node
+        returned it unless the path read its bytes (corruption, faults)."""
         dst_int = packet.dst_int
         if dst_int is None:
             dst_int = ip_to_int(packet.dst_ip)
         return self.send_probe(packet.src_ip, packet.src_port,
                                packet.dst_ip, packet.dst_port, dst_int,
-                               packet.payload, _packet=packet)
+                               packet.payload, _packet=packet,
+                               _render=rendered)
 
     def send_probe(self, src_ip, src_port, dst_ip, dst_port, dst_int,
-                   payload, _packet=None, _checks=None):
+                   payload, _packet=None, _checks=None, _render=True):
         """Wire-level delivery fast path: :meth:`send_udp` semantics with
         the addressing passed as scalars (``dst_int`` must equal
         ``ip_to_int(dst_ip)``).
@@ -672,7 +676,8 @@ class Network:
                                        payload, dst_int)
                 result = node.handle_udp(packet, self)
                 base = self.latency_between(src_ip, dst_ip)
-                for reply in self._normalize_replies(packet, result):
+                for reply in self._normalize_replies(packet, result,
+                                                     _render):
                     if loss_rate > 0 and self._packet_fate(
                             _SALT_RESPONSE_LOSS, loss_rate, reply):
                         self.udp_queries_lost += 1
@@ -699,7 +704,8 @@ class Network:
                             _SALT_CORRUPTION, self.corruption_rate, reply):
                         reply = UdpPacket(
                             reply.src_ip, reply.src_port, reply.dst_ip,
-                            reply.dst_port, self._corrupt(reply.payload))
+                            reply.dst_port,
+                            self._corrupt(bytes(reply.payload)))
                         self.udp_responses_corrupted += 1
                         if recorder is not None:
                             recorder.record(self.clock.now, "corrupted",
@@ -719,7 +725,7 @@ class Network:
                             reply = UdpPacket(
                                 reply.src_ip, reply.src_port,
                                 reply.dst_ip, reply.dst_port,
-                                reply.payload[:8])
+                                bytes(reply.payload)[:8])
                             self.count_fault("truncated_response")
                             if recorder is not None:
                                 recorder.record(
@@ -752,19 +758,21 @@ class Network:
         return noise[: max(1, cut - 2)]
 
     @staticmethod
-    def _normalize_replies(packet, result):
-        """Accept the handler's flexible return shapes (see Node)."""
+    def _normalize_replies(packet, result, render):
+        """Accept the handler's flexible return shapes (see Node),
+        rendering each payload to bytes when ``render``."""
         if result is None:
             return []
-        if isinstance(result, (bytes, bytearray)):
-            return [packet.reply(bytes(result))]
+        if not isinstance(result, list):
+            return [packet.reply(bytes(result) if render else result)]
         replies = []
         for item in result:
             if isinstance(item, UdpPacket):
                 replies.append(item)
             else:
                 payload, source_ip = item
-                replies.append(packet.reply(payload, src_ip=source_ip))
+                replies.append(packet.reply(
+                    bytes(payload) if render else payload, src_ip=source_ip))
         return replies
 
     # -- TCP-based services ----------------------------------------------

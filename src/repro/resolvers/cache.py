@@ -17,8 +17,6 @@ class DnsCache:
     def __init__(self, max_entries=10000):
         self._entries = {}  # (name, qtype) -> (records, stored_at, ttl)
         self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
 
     def put(self, name, qtype, records, now, ttl=None):
         if ttl is None:
@@ -42,15 +40,12 @@ class DnsCache:
         key = (name.lower(), qtype)
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
             return None
         records, stored_at, ttl = entry
         remaining = ttl - (now - stored_at)
         if remaining <= 0:
             del self._entries[key]
-            self.misses += 1
             return None
-        self.hits += 1
         return records, int(remaining)
 
     def get(self, name, qtype, now):

@@ -16,7 +16,7 @@ from repro.dnswire.constants import (
 )
 from repro.dnswire.name import normalize_name
 from repro.dnswire.records import ResourceRecord
-from repro.dnswire.wire import answer_wire, peek_query
+from repro.dnswire.wire import WireReply, peek_query
 from repro.util import stable_hash
 from repro.authdns.resolution import IterativeResolver
 from repro.netsim.address import ip_to_int
@@ -220,10 +220,10 @@ class ResolverNode(Node):
             # unreachable this week — silence, exactly like churn.
             network.count_fault("resolver_flap")
             return None
-        query = peek_query(packet.payload)
-        if query is None:
+        question = peek_query(packet.payload)
+        if question is None:
             return None
-        qname, qtype, qclass = query
+        qname, qtype, qclass = question
         self.query_count += 1
         if self.forward_to is not None and qclass == CLASS_IN \
                 and qtype != QTYPE_NS:
@@ -232,7 +232,7 @@ class ResolverNode(Node):
                               client_ip=packet.src_ip)
         if answer is None:
             return None
-        payload = answer_wire(packet.payload, qname, *answer)
+        payload = WireReply(packet.payload, question, *answer)
         if self.answer_source_ip is not None:
             return [(payload, self.answer_source_ip)]
         return payload
@@ -256,7 +256,7 @@ class ResolverNode(Node):
 
     def respond(self, qname, qtype, qclass, network, client_ip=None):
         """The answer to one question, as ``(rcode, ra, answer
-        records)`` for :func:`~repro.dnswire.wire.answer_wire`, or
+        records)`` for :class:`~repro.dnswire.wire.WireReply`, or
         ``None`` for silence."""
         if qclass == CLASS_CH and qtype == QTYPE_TXT:
             return self._chaos_response(qname)

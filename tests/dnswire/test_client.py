@@ -29,15 +29,19 @@ from repro.dnswire import (
     ResourceRecord,
 )
 from repro.dnswire.client import ask
-from repro.netsim import SimClock
-from repro.netsim.network import UdpResponse
+from repro.dnswire.records import NsData
+from repro.dnswire.wire import WireReply, peek_query
+from repro.faults import FaultPlan, FaultProfile
+from repro.netsim import GreatFirewall, Ipv4Network, SimClock
+from repro.netsim.network import UdpPacket, UdpResponse
+from repro.obs.flight import FlightRecorder
 from repro.resolvers import ResolverNode
 from repro.scanner.chaos import ChaosScanner
 from repro.scanner.domainscan import DomainScanner
 from repro.scanner.popularity import PopularityProber
 from repro.scanner.snooping import CacheSnoopingProber
 from tests.conftest import MiniWorld
-from tests.oracles import message_ask
+from tests.oracles import MessageResolverNode, message_ask, message_fields
 
 CLIENT = "198.51.100.7"
 SERVER = "203.0.113.9"
@@ -55,7 +59,7 @@ class ScriptedNetwork:
         self.flows = []
         self.payloads = []
 
-    def send_udp(self, packet):
+    def send_udp(self, packet, rendered=True):
         self.payloads.append(packet.payload)
         query = Message.from_wire(packet.payload)
         question = query.question
@@ -159,7 +163,110 @@ CONSUMERS = [
 ]
 
 
+def byte_reading_path(node_class):
+    """A world whose path reads reply bytes: a fifth of the responses
+    corrupted, a fifth truncated by an injected fault, the GFW in front
+    of 110.0.0.0/16, a flight recorder; resolvers of ``node_class``: an
+    upstream, one behind the firewall, a forwarder relaying to the
+    upstream and one answering from another address.  Returns
+    ``(world, resolver ips)``."""
+    world = MiniWorld()
+    network = world.network
+    network.corruption_rate = 0.2
+    network.install_faults(FaultPlan(FaultProfile(truncation_rate=0.2),
+                                     seed=3))
+    network.recorder = FlightRecorder()
+    world.add_web_domain("plain.com", "198.18.0.10")
+    world.builder.register_domain("blocked.example",
+                                  {"blocked.example": ["198.18.0.9"]})
+    network.add_middlebox(GreatFirewall([Ipv4Network("110.0.0.0/16")],
+                                        ["blocked.example"], seed=5))
+    upstream = world.infra.address_at(42000)
+    nodes = [node_class(upstream, resolution_service=world.service),
+             node_class("110.0.0.5", resolution_service=world.service),
+             node_class(world.infra.address_at(42001), forward_to=upstream),
+             node_class(world.infra.address_at(42002),
+                        resolution_service=world.service,
+                        answer_source_ip=world.infra.address_at(42003))]
+    for node in nodes:
+        network.register(node)
+    return world, [node.ip for node in nodes]
+
+
 class TestHostilePeers:
+    def test_byte_readers_on_the_path_see_the_parent_bytes(self):
+        """Corruption, truncation, the GFW's forged-then-genuine double
+        answer and a forwarder's relay all read reply bytes: the answers
+        ``ask`` accepts, their order, and the traffic, fault and flight
+        counters equal those of the parent's client and responder
+        (``message_ask`` over :class:`MessageResolverNode`)."""
+        runs = []
+        for client, node_class in ((ask, ResolverNode),
+                                   (message_ask, MessageResolverNode)):
+            world, resolvers = byte_reading_path(node_class)
+            answers = []
+            for round_ in range(10):
+                world.clock.advance(60)
+                for server in resolvers:
+                    for name in ("www.plain.com", "blocked.example",
+                                 "Plain.com"):
+                        answers.append([
+                            (message_fields(message), response.packet.src_ip,
+                             response.latency, response.injected)
+                            for message, response in client(
+                                world.network, CLIENT, 31000 + round_,
+                                server, name, round_)])
+            network = world.network
+            runs.append((answers, network.udp_queries_sent,
+                         network.udp_queries_lost,
+                         network.udp_responses_corrupted,
+                         network.fault_counters,
+                         network.recorder.export_state()))
+        assert runs[0] == runs[1]
+        answers, __, __, corrupted, faults, __ = runs[0]
+        assert corrupted and faults["truncated_response"]
+        assert any(len(accepted) == 2 and accepted[0][3]
+                   for accepted in answers)
+
+    def test_plain_send_udp_gets_bytes(self):
+        world, resolvers = byte_reading_path(ResolverNode)
+        world.network.corruption_rate = 0.0
+        world.network.faults = None
+        query = Message.query("blocked.example", txid=9).to_wire()
+        responses = [response for server in resolvers
+                     for response in world.network.send_udp(
+                         UdpPacket(CLIENT, 31000, server, 53, query))]
+        assert len(responses) == len(resolvers) + 1   # + the forged one
+        assert {type(response.packet.payload)
+                for response in responses} == {bytes}
+
+    def test_unrendered_response_reprs_its_byte_count(self):
+        world, resolvers = byte_reading_path(ResolverNode)
+        world.network.corruption_rate = 0.0
+        world.network.faults = None
+        query = Message.query("www.plain.com", txid=9).to_wire()
+        response, = world.network.send_udp(
+            UdpPacket(CLIENT, 31000, resolvers[0], 53, query),
+            rendered=False)
+        payload = response.packet.payload
+        assert type(payload) is WireReply
+        assert "%d bytes" % len(payload.wire()) in repr(response)
+
+    def test_ask_drops_an_unrendered_reply_that_does_not_parse(self):
+        """NS rdata under type A renders but does not parse back: the
+        parent's client dropped those bytes, and ``ask`` drops the
+        unrendered reply the same way instead of raising."""
+        def script(query):
+            wire = query.to_wire()
+            record = ResourceRecord(query.question.name, QTYPE_A, CLASS_IN,
+                                    60, NsData("ns1.example"))
+            return [WireReply(wire, peek_query(wire), 0, True, [record]),
+                    genuine_answer(query).to_wire()]
+        answers = ask(ScriptedNetwork(script), CLIENT, 31999, SERVER,
+                      "example.com", 7)
+        assert [message.answers[0].data.address
+                for message, __ in answers] == [ADDRESS]
+
     def test_ask_keeps_only_matching_responses(self):
         network = ScriptedNetwork(hostile_peer)
         answers = ask(network, CLIENT, 31999, SERVER, "example.com", 7)
@@ -341,10 +448,10 @@ class TestPinnedFlows:
         def next_flow(mini):
             seen = []
             send_udp = mini.network.send_udp
-            mini.network.send_udp = lambda packet: (
+            mini.network.send_udp = lambda packet, **options: (
                 seen.append((packet.src_port,
                              Message.from_wire(packet.payload).header.txid))
-                or send_udp(packet))
+                or send_udp(packet, **options))
             mini.service._trusted.resolve(mini.network, "www.plain.com")
             return seen[0]
 

@@ -5,8 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dnswire import constants
 from repro.dnswire.message import Header, Message, Question
-from repro.dnswire.records import ResourceRecord
-from repro.dnswire.wire import answer_wire, peek_query
+from repro.dnswire.records import (MxData, OpaqueData, ResourceRecord,
+                                   SoaData)
+from repro.dnswire.wire import WireReply, answer_wire, peek_query
+from tests.oracles import message_fields
 
 LABEL = st.text(alphabet="abcXYZ019-_", min_size=1, max_size=12)
 NAME = st.lists(LABEL, max_size=5).map(".".join)
@@ -66,3 +68,79 @@ class TestAnswerWire:
                             True, [ResourceRecord.a("example.com",
                                                     "192.0.2.1")])
         assert reply[len(query):len(query) + 2] == b"\xc0\x0c"
+
+
+# Records each taking one way a field does not survive the wire: an
+# owner that is not the question's (compressed under its 0x20 casing),
+# rdata the parser reads as another class or rewrites.
+ODD_RECORDS = [
+    ResourceRecord.txt("_sig.www.example.com", ["sig=1"], ttl=300,
+                       rclass=constants.CLASS_IN),
+    ResourceRecord.a("mail.example.com", "192.0.2.3"),
+    ResourceRecord.a("www.example.com", "010.0.2.1"),
+    ResourceRecord.a("www.example.com", " 192.0.2.1"),
+    ResourceRecord.ns("www.example.com", "ns1.example.com."),
+    ResourceRecord("www.example.com", 28, constants.CLASS_IN, 60,
+                   OpaqueData(28, bytes(16))),
+    ResourceRecord("www.example.com", constants.QTYPE_TXT,
+                   constants.CLASS_IN, 60, OpaqueData(16, b"\x01x")),
+    ResourceRecord("www.example.com", constants.QTYPE_SOA,
+                   constants.CLASS_IN, 60,
+                   SoaData("ns1.example.com", "admin.example.com",
+                           refresh=7)),
+    ResourceRecord.txt("www.example.com", ["caf\u00e9"]),
+    ResourceRecord.txt("www.example.com", ["x" * 300]),
+]
+# ... and records that do: owned by the question name, in any case,
+# with TTLs wrapped to 32 bits as the wire wraps them.
+PLAIN_RECORDS = [
+    ResourceRecord.a("www.example.com", "192.0.2.5", ttl=-1),
+    ResourceRecord.a("www.example.com", "192.0.2.6", ttl=1 << 33),
+    ResourceRecord.a("www.example.com", "192.0.2.1"),
+    ResourceRecord.a("WWW.Example.COM.", "192.0.2.2", ttl=7),
+    ResourceRecord.ns("www.example.com", "ns1.example.com"),
+    ResourceRecord.txt("www.example.com", ["9.9.4-bind", ""]),
+    ResourceRecord.txt("www.example.com", []),
+    ResourceRecord.cname("www.example.com", "edge.example.net"),
+    ResourceRecord.ptr("www.example.com", "host.example.net"),
+    ResourceRecord("www.example.com", constants.QTYPE_MX,
+                   constants.CLASS_IN, 60, MxData(10, "mx.example.com")),
+]
+
+
+class TestWireReply:
+    """:meth:`WireReply.message` against a parse of the bytes it stands
+    for, field by field."""
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(["www.example.com", "wWw.ExAmple.cOm", ""]),
+           st.integers(0, 0xFFFF), st.booleans(), st.integers(0, 15),
+           st.sampled_from([0, 2, 3, 5, 15]), st.booleans(),
+           st.lists(st.sampled_from(PLAIN_RECORDS + ODD_RECORDS + [
+               ResourceRecord.a("", "192.0.2.4"),
+               ResourceRecord.ns(".", "a.root-servers.net")]), max_size=4))
+    def test_message_equals_the_parse_of_its_bytes(self, name, txid, rd,
+                                                   opcode, rcode, ra,
+                                                   records):
+        query = Message(Header(txid=txid, opcode=opcode, rd=rd),
+                        [Question(name, constants.QTYPE_A)]).to_wire()
+        reply = WireReply(query, peek_query(query), rcode, ra, records)
+        message = reply.message()
+        assert bytes(reply) == answer_wire(query, name, rcode, ra, records)
+        assert message_fields(message) \
+            == message_fields(Message.from_wire(reply.wire()))
+
+    def test_plain_records_are_not_rendered(self):
+        query = Message.query("wWw.ExAmple.cOm", txid=3).to_wire()
+        reply = WireReply(query, peek_query(query), 0, True, PLAIN_RECORDS)
+        assert [record.name for record in reply.message().answers] \
+            == ["wWw.ExAmple.cOm"] * len(PLAIN_RECORDS)
+        assert reply._wire is None
+
+    def test_each_odd_record_is_rendered(self):
+        query = Message.query("wWw.ExAmple.cOm", txid=3).to_wire()
+        for record in ODD_RECORDS:
+            reply = WireReply(query, peek_query(query), 0, True,
+                              PLAIN_RECORDS[:1] + [record])
+            reply.message()
+            assert reply._wire is not None, record

@@ -10,6 +10,8 @@ holds every configuration of the IPv4 sweep to :func:`reference_sweep`;
 :func:`pair_scan_cluster`; ``tests/resolvers/test_wire_path.py`` holds
 the resolver's wire path to :class:`MessageResolverNode`, and
 ``tests/dnswire/test_client.py`` the stub client to :func:`message_ask`.
+:func:`message_fields` is what "the same message" means in those
+comparisons.
 """
 
 from collections import Counter
@@ -139,6 +141,19 @@ def _agglomerate_pair_scan(n, distance, threshold, linkage, dendrogram):
 
 
 # -- the stub exchange through Message objects ------------------------------
+
+def message_fields(message):
+    """Every field of ``message``: the header's flags, the question, and
+    each record's name, type, class, TTL and rdata class and attributes
+    (``ResourceRecord.__eq__`` ignores the TTL and the owner's case)."""
+    return (vars(message.header),
+            [(question.name, question.qtype, question.qclass)
+             for question in message.questions],
+            [[(record.name, record.rtype, record.rclass, record.ttl,
+               type(record.data), vars(record.data)) for record in section]
+             for section in (message.answers, message.authorities,
+                             message.additionals)])
+
 
 def message_ask(network, source_ip, source_port, server_ip, qname, txid,
                 qtype=QTYPE_A, qclass=CLASS_IN, rd=True):

@@ -2,8 +2,11 @@
 
 from hypothesis import given, strategies as st
 
+from repro.checkpoint.state import capture_dns_caches, restore_dns_caches
 from repro.dnswire.records import ResourceRecord
+from repro.resolvers import ResolverNode
 from repro.resolvers.cache import CacheActivityModel, DnsCache
+from tests.conftest import MiniWorld
 
 
 def a_records(name="x.example", address="1.2.3.4", ttl=100):
@@ -17,14 +20,16 @@ class TestDnsCache:
         records = cache.get("x.example", 1, now=50)
         assert records is not None
         assert records[0].ttl == 50
-        assert cache.hits == 1
+        stored, ttl = cache.lookup("x.example", 1, now=60)
+        assert (stored[0].ttl, stored[0].data.address, ttl) \
+            == (100, "1.2.3.4", 40)
 
     def test_miss_after_expiry(self):
         cache = DnsCache()
         cache.put("x.example", 1, a_records(ttl=100), now=0)
-        assert cache.get("x.example", 1, now=150) is None
-        assert cache.misses == 1
+        assert cache.lookup("x.example", 1, now=150) is None
         assert len(cache) == 0
+        assert cache.get("x.example", 1, now=150) is None
 
     def test_case_insensitive_keys(self):
         cache = DnsCache()
@@ -149,3 +154,25 @@ class TestActivityModel:
             tld_patterns={"com": (500.0, 123.0)}, ttl=1000)
         value = model.observable_ttl("com", t)
         assert value is None or 0 <= value <= 1000
+
+
+def test_restores_a_capture_that_carries_hit_counters():
+    """Checkpoints written while ``DnsCache`` still counted hits and
+    misses carry both counters; a resume restores the entries and
+    ignores them."""
+    def world():
+        mini = MiniWorld()
+        node = ResolverNode(mini.infra.address_at(42000),
+                            resolution_service=mini.service)
+        mini.network.register(node)
+        return mini, node
+
+    crashed, node = world()
+    node.cache.put("x.example", 1, a_records(), now=0)
+    captured = capture_dns_caches(crashed.network)
+    captured[("node", node.ip)].update(hits=3, misses=4)
+    resumed, fresh = world()
+    restore_dns_caches(resumed.network, captured)
+    assert fresh.cache.lookup("x.example", 1, now=10) \
+        == (node.cache.lookup("x.example", 1, now=10)[0], 90)
+    assert not hasattr(fresh.cache, "hits")

@@ -1,19 +1,25 @@
 """The resolver's wire path against the ``Message``-built responder.
 
 :meth:`ResolverNode.handle_udp` reads the question off the query's
-bytes and writes the reply around them (:mod:`repro.dnswire.wire`).
-For every query in the accepted shape it must return exactly the bytes
+bytes and returns a :class:`~repro.dnswire.wire.WireReply` that writes
+the reply around them (:mod:`repro.dnswire.wire`).  For every query in
+the accepted shape the reply must render to exactly the bytes
 :class:`tests.oracles.MessageResolverNode` — the parse / build / encode
 responder it replaced — returns, and leave the node in the same state;
-for every other datagram it must stay silent.
+for every other datagram it must stay silent.  The ``Message`` the stub
+client reads off a reply without rendering it must equal the parse of
+those bytes, here and over every reply of a tiny study.
 """
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.dnswire import (CLASS_CH, CLASS_IN, QTYPE_A, QTYPE_NS, QTYPE_PTR,
                            QTYPE_TXT, Message)
+from repro.dnswire.client import ask
 from repro.dnswire.message import Header, Question
 from repro.dnswire.name import apply_0x20
+from repro.dnswire.wire import WireReply
 from repro.netsim import GreatFirewall, Ipv4Network, UdpPacket
 from repro.resolvers import behaviors
 from repro.resolvers.cache import CacheActivityModel
@@ -23,8 +29,10 @@ from repro.resolvers.resolver import (MODE_NORMAL, MODE_REFUSED,
 from repro.resolvers.software import (SOFTWARE_CATALOG, STYLE_ERROR,
                                       STYLE_HIDDEN, STYLE_NO_VERSION,
                                       STYLE_VERSION)
+from repro.reporting import run_full_study
+from repro.scenario import ScenarioConfig, build_scenario
 from tests.conftest import MiniWorld
-from tests.oracles import MessageResolverNode
+from tests.oracles import MessageResolverNode, message_ask, message_fields
 
 CLIENT = "1.0.195.81"
 INSIDE_IP = "110.0.0.5"             # behind the firewall below
@@ -152,7 +160,7 @@ def exchanges(draw):
 
 def node_state(world, node):
     cache = node.cache
-    return (node.query_count, cache.hits, cache.misses,
+    return (node.query_count,
             {key: ([(record.name, record.rtype, record.rclass, record.ttl,
                      repr(record.data)) for record in records],
                    stored_at, ttl)
@@ -196,8 +204,89 @@ def test_handle_udp_matches_the_message_responder(setup, queries):
             answers.append(node.handle_udp(
                 UdpPacket(CLIENT, 4321, node.ip, 53, payload),
                 world.network))
-        assert answers[0] == answers[1]
+        assert rendered(answers[0]) == answers[1]
         assert node_state(*worlds[0]) == node_state(*worlds[1])
+
+
+def assert_reads_as_parsed(reply):
+    """``reply.message()`` equals the parse of ``reply.wire()``."""
+    assert message_fields(reply.message()) \
+        == message_fields(Message.from_wire(reply.wire()))
+
+
+def rendered(answer):
+    """``handle_udp``'s return with every ``WireReply`` checked by
+    :func:`assert_reads_as_parsed` and rendered to its bytes."""
+    if isinstance(answer, WireReply):
+        assert_reads_as_parsed(answer)
+        return answer.wire()
+    if isinstance(answer, list):
+        return [(rendered(payload), source_ip)
+                for payload, source_ip in answer]
+    return answer
+
+
+@st.composite
+def questions(draw):
+    """What a stub client asks: ``(clock advance, name, qtype, qclass,
+    rd, txid)``."""
+    qtype, qclass, names = draw(st.sampled_from(QUESTIONS))
+    return (draw(st.sampled_from([0, 0, 30, 500, 5000])),
+            apply_0x20(draw(st.sampled_from(names)),
+                       draw(st.integers(0, 0x1FF))),
+            qtype, qclass, draw(st.booleans()), draw(st.integers(0, 0xFFFF)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(SETUPS, st.lists(questions(), min_size=1, max_size=6))
+@example(plain_setup(), [(30, "www.Example.com", QTYPE_A, CLASS_IN, True,
+                          5)] * 2)
+def test_ask_reads_what_the_parse_of_the_bytes_reads(setup, asks):
+    """``ask`` over the whole network — GFW injections, forwarders,
+    divergent answer sources — against ``message_ask``, which parses
+    every datagram, in a twin world."""
+    worlds = [build_world(ResolverNode, setup) for __ in range(2)]
+    for advance, name, qtype, qclass, rd, txid in asks:
+        exchanges = []
+        for client, (world, node) in zip((ask, message_ask), worlds):
+            world.clock.advance(advance)
+            exchanges.append([
+                (message_fields(message), response.packet.src_ip,
+                 response.latency, response.injected)
+                for message, response in client(
+                    world.network, CLIENT, 4321, node.ip, name, txid,
+                    qtype=qtype, qclass=qclass, rd=rd)])
+        assert exchanges[0] == exchanges[1]
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_every_reply_of_a_tiny_study_reads_as_parsed(seed, monkeypatch):
+    """Every reply a resolver builds in a tiny study (scale 1:60000, two
+    weeks, 20 snooped resolvers), and every ``Message`` ``ask`` handed
+    out for one, equals the parse of the reply's bytes."""
+    built = []
+    handed = []
+    init, message = WireReply.__init__, WireReply.message
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    def checked_message(self):
+        result = message(self)
+        handed.append(self._wire is None)
+        assert message_fields(result) \
+            == message_fields(Message.from_wire(self.wire()))
+        return result
+
+    monkeypatch.setattr(WireReply, "__init__", recording_init)
+    monkeypatch.setattr(WireReply, "message", checked_message)
+    run_full_study(build_scenario(ScenarioConfig(scale=60000, seed=seed)),
+                   weeks=2, snoop_sample=20)
+    # Most replies went to ask and were read from the tuple, unrendered.
+    assert handed.count(True) > len(built) / 2
+    for reply in built:
+        assert_reads_as_parsed(reply)
 
 
 def in_shape(name="www.Example.com"):

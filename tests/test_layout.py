@@ -20,8 +20,8 @@ STAGES = ("the stage table, ManipulationPipeline.STAGES (DESIGN.md "
 
 WIRE = ("the wire path, repro.dnswire.wire (DESIGN.md \"Stub DNS "
         "client\" → *Wire path*): peek_query reads the question, the "
-        "answer logic returns (rcode, ra, records), answer_wire writes "
-        "the reply")
+        "answer logic returns (rcode, ra, records), a WireReply holds "
+        "them and renders answer_wire's bytes on the first byte read")
 
 
 def outside(subtree):
@@ -46,6 +46,10 @@ GUARDS = [
      outside("dnswire/"),
      {"authdns/server.py"},         # parses a query or stays silent
      CLIENT + "; a server answering a stub query uses " + WIRE),
+    ("answer_wire( callers", r"\banswer_wire\(", None,
+     {"dnswire/wire.py",            # WireReply.wire, the one render
+      "netsim/gfw.py"},             # the forged answer
+     WIRE),
     ("message objects built by the resolvers",
      r"\b(Message|Header|Question|make_response)\(", inside("resolvers/"),
      set(), WIRE),
