@@ -28,6 +28,11 @@ NET_COUNTERS = ("udp_queries_sent", "udp_queries_lost",
                 "udp_responses_corrupted")
 
 
+def net_counters(network):
+    """The network's :data:`NET_COUNTERS`, by name."""
+    return {name: getattr(network, name) for name in NET_COUNTERS}
+
+
 class Ledger:
     """Marks the world when constructed; :meth:`delta` reads it back.
 
@@ -44,7 +49,7 @@ class Ledger:
         self.host_perf = getattr(host, "perf", None)
         if self.host_perf is not None:
             host.perf = PerfRegistry()
-        self.net = {name: getattr(network, name) for name in NET_COUNTERS}
+        self.net = net_counters(network)
         self.faults = dict(network.fault_counters)
         tracer = network.tracer
         self.spans = len(tracer.spans) if tracer is not None else 0
@@ -70,8 +75,8 @@ class Ledger:
         tracer, recorder = network.tracer, network.recorder
         return {
             "wall_seconds": wall,
-            "net_counters": {name: getattr(network, name) - self.net[name]
-                             for name in NET_COUNTERS},
+            "net_counters": {name: value - self.net[name] for name, value
+                             in net_counters(network).items()},
             "fault_counters": self.fault_delta(),
             "perf": perf,
             "spans": (tracer.spans[self.spans:]

@@ -109,13 +109,12 @@ class CheckpointScope:
         key = tuple(key)
         record = self.restore((kind,) + key)
         if record is not None:
-            state = record["state"] or {}
+            state = record["state"]
             if on_restore is not None:
                 on_restore(record["payload"], state)
             restore_world_state(network, perf, state)
-            tracer = getattr(network, "tracer", None)
-            if tracer is not None:
-                tracer.emit(stage or kind, **attrs, restored=True)
+            if network.tracer is not None:
+                network.tracer.emit(stage or kind, **attrs, restored=True)
             return record["payload"]
         payload = compute()
         state = capture_world_state(network, perf)

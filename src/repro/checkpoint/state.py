@@ -8,6 +8,11 @@ network's cumulative traffic and fault counters, the perf registry — is
 captured alongside every committed unit and restored verbatim, so the
 continuation is indistinguishable from an uninterrupted run.
 
+A capture holds only what a later unit can read, by each owner's
+liveness rule (:meth:`DnsCache.live`, :meth:`Network.flow_state`): a
+week commit, taken after the clock advanced a week, carries its clock
+and counters, not the expired caches of every resolver it touched.
+
 The churn model is never serialized: its RNG draws happen only during
 world construction and ``step()``, both of which the resumed process
 re-executes identically.  Instead a digest of its observable state is
@@ -17,7 +22,7 @@ world, refusing to continue from a diverged one.
 
 import hashlib
 
-from repro.checkpoint.ledger import NET_COUNTERS
+from repro.checkpoint.ledger import net_counters
 from repro.checkpoint.store import CheckpointError
 
 
@@ -28,94 +33,78 @@ def _dns_cache_sites(network):
     instances (keyed by node IP) and the shared
     :class:`ResolutionService` backends the population points at
     (deduplicated by identity, keyed by discovery order — which is
-    stable because a rebuilt world registers the same nodes).  Warm
-    caches are real cross-unit state: an in-process scan that skips a
-    restored week would otherwise re-walk the hierarchy for names the
-    uninterrupted run had already cached, diverging the traffic counts.
+    stable because a rebuilt world registers the same nodes).
     """
-    nodes = getattr(network, "_nodes", None)
-    if not nodes:
-        return
+    nodes = network._nodes
     seen_services = set()
-    service_index = 0
     for ip in sorted(nodes):
         node = nodes[ip]
         cache = getattr(node, "cache", None)
-        if cache is not None and hasattr(cache, "_entries"):
+        if cache is not None:
             yield ("node", ip), cache
         service = getattr(node, "service", None)
-        if service is not None and hasattr(service, "_suffix_cache") \
-                and id(service) not in seen_services:
+        if service is not None and id(service) not in seen_services:
+            yield ("service", len(seen_services)), service
             seen_services.add(id(service))
-            yield ("service", service_index), service
-            service_index += 1
 
 
 def capture_dns_caches(network):
-    """Snapshot every resolver/service DNS cache in the world."""
+    """Snapshot the live entries of every non-empty node cache, and
+    each shared service's caches (they never expire) and trusted txid
+    (it picks the source port of every hierarchy query, which keys the
+    per-flow packet-fate draws downstream).  Warm caches are cross-unit
+    state: a resumed run without them would re-walk the hierarchy and
+    diverge the traffic counts."""
+    now = network.clock.now
     captured = {}
     for key, holder in _dns_cache_sites(network):
         if key[0] == "node":
-            captured[key] = {"entries": dict(holder._entries)}
+            entries = holder.live(now)
+            if entries:
+                captured[key] = {"entries": entries}
         else:
-            # The trusted resolver's txid is sequential state too: it
-            # picks the source port of every hierarchy query, which keys
-            # the per-flow packet-fate draws downstream.
-            trusted = getattr(holder, "_trusted", None)
             captured[key] = {"names": dict(holder._cache),
                              "suffixes": dict(holder._suffix_cache),
                              "full_resolutions": holder.full_resolutions,
-                             "trusted_txid": getattr(trusted, "_txid",
-                                                     None)}
+                             "trusted_txid": holder._trusted._txid}
     return captured
 
 
 def restore_dns_caches(network, captured):
-    """Install captured cache contents into a freshly rebuilt world."""
-    if not captured:
-        return
+    """Install captured cache contents into a freshly rebuilt world; a
+    node cache the capture leaves out is empty."""
     for key, holder in _dns_cache_sites(network):
         state = captured.get(key)
-        if state is None:
-            continue
         if key[0] == "node":
-            holder._entries.clear()
             # (Hit/miss counters an older capture carries are ignored.)
-            holder._entries.update(state["entries"])
-        else:
-            holder._cache.clear()
-            holder._cache.update(state["names"])
-            holder._suffix_cache.clear()
-            holder._suffix_cache.update(state["suffixes"])
+            holder.replace(state["entries"] if state else {})
+        elif state is not None:
+            holder._cache = dict(state["names"])
+            holder._suffix_cache = dict(state["suffixes"])
             holder.full_resolutions = state["full_resolutions"]
-            trusted = getattr(holder, "_trusted", None)
-            if trusted is not None and state.get("trusted_txid") is not None:
-                trusted._txid = state["trusted_txid"]
+            holder._trusted._txid = state["trusted_txid"]
 
 
 def capture_world_state(network, perf=None):
     """Snapshot the cross-unit mutable state at a commit boundary."""
+    # Per-flow occurrence counters: packet-fate draws are keyed by
+    # (flow, occurrence), so a resumed run must continue from the same
+    # occurrence numbers while the clock still reads the same time.
+    flow_counts, flow_epoch = network.flow_state()
     state = {
         "clock": network.clock.now,
-        "net_counters": {name: getattr(network, name, 0)
-                         for name in NET_COUNTERS},
-        "fault_counters": dict(getattr(network, "fault_counters", None)
-                               or {}),
-        # Per-flow occurrence counters: packet-fate draws are keyed by
-        # (flow, occurrence), so a resumed run must continue from the
-        # same occurrence numbers or every repeated send over a flow the
-        # restored units already used would re-draw earlier fates.
-        "flow_counts": dict(getattr(network, "_flow_counts", None) or {}),
-        "flow_epoch": getattr(network, "_flow_epoch", None),
+        "net_counters": net_counters(network),
+        "fault_counters": dict(network.fault_counters),
+        "flow_counts": flow_counts,
+        "flow_epoch": flow_epoch,
         "dns_caches": capture_dns_caches(network),
         "perf": perf.snapshot() if perf is not None else None,
     }
-    tracer = getattr(network, "tracer", None)
-    if tracer is not None:
+    if network.tracer is not None:
         # Durable trace context: a resumed run adopts the interrupted
         # run's trace id (and continues its span sequence) so the
         # stitched trace reads as one campaign.
-        state["trace"] = tracer.context()
+        state["trace"] = network.tracer.context()
     return state
 
 
@@ -126,36 +115,22 @@ def restore_world_state(network, perf, state):
     simulated time means the checkpoint belongs to a different run
     shape, and continuing would silently diverge.
     """
-    if state is None:
-        return
-    recorded = state.get("clock")
-    if recorded is not None:
-        if recorded < network.clock.now:
-            raise CheckpointError(
-                "checkpointed clock %.1f is behind the rebuilt world's "
-                "%.1f; refusing to resume" % (recorded,
-                                              network.clock.now))
-        network.clock.now = float(recorded)
-    for name, value in (state.get("net_counters") or {}).items():
+    recorded = state["clock"]
+    if recorded < network.clock.now:
+        raise CheckpointError(
+            "checkpointed clock %.1f is behind the rebuilt world's "
+            "%.1f; refusing to resume" % (recorded, network.clock.now))
+    network.clock.now = float(recorded)
+    for name, value in state["net_counters"].items():
         setattr(network, name, value)
-    fault_counters = getattr(network, "fault_counters", None)
-    if fault_counters is not None:
-        recorded_faults = state.get("fault_counters")
-        if recorded_faults is not None:
-            fault_counters.clear()
-            fault_counters.update(recorded_faults)
-    flow_counts = getattr(network, "_flow_counts", None)
-    if flow_counts is not None and state.get("flow_counts") is not None:
-        flow_counts.clear()
-        flow_counts.update(state["flow_counts"])
-        if state.get("flow_epoch") is not None:
-            network._flow_epoch = state["flow_epoch"]
-    restore_dns_caches(network, state.get("dns_caches"))
+    network.fault_counters.clear()
+    network.fault_counters.update(state["fault_counters"])
+    network.restore_flow_state(state["flow_counts"], state["flow_epoch"])
+    restore_dns_caches(network, state["dns_caches"])
     if perf is not None and state.get("perf") is not None:
         perf.restore(state["perf"])
-    tracer = getattr(network, "tracer", None)
-    if tracer is not None and state.get("trace") is not None:
-        tracer.adopt(state["trace"])
+    if network.tracer is not None and state.get("trace") is not None:
+        network.tracer.adopt(state["trace"])
 
 
 def churn_digest(churn):

@@ -269,6 +269,17 @@ class Network:
         self._flow_counts[key] = occurrence + 1
         return occurrence
 
+    def flow_state(self):
+        """``(flow counts, epoch)`` as the next send reads them: empty
+        once the clock has left the epoch, since that send clears them."""
+        live = self._flow_epoch == self.clock.now
+        return dict(self._flow_counts) if live else {}, self._flow_epoch
+
+    def restore_flow_state(self, counts, epoch):
+        """Reinstate a :meth:`flow_state` capture."""
+        self._flow_counts = dict(counts)
+        self._flow_epoch = epoch
+
     def _tcp_lost(self, src_ip, dst_ip, port):
         """Flow-keyed loss draw for connection-oriented services (TCP).
 
@@ -314,9 +325,6 @@ class Network:
         yields identical per-packet fates, the property the sharded scan
         engine relies on for bit-identical merged results.
         """
-        if self.clock.now != self._flow_epoch:
-            self._flow_counts.clear()
-            self._flow_epoch = self.clock.now
         dst_int = packet.dst_int
         if dst_int is not None:
             # Integer addressing available: compute the flow key directly,
@@ -335,8 +343,7 @@ class Network:
                 if len(self._flow_key_cache) < 1 << 20:
                     self._flow_key_cache[flow] = base
         key = salt ^ base
-        occurrence = self._flow_counts.get(key, 0)
-        self._flow_counts[key] = occurrence + 1
+        occurrence = self._occurrence(key)
         mixed = self._occurrence_mix.get(occurrence)
         if mixed is None:
             mixed = mix64(occurrence + 1)

@@ -23,16 +23,17 @@ class DnsCache:
             ttls = [record.ttl for record in records]
             ttl = min(ttls) if ttls else 300
         key = (name.lower(), qtype)
-        if key not in self._entries and \
-                len(self._entries) >= self.max_entries:
+        entries = self._entries
+        if key not in entries and len(entries) >= self.max_entries:
             # Evict the entry closest to expiry — but only when the
             # insert would actually grow the cache; refreshing an
             # existing entry at capacity must not shrink the cache.
-            victim = min(self._entries,
-                         key=lambda k: self._entries[k][1]
-                         + self._entries[k][2])
-            del self._entries[victim]
-        self._entries[key] = (list(records), now, ttl)
+            # Ties go to the smaller key, so the victim depends on the
+            # entries alone, not on the order they were stored in.
+            victim = min(entries, key=lambda k: (entries[k][1]
+                                                 + entries[k][2], k))
+            del entries[victim]
+        entries[key] = (list(records), now, ttl)
 
     def lookup(self, name, qtype, now):
         """``(stored records, decayed TTL)``, or ``None`` when
@@ -42,11 +43,10 @@ class DnsCache:
         if entry is None:
             return None
         records, stored_at, ttl = entry
-        remaining = ttl - (now - stored_at)
-        if remaining <= 0:
+        if stored_at + ttl <= now:
             del self._entries[key]
             return None
-        return records, int(remaining)
+        return records, int(ttl - (now - stored_at))
 
     def get(self, name, qtype, now):
         """Records with decayed TTLs, or ``None`` when absent/expired."""
@@ -55,6 +55,18 @@ class DnsCache:
             return None
         records, ttl = entry
         return [record.with_ttl(ttl) for record in records]
+
+    def live(self, now):
+        """Drop the entries expired at ``now``; a copy of the rest.  No
+        later call can tell: ``lookup`` calls them absent, and ``put``
+        at capacity evicts them before any live entry."""
+        self._entries = {key: entry for key, entry in self._entries.items()
+                         if entry[1] + entry[2] > now}
+        return dict(self._entries)
+
+    def replace(self, entries):
+        """Hold exactly ``entries``, as :meth:`live` returned them."""
+        self._entries = dict(entries)
 
     def flush(self):
         self._entries.clear()

@@ -52,10 +52,11 @@ class SabotagedChurn(ChurnModel):
         super().step()
 
 
-def build_delta_world(sabotage_week=None, sabotage_pools=(0,)):
+def build_delta_world(sabotage_week=None, sabotage_pools=(0,),
+                      loss_rate=0.0):
     """Four static /26 pools plus one day-lease pool, optionally with a
     scheduled unmodeled kill of whole static pools at one week."""
-    world = MiniWorld()
+    world = MiniWorld(loss_rate=loss_rate)
     world.builder.register_domain("scan.dnsstudy.edu",
                                   wildcard_address="198.18.0.99")
     world.service.wildcard_suffixes = ("scan.dnsstudy.edu",)

@@ -1,6 +1,6 @@
 """Tests for the DNS cache and the cache-activity model."""
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.checkpoint.state import capture_dns_caches, restore_dns_caches
 from repro.dnswire.records import ResourceRecord
@@ -85,6 +85,74 @@ class TestDnsCache:
             assert records is None
         else:
             assert records[0].ttl == ttl - elapsed
+
+
+# One step of a cache's life: store one of a few names with one of two
+# TTLs (so refreshes and expiry ties happen), read one back, let time
+# pass, or prune.
+CACHE_STEPS = st.one_of(
+    st.tuples(st.just("put"), st.integers(0, 2), st.sampled_from([5, 8])),
+    st.tuples(st.just("lookup"), st.integers(0, 2)),
+    st.tuples(st.just("advance"),
+              st.one_of(st.integers(0, 10),
+                        st.floats(0, 10, allow_nan=False))),
+    st.just(("prune",)))
+
+
+def live_entries(cache, now):
+    return {key: entry for key, entry in cache._entries.items()
+            if entry[1] + entry[2] > now}
+
+
+class TestPruning:
+    """``DnsCache.live`` drops expired entries from a cache that keeps
+    being used; nothing it can be asked afterwards may differ from a
+    twin that was never pruned — capacity evictions included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.lists(CACHE_STEPS, max_size=60))
+    # d1 expires and is pruned, then stored again after d2 with the same
+    # expiry: the twin still holds d1 in its old place, so an eviction
+    # that broke ties by store order would pick d1 there and d2 here.
+    @example(2, [("put", 1, 5), ("advance", 6), ("prune",), ("put", 2, 5),
+                 ("put", 1, 5), ("put", 0, 5), ("lookup", 1)])
+    def test_pruned_cache_matches_its_unpruned_twin(self, capacity,
+                                                   steps):
+        twin = DnsCache(max_entries=capacity)
+        pruned = DnsCache(max_entries=capacity)
+        now = 0
+        for step in steps:
+            if step[0] == "put":
+                name = "d%d.example" % step[1]
+                records = a_records(name, ttl=step[2])
+                twin.put(name, 1, records, now)
+                pruned.put(name, 1, records, now)
+            elif step[0] == "lookup":
+                name = "d%d.example" % step[1]
+                assert pruned.lookup(name, 1, now) \
+                    == twin.lookup(name, 1, now)
+            elif step[0] == "advance":
+                now += step[1]
+            else:
+                assert pruned.live(now) == live_entries(twin, now)
+            assert live_entries(pruned, now) == live_entries(twin, now)
+
+    def test_live_drops_expired_entries_in_place(self):
+        cache = DnsCache()
+        cache.put("old.example", 1, a_records(ttl=10), now=0)
+        cache.put("new.example", 1, a_records(ttl=100), now=0)
+        assert list(cache.live(10)) == [("new.example", 1)]
+        assert len(cache) == 1
+
+    def test_eviction_does_not_depend_on_store_order(self):
+        # A refresh keeps its key's place in the dict; the same entries
+        # stored in another order must still lose the same victim.
+        first, second = DnsCache(max_entries=2), DnsCache(max_entries=2)
+        for cache, names in ((first, "ab"), (second, "ba")):
+            for name in names:
+                cache.put(name + ".example", 1, a_records(ttl=10), now=0)
+            cache.put("c.example", 1, a_records(ttl=10), now=0)
+        assert first.live(0) == second.live(0)
 
 
 class TestActivityModel:

@@ -24,6 +24,11 @@ WIRE = ("the wire path, repro.dnswire.wire (DESIGN.md \"Stub DNS "
         "them and renders answer_wire's bytes on the first byte read")
 
 
+LIVE = ("the owner's liveness rule (DESIGN.md \"Durability & resume\" → "
+        "*Bit-identical resume*): Network.flow_state / "
+        "restore_flow_state, DnsCache.live / replace")
+
+
 def outside(subtree):
     return lambda name: not name.startswith(subtree)
 
@@ -75,6 +80,8 @@ GUARDS = [
      "the committed ScanResult: ResolverStore.put_week(week, result) / "
      "week(w), wrapped in WeeklySnapshot for repro.analysis (DESIGN.md "
      "\"Observatory\")"),
+    ("flow counters read outside the network", r"_flow_counts|_flow_epoch",
+     None, {"netsim/network.py"}, LIVE),
 ]
 
 
@@ -98,6 +105,16 @@ def test_single_copy(what, pattern, searched, allowed, instead):
         what, sorted(matched - allowed), instead)
     assert not allowed - matched, "stale allow-list for %s: %s" % (
         what, sorted(allowed - matched))
+
+
+def test_world_state_sniffs_no_capability():
+    """Every ``Network`` has the attributes a capture reads; only the
+    nodes differ (a resolver has a cache, a web server has none)."""
+    source = (SRC / "checkpoint" / "state.py").read_text()
+    for sniff in ("getattr(network", "hasattr("):
+        assert sniff not in source, \
+            "checkpoint/state.py sniffs with %s) — read the attribute, " \
+            "or call %s" % (sniff, LIVE)
 
 
 def test_one_degradation_handler():
