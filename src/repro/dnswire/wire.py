@@ -5,7 +5,8 @@ class, and echoes the rest: :func:`peek_query` reads those off the
 datagram and :func:`answer_wire` writes the reply around the query's
 bytes, so no :class:`~repro.dnswire.message.Message` is built.  Both
 work on one query shape (see :func:`peek_query`); a server stays silent
-for anything else.  A :class:`WireReply` renders them only when read.
+for anything else.  A :class:`WireQuery` carries its reading along, and
+a :class:`WireReply` renders the reply only when read.
 """
 
 from functools import lru_cache
@@ -23,6 +24,16 @@ _ONE_QUESTION = b"\x00\x01\x00\x00\x00\x00\x00\x00"
 _QUESTION_POINTER = b"\xc0\x0c"
 
 
+class WireQuery(bytes):
+    """A query's bytes carrying ``question``, :func:`peek_query`'s
+    reading of them, which that function then returns unread."""
+
+    def __new__(cls, data, question=None):
+        query = super().__new__(cls, data)
+        query.question = question
+        return query
+
+
 def peek_query(payload):
     """``(name, qtype, qclass)`` of a query in the accepted shape, else
     ``None``.
@@ -34,6 +45,8 @@ def peek_query(payload):
     text, which is what lets :func:`answer_wire` echo the question by
     copying it.
     """
+    if type(payload) is WireQuery:
+        return payload.question
     size = len(payload)
     if size < 17 or payload[2] & 0x80 or payload[4:12] != _ONE_QUESTION:
         return None
@@ -101,11 +114,21 @@ def _reads_back(rtype, data):
     return decode_rdata(rtype, raw, 0, len(raw)) == data
 
 
+def message_row(message):
+    """``(txid, question name or None, rcode, [(rtype, ttl, rdata), …])``
+    of ``message``'s header, question and answer section."""
+    question = message.question
+    return (message.header.txid, question.name if question else None,
+            message.rcode, [(record.rtype, record.ttl, record.data)
+                            for record in message.answers])
+
+
 class WireReply:
     """A server's ``(rcode, ra, records)`` answer to ``query``, which
     :func:`peek_query` read as ``question``.  :meth:`wire` (or
     ``bytes(reply)``) renders :func:`answer_wire`'s bytes on the first
-    read; :meth:`message` is what they parse to, built without them."""
+    read; :meth:`message` is what they parse to, built without them, and
+    :meth:`row` that message's :func:`message_row`."""
 
     __slots__ = ("query", "question", "rcode", "ra", "records", "_wire")
 
@@ -125,23 +148,39 @@ class WireReply:
 
     __bytes__ = wire
 
-    def message(self):
-        """``Message.from_wire(self.wire())``, field for field, from the
-        tuple when each record's owner reads back as the question name
-        and its rdata as held (rdata objects are shared); else parsed."""
-        qname, qtype, qclass = self.question
+    def _read_back(self):
+        """Whether each record reads back as held: owned by the question
+        name, rdata that parses back equal (rdata objects are shared)."""
+        qname = self.question[0]
         key = qname.lower()     # peek_query's names have no trailing dot
-        answers = []
         for record in self.records:
             if record.name != qname and normalize_name(record.name) != key \
                     or not _reads_back(record.rtype, record.data):
-                return Message.from_wire(self.wire())
-            answers.append(ResourceRecord(qname, record.rtype, record.rclass,
-                                          record.ttl & 0xFFFFFFFF,
-                                          record.data))
+                return False
+        return True
+
+    def message(self):
+        """``Message.from_wire(self.wire())``, field for field, from the
+        tuple when :meth:`_read_back` holds; else parsed."""
+        if not self._read_back():
+            return Message.from_wire(self.wire())
+        qname, qtype, qclass = self.question
         query = self.query
         return Message(Header(query[0] << 8 | query[1], True,
                               query[2] >> 3 & 0xF, False, False,
                               bool(query[2] & 1), bool(self.ra),
                               self.rcode & 0xF),
-                       [Question(qname, qtype, qclass)], answers)
+                       [Question(qname, qtype, qclass)],
+                       [ResourceRecord(qname, record.rtype, record.rclass,
+                                       record.ttl & 0xFFFFFFFF, record.data)
+                        for record in self.records])
+
+    def row(self):
+        """``message_row(self.message())``, built without the message
+        when :meth:`_read_back` holds."""
+        if not self._read_back():
+            return message_row(Message.from_wire(self.wire()))
+        query = self.query
+        return (query[0] << 8 | query[1], self.question[0], self.rcode & 0xF,
+                [(record.rtype, record.ttl & 0xFFFFFFFF, record.data)
+                 for record in self.records])

@@ -164,9 +164,8 @@ class Network:
         # scan's worth of flows.
         self._flow_counts = {}
         self._flow_epoch = clock.now
-        # Pure-function memos for the fate computation (never reset):
-        # 4-tuple -> unsalted flow key, occurrence -> mixed occurrence.
-        self._flow_key_cache = {}
+        # Pure-function memo for the fate computation (never reset):
+        # occurrence -> mixed occurrence.
         self._occurrence_mix = {}
         self._seed_high = (seed << 32) & M64
         self.udp_queries_sent = 0
@@ -247,7 +246,10 @@ class Network:
 
     def latency_between(self, src_ip, dst_ip):
         """Deterministic pairwise latency: base plus a hash-derived jitter."""
-        mix = (ip_to_int(src_ip) * 2654435761 ^ ip_to_int(dst_ip)) & 0xFFFFFFFF
+        return self._latency(ip_to_int(src_ip), ip_to_int(dst_ip))
+
+    def _latency(self, src_int, dst_int):
+        mix = (src_int * 2654435761 ^ dst_int) & 0xFFFFFFFF
         return self.base_latency + (mix % 1000) / 1000.0 * 0.180
 
     def install_faults(self, plan):
@@ -316,8 +318,9 @@ class Network:
         self.count_fault("tcp_stall_absorbed")
         return True
 
-    def _packet_fate(self, salt, rate, packet):
-        """Order-independent delivery decision for one UDP packet.
+    def _packet_fate(self, salt, rate, base):
+        """Order-independent delivery decision for one UDP packet of the
+        flow keyed ``base`` (see :meth:`_flow`).
 
         The draw is a pure hash of (seed, salt, flow 4-tuple, occurrence
         index of that flow since time last advanced) — NOT a shared
@@ -325,23 +328,6 @@ class Network:
         yields identical per-packet fates, the property the sharded scan
         engine relies on for bit-identical merged results.
         """
-        dst_int = packet.dst_int
-        if dst_int is not None:
-            # Integer addressing available: compute the flow key directly,
-            # skipping both text parsing and the string-tuple memo.
-            base = (ip_to_int(packet.src_ip) * 0x9E3779B1
-                    ^ dst_int * 0x85EBCA77
-                    ^ packet.src_port << 17 ^ packet.dst_port << 1)
-        else:
-            flow = (packet.src_ip, packet.dst_ip,
-                    packet.src_port, packet.dst_port)
-            base = self._flow_key_cache.get(flow)
-            if base is None:
-                base = (ip_to_int(packet.src_ip) * 0x9E3779B1
-                        ^ ip_to_int(packet.dst_ip) * 0x85EBCA77
-                        ^ packet.src_port << 17 ^ packet.dst_port << 1)
-                if len(self._flow_key_cache) < 1 << 20:
-                    self._flow_key_cache[flow] = base
         key = salt ^ base
         occurrence = self._occurrence(key)
         mixed = self._occurrence_mix.get(occurrence)
@@ -581,6 +567,50 @@ class Network:
         list (see :meth:`scan_path_checks`) for this one send; nested
         sends triggered by the destination node are unaffected.
         """
+        return self._datagram(
+            self._flow(src_ip, src_port, dst_ip, dst_port, dst_int),
+            self._path_checks if _checks is None else _checks, None,
+            payload, _packet, _render)
+
+    def send_many(self, src_ip, src_port, dst_ip, dst_port, payloads):
+        """For each of ``payloads``, in order, what :meth:`send_udp`
+        returns for ``UdpPacket(src_ip, src_port, dst_ip, dst_port,
+        payload)`` unrendered.  What is pure in the addressing and the
+        clock is worked out once: the :meth:`_flow`, and which boxes answer
+        ``PATH_IGNORE`` to the first datagram (the rest skip only those)."""
+        flow = self._flow(src_ip, src_port, dst_ip, dst_port,
+                          ip_to_int(dst_ip))
+        checks, kept = self._path_checks, []
+        answers = []
+        for payload in payloads:
+            answers.append(self._datagram(flow, checks, kept, payload,
+                                          None, False))
+            if kept is not None:
+                checks, kept = kept, None
+        return answers
+
+    def _flow(self, src_ip, src_port, dst_ip, dst_port, dst_int):
+        """``(src_ip, src_port, dst_ip, dst_port, dst_int, node, query
+        key, reply key, round trip)``: the unsalted flow keys of the query
+        and of its reply (``None`` on a path that draws no fate), and no
+        round trip without a node."""
+        src_int = ip_to_int(src_ip)
+        node = self._nodes.get(dst_ip)
+        fated = (self.loss_rate > 0 or self.corruption_rate > 0
+                 or self.faults is not None)
+        return (src_ip, src_port, dst_ip, dst_port, dst_int, node,
+                src_int * 0x9E3779B1 ^ dst_int * 0x85EBCA77
+                ^ src_port << 17 ^ dst_port << 1 if fated else None,
+                dst_int * 0x9E3779B1 ^ src_int * 0x85EBCA77
+                ^ dst_port << 17 ^ src_port << 1 if fated else None,
+                None if node is None else self._latency(src_int, dst_int) * 2)
+
+    def _datagram(self, flow, checks, kept, payload, packet, render):
+        """One datagram of ``flow``, the body of :meth:`send_probe` and
+        :meth:`send_many`: runs ``checks``, adding to the list ``kept``
+        (if given) those not answering ``PATH_IGNORE``."""
+        (src_ip, src_port, dst_ip, dst_port, dst_int, node, base,
+         reply_base, rtt) = flow
         self.udp_queries_sent += 1
         # Flight recorder: event kinds/causes per repro.obs.flight.  One
         # attribute load + None test when disabled.
@@ -591,12 +621,11 @@ class Network:
         # int, port) path and only PATH_INSPECT boxes see the payload.
         # Verdicts are integer arithmetic, so for the common case no box
         # ever touches the packet.
-        packet = _packet
         dropped = False
         drop_cause = None
         responses = None
-        for box, check in (self._path_checks if _checks is None
-                           else _checks):
+        for entry in checks:
+            box, check = entry
             if check is not None:
                 verdict = check(src_ip, dst_int, dst_port, self)
                 if verdict == PATH_DROP:
@@ -606,9 +635,13 @@ class Network:
                     if recorder is not None and not dropped:
                         drop_cause = getattr(box, "drop_cause", None)
                     dropped = True
+                    if kept is not None:
+                        kept.append(entry)
                     continue
                 if verdict != PATH_INSPECT:
                     continue
+            if kept is not None:
+                kept.append(entry)
             if packet is None:
                 packet = UdpPacket(src_ip, src_port, dst_ip, dst_port,
                                    payload, dst_int)
@@ -635,9 +668,7 @@ class Network:
             if now != self._flow_epoch:
                 self._flow_counts.clear()
                 self._flow_epoch = now
-            key = _SALT_QUERY_LOSS ^ (
-                ip_to_int(src_ip) * 0x9E3779B1 ^ dst_int * 0x85EBCA77
-                ^ src_port << 17 ^ dst_port << 1)
+            key = _SALT_QUERY_LOSS ^ base
             occurrence = self._flow_counts.get(key, 0)
             self._flow_counts[key] = occurrence + 1
             mixed = self._occurrence_mix.get(occurrence)
@@ -663,8 +694,6 @@ class Network:
             if now != self._flow_epoch:
                 self._flow_counts.clear()
                 self._flow_epoch = now
-            base = (ip_to_int(src_ip) * 0x9E3779B1 ^ dst_int * 0x85EBCA77
-                    ^ src_port << 17 ^ dst_port << 1)
             fault_key = _SALT_FAULT_QUERY ^ base
             occurrence = self._flow_counts.get(fault_key, 0)
             self._flow_counts[fault_key] = occurrence + 1
@@ -675,77 +704,77 @@ class Network:
                 if recorder is not None:
                     recorder.record(now, "lost", src_ip, dst_int,
                                     "fault:" + reason)
-        if delivered:
-            node = self._nodes.get(dst_ip)
-            if node is not None:
-                if packet is None:
-                    packet = UdpPacket(src_ip, src_port, dst_ip, dst_port,
-                                       payload, dst_int)
-                result = node.handle_udp(packet, self)
-                base = self.latency_between(src_ip, dst_ip)
-                for reply in self._normalize_replies(packet, result,
-                                                     _render):
-                    if loss_rate > 0 and self._packet_fate(
-                            _SALT_RESPONSE_LOSS, loss_rate, reply):
-                        self.udp_queries_lost += 1
-                        if recorder is not None:
-                            recorder.record(self.clock.now,
-                                            "response_lost", src_ip,
-                                            dst_int, "response_loss")
-                        continue
-                    if self._response_droppers:
-                        dropper = None
-                        for box in self._response_droppers:
-                            if box.drops_response(packet, reply, self):
-                                dropper = box
-                                break
-                        if dropper is not None:
-                            if recorder is not None:
-                                recorder.record(
-                                    self.clock.now, "response_lost",
-                                    src_ip, dst_int,
-                                    getattr(dropper, "drop_cause", None)
-                                    or "middlebox_drop")
-                            continue
-                    if self.corruption_rate > 0 and self._packet_fate(
-                            _SALT_CORRUPTION, self.corruption_rate, reply):
-                        reply = UdpPacket(
-                            reply.src_ip, reply.src_port, reply.dst_ip,
-                            reply.dst_port,
-                            self._corrupt(bytes(reply.payload)))
-                        self.udp_responses_corrupted += 1
-                        if recorder is not None:
-                            recorder.record(self.clock.now, "corrupted",
-                                            src_ip, dst_int, "corruption")
-                    if faults is not None and \
-                            faults.profile.truncation_rate > 0:
-                        reply_base = (
-                            ip_to_int(reply.src_ip) * 0x9E3779B1
-                            ^ ip_to_int(reply.dst_ip) * 0x85EBCA77
-                            ^ reply.src_port << 17 ^ reply.dst_port << 1)
-                        reply_occurrence = self._occurrence(
-                            _SALT_FAULT_TRUNC ^ reply_base)
-                        if faults.truncates_response(reply_base,
-                                                     reply_occurrence):
-                            # Truncated below the 12-byte DNS header:
-                            # receivers must discard it as garbage.
-                            reply = UdpPacket(
-                                reply.src_ip, reply.src_port,
-                                reply.dst_ip, reply.dst_port,
-                                bytes(reply.payload)[:8])
-                            self.count_fault("truncated_response")
-                            if recorder is not None:
-                                recorder.record(
-                                    self.clock.now, "truncated", src_ip,
-                                    dst_int, "fault:truncated_response")
-                    if responses is None:
-                        responses = []
-                    responses.append(UdpResponse(reply, base * 2))
-                    if recorder is not None:
-                        recorder.record(self.clock.now, "answered",
-                                        src_ip, dst_int, None, base * 2)
-        else:
+        if not delivered:
             self.udp_queries_lost += 1
+        elif node is not None:
+            if packet is None:
+                packet = UdpPacket(src_ip, src_port, dst_ip, dst_port,
+                                   payload, dst_int)
+            result = node.handle_udp(packet, self)
+            for reply in self._normalize_replies(packet, result, render):
+                # A reply from the queried endpoint has the flow's reply
+                # key; one from elsewhere (a divergent answer source)
+                # computes its own.
+                key = reply_base
+                if key is not None and (
+                        reply.src_ip is not dst_ip
+                        or reply.dst_ip is not src_ip
+                        or reply.src_port != dst_port
+                        or reply.dst_port != src_port):
+                    key = (ip_to_int(reply.src_ip) * 0x9E3779B1
+                           ^ ip_to_int(reply.dst_ip) * 0x85EBCA77
+                           ^ reply.src_port << 17 ^ reply.dst_port << 1)
+                if loss_rate > 0 and self._packet_fate(
+                        _SALT_RESPONSE_LOSS, loss_rate, key):
+                    self.udp_queries_lost += 1
+                    if recorder is not None:
+                        recorder.record(self.clock.now, "response_lost",
+                                        src_ip, dst_int, "response_loss")
+                    continue
+                if self._response_droppers:
+                    dropper = None
+                    for box in self._response_droppers:
+                        if box.drops_response(packet, reply, self):
+                            dropper = box
+                            break
+                    if dropper is not None:
+                        if recorder is not None:
+                            recorder.record(
+                                self.clock.now, "response_lost",
+                                src_ip, dst_int,
+                                getattr(dropper, "drop_cause", None)
+                                or "middlebox_drop")
+                        continue
+                if self.corruption_rate > 0 and self._packet_fate(
+                        _SALT_CORRUPTION, self.corruption_rate, key):
+                    reply = UdpPacket(
+                        reply.src_ip, reply.src_port, reply.dst_ip,
+                        reply.dst_port,
+                        self._corrupt(bytes(reply.payload)))
+                    self.udp_responses_corrupted += 1
+                    if recorder is not None:
+                        recorder.record(self.clock.now, "corrupted",
+                                        src_ip, dst_int, "corruption")
+                if faults is not None and \
+                        faults.profile.truncation_rate > 0 and \
+                        faults.truncates_response(key, self._occurrence(
+                            _SALT_FAULT_TRUNC ^ key)):
+                    # Truncated below the 12-byte DNS header: receivers
+                    # must discard it as garbage.
+                    reply = UdpPacket(reply.src_ip, reply.src_port,
+                                      reply.dst_ip, reply.dst_port,
+                                      bytes(reply.payload)[:8])
+                    self.count_fault("truncated_response")
+                    if recorder is not None:
+                        recorder.record(self.clock.now, "truncated",
+                                        src_ip, dst_int,
+                                        "fault:truncated_response")
+                if responses is None:
+                    responses = []
+                responses.append(UdpResponse(reply, rtt))
+                if recorder is not None:
+                    recorder.record(self.clock.now, "answered", src_ip,
+                                    dst_int, None, rtt)
         if responses is None:
             return []
         # Injected (forged) responses racing a genuine answer at the exact

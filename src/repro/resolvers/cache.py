@@ -33,7 +33,7 @@ class DnsCache:
             victim = min(entries, key=lambda k: (entries[k][1]
                                                  + entries[k][2], k))
             del entries[victim]
-        entries[key] = (list(records), now, ttl)
+        entries[key] = (tuple(records), now, ttl)
 
     def lookup(self, name, qtype, now):
         """``(stored records, decayed TTL)``, or ``None`` when

@@ -82,6 +82,8 @@ class ResolutionService:
         self.answers_per_query = answers_per_query
         self._cache = {}
         self._suffix_cache = {}
+        # name -> (its _cache result, the records resolvers cache for it)
+        self._records = {}
         self._trusted = IterativeResolver(self.root_ips, source_ip)
         self.full_resolutions = 0
 
@@ -129,7 +131,10 @@ class ResolutionService:
     def resolve_trusted(self, network, name):
         """Resolution from the study's own trusted vantage point."""
         name = normalize_name(name)
-        pool = self._cdn_pool_for(name)
+        return self._trusted_answer(network, name, self._cdn_pool_for(name))
+
+    def _trusted_answer(self, network, name, pool):
+        """:meth:`resolve_trusted` of a normalized ``name`` and its pool."""
         if pool:
             # The trusted resolver sees its own GeoDNS slice of the pool.
             return HonestResult(RCODE_NOERROR,
@@ -164,7 +169,20 @@ class ResolutionService:
                 RCODE_NOERROR,
                 [pool[(offset + i) % len(pool)] for i in range(count)],
                 ttl=20)
-        return self.resolve_trusted(network, name)
+        return self._trusted_answer(network, name, pool)
+
+    def cache_records(self, name, result):
+        """What a resolver caches for ``result``, its answer for ``name``:
+        one tuple shared by all if the shared cache holds it for ``name``."""
+        entry = self._records.get(name)
+        if entry is None or entry[0] is not result:
+            entry = (result, tuple(
+                [ResourceRecord.a(name, address, ttl=result.ttl)
+                 for address in result.addresses]
+                + list(result.extra_records)))
+            if self._cache.get(name) is result:
+                self._records[name] = entry
+        return entry[1]
 
 
 class ResolverNode(Node):
@@ -213,7 +231,7 @@ class ResolverNode(Node):
     def handle_udp(self, packet, network):
         if packet.dst_port != 53:
             return None
-        faults = getattr(network, "faults", None)
+        faults = network.faults
         if faults is not None and faults.resolver_offline(
                 ip_to_int(self.ip), network.clock.now):
             # Fault-injected offline episode (flapping CPE): the host is
@@ -320,11 +338,9 @@ class ResolverNode(Node):
                  if record.rtype != QTYPE_A])
         result = self.service.resolve_for(network, self, name)
         if result.rcode == RCODE_NOERROR and result.addresses:
-            self.cache.put(
-                name, QTYPE_A,
-                [ResourceRecord.a(name, a, ttl=result.ttl)
-                 for a in result.addresses] + list(result.extra_records),
-                now, ttl=result.ttl)
+            self.cache.put(name, QTYPE_A,
+                           self.service.cache_records(name, result), now,
+                           ttl=result.ttl)
         return result
 
     def _ns_response(self, qname, network):

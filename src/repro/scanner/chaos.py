@@ -6,7 +6,7 @@ NOERROR without version data, administrator-hidden strings, or a usable
 software/version string.
 """
 
-from repro.dnswire.client import ask
+from repro.dnswire.client import ask_many
 from repro.dnswire.constants import (
     CLASS_CH,
     QTYPE_TXT,
@@ -47,19 +47,23 @@ class ChaosScanner:
         self.source_ip = source_ip
         self._txid = 0
 
-    def _ask(self, resolver_ip, qname):
-        self._txid = (self._txid + 1) & 0xFFFF
-        answers = ask(self.network, self.source_ip, SOURCE_PORT,
-                      resolver_ip, qname, self._txid, qtype=QTYPE_TXT,
-                      qclass=CLASS_CH)
-        return answers[0][0] if answers else None
+    def _ask(self, resolver_ip):
+        """Each query's first accepted answer ``(rcode, records)``, or None."""
+        questions = []
+        for qname in self.QUERY_NAMES:
+            self._txid = (self._txid + 1) & 0xFFFF
+            questions.append((qname, self._txid))
+        return [rows[0][2:4] if rows else None
+                for rows in ask_many(self.network, self.source_ip,
+                                     SOURCE_PORT, resolver_ip, questions,
+                                     qtype=QTYPE_TXT, qclass=CLASS_CH)]
 
-    def _txt_value(self, message):
-        if message is None or message.rcode != RCODE_NOERROR:
+    def _txt_value(self, answer):
+        if answer is None or answer[0] != RCODE_NOERROR:
             return None
-        for record in message.answers:
-            if record.rtype == QTYPE_TXT:
-                text = record.data.text.strip()
+        for rtype, __, data in answer[1]:
+            if rtype == QTYPE_TXT:
+                text = data.text.strip()
                 if text:
                     return text
         return None
@@ -75,11 +79,10 @@ class ChaosScanner:
 
     def probe(self, resolver_ip):
         """Scan one resolver; returns a :class:`ChaosObservation`."""
-        responses = [self._ask(resolver_ip, name)
-                     for name in self.QUERY_NAMES]
+        responses = self._ask(resolver_ip)
         if all(response is None for response in responses):
             return ChaosObservation(resolver_ip, OUTCOME_SILENT)
-        if all(response is None or response.rcode != RCODE_NOERROR
+        if all(response is None or response[0] != RCODE_NOERROR
                for response in responses):
             return ChaosObservation(resolver_ip, OUTCOME_ERROR)
         values = [self._txt_value(response) for response in responses]

@@ -9,8 +9,8 @@ query, which is how the Great Firewall's injected-then-genuine double
 answers are detected (§4.2).
 """
 
-from repro.dnswire.client import ask
-from repro.dnswire.constants import QTYPE_NS, RCODE_NOERROR
+from repro.dnswire.client import ask_many
+from repro.dnswire.constants import QTYPE_A, QTYPE_NS, RCODE_NOERROR
 from repro.scanner.encoding import TXID_BITS, ResolverIdCodec
 
 
@@ -65,38 +65,37 @@ class DomainScanner:
         self.codec = codec or ResolverIdCodec()
         self.queries_sent = 0
 
-    def query_domain(self, resolver_ip, resolver_id, domain,
-                     cased_qname=None):
-        """Query one domain at one resolver; returns a
-        :class:`DnsObservation` or ``None`` when no response arrived.
-        ``cased_qname`` is ``codec.case(resolver_id, domain)`` when the
-        caller already has it."""
+    def _query_resolver(self, resolver_ip, resolver_id, domains, cased):
+        """The :class:`DnsObservation` of each of ``domains`` (``cased``
+        in the resolver's 0x20 pattern) that got an answer, in order: one
+        :func:`ask_many` call on the resolver's (port, txid) flow."""
         txid, src_port = self.codec.flow(resolver_id)
-        if cased_qname is None:
-            cased_qname = self.codec.case(resolver_id, domain)
-        self.queries_sent += 1
-        responses = []
-        injected = False
-        for message, response in ask(self.network, self.source_ip, src_port,
-                                     resolver_ip, cased_qname, txid):
-            echoed = (message.question.name if message.question
-                      else cased_qname)
-            decoded_id = self.codec.decode(
-                message.header.txid, response.packet.dst_port, echoed)
-            if decoded_id != resolver_id:
-                continue
-            ns_count = sum(1 for record in message.answers
-                           if record.rtype == QTYPE_NS)
-            responses.append((message.rcode, message.a_addresses(),
-                              response.packet.src_ip, ns_count))
-            injected = injected or response.injected
-        if not responses:
-            return None
-        rcode, addresses, source_ip, ns_count = responses[0]
-        return DnsObservation(
-            domain, resolver_ip, rcode, addresses, source_ip=source_ip,
-            all_responses=[(r, a) for r, a, __, __n in responses],
-            injected_suspect=injected, ns_record_count=ns_count)
+        self.queries_sent += len(cased)
+        observations = []
+        for domain, rows in zip(domains, ask_many(
+                self.network, self.source_ip, src_port, resolver_ip,
+                [(cased_qname, txid) for cased_qname in cased])):
+            responses = []
+            injected = False
+            for echoed_txid, echoed, rcode, records, response in rows:
+                if self.codec.decode(echoed_txid, response.packet.dst_port,
+                                     echoed) != resolver_id:
+                    continue
+                responses.append((
+                    rcode,
+                    [data.address for rtype, __, data in records
+                     if rtype == QTYPE_A],
+                    response.packet.src_ip,
+                    sum(1 for rtype, __, __ in records if rtype == QTYPE_NS)))
+                injected = injected or response.injected
+            if responses:
+                rcode, addresses, source_ip, ns_count = responses[0]
+                observations.append(DnsObservation(
+                    domain, resolver_ip, rcode, addresses,
+                    source_ip=source_ip,
+                    all_responses=[(r, a) for r, a, __, __n in responses],
+                    injected_suspect=injected, ns_record_count=ns_count))
+        return observations
 
     def scan(self, resolver_ips, domains, index_range=None,
              on_progress=None):
@@ -127,11 +126,8 @@ class DomainScanner:
                 window = resolver_id >> TXID_BITS
                 cased = [self.codec.case(resolver_id, domain)
                          for domain in domains]
-            for domain, cased_qname in zip(domains, cased):
-                observation = self.query_domain(resolver_ip, resolver_id,
-                                                domain, cased_qname)
-                if observation is not None:
-                    observations.append(observation)
+            observations.extend(self._query_resolver(
+                resolver_ip, resolver_id, domains, cased))
             if on_progress is not None:
                 on_progress()
         return observations

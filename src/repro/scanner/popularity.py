@@ -14,7 +14,7 @@ over several cycles.  The mean observed gap estimates the per-TLD
 request rate; aggregated over TLDs it ranks resolvers by client load.
 """
 
-from repro.scanner.snooping import snoop_ns_ttl
+from repro.scanner.snooping import snoop_ns_ttls
 
 # UDP source port: it keys packet fates (DESIGN.md "Stub DNS client").
 SOURCE_PORT = 31700
@@ -91,8 +91,8 @@ class PopularityProber:
         or uncached, ``"empty"`` for empty answers."""
         self._txid = (self._txid + 1) & 0xFFFF
         self.probes_sent += 1
-        return snoop_ns_ttl(self.network, self.source_ip, SOURCE_PORT,
-                            resolver_ip, tld, self._txid)
+        return snoop_ns_ttls(self.network, self.source_ip, SOURCE_PORT,
+                             resolver_ip, [(tld, self._txid)])[0]
 
     def _measure_one_gap(self, resolver_ip, tld):
         """Track one expiry/re-add cycle; returns the gap or ``None``.

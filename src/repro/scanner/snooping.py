@@ -7,25 +7,28 @@ a TLD whose entry expires and later reappears at full TTL was re-added by
 a real client, so the resolver is in use.
 """
 
-from repro.dnswire.client import ask
+from repro.dnswire.client import ask_many
 from repro.dnswire.constants import QTYPE_NS
 
 # UDP source port: it keys packet fates (DESIGN.md "Stub DNS client").
 SOURCE_PORT = 31500
 
 
-def snoop_ns_ttl(network, source_ip, source_port, resolver_ip, tld, txid):
-    """One non-recursive NS probe, decoded from the first accepted
+def snoop_ns_ttls(network, source_ip, source_port, resolver_ip, questions):
+    """Non-recursive NS probes, one per ``(tld, txid)`` of
+    ``questions``, over one flow; each decoded from its first accepted
     answer: its largest NS TTL, ``"empty"`` when it carries no NS
     record, ``None`` when nothing acceptable arrived."""
     # rd=False: cache snooping must not trigger recursion itself.
-    answers = ask(network, source_ip, source_port, resolver_ip, tld, txid,
-                  qtype=QTYPE_NS, rd=False)
-    if not answers:
-        return None
-    ttls = [record.ttl for record in answers[0][0].answers
-            if record.rtype == QTYPE_NS]
-    return max(ttls) if ttls else "empty"
+    values = []
+    for rows in ask_many(network, source_ip, source_port, resolver_ip,
+                         questions, qtype=QTYPE_NS, rd=False):
+        if not rows:
+            values.append(None)
+            continue
+        ttls = [ttl for rtype, ttl, __ in rows[0][3] if rtype == QTYPE_NS]
+        values.append(max(ttls) if ttls else "empty")
+    return values
 
 
 class SnoopingTrace:
@@ -67,10 +70,14 @@ class CacheSnoopingProber:
         self.duration_hours = duration_hours
         self._txid = 0
 
-    def _ask(self, resolver_ip, tld):
-        self._txid = (self._txid + 1) & 0xFFFF
-        return snoop_ns_ttl(self.network, self.source_ip, SOURCE_PORT,
-                            resolver_ip, tld, self._txid)
+    def _ask(self, resolver_ip):
+        """One round's probe of every TLD at ``resolver_ip``."""
+        questions = []
+        for tld in self.tlds:
+            self._txid = (self._txid + 1) & 0xFFFF
+            questions.append((tld, self._txid))
+        return snoop_ns_ttls(self.network, self.source_ip, SOURCE_PORT,
+                             resolver_ip, questions)
 
     def run(self, resolver_ips):
         """Probe all resolvers for the configured duration.
@@ -85,7 +92,6 @@ class CacheSnoopingProber:
                 self.network.clock.advance(self.interval_minutes * 60)
             now = self.network.clock.now
             for resolver_ip in resolver_ips:
-                for tld in self.tlds:
-                    value = self._ask(resolver_ip, tld)
+                for tld, value in zip(self.tlds, self._ask(resolver_ip)):
                     traces[resolver_ip].record(tld, now, value)
         return list(traces.values())

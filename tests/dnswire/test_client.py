@@ -1,7 +1,8 @@
 """The stub DNS client and its seven consumers, against fake networks.
 
 Three things no other suite shows: what :func:`repro.dnswire.client.ask`
-accepts when the peer is hostile (and that every consumer degrades to
+and :func:`~repro.dnswire.client.ask_many` accept when the peer is
+hostile (and that every consumer degrades to
 its "no answer" value instead of raising), that each consumer's
 ``(source port, txid)`` sequence — the key of every packet fate — is
 the one the literals below pin, and that the trusted resolver's txid
@@ -28,8 +29,8 @@ from repro.dnswire import (
     Message,
     ResourceRecord,
 )
-from repro.dnswire.client import ask
-from repro.dnswire.records import NsData
+from repro.dnswire.client import ask, ask_many
+from repro.dnswire.records import AData, NsData
 from repro.dnswire.wire import WireReply, peek_query
 from repro.faults import FaultPlan, FaultProfile
 from repro.netsim import GreatFirewall, Ipv4Network, SimClock
@@ -41,7 +42,8 @@ from repro.scanner.domainscan import DomainScanner
 from repro.scanner.popularity import PopularityProber
 from repro.scanner.snooping import CacheSnoopingProber
 from tests.conftest import MiniWorld
-from tests.oracles import MessageResolverNode, message_ask, message_fields
+from tests.oracles import (MessageResolverNode, message_ask,
+                          message_ask_many, message_fields, row_fields)
 
 CLIENT = "198.51.100.7"
 SERVER = "203.0.113.9"
@@ -68,6 +70,11 @@ class ScriptedNetwork:
                            question.qtype, question.qclass, question.name))
         return [UdpResponse(packet.reply(payload), 0.01 * (order + 1))
                 for order, payload in enumerate(self.script(query))]
+
+    def send_many(self, src_ip, src_port, dst_ip, dst_port, payloads):
+        return [self.send_udp(UdpPacket(src_ip, src_port, dst_ip, dst_port,
+                                        payload), rendered=False)
+                for payload in payloads]
 
 
 def genuine_answer(query):
@@ -125,10 +132,11 @@ DATAGRAMS = st.one_of(
 
 
 def drive_domainscan(network):
-    observation = DomainScanner(network, CLIENT).query_domain(
-        SERVER, 5, "example.com")
-    return observation and (observation.rcode, observation.addresses,
-                            len(observation.all_responses))
+    observations = DomainScanner(network, CLIENT).scan(
+        [SERVER] * 6, ["example.com"], index_range=(5, 6))
+    return observations and (observations[0].rcode,
+                             observations[0].addresses,
+                             len(observations[0].all_responses)) or None
 
 
 def drive_snooping(network):
@@ -305,6 +313,43 @@ class TestHostilePeers:
                 for message, response in answers]))
         assert exchanges[0] == exchanges[1]
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(DATAGRAMS, max_size=4), min_size=1,
+                    max_size=3), st.booleans())
+    def test_ask_many_reads_what_the_message_round_trip_reads(
+            self, scripts, rd):
+        """Each question of one ``ask_many`` call gets the rows of what
+        ``message_ask`` would accept for it, the same bytes sent."""
+        exchanges = []
+        for client in (ask_many, message_ask_many):
+            replies = iter(scripts)
+            network = ScriptedNetwork(lambda query: next(replies))
+            answers = client(network, CLIENT, 31999, SERVER,
+                             [("Example.com", 7), ("example.COM", 8),
+                              ("Example.com", 7)][:len(scripts)], rd=rd)
+            exchanges.append((network.flows, network.payloads, [
+                [row_fields(row[:4]) + (row[4].packet.payload,
+                                        row[4].latency) for row in rows]
+                for rows in answers]))
+        assert exchanges[0] == exchanges[1]
+
+    def test_ask_many_rows_an_unrendered_reply_as_its_parse(self):
+        """A ``WireReply`` (no header peek) and its rendered bytes give
+        one row; NS rdata under type A is dropped as ``ask`` drops it."""
+        def script(query):
+            wire = query.to_wire()
+            good = WireReply(wire, peek_query(wire), 0, True,
+                             genuine_answer(query).answers)
+            odd = ResourceRecord(query.question.name, QTYPE_A, CLASS_IN, 60,
+                                 NsData("ns1.example"))
+            return [good, WireReply(wire, peek_query(wire), 0, True, [odd]),
+                    good.wire()]
+        rows, = ask_many(ScriptedNetwork(script), CLIENT, 31999, SERVER,
+                         [("Example.com", 7)])
+        assert [row_fields(row[:4]) for row in rows] \
+            == [row_fields((7, "Example.com", RCODE_NOERROR,
+                            [(QTYPE_A, 60, AData(ADDRESS))]))] * 2
+
 
 def first_flows(drive):
     network = ScriptedNetwork()
@@ -359,7 +404,8 @@ def pinned_domainscan(network):
     for resolver_id, domain in ((0, "example.com"),
                                 (513, "bank.example.org"),
                                 (70000, "example.com")):
-        scanner.query_domain(SERVER, resolver_id, domain)
+        scanner.scan([SERVER] * (resolver_id + 1), [domain],
+                     index_range=(resolver_id, resolver_id + 1))
 
 
 PINNED_DRIVES = {

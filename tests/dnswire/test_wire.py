@@ -7,8 +7,10 @@ from repro.dnswire import constants
 from repro.dnswire.message import Header, Message, Question
 from repro.dnswire.records import (MxData, OpaqueData, ResourceRecord,
                                    SoaData)
-from repro.dnswire.wire import WireReply, answer_wire, peek_query
-from tests.oracles import message_fields
+from repro.dnswire.client import _query
+from repro.dnswire.wire import (WireQuery, WireReply, answer_wire,
+                                message_row, peek_query)
+from tests.oracles import message_fields, row_fields
 
 LABEL = st.text(alphabet="abcXYZ019-_", min_size=1, max_size=12)
 NAME = st.lists(LABEL, max_size=5).map(".".join)
@@ -30,6 +32,24 @@ class TestPeekQuery:
     def test_longest_name_accepted(self):
         name = ".".join(["a" * 63] * 3 + ["a" * 61])    # 255 bytes on wire
         assert peek_query(Message.query(name).to_wire())[0] == name
+
+    @given(st.one_of(NAME, st.sampled_from(["WwW.Example.COM.", ".",
+                                            "x" * 63 + ".com"])),
+           st.integers(0, 0xFFFF), st.integers(0, 0xFFFF),
+           st.integers(0, 0xFFFF), st.booleans())
+    def test_a_wire_query_reads_as_its_bytes(self, name, txid, qtype,
+                                             qclass, rd):
+        """The stub client's ``WireQuery`` carries the reading of its
+        frame: exactly what ``peek_query`` reads off its bytes."""
+        query = _query(name, txid, qtype, qclass, rd)
+        assert type(query) is WireQuery
+        assert peek_query(query) == peek_query(bytes(query))
+
+    @given(st.binary(max_size=48), st.binary(min_size=2, max_size=2))
+    def test_the_reading_never_looks_at_the_txid(self, datagram, txid):
+        """Why one frame's reading serves every txid."""
+        assert peek_query(txid + datagram[2:]) \
+            == peek_query(b"\0\0" + datagram[2:])
 
 
 def response_by_message(query, rcode, ra, records):
@@ -108,27 +128,43 @@ PLAIN_RECORDS = [
 ]
 
 
+@st.composite
+def replies(draw):
+    """A reply to a drawn query: ``(WireReply, records)``."""
+    name = draw(st.sampled_from(["www.example.com", "wWw.ExAmple.cOm", ""]))
+    query = Message(Header(txid=draw(st.integers(0, 0xFFFF)),
+                           opcode=draw(st.integers(0, 15)),
+                           rd=draw(st.booleans())),
+                    [Question(name, constants.QTYPE_A)]).to_wire()
+    records = draw(st.lists(st.sampled_from(PLAIN_RECORDS + ODD_RECORDS + [
+        ResourceRecord.a("", "192.0.2.4"),
+        ResourceRecord.ns(".", "a.root-servers.net")]), max_size=4))
+    return WireReply(query, peek_query(query),
+                     draw(st.sampled_from([0, 2, 3, 5, 15])),
+                     draw(st.booleans()), records), records
+
+
 class TestWireReply:
-    """:meth:`WireReply.message` against a parse of the bytes it stands
-    for, field by field."""
+    """:meth:`WireReply.message` and :meth:`WireReply.row` against a
+    parse of the bytes the reply stands for, field by field."""
 
     @settings(max_examples=300)
-    @given(st.sampled_from(["www.example.com", "wWw.ExAmple.cOm", ""]),
-           st.integers(0, 0xFFFF), st.booleans(), st.integers(0, 15),
-           st.sampled_from([0, 2, 3, 5, 15]), st.booleans(),
-           st.lists(st.sampled_from(PLAIN_RECORDS + ODD_RECORDS + [
-               ResourceRecord.a("", "192.0.2.4"),
-               ResourceRecord.ns(".", "a.root-servers.net")]), max_size=4))
-    def test_message_equals_the_parse_of_its_bytes(self, name, txid, rd,
-                                                   opcode, rcode, ra,
-                                                   records):
-        query = Message(Header(txid=txid, opcode=opcode, rd=rd),
-                        [Question(name, constants.QTYPE_A)]).to_wire()
-        reply = WireReply(query, peek_query(query), rcode, ra, records)
+    @given(replies())
+    def test_message_equals_the_parse_of_its_bytes(self, drawn):
+        reply, records = drawn
         message = reply.message()
-        assert bytes(reply) == answer_wire(query, name, rcode, ra, records)
+        assert bytes(reply) == answer_wire(reply.query, reply.question[0],
+                                           reply.rcode, reply.ra, records)
         assert message_fields(message) \
             == message_fields(Message.from_wire(reply.wire()))
+
+    @settings(max_examples=300)
+    @given(replies())
+    def test_row_equals_the_parse_of_its_bytes(self, drawn):
+        reply, __ = drawn
+        row = reply.row()
+        assert row_fields(row) \
+            == row_fields(message_row(Message.from_wire(reply.wire())))
 
     def test_plain_records_are_not_rendered(self):
         query = Message.query("wWw.ExAmple.cOm", txid=3).to_wire()

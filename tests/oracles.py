@@ -9,9 +9,11 @@ holds every configuration of the IPv4 sweep to :func:`reference_sweep`;
 ``tests/core/test_clustering.py`` holds NN-chain clustering to
 :func:`pair_scan_cluster`; ``tests/resolvers/test_wire_path.py`` holds
 the resolver's wire path to :class:`MessageResolverNode`, and
-``tests/dnswire/test_client.py`` the stub client to :func:`message_ask`.
-:func:`message_fields` is what "the same message" means in those
-comparisons.
+``tests/dnswire/test_client.py`` the stub client to :func:`message_ask`
+and :func:`message_ask_many`, and ``tests/test_reporting.py`` swaps the
+latter in for a whole study.  :func:`message_fields` and
+:func:`row_fields` are what "the same message" and "the same row" mean
+in those comparisons.
 """
 
 from collections import Counter
@@ -155,6 +157,13 @@ def message_fields(message):
                              message.additionals)])
 
 
+def row_fields(row):
+    """Every field of a ``(txid, name, rcode, records[, response])``
+    row: each record's type, TTL and rdata class and attributes."""
+    return row[:3] + ([(rtype, ttl, type(data), vars(data))
+                       for rtype, ttl, data in row[3]],) + row[4:]
+
+
 def message_ask(network, source_ip, source_port, server_ip, qname, txid,
                 qtype=QTYPE_A, qclass=CLASS_IN, rd=True):
     """``repro.dnswire.client.ask`` as a ``Message`` round trip: build
@@ -172,6 +181,22 @@ def message_ask(network, source_ip, source_port, server_ip, qname, txid,
         if message.header.qr and message.header.txid == txid:
             accepted.append((message, response))
     return accepted
+
+
+def message_ask_many(network, source_ip, source_port, server_ip, questions,
+                     qtype=QTYPE_A, qclass=CLASS_IN, rd=True):
+    """``repro.dnswire.client.ask_many`` as one :func:`message_ask` per
+    question — a ``send_udp`` and a full parse per datagram — with each
+    row read off the parsed ``Message``."""
+    return [[(message.header.txid,
+              message.question.name if message.question else qname,
+              message.rcode,
+              [(record.rtype, record.ttl, record.data)
+               for record in message.answers], response)
+             for message, response in message_ask(
+                 network, source_ip, source_port, server_ip, qname, txid,
+                 qtype=qtype, qclass=qclass, rd=rd)]
+            for qname, txid in questions]
 
 
 class MessageResolverNode(ResolverNode):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dnswire.constants import RCODE_NOERROR, RCODE_NXDOMAIN
+from repro.dnswire.constants import QTYPE_A, RCODE_NOERROR, RCODE_NXDOMAIN
 from repro.netsim import GreatFirewall, Ipv4Network
 from repro.resolvers import ResolutionService, ResolverNode
 
@@ -126,3 +126,34 @@ class TestGfwPoisoning:
         result = world.service.resolve_for(world.network, inside,
                                            "other.net")
         assert result.addresses == ["198.18.0.3"]
+
+
+class TestSharedCacheRecords:
+    """Resolvers caching a name the shared cache holds store one shared
+    tuple of records; per-resolver answers (CDN slices, the firewall's
+    forged ones, wildcard names) are stored as built for that resolver."""
+
+    def cached(self, world, node, name):
+        node.resolve_honest(name, world.network)
+        records, __ = node.cache.lookup(name, QTYPE_A, world.clock.now)
+        return records
+
+    def test_shared_only_for_names_the_service_holds(self, world):
+        world.network.add_middlebox(GreatFirewall(
+            [Ipv4Network("110.0.0.0/16")], ["plain.com"], seed=4))
+        nodes = [ResolverNode(address, resolution_service=world.service)
+                 for address in (world.infra.address_at(42000),
+                                 world.infra.address_at(42001),
+                                 "110.0.0.5")]
+        outside = [self.cached(world, node, "plain.com")
+                   for node in nodes[:2]]
+        assert type(outside[0]) is tuple and outside[0] is outside[1]
+        poisoned = self.cached(world, nodes[2], "plain.com")
+        assert [record.data.address for record in poisoned] \
+            != ["198.18.0.1"]
+        for name in ("cdnsite.com", "r1.aabbccdd.scan.dnsstudy.edu"):
+            for node in nodes[:2]:
+                result = world.service.resolve_for(world.network, node, name)
+                assert [(record.name, record.data.address)
+                        for record in self.cached(world, node, name)] \
+                    == [(name, address) for address in result.addresses]

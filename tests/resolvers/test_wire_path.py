@@ -16,10 +16,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.dnswire import (CLASS_CH, CLASS_IN, QTYPE_A, QTYPE_NS, QTYPE_PTR,
                            QTYPE_TXT, Message)
-from repro.dnswire.client import ask
+from repro.dnswire.client import ask, ask_many
 from repro.dnswire.message import Header, Question
 from repro.dnswire.name import apply_0x20
-from repro.dnswire.wire import WireReply
+from repro.dnswire.wire import WireReply, message_row
 from repro.netsim import GreatFirewall, Ipv4Network, UdpPacket
 from repro.resolvers import behaviors
 from repro.resolvers.cache import CacheActivityModel
@@ -32,7 +32,8 @@ from repro.resolvers.software import (SOFTWARE_CATALOG, STYLE_ERROR,
 from repro.reporting import run_full_study
 from repro.scenario import ScenarioConfig, build_scenario
 from tests.conftest import MiniWorld
-from tests.oracles import MessageResolverNode, message_ask, message_fields
+from tests.oracles import (MessageResolverNode, message_ask,
+                          message_ask_many, message_fields, row_fields)
 
 CLIENT = "1.0.195.81"
 INSIDE_IP = "110.0.0.5"             # behind the firewall below
@@ -209,9 +210,11 @@ def test_handle_udp_matches_the_message_responder(setup, queries):
 
 
 def assert_reads_as_parsed(reply):
-    """``reply.message()`` equals the parse of ``reply.wire()``."""
-    assert message_fields(reply.message()) \
-        == message_fields(Message.from_wire(reply.wire()))
+    """``reply.message()`` equals the parse of ``reply.wire()``, and
+    ``reply.row()`` that parse's row."""
+    parsed = Message.from_wire(reply.wire())
+    assert message_fields(reply.message()) == message_fields(parsed)
+    assert row_fields(reply.row()) == row_fields(message_row(parsed))
 
 
 def rendered(answer):
@@ -259,14 +262,43 @@ def test_ask_reads_what_the_parse_of_the_bytes_reads(setup, asks):
         assert exchanges[0] == exchanges[1]
 
 
+@settings(max_examples=150, deadline=None)
+@given(SETUPS, st.lists(st.tuples(st.sampled_from([0, 0, 30, 5000]),
+                                  st.lists(questions(), min_size=1,
+                                           max_size=4)),
+                        min_size=1, max_size=3))
+def test_ask_many_reads_what_the_parse_of_the_bytes_reads(setup, batches):
+    """``ask_many`` over the whole network against one ``message_ask``
+    per question, in a twin world: the batch shares the first question's
+    type, class and RD, as a consumer's batch does."""
+    worlds = [build_world(ResolverNode, setup) for __ in range(2)]
+    for advance, asks in batches:
+        __, __, qtype, qclass, rd, __ = asks[0]
+        questions = [(name, txid) for __, name, __, __, __, txid in asks]
+        exchanges = []
+        for client, (world, node) in zip((ask_many, message_ask_many),
+                                         worlds):
+            world.clock.advance(advance)
+            exchanges.append([
+                [row_fields(row[:4]) + (row[4].packet.src_ip,
+                                        row[4].latency, row[4].injected)
+                 for row in rows]
+                for rows in client(world.network, CLIENT, 4321, node.ip,
+                                   questions, qtype=qtype, qclass=qclass,
+                                   rd=rd)])
+        assert exchanges[0] == exchanges[1]
+        assert node_state(*worlds[0]) == node_state(*worlds[1])
+
+
 @pytest.mark.parametrize("seed", [7, 11])
 def test_every_reply_of_a_tiny_study_reads_as_parsed(seed, monkeypatch):
     """Every reply a resolver builds in a tiny study (scale 1:60000, two
-    weeks, 20 snooped resolvers), and every ``Message`` ``ask`` handed
-    out for one, equals the parse of the reply's bytes."""
+    weeks, 20 snooped resolvers), and every ``Message`` ``ask`` and
+    every row ``ask_many`` handed out for one, equals the parse of the
+    reply's bytes."""
     built = []
     handed = []
-    init, message = WireReply.__init__, WireReply.message
+    init, message, row = WireReply.__init__, WireReply.message, WireReply.row
 
     def recording_init(self, *args):
         init(self, *args)
@@ -279,11 +311,20 @@ def test_every_reply_of_a_tiny_study_reads_as_parsed(seed, monkeypatch):
             == message_fields(Message.from_wire(self.wire()))
         return result
 
+    def checked_row(self):
+        result = row(self)
+        handed.append(self._wire is None)
+        assert row_fields(result) \
+            == row_fields(message_row(Message.from_wire(self.wire())))
+        return result
+
     monkeypatch.setattr(WireReply, "__init__", recording_init)
     monkeypatch.setattr(WireReply, "message", checked_message)
+    monkeypatch.setattr(WireReply, "row", checked_row)
     run_full_study(build_scenario(ScenarioConfig(scale=60000, seed=seed)),
                    weeks=2, snoop_sample=20)
-    # Most replies went to ask and were read from the tuple, unrendered.
+    # Most replies went to ask_many and were read from the tuple,
+    # unrendered.
     assert handed.count(True) > len(built) / 2
     for reply in built:
         assert_reads_as_parsed(reply)

@@ -44,6 +44,9 @@ GUARDS = [
      {"dnswire/client.py",          # the one client-side exchange
       "resolvers/resolver.py"},     # _forward's raw relay: parses nothing
      CLIENT),
+    ("send_many( callers", r"(?<!def )\bsend_many\(", None,
+     {"dnswire/client.py"},         # ask_many: one flow, many questions
+     CLIENT.replace("client.ask", "client.ask_many")),
     # A ``Message.query(...)`` mention in a docstring is not a call.
     ("Message.query( callers", r"(?<!`)\bMessage\.query\(",
      outside("dnswire/"), set(), CLIENT),
@@ -105,6 +108,16 @@ def test_single_copy(what, pattern, searched, allowed, instead):
         what, sorted(matched - allowed), instead)
     assert not allowed - matched, "stale allow-list for %s: %s" % (
         what, sorted(allowed - matched))
+
+
+def test_one_copy_of_the_query_loss_draw():
+    """The sweep's loss column and the per-datagram body draw the query
+    loss; a batch path that copied the body would grow a third."""
+    source = (SRC / "netsim" / "network.py").read_text()
+    assert source.count("_SALT_QUERY_LOSS ^") <= 2, \
+        "the query-loss draw grew a copy — send_probe and send_many " \
+        "share Network._datagram (DESIGN.md \"Stub DNS client\" → " \
+        "*One flow, many questions*)"
 
 
 def test_world_state_sniffs_no_capability():

@@ -103,3 +103,41 @@ class TestKernelsAgainstOracles:
             "to_wire", oracles.compressor_only_to_wire))
         assert study() == report
         assert set(calls) == {"edit_distance", "diff_cluster", "to_wire"}
+
+
+class TestStubBatchAgainstOracle:
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_study_is_equal_with_one_question_per_send(self, seed,
+                                                       monkeypatch):
+        """One tiny study through ``ask_many`` (one ``send_many`` per
+        resolver flow, rows read off unrendered replies), one through
+        ``tests.oracles.message_ask_many`` (a ``send_udp`` and a full
+        parse per question): equal reports and equal network counters."""
+        from repro.scanner import chaos, domainscan, snooping
+        from repro.scenario import ScenarioConfig, build_scenario
+        from tests import oracles
+
+        def study():
+            scenario = build_scenario(ScenarioConfig(scale=60000,
+                                                     seed=seed))
+            results = run_full_study(
+                scenario, weeks=2, snoop_sample=20,
+                pipeline_categories=("Alexa", "Banking", "NX"))
+            network = scenario.network
+            return (render_markdown(results, scenario=scenario),
+                    network.udp_queries_sent, network.udp_queries_lost,
+                    network.udp_responses_corrupted,
+                    dict(network.fault_counters))
+
+        batched = study()
+        callers = set()
+
+        def oracle(*args, **kwargs):
+            callers.add(kwargs.get("qtype"))
+            return oracles.message_ask_many(*args, **kwargs)
+
+        for module in (chaos, domainscan, snooping):
+            monkeypatch.setattr(module, "ask_many", oracle)
+        assert study() == batched
+        # The domain scan, snooping and CHAOS scan all went through it.
+        assert callers == {None, 2, 16}
