@@ -41,15 +41,13 @@ def dynamic_rdns_share(leaver_ips, rdns):
     """Of the leavers that have rDNS records, the share whose PTR names
     indicate dynamic address assignment (broadband/dialup/dynamic/...).
 
-    ``rdns`` is either a live registry or a plain ``{ip: ptr}`` snapshot
-    captured at scan time — the latter matters because once a leaver
-    rebinds, the live registry no longer holds its old PTR.
+    ``rdns`` is a ``{ip: ptr}`` snapshot captured at scan time: once a
+    leaver rebinds, the live registry no longer holds its old PTR.
     """
-    lookup = rdns.ptr if hasattr(rdns, "ptr") else rdns.get
     with_records = 0
     dynamic = 0
     for ip in leaver_ips:
-        name = lookup(ip)
+        name = rdns.get(ip)
         if not name:
             continue
         with_records += 1

@@ -46,7 +46,7 @@ class Ledger:
     def __init__(self, network, host=None):
         self.network = network
         self.host = host
-        self.host_perf = getattr(host, "perf", None)
+        self.host_perf = host.perf if host is not None else None
         if self.host_perf is not None:
             host.perf = PerfRegistry()
         self.net = net_counters(network)

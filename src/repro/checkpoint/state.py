@@ -39,10 +39,10 @@ def _dns_cache_sites(network):
     seen_services = set()
     for ip in sorted(nodes):
         node = nodes[ip]
-        cache = getattr(node, "cache", None)
+        cache = node.cache
         if cache is not None:
             yield ("node", ip), cache
-        service = getattr(node, "service", None)
+        service = node.service
         if service is not None and id(service) not in seen_services:
             yield ("service", len(seen_services)), service
             seen_services.add(id(service))

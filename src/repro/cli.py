@@ -20,6 +20,7 @@ read.  All output is plain text on stdout.
 
 import argparse
 import gc
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -67,17 +68,18 @@ def _non_negative_int(text):
 def _positive_float(text):
     """Argparse type for strictly positive real-valued knobs.
 
-    Rejects zero, negatives, and NaN: a ``--probe-timeout 0`` would
-    otherwise time out every probe instantly and report an empty
-    Internet with a straight face.
+    Rejects zero, negatives, NaN and infinity: a ``--probe-timeout 0``
+    would otherwise time out every probe instantly and report an empty
+    Internet with a straight face, and an ``inf`` (or ``1e400``) would
+    overflow the first integer or timer it reached.
     """
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError("%r is not a number" % text)
-    if not value > 0:  # also catches NaN, which fails every comparison
+    if not 0 < value < math.inf:  # NaN fails every comparison
         raise argparse.ArgumentTypeError(
-            "must be a positive number (got %r)" % text)
+            "must be a finite positive number (got %r)" % text)
     return value
 
 
@@ -265,12 +267,16 @@ def _scan_options(args):
         delta = normalize_delta(True, audit_fraction=args.audit_fraction,
                                 drift_budget=args.drift_budget,
                                 full_sweep_every=args.full_sweep_every)
-    return ScanOptions(
-        shards=args.shards, retries=args.retries,
-        probe_timeout=args.probe_timeout, backoff=args.backoff,
-        probe_batch=args.probe_batch, pacing=args.pacing,
-        max_pps=args.max_pps, stream_results=args.stream_results,
-        delta=delta)
+    try:
+        return ScanOptions(
+            shards=args.shards, retries=args.retries,
+            probe_timeout=args.probe_timeout, backoff=args.backoff,
+            probe_batch=args.probe_batch, pacing=args.pacing,
+            max_pps=args.max_pps, stream_results=args.stream_results,
+            delta=delta)
+    except ValueError as error:     # a refused combination of flags
+        print("error: %s" % error, file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _run_meta(args, options):

@@ -229,7 +229,7 @@ class DataAcquirer:
                     scheme=cached.scheme, redirects=cached.redirects,
                     failure=cached.failure, final_host=cached.final_host))
                 continue
-            https = meta is not None and getattr(meta, "https", False)
+            https = meta is not None and meta.https
             capture = self.fetch_http(response_tuple, https_first=https)
             # Content depends only on (domain, ip) unless redirects pulled
             # the resolver back in; cache the common case.

@@ -158,20 +158,13 @@ class ManipulationPipeline:
     # -- ground truth ---------------------------------------------------------
 
     def collect_ground_truth(self, domains):
-        """Fetch the legitimate representation(s) of each web domain via
-        our own trusted resolution path (§3.5, last paragraph)."""
+        """Fetch the legitimate representation(s) of each web domain
+        (each a :class:`ScanDomain`) via our own trusted resolution path
+        (§3.5, last paragraph)."""
         bodies = {}
         for domain in domains:
-            meta = self.domain_catalog.get(normalize_name(domain.name)
-                                           if hasattr(domain, "name")
-                                           else normalize_name(domain))
-            # Fall back to the domain's name attribute before str():
-            # str(ScanDomain(...)) is the repr, which would poison the
-            # ground-truth key.
-            if meta is not None:
-                name = meta.name
-            else:
-                name = getattr(domain, "name", None) or str(domain)
+            meta = self.domain_catalog.get(normalize_name(domain.name))
+            name = domain.name if meta is None else meta.name
             if meta is not None and (not meta.exists or meta.kind != "web"):
                 continue
             result = self.service.resolve_trusted(self.network, name)
@@ -195,7 +188,7 @@ class ManipulationPipeline:
 
     def _scan_domains(self, report, resolver_ips, domains, checkpoint):
         """Step 2: the domain scan (sharded when ``options.shards`` > 1)."""
-        queries_before = getattr(self.scanner, "queries_sent", 0)
+        queries_before = self.scanner.queries_sent
         try:
             observations = self.domain_engine.scan(
                 resolver_ips, [d.name for d in domains],
@@ -203,7 +196,7 @@ class ManipulationPipeline:
         finally:
             if self.perf is not None:
                 self.perf.count("pipeline_domain_queries",
-                                getattr(self.scanner, "queries_sent", 0)
+                                self.scanner.queries_sent
                                 - queries_before)
         return {"observations": observations}
 
@@ -342,14 +335,11 @@ class ManipulationPipeline:
         def replay(payload, state):
             for entry in payload.get("degraded") or ():
                 report.degraded.append(dict(entry))
-            if "queries_sent" in state and \
-                    hasattr(self.scanner, "queries_sent"):
+            if "queries_sent" in state:
                 self.scanner.queries_sent = state["queries_sent"]
 
         def scanner_state():
-            if hasattr(self.scanner, "queries_sent"):
-                return {"queries_sent": self.scanner.queries_sent}
-            return {}
+            return {"queries_sent": self.scanner.queries_sent}
 
         payload = checkpoint.unit("stage", (name,), run_stage, self.network,
                                   self.perf, extra_state=scanner_state,

@@ -86,6 +86,7 @@ class DefenseMiddlebox(Middlebox):
 
     drop_cause = "defense:dropped"
     port = 53
+    ban_span = None     # or a method: how many targets a ban suppresses
 
     def __init__(self, protected_networks, seed=0, active_after=0.0):
         self.protected_networks = list(protected_networks)
@@ -126,8 +127,8 @@ class DefenseMiddlebox(Middlebox):
             return PATH_IGNORE
         if not self._covers(dst_int):
             return PATH_IGNORE
-        rate = getattr(network, "scan_rate_bucket", None)
-        cause = self.probe_fate(self._src_int(src_ip), dst_int, rate)
+        cause = self.probe_fate(self._src_int(src_ip), dst_int,
+                                network.scan_rate_bucket)
         if cause is None:
             return PATH_IGNORE
         # Attribution: the network reads ``drop_cause`` off the box it
@@ -144,15 +145,8 @@ class DefenseMiddlebox(Middlebox):
         """Defended ranges are hot: probes into them take the full wire
         path inside the batched sweep — the pacing plan's proven passes
         aside (module docstring) — which is exactly what keeps the bulk
-        path bit-identical to per-probe under defense."""
-        if dst_port != self.port or network.clock.now < self.active_after:
-            return []
-        return list(self._protect_masks)
-
-    def defense_ranges(self, src_ip, dst_port, network):
-        """Ranges the pacing controller must pace over — independent of
-        ``scan_interest`` so tests that disable sweep enumeration still
-        build identical pacing plans."""
+        path bit-identical to per-probe under defense.  They are also
+        the ranges the pacing controller paces over."""
         if dst_port != self.port or network.clock.now < self.active_after:
             return []
         return list(self._protect_masks)
@@ -286,12 +280,6 @@ class Tarpit(DefenseMiddlebox):
         network.count_fault(self.drop_cause)
         stall = self.stall_seconds(self._src_int(src_ip), dst_int)
         network.count_fault(TARPIT_STALL_COUNTER, int(stall * 1000))
-
-
-def defense_boxes(network):
-    """The defense plane: middleboxes exposing pure ``probe_fate``."""
-    return [box for box in getattr(network, "middleboxes", [])
-            if hasattr(box, "probe_fate")]
 
 
 def default_hostile_population(prefixes, seed=0):

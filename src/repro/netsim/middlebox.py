@@ -35,10 +35,10 @@ class Middlebox:
         hands middleboxes the numeric form so per-packet verdicts stay
         free of dotted-quad parsing (scans visit millions of distinct
         destinations, so per-destination string caches never hit).  The
-        conservative default keeps duck-typed boxes correct: inspect
-        everything.  Boxes whose behaviour is a pure function of the
-        addressing tuple and the clock should return PATH_IGNORE or
-        PATH_DROP so the network can skip them on the hot path.
+        conservative default inspects everything.  Boxes whose behaviour
+        is a pure function of the addressing tuple and the clock should
+        return PATH_IGNORE or PATH_DROP so the network can skip them on
+        the hot path.
         """
         return PATH_INSPECT
 

@@ -99,6 +99,9 @@ class Node:
     recursive resolvers reach the authoritative hierarchy).
     """
 
+    cache = None       # a resolver's DnsCache, read by world-state capture
+    service = None     # a resolver's shared ResolutionService, likewise
+
     def __init__(self, ip):
         self.ip = ip
 
@@ -146,9 +149,9 @@ class Network:
         self.middleboxes = []
         self._boxes_by_kind = {}
         self._response_droppers = []
-        # (box, bound path_verdict or None) pairs, rebuilt whenever a
-        # middlebox is added; binding once keeps the per-packet verdict
-        # loop to plain calls with no attribute lookups.
+        # (box, bound path_verdict) pairs, rebuilt whenever a middlebox
+        # is added; binding once keeps the per-packet verdict loop to
+        # plain calls with no attribute lookups.
         self._path_checks = []
         self._nodes = {}
         # Integer-keyed mirror of the registry.  The batched scan sweep
@@ -227,20 +230,20 @@ class Network:
         return boxes
 
     def add_middlebox(self, middlebox):
+        """Put a :class:`Middlebox` on every path (else ``TypeError``)."""
+        if not isinstance(middlebox, Middlebox):
+            raise TypeError("add_middlebox takes a Middlebox, not %s"
+                            % type(middlebox).__name__)
         self.middleboxes.append(middlebox)
         self._boxes_by_kind = {}
-        # Boxes without a path_verdict (duck-typed test doubles) are
-        # conservatively inspected for every packet.
-        self._path_checks = [
-            (box, getattr(box, "path_verdict", None))
-            for box in self.middleboxes]
+        self._path_checks = [(box, box.path_verdict)
+                             for box in self.middleboxes]
         # drops_response cannot be classified per path (it may depend on
         # the response packet), so boxes that override it are consulted
         # for every delivered reply; the rest are skipped entirely.
         self._response_droppers = [
             box for box in self.middleboxes
-            if not isinstance(box, Middlebox)
-            or type(box).drops_response is not Middlebox.drops_response]
+            if type(box).drops_response is not Middlebox.drops_response]
 
     # -- latency / loss ---------------------------------------------------
 
@@ -358,21 +361,18 @@ class Network:
         in the sweep queries under (the scanner's measurement domain),
         letting an injector that only reacts to censored names rule
         itself out.  Returns ``None`` when any middlebox cannot
-        enumerate its interest (duck-typed doubles, source-inside-
-        injector paths).  Verdicts are pure functions of the addressing
-        tuple and the clock, and the simulated clock never advances
-        inside one scan, so ranges gathered at scan start stay valid
-        for the whole sweep.
+        enumerate its interest (a source-inside-injector path, a box
+        keeping the base class's answer).  Verdicts are pure functions
+        of the addressing tuple and the clock, and the simulated clock
+        never advances inside one scan, so ranges gathered at scan start
+        stay valid for the whole sweep.
         """
         ranges = []
         for box in self.middleboxes:
             if box in besides:
                 continue
-            probe = getattr(box, "scan_interest", None)
-            if probe is None:
-                return None
-            box_ranges = probe(src_ip, dst_port, self,
-                               qname_suffix=qname_suffix)
+            box_ranges = box.scan_interest(src_ip, dst_port, self,
+                                           qname_suffix=qname_suffix)
             if box_ranges is None:
                 return None
             ranges.extend(box_ranges)
@@ -392,13 +392,9 @@ class Network:
         forwarder relaying upstream) still runs the full check list,
         because the sweep promise covers only the scanner's packets.
         """
-        checks = []
-        for box, check in self._path_checks:
-            probe = getattr(box, "scan_interest", None)
-            if probe is None or probe(src_ip, dst_port, self,
-                                      qname_suffix=qname_suffix) != []:
-                checks.append((box, check))
-        return checks
+        return [(box, check) for box, check in self._path_checks
+                if box.scan_interest(src_ip, dst_port, self,
+                                     qname_suffix=qname_suffix) != []]
 
     def cold_sweep_columns(self, src_ip, src_port, dst_port, addresses,
                            addresses_sorted, loss_memo, qname_suffix=None,
@@ -452,9 +448,8 @@ class Network:
         # are taken out of the generic interest below.
         settled = [
             (box, ranges) for box, ranges in plane
-            if getattr(box, "scan_interest", None) is not None
-            and box.scan_interest(src_ip, dst_port, self,
-                                  qname_suffix=qname_suffix) == ranges]
+            if box.scan_interest(src_ip, dst_port, self,
+                                 qname_suffix=qname_suffix) == ranges]
         interest = self.scan_interest(
             src_ip, dst_port, qname_suffix=qname_suffix,
             besides=[box for box, __ in settled])
@@ -548,13 +543,13 @@ class Network:
         dst_int = packet.dst_int
         if dst_int is None:
             dst_int = ip_to_int(packet.dst_ip)
-        return self.send_probe(packet.src_ip, packet.src_port,
-                               packet.dst_ip, packet.dst_port, dst_int,
-                               packet.payload, _packet=packet,
-                               _render=rendered)
+        return self._datagram(
+            self._flow(packet.src_ip, packet.src_port, packet.dst_ip,
+                       packet.dst_port, dst_int),
+            self._path_checks, None, packet.payload, packet, rendered)
 
     def send_probe(self, src_ip, src_port, dst_ip, dst_port, dst_int,
-                   payload, _packet=None, _checks=None, _render=True):
+                   payload, _checks=None):
         """Wire-level delivery fast path: :meth:`send_udp` semantics with
         the addressing passed as scalars (``dst_int`` must equal
         ``ip_to_int(dst_ip)``).
@@ -570,7 +565,7 @@ class Network:
         return self._datagram(
             self._flow(src_ip, src_port, dst_ip, dst_port, dst_int),
             self._path_checks if _checks is None else _checks, None,
-            payload, _packet, _render)
+            payload, None, True)
 
     def send_many(self, src_ip, src_port, dst_ip, dst_port, payloads):
         """For each of ``payloads``, in order, what :meth:`send_udp`
@@ -626,20 +621,19 @@ class Network:
         responses = None
         for entry in checks:
             box, check = entry
-            if check is not None:
-                verdict = check(src_ip, dst_int, dst_port, self)
-                if verdict == PATH_DROP:
-                    # First dropping box wins attribution: defensive
-                    # boxes expose a ``defense:*`` drop_cause; plain
-                    # boxes fall back to the generic cause below.
-                    if recorder is not None and not dropped:
-                        drop_cause = getattr(box, "drop_cause", None)
-                    dropped = True
-                    if kept is not None:
-                        kept.append(entry)
-                    continue
-                if verdict != PATH_INSPECT:
-                    continue
+            verdict = check(src_ip, dst_int, dst_port, self)
+            if verdict == PATH_DROP:
+                # First dropping box wins attribution: defensive boxes
+                # declare a ``defense:*`` drop_cause; plain boxes fall
+                # back to the generic cause below.
+                if recorder is not None and not dropped:
+                    drop_cause = box.drop_cause
+                dropped = True
+                if kept is not None:
+                    kept.append(entry)
+                continue
+            if verdict != PATH_INSPECT:
+                continue
             if kept is not None:
                 kept.append(entry)
             if packet is None:
@@ -653,7 +647,7 @@ class Network:
                     responses.extend(injected)
             if box.drops_query(packet, self):
                 if recorder is not None and not dropped:
-                    drop_cause = getattr(box, "drop_cause", None)
+                    drop_cause = box.drop_cause
                 dropped = True
         loss_rate = self.loss_rate
         delivered = not dropped
@@ -742,8 +736,7 @@ class Network:
                             recorder.record(
                                 self.clock.now, "response_lost",
                                 src_ip, dst_int,
-                                getattr(dropper, "drop_cause", None)
-                                or "middlebox_drop")
+                                dropper.drop_cause or "middlebox_drop")
                         continue
                 if self.corruption_rate > 0 and self._packet_fate(
                         _SALT_CORRUPTION, self.corruption_rate, key):
@@ -828,7 +821,7 @@ class Network:
     def http_request(self, src_ip, dst_ip, request, timeout=None):
         """Issue an HTTP request to ``dst_ip``; ``None`` when no service
         (or when a fault-injected stall exceeds ``timeout``)."""
-        port = 443 if getattr(request, "scheme", "http") == "https" else 80
+        port = 443 if request.scheme == "https" else 80
         if not self._tcp_connect(src_ip, dst_ip, port, timeout):
             return None
         node = self._nodes.get(dst_ip)

@@ -62,7 +62,7 @@ def trace_records(tracer=None, recorder=None, perf=None, meta=None):
             record["trace_id"] = trace_id
             yield record
     if perf is not None:
-        for name in sorted(getattr(perf, "histograms", {}) or {}):
+        for name in sorted(perf.histograms):
             yield {"type": "hist", "trace_id": trace_id, "name": name,
                    "snapshot": perf.histograms[name].snapshot()}
 

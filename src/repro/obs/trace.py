@@ -46,7 +46,7 @@ def _new_trace_id(seed=None):
 
 def span(network, stage, **attrs):
     """A span on ``network``'s tracer; a no-op context without one."""
-    tracer = getattr(network, "tracer", None)
+    tracer = network.tracer
     if tracer is None:
         return nullcontext()
     return tracer.span(stage, **attrs)

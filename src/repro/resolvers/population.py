@@ -17,7 +17,6 @@ from repro.inetmodel.churn import LeasedHost
 from repro.inetmodel.rdns import dynamic_pool_name, static_name
 from repro.netsim.address import int_to_ip, ip_to_int
 from repro.netsim.clock import DAY, WEEK
-from repro.resolvers.behaviors import SelfIpBehavior
 from repro.resolvers.cache import CacheActivityModel
 from repro.resolvers.devices import DEVICE_CATALOG, profiles_with_tcp
 from repro.resolvers.resolver import (
@@ -25,6 +24,7 @@ from repro.resolvers.resolver import (
     MODE_REFUSED,
     MODE_SERVFAIL,
     ResolverNode,
+    resolver_flags,
 )
 from repro.resolvers.software import (
     CHAOS_STYLE_SHARES,
@@ -103,13 +103,6 @@ class ResolverSpec:
         return self.autonomous_system.country
 
 
-# Per-node scenario-relevant facts, precomputed during the lazy dry
-# pass so scenario wiring (case-study selection, self-IP device pages)
-# never has to materialize a node just to inspect it.
-FLAG_PLAIN_NORMAL = 0x01   # normal mode, no forwarder, no behaviors
-FLAG_SELF_IP = 0x02        # carries a SelfIpBehavior
-FLAG_DEVICE_HTTP = 0x04    # device profile already serves an HTTP body
-
 # Sentinel: "_synthesize should really allocate the divergent source
 # address from the churn model" (the dry pass / eager build).  A replay
 # passes the recorded address (or None) instead, so materialization
@@ -186,9 +179,9 @@ class LazyResolverNode:
     __slots__ = ("ip", "_pool", "_index")
 
     # The checkpoint plane walks every registered node looking for warm
-    # DNS caches (`getattr(node, "cache", None)`).  A lazy node's cache
-    # is reconstructible-by-definition (evicted nodes drop theirs), so
-    # advertise "no cache" instead of materializing the whole world.
+    # DNS caches (``node.cache``, ``None`` on a ``Node``).  A lazy node's
+    # cache is reconstructible-by-definition (evicted nodes drop theirs),
+    # so it has none instead of materializing the whole world.
     cache = None
 
     def __init__(self, ip, pool, index):
@@ -204,6 +197,7 @@ class LazyResolverNode:
 
     @property
     def lazy_flags(self):
+        """The dry pass's ``resolver_flags`` record for this node."""
         return self._pool.flags[self._index]
 
     def _real(self):
@@ -496,21 +490,12 @@ class PopulationBuilder:
             ip = self.churn.allocate_address(spec.pool_prefix)
             syn = self._synthesize(random.Random(seed), spec, index, ip,
                                    pool.provider_ip, now, build_node=False)
-            flags = 0
-            if syn.mode == MODE_NORMAL and syn.forward_to is None \
-                    and not syn.behaviors:
-                flags |= FLAG_PLAIN_NORMAL
-            if any(isinstance(behavior, SelfIpBehavior)
-                   for behavior in syn.behaviors):
-                flags |= FLAG_SELF_IP
-            if syn.device is not None and \
-                    getattr(syn.device, "http_body", None):
-                flags |= FLAG_DEVICE_HTTP
             pool.seeds.append(seed)
             pool.ips.append(ip_to_int(ip))
             pool.divergents.append(
                 ip_to_int(syn.divergent) if syn.divergent else 0)
-            pool.flags.append(flags)
+            pool.flags.append(resolver_flags(syn.mode, syn.forward_to,
+                                             syn.behaviors, syn.device))
             placeholder = LazyResolverNode(ip, pool, index)
             host = LeasedHost(placeholder, spec.pool_prefix,
                               lease_duration=syn.lease,

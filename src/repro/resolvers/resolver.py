@@ -22,6 +22,7 @@ from repro.authdns.resolution import IterativeResolver
 from repro.netsim.address import ip_to_int
 from repro.netsim.gfw import GreatFirewall
 from repro.netsim.network import Node, UdpPacket
+from repro.resolvers.behaviors import SelfIpBehavior
 from repro.resolvers.cache import CacheActivityModel, DnsCache
 from repro.resolvers.software import STYLE_ERROR, STYLE_HIDDEN, \
     STYLE_NO_VERSION, STYLE_VERSION
@@ -32,6 +33,25 @@ MODE_NORMAL = "normal"
 MODE_REFUSED = "refused"      # closed resolver: REFUSED to outsiders
 MODE_SERVFAIL = "servfail"    # broken resolver
 MODE_SILENT = "silent"
+
+# Per-node scenario-relevant facts: the scenario's wiring (case-study
+# selection, self-IP device pages) reads them as ``node.lazy_flags``, so
+# a lazy placeholder answers from its dry-pass record unmaterialized.
+FLAG_PLAIN_NORMAL = 0x01   # normal mode, no forwarder, no behaviors
+FLAG_SELF_IP = 0x02        # carries a SelfIpBehavior
+FLAG_DEVICE_HTTP = 0x04    # device profile already serves an HTTP body
+
+
+def resolver_flags(mode, forward_to, behaviors, device):
+    """The ``FLAG_*`` bits of a resolver built with these settings."""
+    flags = 0
+    if mode == MODE_NORMAL and forward_to is None and not behaviors:
+        flags |= FLAG_PLAIN_NORMAL
+    if any(isinstance(behavior, SelfIpBehavior) for behavior in behaviors):
+        flags |= FLAG_SELF_IP
+    if device is not None and device.http_body:
+        flags |= FLAG_DEVICE_HTTP
+    return flags
 
 
 class HonestResult:
@@ -225,6 +245,15 @@ class ResolverNode(Node):
         self.cache = DnsCache()
         self.query_count = 0
         self._hidden_rng = random.Random(ip)
+
+    @property
+    def lazy_flags(self):
+        return resolver_flags(self.response_mode, self.forward_to,
+                              self.behaviors, self.device)
+
+    def pin(self):
+        """This node: it is already live (see ``LazyResolverNode.pin``)."""
+        return self
 
     # -- DNS ------------------------------------------------------------------
 

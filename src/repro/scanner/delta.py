@@ -155,7 +155,7 @@ def audit_sample(identity, epoch, values, fraction):
 
 
 def _record_delta_event(network, source_ip, dst, cause):
-    recorder = getattr(network, "recorder", None)
+    recorder = network.recorder
     if recorder is not None:
         recorder.record(network.clock.now, "delta", source_ip, dst,
                         cause=cause)

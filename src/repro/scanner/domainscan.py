@@ -58,6 +58,8 @@ class DomainScanner:
     # The scan loop can report progress per resolver, so the shard
     # engine's heartbeat supervision works (see scanner.engine).
     supports_progress = True
+    # No registry of its own: a shard's Ledger finds nothing to swap.
+    perf = None
 
     def __init__(self, network, source_ip, codec=None):
         self.network = network

@@ -561,7 +561,7 @@ class ShardedEngine:
         supervisor = ShardSupervisor(
             scanner.network, run_range, perf=self.perf,
             heartbeat_timeout=self.heartbeat_timeout,
-            supports_progress=getattr(scanner, "supports_progress", False),
+            supports_progress=scanner.supports_progress,
             perf_host=scanner,
             reassemble=reassemble if options.stream_results else None)
         provenance += supervisor.run(live_ranges, live_origins,
@@ -607,14 +607,12 @@ class ScanEngine(ShardedEngine):
 
     def _scan_forked(self, target_space, ranges, checkpoint):
         scanner = self.scanner
-        prewarm = getattr(scanner, "prewarm", None)
-        if prewarm is not None:
-            # Build the LFSR walk, the sweep columns and this scan's
-            # pacing plan *before* forking so every worker inherits
-            # them copy-on-write instead of paying an O(targets) build
-            # per process (and so the plan's counters are tallied once,
-            # here, not once per shard or never).
-            prewarm(target_space)
+        # Build the LFSR walk, the sweep columns and this scan's pacing
+        # plan *before* forking so every worker inherits them
+        # copy-on-write instead of paying an O(targets) build per
+        # process (and so the plan's counters are tallied once, here,
+        # not once per shard or never).
+        scanner.prewarm(target_space)
         shards = []
         provenance = self._run_sharded(
             lambda **kwargs: scanner.scan(target_space, **kwargs),

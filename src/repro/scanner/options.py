@@ -13,11 +13,21 @@ different knobs is a detected mismatch, not a silent divergence) and
 into the trace header.  See DESIGN.md, "Scan control plane".
 """
 
+import math
+
 from repro.scanner.pacing import normalize_pacing
 
 BACKOFF = 2.0          # retransmission timeout growth factor
 PROBE_BATCH = 4096     # targets per columnar scan batch
 CHUNK_ROWS = 65536     # result rows per streamed chunk
+
+
+def _overflows(timeout, backoff, retries):
+    """Whether a retry schedule's longest wait leaves the float range."""
+    try:
+        return timeout * float(backoff) ** retries == math.inf
+    except OverflowError:
+        return True
 
 
 class ScanOptions:
@@ -49,15 +59,19 @@ class ScanOptions:
             raise ValueError("shard count must be >= 1")
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if probe_timeout is not None and not probe_timeout > 0:
-            raise ValueError("probe_timeout must be > 0 (or None)")
-        if not backoff >= 1:
-            raise ValueError("backoff must be >= 1 (later attempts may "
-                             "not time out sooner than the first)")
+        if probe_timeout is not None and not 0 < probe_timeout < math.inf:
+            raise ValueError("probe_timeout must be finite and > 0")
+        if not 1 <= backoff < math.inf:
+            raise ValueError("backoff must be finite and >= 1 (later "
+                             "attempts may not time out sooner)")
+        if probe_timeout is not None and _overflows(probe_timeout, backoff,
+                                                    retries):
+            raise ValueError("retry schedule overflows: probe_timeout * "
+                             "backoff ** retries is not a finite number")
         if probe_batch < 1:
             raise ValueError("probe batch size must be >= 1")
-        if max_pps is not None and not max_pps > 0:
-            raise ValueError("max_pps must be > 0 (or None)")
+        if max_pps is not None and not 0 < max_pps < math.inf:
+            raise ValueError("max_pps must be finite and > 0 (or None)")
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be >= 1")
         self.shards = shards

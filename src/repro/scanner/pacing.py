@@ -38,7 +38,7 @@ scans stay bit-identical to sequential ones under defense.
 from itertools import compress
 
 from repro.netsim.address import RangeIndex
-from repro.netsim.defense import CAUSE_BLOCKLISTED
+from repro.netsim.defense import CAUSE_BLOCKLISTED, DefenseMiddlebox
 from repro.util import mix64
 
 _SALT_REENTRY = 0x76
@@ -119,20 +119,15 @@ def normalize_pacing(pacing, max_pps=None):
 def defense_plane(network, source_ip, dst_port=53):
     """Armed defense boxes and their ranges: ``[(box, ranges), ...]``.
 
-    A box is part of the plane when it exposes the pure ``probe_fate``
-    verdict and currently defends at least one range for this source.
-    Independent of ``scan_interest`` (tests may disable sweep
-    enumeration without changing the pacing plan).
+    A box is part of the plane when it is a :class:`DefenseMiddlebox`
+    (it has the pure ``probe_fate`` verdict) whose ``scan_interest``
+    names at least one range for this source right now.
     """
     plane = []
-    for box in getattr(network, "middleboxes", []):
-        if getattr(box, "probe_fate", None) is None:
-            continue
-        ranges_fn = getattr(box, "defense_ranges", None)
-        ranges = (ranges_fn(source_ip, dst_port, network)
-                  if ranges_fn is not None else None)
+    for box in network.middleboxes_of(DefenseMiddlebox):
+        ranges = box.scan_interest(source_ip, dst_port, network)
         if ranges:
-            plane.append((box, list(ranges)))
+            plane.append((box, ranges))
     return plane
 
 
@@ -219,7 +214,7 @@ def build_pacing_plan(plane, src_int, identity, walk, selector,
     breaker = config.breaker_threshold
     budget = config.error_budget
     checks = [(RangeIndex(ranges).find, ranges, box.probe_fate,
-               getattr(box, "ban_span", None)) for box, ranges in plane]
+               box.ban_span) for box, ranges in plane]
     # Which ranges and which window hold an address is constant across
     # any block as fine as the finest of them, so the plane is consulted
     # once per block, not once per target.

@@ -66,11 +66,8 @@ from repro.resolvers import (
     SelfIpBehavior,
     StaticIpBehavior,
 )
-from repro.resolvers.population import (
-    FLAG_DEVICE_HTTP,
-    FLAG_PLAIN_NORMAL,
-    FLAG_SELF_IP,
-)
+from repro.resolvers.resolver import (FLAG_DEVICE_HTTP, FLAG_PLAIN_NORMAL,
+                                      FLAG_SELF_IP)
 from repro.scanner import (
     Blacklist,
     ScanCampaign,
@@ -788,22 +785,6 @@ def _make_behavior_factory(scenario):
     return factory
 
 
-def _plain_normal(node):
-    """Case-study candidacy without materializing lazy nodes.
-
-    Lazy placeholders carry the answer as a precomputed dry-pass flag;
-    eager (and provider) nodes are inspected directly.  Both paths
-    encode the same predicate, so the candidate list is positionally
-    identical across modes (which the shared shuffle relies on).
-    """
-    flags = getattr(node, "lazy_flags", None)
-    if flags is not None:
-        return bool(flags & FLAG_PLAIN_NORMAL)
-    return (node.response_mode == "normal"
-            and node.forward_to is None
-            and not node.behaviors)
-
-
 def _assign_case_study_resolvers(scenario, rng):
     """Hand-pick small resolver groups for the §4.3 case studies, so they
     exist at every scale (their paper counts are below 1/scale)."""
@@ -811,11 +792,12 @@ def _assign_case_study_resolvers(scenario, rng):
     config = scenario.config
     # Only long-lived hosts qualify: the case studies are measured at the
     # END of the 13-month campaign, so a decommissioned host would
-    # silently shrink these already-tiny populations.
+    # silently shrink these already-tiny populations.  ``lazy_flags`` is
+    # one predicate in both modes, so the shuffled candidates match.
     normal = [host.node for host in scenario.population.hosts
               if host.online and host.offline_after is None
               and host.online_after is None
-              and _plain_normal(host.node)]
+              and host.node.lazy_flags & FLAG_PLAIN_NORMAL]
     rng.shuffle(normal)
     cursor = [0]
 
@@ -824,8 +806,7 @@ def _assign_case_study_resolvers(scenario, rng):
                     config.scaled(paper_count, minimum=minimum))
         # Chosen nodes get a behavior inserted below: materialize lazy
         # picks permanently so the mutation survives LRU eviction.
-        chosen = [node.pin() if hasattr(node, "pin") else node
-                  for node in normal[cursor[0]:cursor[0] + count]]
+        chosen = [node.pin() for node in normal[cursor[0]:cursor[0] + count]]
         cursor[0] += count
         return chosen
 
@@ -1041,21 +1022,12 @@ def _equip_self_ip_resolvers(scenario, rng):
     belonging to one brand of IP cameras (§4.1/§4.2).
     """
     for node in scenario.population.resolvers:
-        flags = getattr(node, "lazy_flags", None)
-        if flags is not None:
-            # Dry-pass flags answer both checks without materializing;
-            # the draw sequence below stays positionally identical to an
-            # eager build (one draw per qualifying node, none for
-            # skipped ones).
-            if not flags & FLAG_SELF_IP or flags & FLAG_DEVICE_HTTP:
-                continue
-            node = node.pin()
-        else:
-            if not any(type(b).__name__ == "SelfIpBehavior"
-                       for b in node.behaviors):
-                continue
-            if node.device is not None and node.device.http_body:
-                continue
+        # ``lazy_flags`` answers both checks unmaterialized: one draw per
+        # qualifying node below, in either mode.
+        flags = node.lazy_flags
+        if not flags & FLAG_SELF_IP or flags & FLAG_DEVICE_HTTP:
+            continue
+        node = node.pin()
         point = rng.random()
         if point < 0.55:
             node.device_page = pages.router_login("TP-LINK")

@@ -32,7 +32,6 @@ from repro.inetmodel import (
     AutonomousSystem,
     GeoIpDatabase,
     PrefixAllocator,
-    RdnsRegistry,
 )
 from repro.scanner.campaign import WeeklySnapshot
 from repro.scanner.ipv4scan import ScanResult
@@ -183,10 +182,10 @@ class TestChurnAnalysis:
         assert day_one_leavers(first, day1) == {"1.0.0.1", "1.0.0.3"}
 
     def test_dynamic_rdns_share(self):
-        rdns = RdnsRegistry()
-        rdns.set_ptr("1.0.0.1", "host-1.dynamic.isp.example")
-        rdns.set_ptr("1.0.0.2", "static-2.isp.example")
-        # 1.0.0.3 has no PTR at all.
+        # The {ip: ptr} snapshot a campaign captures; 1.0.0.3 has no
+        # PTR at all.
+        rdns = {"1.0.0.1": "host-1.dynamic.isp.example",
+                "1.0.0.2": "static-2.isp.example"}
         stats = dynamic_rdns_share({"1.0.0.1", "1.0.0.2", "1.0.0.3"},
                                    rdns)
         assert stats["leavers"] == 3

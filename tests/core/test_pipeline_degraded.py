@@ -79,6 +79,8 @@ class TestReportDegradation:
         pipeline = make_pipeline(world)
 
         class BrokenScanner:
+            queries_sent = 0
+
             def scan(self, resolver_ips, names):
                 raise RuntimeError("scan socket exploded")
 

@@ -15,14 +15,15 @@ from repro.netsim.defense import (
     CAUSE_RATE_LIMITED,
     CAUSE_TARPIT,
     TARPIT_STALL_COUNTER,
+    DefenseMiddlebox,
     ReactiveBlocklister,
     Tarpit,
     TokenBucketRateLimiter,
     default_hostile_population,
-    defense_boxes,
     install_hostile_population,
 )
 from repro.netsim.middlebox import PATH_DROP, PATH_IGNORE
+from repro.scanner.pacing import defense_plane
 from repro.inetmodel import PrefixAllocator
 from tests.conftest import MiniWorld
 
@@ -169,15 +170,16 @@ class TestMiddleboxProtocol:
         assert dormant.path_verdict(mini.client_ip, net.base + 1, 53,
                                     mini.network) == PATH_IGNORE
         assert dormant.scan_interest(mini.client_ip, 53, mini.network) == []
-        assert dormant.defense_ranges(mini.client_ip, 53,
-                                      mini.network) == []
+        mini.network.add_middlebox(dormant)
+        assert [plane_box for plane_box, __ in defense_plane(
+            mini.network, mini.client_ip)] == [box]
 
     def test_scan_interest_marks_defended_ranges_hot(self):
         mini, net, box = self.build()
         assert box.scan_interest(mini.client_ip, 53, mini.network) == \
             [(net.base, net.mask)]
-        assert box.defense_ranges(mini.client_ip, 53, mini.network) == \
-            [(net.base, net.mask)]
+        assert defense_plane(mini.network, mini.client_ip) == \
+            [(box, [(net.base, net.mask)])]
 
 
 class TestHostilePopulation:
@@ -200,7 +202,7 @@ class TestHostilePopulation:
         mini = MiniWorld()
         prefixes = [mini.allocator.allocate(24) for __ in range(4)]
         boxes = install_hostile_population(mini.network, prefixes, seed=1)
-        assert defense_boxes(mini.network) == boxes
+        assert mini.network.middleboxes_of(DefenseMiddlebox) == boxes
         assert len(boxes) == 3
 
     def test_empty_prefixes(self):

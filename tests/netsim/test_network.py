@@ -176,10 +176,10 @@ class TestMiddleboxes:
         assert not responses[1].injected
 
     def test_duck_typed_middlebox_without_path_verdict(self):
-        """Boxes that don't subclass Middlebox (and lack path_verdict)
-        must still see every packet."""
+        """A box that keeps the base class's path_verdict (it overrides
+        only the packet hooks) must still see every packet."""
 
-        class DuckDrop:
+        class DuckDrop(Middlebox):
             def inject_responses(self, packet, network):
                 return []
 
@@ -194,6 +194,21 @@ class TestMiddleboxes:
         network.add_middlebox(DuckDrop())
         assert probe(network) == []
         assert probe(network, dst="2.0.0.2") == []  # no node there
+
+    def test_add_middlebox_refuses_a_non_middlebox(self):
+        """The network calls every Middlebox hook with no fallback, so a
+        box that is not one is refused where it is added."""
+
+        class NotABox:
+            def drops_query(self, packet, network):
+                return True
+
+        network = make_network()
+        network.register(EchoNode("2.0.0.1"))
+        with pytest.raises(TypeError, match="NotABox"):
+            network.add_middlebox(NotABox())
+        assert network.middleboxes == []
+        assert probe(network)
 
 
 class TestSendProbe:

@@ -14,7 +14,8 @@ from repro.dnswire import Message
 from repro.netsim.defense import (ReactiveBlocklister, Tarpit,
                                   TokenBucketRateLimiter)
 from repro.netsim.gfw import GreatFirewall
-from repro.netsim.middlebox import DnsIngressFilter, ScannerBlocker
+from repro.netsim.middlebox import (DnsIngressFilter, Middlebox,
+                                    ScannerBlocker)
 from repro.resolvers import ResolverNode
 from repro.scanner import Ipv4Scanner, ScanOptions, ScanTargetSpace
 from repro.scanner.encoding import ProbeBatchEncoder
@@ -301,7 +302,8 @@ class TestScanPathChecks:
         assert filtering in boxes
 
     def test_duck_typed_box_without_interest_kept(self, world):
-        class Opaque:
+        # Keeps the base class's scan_interest: it cannot enumerate.
+        class Opaque(Middlebox):
             def path_verdict(self, src_ip, dst_int, dst_port, network):
                 from repro.netsim.middlebox import PATH_IGNORE
                 return PATH_IGNORE

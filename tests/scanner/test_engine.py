@@ -30,9 +30,14 @@ class FakeNetwork:
 class FakeScanner:
     """Deterministic scanner double: 'responds' on every third index."""
 
+    supports_progress = False
+
     def __init__(self):
         self.network = FakeNetwork()
         self.perf = None
+
+    def prewarm(self, target_space):
+        """Nothing to build before the fork."""
 
     def scan(self, target_space, index_range=None):
         start, stop = (index_range if index_range is not None

@@ -9,6 +9,7 @@ import pytest
 from repro.scanner import DeltaConfig, PacingConfig, ScanOptions
 
 NAN = float("nan")
+INF = float("inf")
 
 
 class TestRangeChecks:
@@ -22,6 +23,11 @@ class TestRangeChecks:
         {"probe_batch": 0}, {"probe_batch": -5},
         {"max_pps": 0}, {"max_pps": -5.0}, {"max_pps": NAN},
         {"pacing": "adaptive", "max_pps": -1},
+        {"max_pps": INF}, {"probe_timeout": INF}, {"backoff": INF},
+        # Finite knobs whose retry schedule leaves the float range.
+        {"retries": 2, "probe_timeout": 1e-300, "backoff": 1e300},
+        {"retries": 1, "probe_timeout": 1e308, "backoff": 10.0},
+        {"retries": 5000, "probe_timeout": 1.0, "backoff": 2},
         {"pacing": "warp"},
         {"chunk_rows": 0},
         {"delta": "sometimes"},

@@ -35,10 +35,15 @@ class FakeNetwork:
 class FakeScanner:
     """Deterministic scanner double: 'responds' on every third index."""
 
+    supports_progress = False
+
     def __init__(self):
         self.network = FakeNetwork()
         self.perf = None
         self.scan_calls = []          # (start, stop) of every scan issued
+
+    def prewarm(self, target_space):
+        """Nothing to build before the fork."""
 
     def scan(self, target_space, index_range=None):
         start, stop = (index_range if index_range is not None

@@ -104,6 +104,10 @@ class TestKnobValidation:
         ("--max-pps", "0"),
         ("--max-pps", "nan"),
         ("--max-pps", "fast"),
+        ("--max-pps", "inf"),
+        ("--max-pps", "1e400"),
+        ("--probe-timeout", "inf"),
+        ("--backoff", "inf"),
     ])
     def test_nonsense_probe_knobs_rejected(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -167,6 +171,16 @@ class TestKnobValidation:
         args = build_parser().parse_args(
             ["scan", "--stream-results", "--lazy-population"])
         assert args.stream_results and args.lazy_population
+
+    def test_overflowing_retry_schedule_is_one_error_line(self, capsys):
+        # Each knob is finite; backoff ** retries is not.
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--scale", "10000000", "--retries", "2",
+                  "--probe-timeout", "1e-300", "--backoff", "1e300"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "Traceback" not in err
 
     def test_shards_beyond_targets_rejected(self, capsys):
         # A 1:10000000 world keeps only a couple of scan targets;
@@ -467,6 +481,7 @@ class TestObserveKnobValidation:
         ("--ingest-poll", "-2"),
         ("--ingest-poll", "nan"),
         ("--ingest-poll", "often"),
+        ("--ingest-poll", "inf"),
     ])
     def test_bad_ingest_poll_rejected(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
