@@ -10,7 +10,11 @@ and asserts:
 2. the killed worker was recovered without a full-space rescan and the
    degradation is visible in the result's provenance;
 3. the degraded run is bit-identical across two same-seed executions;
-4. the pipeline completes and reports instead of raising.
+4. the pipeline completes and reports instead of raising;
+5. its Banking domain scan reads the same on a fresh world with a
+   flight recorder installed, which keeps every datagram on the wire,
+   as without one, where questions settle by answer class -- with the
+   fault plan and without it.
 
 Usage::
 
@@ -54,6 +58,29 @@ def check(condition, message):
         return 1
     print("ok: %s" % message, file=sys.stderr)
     return 0
+
+
+def banking_scan(resolvers, faults, recorder):
+    """The Banking pipeline's domain scan of ``resolvers`` on a freshly
+    built world, under the chaos plan or none, with a flight recorder
+    (every datagram on the wire) or without (questions settle by class):
+    the observations and the network's counters after it."""
+    from repro.datasets import DOMAIN_SETS
+    from repro.obs.flight import FlightRecorder
+    scenario = build_scenario(ScenarioConfig(scale=SCALE, seed=SEED))
+    network = scenario.network
+    if faults:
+        network.install_faults(FaultPlan(parse_fault_spec(SPEC), seed=SEED))
+    if recorder:
+        network.recorder = FlightRecorder()
+    observations = scenario.new_pipeline().domain_engine.scan(
+        resolvers, [domain.name for domain in DOMAIN_SETS["Banking"]])
+    return ([(o.domain, o.resolver_ip, o.rcode, o.addresses, o.source_ip,
+              o.all_responses, o.injected_suspect, o.ns_record_count)
+             for o in observations],
+            network.udp_queries_sent, network.udp_queries_lost,
+            network.udp_responses_corrupted, dict(network.fault_counters),
+            network.flow_state())
 
 
 def hostile_scan():
@@ -204,6 +231,17 @@ def main():
     failures += check(isinstance(report.degraded, list),
                       "degradation provenance present (%d entries)"
                       % len(report.degraded))
+
+    print("Banking domain scan, settled against the wire...",
+          file=sys.stderr)
+    for faults in (True, False):
+        settled = banking_scan(resolvers, faults, recorder=False)
+        wired = banking_scan(resolvers, faults, recorder=True)
+        failures += check(
+            settled == wired and settled[0],
+            "%d observations and the network counters equal with and "
+            "without a flight recorder (%s)"
+            % (len(settled[0]), "fault plan" if faults else "no faults"))
 
     if failures:
         print("%d chaos smoke check(s) failed" % failures,

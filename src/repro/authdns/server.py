@@ -25,9 +25,6 @@ class AuthNsServer(Node):
         self.zones = list(zones)
         self.query_count = 0
 
-    def add_zone(self, zone):
-        self.zones.append(zone)
-
     def _zone_for(self, qname):
         """Deepest zone on this server covering ``qname``."""
         best = None

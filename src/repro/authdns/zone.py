@@ -77,9 +77,6 @@ class Zone:
     def add_mx(self, name, preference, exchange, ttl=3600):
         return self.add(ResourceRecord.mx(name, preference, exchange, ttl=ttl))
 
-    def add_ptr(self, name, target, ttl=3600):
-        return self.add(ResourceRecord.ptr(name, target, ttl=ttl))
-
     def delegate(self, child_apex, ns_hosts):
         """Create a zone cut: ``child_apex`` is served by ``ns_hosts``.
 

@@ -23,6 +23,7 @@ import gc
 import math
 import os
 import sys
+import threading
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -99,6 +100,20 @@ def _fraction(text):
     if value >= 1:
         raise argparse.ArgumentTypeError(
             "must be a positive fraction below 1 (got %r)" % text)
+    return value
+
+
+def _poll_interval(text):
+    """Argparse type for ``--ingest-poll``.  ``time.sleep`` waits until
+    the monotonic clock plus the interval, a deadline that must stay
+    below ``threading.TIMEOUT_MAX`` (beyond it the sleep raises
+    ``OverflowError``, and just under it ``OSError``), so an interval is
+    at most half of that: room for any clock reading under ~146 years."""
+    value = _positive_float(text)
+    if value > threading.TIMEOUT_MAX / 2:
+        raise argparse.ArgumentTypeError(
+            "must be at most %d seconds (got %r)"
+            % (threading.TIMEOUT_MAX / 2, text))
     return value
 
 
@@ -853,7 +868,7 @@ def build_parser():
                          default=None, metavar="DIR",
                          help="campaign/fullstudy --checkpoint-dir "
                               "whose journal to tail")
-        sub.add_argument("--ingest-poll", type=_positive_float,
+        sub.add_argument("--ingest-poll", type=_poll_interval,
                          default=2.0, metavar="SEC",
                          help="seconds between journal polls "
                               "(--watch / serve)")

@@ -12,42 +12,34 @@ silently; see DESIGN.md "Stub DNS client"), and how it decodes what
 from functools import lru_cache
 
 from repro.dnswire.constants import CLASS_IN, QTYPE_A
-from repro.dnswire.message import Message, peek_header
-from repro.dnswire.wire import WireQuery, WireReply, message_row, \
-    peek_query
+from repro.dnswire.message import Message
+from repro.dnswire.wire import WireReply, accepted_message, message_row
 from repro.netsim.network import UdpPacket
 
 
 @lru_cache(maxsize=4096)
 def _query_frame(qname, qtype, qclass, rd):
-    """A query's wire form after its two txid bytes, and
-    :func:`peek_query`'s reading of it: neither depends on the txid, so
-    each question is encoded and read once."""
-    frame = Message.query(qname, qtype=qtype, qclass=qclass,
-                          rd=rd).to_wire()[2:]
-    return frame, peek_query(b"\0\0" + frame)
+    """A query's wire form after its two txid bytes: it does not depend
+    on the txid, so each question is encoded once."""
+    return Message.query(qname, qtype=qtype, qclass=qclass,
+                         rd=rd).to_wire()[2:]
 
 
 def _query(qname, txid, qtype, qclass, rd):
-    frame, question = _query_frame(qname, qtype, qclass, rd)
-    return WireQuery(txid.to_bytes(2, "big") + frame, question)
+    return txid.to_bytes(2, "big") + _query_frame(qname, qtype, qclass, rd)
 
 
-def _accepted(payload, txid, as_row):
-    """``payload`` read as a ``Message`` (``as_row``: its row), or
-    ``None`` unless it parses, has QR set and echoes ``txid``.  The header
-    decides before a parse; a ``WireReply`` answers this very query and
-    is read unpeeked; a ``ValueError`` drops the datagram."""
+def _accepted(payload, txid):
+    """``payload`` read as a ``Message``, or ``None`` unless it parses,
+    has QR set and echoes ``txid``.  The header decides before a parse; a
+    ``WireReply`` answers this very query and is read unpeeked; a
+    ``ValueError`` drops the datagram."""
     try:
         if type(payload) is WireReply:
-            return payload.row() if as_row else payload.message()
-        header = peek_header(payload)
-        if header is None or not header[1] or header[0] != txid:
-            return None
-        message = Message.from_wire(payload)
+            return payload.message()
+        return accepted_message(payload, txid)
     except ValueError:
         return None
-    return message_row(message) if as_row else message
 
 
 def ask(network, source_ip, source_port, server_ip, qname, txid,
@@ -60,7 +52,7 @@ def ask(network, source_ip, source_port, server_ip, qname, txid,
                        _query(qname, txid, qtype, qclass, rd))
     accepted = []
     for response in network.send_udp(packet, rendered=False):
-        message = _accepted(response.packet.payload, txid, False)
+        message = _accepted(response.packet.payload, txid)
         if message is not None:
             accepted.append((message, response))
     return accepted
@@ -70,19 +62,34 @@ def ask_many(network, source_ip, source_port, server_ip, questions,
              qtype=QTYPE_A, qclass=CLASS_IN, rd=True):
     """:func:`ask` for each ``(qname, txid)`` of the list ``questions``,
     over one flow, answers read as rows: per question, ``[(txid, echoed
-    name, rcode, [(rtype, ttl, rdata), ...], UdpResponse), ...]`` — the
-    :func:`message_row` of each ``Message`` ``ask`` would accept, the
-    asked name standing in for a question the reply does not echo."""
+    name, rcode, [(rtype, ttl, rdata), ...], source ip, injected), ...]``
+    — the :func:`message_row` of each ``Message`` ``ask`` would accept,
+    the asked name standing in for a question the reply does not echo,
+    and where that response came from.  A question the network settled
+    by class comes back as these rows already."""
+    def query(question):
+        qname, qtype, qclass, txid = question
+        return _query(qname, txid, qtype, qclass, rd)
+
     sent = network.send_many(
         source_ip, source_port, server_ip, 53,
-        [_query(qname, txid, qtype, qclass, rd) for qname, txid in questions])
+        [(qname, qtype, qclass, txid) for qname, txid in questions], query)
     answers = []
-    for (qname, txid), responses in zip(questions, sent):
+    for (qname, txid), replies in zip(questions, sent):
+        if not replies or type(replies[0]) is tuple:
+            for row in replies:
+                if row[3] is None:      # settled, but no stub can read it
+                    replies = [row for row in replies if row[3] is not None]
+                    break
+            answers.append(replies)
+            continue
         rows = []
-        for response in responses:
-            row = _accepted(response.packet.payload, txid, True)
-            if row is not None:
+        for response in replies:
+            message = _accepted(response.packet.payload, txid)
+            if message is not None:
+                row = message_row(message)
                 rows.append((row[0], qname if row[1] is None else row[1],
-                             row[2], row[3], response))
+                             row[2], row[3], response.packet.src_ip,
+                             response.injected))
         answers.append(rows)
     return answers

@@ -5,13 +5,13 @@ class, and echoes the rest: :func:`peek_query` reads those off the
 datagram and :func:`answer_wire` writes the reply around the query's
 bytes, so no :class:`~repro.dnswire.message.Message` is built.  Both
 work on one query shape (see :func:`peek_query`); a server stays silent
-for anything else.  A :class:`WireQuery` carries its reading along, and
-a :class:`WireReply` renders the reply only when read.
+for anything else.  A :class:`WireReply` renders the reply only when
+read, and :func:`reply_rows` reads an answer's records as a stub would.
 """
 
 from functools import lru_cache
 
-from repro.dnswire.message import Header, Message, Question
+from repro.dnswire.message import Header, Message, Question, peek_header
 from repro.dnswire.name import MAX_NAME_LENGTH, NameCompressor, \
     normalize_name
 from repro.dnswire.records import (AData, CnameData, MxData, NsData,
@@ -22,16 +22,6 @@ from repro.dnswire.records import (AData, CnameData, MxData, NsData,
 _ONE_QUESTION = b"\x00\x01\x00\x00\x00\x00\x00\x00"
 # The question name starts right after the 12-byte header.
 _QUESTION_POINTER = b"\xc0\x0c"
-
-
-class WireQuery(bytes):
-    """A query's bytes carrying ``question``, :func:`peek_query`'s
-    reading of them, which that function then returns unread."""
-
-    def __new__(cls, data, question=None):
-        query = super().__new__(cls, data)
-        query.question = question
-        return query
 
 
 def peek_query(payload):
@@ -45,8 +35,6 @@ def peek_query(payload):
     text, which is what lets :func:`answer_wire` echo the question by
     copying it.
     """
-    if type(payload) is WireQuery:
-        return payload.question
     size = len(payload)
     if size < 17 or payload[2] & 0x80 or payload[4:12] != _ONE_QUESTION:
         return None
@@ -114,6 +102,30 @@ def _reads_back(rtype, data):
     return decode_rdata(rtype, raw, 0, len(raw)) == data
 
 
+def accepted_message(payload, txid):
+    """The ``Message`` a stub accepts in the datagram ``payload`` asking
+    ``txid``: ``None`` unless its header has QR set and echoes ``txid``
+    (read before the parse, which raises ``ValueError`` on garbage)."""
+    header = peek_header(payload)
+    if header is None or not header[1] or header[0] != txid:
+        return None
+    return Message.from_wire(payload)
+
+
+def relayed_answer(payload, txid):
+    """``(rcode, rows)`` of the reply datagram ``payload`` to the stub
+    query ``txid``, as :func:`accepted_message` reads it: rows ``None``
+    when no stub accepts it."""
+    try:
+        message = accepted_message(payload, txid)
+    except ValueError:
+        message = None
+    if message is None:
+        return 0, None
+    row = message_row(message)
+    return row[2], row[3]
+
+
 def message_row(message):
     """``(txid, question name or None, rcode, [(rtype, ttl, rdata), …])``
     of ``message``'s header, question and answer section."""
@@ -127,8 +139,7 @@ class WireReply:
     """A server's ``(rcode, ra, records)`` answer to ``query``, which
     :func:`peek_query` read as ``question``.  :meth:`wire` (or
     ``bytes(reply)``) renders :func:`answer_wire`'s bytes on the first
-    read; :meth:`message` is what they parse to, built without them, and
-    :meth:`row` that message's :func:`message_row`."""
+    read; :meth:`message` is what they parse to, built without them."""
 
     __slots__ = ("query", "question", "rcode", "ra", "records", "_wire")
 
@@ -148,21 +159,10 @@ class WireReply:
 
     __bytes__ = wire
 
-    def _read_back(self):
-        """Whether each record reads back as held: owned by the question
-        name, rdata that parses back equal (rdata objects are shared)."""
-        qname = self.question[0]
-        key = qname.lower()     # peek_query's names have no trailing dot
-        for record in self.records:
-            if record.name != qname and normalize_name(record.name) != key \
-                    or not _reads_back(record.rtype, record.data):
-                return False
-        return True
-
     def message(self):
         """``Message.from_wire(self.wire())``, field for field, from the
-        tuple when :meth:`_read_back` holds; else parsed."""
-        if not self._read_back():
+        tuple when :func:`_held` holds; else parsed."""
+        if not _held(self.question[0], self.records):
             return Message.from_wire(self.wire())
         qname, qtype, qclass = self.question
         query = self.query
@@ -175,12 +175,33 @@ class WireReply:
                                        record.ttl & 0xFFFFFFFF, record.data)
                         for record in self.records])
 
-    def row(self):
-        """``message_row(self.message())``, built without the message
-        when :meth:`_read_back` holds."""
-        if not self._read_back():
-            return message_row(Message.from_wire(self.wire()))
-        query = self.query
-        return (query[0] << 8 | query[1], self.question[0], self.rcode & 0xF,
-                [(record.rtype, record.ttl & 0xFFFFFFFF, record.data)
-                 for record in self.records])
+
+
+def _held(qname, records):
+    """Whether each record reads back as held in a reply to ``qname``:
+    owned by the question name, rdata that parses back equal (rdata
+    objects are shared)."""
+    key = qname.lower()     # peek_query's names have no trailing dot
+    for record in records:
+        if record.name != qname and normalize_name(record.name) != key \
+                or not _reads_back(record.rtype, record.data):
+            return False
+    return True
+
+
+def reply_rows(qname, qtype, qclass, rcode, ra, records):
+    """The ``[(rtype, ttl, rdata), ...]`` of :func:`message_row` of the
+    reply ``(rcode, ra, records)`` to a query of ``(qname, qtype,
+    qclass)``: read off the records where :func:`_held` holds (the TTL
+    wrapped as the wire wraps it), else off the parse of the rendered
+    reply, ``None`` when that does not parse.  Neither the txid nor the
+    header flags of the query change what its answer section parses to."""
+    if _held(qname, records):
+        return [(record.rtype, record.ttl & 0xFFFFFFFF, record.data)
+                for record in records]
+    query = Message.query(qname, qtype=qtype, qclass=qclass).to_wire()
+    try:
+        return message_row(Message.from_wire(
+            answer_wire(query, qname, rcode, ra, records)))[3]
+    except ValueError:
+        return None

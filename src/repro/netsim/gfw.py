@@ -48,6 +48,8 @@ class GreatFirewall(Middlebox):
         self._inside_cache = {}
         # (src, dst) -> crosses-boundary, the per-packet hot check.
         self._boundary_cache = {}
+        # name as a stub asks it -> censored: the questions repeat.
+        self._asked = {}
 
     def _inside(self, ip):
         cached = self._inside_cache.get(ip)
@@ -73,6 +75,19 @@ class GreatFirewall(Middlebox):
             if ".".join(labels[i:]) in self.censored:
                 return True
         return False
+
+    def acts_on(self, question):
+        """Only A queries in class IN for a censored name draw a forged
+        answer (:meth:`inject_responses`); nothing else is touched."""
+        qname, qtype, qclass, __ = question
+        if qtype != QTYPE_A or qclass != CLASS_IN:
+            return False
+        censored = self._asked.get(qname)
+        if censored is None:
+            censored = self.censors_name(qname)
+            if len(self._asked) < 1 << 16:
+                self._asked[qname] = censored
+        return censored
 
     def path_verdict(self, src_ip, dst_int, dst_port, network):
         """Injection depends on the query name, so boundary-crossing DNS

@@ -57,6 +57,13 @@ class Middlebox:
         """Return a list of :class:`UdpResponse` to inject for this query."""
         return []
 
+    def acts_on(self, question):
+        """False promises that, on a path this box inspects, a stub query
+        of ``(qname, qtype, qclass, txid)`` meets no injection, no drop
+        and no other effect here -- so the network may settle it without
+        a packet (:meth:`repro.netsim.network.Network._datagram`)."""
+        return True
+
     def scan_interest(self, src_ip, dst_port, network, qname_suffix=None):
         """Destinations this box may affect for ``(src_ip, dst_port)`` at
         the network's current clock, as ``(base, mask)`` ranges.

@@ -34,6 +34,12 @@ _SALT_FAULT_TCP = 0x57
 _LOSS_MEMO_ENTRIES = 8
 
 
+def _flow_key(src_ip, src_port, dst_ip, dst_port):
+    """The unsalted fate key of a 4-tuple (:meth:`Network._flow`'s)."""
+    return (ip_to_int(src_ip) * 0x9E3779B1 ^ ip_to_int(dst_ip) * 0x85EBCA77
+            ^ src_port << 17 ^ dst_port << 1)
+
+
 class UdpPacket:
     """A UDP datagram: addressing 4-tuple plus opaque payload bytes.
 
@@ -101,6 +107,11 @@ class Node:
 
     cache = None       # a resolver's DnsCache, read by world-state capture
     service = None     # a resolver's shared ResolutionService, likewise
+    # Answer plan: ``settle(dst_port, (qname, qtype, qclass, txid),
+    # client_ip, network, query)`` has handle_udp's effects on the query
+    # ``query`` renders and returns its replies as (rcode, rows a stub
+    # reads or None, source ip or None); None, before any effect: wire.
+    settle = None
 
     def __init__(self, ip):
         self.ip = ip
@@ -331,13 +342,25 @@ class Network:
         yields identical per-packet fates, the property the sharded scan
         engine relies on for bit-identical merged results.
         """
+        # self._occurrence and repro.util.mix64, inlined: every settled
+        # answer draws its response loss here.
         key = salt ^ base
-        occurrence = self._occurrence(key)
+        now = self.clock.now
+        if now != self._flow_epoch:
+            self._flow_counts.clear()
+            self._flow_epoch = now
+        occurrence = self._flow_counts.get(key, 0)
+        self._flow_counts[key] = occurrence + 1
         mixed = self._occurrence_mix.get(occurrence)
         if mixed is None:
             mixed = mix64(occurrence + 1)
             self._occurrence_mix[occurrence] = mixed
-        draw = mix64(self._seed_high ^ key ^ mixed)
+        draw = (self._seed_high ^ key ^ mixed) & M64
+        draw ^= draw >> 30
+        draw = (draw * 0xBF58476D1CE4E5B9) & M64
+        draw ^= draw >> 27
+        draw = (draw * 0x94D049BB133111EB) & M64
+        draw ^= draw >> 31
         return draw < rate * (M64 + 1)
 
     # -- batched scan sweep ------------------------------------------------
@@ -567,22 +590,51 @@ class Network:
             self._path_checks if _checks is None else _checks, None,
             payload, None, True)
 
-    def send_many(self, src_ip, src_port, dst_ip, dst_port, payloads):
-        """For each of ``payloads``, in order, what :meth:`send_udp`
-        returns for ``UdpPacket(src_ip, src_port, dst_ip, dst_port,
-        payload)`` unrendered.  What is pure in the addressing and the
-        clock is worked out once: the :meth:`_flow`, and which boxes answer
-        ``PATH_IGNORE`` to the first datagram (the rest skip only those)."""
+    def send_many(self, src_ip, src_port, dst_ip, dst_port, questions,
+                  query):
+        """For each ``(qname, qtype, qclass, txid)`` of ``questions``, in
+        order, what :meth:`send_udp` returns for ``UdpPacket(src_ip,
+        src_port, dst_ip, dst_port, query(question))`` unrendered, or
+        the rows a stub reads off it where :meth:`_datagram` settles the
+        question.  Worked out once: the :meth:`_flow`, and which boxes
+        answer ``PATH_IGNORE`` to the first datagram (the rest skip
+        only those)."""
         flow = self._flow(src_ip, src_port, dst_ip, dst_port,
                           ip_to_int(dst_ip))
         checks, kept = self._path_checks, []
+        settles = self._settles()
         answers = []
-        for payload in payloads:
-            answers.append(self._datagram(flow, checks, kept, payload,
-                                          None, False))
+        for question in questions:
+            if settles:
+                answer = self._datagram(flow, checks, kept, query, None,
+                                        False, question)
+            else:
+                answer = self._datagram(flow, checks, kept, query(question),
+                                        None, False)
+            answers.append(answer)
             if kept is not None:
                 checks, kept = kept, None
         return answers
+
+    def relay(self, src_ip, src_port, dst_ip, dst_port, question, query):
+        """The first reply a relay at ``(src_ip, src_port)`` gets passing
+        a stub's ``question`` on to ``dst_ip``: a :meth:`send_many` row,
+        or :meth:`send_udp`'s first response; ``None`` if none comes."""
+        flow = self._flow(src_ip, src_port, dst_ip, dst_port,
+                          ip_to_int(dst_ip))
+        if self._settles():
+            replies = self._datagram(flow, self._path_checks, None, query,
+                                     None, True, question)
+        else:
+            replies = self._datagram(flow, self._path_checks, None,
+                                     query(question), None, True)
+        return replies[0] if replies else None
+
+    def _settles(self):
+        """Whether questions may settle at all: a recorder must see each
+        datagram; boxes reading replies and corruption need bytes."""
+        return (self.recorder is None and not self._response_droppers
+                and self.corruption_rate <= 0)
 
     def _flow(self, src_ip, src_port, dst_ip, dst_port, dst_int):
         """``(src_ip, src_port, dst_ip, dst_port, dst_int, node, query
@@ -600,10 +652,19 @@ class Network:
                 ^ dst_port << 17 ^ src_port << 1 if fated else None,
                 None if node is None else self._latency(src_int, dst_int) * 2)
 
-    def _datagram(self, flow, checks, kept, payload, packet, render):
-        """One datagram of ``flow``, the body of :meth:`send_probe` and
-        :meth:`send_many`: runs ``checks``, adding to the list ``kept``
-        (if given) those not answering ``PATH_IGNORE``."""
+    def _datagram(self, flow, checks, kept, payload, packet, render,
+                  question=None):
+        """One datagram of ``flow``, the body of :meth:`send_udp`,
+        :meth:`send_probe` and :meth:`send_many`: runs ``checks``, adding
+        to the list ``kept`` (if given) those not answering
+        ``PATH_IGNORE``.
+
+        With a ``question``, ``payload`` is the function that renders it,
+        called only if the datagram must take the wire: a box on the path
+        acts on the question, or the node has no answer plan
+        (:attr:`Node.settle`) or its plan declines.  Otherwise it settles:
+        the same fates in the same order, the plan's effects those of
+        ``handle_udp``, rows (:meth:`_settled`) and no packet built."""
         (src_ip, src_port, dst_ip, dst_port, dst_int, node, base,
          reply_base, rtt) = flow
         self.udp_queries_sent += 1
@@ -636,6 +697,10 @@ class Network:
                 continue
             if kept is not None:
                 kept.append(entry)
+            if question is not None:
+                if not box.acts_on(question):
+                    continue
+                payload, question = payload(question), None
             if packet is None:
                 packet = UdpPacket(src_ip, src_port, dst_ip, dst_port,
                                    payload, dst_int)
@@ -701,6 +766,13 @@ class Network:
         if not delivered:
             self.udp_queries_lost += 1
         elif node is not None:
+            if question is not None:
+                plan = node.settle
+                replies = None if plan is None else plan(
+                    dst_port, question, src_ip, self, payload)
+                if replies is not None:
+                    return self._settled(flow, question, replies)
+                payload = payload(question)
             if packet is None:
                 packet = UdpPacket(src_ip, src_port, dst_ip, dst_port,
                                    payload, dst_int)
@@ -715,9 +787,8 @@ class Network:
                         or reply.dst_ip is not src_ip
                         or reply.src_port != dst_port
                         or reply.dst_port != src_port):
-                    key = (ip_to_int(reply.src_ip) * 0x9E3779B1
-                           ^ ip_to_int(reply.dst_ip) * 0x85EBCA77
-                           ^ reply.src_port << 17 ^ reply.dst_port << 1)
+                    key = _flow_key(reply.src_ip, reply.src_port,
+                                    reply.dst_ip, reply.dst_port)
                 if loss_rate > 0 and self._packet_fate(
                         _SALT_RESPONSE_LOSS, loss_rate, key):
                     self.udp_queries_lost += 1
@@ -748,16 +819,12 @@ class Network:
                     if recorder is not None:
                         recorder.record(self.clock.now, "corrupted",
                                         src_ip, dst_int, "corruption")
-                if faults is not None and \
-                        faults.profile.truncation_rate > 0 and \
-                        faults.truncates_response(key, self._occurrence(
-                            _SALT_FAULT_TRUNC ^ key)):
+                if faults is not None and self._truncates(key):
                     # Truncated below the 12-byte DNS header: receivers
                     # must discard it as garbage.
                     reply = UdpPacket(reply.src_ip, reply.src_port,
                                       reply.dst_ip, reply.dst_port,
                                       bytes(reply.payload)[:8])
-                    self.count_fault("truncated_response")
                     if recorder is not None:
                         recorder.record(self.clock.now, "truncated",
                                         src_ip, dst_int,
@@ -777,6 +844,40 @@ class Network:
             responses.sort(key=attrgetter("injected"), reverse=True)
             responses.sort(key=attrgetter("latency"))
         return responses
+
+    def _settled(self, flow, question, replies):
+        """The rows of a settled question's ``replies`` past the fates its
+        wire twin draws: response loss, then truncation, which leaves a
+        reply no stub reads (records ``None``)."""
+        (src_ip, src_port, dst_ip, dst_port, __, __, __, reply_base,
+         __) = flow
+        loss_rate = self.loss_rate
+        rows = []
+        for rcode, records, source in replies:
+            key = reply_base
+            if source is None:
+                source = dst_ip
+            elif key is not None:
+                key = _flow_key(source, dst_port, src_ip, src_port)
+            if loss_rate > 0 and self._packet_fate(
+                    _SALT_RESPONSE_LOSS, loss_rate, key):
+                self.udp_queries_lost += 1
+                continue
+            if self.faults is not None and self._truncates(key):
+                records = None
+            rows.append((question[3], question[0], rcode, records, source,
+                         False))
+        return rows
+
+    def _truncates(self, key):
+        """The fault plan's (counted) truncation fate of a reply."""
+        faults = self.faults
+        if faults.profile.truncation_rate <= 0 or not \
+                faults.truncates_response(key, self._occurrence(
+                    _SALT_FAULT_TRUNC ^ key)):
+            return False
+        self.count_fault("truncated_response")
+        return True
 
     def _corrupt(self, payload):
         """Damage a payload beyond parseability (truncate + bit noise)."""

@@ -41,11 +41,12 @@ class Behavior:
         """Suffix matching: a behavior for example.com also covers
         www.example.com."""
         name = normalize_name(qname)
-        labels = name.split(".")
-        for i in range(len(labels)):
-            if ".".join(labels[i:]) in domains:
-                return True
-        return False
+        while name not in domains:
+            dot = name.find(".")
+            if dot < 0:
+                return False
+            name = name[dot + 1:]
+        return True
 
 
 class _DomainTargetedBehavior(Behavior):

@@ -212,6 +212,10 @@ class LazyResolverNode:
     def handle_udp(self, packet, network):
         return self._real().handle_udp(packet, network)
 
+    def settle(self, port, question, client_ip, network, query):
+        return self._real().settle(port, question, client_ip, network,
+                                   query)
+
     def tcp_ports(self):
         return self._real().tcp_ports()
 

@@ -1,6 +1,7 @@
 """Recursive resolver nodes and the shared honest-resolution service."""
 
 import random
+from functools import lru_cache
 
 from repro.dnswire.constants import (
     CLASS_CH,
@@ -16,7 +17,8 @@ from repro.dnswire.constants import (
 )
 from repro.dnswire.name import normalize_name
 from repro.dnswire.records import ResourceRecord
-from repro.dnswire.wire import WireReply, peek_query
+from repro.dnswire.wire import WireReply, peek_query, relayed_answer, \
+    reply_rows
 from repro.util import stable_hash
 from repro.authdns.resolution import IterativeResolver
 from repro.netsim.address import ip_to_int
@@ -54,6 +56,22 @@ def resolver_flags(mode, forward_to, behaviors, device):
     return flags
 
 
+def _ns_records(qname, ttl):
+    """The two NS records a snooped TLD is answered with."""
+    tld = normalize_name(qname)
+    return [ResourceRecord.ns(qname, host, ttl=ttl)
+            for host in ("a.nic.%s" % tld, "b.nic.%s" % tld)]
+
+
+@lru_cache(maxsize=1024)
+def _snooped_rdata(qname):
+    """The rdata a stub reads off :func:`_ns_records` (at any TTL), or
+    ``None`` when that reply does not parse."""
+    rows = reply_rows(qname, QTYPE_NS, CLASS_IN, RCODE_NOERROR, True,
+                      _ns_records(qname, 0))
+    return rows and tuple(data for __, __, data in rows)
+
+
 class HonestResult:
     """The outcome of an honest (hierarchy-following) resolution.
 
@@ -73,6 +91,24 @@ class HonestResult:
 
     def __repr__(self):
         return "HonestResult(rcode=%d, %r)" % (self.rcode, self.addresses)
+
+
+class AnswerClass:
+    """What resolvers honestly answer an A question for one name, worked
+    out once (DESIGN.md "Stub DNS client" → *Answer classes*): the GFWs
+    (of ``boxes``) that censor it, its CDN pool, and ``answers``: per
+    pool offset, or ``None`` for the trusted result, ``(result, records
+    a resolver caches, (rtype, ttl, rdata) rows a stub reads or None)``.
+    """
+
+    __slots__ = ("name", "boxes", "censors", "pool", "answers")
+
+    def __init__(self, name, boxes, pool):
+        self.name = name
+        self.boxes = boxes
+        self.censors = [gfw for gfw in boxes if gfw.censors_name(name)]
+        self.pool = pool
+        self.answers = {}
 
 
 class ResolutionService:
@@ -104,11 +140,14 @@ class ResolutionService:
         self._suffix_cache = {}
         # name -> (its _cache result, the records resolvers cache for it)
         self._records = {}
+        # name as asked -> its AnswerClass (wildcard names have none)
+        self._classes = {}
         self._trusted = IterativeResolver(self.root_ips, source_ip)
         self.full_resolutions = 0
 
     def register_cdn_pool(self, domain, edge_ips):
         self.cdn_pools[normalize_name(domain)] = list(edge_ips)
+        self._classes.clear()
 
     # -- internals ---------------------------------------------------------
 
@@ -183,13 +222,56 @@ class ResolutionService:
                                            source_ip=resolver.ip)
         pool = self._cdn_pool_for(name)
         if pool:
-            offset = stable_hash(resolver.ip, name) % len(pool)
-            count = min(self.answers_per_query, len(pool))
-            return HonestResult(
-                RCODE_NOERROR,
-                [pool[(offset + i) % len(pool)] for i in range(count)],
-                ttl=20)
+            return self._cdn_slice(pool,
+                                   stable_hash(resolver.ip, name) % len(pool))
         return self._trusted_answer(network, name, pool)
+
+    def _cdn_slice(self, pool, offset):
+        """The GeoDNS slice of an edge ``pool`` that a resolver whose
+        ``stable_hash(resolver ip, name)`` falls on ``offset`` sees."""
+        count = min(self.answers_per_query, len(pool))
+        return HonestResult(
+            RCODE_NOERROR,
+            [pool[(offset + i) % len(pool)] for i in range(count)], ttl=20)
+
+    def answer_class(self, qname, network):
+        """The :class:`AnswerClass` of ``qname``'s name, remade when the
+        network's GFWs change; ``None`` for a wildcard name."""
+        boxes = network.middleboxes_of(GreatFirewall)
+        answer_class = self._classes.get(qname)
+        if answer_class is None or answer_class.boxes is not boxes:
+            name = normalize_name(qname)
+            if self._wildcard_suffix(name) is not None:
+                return None
+            answer_class = self._classes[qname] = AnswerClass(
+                name, boxes, self._cdn_pool_for(name))
+        return answer_class
+
+    def settled_answer(self, answer_class, resolver, network):
+        """:meth:`resolve_for`'s answer for ``resolver`` as an entry of
+        ``answer_class.answers``; ``None`` -- no effect yet -- when a GFW
+        poisons the resolver's own lookup."""
+        name = answer_class.name
+        if not resolver.gfw_immune:
+            for gfw in answer_class.censors:
+                if gfw.poisons(resolver.ip, name):
+                    return None
+        result = key = None
+        if answer_class.pool:
+            key = stable_hash(resolver.ip, name) % len(answer_class.pool)
+        else:
+            result = self._cache.get(name) or self._trusted_answer(
+                network, name, None)
+        settled = answer_class.answers.get(key)
+        if settled is None or result is not None and settled[0] is not result:
+            result = result or self._cdn_slice(answer_class.pool, key)
+            records = self.cache_records(name, result)
+            rows = reply_rows(name, QTYPE_A, CLASS_IN, result.rcode, True,
+                              records)
+            # Shared by every resolver's answer: never mutated.
+            settled = answer_class.answers[key] = (
+                result, records, rows and tuple(rows))
+        return settled
 
     def cache_records(self, name, result):
         """What a resolver caches for ``result``, its answer for ``name``:
@@ -257,15 +339,18 @@ class ResolverNode(Node):
 
     # -- DNS ------------------------------------------------------------------
 
-    def handle_udp(self, packet, network):
-        if packet.dst_port != 53:
-            return None
+    def _offline(self, network):
+        """Whether a fault-injected offline episode (flapping CPE) keeps
+        the host unreachable this week: silence, exactly like churn."""
         faults = network.faults
         if faults is not None and faults.resolver_offline(
                 ip_to_int(self.ip), network.clock.now):
-            # Fault-injected offline episode (flapping CPE): the host is
-            # unreachable this week — silence, exactly like churn.
             network.count_fault("resolver_flap")
+            return True
+        return False
+
+    def handle_udp(self, packet, network):
+        if packet.dst_port != 53 or self._offline(network):
             return None
         question = peek_query(packet.payload)
         if question is None:
@@ -284,8 +369,101 @@ class ResolverNode(Node):
             return [(payload, self.answer_source_ip)]
         return payload
 
+    def settle(self, port, question, client_ip, network, query):
+        """:meth:`handle_udp`'s replies to the stub query of ``question``
+        that ``query`` renders, from ``client_ip``, as :attr:`Node.settle`
+        declares them: the same effects in the same order, each answer as
+        the rows a stub reads off it.  A forwarder relays the question
+        through :meth:`Network.relay` and answers with what the upstream
+        said; A and NS questions a normal resolver answers come from
+        :meth:`_settled_a` and :meth:`_settled_ns`, anything else from
+        :meth:`respond`."""
+        qname, qtype, qclass, txid = question
+        if port != 53 or network.faults is not None \
+                and self._offline(network):
+            return []
+        self.query_count += 1
+        if self.forward_to is not None and qclass == CLASS_IN \
+                and qtype != QTYPE_NS:
+            reply = network.relay(self.ip, 53535, self.forward_to, 53,
+                                  question, query)
+            if reply is None:
+                return []
+            if type(reply) is tuple:
+                answer = reply[2:4]
+            else:   # the upstream's datagram, relayed as it arrived
+                answer = relayed_answer(reply.packet.payload, txid)
+        elif qtype not in (QTYPE_A, QTYPE_NS) or qclass != CLASS_IN \
+                or self.response_mode != MODE_NORMAL \
+                or not self._client_allowed(client_ip):
+            answer = self._rows(qname, qtype, qclass, self.respond(
+                qname, qtype, qclass, network, client_ip=client_ip))
+        elif qtype == QTYPE_A:
+            answer = self._settled_a(qname, network)
+        else:
+            answer = self._settled_ns(qname, network)
+        if answer is None:
+            return []
+        return [answer + (self.answer_source_ip,)]
+
+    @staticmethod
+    def _rows(qname, qtype, qclass, answer):
+        """``(rcode, rows)`` of a :meth:`respond` answer (``None``:
+        silence)."""
+        if answer is None:
+            return None
+        rcode, ra, records = answer
+        return rcode & 0xF, reply_rows(qname, qtype, qclass, rcode, ra,
+                                       records)
+
+    def _settled_a(self, qname, network):
+        """:meth:`_a_response` as ``(rcode, rows)``: a behaviour's answer,
+        else the name's :class:`AnswerClass` -- a cache hit on the records
+        the class shares, or a miss the class settles -- and
+        :meth:`_honest_response` where neither holds."""
+        if self.behaviors:
+            answer = self._behavior_response(qname, network)
+            if answer is not None:
+                return self._rows(qname, QTYPE_A, CLASS_IN, answer)
+        service = self.service
+        answer_class = None if service is None else service.answer_class(
+            qname, network)
+        if answer_class is not None:
+            name = answer_class.name
+            now = network.clock.now
+            cached = self.cache.lookup(name, QTYPE_A, now)
+            if cached is None:
+                settled = service.settled_answer(answer_class, self, network)
+                if settled is not None:
+                    result, records, rows = settled
+                    if result.rcode == RCODE_NOERROR and result.addresses:
+                        self.cache.put(name, QTYPE_A, records, now,
+                                       ttl=result.ttl)
+                    return result.rcode & 0xF, rows
+            else:
+                trusted = answer_class.answers.get(None)
+                if trusted is not None and cached[0] is trusted[1]:
+                    # A hit answers every record at the decayed TTL.
+                    ttl = cached[1] & 0xFFFFFFFF
+                    return RCODE_NOERROR, trusted[2] and [
+                        (rtype, ttl, data) for rtype, __, data in trusted[2]]
+        return self._rows(qname, QTYPE_A, CLASS_IN,
+                          self._honest_response(qname, network))
+
+    def _settled_ns(self, qname, network):
+        """:meth:`_ns_response` as ``(rcode, rows)``, or ``None``."""
+        ttl = self._snooped(qname, network)
+        if ttl is None:
+            return None
+        if ttl == "empty":
+            return RCODE_NOERROR, []
+        rdata = _snooped_rdata(qname)
+        return RCODE_NOERROR, rdata and [
+            (QTYPE_NS, ttl & 0xFFFFFFFF, data) for data in rdata]
+
     def _forward(self, packet, network):
-        """Relay the raw query to the upstream and return its answer."""
+        """Relay the raw query to the upstream and return its answer (the
+        first datagram back, as it arrived)."""
         upstream = UdpPacket(self.ip, 53535, self.forward_to, 53,
                              packet.payload)
         for response in network.send_udp(upstream):
@@ -325,11 +503,21 @@ class ResolverNode(Node):
         return RCODE_NOTIMP, True, ()
 
     def _a_response(self, qname, network):
+        answer = self._behavior_response(qname, network)
+        if answer is None:
+            answer = self._honest_response(qname, network)
+        return answer
+
+    def _behavior_response(self, qname, network):
+        """The answer of the first behaviour that wants ``qname``."""
         for behavior in self.behaviors:
             answer = behavior.answer(self, qname, network)
             if answer is not None:
                 return (answer.rcode, True,
                         self._behavior_records(qname, answer))
+        return None
+
+    def _honest_response(self, qname, network):
         honest = self.resolve_honest(qname, network)
         records = [ResourceRecord.a(qname, address, ttl=honest.ttl)
                    for address in honest.addresses]
@@ -374,17 +562,24 @@ class ResolverNode(Node):
 
     def _ns_response(self, qname, network):
         """Cache-snooping view: NS records for TLDs with live cache TTLs."""
-        tld = normalize_name(qname)
-        observable = self.activity.observable_ttl(tld, network.clock.now)
-        if self.activity.style == CacheActivityModel.STYLE_UNREACHABLE:
+        ttl = self._snooped(qname, network)
+        if ttl is None:
             return None
-        if observable == "silent":
+        if ttl == "empty":
+            return RCODE_NOERROR, True, ()
+        return RCODE_NOERROR, True, _ns_records(qname, ttl)
+
+    def _snooped(self, qname, network):
+        """The NS TTL a snooper sees for the TLD ``qname``: ``None`` for
+        silence, ``"empty"`` for an answer without records."""
+        observable = self.activity.observable_ttl(normalize_name(qname),
+                                                  network.clock.now)
+        if self.activity.style == CacheActivityModel.STYLE_UNREACHABLE \
+                or observable == "silent":
             return None
         if observable is None or observable == "empty":
-            return RCODE_NOERROR, True, ()
-        return RCODE_NOERROR, True, [
-            ResourceRecord.ns(qname, host, ttl=int(observable))
-            for host in ("a.nic.%s" % tld, "b.nic.%s" % tld)]
+            return "empty"
+        return int(observable)
 
     def _ptr_response(self, qname, network):
         if self.service is None:

@@ -14,6 +14,12 @@ from repro.dnswire.constants import QTYPE_A, QTYPE_NS, RCODE_NOERROR
 from repro.scanner.encoding import TXID_BITS, ResolverIdCodec
 
 
+def _addresses(records):
+    """The A addresses among an answer's ``(rtype, ttl, rdata)`` rows."""
+    return tuple([data.address for rtype, __, data in records
+                  if rtype == QTYPE_A])
+
+
 class DnsObservation:
     """One resolver's answer(s) for one scanned domain."""
 
@@ -23,13 +29,14 @@ class DnsObservation:
         self.domain = domain
         self.resolver_ip = resolver_ip       # target (decoded identity)
         self.rcode = rcode                   # of the first response
-        self.addresses = list(addresses)     # of the first response
+        self.addresses = tuple(addresses)    # of the first response
         self.source_ip = source_ip           # UDP source of first response
         self.ns_record_count = ns_record_count  # NS-only answers (§4.1)
-        # All responses observed: list of (rcode, [addresses]) in arrival
+        # All responses observed: (rcode, (addresses...)) pairs in arrival
         # order.  More than one entry with disagreeing answers is the GFW
-        # signature.
-        self.all_responses = list(all_responses or [])
+        # signature.  Tuples of strings, which the collector stops
+        # tracking: the 13 sets' observations stay resident.
+        self.all_responses = tuple(all_responses or ())
         self.injected_suspect = injected_suspect
 
     @property
@@ -70,33 +77,31 @@ class DomainScanner:
     def _query_resolver(self, resolver_ip, resolver_id, domains, cased):
         """The :class:`DnsObservation` of each of ``domains`` (``cased``
         in the resolver's 0x20 pattern) that got an answer, in order: one
-        :func:`ask_many` call on the resolver's (port, txid) flow."""
+        :func:`ask_many` call on the resolver's (port, txid) flow.
+
+        Every accepted answer echoes the flow's txid and comes back to its
+        source port, which :meth:`ResolverIdCodec.decode` reads back as
+        ``resolver_id``: the identity is the flow's, so no row is
+        decoded."""
         txid, src_port = self.codec.flow(resolver_id)
         self.queries_sent += len(cased)
         observations = []
         for domain, rows in zip(domains, ask_many(
                 self.network, self.source_ip, src_port, resolver_ip,
                 [(cased_qname, txid) for cased_qname in cased])):
-            responses = []
-            injected = False
-            for echoed_txid, echoed, rcode, records, response in rows:
-                if self.codec.decode(echoed_txid, response.packet.dst_port,
-                                     echoed) != resolver_id:
-                    continue
-                responses.append((
-                    rcode,
-                    [data.address for rtype, __, data in records
-                     if rtype == QTYPE_A],
-                    response.packet.src_ip,
-                    sum(1 for rtype, __, __ in records if rtype == QTYPE_NS)))
-                injected = injected or response.injected
-            if responses:
-                rcode, addresses, source_ip, ns_count = responses[0]
-                observations.append(DnsObservation(
-                    domain, resolver_ip, rcode, addresses,
-                    source_ip=source_ip,
-                    all_responses=[(r, a) for r, a, __, __n in responses],
-                    injected_suspect=injected, ns_record_count=ns_count))
+            if not rows:
+                continue
+            __, __, rcode, records, source_ip, injected = rows[0]
+            responses = [(rcode, _addresses(records))]
+            for __, __, other_rcode, other, __, other_injected in rows[1:]:
+                responses.append((other_rcode, _addresses(other)))
+                injected = injected or other_injected
+            observations.append(DnsObservation(
+                domain, resolver_ip, rcode, responses[0][1],
+                source_ip=source_ip, all_responses=responses,
+                injected_suspect=injected,
+                ns_record_count=[rtype for rtype, __, __ in records].count(
+                    QTYPE_NS)))
         return observations
 
     def scan(self, resolver_ips, domains, index_range=None,

@@ -12,7 +12,8 @@ def mix64(value):
     pure functions of (seed, flow, occurrence) through this hash —
     independent of how concurrent flows interleave, which is what lets
     sharded scan workers reproduce a sequential scan exactly.  The
-    per-probe loops (``Network.send_probe``, ``Network._query_losses``,
+    per-probe and per-answer draws (``Network._datagram``,
+    ``Network._packet_fate``, ``Network._query_losses``,
     ``Ipv4Scanner._sweep``) inline it and say so.
     """
     value &= M64

@@ -33,9 +33,6 @@ class RotatingAZone(Zone):
         for name, addresses in edge_pool.items():
             self._edge_pool[normalize_name(name)] = list(addresses)
 
-    def set_pool(self, name, addresses):
-        self._edge_pool[normalize_name(name)] = list(addresses)
-
     def lookup(self, qname, qtype):
         name = normalize_name(qname)
         if qtype == QTYPE_A and name in self._edge_pool:

@@ -70,10 +70,6 @@ class HtmlPage:
         self._body.append(_script_tag(src, code))
         return self
 
-    def add_iframe(self, src):
-        self._body.append('<iframe src="%s"></iframe>' % src)
-        return self
-
     def add_form(self, action, fields, method="POST", submit_label="Submit"):
         """A form with named input fields (login pages, phishing pages)."""
         inputs = "".join(

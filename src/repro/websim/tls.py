@@ -58,11 +58,6 @@ class CertificateAuthority:
         self.issued.append(certificate)
         return certificate
 
-    def issue_wildcard(self, domain):
-        return self.issue("*.%s" % normalize_name(domain),
-                          san=("*.%s" % normalize_name(domain),
-                               normalize_name(domain)))
-
     @staticmethod
     def self_signed(common_name, san=()):
         """A self-signed certificate, as phishing hosts present (§4.3)."""

@@ -71,10 +71,12 @@ class ScriptedNetwork:
         return [UdpResponse(packet.reply(payload), 0.01 * (order + 1))
                 for order, payload in enumerate(self.script(query))]
 
-    def send_many(self, src_ip, src_port, dst_ip, dst_port, payloads):
+    def send_many(self, src_ip, src_port, dst_ip, dst_port, questions,
+                  query):
+        """Every question on the wire: it settles none."""
         return [self.send_udp(UdpPacket(src_ip, src_port, dst_ip, dst_port,
-                                        payload), rendered=False)
-                for payload in payloads]
+                                        query(question)), rendered=False)
+                for question in questions]
 
 
 def genuine_answer(query):
@@ -152,7 +154,7 @@ def drive_iterative(network):
 
 # (consumer, drive, value when answered, value when nothing acceptable)
 CONSUMERS = [
-    ("domainscan", drive_domainscan, (RCODE_NOERROR, [ADDRESS], 2), None),
+    ("domainscan", drive_domainscan, (RCODE_NOERROR, (ADDRESS,), 2), None),
     ("snooping", drive_snooping, [NS_TTL], [None]),
     ("popularity",
      lambda network: PopularityProber(network, CLIENT, ["com"])
@@ -328,9 +330,7 @@ class TestHostilePeers:
                              [("Example.com", 7), ("example.COM", 8),
                               ("Example.com", 7)][:len(scripts)], rd=rd)
             exchanges.append((network.flows, network.payloads, [
-                [row_fields(row[:4]) + (row[4].packet.payload,
-                                        row[4].latency) for row in rows]
-                for rows in answers]))
+                [row_fields(row) for row in rows] for rows in answers]))
         assert exchanges[0] == exchanges[1]
 
     def test_ask_many_rows_an_unrendered_reply_as_its_parse(self):

@@ -7,9 +7,8 @@ from repro.dnswire import constants
 from repro.dnswire.message import Header, Message, Question
 from repro.dnswire.records import (MxData, OpaqueData, ResourceRecord,
                                    SoaData)
-from repro.dnswire.client import _query
-from repro.dnswire.wire import (WireQuery, WireReply, answer_wire,
-                                message_row, peek_query)
+from repro.dnswire.wire import (WireReply, answer_wire, message_row,
+                                peek_query, reply_rows)
 from tests.oracles import message_fields, row_fields
 
 LABEL = st.text(alphabet="abcXYZ019-_", min_size=1, max_size=12)
@@ -32,18 +31,6 @@ class TestPeekQuery:
     def test_longest_name_accepted(self):
         name = ".".join(["a" * 63] * 3 + ["a" * 61])    # 255 bytes on wire
         assert peek_query(Message.query(name).to_wire())[0] == name
-
-    @given(st.one_of(NAME, st.sampled_from(["WwW.Example.COM.", ".",
-                                            "x" * 63 + ".com"])),
-           st.integers(0, 0xFFFF), st.integers(0, 0xFFFF),
-           st.integers(0, 0xFFFF), st.booleans())
-    def test_a_wire_query_reads_as_its_bytes(self, name, txid, qtype,
-                                             qclass, rd):
-        """The stub client's ``WireQuery`` carries the reading of its
-        frame: exactly what ``peek_query`` reads off its bytes."""
-        query = _query(name, txid, qtype, qclass, rd)
-        assert type(query) is WireQuery
-        assert peek_query(query) == peek_query(bytes(query))
 
     @given(st.binary(max_size=48), st.binary(min_size=2, max_size=2))
     def test_the_reading_never_looks_at_the_txid(self, datagram, txid):
@@ -145,8 +132,8 @@ def replies(draw):
 
 
 class TestWireReply:
-    """:meth:`WireReply.message` and :meth:`WireReply.row` against a
-    parse of the bytes the reply stands for, field by field."""
+    """:meth:`WireReply.message` and :func:`reply_rows` against a parse
+    of the bytes the reply stands for, field by field."""
 
     @settings(max_examples=300)
     @given(replies())
@@ -161,10 +148,13 @@ class TestWireReply:
     @settings(max_examples=300)
     @given(replies())
     def test_row_equals_the_parse_of_its_bytes(self, drawn):
-        reply, __ = drawn
-        row = reply.row()
-        assert row_fields(row) \
-            == row_fields(message_row(Message.from_wire(reply.wire())))
+        reply, records = drawn
+        name, qtype, qclass = reply.question
+        rows = reply_rows(name, qtype, qclass, reply.rcode, reply.ra,
+                          records)
+        assert row_fields((None, None, None, rows)) == row_fields(
+            (None, None, None,
+             message_row(Message.from_wire(reply.wire()))[3]))
 
     def test_plain_records_are_not_rendered(self):
         query = Message.query("wWw.ExAmple.cOm", txid=3).to_wire()

@@ -2,17 +2,21 @@
 
 ``send_many`` works out a flow's addressing, node, round trip, flow keys
 and middlebox path verdicts once, then runs the one per-datagram body
-for each payload.  Twin worlds — one sending each flow's datagrams in
-one ``send_many`` call, the other one ``send_udp(rendered=False)`` at a
-time — must see the same responses (bytes, addressing, latency,
-injected flag, order) and end with the same traffic, fault, flow and
-flight-recorder state, whatever the path does to the datagrams.
+for each question, settling by class what needs no wire.  Twin worlds —
+one sending each flow's questions in one ``send_many`` call, the other
+one ``send_udp(rendered=False)`` at a time — must see the same
+responses (for a datagram on the wire: bytes, addressing, latency,
+injected flag, order; for a settled question: the rows a stub reads off
+the other side's responses) and end with the same traffic, fault, flow
+and flight-recorder state, whatever the path does to the datagrams.
 """
 
 from hypothesis import example, given, settings, strategies as st
 
 from repro.dnswire import CLASS_CH, CLASS_IN, QTYPE_A, QTYPE_NS, QTYPE_TXT
+from repro.dnswire.client import _accepted
 from repro.dnswire.message import Message
+from repro.dnswire.wire import message_row
 from repro.faults import FaultPlan, FaultProfile
 from repro.netsim import GreatFirewall, Ipv4Network
 from repro.netsim.address import ip_to_int
@@ -21,6 +25,7 @@ from repro.netsim.network import Network, UdpPacket
 from repro.obs.flight import FlightRecorder
 from repro.resolvers import ResolverNode
 from tests.conftest import MiniWorld
+from tests.oracles import row_fields
 
 OUTSIDE_CLIENT = "198.51.100.7"
 INSIDE_CLIENT = "110.0.0.9"         # behind the firewall below
@@ -90,24 +95,64 @@ FLOWS = st.lists(st.tuples(
     st.lists(QUESTIONS, min_size=1, max_size=5)), min_size=1, max_size=5)
 
 
+def question_of(drawn):
+    """``send_many``'s ``(qname, qtype, qclass, txid)`` of a drawn one."""
+    name, (qtype, qclass), txid = drawn
+    return name, qtype, qclass, txid
+
+
 def payload_of(question):
-    name, (qtype, qclass), txid = question
+    name, qtype, qclass, txid = question
     return Message.query(name, qtype=qtype, qclass=qclass,
                          txid=txid).to_wire()
 
 
-def per_datagram(network, src_ip, src_port, dst_ip, dst_port, payloads):
+def per_datagram(network, src_ip, src_port, dst_ip, dst_port, questions,
+                 query):
     return [network.send_udp(UdpPacket(src_ip, src_port, dst_ip, dst_port,
-                                       payload), rendered=False)
-            for payload in payloads]
+                                       query(question)), rendered=False)
+            for question in questions]
 
 
-def seen(answers):
-    return [[(bytes(response.packet.payload), response.packet.src_ip,
-              response.packet.src_port, response.packet.dst_ip,
-              response.packet.dst_port, response.latency,
-              response.injected) for response in responses]
-            for responses in answers]
+def wire(responses):
+    return [(bytes(response.packet.payload), response.packet.src_ip,
+             response.packet.src_port, response.packet.dst_ip,
+             response.packet.dst_port, response.latency, response.injected)
+            for response in responses]
+
+
+def rows_read(question, replies):
+    """The rows a stub reads off ``replies``: settled rows as they are,
+    each response's row when ``ask_many`` would accept it."""
+    rows = []
+    for reply in replies:
+        if type(reply) is tuple:
+            if reply[3] is not None:    # else a reply no stub reads
+                rows.append(row_fields(reply))
+            continue
+        message = _accepted(reply.packet.payload, question[3])
+        if message is not None:
+            row = message_row(message)
+            rows.append(row_fields((row[0], question[0] if row[1] is None
+                                    else row[1], row[2],
+                                    row[3], reply.packet.src_ip,
+                                    reply.injected)))
+    return rows
+
+
+def seen(questions, batched, single):
+    """Per question, what both sides saw: a datagram ``send_many`` sent
+    on the wire as the responses themselves, a settled one (or one
+    without a reply) as the rows a stub reads."""
+    sides = ([], [])
+    for question, mine, theirs in zip(questions, batched, single):
+        if mine and type(mine[0]) is not tuple:
+            sides[0].append(wire(mine))
+            sides[1].append(wire(theirs))
+        else:
+            sides[0].append(rows_read(question, mine))
+            sides[1].append(rows_read(question, theirs))
+    return sides
 
 
 def network_state(network):
@@ -138,14 +183,15 @@ def network_state(network):
             for txid in range(5)]) for index in range(6)])
 def test_send_many_is_one_send_udp_per_datagram(setup, flows):
     twins = [build_world(setup), build_world(setup)]
-    for advance, client, index, port, questions in flows:
-        payloads = [payload_of(question) for question in questions]
-        sides = []
+    for advance, client, index, port, drawn in flows:
+        questions = [question_of(question) for question in drawn]
+        answers = []
         for send, (world, resolvers) in zip(
                 (Network.send_many, per_datagram), twins):
             world.clock.advance(advance)
-            sides.append(seen(send(world.network, client, port,
-                                   resolvers[index], 53, payloads)))
+            answers.append(send(world.network, client, port,
+                                resolvers[index], 53, questions, payload_of))
+        sides = seen(questions, *answers)
         assert sides[0] == sides[1]
         assert network_state(twins[0][0].network) \
             == network_state(twins[1][0].network)
@@ -158,10 +204,10 @@ def test_a_dropping_box_counts_every_datagram_once():
                                     "corruption_rate": 0.0, "faults": False,
                                     "recorder": True})
     network = world.network
-    payloads = [payload_of(("www.plain.com", (QTYPE_A, CLASS_IN), txid))
-                for txid in range(4)]
+    questions = [("www.plain.com", QTYPE_A, CLASS_IN, txid)
+                 for txid in range(4)]
     assert network.send_many(OUTSIDE_CLIENT, 31000, resolvers[4], 53,
-                             payloads) == [[]] * 4
+                             questions, payload_of) == [[]] * 4
     assert network.fault_counters == {"defense:blocklisted": 4}
     assert network.recorder.cause_counts == {"defense:blocklisted": 4}
     assert network.udp_queries_lost == 4

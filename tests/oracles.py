@@ -11,9 +11,10 @@ holds every configuration of the IPv4 sweep to :func:`reference_sweep`;
 the resolver's wire path to :class:`MessageResolverNode`, and
 ``tests/dnswire/test_client.py`` the stub client to :func:`message_ask`
 and :func:`message_ask_many`, and ``tests/test_reporting.py`` swaps the
-latter in for a whole study.  :func:`message_fields` and
-:func:`row_fields` are what "the same message" and "the same row" mean
-in those comparisons.
+latter in for a whole study; ``tests/resolvers/test_settled.py`` holds
+the questions ``ask_many`` settles by answer class to :func:`ask_each`.
+:func:`message_fields` and :func:`row_fields` are what "the same
+message" and "the same row" mean in those comparisons.
 """
 
 from collections import Counter
@@ -32,9 +33,11 @@ from repro.dnswire.constants import (CLASS_CH, CLASS_IN, QTYPE_A, QTYPE_NS,
                                      QTYPE_PTR, QTYPE_TXT, RCODE_NOERROR,
                                      RCODE_NOTIMP, RCODE_REFUSED,
                                      RCODE_SERVFAIL)
+from repro.dnswire.client import ask
 from repro.dnswire.message import HEADER_STRUCT, peek_header
 from repro.dnswire.name import NameCompressor, normalize_name
 from repro.dnswire.records import ResourceRecord
+from repro.dnswire.wire import message_row
 from repro.netsim.address import int_to_ip, ip_to_int
 from repro.netsim.network import UdpPacket
 from repro.resolvers.cache import CacheActivityModel
@@ -158,8 +161,9 @@ def message_fields(message):
 
 
 def row_fields(row):
-    """Every field of a ``(txid, name, rcode, records[, response])``
-    row: each record's type, TTL and rdata class and attributes."""
+    """Every field of a ``(txid, name, rcode, records[, source ip,
+    injected])`` row: each record's type, TTL and rdata class and
+    attributes."""
     return row[:3] + ([(rtype, ttl, type(data), vars(data))
                        for rtype, ttl, data in row[3]],) + row[4:]
 
@@ -187,16 +191,36 @@ def message_ask_many(network, source_ip, source_port, server_ip, questions,
                      qtype=QTYPE_A, qclass=CLASS_IN, rd=True):
     """``repro.dnswire.client.ask_many`` as one :func:`message_ask` per
     question — a ``send_udp`` and a full parse per datagram — with each
-    row read off the parsed ``Message``."""
+    row read off the parsed ``Message`` and its response."""
     return [[(message.header.txid,
               message.question.name if message.question else qname,
               message.rcode,
               [(record.rtype, record.ttl, record.data)
-               for record in message.answers], response)
+               for record in message.answers], response.packet.src_ip,
+              response.injected)
              for message, response in message_ask(
                  network, source_ip, source_port, server_ip, qname, txid,
                  qtype=qtype, qclass=qclass, rd=rd)]
             for qname, txid in questions]
+
+
+def ask_each(network, source_ip, source_port, server_ip, questions,
+             qtype=QTYPE_A, qclass=CLASS_IN, rd=True):
+    """``repro.dnswire.client.ask_many`` as one ``ask`` per question —
+    every datagram on the wire through ``send_udp``, nothing settled by
+    class — with each accepted ``Message`` read as its row."""
+    rows = []
+    for qname, txid in questions:
+        accepted = []
+        for message, response in ask(network, source_ip, source_port,
+                                     server_ip, qname, txid, qtype=qtype,
+                                     qclass=qclass, rd=rd):
+            row = message_row(message)
+            accepted.append((row[0], qname if row[1] is None else row[1],
+                             row[2], row[3], response.packet.src_ip,
+                             response.injected))
+        rows.append(accepted)
+    return rows
 
 
 class MessageResolverNode(ResolverNode):

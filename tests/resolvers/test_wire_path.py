@@ -19,9 +19,10 @@ from repro.dnswire import (CLASS_CH, CLASS_IN, QTYPE_A, QTYPE_NS, QTYPE_PTR,
 from repro.dnswire.client import ask, ask_many
 from repro.dnswire.message import Header, Question
 from repro.dnswire.name import apply_0x20
-from repro.dnswire.wire import WireReply, message_row
+from repro.dnswire.wire import WireReply, answer_wire, message_row, \
+    reply_rows
 from repro.netsim import GreatFirewall, Ipv4Network, UdpPacket
-from repro.resolvers import behaviors
+from repro.resolvers import behaviors, resolver
 from repro.resolvers.cache import CacheActivityModel
 from repro.resolvers.resolver import (MODE_NORMAL, MODE_REFUSED,
                                       MODE_SERVFAIL, MODE_SILENT,
@@ -211,10 +212,12 @@ def test_handle_udp_matches_the_message_responder(setup, queries):
 
 def assert_reads_as_parsed(reply):
     """``reply.message()`` equals the parse of ``reply.wire()``, and
-    ``reply.row()`` that parse's row."""
+    ``reply_rows`` of its answer that parse's rows."""
     parsed = Message.from_wire(reply.wire())
     assert message_fields(reply.message()) == message_fields(parsed)
-    assert row_fields(reply.row()) == row_fields(message_row(parsed))
+    rows = reply_rows(*reply.question, reply.rcode, reply.ra, reply.records)
+    assert row_fields((None, None, None, rows)) \
+        == row_fields((None, None, None, message_row(parsed)[3]))
 
 
 def rendered(answer):
@@ -280,9 +283,7 @@ def test_ask_many_reads_what_the_parse_of_the_bytes_reads(setup, batches):
                                          worlds):
             world.clock.advance(advance)
             exchanges.append([
-                [row_fields(row[:4]) + (row[4].packet.src_ip,
-                                        row[4].latency, row[4].injected)
-                 for row in rows]
+                [row_fields(row) for row in rows]
                 for rows in client(world.network, CLIENT, 4321, node.ip,
                                    questions, qtype=qtype, qclass=qclass,
                                    rd=rd)])
@@ -293,12 +294,13 @@ def test_ask_many_reads_what_the_parse_of_the_bytes_reads(setup, batches):
 @pytest.mark.parametrize("seed", [7, 11])
 def test_every_reply_of_a_tiny_study_reads_as_parsed(seed, monkeypatch):
     """Every reply a resolver builds in a tiny study (scale 1:60000, two
-    weeks, 20 snooped resolvers), and every ``Message`` ``ask`` and
-    every row ``ask_many`` handed out for one, equals the parse of the
-    reply's bytes."""
+    weeks, 20 snooped resolvers), every ``Message`` a client read off
+    one, and every answer a resolver settled as rows equals the parse of
+    the reply's bytes."""
     built = []
     handed = []
-    init, message, row = WireReply.__init__, WireReply.message, WireReply.row
+    settled = []
+    init, message = WireReply.__init__, WireReply.message
 
     def recording_init(self, *args):
         init(self, *args)
@@ -311,21 +313,25 @@ def test_every_reply_of_a_tiny_study_reads_as_parsed(seed, monkeypatch):
             == message_fields(Message.from_wire(self.wire()))
         return result
 
-    def checked_row(self):
-        result = row(self)
-        handed.append(self._wire is None)
-        assert row_fields(result) \
-            == row_fields(message_row(Message.from_wire(self.wire())))
-        return result
+    def checked_rows(qname, qtype, qclass, rcode, ra, records):
+        rows = reply_rows(qname, qtype, qclass, rcode, ra, records)
+        query = Message.query(qname, qtype=qtype, qclass=qclass).to_wire()
+        parsed = Message.from_wire(answer_wire(query, qname, rcode, ra,
+                                               records))
+        assert row_fields((None, None, None, rows)) \
+            == row_fields((None, None, None, message_row(parsed)[3]))
+        settled.append(rows)
+        return rows
 
     monkeypatch.setattr(WireReply, "__init__", recording_init)
     monkeypatch.setattr(WireReply, "message", checked_message)
-    monkeypatch.setattr(WireReply, "row", checked_row)
+    monkeypatch.setattr(resolver, "reply_rows", checked_rows)
     run_full_study(build_scenario(ScenarioConfig(scale=60000, seed=seed)),
                    weeks=2, snoop_sample=20)
-    # Most replies went to ask_many and were read from the tuple,
-    # unrendered.
-    assert handed.count(True) > len(built) / 2
+    # Most replies a client read were read from the tuple, unrendered;
+    # many answers settled.
+    assert handed.count(True) > len(handed) / 2
+    assert len(settled) > len(built)
     for reply in built:
         assert_reads_as_parsed(reply)
 

@@ -193,7 +193,7 @@ class TestDomainScanner:
         assert len(observations) == 1
         observation = observations[0]
         assert observation.resolver_ip == node.ip
-        assert observation.addresses == ["198.18.0.1"]
+        assert observation.addresses == ("198.18.0.1",)
         assert observation.rcode == 0
         assert not observation.multiple_disagreeing
 
@@ -247,4 +247,4 @@ class TestDomainScanner:
         scanner = DomainScanner(world.network, world.client_ip)
         observation = scanner.scan([node.ip], ["example.com"])[0]
         assert observation.ns_record_count == 1
-        assert observation.addresses == []
+        assert observation.addresses == ()

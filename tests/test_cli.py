@@ -520,6 +520,19 @@ class TestObserveKnobValidation:
             build_parser().parse_args(
                 ["observe", "stats", "--store-dir", "  "])
 
+    @pytest.mark.parametrize("value", ["1e10", "9223372036"])
+    def test_ingest_poll_beyond_the_sleep_clock_rejected(self, value,
+                                                         capsys):
+        """A finite interval ``time.sleep`` cannot wait (above
+        ``threading.TIMEOUT_MAX``, or close enough that the deadline
+        overflows) dies at the parser, not in the first poll."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["observe", "serve", "--store-dir", "/tmp/s",
+                 "--ingest-poll", value])
+        assert exc.value.code == 2
+        assert "--ingest-poll: must be at most" in capsys.readouterr().err
+
     def test_good_knobs_parse(self):
         args = build_parser().parse_args(
             ["observe", "serve", "--store-dir", "/tmp/s",
@@ -590,6 +603,27 @@ class TestObserveCli:
         message = exc.value.code
         assert isinstance(message, str) and "\n" not in message
         assert message.startswith("error: ") and "re-ingest" in message
+
+    def test_watch_with_an_unsleepable_poll_is_a_usage_error(
+            self, tmp_path, capsys):
+        """``observe ingest --watch --ingest-poll 1e10`` on a real
+        journal exits 2 with one argparse line before ingesting anything;
+        it used to ingest, then die in ``time.sleep`` with OverflowError."""
+        ckpt = str(tmp_path / "ckpt")
+        store = tmp_path / "store"
+        assert main(["campaign", "--weeks", "1",
+                     "--checkpoint-dir", ckpt] + SMALL) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["observe", "ingest", "--from", ckpt, "--store-dir",
+                  str(store), "--no-geo", "--watch", "--ingest-poll",
+                  "1e10"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].endswith(
+            "argument --ingest-poll: must be at most 4611686018 seconds "
+            "(got '1e10')")
+        assert not store.exists()
 
     def test_ingest_missing_checkpoint_is_a_clear_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
