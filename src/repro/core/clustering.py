@@ -93,6 +93,14 @@ def hierarchical_cluster(items, distance_fn, threshold, linkage="average"):
     Merging stops when the smallest inter-cluster distance exceeds
     ``threshold``.
     """
+    return cluster_matrix(items, _distance_matrix(items, distance_fn),
+                          threshold, linkage)
+
+
+def cluster_matrix(items, distance, threshold, linkage="average"):
+    """:func:`hierarchical_cluster` over a ready distance matrix:
+    ``distance[i][j]`` for items ``i`` and ``j``, one list per row (the
+    merges overwrite it)."""
     if linkage not in ("average", "single", "complete"):
         raise ValueError("unknown linkage %r" % linkage)
     n = len(items)
@@ -101,9 +109,8 @@ def hierarchical_cluster(items, distance_fn, threshold, linkage="average"):
         return [], dendrogram
     if n == 1:
         return [Cluster([0], [items[0]])], dendrogram
-    members = _agglomerate_nn_chain(
-        n, _distance_matrix(items, distance_fn), threshold, linkage,
-        dendrogram)
+    members = _agglomerate_nn_chain(n, distance, threshold, linkage,
+                                    dendrogram)
     clusters = [Cluster(indices, [items[index] for index in indices])
                 for __, indices in sorted(members.items())]
     return clusters, dendrogram

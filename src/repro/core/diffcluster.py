@@ -14,7 +14,7 @@ import difflib
 import re
 from collections import Counter
 
-from repro.core.clustering import hierarchical_cluster
+from repro.core.clustering import cluster_matrix
 from repro.core.distance import jaccard_distance
 
 _TAG_WITH_ATTRS_RE = re.compile(r"<([a-zA-Z][a-zA-Z0-9]*)\b[^>]*>")
@@ -87,35 +87,44 @@ class DiffProfile:
             sum(self.added.values()), sum(self.removed.values()))
 
 
-def build_diff_profile(capture, ground_truth_bodies, distance_fn=None,
-                       page_profiles=None):
+def quick_ratio(counts_a, counts_b):
+    """difflib's ``quick_ratio`` of two strings from their character
+    ``Counter``s: matching characters over the mean length, the same
+    float ``SequenceMatcher(a=..., b=...).quick_ratio()`` returns."""
+    length = sum(counts_a.values()) + sum(counts_b.values())
+    if not length:
+        return 1.0
+    return 2 * sum((counts_a & counts_b).values()) / length
+
+
+def build_diff_profile(capture, ground_truth_bodies, truth_counts=None):
     """Diff one capture against its best-matching ground truth.
 
     ``ground_truth_bodies`` is a list of legitimate HTML representations
     of the same requested domain; when several exist (CDN variants), the
-    one most similar to the capture is selected, preferring the coarse
-    distance function when profiles are supplied.
+    one most similar to the capture is selected.  ``truth_counts`` maps a
+    body to its character counts: a caller that diffs many captures
+    passes one dict, so that each body is counted once.
     """
     if not ground_truth_bodies:
         raise ValueError("need at least one ground-truth representation")
+    if truth_counts is None:
+        truth_counts = {}
+    page_counts = None
     best_body = None
     best_score = None
-    if distance_fn is not None and page_profiles is not None:
-        capture_profile, truth_profiles = page_profiles
-        for body, profile in zip(ground_truth_bodies, truth_profiles):
-            score = distance_fn(capture_profile, profile)
-            if best_score is None or score < best_score:
-                best_score = score
-                best_body = body
-    else:
-        for body in ground_truth_bodies:
-            score = 0.0 if body == capture.body else \
-                1.0 - difflib.SequenceMatcher(
-                    a=body[:4000], b=(capture.body or "")[:4000],
-                    autojunk=False).quick_ratio()
-            if best_score is None or score < best_score:
-                best_score = score
-                best_body = body
+    for body in ground_truth_bodies:
+        if body == capture.body:
+            score = 0.0
+        else:
+            if page_counts is None:
+                page_counts = Counter((capture.body or "")[:4000])
+            if body not in truth_counts:
+                truth_counts[body] = Counter(body[:4000])
+            score = 1.0 - quick_ratio(truth_counts[body], page_counts)
+        if best_score is None or score < best_score:
+            best_score = score
+            best_body = body
     added, removed = tag_diff(capture.body, best_body)
     return DiffProfile(capture, added, removed, 1.0 - (best_score or 0.0))
 
@@ -128,19 +137,17 @@ def diff_cluster(diff_profiles, threshold=0.5):
     end up in one cluster.
     """
     # Many responses, few kinds of modification: the Jaccard distance
-    # is computed once per pair of signatures and every pair of profiles
-    # is answered from that.  All profiles still enter the clustering,
-    # so the average-linkage weights are those of the full set.
-    by_signatures = {}
-
-    def distance(profile_a, profile_b):
-        key = (profile_a.signature, profile_b.signature)
-        value = by_signatures.get(key)
-        if value is None:
-            value = by_signatures[key] = jaccard_distance(
-                profile_a.combined_multiset(),
-                profile_b.combined_multiset())
-        return value
-
-    return hierarchical_cluster(diff_profiles, distance, threshold,
-                                linkage="average")
+    # is computed once per pair of signatures, and each profile's row
+    # of the matrix is read from its signature's row.  All profiles
+    # still enter the clustering, so the average-linkage weights are
+    # those of the full set.
+    slot_of = {}
+    slots = [slot_of.setdefault(profile.signature, len(slot_of))
+             for profile in diff_profiles]
+    # Each signature's signed multiset, as ``combined_multiset`` builds it.
+    multisets = [Counter(dict(signature)) for signature in slot_of]
+    table = [[jaccard_distance(a, b) for b in multisets] for a in multisets]
+    matrix = [[row[other] for other in slots]
+              for row in (table[slot] for slot in slots)]
+    return cluster_matrix(diff_profiles, matrix, threshold,
+                          linkage="average")

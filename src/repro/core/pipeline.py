@@ -261,6 +261,7 @@ class ManipulationPipeline:
         diff_profiles = []
         reused = 0
         built = {}
+        truth_counts = {}
         for capture in report.http_captures:
             domain = normalize_name(capture.domain)
             truths = report.ground_truth_bodies.get(domain)
@@ -269,7 +270,8 @@ class ManipulationPipeline:
             page = (capture.body, domain)
             first = built.get(page)
             if first is None:
-                profile = built[page] = build_diff_profile(capture, truths)
+                profile = built[page] = build_diff_profile(
+                    capture, truths, truth_counts)
             else:
                 profile = DiffProfile(capture, first.added, first.removed,
                                       first.similarity_to_truth)

@@ -54,9 +54,6 @@ class AutonomousSystem:
     def rir(self):
         return rir_for_country(self.country)
 
-    def add_prefix(self, prefix):
-        self.prefixes.append(prefix)
-
     def __contains__(self, ip):
         return any(ip in prefix for prefix in self.prefixes)
 
@@ -84,13 +81,6 @@ class AsRegistry:
         self._systems[autonomous_system.asn] = autonomous_system
         for prefix in autonomous_system.prefixes:
             self._entries.append((prefix.base, prefix, autonomous_system.asn))
-        self._dirty = True
-
-    def attach_prefix(self, asn, prefix):
-        """Register an additional prefix under an existing AS (CDN edges)."""
-        system = self._systems[asn]
-        system.add_prefix(prefix)
-        self._entries.append((prefix.base, prefix, asn))
         self._dirty = True
 
     def _reindex(self):

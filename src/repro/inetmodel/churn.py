@@ -12,6 +12,7 @@ which is what drives the population decline in Figure 1.
 import random
 
 from repro.inetmodel.rdns import dynamic_pool_name
+from repro.netsim.address import ip_to_int
 
 
 class LeasedHost:
@@ -54,16 +55,16 @@ class ChurnModel:
         self.rdns = rdns
         self._rng = random.Random(seed)
         self._hosts = []
-        self._pool_used = {}  # pool.cidr -> set of used offsets
+        self._pool_used = {}  # pool.base -> set of used offsets
         self.rebind_count = 0
         self.offline_count = 0
 
     def add(self, host):
         """Track a host; schedules its first lease expiry."""
         self._hosts.append(host)
-        used = self._pool_used.setdefault(host.pool.cidr, set())
-        from repro.netsim.address import ip_to_int
-        used.add(ip_to_int(host.node.ip) - host.pool.base)
+        pool = host.pool
+        used = self._pool_used.setdefault(pool.base, set())
+        used.add(ip_to_int(host.node.ip) - pool.base)
         if host.dynamic:
             host.expires_at = (self.network.clock.now
                                + self._jittered(host.lease_duration))
@@ -80,7 +81,7 @@ class ChurnModel:
         return duration * (0.5 + self._rng.random())
 
     def _free_offset(self, pool):
-        used = self._pool_used.setdefault(pool.cidr, set())
+        used = self._pool_used.setdefault(pool.base, set())
         if len(used) >= pool.num_addresses - 2:
             raise RuntimeError("pool %s exhausted" % pool.cidr)
         while True:
@@ -91,8 +92,7 @@ class ChurnModel:
                 return offset
 
     def _release(self, host):
-        from repro.netsim.address import ip_to_int
-        used = self._pool_used.get(host.pool.cidr)
+        used = self._pool_used.get(host.pool.base)
         if used is not None:
             used.discard(ip_to_int(host.node.ip) - host.pool.base)
 

@@ -31,17 +31,5 @@ class SimClock:
             raise ValueError("cannot move the clock backwards (%r)" % seconds)
         self.now += seconds
 
-    def advance_minutes(self, minutes):
-        self.advance(minutes * MINUTE)
-
-    def advance_hours(self, hours):
-        self.advance(hours * HOUR)
-
-    def advance_days(self, days):
-        self.advance(days * DAY)
-
-    def advance_weeks(self, weeks):
-        self.advance(weeks * WEEK)
-
     def __repr__(self):
         return "SimClock(now=%.1f)" % self.now

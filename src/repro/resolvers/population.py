@@ -11,14 +11,19 @@ manipulation behaviors supplied by the scenario (§4).
 
 import random
 from array import array
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 
 from repro.inetmodel.churn import LeasedHost
 from repro.inetmodel.rdns import dynamic_pool_name, static_name
 from repro.netsim.address import int_to_ip, ip_to_int
 from repro.netsim.clock import DAY, WEEK
 from repro.resolvers.cache import CacheActivityModel
-from repro.resolvers.devices import DEVICE_CATALOG, profiles_with_tcp
+from repro.resolvers.devices import (
+    ANONYMOUS_PROFILE_KEYS,
+    DEVICE_CATALOG,
+    prevalence_of,
+    profiles_with_tcp,
+)
 from repro.resolvers.resolver import (
     MODE_NORMAL,
     MODE_REFUSED,
@@ -32,7 +37,7 @@ from repro.resolvers.software import (
     SOFTWARE_CATALOG,
     STYLE_VERSION,
 )
-from repro.util import weighted_choice
+from repro.util import PickTable
 
 # Hardware-category weights among TCP-responding resolvers (Table 4).
 _HARDWARE_WEIGHTS = {
@@ -54,6 +59,27 @@ _SNOOP_UNREACHABLE_SHARE = 0.168
 # Within in-use resolvers: share refreshed within <=5s of expiry (38.7 of
 # 61.6 in-use).
 _FREQUENT_WITHIN_IN_USE = 0.387 / 0.616
+_IN_USE_STYLES = (CacheActivityModel.STYLE_NORMAL,
+                  CacheActivityModel.STYLE_RESETTING,
+                  CacheActivityModel.STYLE_IDLE)
+
+# Draw tables: every weighted pick of a member's derivation, summed once
+# at import (see ``PickTable``).  Software is the catalogue plus the long
+# tail sharing the rest; devices are each hardware class's TCP profiles
+# by prevalence ("Others" being NAS, DSLAM and servers).
+_CHAOS_STYLES = PickTable(CHAOS_STYLE_SHARES)
+_SOFTWARE = PickTable(
+    list(SOFTWARE_CATALOG)
+    + [(profile, (1.0 - sum(share for __, share in SOFTWARE_CATALOG))
+        / len(LONG_TAIL_SOFTWARE)) for profile in LONG_TAIL_SOFTWARE])
+_HARDWARE = PickTable(_HARDWARE_WEIGHTS.items())
+_DEVICES = {hardware: PickTable(
+    (profile, prevalence_of(profile)) for profile in profiles_with_tcp()
+    if profile.hardware == hardware or (
+        hardware == "Others"
+        and profile.hardware in ("NAS", "DSLAM", "Server")))
+    for hardware in _HARDWARE_WEIGHTS if hardware != "Unknown"}
+_ACTIVITY = PickTable(_ACTIVITY_SHARES)
 
 
 class ResolverSpec:
@@ -110,23 +136,10 @@ class ResolverSpec:
 _ALLOCATE = object()
 
 
-class _Synthesis:
-    """Everything one per-node derivation replay produces."""
-
-    __slots__ = ("node", "device", "behaviors", "forward_to", "divergent",
-                 "mode", "lease", "offline_after", "online_after")
-
-    def __init__(self, node, device, behaviors, forward_to, divergent,
-                 mode, lease, offline_after, online_after):
-        self.node = node
-        self.device = device
-        self.behaviors = behaviors
-        self.forward_to = forward_to
-        self.divergent = divergent
-        self.mode = mode
-        self.lease = lease
-        self.offline_after = offline_after
-        self.online_after = online_after
+# Everything one per-node derivation replay produces.
+_Synthesis = namedtuple("_Synthesis", (
+    "node", "device", "behaviors", "forward_to", "divergent", "mode",
+    "lease", "offline_after", "online_after"))
 
 
 class LazyPool:
@@ -260,56 +273,44 @@ class PopulationBuilder:
 
     # -- per-resolver attribute draws ---------------------------------------
 
+    # Each ``a + (b - a) * rng.random()`` below is ``rng.uniform(a, b)``
+    # inlined: the same expression, so the same float.
+
     def _draw_chaos(self, rng):
-        style = weighted_choice(rng, CHAOS_STYLE_SHARES)
-        software = None
-        if style == STYLE_VERSION:
-            catalog_share = sum(share for __, share in SOFTWARE_CATALOG)
-            items = list(SOFTWARE_CATALOG) + [
-                (profile, (1.0 - catalog_share) / len(LONG_TAIL_SOFTWARE))
-                for profile in LONG_TAIL_SOFTWARE]
-            software = weighted_choice(rng, items)
+        style = _CHAOS_STYLES.pick(rng)
+        software = _SOFTWARE.pick(rng) if style == STYLE_VERSION else None
         return style, software
 
     def _draw_device(self, rng, tcp_service_share):
-        from repro.resolvers.devices import ANONYMOUS_PROFILE_KEYS
         if rng.random() >= tcp_service_share:
             return DEVICE_CATALOG["silent-cpe"]
-        hardware = weighted_choice(rng, list(_HARDWARE_WEIGHTS.items()))
+        hardware = _HARDWARE.pick(rng)
         if hardware == "Unknown":
             key = ANONYMOUS_PROFILE_KEYS[
                 rng.randrange(len(ANONYMOUS_PROFILE_KEYS))]
             return DEVICE_CATALOG[key]
-        candidates = [profile for profile in profiles_with_tcp()
-                      if profile.hardware == hardware
-                      or (hardware == "Others"
-                          and profile.hardware in ("NAS", "DSLAM", "Server"))]
-        if not candidates:
-            return DEVICE_CATALOG["silent-cpe"]
-        from repro.resolvers.devices import prevalence_of
-        return weighted_choice(rng, [(profile, prevalence_of(profile))
-                                     for profile in candidates])
+        return _DEVICES[hardware].pick(rng)
 
     def _draw_activity(self, rng):
         if rng.random() < _SNOOP_UNREACHABLE_SHARE:
             return CacheActivityModel(CacheActivityModel.STYLE_UNREACHABLE)
-        style = weighted_choice(rng, _ACTIVITY_SHARES)
-        patterns = {}
-        if style in (CacheActivityModel.STYLE_NORMAL,
-                     CacheActivityModel.STYLE_RESETTING,
-                     CacheActivityModel.STYLE_IDLE):
-            frequent = rng.random() < _FREQUENT_WITHIN_IN_USE
+        style = _ACTIVITY.pick(rng)
+        patterns = None
+        if style in _IN_USE_STYLES:
+            # Refresh gap in seconds: uniform in [0.5, 5) or [30, 3600).
+            low, span = ((0.5, 5.0 - 0.5)
+                         if rng.random() < _FREQUENT_WITHIN_IN_USE
+                         else (30.0, 3600.0 - 30.0))
+            tlds = self.snooping_tlds
             # In-use resolvers refresh several TLDs; with a 36h probe
             # window over 48h TTLs only ~75% of refreshes are observable,
             # so >=5 patterns are needed for >=3 observed re-adds.
-            tld_count = rng.randint(5, max(5, len(self.snooping_tlds)))
-            chosen = rng.sample(list(self.snooping_tlds),
-                                min(tld_count, len(self.snooping_tlds)))
-            for tld in chosen:
-                gap = (rng.uniform(0.5, 5.0) if frequent
-                       else rng.uniform(30.0, 3600.0))
-                phase = rng.uniform(0, 172800)
-                patterns[tld] = (gap, phase)
+            tld_count = rng.randint(5, max(5, len(tlds)))
+            random_ = rng.random
+            patterns = {tld: (low + span * random_(),
+                              0 + (172800 - 0) * random_())
+                        for tld in rng.sample(tlds,
+                                              min(tld_count, len(tlds)))}
         # Snooped TLD NS TTLs are two days (172800s) at the registries.
         return CacheActivityModel(style, tld_patterns=patterns, ttl=172800)
 
@@ -318,9 +319,9 @@ class PopulationBuilder:
         if point < spec.day_lease_share:
             # Consumer CPE leases mostly expire within the first day
             # (>40% of the cohort disappears in 24h, Fig. 2).
-            return DAY * rng.uniform(0.25, 0.85)
+            return DAY * (0.25 + (0.85 - 0.25) * rng.random())
         if point < spec.day_lease_share + spec.week_lease_share:
-            return WEEK * rng.uniform(0.4, 1.2)
+            return WEEK * (0.4 + (1.2 - 0.4) * rng.random())
         # "Static" addresses still churn eventually (Fig 2's slow decay).
         return rng.expovariate(1.0 / (spec.static_mean_weeks * WEEK))
 
@@ -395,8 +396,9 @@ class PopulationBuilder:
         lease = self._draw_lease(rng, spec)
         offline_after = None
         if rng.random() < spec.offline_fraction:
-            offline_after = now + WEEK * rng.uniform(
-                spec.offline_start_week, spec.offline_end_week)
+            start = spec.offline_start_week
+            offline_after = now + WEEK * (
+                start + (spec.offline_end_week - start) * rng.random())
         if mode == MODE_REFUSED:
             # Closed resolvers are deliberately-operated servers: they
             # neither churn nor vanish (Fig. 1: REFUSED stays stable).
@@ -404,7 +406,7 @@ class PopulationBuilder:
             offline_after = None
         online_after = None
         if rng.random() < spec.growth_fraction:
-            online_after = now + WEEK * rng.uniform(2, 50)
+            online_after = now + WEEK * (2 + (50 - 2) * rng.random())
         node = None
         if build_node:
             node = ResolverNode(
@@ -424,28 +426,44 @@ class PopulationBuilder:
                           mode, lease, offline_after, online_after)
 
     def build_pool(self, spec):
-        """Create ``spec.count`` resolvers inside the spec's pool prefix."""
-        if self.lazy:
-            return self._build_pool_lazy(spec)
-        return self._build_pool_eager(spec)
+        """Create ``spec.count`` resolvers inside the spec's pool prefix.
 
-    def _build_pool_eager(self, spec):
+        Eager and lazy builds make the same draws in the same order, so
+        the shared builder and churn RNG streams advance identically.
+        A lazy build keeps only the 17-byte derivation record per node
+        and registers a placeholder.  Deliberately skipped relative to
+        eager: the per-node rDNS draws and PTR registration — they are
+        terminal on the per-node stream and touch no shared RNG, so
+        nothing downstream of the skip can diverge; lazy worlds simply
+        have no PTR records for pool members (documented in DESIGN.md).
+        """
         now = self.network.clock.now
-        built = []
         # Tiny pools (scaled-down small countries) skip the provider +
         # forwarder structure; it only matters at realistic pool sizes.
         provider = (self._build_provider(spec)
                     if spec.forwarder_share > 0 and spec.count >= 12
                     else None)
-        if provider is not None:
-            built.append(provider)
+        built = [provider] if provider is not None else []
+        provider_ip = provider.ip if provider is not None else None
+        pool = None
+        if self.lazy:
+            pool = LazyPool(self, spec, provider_ip, now)
+            self.lazy_pools.append(pool)
         for index in range(spec.count):
-            rng = random.Random(self._rng.getrandbits(64))
+            seed = self._rng.getrandbits(64)
             ip = self.churn.allocate_address(spec.pool_prefix)
-            syn = self._synthesize(
-                rng, spec, index, ip,
-                provider.ip if provider is not None else None, now)
+            rng = random.Random(seed)
+            syn = self._synthesize(rng, spec, index, ip, provider_ip, now,
+                                   build_node=pool is None)
             node = syn.node
+            if pool is not None:
+                pool.seeds.append(seed)
+                pool.ips.append(ip_to_int(ip))
+                pool.divergents.append(
+                    ip_to_int(syn.divergent) if syn.divergent else 0)
+                pool.flags.append(resolver_flags(
+                    syn.mode, syn.forward_to, syn.behaviors, syn.device))
+                node = LazyResolverNode(ip, pool, index)
             host = LeasedHost(node, spec.pool_prefix,
                               lease_duration=syn.lease,
                               offline_after=syn.offline_after,
@@ -453,7 +471,8 @@ class PopulationBuilder:
                               online_after=syn.online_after)
             if host.online:
                 self.network.register(node)
-                if self.rdns is not None and rng.random() < spec.rdns_coverage:
+                if pool is None and self.rdns is not None \
+                        and rng.random() < spec.rdns_coverage:
                     dynamic_ptr = (syn.lease <= WEEK * 1.5
                                    and rng.random() < spec.dynamic_token_share)
                     name = (dynamic_pool_name(ip, spec.isp_domain)
@@ -464,54 +483,6 @@ class PopulationBuilder:
             self.resolvers.append(node)
             self.hosts.append(host)
             built.append(node)
-        self.by_country.setdefault(spec.country, []).extend(built)
-        return built
-
-    def _build_pool_lazy(self, spec):
-        """Like :meth:`_build_pool_eager` but nodes stay virtual.
-
-        The dry pass replays every per-node draw (the shared builder and
-        churn RNG streams must advance exactly as in an eager build) and
-        keeps only the 17-byte derivation record per node.  Deliberately
-        skipped relative to eager: the per-node rDNS draws and PTR
-        registration — they are terminal on the per-node stream and
-        touch no shared RNG, so nothing downstream of the skip can
-        diverge; lazy worlds simply have no PTR records for pool
-        members (documented in DESIGN.md).
-        """
-        now = self.network.clock.now
-        built = []
-        provider = (self._build_provider(spec)
-                    if spec.forwarder_share > 0 and spec.count >= 12
-                    else None)
-        if provider is not None:
-            built.append(provider)
-        pool = LazyPool(self, spec,
-                        provider.ip if provider is not None else None, now)
-        self.lazy_pools.append(pool)
-        for index in range(spec.count):
-            seed = self._rng.getrandbits(64)
-            ip = self.churn.allocate_address(spec.pool_prefix)
-            syn = self._synthesize(random.Random(seed), spec, index, ip,
-                                   pool.provider_ip, now, build_node=False)
-            pool.seeds.append(seed)
-            pool.ips.append(ip_to_int(ip))
-            pool.divergents.append(
-                ip_to_int(syn.divergent) if syn.divergent else 0)
-            pool.flags.append(resolver_flags(syn.mode, syn.forward_to,
-                                             syn.behaviors, syn.device))
-            placeholder = LazyResolverNode(ip, pool, index)
-            host = LeasedHost(placeholder, spec.pool_prefix,
-                              lease_duration=syn.lease,
-                              offline_after=syn.offline_after,
-                              isp_domain=spec.isp_domain,
-                              online_after=syn.online_after)
-            if host.online:
-                self.network.register(placeholder)
-            self.churn.add(host)
-            self.resolvers.append(placeholder)
-            self.hosts.append(host)
-            built.append(placeholder)
         self.by_country.setdefault(spec.country, []).extend(built)
         return built
 

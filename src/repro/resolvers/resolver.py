@@ -326,7 +326,19 @@ class ResolverNode(Node):
         self.recursion_available = recursion_available
         self.cache = DnsCache()
         self.query_count = 0
-        self._hidden_rng = random.Random(ip)
+        # Seeded from the birth address (churn rebinds ``ip``, lazy
+        # materialization overwrites it), and made on first use.
+        self._birth_ip = ip
+        self._chaos_rng = None
+
+    @property
+    def _hidden_rng(self):
+        """The RNG of error-style and hidden-version CHAOS answers: a
+        2.5 KB Mersenne Twister that most nodes never draw from."""
+        rng = self._chaos_rng
+        if rng is None:
+            rng = self._chaos_rng = random.Random(self._birth_ip)
+        return rng
 
     @property
     def lazy_flags(self):

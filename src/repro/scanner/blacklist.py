@@ -33,12 +33,6 @@ class Blacklist:
             return True
         return any(net.contains_int(value) for net in self.networks)
 
-    @property
-    def blacklisted_address_count(self):
-        """Total addresses covered (networks may overlap; upper bound)."""
-        return (sum(net.num_addresses for net in self.networks)
-                + len(self.addresses))
-
     def __repr__(self):
         return "Blacklist(%d networks, %d addresses)" % (
             len(self.networks), len(self.addresses))

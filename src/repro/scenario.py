@@ -86,7 +86,7 @@ from repro.websim import (
 from repro.websim.httpserver import ContentTransformServer, StaticPageServer
 from repro.websim.mail import banners_for_provider, provider_for_hostname
 from repro.websim import pages
-from repro.util import apportion, weighted_choice
+from repro.util import PickTable, apportion
 
 # ---------------------------------------------------------------------------
 # Country plan: (country, Jan-2014 resolver count in paper units, relative
@@ -182,6 +182,7 @@ BACKGROUND_MIX = (
     ("error", 0.600), ("login", 0.140), ("parking", 0.210),
     ("misc", 0.045), ("search", 0.003), ("blocking", 0.002),
 )
+_BACKGROUND_KINDS = PickTable(BACKGROUND_MIX)
 BACKGROUND_SHARE = 0.027       # share of all resolvers
 EMPTY_ANSWER_SHARE = 0.055     # NOERROR-empty for everything (§4.1)
 NS_ONLY_SHARE = 0.0011
@@ -678,7 +679,7 @@ def _make_behavior_factory(scenario):
                    for category in ALL_CATEGORIES}
 
     def background_behavior(rng, spec):
-        kind = weighted_choice(rng, BACKGROUND_MIX)
+        kind = _BACKGROUND_KINDS.pick(rng)
         if kind == "error":
             pool = special["web_servers"] + special["dead"]
             return StaticIpBehavior(pool[rng.randrange(len(pool))])

@@ -1,6 +1,7 @@
 """Small shared utilities."""
 
 import zlib
+from bisect import bisect_right
 
 M64 = (1 << 64) - 1
 
@@ -36,18 +37,36 @@ def stable_hash(*parts):
     return zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF
 
 
-def weighted_choice(rng, weighted_items):
-    """Pick from ``[(item, weight), ...]`` with the given RNG."""
-    total = sum(weight for __, weight in weighted_items)
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    point = rng.random() * total
-    cumulative = 0.0
-    for item, weight in weighted_items:
-        cumulative += weight
-        if point < cumulative:
-            return item
-    return weighted_items[-1][0]
+class PickTable:
+    """A weighted pick over a fixed ``[(item, weight), ...]`` list.
+
+    The running sums are built once; a pick is the first item whose
+    running sum exceeds ``rng.random() * total`` (the last item when
+    rounding puts the point at or past the last sum), by ``bisect_right``.
+    ``total`` is ``sum()`` of the weights, never the last running sum:
+    from Python 3.12 ``sum()`` compensates float rounding, and a drawn
+    world depends on which one scales the point.
+    """
+
+    __slots__ = ("_sums", "_total", "_picks")
+
+    def __init__(self, weighted_items):
+        weighted_items = tuple(weighted_items)
+        total = sum(weight for __, weight in weighted_items)
+        if total <= 0 or any(weight < 0 for __, weight in weighted_items):
+            raise ValueError("weights must be >= 0 with a positive sum")
+        self._sums = []
+        running = 0.0
+        for __, weight in weighted_items:
+            running += weight
+            self._sums.append(running)
+        self._total = total
+        items = tuple(item for item, __ in weighted_items)
+        self._picks = items + items[-1:]   # a point past the last sum
+
+    def pick(self, rng):
+        return self._picks[bisect_right(self._sums,
+                                        rng.random() * self._total)]
 
 
 def percentage(part, whole):

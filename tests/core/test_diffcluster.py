@@ -9,9 +9,11 @@ from repro.core.diffcluster import (
     DiffProfile,
     build_diff_profile,
     diff_cluster,
+    quick_ratio,
     tag_diff,
 )
-from tests.oracles import pairwise_diff_cluster, signed_multiset
+from tests.oracles import (difflib_quick_ratio, pairwise_diff_cluster,
+                           signed_multiset)
 
 ORIGINAL = ("<html><head><title>Bank</title></head><body>"
             "<h1>Bank</h1><p>welcome</p>"
@@ -79,6 +81,42 @@ class TestDiffProfile:
         combined = profile.combined_multiset()
         assert combined["+script"] == 2
         assert combined["-form"] == 1
+
+
+class TestQuickRatioAgainstDifflib:
+    """The similarity that picks a capture's ground truth is difflib's
+    ``quick_ratio``, float for float."""
+
+    @given(st.text(max_size=300), st.text(max_size=300))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_difflib(self, a, b):
+        assert quick_ratio(Counter(a), Counter(b)) \
+            == difflib_quick_ratio(a, b)
+
+    @given(st.text(alphabet="<>/abcdiv =\"", max_size=2000),
+           st.text(alphabet="<>/abcdiv =\"", max_size=2000))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_difflib_on_markup(self, a, b):
+        assert quick_ratio(Counter(a), Counter(b)) \
+            == difflib_quick_ratio(a, b)
+
+    def test_empty_strings(self):
+        assert quick_ratio(Counter(), Counter()) \
+            == difflib_quick_ratio("", "") == 1.0
+        assert quick_ratio(Counter("ab"), Counter()) \
+            == difflib_quick_ratio("ab", "") == 0.0
+
+    def test_truth_counted_once_per_caller(self):
+        other = "<html><body><table></table></body></html>"
+        counts = {}
+        build_diff_profile(capture_with(ORIGINAL + "<p>"), [other, ORIGINAL],
+                           counts)
+        assert set(counts) == {other, ORIGINAL}
+        assert counts[ORIGINAL] == Counter(ORIGINAL)
+        first = counts[ORIGINAL]
+        build_diff_profile(capture_with(ORIGINAL + "<b>"), [other, ORIGINAL],
+                           counts)
+        assert counts[ORIGINAL] is first
 
 
 class TestDiffClustering:

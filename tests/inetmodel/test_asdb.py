@@ -57,13 +57,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.add(AutonomousSystem(64500, "dup", "US"))
 
-    def test_attach_prefix(self, registry):
-        registry, systems = registry
-        allocator = PrefixAllocator(start="200.0.0.0")
-        extra = allocator.allocate(24)
-        registry.attach_prefix(64501, extra)
-        assert registry.asn_of(extra.address_at(1)) == 64501
-
     def test_all_systems(self, registry):
         registry, __ = registry
         assert len(registry.all_systems()) == 4

@@ -13,13 +13,13 @@ def test_advance_units():
     clock = SimClock()
     clock.advance(5)
     assert clock.now == 5
-    clock.advance_minutes(1)
+    clock.advance(MINUTE)
     assert clock.now == 5 + MINUTE
-    clock.advance_hours(1)
+    clock.advance(HOUR)
     assert clock.now == 5 + MINUTE + HOUR
-    clock.advance_days(1)
+    clock.advance(DAY)
     assert clock.now == 5 + MINUTE + HOUR + DAY
-    clock.advance_weeks(1)
+    clock.advance(WEEK)
     assert clock.now == 5 + MINUTE + HOUR + DAY + WEEK
 
 

@@ -12,11 +12,15 @@ the resolver's wire path to :class:`MessageResolverNode`, and
 ``tests/dnswire/test_client.py`` the stub client to :func:`message_ask`
 and :func:`message_ask_many`, and ``tests/test_reporting.py`` swaps the
 latter in for a whole study; ``tests/resolvers/test_settled.py`` holds
-the questions ``ask_many`` settles by answer class to :func:`ask_each`.
-:func:`message_fields` and :func:`row_fields` are what "the same
-message" and "the same row" mean in those comparisons.
+the questions ``ask_many`` settles by answer class to :func:`ask_each`;
+``tests/test_util.py`` holds ``PickTable`` to :func:`weighted_choice`,
+and ``tests/core/test_diffcluster.py`` the diff stage's similarity to
+:func:`difflib_quick_ratio`.  :func:`message_fields` and
+:func:`row_fields` are what "the same message" and "the same row" mean
+in those comparisons.
 """
 
+import difflib
 from collections import Counter
 
 from repro.authdns.resolution import IterativeResolver
@@ -50,6 +54,26 @@ from repro.scanner.ipv4scan import ScanResult, TargetFilter
 from repro.scanner.lfsr import LFSR
 from repro.scanner.pacing import (build_pacing_plan, defense_plane,
                                   normalize_pacing)
+
+
+def weighted_choice(rng, weighted_items):
+    """Pick from ``[(item, weight), ...]``: one loop over the running
+    sums per pick (what ``repro.util.PickTable`` replaced)."""
+    total = sum(weight for __, weight in weighted_items)
+    if total <= 0:
+        raise ValueError("weights must sum to a positive value")
+    point = rng.random() * total
+    cumulative = 0.0
+    for item, weight in weighted_items:
+        cumulative += weight
+        if point < cumulative:
+            return item
+    return weighted_items[-1][0]
+
+
+def difflib_quick_ratio(a, b):
+    """difflib's upper bound on the similarity of two strings."""
+    return difflib.SequenceMatcher(a=a, b=b, autojunk=False).quick_ratio()
 
 
 def dp_edit_distance(seq_a, seq_b, cap=None):

@@ -17,7 +17,11 @@ import random
 
 import pytest
 
+from repro.netsim.address import int_to_ip
+from repro.netsim.clock import WEEK
 from repro.resolvers.population import LazyResolverNode
+from repro.resolvers.resolver import ResolverNode
+from repro.resolvers.software import STYLE_ERROR, STYLE_HIDDEN
 from repro.scenario import ScenarioConfig, build_scenario
 
 SCALE = 120000          # a few hundred pool members: fast, full variety
@@ -27,6 +31,14 @@ def _scenario(lazy, node_cache=8192, seed=3):
     return build_scenario(ScenarioConfig(
         scale=SCALE, seed=seed, lazy_population=lazy,
         node_cache=node_cache))
+
+
+def _chaos_draws(node):
+    """The first three draws of the node's CHAOS RNG, read from a copy
+    so that fingerprinting draws nothing."""
+    copy = random.Random()
+    copy.setstate(node._hidden_rng.getstate())
+    return tuple(copy.random() for __ in range(3))
 
 
 def _fingerprint(node):
@@ -47,6 +59,7 @@ def _fingerprint(node):
         tuple(sorted(
             (key, repr(value)) for key, value in vars(activity).items()))
         if activity else None,
+        _chaos_draws(node),
     )
 
 
@@ -108,6 +121,73 @@ class TestMaterializationOrder:
             if node.ip in lazy:
                 eager[node.ip] = _fingerprint(node)
         assert eager == lazy
+
+
+def _chaos_answers(node):
+    """Three CHAOS answers, as (rcode, record texts)."""
+    answers = []
+    for __ in range(3):
+        rcode, __, records = node._chaos_response("version.bind")
+        answers.append((rcode, [record.data for record in records]))
+    return answers
+
+
+def _born_at(node, birth_ip):
+    """The answers of a node with ``node``'s CHAOS style, built at
+    ``birth_ip`` and never moved: what the node must answer."""
+    return _chaos_answers(ResolverNode(birth_ip, software=node.software,
+                                       chaos_style=node.chaos_style))
+
+
+def _drawing(node):
+    return node.chaos_style in (STYLE_ERROR, STYLE_HIDDEN)
+
+
+class TestChaosRngFollowsBirthAddress:
+    """A node's CHAOS RNG is made on first use from the address the
+    node was born at: churn moving the node, or the LRU evicting and
+    rebuilding it, must not reseed it from the current address."""
+
+    def test_after_churn_rebind(self):
+        scenario = _scenario(False)
+        births = {id(node): node.ip
+                  for node in scenario.population.resolvers}
+        scenario.clock.advance(WEEK)
+        scenario.churn.step()
+        moved = [node for node in scenario.population.resolvers
+                 if node.ip != births[id(node)] and _drawing(node)]
+        assert len(moved) > 20
+        for node in moved:
+            birth = births[id(node)]
+            seeded = random.Random(birth)
+            assert _chaos_draws(node) == _chaos_draws(
+                ResolverNode(birth)) == tuple(
+                    seeded.random() for __ in range(3))
+            assert _chaos_answers(node) == _born_at(node, birth)
+
+    def test_after_eviction_and_rematerialization(self):
+        scenario = _scenario(True, node_cache=17)
+        scenario.clock.advance(WEEK)
+        scenario.churn.step()
+        nodes = _placeholders(scenario)
+        checked = 0
+        for placeholder in nodes:
+            pool, index = placeholder._pool, placeholder._index
+            birth = int_to_ip(pool.ips[index])
+            real = placeholder._real()
+            if placeholder.ip == birth or not _drawing(real) \
+                    or index in pool.pinned:
+                continue
+            first = _chaos_answers(real)
+            assert first == _born_at(real, birth)
+            for other in nodes[:40]:    # evict it
+                other._real()
+            again = placeholder._real()
+            assert again is not real
+            assert again.ip == placeholder.ip != birth
+            assert _chaos_answers(again) == first
+            checked += 1
+        assert checked > 20
 
 
 class TestScanFingerprint:

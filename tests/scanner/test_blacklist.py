@@ -26,11 +26,6 @@ def test_incremental_adds():
     assert "40.0.0.1" in blacklist
 
 
-def test_count_upper_bound():
-    blacklist = Blacklist(networks=["20.0.0.0/24"], addresses=["1.1.1.1"])
-    assert blacklist.blacklisted_address_count == 257
-
-
 def test_accepts_ints():
     from repro.netsim.address import ip_to_int
     blacklist = Blacklist(addresses=[ip_to_int("1.2.3.4")])
