@@ -1,115 +1,12 @@
-"""Shared fixtures for the reproduction benchmarks.
-
-The heavyweight measurement campaigns run once per session here; each
-benchmark file then regenerates one of the paper's tables or figures from
-the collected data, prints it next to the paper's numbers, and asserts the
-qualitative shape.
-
-Scale: ``REPRO_BENCH_SCALE`` (default 1:12000 of the paper's Internet).
-Smaller values give closer statistics and longer runtimes.
-"""
-
-import os
+"""The session the paper-fidelity table reads (``benchmarks/fidelity.py``)."""
 
 import pytest
 
-from repro.datasets import SNOOPING_TLDS
-from repro.netsim.clock import DAY
-from repro.scanner import (
-    BannerGrabber,
-    CacheSnoopingProber,
-    ChaosScanner,
-    FingerprintMatcher,
-)
-from repro.scanner.campaign import WeeklySnapshot
-from repro.scenario import ScenarioConfig, build_scenario
-
-BENCH_SCALE = int(os.environ.get("REPRO_BENCH_SCALE", "12000"))
-BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "7"))
-CAMPAIGN_WEEKS = 55
-SNOOP_SAMPLE = int(os.environ.get("REPRO_BENCH_SNOOP_SAMPLE", "400"))
-
-
-def paper_vs(label, paper, measured, unit="%"):
-    """One aligned paper-vs-measured output line."""
-    return "  %-44s paper: %10s   measured: %10s" % (
-        label,
-        "%.1f%s" % (paper, unit) if isinstance(paper, float) else paper,
-        "%.1f%s" % (measured, unit) if isinstance(measured, float)
-        else measured)
+from benchmarks.fidelity import Study
 
 
 @pytest.fixture(scope="session")
-def scenario():
-    return build_scenario(ScenarioConfig(scale=BENCH_SCALE,
-                                         seed=BENCH_SEED))
-
-
-@pytest.fixture(scope="session")
-def campaign(scenario):
-    """The 13-month weekly campaign, plus a day-1 cohort re-probe."""
-    camp = scenario.new_campaign(verify=True)
-    # Week 0 by hand so the day-1 churn probe (Fig. 2) can happen.
-    scenario.churn.step()
-    result0 = camp.scanner.scan(camp.target_space)
-    camp.snapshots.append(WeeklySnapshot(0, result0))
-    # Snapshot the cohort's rDNS records *at scan time*: once a host
-    # rebinds, the live registry forgets its old PTR (§2.5 analysis).
-    camp.cohort_rdns = {ip: scenario.rdns.ptr(ip)
-                        for ip in result0.noerror
-                        if scenario.rdns.ptr(ip)}
-    scenario.clock.advance(DAY)
-    scenario.churn.step()
-    camp.day1_result = camp.scanner.scan_addresses(
-        sorted(result0.responders))
-    scenario.clock.advance(6 * DAY)
-    for week in range(1, CAMPAIGN_WEEKS):
-        camp.run_week(verify=(week == CAMPAIGN_WEEKS - 1))
-    return camp
-
-
-@pytest.fixture(scope="session")
-def live_resolvers(campaign):
-    """Open resolvers identified right before the domain scans (2015)."""
-    return sorted(campaign.last().result.noerror)
-
-
-@pytest.fixture(scope="session")
-def chaos_observations(scenario, live_resolvers):
-    scanner = ChaosScanner(scenario.network, scenario.scanner_ip)
-    return scanner.scan(live_resolvers)
-
-
-@pytest.fixture(scope="session")
-def device_classifications(scenario, live_resolvers):
-    grabber = BannerGrabber(scenario.network, scenario.scanner_ip)
-    banners = grabber.grab_all(live_resolvers)
-    return FingerprintMatcher().classify_all(banners)
-
-
-@pytest.fixture(scope="session")
-def snooping_traces(scenario, live_resolvers):
-    prober = CacheSnoopingProber(scenario.network, scenario.scanner_ip,
-                                 SNOOPING_TLDS, duration_hours=36)
-    return prober.run(live_resolvers[:SNOOP_SAMPLE])
-
-
-@pytest.fixture(scope="session")
-def pipeline_reports(scenario, live_resolvers):
-    """One full pipeline run per domain category (plus ground truth)."""
-    from repro.datasets import (
-        ALL_CATEGORIES,
-        DOMAIN_SETS,
-        GROUND_TRUTH_DOMAIN,
-        ScanDomain,
-    )
-    reports = {}
-    for category in ALL_CATEGORIES:
-        pipeline = scenario.new_pipeline()
-        reports[category] = pipeline.run(live_resolvers,
-                                         list(DOMAIN_SETS[category]))
-    gt_pipeline = scenario.new_pipeline()
-    reports["GroundTruth"] = gt_pipeline.run(
-        live_resolvers,
-        [ScanDomain(GROUND_TRUTH_DOMAIN, "GroundTruth")])
-    return reports
+def study():
+    """One world, campaign, pipelines, snooping and fingerprinting run,
+    shared by every row."""
+    return Study()

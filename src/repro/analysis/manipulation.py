@@ -119,19 +119,6 @@ def classification_table(reports):
     return table
 
 
-def format_classification_table(table):
-    labels = CATEGORY_LABELS
-    header = "%-12s" % "category" + "".join("%-22s" % label
-                                            for label in labels)
-    lines = [header]
-    for category, rows in table.items():
-        cells = "".join("%6.1f%% (max %6.1f%%) "
-                        % (rows[label]["avg_pct"], rows[label]["max_pct"])
-                        for label in labels)
-        lines.append("%-12s%s" % (category, cells))
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # Figure 4 + censorship coverage
 # ---------------------------------------------------------------------------
