@@ -25,7 +25,7 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 from repro.analysis.casestudies import case_study_summary
@@ -671,8 +671,10 @@ class Study:
 LINKAGE_THRESHOLD = 0.30
 
 
+@cache
 def clustering_corpus():
-    """(family, html) pairs: 6 families, several variants each."""
+    """Families and page profiles of 18 pages: 6 families, several
+    variants each."""
     corpus = []
     for country in ("TR", "ID", "RU", "GR"):
         corpus.append(("censorship", pages.censorship_landing(country)))
@@ -688,7 +690,8 @@ def clustering_corpus():
     library = SiteLibrary(seed=3)
     for domain in ("alpha.example", "beta.example", "gamma.example"):
         corpus.append(("site", library.page_for(domain)))
-    return corpus
+    return ([family for family, __ in corpus],
+            [extract_features(html) for __, html in corpus])
 
 
 def purity(clusters, families):
@@ -701,13 +704,11 @@ def purity(clusters, families):
     return 100.0 * agreeing / total if total else 100.0
 
 
-@lru_cache(maxsize=None)
+@cache
 def distance_ablation():
     """§3.6: cluster purity with the full seven-feature distance and with
     each feature removed."""
-    corpus = clustering_corpus()
-    families = [family for family, __ in corpus]
-    profiles = [extract_features(html) for __, html in corpus]
+    families, profiles = clustering_corpus()
     distances = {"full": PageDistance()}
     for dropped in PageDistance.FEATURE_NAMES:
         distances["-" + dropped] = PageDistance(weights={
@@ -722,12 +723,10 @@ def distance_ablation():
     return scores
 
 
-@lru_cache(maxsize=None)
+@cache
 def linkage_ablation():
     """§3.6: average (the paper's), single and complete linkage."""
-    corpus = clustering_corpus()
-    families = [family for family, __ in corpus]
-    profiles = [extract_features(html) for __, html in corpus]
+    families, profiles = clustering_corpus()
     stats = {}
     for linkage in ("average", "single", "complete"):
         clusters, __ = hierarchical_cluster(
@@ -765,7 +764,7 @@ def attribution(codec, use_0x20, rng, population=4000):
     return 100.0 * correct / population
 
 
-@lru_cache(maxsize=None)
+@cache
 def encoding_ablation():
     codec = ResolverIdCodec()
     # Names with at least 9 letters carry every port bit in 0x20 case.
@@ -782,7 +781,7 @@ ZONE_KEY = "ext-dnssec-zone-key"
 DNSSEC_CLIENTS = 60
 
 
-@lru_cache(maxsize=None)
+@cache
 def dnssec_poisoning():
     """§5: share of first-response and wait-for-signature clients behind
     the Great Firewall that get a forged answer, per zone."""
@@ -834,7 +833,7 @@ POPULARITY_SUBJECTS = (
 )
 
 
-@lru_cache(maxsize=None)
+@cache
 def popularity_gaps():
     """§2.6 follow-up: re-add gaps the adaptive fine-grained snooper
     measures at resolvers with known client request rates."""
@@ -843,7 +842,7 @@ def popularity_gaps():
     builder = HierarchyBuilder(network, infra)
     service = ResolutionService(builder.hierarchy.root_ips,
                                 infra.address_at(50000))
-    estimates = {}
+    ips = {}
     for index, (label, gap, __) in enumerate(POPULARITY_SUBJECTS):
         if gap is None:
             activity = CacheActivityModel(CacheActivityModel.STYLE_IDLE,
@@ -856,12 +855,12 @@ def popularity_gaps():
         node = ResolverNode(infra.address_at(45000 + index),
                             resolution_service=service, activity=activity)
         network.register(node)
-        estimates[label] = node.ip
+        ips[label] = node.ip
     prober = PopularityProber(network, infra.address_at(50001), ("com",),
                               fine_interval=0.5, coarse_interval=300.0,
                               fine_window=20.0)
     estimates = {label: prober.estimate(ip, cycles=2)
-                 for label, ip in estimates.items()}
+                 for label, ip in ips.items()}
     for label, __, expected in POPULARITY_SUBJECTS:
         assert estimates[label].popularity_class == expected, label
     # Measured gaps reproduce the true ordering.
