@@ -21,6 +21,7 @@ from repro.checkpoint.state import (
 )
 from repro.checkpoint.store import (
     CheckpointError,
+    FormatError,
     SnapshotCorruption,
     SnapshotStore,
     atomic_write_bytes,
@@ -35,6 +36,7 @@ __all__ = [
     "CheckpointFeed",
     "CheckpointScope",
     "CheckpointedRun",
+    "FormatError",
     "Journal",
     "JournalReplay",
     "Ledger",

@@ -13,19 +13,24 @@ records are decoded in append order, damage is
 carries a sequence number so an incremental consumer can persist a
 cursor and resume the tail later.
 
-Only ``commit`` records reference snapshot payloads; :meth:`load`
-fetches those through the same checksummed decoder the owning run uses,
-without ever writing to the directory.
+The feed reads each file through the same reader the owning run uses
+(:mod:`repro.checkpoint.formats`): ``meta.json`` through ``read_meta``
+(an unreadable or missing one is an error here, never an empty
+identity that another directory could share), records through
+``decode_record``,
+and the commit payloads through ``load_payload`` — without ever
+writing to the directory.
 """
 
 import json
 import os
 import zlib
 
+from repro.checkpoint.formats import decode_record, load_payload, read_meta
 from repro.checkpoint.journal import walk_frames
 from repro.checkpoint.store import (
+    FormatError,
     SnapshotCorruption,
-    decode_snapshot,
     key_filename,
 )
 
@@ -46,7 +51,7 @@ def scan_journal(path, start=0):
     except FileNotFoundError:
         return
     seq = 0
-    for __, __, record, damage in walk_frames(data):
+    for __, __, record, damage in walk_frames(data, decode_record):
         if damage is not None:
             continue                   # the owner quarantines it
         if seq >= start:
@@ -58,8 +63,8 @@ def commits_of(records):
     """Yield ``(seq, key_tuple, record)`` for the commit records among
     ``(seq, record)`` pairs."""
     for seq, record in records:
-        if isinstance(record, dict) and record.get("kind") == "commit":
-            yield seq, tuple(record["key"]), record
+        if record["kind"] == "commit":
+            yield seq, record["key"], record
 
 
 class CheckpointFeed:
@@ -69,14 +74,11 @@ class CheckpointFeed:
         self.directory = directory
         self._journal_path = os.path.join(directory, "journal.wal")
         self._snapshot_dir = os.path.join(directory, "snapshots")
-        self.meta = self._read_meta()
-
-    def _read_meta(self):
-        try:
-            with open(os.path.join(self.directory, "meta.json")) as handle:
-                return json.load(handle)
-        except (FileNotFoundError, ValueError):
-            return {}
+        self.meta = read_meta(directory)
+        if self.meta is None:
+            raise FormatError("%s: missing, so this run cannot be told "
+                              "from another" % os.path.join(directory,
+                                                            "meta.json"))
 
     def identity(self):
         """A stable identity for cursor bookkeeping.
@@ -104,18 +106,21 @@ class CheckpointFeed:
             pass
         return count
 
+    def snapshot_path(self, key):
+        return os.path.join(self._snapshot_dir, key_filename(tuple(key)))
+
     def load(self, key):
         """Load one committed unit's snapshot payload, read-only.
 
-        Raises ``FileNotFoundError`` / :class:`SnapshotCorruption` like
-        the owning store would; the caller decides whether a damaged
-        unit is skippable (the owner will quarantine and recompute it).
+        Raises like the owning store would (``FileNotFoundError``,
+        :class:`SnapshotCorruption`, :class:`FormatError`).
         """
-        path = os.path.join(self._snapshot_dir, key_filename(tuple(key)))
-        with open(path, "rb") as handle:
-            return decode_snapshot(handle.read())
+        return load_payload(self._snapshot_dir, tuple(key))
 
     def load_or_none(self, key):
+        """The payload, or ``None`` for a missing or damaged snapshot:
+        the owner will quarantine and recompute it.  A payload of the
+        wrong type is not damage, and raises."""
         try:
             return self.load(key)
         except (FileNotFoundError, SnapshotCorruption):

@@ -9,8 +9,9 @@ inflict:
 * a **torn tail** — the process died mid-append, leaving a partial
   record at the end — is quarantined and truncated away, so the journal
   is again append-clean and the interrupted unit of work simply reruns;
-* a **corrupt record** (checksum or pickle failure with intact framing)
-  is quarantined and skipped, never aborting the replay;
+* a **corrupt record** (checksum failure, or bytes the record reader
+  refuses, with intact framing) is quarantined and skipped, never
+  aborting the replay;
 * **lost framing** (a record whose claimed length runs past other
   records' magic, or garbage where magic should be) quarantines the
   remainder of the file — everything before the damage still counts.
@@ -30,16 +31,19 @@ _HEADER_SIZE = 2 + 4 + 4
 _MAX_RECORD = 1 << 28
 
 
-def walk_frames(data):
+def walk_frames(data, decode=pickle.loads):
     """The one reader of the frame format: yield ``(start, end, record,
     damage)`` for each frame of a journal image, in file order.
 
-    An intact frame has ``damage`` ``None`` and its decoded ``record``.
+    An intact frame has ``damage`` ``None`` and its ``record``, which
+    ``decode`` read from the frame's payload bytes (a checkpoint's
+    journal passes :func:`repro.checkpoint.formats.decode_record`).
     A damaged one has ``record`` ``None`` and the quarantine reason:
-    ``"crc-mismatch"`` and ``"unpicklable"`` kept their framing, so the
-    walk goes on at ``end``; ``"torn-tail"``, ``"lost-framing"`` and
-    ``"bad-length"`` did not — ``end`` is ``None``, everything from
-    ``start`` on is lost, and the walk is over.
+    ``"crc-mismatch"`` and ``"unreadable"`` (``decode`` raised) kept
+    their framing, so the walk goes on at ``end``; ``"torn-tail"``,
+    ``"lost-framing"`` and ``"bad-length"`` did not — ``end`` is
+    ``None``, everything from ``start`` on is lost, and the walk is
+    over.
     """
     offset = 0
     size = len(data)
@@ -64,9 +68,9 @@ def walk_frames(data):
             damage = "crc-mismatch"
         else:
             try:
-                record = pickle.loads(payload)
+                record = decode(payload)
             except Exception:
-                damage = "unpicklable"
+                damage = "unreadable"
         yield offset, end, record, damage
         offset = end
 
@@ -88,9 +92,10 @@ class JournalReplay:
 class Journal:
     """An append-only record stream with checksummed, torn-safe replay."""
 
-    def __init__(self, path, perf=None):
+    def __init__(self, path, perf=None, decode=pickle.loads):
         self.path = path
         self.perf = perf
+        self.decode = decode
         self.seq = 0                # records appended or replayed so far
         self._handle = None
 
@@ -114,7 +119,7 @@ class Journal:
         except FileNotFoundError:
             data = b""
         truncate_at = None
-        for start, end, record, damage in walk_frames(data):
+        for start, end, record, damage in walk_frames(data, self.decode):
             if damage is None:
                 replay.records.append(record)
                 replay.replayed += 1

@@ -86,7 +86,7 @@ class Ledger:
         }
 
 
-def apply_delta(network, perf, delta, origin=None, in_process=False):
+def apply_delta(network, perf, delta, origin, in_process=False):
     """Fold one :meth:`Ledger.delta` into ``network`` and ``perf``.
 
     ``in_process`` work already moved the live network's counters and
@@ -102,15 +102,11 @@ def apply_delta(network, perf, delta, origin=None, in_process=False):
             fault_counters[name] = fault_counters.get(name, 0) + amount
         if network.tracer is not None and delta["spans"]:
             network.tracer.absorb(delta["spans"])
-        if network.recorder is not None and delta.get("flight"):
+        if network.recorder is not None and delta["flight"]:
             network.recorder.absorb_state(delta["flight"])
     if perf is None:
         return
-    # ``.get``: rescues committed before the ledger existed carry
-    # neither a wall time nor a registry.
-    wall = delta.get("wall_seconds")
-    if wall is not None:
-        perf.record_seconds("shard_wall", wall)
-        perf.observe("shard_wall_seconds", wall)
-    if delta.get("perf") is not None:
+    perf.record_seconds("shard_wall", delta["wall_seconds"])
+    perf.observe("shard_wall_seconds", delta["wall_seconds"])
+    if delta["perf"] is not None:
         perf.merge(delta["perf"], rank=origin)

@@ -31,10 +31,12 @@ same deterministic draw forever.
 import json
 import os
 
+from repro.checkpoint.formats import decode_record, meta_to_write, read_meta
 from repro.checkpoint.journal import Journal
 from repro.checkpoint.state import capture_world_state, restore_world_state
 from repro.checkpoint.store import (
     CheckpointError,
+    FormatError,
     SnapshotCorruption,
     SnapshotStore,
     atomic_write_text,
@@ -173,7 +175,8 @@ class CheckpointedRun:
         self._check_meta(meta, resume)
         self.store = SnapshotStore(os.path.join(directory, "snapshots"),
                                    perf=perf)
-        self.journal = Journal(self._journal_path, perf=perf)
+        self.journal = Journal(self._journal_path, perf=perf,
+                               decode=decode_record)
         replay = self.journal.replay(quarantine=self._quarantine_bytes)
         self._replay = replay
         # The torn-write draw's occurrence key: how many damaged spans
@@ -184,11 +187,10 @@ class CheckpointedRun:
         self._completed = {}
         self._crash_counts = {}
         for record in replay.records:
-            kind = record.get("kind")
-            if kind == _COMMIT:
-                self._completed[tuple(record["key"])] = record
-            elif kind == _CRASH:
-                point = record.get("point")
+            if record["kind"] == _COMMIT:
+                self._completed[record["key"]] = record
+            else:
+                point = record["point"]
                 self._crash_counts[point] = \
                     self._crash_counts.get(point, 0) + 1
 
@@ -225,15 +227,7 @@ class CheckpointedRun:
             pass
 
     def _check_meta(self, meta, resume):
-        existing = None
-        try:
-            with open(self._meta_path, "r") as handle:
-                existing = json.load(handle)
-        except FileNotFoundError:
-            pass
-        except ValueError:
-            raise CheckpointError("unreadable meta.json in %s"
-                                  % self.directory)
+        existing = read_meta(self.directory)
         has_journal = os.path.exists(self._journal_path)
         if existing is None or not (resume or has_journal):
             # An empty directory — or a meta with no journal beside it:
@@ -243,7 +237,8 @@ class CheckpointedRun:
             # one).
             if meta is not None:
                 atomic_write_text(self._meta_path,
-                                  json.dumps(meta, sort_keys=True,
+                                  json.dumps(meta_to_write(meta),
+                                             sort_keys=True,
                                              indent=1) + "\n")
             return
         if not resume:
@@ -259,7 +254,7 @@ class CheckpointedRun:
                 raise CheckpointError(
                     "checkpoint meta mismatch: %s was written under "
                     "other settings (%s)"
-                    % (self.directory, ", ".join(changed)))
+                    % (self._meta_path, ", ".join(changed)))
 
     # -- unit-of-work API --------------------------------------------------
 
@@ -276,22 +271,22 @@ class CheckpointedRun:
         """Load a committed unit; returns ``{"payload", "state"}`` or
         ``None`` (unit not committed, or one of its snapshots is missing
         or damaged — in which case that file is quarantined and the unit
-        reruns).  A record written before state snapshots existed
-        carries its state inline."""
+        reruns).  A version-1 record carries its state inline
+        (:func:`repro.checkpoint.formats.decode_record`)."""
         key = tuple(key)
         record = self._completed.get(key)
         if record is None:
             return None
-        loaded = {"state": record.get("state")}
+        loaded = {"state": record["state"]}
         names = {"payload": key}
-        if record.get("state_snapshot"):
+        if record["state_snapshot"]:
             names["state"] = key + _STATE
         for field, name in names.items():
             try:
                 loaded[field] = self.store.load(name)
             except FileNotFoundError:
                 return self._quarantine_snapshot(key, name, "missing")
-            except SnapshotCorruption:
+            except (SnapshotCorruption, FormatError):
                 return self._quarantine_snapshot(key, name, "corrupt")
         self._units_restored += 1
         if self.perf is not None:
@@ -316,7 +311,7 @@ class CheckpointedRun:
             raise InjectedCrash("torn_write", "journal record %d"
                                 % self.journal.seq)
         self.journal.append(record)
-        self._completed[key] = record
+        self._completed[key] = dict(record, state=None)
         self._units_committed += 1
         if self.perf is not None:
             self.perf.count("checkpoint_units_committed")

@@ -127,8 +127,10 @@ def restore_world_state(network, perf, state):
     network.fault_counters.update(state["fault_counters"])
     network.restore_flow_state(state["flow_counts"], state["flow_epoch"])
     restore_dns_caches(network, state["dns_caches"])
-    if perf is not None and state.get("perf") is not None:
+    if perf is not None and state["perf"] is not None:
         perf.restore(state["perf"])
+    # ``.get``: every version writes ``trace`` only from a traced run
+    # (the fixtures are untraced, and lack it).
     if network.tracer is not None and state.get("trace") is not None:
         network.tracer.adopt(state["trace"])
 

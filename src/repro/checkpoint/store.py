@@ -28,6 +28,11 @@ class SnapshotCorruption(CheckpointError):
     """A snapshot file failed its checksum or could not be decoded."""
 
 
+class FormatError(CheckpointError):
+    """A file's bytes are intact, but not in a format this program
+    reads: an unknown version, or content of the wrong shape or type."""
+
+
 def fsync_directory(path):
     """Flush directory metadata (the rename itself) to stable storage."""
     try:
@@ -42,23 +47,21 @@ def fsync_directory(path):
         os.close(fd)
 
 
-def atomic_write_bytes(path, data, durable=True):
+def atomic_write_bytes(path, data):
     """Write ``data`` to ``path`` atomically (temp + fsync + replace)."""
     directory = os.path.dirname(os.path.abspath(path))
     temp_path = "%s.tmp.%d" % (path, os.getpid())
     with open(temp_path, "wb") as handle:
         handle.write(data)
         handle.flush()
-        if durable:
-            os.fsync(handle.fileno())
+        os.fsync(handle.fileno())
     os.replace(temp_path, path)
-    if durable:
-        fsync_directory(directory)
+    fsync_directory(directory)
 
 
-def atomic_write_text(path, text, durable=True):
+def atomic_write_text(path, text):
     """Atomically write a text file (reports, provenance sidecars)."""
-    atomic_write_bytes(path, text.encode("utf-8"), durable=durable)
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def encode_snapshot(obj):
@@ -68,17 +71,24 @@ def encode_snapshot(obj):
     return _SNAPSHOT_MAGIC + crc.to_bytes(4, "big") + payload
 
 
-def decode_snapshot(data):
-    """Inverse of :func:`encode_snapshot`; raises on any damage."""
+def decode_snapshot(data, name="snapshot"):
+    """Inverse of :func:`encode_snapshot`; raises on any damage, in a
+    message that begins with ``name``."""
     if len(data) < 8 or data[:4] != _SNAPSHOT_MAGIC:
-        raise SnapshotCorruption("snapshot header missing or truncated")
+        raise SnapshotCorruption("%s: header missing or truncated" % name)
     payload = data[8:]
     if zlib.crc32(payload) != int.from_bytes(data[4:8], "big"):
-        raise SnapshotCorruption("snapshot checksum mismatch")
+        raise SnapshotCorruption("%s: checksum mismatch" % name)
     try:
         return pickle.loads(payload)
     except Exception as error:
-        raise SnapshotCorruption("snapshot unpicklable: %r" % error)
+        raise SnapshotCorruption("%s: unpicklable: %r" % (name, error))
+
+
+def load_snapshot(path):
+    """Read and decode the snapshot file at ``path``; errors name it."""
+    with open(path, "rb") as handle:
+        return decode_snapshot(handle.read(), path)
 
 
 def key_filename(key):
@@ -114,11 +124,12 @@ class SnapshotStore:
         return key_filename(key)
 
     def load(self, key):
-        """Load one payload; raises :class:`SnapshotCorruption` /
-        ``FileNotFoundError`` so the caller can quarantine or recompute."""
-        with open(self.path_for(key), "rb") as handle:
-            data = handle.read()
-        return decode_snapshot(data)
+        """Load one payload through :func:`repro.checkpoint.formats.
+        load_payload`; raises ``FileNotFoundError``,
+        :class:`SnapshotCorruption` or :class:`FormatError` so the
+        caller can quarantine or recompute."""
+        from repro.checkpoint.formats import load_payload
+        return load_payload(self.directory, key)
 
     def discard(self, key):
         try:

@@ -616,7 +616,8 @@ def cmd_trace(args):
         records = read_trace(args.file)
         summary = validate_trace(records)
     except (OSError, TraceSchemaError) as error:
-        print("invalid trace: %s" % error, file=sys.stderr)
+        print("invalid trace: %s: %s" % (args.file, error),
+              file=sys.stderr)
         return 2
     if args.validate_only:
         print("valid trace: %d spans, %d flight events, "
@@ -629,13 +630,10 @@ def cmd_trace(args):
 
 
 def _open_store(args, create=False):
-    from repro.observatory import ObservatoryError, ResolverStore
-    try:
-        if create:
-            return ResolverStore.open_or_create(args.store_dir)
-        return ResolverStore.open(args.store_dir)
-    except ObservatoryError as error:
-        raise SystemExit("error: %s" % error)
+    from repro.observatory import ResolverStore
+    if create:
+        return ResolverStore.open_or_create(args.store_dir)
+    return ResolverStore.open(args.store_dir)
 
 
 def _observe_geo(args):
@@ -934,8 +932,9 @@ def main(argv=None):
     try:
         return args.func(args)
     except CheckpointError as error:
-        # A reused directory, a --resume under other knobs, a damaged
-        # snapshot an observe command cannot fold: the user's to fix.
+        # A reused directory, a --resume under other knobs, a file in a
+        # format this program does not read (an ObservatoryError is one
+        # too): the user's to fix.
         print("error: %s" % error, file=sys.stderr)
         return 2
 

@@ -335,10 +335,9 @@ class ManipulationPipeline:
             return payload
 
         def replay(payload, state):
-            for entry in payload.get("degraded") or ():
+            for entry in payload["degraded"]:
                 report.degraded.append(dict(entry))
-            if "queries_sent" in state:
-                self.scanner.queries_sent = state["queries_sent"]
+            self.scanner.queries_sent = state["queries_sent"]
 
         def scanner_state():
             return {"queries_sent": self.scanner.queries_sent}

@@ -17,7 +17,9 @@ subcommand reject malformed exports instead of mis-rendering them.
 
 import json
 
-SCHEMA_VERSION = 1
+from repro.checkpoint.formats import FORMATS
+
+SCHEMA_VERSION = FORMATS["trace"]["version"]
 
 _SPAN_FIELDS = ("span_id", "stage", "attrs", "wall_start", "wall_seconds")
 _FLIGHT_FIELDS = ("t", "event", "src", "dst")
@@ -81,11 +83,12 @@ def export_trace(path, tracer=None, recorder=None, perf=None, meta=None):
 
 
 def read_trace(path):
-    """Parse one JSONL trace file into a list of record dicts.
+    """The one reader of a trace file: its records, one JSON object per
+    line (:func:`validate_trace` checks them against the schema).
 
-    Raises :class:`TraceSchemaError` for anything that is not a JSONL
-    text file — including binary garbage, which would otherwise escape
-    as a :class:`UnicodeDecodeError` from the line iterator.
+    Raises :class:`TraceSchemaError` for anything else — including
+    binary garbage, which would otherwise escape as a
+    :class:`UnicodeDecodeError` from the line iterator.
     """
     records = []
     with open(path, "r") as handle:
@@ -95,10 +98,14 @@ def read_trace(path):
                 if not line:
                     continue
                 try:
-                    records.append(json.loads(line))
+                    record = json.loads(line)
                 except ValueError:
                     raise TraceSchemaError("line %d is not valid JSON"
                                            % lineno)
+                if not isinstance(record, dict):
+                    raise TraceSchemaError("line %d is not a JSON object"
+                                           % lineno)
+                records.append(record)
         except UnicodeDecodeError:
             raise TraceSchemaError(
                 "not a JSONL text file (binary or wrong encoding)")

@@ -116,7 +116,7 @@ class FlightRecorder:
             self.event_counts[kind] = self.event_counts.get(kind, 0) + count
         for cause, count in state["cause_counts"].items():
             self.cause_counts[cause] = self.cause_counts.get(cause, 0) + count
-        self.dropped_events += state.get("dropped_events", 0)
+        self.dropped_events += state["dropped_events"]
 
     # -- views ------------------------------------------------------------
 

@@ -33,8 +33,6 @@ untraced run execute the same statement.
 import time
 from contextlib import contextmanager, nullcontext
 
-_TRACE_SCHEMA_VERSION = 1
-
 
 def _new_trace_id(seed=None):
     """A 16-hex-digit trace id (seed-derived when one is given)."""

@@ -27,6 +27,8 @@ import time
 import zlib
 
 from repro.checkpoint.feed import CheckpointFeed, commits_of
+from repro.checkpoint.formats import payload_kind
+from repro.checkpoint.store import FormatError
 from repro.netsim.address import int_to_ip, ip_to_int
 
 
@@ -77,20 +79,6 @@ class IngestReport:
 def _payload_digest(payload):
     return "%08x" % zlib.crc32(
         pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-
-
-def _is_week_key(key):
-    return (len(key) >= 2 and key[-2] == "week"
-            and isinstance(key[-1], int))
-
-
-def _is_fingerprint_key(key):
-    return len(key) >= 2 and key[-2:] == ("study", "fingerprint")
-
-
-def _is_labeling_key(key):
-    return (len(key) >= 2 and key[-2:] == ("stage", "labeling")
-            and "pipeline" in key[:-2])
 
 
 def ingest_checkpoint(store, directory, geo=None, perf=None,
@@ -151,15 +139,24 @@ def ingest_checkpoint(store, directory, geo=None, perf=None,
     return report
 
 
+def _fold_of(key):
+    """The fold for a unit the observatory keeps, or ``None``.  Each
+    trusts the payload type :data:`~repro.checkpoint.formats.FORMATS`
+    declares for its key kind (the feed's loader checked it)."""
+    kind = payload_kind(key)
+    if kind == "week":
+        return _fold_week
+    if kind == "study" and key[-1] == "fingerprint":
+        return _fold_fingerprint
+    if kind == "stage" and key[-1] == "labeling":
+        return _fold_labeling
+    return None
+
+
 def _fold_unit(store, feed, key, record, geo, report):
     """Fold one commit record, if it is a unit the observatory keeps."""
-    if _is_week_key(key):
-        fold = _fold_week
-    elif _is_fingerprint_key(key):
-        fold = _fold_fingerprint
-    elif _is_labeling_key(key):
-        fold = _fold_labeling
-    else:
+    fold = _fold_of(key)
+    if fold is None:
         return
     payload = feed.load_or_none(key)
     if payload is None:
@@ -169,18 +166,22 @@ def _fold_unit(store, feed, key, record, geo, report):
     if store.ingested.get(ledger_key) == digest:
         report.units_skipped += 1
         return
-    if fold(store, key, payload, geo, report):
-        store.ingested[ledger_key] = digest
-        report.units_folded += 1
+    try:
+        fold(store, payload, geo, report)
+    except (KeyError, AttributeError, TypeError, ValueError) as error:
+        # A payload of the declared type without what its fold reads:
+        # written by another program.  (The pass saves nothing.)
+        raise FormatError("%s: not a %s payload this program reads (%r)"
+                          % (feed.snapshot_path(key), payload_kind(key),
+                             error))
+    store.ingested[ledger_key] = digest
+    report.units_folded += 1
 
 
-def _fold_week(store, key, payload, geo, report):
+def _fold_week(store, payload, geo, report):
     """Fold one WeeklySnapshot: its rows into the resolver records, in
     canonical (target, rcode, flags) order, then its result as the week."""
-    result = getattr(payload, "result", None)
-    week = getattr(payload, "week", None)
-    if result is None or not isinstance(week, int):
-        return False  # a shard sub-commit or foreign payload: not a week
+    week, result = payload.week, payload.result
     for value, rcode, row_flags in sorted(result.iter_rows()):
         store.observe(value, week, rcode, row_flags)
         if geo is not None and store.geo_of(value)[0] == "??":
@@ -188,43 +189,24 @@ def _fold_week(store, key, payload, geo, report):
             store.locate(value, country, rir, asn)
     store.put_week(week, result)
     report.weeks_folded.append(week)
-    return True
 
 
-def _fold_fingerprint(store, key, payload, geo, report):
+def _fold_fingerprint(store, payload, geo, report):
     """Fold the fingerprint study unit: software + device labels."""
-    if not isinstance(payload, dict) or not ("software" in payload
-                                             or "classifications"
-                                             in payload):
-        return False
-    for observation in payload.get("software") or ():
-        ip = getattr(observation, "resolver_ip", None)
-        if ip is None:
-            continue
-        store.set_software(_ip_int(ip), observation.outcome,
-                           observation.version_string)
+    for observation in payload["software"]:
+        store.set_software(ip_to_int(observation.resolver_ip),
+                           observation.outcome, observation.version_string)
         report.fingerprints += 1
-    for ip, classification in (payload.get("classifications")
-                               or {}).items():
-        hardware, os_name, vendor = classification
-        store.set_device(_ip_int(ip), hardware, os_name, vendor)
+    for ip, (hardware, os_name, vendor) \
+            in payload["classifications"].items():
+        store.set_device(ip_to_int(ip), hardware, os_name, vendor)
         report.fingerprints += 1
-    return True
 
 
-def _fold_labeling(store, key, payload, geo, report):
-    """Fold one domain set's manipulation verdicts per resolver."""
-    if not isinstance(payload, dict) or "labeled" not in payload:
-        return False
+def _fold_labeling(store, payload, geo, report):
+    """Fold one domain set's manipulation verdicts per resolver (none
+    for a stage that failed: its ``labeled`` is ``None``)."""
     for labeled in payload["labeled"] or ():
-        capture = getattr(labeled, "capture", None)
-        ip = getattr(capture, "resolver_ip", None)
-        if ip is None:
-            continue
-        store.add_verdict(_ip_int(ip), labeled.label, labeled.sublabel)
+        store.add_verdict(ip_to_int(labeled.capture.resolver_ip),
+                          labeled.label, labeled.sublabel)
         report.verdicts += 1
-    return True
-
-
-def _ip_int(ip):
-    return ip_to_int(ip) if isinstance(ip, str) else ip

@@ -37,11 +37,13 @@ import shutil
 import zlib
 from array import array
 
+from repro.checkpoint.formats import FORMATS, check_type
 from repro.checkpoint.store import (
+    CheckpointError,
     atomic_write_text,
-    decode_snapshot,
     encode_snapshot,
     fsync_directory,
+    load_snapshot,
 )
 from repro.dnswire.constants import (
     RCODE_NOERROR,
@@ -50,7 +52,7 @@ from repro.dnswire.constants import (
 )
 from repro.netsim.address import int_to_ip, ip_to_int
 
-_FORMAT = 2
+_FORMAT = FORMATS["manifest"]["version"]
 _NO_WEEK = -1
 
 # The per-resolver SoA columns, one row per distinct resolver IP:
@@ -74,8 +76,10 @@ _RCODE_NAMES = {RCODE_NOERROR: "noerror", RCODE_REFUSED: "refused",
                 RCODE_SERVFAIL: "servfail"}
 
 
-class ObservatoryError(RuntimeError):
-    """A store directory cannot be used as requested."""
+class ObservatoryError(CheckpointError):
+    """A store directory cannot be used as requested, or one of its
+    files is not in the format this program reads (the store keeps its
+    files with the checkpoint package's codec and atomic writes)."""
 
 
 def week_mode(result):
@@ -308,7 +312,7 @@ class ResolverStore:
             if week not in self._week_digests or self.directory is None:
                 raise KeyError(week)
             result = self._weeks[week] = self._load_payload(
-                self._week_filename(week))
+                self._week_filename(week), "week")
         self._touch_week(week)
         return result
 
@@ -366,11 +370,16 @@ class ResolverStore:
     def _manifest_path(self):
         return os.path.join(self.directory, "MANIFEST.json")
 
-    def _load_payload(self, filename):
+    def _load_payload(self, filename, name):
+        """The payload of one file of the current generation, of the
+        type ``FORMATS[name]`` declares."""
         path = os.path.join(self._generation_dir(self.generation),
                             filename)
-        with open(path, "rb") as handle:
-            return decode_snapshot(handle.read())
+        try:
+            payload = load_snapshot(path)
+        except FileNotFoundError:
+            raise ObservatoryError("%s: missing" % path)
+        return check_type(path, payload, FORMATS[name]["payload"][0])
 
     def _records_payload(self):
         payload = {"format": _FORMAT}
@@ -386,32 +395,38 @@ class ResolverStore:
         return payload
 
     def _restore(self, manifest):
-        """Load the records and week digests ``manifest`` names.
-
-        Only the current format is read: a store is derived data, so an
-        older one is rebuilt from its checkpoint directory, not
-        converted."""
-        if manifest.get("format") != _FORMAT:
-            raise ObservatoryError(
-                "%s holds an observatory store in format %s, not %d; "
-                "re-ingest the untouched checkpoint directory into a "
-                "fresh --store-dir" % (self.directory,
-                                       manifest.get("format"), _FORMAT))
-        self.generation = manifest["generation"]
-        self._week_digests = {int(week): digest for week, digest
-                              in manifest["weeks"].items()}
-        payload = self._load_payload("records.snap")
-        for name, typecode, __ in _RECORD_COLUMNS:
-            setattr(self, "_" + name,
-                    list(payload[name]) if typecode is None
-                    else array(typecode, payload[name]))
-        self._geo_table = _StringTable(
-            tuple(entry) for entry in payload["geo_table"])
-        self._label_table = _StringTable(payload["label_table"])
+        """Load the records and week digests ``manifest`` (as
+        :meth:`read_manifest` returned it) names; a file of the wrong
+        shape is an :class:`ObservatoryError` naming it."""
+        path = self._manifest_path()
+        try:
+            self.generation = manifest["generation"]
+            self._week_digests = {int(week): digest for week, digest
+                                  in manifest["weeks"].items()}
+        except (KeyError, TypeError, ValueError, AttributeError) as error:
+            raise ObservatoryError("%s: malformed (%r)" % (path, error))
+        if type(self.generation) is not int \
+                or not os.path.isdir(self._generation_dir(self.generation)):
+            raise ObservatoryError("%s: names generation %s, which is not "
+                                   "in the store"
+                                   % (path, json.dumps(self.generation)))
+        path = os.path.join(self._generation_dir(self.generation),
+                            "records.snap")
+        payload = self._load_payload("records.snap", "records")
+        try:
+            for name, typecode, __ in _RECORD_COLUMNS:
+                setattr(self, "_" + name,
+                        list(payload[name]) if typecode is None
+                        else array(typecode, payload[name]))
+            self._geo_table = _StringTable(
+                tuple(entry) for entry in payload["geo_table"])
+            self._label_table = _StringTable(payload["label_table"])
+            self.ingested = dict(payload["ingested"])
+            self.cursors = dict(payload["cursors"])
+            self.meta = dict(payload["meta"])
+        except (KeyError, TypeError, ValueError) as error:
+            raise ObservatoryError("%s: malformed (%r)" % (path, error))
         self._rows = {value: row for row, value in enumerate(self._ips)}
-        self.ingested = dict(payload["ingested"])
-        self.cursors = dict(payload["cursors"])
-        self.meta = dict(payload["meta"])
 
     def save(self):
         """Persist the store as a new generation; atomic swap.
@@ -504,16 +519,31 @@ class ResolverStore:
         return store
 
     def read_manifest(self):
+        """The one reader of ``MANIFEST.json``: ``None`` without one,
+        else a JSON object of this program's format — anything else is
+        an :class:`ObservatoryError` naming the file.  Only the current
+        format is read: a store is derived data, so an older one is
+        rebuilt from its checkpoint directory, not converted."""
         if self.directory is None:
             return None
+        path = self._manifest_path()
         try:
-            with open(self._manifest_path()) as handle:
-                return json.load(handle)
+            with open(path, "rb") as handle:
+                manifest = json.loads(handle.read())
         except FileNotFoundError:
             return None
         except ValueError:
-            raise ObservatoryError("unreadable MANIFEST.json in %s"
-                                   % self.directory)
+            raise ObservatoryError("%s: unreadable (not JSON)" % path)
+        if not isinstance(manifest, dict):
+            raise ObservatoryError("%s: holds a JSON %s, not an object"
+                                   % (path, type(manifest).__name__))
+        if manifest.get("format") != _FORMAT:
+            raise ObservatoryError(
+                "%s: format %s is not one this program reads (it reads "
+                "%d); re-ingest the untouched checkpoint directory into "
+                "a fresh --store-dir"
+                % (path, json.dumps(manifest.get("format")), _FORMAT))
+        return manifest
 
     def disk_bytes(self):
         """Total bytes of the current generation on disk (0 unsaved)."""

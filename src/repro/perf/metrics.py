@@ -14,8 +14,8 @@ timers, and histograms merge exactly (commutative sums), but a bare
 *completion* order, which is nondeterministic.  Gauges therefore carry a
 declared merge policy (:meth:`PerfRegistry.declare_gauge`): ``last``
 keeps the value from the highest shard index, ``max`` the largest —
-both order-independent when :meth:`merge` is told the shard's index
-via ``rank``.  Undeclared gauges keep the legacy overwrite semantics.
+both order-independent, since :meth:`merge` is always told the shard's
+index (``rank``).  An undeclared gauge merges as ``last``.
 """
 
 import sys
@@ -143,13 +143,12 @@ class PerfRegistry:
 
     # -- aggregation ------------------------------------------------------
 
-    def merge(self, other, rank=None):
+    def merge(self, other, rank):
         """Fold another registry (e.g. a shard's) into this one.
 
-        ``rank`` is the contributing shard's index; with it, declared
-        gauges reduce order-independently (merging shard registries in
-        any completion order yields bit-identical state).  Without it,
-        undeclared gauges keep the legacy "incoming overwrites" rule.
+        ``rank`` is the contributing shard's index: gauges reduce by it
+        order-independently (merging shard registries in any completion
+        order yields bit-identical state).
         """
         for name, amount in other.counters.items():
             self.count(name, amount)
@@ -169,22 +168,16 @@ class PerfRegistry:
         return self
 
     def _merge_gauge(self, name, value, other, rank):
-        policy = self.gauge_policies.get(name)
-        if policy is None or policy == "last":
-            incoming = other._gauge_ranks.get(name, rank)
-            if policy is None and incoming is None:
-                self.gauges[name] = value        # legacy overwrite
-                return
-            if incoming is None:
-                incoming = -1
-            current = self._gauge_ranks.get(name)
-            if name not in self.gauges or current is None \
-                    or incoming >= current:
-                self.gauges[name] = value
-                self._gauge_ranks[name] = incoming
-        elif policy == "max":
+        if self.gauge_policies.get(name) == "max":
             if name not in self.gauges or value > self.gauges[name]:
                 self.gauges[name] = value
+            return
+        incoming = other._gauge_ranks.get(name, rank)
+        current = self._gauge_ranks.get(name)
+        if name not in self.gauges or current is None \
+                or incoming >= current:
+            self.gauges[name] = value
+            self._gauge_ranks[name] = incoming
 
     def snapshot(self):
         """A plain-dict view, suitable for ``json.dump``."""
@@ -208,19 +201,17 @@ class PerfRegistry:
         Used by checkpoint resume to rewind the registry to exactly the
         state recorded at a committed unit-of-work boundary.
         """
-        self.counters = dict(snapshot.get("counters") or {})
-        self.gauges = dict(snapshot.get("gauges") or {})
-        self.gauge_policies = dict(snapshot.get("gauge_policies") or {})
-        self._gauge_ranks = dict(snapshot.get("gauge_ranks") or {})
+        self.counters = dict(snapshot["counters"])
+        self.gauges = dict(snapshot["gauges"])
+        self.gauge_policies = dict(snapshot["gauge_policies"])
+        self._gauge_ranks = dict(snapshot["gauge_ranks"])
         self.timers = {name: [entry["seconds"], entry["entries"]]
-                       for name, entry
-                       in (snapshot.get("timers") or {}).items()}
+                       for name, entry in snapshot["timers"].items()}
         self.histograms = {name: LogHistogram.restore(data)
                            for name, data
-                           in (snapshot.get("histograms") or {}).items()}
-        rates = snapshot.get("rates")
-        if rates is not None:
-            self.rates = {name: list(pair) for name, pair in rates.items()}
+                           in snapshot["histograms"].items()}
+        self.rates = {name: list(pair)
+                      for name, pair in snapshot["rates"].items()}
         return self
 
     def format_report(self, title="perf"):

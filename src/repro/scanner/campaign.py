@@ -15,7 +15,7 @@ rebuilt world converged on the one the checkpoint came from, before
 scanning the first incomplete week for real.
 """
 
-from repro.checkpoint import NULL_SCOPE, churn_digest
+from repro.checkpoint import NULL_SCOPE, CheckpointError, churn_digest
 from repro.netsim.clock import WEEK
 from repro.obs.trace import span
 from repro.scanner import delta as delta_mod
@@ -107,9 +107,9 @@ class ScanCampaign:
 
         def fast_forward(snapshot, state):
             self.churn.step()
-            recorded = state.get("churn_digest")
-            if recorded is not None and recorded != churn_digest(self.churn):
-                raise CampaignError(
+            if state["churn_digest"] != churn_digest(self.churn):
+                # A CheckpointError: the CLI reports it in one line.
+                raise CheckpointError(
                     "resume diverged at week %d: the rebuilt churn "
                     "model does not match the checkpointed one "
                     "(different seed/scale?)" % week)

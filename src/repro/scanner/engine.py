@@ -548,7 +548,7 @@ class ShardedEngine:
             # uninterrupted one.
             payload = record["payload"]
             apply_delta(scanner.network, self.perf, payload, origin)
-            provenance.extend(payload.get("provenance") or [])
+            provenance.extend(payload["provenance"])
             deliver((start, stop, origin, 0), payload["result"], "restored")
 
         def on_item_done(item, payload, entry):

@@ -511,6 +511,7 @@ class ScanResult:
         self.probes_sent = state["probes_sent"]
         self.retransmissions = state["retransmissions"]
         self.provenance = state["provenance"]
+        # ``.get``: every version leaves both tallies out when empty.
         self.suppressed = {(window, cause): count for window, cause, count
                            in state.get("suppressed", ())}
         self.carried = {(window, cause): count for window, cause, count

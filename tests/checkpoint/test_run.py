@@ -20,14 +20,14 @@ def open_run(tmp_path, **kwargs):
 class TestCommitRestore:
     def test_roundtrip_with_state(self, tmp_path):
         run = open_run(tmp_path)
-        run.commit(("week", 0), {"result": [1, 2]}, state={"clock": 7.0})
+        run.commit(("unit", 0), {"result": [1, 2]}, state={"clock": 7.0})
         run.close()
         resumed = open_run(tmp_path, resume=True)
-        assert resumed.completed(("week", 0))
-        record = resumed.restore(("week", 0))
+        assert resumed.completed(("unit", 0))
+        record = resumed.restore(("unit", 0))
         assert record["payload"] == {"result": [1, 2]}
         assert record["state"] == {"clock": 7.0}
-        assert resumed.restore(("week", 1)) is None
+        assert resumed.restore(("unit", 1)) is None
 
     def test_scope_prefixes_keys_and_nests(self, tmp_path):
         run = open_run(tmp_path)
@@ -39,25 +39,25 @@ class TestCommitRestore:
 
     def test_corrupt_snapshot_quarantined_not_fatal(self, tmp_path):
         run = open_run(tmp_path)
-        run.commit(("week", 0), "payload")
+        run.commit(("unit", 0), "payload")
         run.close()
         resumed = open_run(tmp_path, resume=True)
-        path = resumed.store.path_for(("week", 0))
+        path = resumed.store.path_for(("unit", 0))
         with open(path, "r+b") as handle:
             handle.seek(-1, os.SEEK_END)
             handle.write(b"\x00")
-        assert resumed.restore(("week", 0)) is None
-        assert not resumed.completed(("week", 0))
+        assert resumed.restore(("unit", 0)) is None
+        assert not resumed.completed(("unit", 0))
         assert resumed.provenance["snapshots_quarantined"] == 1
         assert os.listdir(resumed.quarantine_dir)
 
     def test_missing_snapshot_reruns_unit(self, tmp_path):
         run = open_run(tmp_path)
-        run.commit(("week", 0), "payload")
-        os.remove(run.store.path_for(("week", 0)))
+        run.commit(("unit", 0), "payload")
+        os.remove(run.store.path_for(("unit", 0)))
         run.close()
         resumed = open_run(tmp_path, resume=True)
-        assert resumed.restore(("week", 0)) is None
+        assert resumed.restore(("unit", 0)) is None
 
 
 class TestStateSnapshot:
@@ -66,11 +66,11 @@ class TestStateSnapshot:
 
     def test_state_is_a_snapshot_not_a_journal_field(self, tmp_path):
         run = open_run(tmp_path)
-        record = run.commit(("week", 0), "payload", state={"clock": 7.0})
+        record = run.commit(("unit", 0), "payload", state={"clock": 7.0})
         assert "state" not in record
         assert record["state_snapshot"] == os.path.basename(
-            run.store.path_for(("week", 0, "state")))
-        assert run.store.load(("week", 0, "state")) == {"clock": 7.0}
+            run.store.path_for(("unit", 0, "state")))
+        assert run.store.load(("unit", 0, "state")) == {"clock": 7.0}
         # A unit without state (a scan shard) writes no state file.
         assert run.commit(("shard", 0), "x")["state_snapshot"] is None
         assert not os.path.exists(run.store.path_for(("shard", 0, "state")))
@@ -78,12 +78,12 @@ class TestStateSnapshot:
     def test_parent_record_with_inline_state_restores(self, tmp_path):
         # What an older version appended: the state inside the record.
         run = open_run(tmp_path)
-        run.journal.append({"kind": "commit", "key": ("week", 0),
-                            "snapshot": run.store.save(("week", 0), "w0"),
+        run.journal.append({"kind": "commit", "key": ("unit", 0),
+                            "snapshot": run.store.save(("unit", 0), "w0"),
                             "state": {"clock": 7.0}})
         run.close()
         resumed = open_run(tmp_path, resume=True)
-        assert resumed.restore(("week", 0)) == {"payload": "w0",
+        assert resumed.restore(("unit", 0)) == {"payload": "w0",
                                                 "state": {"clock": 7.0}}
 
     @pytest.mark.parametrize("damage", ["missing", "corrupt"])
@@ -168,13 +168,14 @@ def unit_work(network, perf, calls):
 
 
 # The protocol, stated once: (how the scope is reached, commit key the
-# unit must land under, crash point it must offer).
+# unit must land under, crash point it must offer).  The toy payloads
+# commit under a kind FORMATS does not declare, so no type is checked.
 ENTRIES = [
-    (lambda run: run, ("week", 0), "week:0"),
-    (lambda run: run.scope("campaign"), ("campaign", "week", 0),
-     "week:campaign/0"),
+    (lambda run: run, ("unit", 0), "unit:0"),
+    (lambda run: run.scope("campaign"), ("campaign", "unit", 0),
+     "unit:campaign/0"),
     (lambda run: run.scope("pipeline", "Alexa"),
-     ("pipeline", "Alexa", "week", 0), "week:pipeline/Alexa/0"),
+     ("pipeline", "Alexa", "unit", 0), "unit:pipeline/Alexa/0"),
 ]
 
 
@@ -194,7 +195,7 @@ class TestUnitProtocol:
         run.maybe_crash = lambda *a, **k: (calls.append("crash"),
                                            maybe_crash(*a, **k))[1]
         with pytest.raises(InjectedCrash) as crash:
-            enter(run).unit("week", (0,), unit_work(network, perf, calls),
+            enter(run).unit("unit", (0,), unit_work(network, perf, calls),
                             network, perf,
                             extra_state=lambda: {"churn_digest": "abc"})
         assert crash.value.point == crash_point
@@ -213,7 +214,7 @@ class TestUnitProtocol:
             self, tmp_path, enter, commit_key, crash_point):
         run = open_run(tmp_path)
         network, perf = traced_world()
-        enter(run).unit("week", (0,), unit_work(network, perf, []),
+        enter(run).unit("unit", (0,), unit_work(network, perf, []),
                         network, perf,
                         extra_state=lambda: {"churn_digest": "abc"})
         run.close()
@@ -229,7 +230,7 @@ class TestUnitProtocol:
                          network.clock.now))
 
         payload = enter(resumed).unit(
-            "week", (0,), unit_work(network, perf, calls), network, perf,
+            "unit", (0,), unit_work(network, perf, calls), network, perf,
             on_restore=on_restore, week=0)
         assert calls == []
         assert payload == {"rows": [1, 2, 3]}
@@ -238,7 +239,7 @@ class TestUnitProtocol:
         assert network.udp_queries_sent == 5
         assert perf.counter("probes_sent") == 5
         assert [(s["stage"], s["attrs"]) for s in network.tracer.spans] \
-            == [("week", {"week": 0, "restored": True})]
+            == [("unit", {"week": 0, "restored": True})]
         assert resumed.provenance["units_restored"] == 1
 
     def test_failed_compute_commits_nothing(
@@ -250,7 +251,7 @@ class TestUnitProtocol:
             raise RuntimeError("scan failed")
 
         with pytest.raises(RuntimeError):
-            enter(run).unit("week", (0,), compute, network, perf)
+            enter(run).unit("unit", (0,), compute, network, perf)
         assert not run.completed(commit_key)
         assert run.provenance["units_committed"] == 0
 
@@ -322,7 +323,7 @@ class TestCrashPlane:
 class TestProvenance:
     def test_provenance_counts_and_notes(self, tmp_path):
         run = open_run(tmp_path)
-        run.commit(("week", 0), "x")
+        run.commit(("unit", 0), "x")
         run.note("resumed_from_week", 0)
         run.note("resumed_from_week", 5)  # first write wins
         provenance = run.provenance
@@ -331,7 +332,7 @@ class TestProvenance:
         assert provenance["resumed_from_week"] == 0
         run.close()
         resumed = open_run(tmp_path, resume=True)
-        resumed.restore(("week", 0))
+        resumed.restore(("unit", 0))
         provenance = resumed.provenance
         assert provenance["resumed"] is True
         assert provenance["journal_records_replayed"] == 1
@@ -340,7 +341,7 @@ class TestProvenance:
     def test_write_provenance_is_valid_json(self, tmp_path):
         import json
         run = open_run(tmp_path)
-        run.commit(("week", 0), "x")
+        run.commit(("unit", 0), "x")
         path = run.write_provenance()
         with open(path) as handle:
             data = json.load(handle)

@@ -74,8 +74,8 @@ class TestKeyFilename:
 class TestSnapshotStore:
     def test_save_load_roundtrip(self, tmp_path):
         store = SnapshotStore(str(tmp_path / "snaps"))
-        store.save(("week", 0), {"result": [1, 2]})
-        assert store.load(("week", 0)) == {"result": [1, 2]}
+        store.save(("unit", 0), {"result": [1, 2]})
+        assert store.load(("unit", 0)) == {"result": [1, 2]}
 
     def test_corrupt_file_raises(self, tmp_path):
         store = SnapshotStore(str(tmp_path / "snaps"))

@@ -2,9 +2,11 @@
 
 A week commit is taken after the campaign advanced the clock a week:
 every resolver's cached answer has expired and the flow counters belong
-to an epoch the clock has left.  The capture drops both — and a state
+to an epoch the clock has left.  The capture drops both.  A state
 written before it did (every cache whole, stale counters kept) still
-resumes to the same bytes, because neither can be observed.
+resumes to the same bytes, because neither can be observed: a test
+below writes such states, and the ``84d676a`` fixtures hold real ones
+(``test_formats.py``).
 """
 
 import glob

@@ -111,15 +111,6 @@ def rewrite_as_parent(directory):
 
 
 class TestParentWrittenDirectory:
-    def test_parent_format_journal_still_ingests(self, tmp_path):
-        run_checkpointed_campaign(tmp_path / "ckpt")
-        rewrite_as_parent(tmp_path / "ckpt")
-        assert all("state" in record for __, key, record
-                   in CheckpointFeed(str(tmp_path / "ckpt")).commits())
-        bare, report = ingest_fresh(tmp_path / "ckpt", tmp_path, "bare")
-        assert report.weeks_folded == list(range(WEEKS))
-        assert bare.digest() == "f319a2f5"    # TestFolding's pin
-
     def test_parent_format_journal_still_resumes(self, tmp_path):
         # Three weeks restored from inline state, then a fourth scanned
         # from the world they reinstate: equal to one clean run.

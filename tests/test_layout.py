@@ -96,8 +96,7 @@ GUARDS = [
     ("getattr(/hasattr( capability sniffs",
      r"\bhasattr\((?!os, \"fork\"\))"
      r"|\bgetattr\([^()]*?,\s*(\"[^\"]*\"|'[^']*')\s*[,)]", None,
-     {"observatory/ingest.py"},     # journal payloads read from disk
-     DECLARED),
+     set(), DECLARED),
 ]
 
 
