@@ -100,7 +100,7 @@ from repro.datasets import (
     all_domains,
 )
 from repro.dnswire.name import recover_0x20_bits
-from repro.inetmodel import PrefixAllocator
+from repro.inetmodel import HostBlock, PrefixAllocator
 from repro.netsim import GreatFirewall, Ipv4Network, Network, SimClock
 from repro.netsim.clock import DAY
 from repro.reporting import fingerprint_phase, snoop_phase
@@ -787,7 +787,7 @@ def dnssec_poisoning():
     the Great Firewall that get a forged answer, per zone."""
     network = Network(SimClock(), seed=21)
     infra = PrefixAllocator().allocate(16)
-    builder = HierarchyBuilder(network, infra)
+    builder = HierarchyBuilder(network, HostBlock(infra))
     builder.register_domain("signed.example",
                             {"signed.example": ["198.18.0.5"]}
                             ).sign_with(ZONE_KEY)
@@ -839,7 +839,7 @@ def popularity_gaps():
     measures at resolvers with known client request rates."""
     network = Network(SimClock(), seed=31)
     infra = PrefixAllocator().allocate(16)
-    builder = HierarchyBuilder(network, infra)
+    builder = HierarchyBuilder(network, HostBlock(infra))
     service = ResolutionService(builder.hierarchy.root_ips,
                                 infra.address_at(50000))
     ips = {}

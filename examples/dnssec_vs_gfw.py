@@ -17,7 +17,7 @@ from repro.authdns.dnssec import (
     STRATEGY_WAIT_SIGNED,
     ValidatingClient,
 )
-from repro.inetmodel import PrefixAllocator
+from repro.inetmodel import HostBlock, PrefixAllocator
 from repro.netsim import GreatFirewall, Ipv4Network, Network, SimClock
 from repro.resolvers import ResolutionService, ResolverNode
 
@@ -28,7 +28,7 @@ def main():
     network = Network(SimClock(), seed=17)
     allocator = PrefixAllocator()
     infra = allocator.allocate(16)
-    builder = HierarchyBuilder(network, infra)
+    builder = HierarchyBuilder(network, HostBlock(infra))
 
     signed = builder.register_domain("signed.example",
                                      {"signed.example": ["198.18.0.5"]})

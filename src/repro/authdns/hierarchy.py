@@ -5,7 +5,6 @@ from repro.authdns.zone import Zone, ZoneLookupResult
 from repro.dnswire.constants import QTYPE_PTR
 from repro.dnswire.name import normalize_name
 from repro.dnswire.records import ResourceRecord
-from repro.netsim.address import reverse_pointer_name
 
 
 class RdnsZone(Zone):
@@ -48,17 +47,18 @@ class DnsHierarchy:
 class HierarchyBuilder:
     """Creates AuthNS nodes and wires delegations root -> TLD -> domain.
 
-    Server addresses come from a dedicated infrastructure prefix so they
-    are disjoint from resolver/content address space.
+    Server addresses come in order from ``hosts``, the infrastructure
+    prefix's :class:`~repro.inetmodel.allocation.HostBlock`, so they are
+    disjoint from resolver/content address space and from the block's
+    other hosts.
     """
 
-    def __init__(self, network, infra_prefix, rdns_registry=None):
+    def __init__(self, network, hosts, rdns_registry=None):
         self.network = network
-        self.infra_prefix = infra_prefix
+        self.hosts = hosts
         self.rdns_registry = rdns_registry
-        self._next_ip_index = 1
         self._root_zone = Zone("", soa_mname="a.root-servers.sim")
-        root_ip = self._allocate_ip()
+        root_ip = hosts.next()
         self._root_server = AuthNsServer(root_ip, [self._root_zone])
         network.register(self._root_server)
         self.hierarchy = DnsHierarchy([root_ip])
@@ -67,18 +67,11 @@ class HierarchyBuilder:
         if rdns_registry is not None:
             self._install_rdns_zone()
 
-    def _allocate_ip(self):
-        ip = self.infra_prefix.address_at(self._next_ip_index)
-        self._next_ip_index += 1
-        if self._next_ip_index >= self.infra_prefix.num_addresses - 1:
-            raise RuntimeError("infrastructure prefix exhausted")
-        return ip
-
     def _install_rdns_zone(self):
         # arpa TLD, then a registry-backed in-addr.arpa zone beneath it.
         arpa_zone = self.ensure_tld("arpa")
         rdns_zone = RdnsZone(self.rdns_registry)
-        server_ip = self._allocate_ip()
+        server_ip = self.hosts.next()
         server = AuthNsServer(server_ip, [rdns_zone])
         self.network.register(server)
         arpa_zone.delegate("in-addr.arpa",
@@ -93,7 +86,7 @@ class HierarchyBuilder:
         if existing is not None:
             return existing
         zone = Zone(tld)
-        server_ip = self._allocate_ip()
+        server_ip = self.hosts.next()
         server = AuthNsServer(server_ip, [zone])
         self.network.register(server)
         ns_host = "ns1.nic.%s" % tld
@@ -119,7 +112,7 @@ class HierarchyBuilder:
         tld = labels[-1]
         tld_zone = self.ensure_tld(tld)
         zone = Zone(domain)
-        server_ip = self._allocate_ip()
+        server_ip = self.hosts.next()
         server = AuthNsServer(server_ip, [zone])
         self.network.register(server)
         ns_host = "ns1.%s" % domain

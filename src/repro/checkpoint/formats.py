@@ -239,6 +239,19 @@ def payload_kind(key):
     return None
 
 
+def read_payload(path, key, read):
+    """``read()``, which reads the payload committed under ``key`` from
+    ``path``: a payload of the declared type without what ``read``
+    reads (written by another program) is a :class:`FormatError` naming
+    the file.  The one check for owner (a resumed unit) and observer
+    (an ingest fold) alike."""
+    try:
+        return read()
+    except (KeyError, AttributeError, TypeError, ValueError) as error:
+        raise FormatError("%s: not a %s payload this program reads (%r)"
+                          % (path, payload_kind(key), error))
+
+
 def load_payload(directory, key):
     """The one reader of a checkpoint snapshot, for owner and observer
     alike: the payload committed under ``key``, checked against the

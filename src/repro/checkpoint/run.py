@@ -31,7 +31,12 @@ same deterministic draw forever.
 import json
 import os
 
-from repro.checkpoint.formats import decode_record, meta_to_write, read_meta
+from repro.checkpoint.formats import (
+    decode_record,
+    meta_to_write,
+    read_meta,
+    read_payload,
+)
 from repro.checkpoint.journal import Journal
 from repro.checkpoint.state import capture_world_state, restore_world_state
 from repro.checkpoint.store import (
@@ -92,7 +97,8 @@ class CheckpointScope:
         return self.run.note(name, value)
 
     def unit(self, kind, key, compute, network, perf=None,
-             extra_state=None, on_restore=None, stage=None, **attrs):
+             extra_state=None, on_restore=None, stage=None, read=None,
+             **attrs):
         """Run one synchronous unit of work, or restore it: the only
         implementation of the protocol every unit kind obeys.
 
@@ -106,7 +112,9 @@ class CheckpointScope:
         Otherwise: ``compute()`` (which opens its own span), capture the
         world state plus ``extra_state()``, commit under ``(kind,) +
         key``, then offer the crash plane the ``kind`` boundary —
-        commit strictly before crash.  Returns the payload either way.
+        commit strictly before crash.  Returns the payload either way,
+        or ``read(payload)``: a restored payload ``read`` cannot read is
+        a :class:`FormatError` naming its snapshot.
         """
         key = tuple(key)
         record = self.restore((kind,) + key)
@@ -117,14 +125,18 @@ class CheckpointScope:
             restore_world_state(network, perf, state)
             if network.tracer is not None:
                 network.tracer.emit(stage or kind, **attrs, restored=True)
-            return record["payload"]
+            if read is None:
+                return record["payload"]
+            name = self.prefix + (kind,) + key
+            return read_payload(self.run.store.path_for(name), name,
+                                lambda: read(record["payload"]))
         payload = compute()
         state = capture_world_state(network, perf)
         if extra_state is not None:
             state.update(extra_state())
         self.commit((kind,) + key, payload, state=state)
         self.maybe_crash(kind, key)
-        return payload
+        return payload if read is None else read(payload)
 
 
 class NullScope:
@@ -148,8 +160,9 @@ class NullScope:
     def note(self, name, value):
         pass
 
-    def unit(self, kind, key, compute, *args, **kwargs):
-        return compute()
+    def unit(self, kind, key, compute, *args, read=None, **kwargs):
+        payload = compute()
+        return payload if read is None else read(payload)
 
 
 NULL_SCOPE = NullScope()

@@ -8,7 +8,12 @@ broadband naming patterns (``dynamic``, ``dialup``, …) the churn analysis
 matches against (§2.5).
 """
 
-from repro.inetmodel.allocation import PrefixAllocator
+from repro.inetmodel.allocation import (
+    AddressPlan,
+    AddressPlanError,
+    HostBlock,
+    PrefixAllocator,
+)
 from repro.inetmodel.asdb import (
     AsRegistry,
     AutonomousSystem,
@@ -26,12 +31,15 @@ from repro.inetmodel.rdns import (
 )
 
 __all__ = [
+    "AddressPlan",
+    "AddressPlanError",
     "AsRegistry",
     "AutonomousSystem",
     "COUNTRY_TO_RIR",
     "ChurnModel",
     "DYNAMIC_TOKENS",
     "GeoIpDatabase",
+    "HostBlock",
     "LeasedHost",
     "PrefixAllocator",
     "RdnsRegistry",

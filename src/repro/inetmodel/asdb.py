@@ -91,9 +91,6 @@ class AsRegistry:
     def get(self, asn):
         return self._systems.get(asn)
 
-    def all_systems(self):
-        return list(self._systems.values())
-
     def lookup(self, ip):
         """The :class:`AutonomousSystem` owning ``ip``, or ``None``."""
         from repro.netsim.address import ip_to_int

@@ -177,6 +177,3 @@ class ChurnModel:
                 # is enough since intermediate addresses were never observed.
                 if host.expires_at is not None and now >= host.expires_at:
                     self.rebind(host)
-
-    def online_hosts(self):
-        return [host for host in self._hosts if host.online]

@@ -9,7 +9,6 @@ forward-confirmed reverse DNS, which a squatter cannot fake because only
 the domain owner controls the forward zone.
 """
 
-from repro.netsim.address import reverse_pointer_name
 
 DYNAMIC_TOKENS = (
     "dynamic", "dyn", "dialup", "dial", "broadband", "dsl", "adsl",
@@ -72,10 +71,6 @@ class RdnsRegistry:
         """True when ip -> PTR -> A leads back to ``ip``."""
         name = self._ptr.get(ip)
         return name is not None and self._forward.get(name.lower()) == ip
-
-    def pointer_query_name(self, ip):
-        """The in-addr.arpa name a resolver would query for ``ip``."""
-        return reverse_pointer_name(ip)
 
     def __len__(self):
         return len(self._ptr)

@@ -27,8 +27,7 @@ import time
 import zlib
 
 from repro.checkpoint.feed import CheckpointFeed, commits_of
-from repro.checkpoint.formats import payload_kind
-from repro.checkpoint.store import FormatError
+from repro.checkpoint.formats import payload_kind, read_payload
 from repro.netsim.address import int_to_ip, ip_to_int
 
 
@@ -166,14 +165,9 @@ def _fold_unit(store, feed, key, record, geo, report):
     if store.ingested.get(ledger_key) == digest:
         report.units_skipped += 1
         return
-    try:
-        fold(store, payload, geo, report)
-    except (KeyError, AttributeError, TypeError, ValueError) as error:
-        # A payload of the declared type without what its fold reads:
-        # written by another program.  (The pass saves nothing.)
-        raise FormatError("%s: not a %s payload this program reads (%r)"
-                          % (feed.snapshot_path(key), payload_kind(key),
-                             error))
+    # A payload its fold cannot read fails the pass, which saves nothing.
+    read_payload(feed.snapshot_path(key), key,
+                 lambda: fold(store, payload, geo, report))
     store.ingested[ledger_key] = digest
     report.units_folded += 1
 

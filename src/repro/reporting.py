@@ -52,8 +52,9 @@ from repro.scanner import (
 SOCIAL = ("facebook.com", "twitter.com", "youtube.com")
 
 
-def _study_unit(checkpoint, network, perf, name, compute):
-    """One checkpointable top-level study phase (fingerprint, snoop...).
+def _study_unit(checkpoint, network, perf, name, compute, read):
+    """One checkpointable top-level study phase (fingerprint, snoop...),
+    returning ``read(payload)``.
 
     The derived analyses are recomputed whether the payload was
     restored or computed — they are cheap, pure functions of it.
@@ -63,7 +64,7 @@ def _study_unit(checkpoint, network, perf, name, compute):
             return compute()
 
     return checkpoint.unit("study", (name,), phase, network, perf,
-                           phase=name)
+                           read=read, phase=name)
 
 
 def fingerprint_phase(scenario, resolvers):
@@ -158,20 +159,20 @@ def run_full_study(scenario, weeks=20, snoop_sample=200,
 
     say("fingerprinting %d resolvers..." % len(resolvers))
 
-    fingerprint = _study_unit(
+    results.software, results.devices = _study_unit(
         checkpoint, network, perf, "fingerprint",
-        lambda: fingerprint_phase(scenario, resolvers))
-    results.software = software_table(fingerprint["software"])
-    results.devices = device_table(fingerprint["classifications"],
-                                   total_scanned=len(resolvers))
+        lambda: fingerprint_phase(scenario, resolvers),
+        lambda payload: (software_table(payload["software"]),
+                         device_table(payload["classifications"],
+                                      total_scanned=len(resolvers))))
 
     say("snooping %d resolver caches..." % min(snoop_sample,
                                                len(resolvers)))
 
-    snoop = _study_unit(
+    results.utilization = _study_unit(
         checkpoint, network, perf, "snoop",
-        lambda: snoop_phase(scenario, resolvers[:snoop_sample]))
-    results.utilization = utilization_summary(snoop["traces"])
+        lambda: snoop_phase(scenario, resolvers[:snoop_sample]),
+        lambda payload: utilization_summary(payload["traces"]))
 
     categories = list(pipeline_categories or ALL_CATEGORIES)
     pipeline_options = options.replace(shards=pipeline_shards)

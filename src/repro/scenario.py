@@ -30,11 +30,11 @@ from repro.datasets import (
 )
 from repro.datasets.domains import CATEGORY_MISC
 from repro.inetmodel import (
+    AddressPlan,
     AsRegistry,
     AutonomousSystem,
     ChurnModel,
     GeoIpDatabase,
-    PrefixAllocator,
     RdnsRegistry,
 )
 from repro.netsim import (
@@ -198,6 +198,67 @@ STALE_CDN_SHARE = 0.0025
 
 LANDING_IPS_PER_COUNTRY = 3    # censorship landing-page hosts per censor
 MIN_POOL_COUNT = 2             # floor of every scaled resolver pool
+# Addresses per resolver in a pool prefix.  Sparse pools matter for
+# Figure 2: on the real Internet resolver density is ~0.6% of the
+# address space, so a churned-away address is almost never re-leased to
+# another open resolver; dense simulated pools would inflate the
+# long-term cohort survival with lookalikes.
+POOL_HEADROOM = 24
+
+# Named hosts of the infrastructure block; its AuthNS servers take the
+# block's cursor from host 1 up.
+INFRA_HOSTS = {"scanner": 60001, "pipeline_source": 60002,
+               "trusted_source": 60003, "ground_truth_web": 60010,
+               "measurement_wildcard": 60011}
+
+CDN_PROVIDERS = (("EdgeSuite", "edgesuite-cdn.net"),
+                 ("CloudVia", "cloudvia-edge.com"))
+CDN_EDGE_COUNTRIES = ("US", "DE", "JP", "BR", "GB", "SG")
+ORIGIN_HOSTING_COUNTRIES = ("US", "DE", "FR", "NL", "JP", "SG", "BR", "RU",
+                            "CN", "IT", "GB", "IN")
+
+# Per-AS decline of the two near-total ISP shutdowns (§2.3): the main
+# telco, cable and wireless AS of the country, replacing its change.
+ISP_SHUTDOWNS = {"AR": (-0.978, -0.30, -0.30),   # the Argentinean telco
+                 "KR": (-0.9999, -0.62, -0.62)}
+
+# Resolver fleets of hosting/datacenter providers: the non-broadband
+# minority of the Top-25 networks ("at least 20 offer end user
+# services" means a handful do not, §2.3).  Hosting resolvers sit on
+# static addresses and rarely vanish.
+HOSTING_POOLS = (("US", "Summit Hosting", 400000),
+                 ("DE", "Rhein Datacenters", 300000),
+                 ("JP", "Tokai Cloud", 250000),
+                 ("SG", "Lion DC", 200000),
+                 ("NL", "Polder Hosting", 150000))
+
+# The 28 dark networks (§2.3): four block the scanner from week 18, one
+# filters DNS from week 26, one is shut down.  Shutdowns are gradual
+# (servers retired over months), unlike the abrupt one-week
+# disappearance of newly deployed DNS filtering — that difference is
+# what the >=100-resolvers heuristic keys on.
+DARK_NETWORKS = (("DarkNet Blocked 0", "BR", "blocked"),
+                 ("DarkNet Blocked 1", "UA", "blocked"),
+                 ("DarkNet Blocked 2", "PH", "blocked"),
+                 ("DarkNet Blocked 3", "RO", "blocked"),
+                 ("DarkNet Filtered", "PL", "filtered"),
+                 ("DarkNet Shutdown", "CZ", "shutdown"))
+_DARK_FATES = {"blocked": {}, "filtered": {},
+               "shutdown": {"offline_fraction": 1.0, "offline_start_week": 8,
+                            "offline_end_week": 50}}
+
+# Answer styles that end a resolver's behaviour draws: (share, the
+# behaviour from the resolver's rng), tried in order after the
+# combinable manipulations.
+_EXCLUSIVE_STYLES = (
+    (LAN_IP_SHARE,
+     lambda rng: LanIpBehavior("192.168.%d.1" % rng.randint(0, 5))),
+    (SAME_NET_SHARE,
+     lambda rng: SameNetworkBehavior(offset=rng.randint(180, 250))),
+    (SELF_IP_SHARE, lambda rng: SelfIpBehavior()),
+    (EMPTY_ANSWER_SHARE, lambda rng: EmptyAnswerBehavior()),
+    (NS_ONLY_SHARE, lambda rng: NsOnlyBehavior()),
+)
 
 
 class ScenarioConfig:
@@ -205,8 +266,10 @@ class ScenarioConfig:
 
     def __init__(self, scale=2000, seed=7, loss_rate=0.002,
                  lazy_population=False, node_cache=8192):
-        if scale < 1:
-            raise ValueError("scale must be >= 1")
+        if not 1 <= scale < math.inf:
+            raise ValueError("scale must be finite and >= 1")
+        if not 0 <= loss_rate <= 1:
+            raise ValueError("loss_rate must be in [0, 1]")
         if node_cache < 1:
             raise ValueError("node_cache must be >= 1")
         self.scale = scale
@@ -231,8 +294,8 @@ class Scenario:
         self.clock = SimClock()
         self.network = Network(self.clock, seed=config.seed,
                                loss_rate=config.loss_rate)
-        self.allocator = PrefixAllocator()
         self.as_registry = AsRegistry()
+        self.plan = AddressPlan(self.as_registry)
         self.geoip = GeoIpDatabase(self.as_registry)
         self.rdns = RdnsRegistry()
         self.ca = CertificateAuthority()
@@ -240,7 +303,6 @@ class Scenario:
         self.churn = ChurnModel(self.network, rdns=self.rdns,
                                 seed=config.seed + 1)
         self.blacklist = Blacklist()
-        self.domain_catalog = {d.name: d for d in all_domains()}
         self.cdn_providers = []
         self.special_ips = {}      # group name -> list of IPs
         self.landing_ips = {}      # country -> list of censorship IPs
@@ -252,7 +314,6 @@ class Scenario:
         self.verification_scanner_ip = None
         self.pipeline_source_ip = None
         self.resolver_prefixes = []
-        self._next_asn = 64500
 
     # -- accessors used by examples/benches -----------------------------------
 
@@ -289,68 +350,66 @@ class Scenario:
     def online_resolver_ips(self):
         return self.population.online_resolver_ips()
 
-    def next_asn(self):
-        self._next_asn += 1
-        return self._next_asn
-
-    def new_as(self, name, country, kind=AutonomousSystem.BROADBAND,
-               prefix_length=None, prefix=None):
-        """Create an AS with one prefix and register it."""
-        if prefix is None:
-            prefix = self.allocator.allocate(prefix_length or 20)
-        asys = AutonomousSystem(self.next_asn(), name, country, kind,
-                                [prefix])
-        self.as_registry.add(asys)
-        return asys, prefix
-
 
 # ---------------------------------------------------------------------------
 # Build helpers
 # ---------------------------------------------------------------------------
 
 def _prefix_length_for(count):
-    """A CIDR length giving ~24x headroom over the resolver count.
-
-    Sparse pools matter for Figure 2: on the real Internet resolver
-    density is ~0.6% of the address space, so a churned-away address is
-    almost never re-leased to another open resolver; dense simulated
-    pools would inflate the long-term cohort survival with lookalikes.
-    """
-    needed = max(16, count * 24)
+    """A CIDR length giving about ``POOL_HEADROOM`` addresses per resolver."""
+    needed = max(16, count * POOL_HEADROOM)
     length = 32 - max(4, math.ceil(math.log2(needed)))
     return max(12, min(26, length))
+
+
+def _server(kind, *args, **kwargs):
+    """A ``kind`` server waiting for its address."""
+    return lambda ip: kind(ip, *args, **kwargs)
+
+
+def _static_pages(*bodies):
+    return [_server(StaticPageServer, body) for body in bodies]
+
+
+def _serve(network, block, servers):
+    """Give each server the next host of ``block`` and register it
+    (``None``: an address where nothing listens); returns the hosts."""
+    ips = []
+    for server in servers:
+        ip = block.next()
+        if server is not None:
+            network.register(server(ip))
+        ips.append(ip)
+    return ips
 
 
 def _build_infrastructure(scenario):
     """DNS hierarchy, content servers, CDNs, mail, scanner hosts."""
     config = scenario.config
+    plan = scenario.plan
     # Infrastructure AS (hosting: AuthNS, scanner, trusted resolvers).
-    infra_as, infra_prefix = scenario.new_as(
-        "SimStudy Research", "US", AutonomousSystem.ACADEMIC, 16)
-    builder = HierarchyBuilder(scenario.network, infra_prefix,
+    infra = plan.block("SimStudy Research", "US",
+                       AutonomousSystem.ACADEMIC, 16)
+    builder = HierarchyBuilder(scenario.network, infra,
                                rdns_registry=scenario.rdns)
     scenario.hierarchy = builder.hierarchy
-    scenario._hierarchy_builder = builder
-    scenario.scanner_ip = infra_prefix.address_at(60001)
-    scenario.pipeline_source_ip = infra_prefix.address_at(60002)
-    trusted_source = infra_prefix.address_at(60003)
-    # The verification scan runs from a different /8 (§2.2): carve its
-    # prefix from the far end of the address space.
-    ver_prefix = PrefixAllocator(start="203.64.0.0").allocate(24)
-    ver_as = AutonomousSystem(scenario.next_asn(),
-                              "SecondVantage Hosting", "DE",
-                              AutonomousSystem.HOSTING, [ver_prefix])
-    scenario.as_registry.add(ver_as)
-    scenario.verification_scanner_ip = ver_prefix.address_at(10)
+    scenario.scanner_ip = infra.host(INFRA_HOSTS["scanner"])
+    scenario.pipeline_source_ip = infra.host(INFRA_HOSTS["pipeline_source"])
+    trusted_source = infra.host(INFRA_HOSTS["trusted_source"])
+    # The verification scan runs from a different /8 (§2.2).
+    scenario.verification_scanner_ip = plan.block(
+        "SecondVantage Hosting", "DE", AutonomousSystem.HOSTING, 24,
+        first=10, region="vantage").next()
 
     scenario.service = ResolutionService(
         builder.hierarchy.root_ips, trusted_source,
         wildcard_suffixes=[MEASUREMENT_DOMAIN])
 
     # Measurement + ground-truth domains (we operate these AuthNS).
-    gt_web_ip = infra_prefix.address_at(60010)
-    builder.register_domain(MEASUREMENT_DOMAIN,
-                            wildcard_address=infra_prefix.address_at(60011))
+    gt_web_ip = infra.host(INFRA_HOSTS["ground_truth_web"])
+    builder.register_domain(
+        MEASUREMENT_DOMAIN,
+        wildcard_address=infra.host(INFRA_HOSTS["measurement_wildcard"]))
     builder.register_domain(GROUND_TRUTH_DOMAIN,
                             {GROUND_TRUTH_DOMAIN: [gt_web_ip]})
     scenario.site_library.set_category(GROUND_TRUTH_DOMAIN, CATEGORY_MISC)
@@ -358,45 +417,25 @@ def _build_infrastructure(scenario):
         gt_web_ip, scenario.site_library, [GROUND_TRUTH_DOMAIN],
         certificate=scenario.ca.issue(GROUND_TRUTH_DOMAIN)))
 
-    # CDN providers.
-    hosting_countries = ("US", "DE", "JP", "BR", "GB", "SG")
-    for cdn_name, cn in (("EdgeSuite", "edgesuite-cdn.net"),
-                         ("CloudVia", "cloudvia-edge.com")):
+    # CDN providers: edges live in many foreign hosting ASes (the CDN
+    # problem, §3.4); every third country's second edge is disabled.
+    for cdn_name, cn in CDN_PROVIDERS:
         provider = CdnProvider(cdn_name, cn, scenario.ca,
                                scenario.site_library, seed=config.seed)
-        # Edges live in many foreign hosting ASes (the CDN problem, §3.4).
-        for index, country in enumerate(hosting_countries):
-            edge_as, edge_prefix = scenario.new_as(
-                "%s Edge %s" % (cdn_name, country), country,
-                AutonomousSystem.HOSTING, 24)
-            provider.deploy_edge(scenario.network,
-                                 edge_prefix.address_at(10))
-            provider.deploy_edge(scenario.network,
-                                 edge_prefix.address_at(11),
+        for index, country in enumerate(CDN_EDGE_COUNTRIES):
+            edges = plan.block("%s Edge %s" % (cdn_name, country), country,
+                               AutonomousSystem.HOSTING, 24, first=10)
+            provider.deploy_edge(scenario.network, edges.next())
+            provider.deploy_edge(scenario.network, edges.next(),
                                  enabled=(index % 3 != 2))
         scenario.cdn_providers.append(provider)
 
-    # Content hosting ASes for origin web servers.
-    origin_ases = []
-    for country in ("US", "DE", "FR", "NL", "JP", "SG", "BR", "RU", "CN",
-                    "IT", "GB", "IN"):
-        asys, prefix = scenario.new_as(
-            "%s WebHosting" % country, country, AutonomousSystem.HOSTING,
-            22)
-        origin_ases.append((asys, prefix, [0]))  # [next host index]
-
+    # Content hosting ASes for origin web servers; each origin server
+    # lands in a randomly drawn one.
+    origins = [plan.block("%s WebHosting" % country, country,
+                          AutonomousSystem.HOSTING, 22, first=11)
+               for country in ORIGIN_HOSTING_COUNTRIES]
     rng = random.Random(config.seed + 11)
-
-    def next_host_ip(preferred_country=None):
-        candidates = origin_ases
-        if preferred_country is not None:
-            matching = [entry for entry in origin_ases
-                        if entry[0].country == preferred_country]
-            if matching:
-                candidates = matching
-        asys, prefix, counter = candidates[rng.randrange(len(candidates))]
-        counter[0] += 1
-        return prefix.address_at(counter[0] + 10)
 
     # Register every existing scanned domain: zone, origin server(s), TLS.
     cdn_cycle = 0
@@ -420,7 +459,8 @@ def _build_infrastructure(scenario):
                                      "www." + domain.name: pool[2:4]})
             scenario.service.register_cdn_pool(domain.name, pool)
         else:
-            ips = [next_host_ip() for __ in range(rng.randint(1, 2))]
+            ips = [origins[rng.randrange(len(origins))].next()
+                   for __ in range(rng.randint(1, 2))]
             builder.register_domain(domain.name,
                                     {domain.name: ips,
                                      "www." + domain.name: ips})
@@ -445,7 +485,7 @@ def _build_infrastructure(scenario):
         scenario.site_library.set_category(domain.name, CATEGORY_MALWARE)
         if index % 3 == 0:
             continue  # dead: no zone at all -> NXDOMAIN upstream
-        ip = next_host_ip()
+        ip = origins[rng.randrange(len(origins))].next()
         builder.register_domain(domain.name, {domain.name: [ip]})
         if index % 3 == 1:
             scenario.network.register(WebServer(
@@ -459,193 +499,130 @@ def _build_infrastructure(scenario):
     scenario.special_ips["sinkholed_malware"] = sinkholed
 
     # Mail providers: zones + legitimate mail servers.
-    mail_provider_as, mail_prefix = scenario.new_as(
-        "MailCloud Hosting", "US", AutonomousSystem.HOSTING, 22)
-    mail_index = [0]
-    provider_zone_done = set()
+    mail = plan.block("MailCloud Hosting", "US", AutonomousSystem.HOSTING,
+                      22, first=6)
     for domain in DOMAIN_SETS["MX"]:
-        provider = provider_for_hostname(domain.name)
-        labels = domain.name.split(".")
-        apex = ".".join(labels[-2:])
-        if apex in ("me.com",):
-            apex = "me.com"
-        mail_index[0] += 1
-        ip = mail_prefix.address_at(mail_index[0] + 5)
-        scenario.network.register(MailServer(ip, provider=provider))
+        ip = mail.next()
+        scenario.network.register(MailServer(
+            ip, provider=provider_for_hostname(domain.name)))
+        apex = ".".join(domain.name.split(".")[-2:])
         zone = scenario.hierarchy.zone(apex)
         if zone is None:
             zone = builder.register_domain(apex)
         zone.add_a(domain.name, ip)
-        provider_zone_done.add(apex)
-
-    return builder
 
 
-def _build_special_hosts(scenario, builder):
+def _build_special_hosts(scenario):
     """Censorship landing pages, blocking/parking/search/login/phish/ad/
     malware/proxy/mail hosts — the destinations of manipulated answers."""
     config = scenario.config
+    plan = scenario.plan
     network = scenario.network
+    library = scenario.site_library
 
     # Censorship landing pages: a small set of IPs per censoring country.
     for country in pages.CENSOR_COUNTRIES:
-        asys, prefix = scenario.new_as(
-            "%s National Gateway" % country, country,
-            AutonomousSystem.ENTERPRISE, 26)
-        ips = []
-        for variant in range(LANDING_IPS_PER_COUNTRY):
-            ip = prefix.address_at(variant + 5)
-            network.register(StaticPageServer(
-                ip, pages.censorship_landing(country, variant)))
-            ips.append(ip)
-        scenario.landing_ips[country] = ips
+        gateway = plan.block("%s National Gateway" % country, country,
+                             AutonomousSystem.ENTERPRISE, 26, first=5)
+        scenario.landing_ips[country] = _serve(
+            network, gateway, _static_pages(
+                *[pages.censorship_landing(country, variant)
+                  for variant in range(LANDING_IPS_PER_COUNTRY)]))
     scenario.special_ips["censorship_landing"] = [
         ip for ips in scenario.landing_ips.values() for ip in ips]
 
-    svc_as, svc_prefix = scenario.new_as(
-        "GlobalServices Hosting", "US", AutonomousSystem.HOSTING, 20)
-    counter = [100]
+    services = plan.block("GlobalServices Hosting", "US",
+                          AutonomousSystem.HOSTING, 20, first=101)
+    # Two bank-clone phishing hosts on Brazilian and Russian networks,
+    # and two mail listeners copying genuine provider banners (§4.3).
+    bullet_br = plan.block("BR BulletHost", "BR", AutonomousSystem.HOSTING,
+                           26, first=5)
+    bullet_ru = plan.block("RU BulletHost", "RU", AutonomousSystem.HOSTING,
+                           26, first=5)
+    cn_research = plan.block("CN Research Network", "CN",
+                             AutonomousSystem.ACADEMIC, 26, first=5)
 
-    def svc_ip():
-        counter[0] += 1
-        return svc_prefix.address_at(counter[0])
-
-    def static_group(name, bodies, status=200, **kwargs):
-        ips = []
-        for body in bodies:
-            ip = svc_ip()
-            network.register(StaticPageServer(ip, body, status=status,
-                                              **kwargs))
-            ips.append(ip)
-        scenario.special_ips[name] = ips
-        return ips
-
-    static_group("blocking", [
-        pages.isp_blocking_page("SafeNet Shield", "malicious"),
-        pages.isp_blocking_page("FamilyGuard DNS", "adult"),
-        pages.isp_blocking_page("SecureISP Filter", "phishing"),
-        pages.isp_blocking_page("KidSafe Net", "dating"),
-    ])
-    static_group("parking", [
-        pages.parking_page("parked-%d.example" % i,
-                           reseller=("DomainMonetizer" if i % 2 == 0
-                                     else "ParkingLotInc"),
-                           seed=config.seed + i)
-        for i in range(6)])
-    static_group("search", [pages.search_page(provider="WebSearch"),
-                            pages.search_page(provider="FindFast"),
-                            pages.search_page(provider="LookupNow")])
-    static_group("captive_portal", [
-        pages.captive_portal("City Hotel", "hotel"),
-        pages.captive_portal("Metro ISP", "isp"),
-        pages.captive_portal("State University", "edu"),
-        pages.webmail_login("ISP Webmail"),
-    ])
-    static_group("personal", [
-        _personal_page(config.seed, i) for i in range(6)])
-    static_group("dead", [])  # placeholder group; dead hosts below
-    dead_ips = [svc_ip() for __ in range(5)]  # no node registered: timeouts
-    scenario.special_ips["dead"] = dead_ips
-
-    # Ad manipulation hosts (§4.3): 2 banner injectors, 2 script servers,
-    # 7 ad blankers, 2 fake search pages with ads.
-    ad_targets = [d.name for d in DOMAIN_SETS["Ads"]]
-    inject_ips = []
-    for transform in (pages.inject_ad_banner, pages.inject_ad_banner,
-                      pages.inject_ad_script, pages.inject_ad_script):
-        ip = svc_ip()
-        network.register(ContentTransformServer(
-            ip, scenario.site_library, transform, target_domains=None))
-        inject_ips.append(ip)
-    scenario.special_ips["ad_inject"] = inject_ips
-    blank_ips = []
-    for __ in range(7):
-        ip = svc_ip()
-        network.register(ContentTransformServer(
-            ip, scenario.site_library, pages.blank_ads,
-            target_domains=None))
-        blank_ips.append(ip)
-    scenario.special_ips["ad_blank"] = blank_ips
-    static_group("fake_search", [pages.fake_search_with_ads("Google"),
-                                 pages.fake_search_with_ads("Google")])
-
-    # Transparent proxies: HTTP-only and TLS-capable (§4.3).  Proxies
-    # relay web content only — asking them for a bare mail hostname gets
-    # an error page, as on the real Internet.
+    # Transparent proxies relay web content only — asking them for a
+    # bare mail hostname gets an error page, as on the real Internet.
     proxyable = {d.name for d in all_domains()
                  if d.exists and d.kind == ScanDomain.KIND_WEB}
     proxyable.add(GROUND_TRUTH_DOMAIN)
-    http_proxy_ips = []
-    for __ in range(10):
-        ip = svc_ip()
-        network.register(TransparentProxy(ip, scenario.site_library,
-                                          https=False,
-                                          web_domains=proxyable))
-        http_proxy_ips.append(ip)
-    scenario.special_ips["proxy_http"] = http_proxy_ips
     # TLS-capable proxies terminate TLS with their own issuing CA —
     # their certificates are well-formed (so §4.3 classifies them as
     # TLS-capable) but not trusted by the study's store, which is why
     # the prefilter's certificate rule does not whitewash them.
     proxy_ca = CertificateAuthority("ProxyTrust CA")
-    tls_proxy_ips = []
-    for __ in range(10):
-        ip = svc_ip()
-        network.register(TransparentProxy(ip, scenario.site_library,
-                                          https=True, ca=proxy_ca,
-                                          web_domains=proxyable))
-        tls_proxy_ips.append(ip)
-    scenario.special_ips["proxy_tls"] = tls_proxy_ips
+    bank_clone = pages.phishing_bank(library.page_for("intesasanpaolo.it"))
 
-    # Phishing hosts: PayPal image-slice pages (some HTTPS/self-signed),
-    # and two bank clones (Brazilian and Russian networks, HTTP-only).
-    paypal_ips = []
-    for index in range(4):
-        ip = svc_ip()
-        cert = (CertificateAuthority.self_signed("paypal.com")
-                if index == 0 else None)
-        network.register(StaticPageServer(ip, pages.phishing_paypal(),
-                                          certificate=cert))
-        paypal_ips.append(ip)
-    scenario.special_ips["phish_paypal"] = paypal_ips
-    bank_page = scenario.site_library.page_for("intesasanpaolo.it")
-    br_as, br_prefix = scenario.new_as("BR BulletHost", "BR",
-                                       AutonomousSystem.HOSTING, 26)
-    ru_as, ru_prefix = scenario.new_as("RU BulletHost", "RU",
-                                       AutonomousSystem.HOSTING, 26)
-    bank_phish_ips = [br_prefix.address_at(5), ru_prefix.address_at(5)]
-    for ip in bank_phish_ips:
-        network.register(StaticPageServer(
-            ip, pages.phishing_bank(bank_page)))
-    scenario.special_ips["phish_bank"] = bank_phish_ips
-
-    # Malware-download update pages.
-    malware_ips = []
-    for index in range(8):
-        ip = svc_ip()
-        product = ("Adobe Flash Player" if index % 2 == 0
-                   else "Java Runtime Environment")
-        network.register(StaticPageServer(
-            ip, pages.malware_update_page(product)))
-        malware_ips.append(ip)
-    scenario.special_ips["malware_update"] = malware_ips
-
-    # Rogue mail listeners; two copy the genuine provider banners (§4.3).
-    rogue_mail_ips = []
-    for __ in range(10):
-        ip = svc_ip()
-        network.register(MailServer(ip, provider=None))  # generic banners
-        rogue_mail_ips.append(ip)
-    scenario.special_ips["mail_rogue"] = rogue_mail_ips
-    copy_ips = []
-    cn_research_as, cn_research_prefix = scenario.new_as(
-        "CN Research Network", "CN", AutonomousSystem.ACADEMIC, 26)
-    for index, provider in enumerate(("gmail.com", "yandex.ru")):
-        ip = cn_research_prefix.address_at(index + 5)
-        network.register(MailServer(
-            ip, banners=banners_for_provider(provider)))
-        copy_ips.append(ip)
-    scenario.special_ips["mail_banner_copy"] = copy_ips
+    # (group, block, its servers), in address and registration order.
+    hosts = (
+        ("blocking", services, _static_pages(
+            pages.isp_blocking_page("SafeNet Shield", "malicious"),
+            pages.isp_blocking_page("FamilyGuard DNS", "adult"),
+            pages.isp_blocking_page("SecureISP Filter", "phishing"),
+            pages.isp_blocking_page("KidSafe Net", "dating"))),
+        ("parking", services, _static_pages(*[
+            pages.parking_page("parked-%d.example" % i,
+                               reseller=("DomainMonetizer" if i % 2 == 0
+                                         else "ParkingLotInc"),
+                               seed=config.seed + i)
+            for i in range(6)])),
+        ("search", services, _static_pages(
+            pages.search_page(provider="WebSearch"),
+            pages.search_page(provider="FindFast"),
+            pages.search_page(provider="LookupNow"))),
+        ("captive_portal", services, _static_pages(
+            pages.captive_portal("City Hotel", "hotel"),
+            pages.captive_portal("Metro ISP", "isp"),
+            pages.captive_portal("State University", "edu"),
+            pages.webmail_login("ISP Webmail"))),
+        ("personal", services, _static_pages(
+            *[_personal_page(config.seed, i) for i in range(6)])),
+        # Nothing listens: probes of these addresses time out.
+        ("dead", services, [None] * 5),
+        # Ad manipulation hosts (§4.3): 2 banner injectors, 2 script
+        # servers, 7 ad blankers, 2 fake search pages with ads.
+        ("ad_inject", services, [
+            _server(ContentTransformServer, library, transform,
+                    target_domains=None)
+            for transform in (pages.inject_ad_banner, pages.inject_ad_banner,
+                              pages.inject_ad_script,
+                              pages.inject_ad_script)]),
+        ("ad_blank", services, [_server(ContentTransformServer, library,
+                                        pages.blank_ads,
+                                        target_domains=None)] * 7),
+        ("fake_search", services, _static_pages(
+            pages.fake_search_with_ads("Google"),
+            pages.fake_search_with_ads("Google"))),
+        # Transparent proxies: HTTP-only and TLS-capable (§4.3).
+        ("proxy_http", services, [_server(TransparentProxy, library,
+                                          https=False,
+                                          web_domains=proxyable)] * 10),
+        ("proxy_tls", services, [_server(TransparentProxy, library,
+                                         https=True, ca=proxy_ca,
+                                         web_domains=proxyable)] * 10),
+        # PayPal image-slice pages, the first HTTPS and self-signed.
+        ("phish_paypal", services, [
+            _server(StaticPageServer, pages.phishing_paypal(),
+                    certificate=(CertificateAuthority.self_signed(
+                        "paypal.com") if index == 0 else None))
+            for index in range(4)]),
+        ("phish_bank", bullet_br, _static_pages(bank_clone)),
+        ("phish_bank", bullet_ru, _static_pages(bank_clone)),
+        # Malware-download update pages.
+        ("malware_update", services, _static_pages(*[
+            pages.malware_update_page("Adobe Flash Player" if index % 2 == 0
+                                      else "Java Runtime Environment")
+            for index in range(8)])),
+        # Rogue mail listeners with generic banners.
+        ("mail_rogue", services, [_server(MailServer, provider=None)] * 10),
+        ("mail_banner_copy", cn_research, [
+            _server(MailServer, banners=banners_for_provider(provider))
+            for provider in ("gmail.com", "yandex.ru")]),
+    )
+    for group, block, servers in hosts:
+        scenario.special_ips.setdefault(group, []).extend(
+            _serve(network, block, servers))
 
 
 def _personal_page(seed, index):
@@ -667,7 +644,6 @@ def _personal_page(seed, index):
 def _make_behavior_factory(scenario):
     special = scenario.special_ips
     landing = scenario.landing_ips
-    catalog = scenario.domain_catalog
     malware_names = [d.name for d in DOMAIN_SETS[CATEGORY_MALWARE]]
     dead_parked = [name for name in malware_names
                    if scenario.hierarchy.zone(name) is None]
@@ -677,33 +653,26 @@ def _make_behavior_factory(scenario):
     adult_names = [d.name for d in DOMAIN_SETS["Adult"]]
     by_category = {category: [d.name for d in DOMAIN_SETS[category]]
                    for category in ALL_CATEGORIES}
+    # Background kind -> the hosts one static answer is drawn from.
+    static_pools = {"error": special["web_servers"] + special["dead"],
+                    "login": special["captive_portal"],
+                    "parking": special["parking"],
+                    "search": special["search"],
+                    "blocking": special["blocking"],
+                    "misc": special["personal"]}
 
-    def background_behavior(rng, spec):
+    def background_behavior(rng):
         kind = _BACKGROUND_KINDS.pick(rng)
-        if kind == "error":
-            pool = special["web_servers"] + special["dead"]
-            return StaticIpBehavior(pool[rng.randrange(len(pool))])
-        if kind == "login":
-            if rng.random() < 0.917:
-                return SelfIpBehavior()
-            pool = special["captive_portal"]
-            return StaticIpBehavior(pool[rng.randrange(len(pool))])
-        if kind == "parking":
-            pool = special["parking"]
-            return StaticIpBehavior(pool[rng.randrange(len(pool))])
-        if kind == "search":
-            pool = special["search"]
-            return StaticIpBehavior(pool[rng.randrange(len(pool))])
-        if kind == "blocking":
-            pool = special["blocking"]
-            return StaticIpBehavior(pool[rng.randrange(len(pool))])
-        # misc: proxies and personal pages.
-        point = rng.random()
-        if point < 0.30:
-            return ProxyAllBehavior(special["proxy_http"])
-        if point < 0.33:
-            return ProxyAllBehavior(special["proxy_tls"])
-        pool = special["personal"]
+        if kind == "login" and rng.random() < 0.917:
+            return SelfIpBehavior()
+        if kind == "misc":
+            # Misc: proxies, else personal pages.
+            point = rng.random()
+            if point < 0.30:
+                return ProxyAllBehavior(special["proxy_http"])
+            if point < 0.33:
+                return ProxyAllBehavior(special["proxy_tls"])
+        pool = static_pools[kind]
         return StaticIpBehavior(pool[rng.randrange(len(pool))])
 
     def censorship_behaviors(rng, spec):
@@ -727,8 +696,7 @@ def _make_behavior_factory(scenario):
         return [CensorshipBehavior(censored, ips, country=spec.country)]
 
     def factory(rng, spec, index, ip):
-        behaviors = []
-        behaviors.extend(censorship_behaviors(rng, spec))
+        behaviors = censorship_behaviors(rng, spec)
         if rng.random() < AV_BLOCKER_SHARE:
             blocked = list(malware_names)
             if rng.random() < 0.5:
@@ -753,23 +721,10 @@ def _make_behavior_factory(scenario):
         if rng.random() < MAIL_REDIRECT_SHARE:
             behaviors.append(MailRedirectBehavior(
                 mail_names, special["mail_rogue"]))
-        if rng.random() < LAN_IP_SHARE:
-            behaviors.append(LanIpBehavior(
-                "192.168.%d.1" % rng.randint(0, 5)))
-            return behaviors
-        if rng.random() < SAME_NET_SHARE:
-            behaviors.append(SameNetworkBehavior(
-                offset=rng.randint(180, 250)))
-            return behaviors
-        if rng.random() < SELF_IP_SHARE:
-            behaviors.append(SelfIpBehavior())
-            return behaviors
-        if rng.random() < EMPTY_ANSWER_SHARE:
-            behaviors.append(EmptyAnswerBehavior())
-            return behaviors
-        if rng.random() < NS_ONLY_SHARE:
-            behaviors.append(NsOnlyBehavior())
-            return behaviors
+        for share, style in _EXCLUSIVE_STYLES:
+            if rng.random() < share:
+                behaviors.append(style(rng))
+                return behaviors
         if rng.random() < STALE_CDN_SHARE and scenario.cdn_providers:
             provider = scenario.cdn_providers[
                 rng.randrange(len(scenario.cdn_providers))]
@@ -780,7 +735,7 @@ def _make_behavior_factory(scenario):
             if stale:
                 behaviors.append(StaleCdnBehavior(stale))
         if rng.random() < BACKGROUND_SHARE:
-            behaviors.append(background_behavior(rng, spec))
+            behaviors.append(background_behavior(rng))
         return behaviors
 
     return factory
@@ -800,60 +755,51 @@ def _assign_case_study_resolvers(scenario, rng):
               and host.online_after is None
               and host.node.lazy_flags & FLAG_PLAIN_NORMAL]
     rng.shuffle(normal)
-    cursor = [0]
-
-    def take(paper_count, minimum):
-        count = min(len(normal) - cursor[0],
-                    config.scaled(paper_count, minimum=minimum))
+    ads = [d.name for d in DOMAIN_SETS["Ads"]]
+    mail_names = [d.name for d in DOMAIN_SETS["MX"]]
+    # (group, paper count, floor, the behaviour each member gets), handed
+    # the shuffled candidates in this order.
+    groups = (
+        ("ad_inject", 281, 3,
+         lambda: AdInjectBehavior(ads, special["ad_inject"])),
+        ("ad_blank", 14, 2,
+         lambda: AdInjectBehavior(ads, special["ad_blank"])),
+        ("fake_search", 7, 2,
+         lambda: StaticIpBehavior(special["fake_search"][0])),
+        ("phish_paypal", 176, 2,
+         lambda: PhishingBehavior(["paypal.com"], special["phish_paypal"])),
+        ("phish_bank_br", 285, 2,
+         lambda: PhishingBehavior(["intesasanpaolo.it"],
+                                  [special["phish_bank"][0]])),
+        ("phish_bank_ru", 46, 2,
+         lambda: PhishingBehavior(["intesasanpaolo.it"],
+                                  [special["phish_bank"][1]])),
+        ("malware", 228, 2,
+         lambda: MalwareBehavior(
+             ["get.adobe.com", "update.adobe.com", "java.com"],
+             special["malware_update"])),
+        ("proxy_http", 10179, 4,
+         lambda: ProxyAllBehavior(special["proxy_http"])),
+        ("proxy_tls", 99, 2,
+         lambda: ProxyAllBehavior(special["proxy_tls"])),
+        ("mail_banner_copy", 8, 2,
+         lambda: MailRedirectBehavior(mail_names,
+                                      special["mail_banner_copy"])),
+    )
+    resolvers = {}
+    cursor = 0
+    for group, paper_count, floor, behavior in groups:
+        count = min(len(normal) - cursor,
+                    config.scaled(paper_count, minimum=floor))
         # Chosen nodes get a behavior inserted below: materialize lazy
         # picks permanently so the mutation survives LRU eviction.
-        chosen = [node.pin() for node in normal[cursor[0]:cursor[0] + count]]
-        cursor[0] += count
-        return chosen
-
-    groups = {}
-    ad_targets = [d.name for d in DOMAIN_SETS["Ads"]]
-    for node in take(281, 3):
-        node.behaviors.insert(0, AdInjectBehavior(
-            ad_targets, special["ad_inject"]))
-        groups.setdefault("ad_inject", []).append(node.ip)
-    for node in take(14, 2):
-        node.behaviors.insert(0, AdInjectBehavior(
-            ad_targets, special["ad_blank"]))
-        groups.setdefault("ad_blank", []).append(node.ip)
-    for node in take(7, 2):
-        node.behaviors.insert(0, StaticIpBehavior(
-            special["fake_search"][0]))
-        groups.setdefault("fake_search", []).append(node.ip)
-    for node in take(176, 2):
-        node.behaviors.insert(0, PhishingBehavior(
-            ["paypal.com"], special["phish_paypal"]))
-        groups.setdefault("phish_paypal", []).append(node.ip)
-    for node in take(285, 2):
-        node.behaviors.insert(0, PhishingBehavior(
-            ["intesasanpaolo.it"], [special["phish_bank"][0]]))
-        groups.setdefault("phish_bank_br", []).append(node.ip)
-    for node in take(46, 2):
-        node.behaviors.insert(0, PhishingBehavior(
-            ["intesasanpaolo.it"], [special["phish_bank"][1]]))
-        groups.setdefault("phish_bank_ru", []).append(node.ip)
-    for node in take(228, 2):
-        node.behaviors.insert(0, MalwareBehavior(
-            ["get.adobe.com", "update.adobe.com", "java.com"],
-            special["malware_update"]))
-        groups.setdefault("malware", []).append(node.ip)
-    for node in take(10179, 4):
-        node.behaviors.insert(0, ProxyAllBehavior(special["proxy_http"]))
-        groups.setdefault("proxy_http", []).append(node.ip)
-    for node in take(99, 2):
-        node.behaviors.insert(0, ProxyAllBehavior(special["proxy_tls"]))
-        groups.setdefault("proxy_tls", []).append(node.ip)
-    mail_names = [d.name for d in DOMAIN_SETS["MX"]]
-    for node in take(8, 2):
-        node.behaviors.insert(0, MailRedirectBehavior(
-            mail_names, special["mail_banner_copy"]))
-        groups.setdefault("mail_banner_copy", []).append(node.ip)
-    scenario.case_study_resolvers = groups
+        chosen = [node.pin() for node in normal[cursor:cursor + count]]
+        cursor += count
+        for node in chosen:
+            node.behaviors.insert(0, behavior())
+        if chosen:
+            resolvers[group] = [node.ip for node in chosen]
+    scenario.case_study_resolvers = resolvers
 
 
 # Broadband pool split per country: main telco, cable, wireless (§2.3).
@@ -884,42 +830,37 @@ def split_pool_counts(count, change):
     return pool_counts, grown_counts
 
 
-def _build_population(scenario, builder):
+def _build_population(scenario):
     config = scenario.config
+    plan = scenario.plan
+    network = scenario.network
     factory = _make_behavior_factory(scenario)
     scenario.population = PopulationBuilder(
-        scenario.network, scenario.churn, scenario.service,
+        network, scenario.churn, scenario.service,
         rdns=scenario.rdns, snooping_tlds=SNOOPING_TLDS,
         seed=config.seed + 2,
         lazy=config.lazy_population, node_cache=config.node_cache)
     rng = random.Random(config.seed + 3)
-    gfw_prefixes = []
-    decline_specs = []
 
+    def resolver_pool(name, country, kind, prefix_length, count, **spec):
+        """Carve a pool prefix, build ``count`` resolvers in it."""
+        block = plan.block(name, country, kind, prefix_length)
+        scenario.resolver_prefixes.append(block.prefix)
+        scenario.population.build_pool(ResolverSpec(
+            block.asys, block.prefix, count, behavior_factory=factory,
+            **spec))
+        return block.prefix
+
+    gfw_prefixes = []
     for country, paper_count, change in COUNTRY_PLAN:
-        count = config.scaled(paper_count)
         # Split across a main broadband AS and up to two secondary ones.
-        splits = ["%s Telecom" % _ISP_NAMES.get(country, country),
-                  "%s Cable" % country,
-                  "%s Wireless" % country]
-        special_as_change = None
-        if country == "AR":
-            # The Argentinean telco whose resolvers all but vanished.
-            special_as_change = {0: -0.978, 1: -0.30, 2: -0.30}
-        elif country == "KR":
-            special_as_change = {0: -0.9999, 1: -0.62, 2: -0.62}
-        pool_counts, grown_counts = split_pool_counts(count, change)
-        for index, name in enumerate(splits):
-            pool_count = pool_counts[index]
-            prefix_length = _prefix_length_for(pool_count)
-            asys, prefix = scenario.new_as(
-                name, country, AutonomousSystem.BROADBAND, prefix_length)
-            scenario.resolver_prefixes.append(prefix)
-            if country == "CN":
-                gfw_prefixes.append(prefix)
-            as_change = change
-            if special_as_change is not None:
-                as_change = special_as_change[index]
+        names = ("%s Telecom" % _ISP_NAMES.get(country, country),
+                 "%s Cable" % country, "%s Wireless" % country)
+        changes = ISP_SHUTDOWNS.get(country, (change,) * len(names))
+        pool_counts, grown_counts = split_pool_counts(
+            config.scaled(paper_count), change)
+        for name, as_change, pool_count, grown_count in zip(
+                names, changes, pool_counts, grown_counts):
             spec_extra = {}
             if as_change < -0.9:
                 # Near-total shutdowns (the AR/KR ISPs) take their closed
@@ -927,89 +868,44 @@ def _build_population(scenario, builder):
                 # population would floor the decline at ~-91%.
                 spec_extra = {"refused_share": 0.004,
                               "servfail_share": 0.008}
-            spec = ResolverSpec(
-                asys, prefix, pool_count,
-                isp_domain="%s.example" % name.lower().replace(" ", "-"),
+            prefix = resolver_pool(
+                name, country, AutonomousSystem.BROADBAND,
+                _prefix_length_for(pool_count),
+                # Growth hosts are built on top of the initial count.
+                grown_count if as_change > 0 else pool_count,
                 offline_fraction=max(0.0, -as_change),
-                **spec_extra,
                 growth_fraction=(as_change / (1 + as_change)
                                  if as_change > 0 else 0.0),
-                behavior_factory=factory,
                 gfw_immune_share=(0.024 if country == "CN" else 0.0),
-            )
-            if as_change > 0:
-                # Growth hosts must be built on top of the initial count.
-                spec.count = grown_counts[index]
-            decline_specs.append(spec)
-            scenario.population.build_pool(spec)
+                **spec_extra)
+            if country == "CN":
+                gfw_prefixes.append(prefix)
 
-    # Resolver fleets of hosting/datacenter providers: the non-broadband
-    # minority of the Top-25 networks ("at least 20 offer end user
-    # services" means a handful do not, §2.3).  Hosting resolvers sit on
-    # static addresses and rarely vanish.
-    hosting_pools = (("US", "Summit Hosting", 400000),
-                     ("DE", "Rhein Datacenters", 300000),
-                     ("JP", "Tokai Cloud", 250000),
-                     ("SG", "Lion DC", 200000),
-                     ("NL", "Polder Hosting", 150000))
-    for country, name, paper_count in hosting_pools:
+    for country, name, paper_count in HOSTING_POOLS:
         pool_count = config.scaled(paper_count)
-        prefix_length = _prefix_length_for(pool_count)
-        asys, prefix = scenario.new_as(name, country,
-                                       AutonomousSystem.HOSTING,
-                                       prefix_length)
-        scenario.resolver_prefixes.append(prefix)
-        scenario.population.build_pool(ResolverSpec(
-            asys, prefix, pool_count, behavior_factory=factory,
-            offline_fraction=0.05, day_lease_share=0.0,
-            week_lease_share=0.0, static_mean_weeks=100,
-            rdns_coverage=0.9, dynamic_token_share=0.0))
+        resolver_pool(name, country, AutonomousSystem.HOSTING,
+                      _prefix_length_for(pool_count), pool_count,
+                      offline_fraction=0.05, day_lease_share=0.0,
+                      week_lease_share=0.0, static_mean_weeks=100,
+                      rdns_coverage=0.9, dynamic_token_share=0.0)
 
     # The Great Firewall middlebox over the (main) Chinese prefixes.
     scenario.gfw = GreatFirewall(
         gfw_prefixes, GFW_CENSORED, seed=config.seed + 4,
         decoy_pool=scenario.special_ips["web_servers"][:20])
-    scenario.network.add_middlebox(scenario.gfw)
+    network.add_middlebox(scenario.gfw)
 
-    # The 28 dark networks (§2.3): blocked-scanner, DNS-filtered, shutdown.
-    dark_total = 0
-    blocked_networks = []
-    for index in range(4):
-        asys, prefix = scenario.new_as(
-            "DarkNet Blocked %d" % index, ("BR", "UA", "PH", "RO")[index],
-            AutonomousSystem.BROADBAND, 24)
-        scenario.resolver_prefixes.append(prefix)
-        pool_count = config.scaled(2750, minimum=4)
-        scenario.population.build_pool(ResolverSpec(
-            asys, prefix, pool_count, behavior_factory=factory,
-            day_lease_share=0.0, week_lease_share=0.0,
-            static_mean_weeks=500))
-        blocked_networks.append(prefix)
-        dark_total += pool_count
-    scenario.network.add_middlebox(ScannerBlocker(
-        [scenario.scanner_ip], blocked_networks,
-        active_after=18 * WEEK))
-    filtered_as, filtered_prefix = scenario.new_as(
-        "DarkNet Filtered", "PL", AutonomousSystem.BROADBAND, 24)
-    scenario.resolver_prefixes.append(filtered_prefix)
-    scenario.population.build_pool(ResolverSpec(
-        filtered_as, filtered_prefix, config.scaled(2750, minimum=4),
-        behavior_factory=factory, day_lease_share=0.0,
-        week_lease_share=0.0, static_mean_weeks=500))
-    scenario.network.add_middlebox(DnsIngressFilter(
-        [filtered_prefix], active_after=26 * WEEK))
-    shut_as, shut_prefix = scenario.new_as(
-        "DarkNet Shutdown", "CZ", AutonomousSystem.BROADBAND, 24)
-    scenario.resolver_prefixes.append(shut_prefix)
-    # Shutdowns are gradual (servers retired over months), unlike the
-    # abrupt one-week disappearance of newly deployed DNS filtering —
-    # that difference is what the >=100-resolvers heuristic keys on.
-    scenario.population.build_pool(ResolverSpec(
-        shut_as, shut_prefix, config.scaled(2750, minimum=4),
-        behavior_factory=factory, offline_fraction=1.0,
-        offline_start_week=8, offline_end_week=50,
-        day_lease_share=0.0, week_lease_share=0.0,
-        static_mean_weeks=500))
+    dark = {fate: [] for fate in _DARK_FATES}
+    for name, country, fate in DARK_NETWORKS:
+        dark[fate].append(resolver_pool(
+            name, country, AutonomousSystem.BROADBAND, 24,
+            config.scaled(2750, minimum=4), day_lease_share=0.0,
+            week_lease_share=0.0, static_mean_weeks=500,
+            **_DARK_FATES[fate]))
+    network.add_middlebox(ScannerBlocker(
+        [scenario.scanner_ip], dark["blocked"], active_after=18 * WEEK))
+    network.add_middlebox(DnsIngressFilter(
+        dark["filtered"], active_after=26 * WEEK))
 
     _assign_case_study_resolvers(scenario, rng)
     _equip_self_ip_resolvers(scenario, rng)
@@ -1045,7 +941,7 @@ def build_scenario(config=None):
     if config is None:
         config = ScenarioConfig()
     scenario = Scenario(config)
-    builder = _build_infrastructure(scenario)
-    _build_special_hosts(scenario, builder)
-    _build_population(scenario, builder)
+    _build_infrastructure(scenario)
+    _build_special_hosts(scenario)
+    _build_population(scenario)
     return scenario

@@ -225,6 +225,25 @@ def test_payload_of_the_declared_type_missing_what_ingest_reads(
     assert not os.path.exists(str(tmp_path / "store" / "MANIFEST.json"))
 
 
+@pytest.mark.parametrize("key, payload", [
+    (("study", "fingerprint"), {"traces": []}),
+    (("study", "snoop"), {"software": []}),
+])
+def test_payload_of_the_declared_type_missing_what_resume_reads(
+        tmp_path, key, payload):
+    # The owner's resume reads a restored unit through the same check
+    # as ingest: one error line naming the file, not a KeyError.
+    directory = copy_fixture(tmp_path, "509f09e", "fullstudy")
+    path = os.path.join(directory, "snapshots", key_filename(key))
+    write(path, encode_snapshot(payload))
+    code, out, err = run_cli(*COMMANDS["fullstudy"], "--checkpoint-dir",
+                             directory, "--resume")
+    assert code == 2 and out == ""
+    if ON_RECORD or "resume diverged" not in err:
+        assert error_line(err).startswith(
+            "error: %s: not a study payload this program reads (" % path)
+
+
 def test_trace_line_that_is_a_list(tmp_path):
     trace = copy_fixture(tmp_path, "509f09e", "trace.jsonl")
     with open(trace) as handle:

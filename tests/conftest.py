@@ -3,7 +3,7 @@
 import pytest
 
 from repro.authdns import HierarchyBuilder
-from repro.inetmodel import PrefixAllocator, RdnsRegistry
+from repro.inetmodel import HostBlock, PrefixAllocator, RdnsRegistry
 from repro.netsim import Network, SimClock
 from repro.resolvers import ResolutionService
 from repro.scenario import ScenarioConfig, build_scenario
@@ -19,7 +19,7 @@ class MiniWorld:
         self.allocator = PrefixAllocator()
         self.infra = self.allocator.allocate(16)
         self.rdns = RdnsRegistry()
-        self.builder = HierarchyBuilder(self.network, self.infra,
+        self.builder = HierarchyBuilder(self.network, HostBlock(self.infra),
                                         rdns_registry=self.rdns)
         self.hierarchy = self.builder.hierarchy
         self.ca = CertificateAuthority()

@@ -57,9 +57,8 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.add(AutonomousSystem(64500, "dup", "US"))
 
-    def test_all_systems(self, registry):
+    def test_len(self, registry):
         registry, __ = registry
-        assert len(registry.all_systems()) == 4
         assert len(registry) == 4
 
     def test_as_contains(self, registry):

@@ -70,8 +70,3 @@ class TestRegistry:
         registry.remove("1.2.3.4")
         assert registry.ptr("1.2.3.4") is None
         assert registry.forward("host.example.com") is None
-
-    def test_pointer_query_name(self):
-        registry = RdnsRegistry()
-        assert registry.pointer_query_name("1.2.3.4") == \
-            "4.3.2.1.in-addr.arpa"

@@ -29,6 +29,11 @@ DECLARED = ("a declared seam (DESIGN.md \"Arms race & adaptive pacing\", "
             "None where it has none (Middlebox, Node, DefenseMiddlebox."
             "ban_span, DomainScanner.perf), and callers read it directly")
 
+PLAN = ("the world's address plan, repro.inetmodel.allocation.AddressPlan "
+        "(DESIGN.md \"World construction\"): plan.block(...) carves and "
+        "registers an AS, its HostBlock hands out hosts by next() or a "
+        "declared host(offset)")
+
 LIVE = ("the owner's liveness rule (DESIGN.md \"Durability & resume\" → "
         "*Bit-identical resume*): Network.flow_state / "
         "restore_flow_state, DnsCache.live / replace")
@@ -88,6 +93,10 @@ GUARDS = [
      "the committed ScanResult: ResolverStore.put_week(week, result) / "
      "week(w), wrapped in WeeklySnapshot for repro.analysis (DESIGN.md "
      "\"Observatory\")"),
+    # Prefixes and fixed host offsets come from the plan only.
+    ("prefix allocators and literal host offsets",
+     r"\bPrefixAllocator\(|\.address_at\(\d", None,
+     {"inetmodel/allocation.py"}, PLAN),
     ("flow counters read outside the network", r"_flow_counts|_flow_epoch",
      None, {"netsim/network.py"}, LIVE),
     # A capability sniffed by name is a second code path for an object

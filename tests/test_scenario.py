@@ -1,5 +1,8 @@
 """Invariants of the built scenario world (session-scoped small build)."""
 
+import hashlib
+import sys
+
 import pytest
 
 from repro.datasets import (
@@ -8,6 +11,7 @@ from repro.datasets import (
     MEASUREMENT_DOMAIN,
     all_domains,
 )
+from repro.inetmodel import AddressPlan
 from repro.netsim.gfw import GreatFirewall
 from repro.scenario import (
     COUNTRY_PLAN,
@@ -218,8 +222,79 @@ class TestPoolApportionment:
 
 class TestConfigValidation:
     @pytest.mark.parametrize("knobs", [{"scale": 0}, {"scale": -2000},
-                                       {"node_cache": 0}])
+                                       {"scale": float("nan")},
+                                       {"node_cache": 0},
+                                       {"loss_rate": float("nan")},
+                                       {"loss_rate": -0.5},
+                                       {"loss_rate": 1.5}])
     def test_out_of_range_rejected(self, knobs):
-        # scale=0 used to surface as a ZeroDivisionError in scaled().
+        # scale=0 used to surface as a ZeroDivisionError in scaled(), a
+        # NaN scale as a ValueError there.
         with pytest.raises(ValueError):
             ScenarioConfig(**knobs)
+
+
+def world_digests(scenario):
+    """A short sha256 of each part of a built world, by part."""
+    registry = scenario.as_registry
+    first = AddressPlan.FIRST_ASN
+    parts = {
+        "ases": [(system.asn, system.name, system.country, system.kind,
+                  [prefix.cidr for prefix in system.prefixes])
+                 for system in map(registry.get,
+                                   range(first, first + len(registry)))],
+        "nodes": sorted((ip, type(node).__name__)
+                        for ip, node in scenario.network._nodes.items()),
+        "special": sorted(scenario.special_ips.items()),
+        "landing": sorted(scenario.landing_ips.items()),
+        "case_study": sorted(scenario.case_study_resolvers.items()),
+        "prefixes": [prefix.cidr for prefix in scenario.resolver_prefixes],
+        "pool": [(host.node.ip, host.node.lazy_flags)
+                 for host in scenario.population.hosts],
+    }
+    return {name: hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+            for name, value in parts.items()}
+
+
+# The special hosts and landing pages draw only integers; every other
+# part follows pool sizes and draw tables made by float sums, which
+# differ between CPython minor versions, so those are pinned on 3.11.
+EVERY_VERSION = ("special", "landing")
+ON_RECORD = (sys.implementation.name == "cpython"
+             and sys.version_info[:2] == (3, 11))
+
+# world_digests of build_scenario(ScenarioConfig(scale=5000, seed=S,
+# lazy_population=L)).  A moved AS, prefix, host or draw changes one;
+# every digest here was equal at the commit before the AddressPlan.
+WORLD_PINS = {
+    (7, False): {"ases": "55ecb28c83c610c6", "nodes": "4167ee2ee89aace3",
+                 "special": "79a6aafd79f4fd36", "landing": "315460d2308676a4",
+                 "case_study": "e8d7449b2f42e181",
+                 "prefixes": "e1ca7ca70058a348", "pool": "10f2444ff4062c0b"},
+    (7, True): {"ases": "55ecb28c83c610c6", "nodes": "0e7a136d7cce700f",
+                "special": "79a6aafd79f4fd36", "landing": "315460d2308676a4",
+                "case_study": "e8d7449b2f42e181",
+                "prefixes": "e1ca7ca70058a348", "pool": "c142e56da48514aa"},
+    (11, False): {"ases": "55ecb28c83c610c6", "nodes": "072105d9971b977c",
+                  "special": "b706079616729d04",
+                  "landing": "315460d2308676a4",
+                  "case_study": "79cb362d4fc1b15f",
+                  "prefixes": "e1ca7ca70058a348",
+                  "pool": "0da74c2601d2d8bc"},
+    (11, True): {"ases": "55ecb28c83c610c6", "nodes": "a796d3721dfa0bc7",
+                 "special": "b706079616729d04",
+                 "landing": "315460d2308676a4",
+                 "case_study": "79cb362d4fc1b15f",
+                 "prefixes": "e1ca7ca70058a348", "pool": "52fe4d3f6ac486ea"},
+}
+
+
+@pytest.mark.parametrize("seed, lazy", sorted(WORLD_PINS))
+def test_world_is_pinned(seed, lazy):
+    digests = world_digests(build_scenario(ScenarioConfig(
+        scale=5000, seed=seed, lazy_population=lazy)))
+    pinned = WORLD_PINS[seed, lazy]
+    if not ON_RECORD:
+        digests = {name: digests[name] for name in EVERY_VERSION}
+        pinned = {name: pinned[name] for name in EVERY_VERSION}
+    assert digests == pinned
