@@ -199,6 +199,8 @@ class CheckpointedRun:
         self._torn_epoch = self._quarantine_seq
         self._completed = {}
         self._crash_counts = {}
+        # Every crash point a boundary of this incarnation offered.
+        self._offered = set()
         for record in replay.records:
             if record["kind"] == _COMMIT:
                 self._completed[record["key"]] = record
@@ -336,6 +338,7 @@ class CheckpointedRun:
         if plan is None:
             return
         point = plan.crash_point(kind, key)
+        self._offered.add(point)
         occurrence = self._crash_counts.get(point, 0)
         if not plan.crashes(kind, key, occurrence=occurrence):
             return
@@ -345,6 +348,11 @@ class CheckpointedRun:
         self._crash_counts[point] = occurrence + 1
         from repro.faults import InjectedCrash
         raise InjectedCrash(kind, point)
+
+    def reached(self, point):
+        """Whether a boundary named ``point`` was offered the crash plane
+        in this incarnation, or crashed in an earlier one."""
+        return point in self._offered or point in self._crash_counts
 
     def note(self, name, value):
         """Record a one-shot provenance fact (first write wins)."""

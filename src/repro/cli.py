@@ -344,6 +344,25 @@ def _open_checkpoint(args, scenario, perf, meta):
     return checkpoint
 
 
+def _check_crash_points(scenario, checkpoint):
+    """A forced ``--faults crash=POINT`` that a finished checkpointed run
+    never reached (a typo) is a drill that tested nothing: one
+    ``error:`` line, exit 2.  Without ``--checkpoint-dir`` no point is
+    consulted, and the profile only keys the fault draws (the
+    uninterrupted twin of a crash drill)."""
+    from repro.checkpoint import CheckpointError
+    faults = scenario.network.faults
+    if checkpoint is None or faults is None:
+        return
+    for point in faults.profile.crash_points:
+        if not checkpoint.reached(point):
+            raise CheckpointError(
+                "--faults crash=%s: the run reached no checkpoint boundary "
+                "of that name (points are KIND:KEY, key parts joined by "
+                "'/'; a pipeline stage's is stage:pipeline/<Set>/<stage>, "
+                "e.g. stage:pipeline/Ads/prefilter)" % point)
+
+
 def _finish_checkpoint(checkpoint, crashed):
     """Write provenance and report the run's durability outcome."""
     if checkpoint is None:
@@ -435,6 +454,8 @@ def _session(args, extra_meta=None):
             _report_perf(args, perf)
         _export_trace(args, obs, perf, meta)
         run.status = _finish_checkpoint(checkpoint, crashed)
+        if crashed is None:
+            _check_crash_points(scenario, checkpoint)
     finally:
         gc.unfreeze()
 

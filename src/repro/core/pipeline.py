@@ -317,7 +317,8 @@ class ManipulationPipeline:
         The commit carries, beside the payload and the world
         state, the degradation entries the stage recorded and the
         domain scanner's ``queries_sent``; a restored stage replays
-        both.
+        both, and a restored payload that lacks what ``install`` reads
+        is a :class:`~repro.checkpoint.FormatError` naming its file.
         """
         def run_stage():
             degraded_before = len(report.degraded)
@@ -329,24 +330,29 @@ class ManipulationPipeline:
                 except Exception as error:
                     report.mark_degraded(name, repr(error))
                     payload = dict.fromkeys(fields)
-            payload["degraded"] = [
-                dict(entry) for entry
-                in report.degraded[degraded_before:]]
+            # Moved into the payload: install puts them back, computed
+            # or restored alike.
+            payload["degraded"] = report.degraded[degraded_before:]
+            del report.degraded[degraded_before:]
             return payload
 
         def replay(payload, state):
-            for entry in payload["degraded"]:
-                report.degraded.append(dict(entry))
             self.scanner.queries_sent = state["queries_sent"]
 
         def scanner_state():
             return {"queries_sent": self.scanner.queries_sent}
 
-        payload = checkpoint.unit("stage", (name,), run_stage, self.network,
-                                  self.perf, extra_state=scanner_state,
-                                  on_restore=replay, stage=name)
-        for field in fields:
-            report.install(field, payload[field])
+        def install(payload):
+            # Every read of a restored payload is in here, under the
+            # checkpoint's format check (formats.read_payload).
+            report.degraded.extend(dict(entry)
+                                   for entry in payload["degraded"])
+            for field in fields:
+                report.install(field, payload[field])
+
+        checkpoint.unit("stage", (name,), run_stage, self.network,
+                        self.perf, extra_state=scanner_state,
+                        on_restore=replay, read=install, stage=name)
 
     def run(self, resolver_ips, domains, checkpoint=None):
         """Execute steps 2–6 of Figure 3 for one domain set.

@@ -102,12 +102,20 @@ def _reads_back(rtype, data):
     return decode_rdata(rtype, raw, 0, len(raw)) == data
 
 
-def accepted_message(payload, txid):
-    """The ``Message`` a stub accepts in the datagram ``payload`` asking
-    ``txid``: ``None`` unless its header has QR set and echoes ``txid``
-    (read before the parse, which raises ``ValueError`` on garbage)."""
+def _reply_header(payload, txid):
+    """:func:`peek_header` of the datagram ``payload`` if it is a reply
+    to the query ``txid`` (QR set, ``txid`` echoed), else ``None``."""
     header = peek_header(payload)
     if header is None or not header[1] or header[0] != txid:
+        return None
+    return header
+
+
+def accepted_message(payload, txid):
+    """The ``Message`` a stub accepts in the datagram ``payload`` asking
+    ``txid``: ``None`` unless :func:`_reply_header` accepts its header
+    (read before the parse, which raises ``ValueError`` on garbage)."""
+    if _reply_header(payload, txid) is None:
         return None
     return Message.from_wire(payload)
 
@@ -115,14 +123,15 @@ def accepted_message(payload, txid):
 def relayed_answer(payload, txid):
     """``(rcode, rows)`` of the reply datagram ``payload`` to the stub
     query ``txid``, as :func:`accepted_message` reads it: rows ``None``
-    when no stub accepts it."""
+    when no stub accepts it, and the rcode ``None`` too unless
+    :func:`_reply_header` accepts its header."""
+    header = _reply_header(payload, txid)
+    if header is None:
+        return None, None
     try:
-        message = accepted_message(payload, txid)
+        row = message_row(Message.from_wire(payload))
     except ValueError:
-        message = None
-    if message is None:
-        return 0, None
-    row = message_row(message)
+        return header[2], None
     return row[2], row[3]
 
 

@@ -76,6 +76,14 @@ class GreatFirewall(Middlebox):
                 return True
         return False
 
+    def may_censor_under(self, suffix):
+        """Whether a name under the normalized ``suffix`` (itself or a
+        subdomain) may be censored: the suffix or a parent is on the
+        list, or a listed name is a strict subdomain of it."""
+        tail = "." + suffix
+        return self.censors_name(suffix) or any(
+            name.endswith(tail) for name in self.censored)
+
     def acts_on(self, question):
         """Only A queries in class IN for a censored name draw a forged
         answer (:meth:`inject_responses`); nothing else is touched."""
@@ -122,12 +130,9 @@ class GreatFirewall(Middlebox):
         """
         if dst_port != 53 or not self.censored:
             return []
-        if qname_suffix is not None:
-            suffix = normalize_name(qname_suffix)
-            tail = "." + suffix
-            if not self.censors_name(suffix) and not any(
-                    name.endswith(tail) for name in self.censored):
-                return []
+        if qname_suffix is not None and not self.may_censor_under(
+                normalize_name(qname_suffix)):
+            return []
         if self._inside(src_ip):
             return None
         return self._prefix_masks

@@ -109,8 +109,9 @@ class Node:
     service = None     # a resolver's shared ResolutionService, likewise
     # Answer plan: ``settle(dst_port, (qname, qtype, qclass, txid),
     # client_ip, network, query)`` has handle_udp's effects on the query
-    # ``query`` renders and returns its replies as (rcode, rows a stub
-    # reads or None, source ip or None); None, before any effect: wire.
+    # ``query`` renders and returns its replies as (rcode or None where
+    # no header is readable, rows a stub reads or None, source ip or
+    # None); None, before any effect: wire.
     settle = None
 
     def __init__(self, ip):
@@ -572,7 +573,7 @@ class Network:
             self._path_checks, None, packet.payload, packet, rendered)
 
     def send_probe(self, src_ip, src_port, dst_ip, dst_port, dst_int,
-                   payload, _checks=None):
+                   payload, _checks=None, question=None):
         """Wire-level delivery fast path: :meth:`send_udp` semantics with
         the addressing passed as scalars (``dst_int`` must equal
         ``ip_to_int(dst_ip)``).
@@ -584,11 +585,20 @@ class Network:
         built at all.  ``_checks`` substitutes a pre-filtered path-check
         list (see :meth:`scan_path_checks`) for this one send; nested
         sends triggered by the destination node are unaffected.
+
+        With the probe's ``question`` (``(qname, qtype, qclass,
+        txid)``), ``payload`` is the function that renders it, and the
+        datagram settles where :meth:`send_many`'s would
+        (:meth:`_datagram`): its replies are then the rows of
+        :meth:`_settled`, and no payload is rendered unless the
+        datagram takes the wire.
         """
+        if question is not None and not self._settles():
+            payload, question = payload(question), None
         return self._datagram(
             self._flow(src_ip, src_port, dst_ip, dst_port, dst_int),
             self._path_checks if _checks is None else _checks, None,
-            payload, None, True)
+            payload, None, True, question)
 
     def send_many(self, src_ip, src_port, dst_ip, dst_port, questions,
                   query):
@@ -848,7 +858,8 @@ class Network:
     def _settled(self, flow, question, replies):
         """The rows of a settled question's ``replies`` past the fates its
         wire twin draws: response loss, then truncation, which leaves a
-        reply no stub reads (records ``None``)."""
+        reply nobody reads — not even its header (rcode and records
+        ``None``)."""
         (src_ip, src_port, dst_ip, dst_port, __, __, __, reply_base,
          __) = flow
         loss_rate = self.loss_rate
@@ -864,7 +875,7 @@ class Network:
                 self.udp_queries_lost += 1
                 continue
             if self.faults is not None and self._truncates(key):
-                records = None
+                rcode = records = None
             rows.append((question[3], question[0], rcode, records, source,
                          False))
         return rows

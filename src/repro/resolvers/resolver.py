@@ -99,6 +99,10 @@ class AnswerClass:
     (of ``boxes``) that censor it, its CDN pool, and ``answers``: per
     pool offset, or ``None`` for the trusted result, ``(result, records
     a resolver caches, (rtype, ttl, rdata) rows a stub reads or None)``.
+
+    A wildcard suffix's class (``name`` ``None``) stands for every name
+    under it: one trusted result, and rows that carry no owner name.
+    Its ``records`` are the first name's; each name caches its own.
     """
 
     __slots__ = ("name", "boxes", "censors", "pool", "answers")
@@ -106,7 +110,8 @@ class AnswerClass:
     def __init__(self, name, boxes, pool):
         self.name = name
         self.boxes = boxes
-        self.censors = [gfw for gfw in boxes if gfw.censors_name(name)]
+        self.censors = [gfw for gfw in boxes
+                        if name is not None and gfw.censors_name(name)]
         self.pool = pool
         self.answers = {}
 
@@ -133,6 +138,7 @@ class ResolutionService:
         self.source_ip = source_ip
         self.cdn_pools = {normalize_name(d): list(ips)
                           for d, ips in (cdn_pools or {}).items()}
+        self._index_cdn_pools()
         self.wildcard_suffixes = tuple(normalize_name(s)
                                        for s in wildcard_suffixes)
         self.answers_per_query = answers_per_query
@@ -140,14 +146,27 @@ class ResolutionService:
         self._suffix_cache = {}
         # name -> (its _cache result, the records resolvers cache for it)
         self._records = {}
-        # name as asked -> its AnswerClass (wildcard names have none)
+        # name as asked -> its AnswerClass; wildcard suffix -> its class,
+        # or None where a GFW or a CDN pool singles out names under it
         self._classes = {}
+        self._wildcard_classes = {}
         self._trusted = IterativeResolver(self.root_ips, source_ip)
         self.full_resolutions = 0
 
     def register_cdn_pool(self, domain, edge_ips):
         self.cdn_pools[normalize_name(domain)] = list(edge_ips)
+        self._index_cdn_pools()
         self._classes.clear()
+        self._wildcard_classes.clear()
+
+    def _index_cdn_pools(self):
+        """Index every name a pool serves (:meth:`_cdn_pool_for`): its
+        domain and, unless another pool has that name, the domain's
+        ``www.`` alias."""
+        served = {"www." + domain: pool
+                  for domain, pool in self.cdn_pools.items()}
+        served.update(self.cdn_pools)
+        self._cdn_served = served
 
     # -- internals ---------------------------------------------------------
 
@@ -178,12 +197,7 @@ class ResolutionService:
         customer's zone answers NXDOMAIN for it, which matters for the
         NX domain set (rswkllf.twitter.com must not get addresses).
         """
-        pool = self.cdn_pools.get(name)
-        if pool is not None:
-            return pool
-        if name.startswith("www."):
-            return self.cdn_pools.get(name[4:])
-        return None
+        return self._cdn_served.get(name)
 
     # -- public API ----------------------------------------------------------
 
@@ -236,22 +250,39 @@ class ResolutionService:
 
     def answer_class(self, qname, network):
         """The :class:`AnswerClass` of ``qname``'s name, remade when the
-        network's GFWs change; ``None`` for a wildcard name."""
+        network's GFWs change: a wildcard name's is its suffix's, ``None``
+        where names under that suffix do not all answer alike."""
         boxes = network.middleboxes_of(GreatFirewall)
         answer_class = self._classes.get(qname)
         if answer_class is None or answer_class.boxes is not boxes:
             name = normalize_name(qname)
-            if self._wildcard_suffix(name) is not None:
-                return None
+            suffix = self._wildcard_suffix(name)
+            if suffix is not None:
+                return self._wildcard_class(suffix, boxes)
             answer_class = self._classes[qname] = AnswerClass(
                 name, boxes, self._cdn_pool_for(name))
         return answer_class
 
-    def settled_answer(self, answer_class, resolver, network):
-        """:meth:`resolve_for`'s answer for ``resolver`` as an entry of
-        ``answer_class.answers``; ``None`` -- no effect yet -- when a GFW
+    def _wildcard_class(self, suffix, boxes):
+        """The class every name under the wildcard ``suffix`` shares:
+        none if a GFW of ``boxes`` may censor one of them or a CDN pool
+        may serve one (:meth:`resolve_for` then differs by name)."""
+        entry = self._wildcard_classes.get(suffix)
+        if entry is None or entry[0] is not boxes:
+            singled_out = any(
+                self._wildcard_suffix(name) == suffix
+                for name in self._cdn_served
+            ) or any(gfw.may_censor_under(suffix) for gfw in boxes)
+            entry = (boxes, None if singled_out
+                     else AnswerClass(None, boxes, None))
+            self._wildcard_classes[suffix] = entry
+        return entry[1]
+
+    def settled_answer(self, answer_class, name, resolver, network):
+        """:meth:`resolve_for`'s answer for ``resolver`` asking ``name``
+        (normalized) as an entry of ``answer_class.answers``, with the
+        records ``name`` caches; ``None`` -- no effect yet -- when a GFW
         poisons the resolver's own lookup."""
-        name = answer_class.name
         if not resolver.gfw_immune:
             for gfw in answer_class.censors:
                 if gfw.poisons(resolver.ip, name):
@@ -271,6 +302,9 @@ class ResolutionService:
             # Shared by every resolver's answer: never mutated.
             settled = answer_class.answers[key] = (
                 result, records, rows and tuple(rows))
+        elif answer_class.name is None:
+            return settled[0], self.cache_records(name, settled[0]), \
+                settled[2]
         return settled
 
     def cache_records(self, name, result):
@@ -441,11 +475,12 @@ class ResolverNode(Node):
         answer_class = None if service is None else service.answer_class(
             qname, network)
         if answer_class is not None:
-            name = answer_class.name
+            name = answer_class.name or normalize_name(qname)
             now = network.clock.now
             cached = self.cache.lookup(name, QTYPE_A, now)
             if cached is None:
-                settled = service.settled_answer(answer_class, self, network)
+                settled = service.settled_answer(answer_class, name, self,
+                                                 network)
                 if settled is not None:
                     result, records, rows = settled
                     if result.rcode == RCODE_NOERROR and result.addresses:

@@ -14,11 +14,13 @@ some resolvers rewrite the destination port of their response — the same
 9 bits in the 0x20 case pattern of the query name.
 """
 
+from repro.dnswire.constants import CLASS_IN, QTYPE_A
 from repro.dnswire.name import (
     apply_0x20,
     encode_name,
     normalize_name,
     recover_0x20_bits,
+    split_labels,
 )
 from repro.netsim.address import int_to_ip, ip_to_int
 
@@ -47,7 +49,9 @@ class ProbeBatchEncoder:
     re-derived and no intermediate tuples or fragments are allocated.
 
     Output is byte-identical to ``Message.query(...).to_wire()`` for
-    the equivalent query (pinned by tests).
+    the equivalent query (pinned by tests).  The sweep asks for the
+    probe's :meth:`question`, and :meth:`render` builds the payload
+    from it only when the datagram takes the wire.
     """
 
     _LABEL_OFFSET = 13  # txid(2) + header tail(10) + length byte(1)
@@ -55,6 +59,11 @@ class ProbeBatchEncoder:
     def __init__(self, measurement_domain):
         self.measurement_domain = measurement_domain
         suffix_wire = encode_name(measurement_domain)
+        # The query name as the wire spells it: case kept, no trailing
+        # dot — what peek_query reads off the payload.
+        suffix = ".".join(split_labels(measurement_domain))
+        self._qname = "r%x.%08x" + ("." + suffix.replace("%", "%%")
+                                    if suffix else "")
         self._pool = {}
         for label_len in range(2, 8):  # "r0" .. "rffffff"
             frame = bytearray()
@@ -75,14 +84,36 @@ class ProbeBatchEncoder:
         probe-key windows the scanner derives from its splitmix64 probe
         identity, ``value`` is the 32-bit target address.
         """
-        label = b"r%x" % (key >> 16 & 0xFFFFFF)
-        frame, hex_offset = self._pool[len(label)]
         txid = key & 0xFFFF
+        return txid, self._frame(txid, b"r%x" % (key >> 16 & 0xFFFFFF),
+                                 b"%08x" % value)
+
+    def question(self, key, value):
+        """The question :meth:`encode`'s probe asks, ``(qname, QTYPE_A,
+        CLASS_IN, txid)``: the qname is what
+        :func:`~repro.dnswire.wire.peek_query` reads off the payload,
+        which :meth:`render` builds from the question alone."""
+        return (self._qname % (key >> 16 & 0xFFFFFF, value), QTYPE_A,
+                CLASS_IN, key & 0xFFFF)
+
+    def render(self, question):
+        """The payload of the probe asking ``question`` (one of
+        :meth:`question`'s): :meth:`encode`'s bytes for the same key and
+        target."""
+        qname = question[0]
+        cut = qname.index(".")
+        return self._frame(question[3], qname[:cut].encode(),
+                           qname[cut + 1:cut + 9].encode())
+
+    def _frame(self, txid, label, target):
+        """Write the three windows into the frame of ``label``'s length
+        and snapshot it."""
+        frame, hex_offset = self._pool[len(label)]
         frame[0] = txid >> 8
         frame[1] = txid & 0xFF
         frame[self._LABEL_OFFSET:hex_offset - 1] = label
-        frame[hex_offset:hex_offset + 8] = b"%08x" % value
-        return txid, bytes(frame)
+        frame[hex_offset:hex_offset + 8] = target
+        return bytes(frame)
 
     def encode_batch(self, keys, values):
         """Encode a whole batch; returns a list of (txid, payload)."""

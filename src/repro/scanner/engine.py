@@ -607,12 +607,12 @@ class ScanEngine(ShardedEngine):
 
     def _scan_forked(self, target_space, ranges, checkpoint):
         scanner = self.scanner
-        # Build the LFSR walk, the sweep columns and this scan's pacing
-        # plan *before* forking so every worker inherits them
-        # copy-on-write instead of paying an O(targets) build per
-        # process (and so the plan's counters are tallied once, here,
-        # not once per shard or never).
-        scanner.prewarm(target_space)
+        # Build the LFSR walk, the sweep columns, each shard range's
+        # walk order and this scan's pacing plan *before* forking so
+        # every worker inherits them copy-on-write instead of paying an
+        # O(targets) build per process (and so the plan's counters are
+        # tallied once, here, not once per shard or never).
+        scanner.prewarm(target_space, ranges)
         shards = []
         provenance = self._run_sharded(
             lambda **kwargs: scanner.scan(target_space, **kwargs),

@@ -13,21 +13,24 @@ probing — a full or sharded :meth:`Ipv4Scanner.scan`, an explicit
 :meth:`Ipv4Scanner.probe` — feeds :meth:`Ipv4Scanner._sweep` a *plan*,
 an iterable of ``(hot_targets, cold_targets, cold_drops)`` tuples:
 
-* ``scan`` pulls targets out of the LFSR permutation in fixed-size
-  batches (:class:`repro.scanner.lfsr.TargetBatchIterator`) and asks
-  the network whether cold targets — no node, no middlebox that acts
-  on the probe, ~97% of the space — can be settled without the wire
+* ``scan`` cuts its range's memoised walk-order column
+  (:class:`WalkOrder`: the allowed LFSR states of the range, in walk
+  order, built once per walk) into fixed-size batches and asks the
+  network whether cold targets — no node, no middlebox that acts on
+  the probe, ~97% of the space — can be settled without the wire
   (:meth:`repro.netsim.network.Network.cold_sweep_columns`).  If so
-  — retries, a fault plan and paced defenses included — each batch
-  folds to its hot targets plus counts taken with C-level column
-  operations; if not (flight recorder, dirty flow epoch, an opaque
-  middlebox, a timed schedule) every target of the batch is hot.
-  Same loop either way;
-* each hot target pays the full per-packet wire path under the
-  attempt schedule (:func:`retry_schedule`, one attempt by default):
-  payloads come from a preallocated buffer pool
-  (:class:`repro.scanner.encoding.ProbeBatchEncoder`), responses are
-  triaged straight off the fixed 12-byte header;
+  — retries, a fault plan and paced defenses included — one C pass
+  picks the week's hot targets out of the column and each batch's
+  drop counts are summed off the network's drop columns; if not
+  (flight recorder, dirty flow epoch, an opaque middlebox, a timed
+  schedule) every target of the batch is hot.  Same loop either way;
+* each hot target is sent under the attempt schedule
+  (:func:`retry_schedule`, one attempt by default) as its question
+  (:class:`repro.scanner.encoding.ProbeBatchEncoder`): the network
+  settles it the way it settles a stub's question, and renders the
+  payload only when the datagram takes the wire; either reply is
+  read by :func:`_read_replies` (a wire reply straight off the fixed
+  12-byte header);
 * probe identity (txid + cache-busting label) is a pure hash of
   (scanner, scan epoch, target address) rather than a sequential
   counter, so any index subset of the target space — a shard — sends
@@ -56,7 +59,7 @@ from repro.netsim.address import (
     paint_ranges,
 )
 from repro.scanner.encoding import ProbeBatchEncoder
-from repro.scanner.lfsr import LFSR, TargetBatchIterator, permutation
+from repro.scanner.lfsr import LFSR, memoised, permutation
 from repro.scanner.options import BACKOFF, CHUNK_ROWS, ScanOptions
 from repro.scanner.pacing import build_pacing_plan, defense_plane
 from repro.util import M64, mix64
@@ -147,6 +150,7 @@ class ScanTargetSpace:
 
 _COLUMNS_CACHE = {}
 _CACHE_ENTRIES = 8
+_WALK_ORDER_ENTRIES = 32    # per SweepColumns: (walk, index range) pairs
 
 
 class SweepColumns:
@@ -162,10 +166,13 @@ class SweepColumns:
     :meth:`TargetFilter.allows_slot` over every index.  ``loss_memo``
     belongs to the network (see :meth:`~repro.netsim.network.Network.
     cold_sweep_columns`): clock-independent drop columns (baseline
-    loss, fault-plan fates) for ``addresses``.
+    loss, fault-plan fates) for ``addresses``.  ``walk_orders`` holds
+    the :class:`WalkOrder` of each (walk, index range) scanned
+    (:meth:`walk_order`).
     """
 
-    __slots__ = ("addresses", "is_sorted", "allowed", "loss_memo")
+    __slots__ = ("addresses", "is_sorted", "allowed", "loss_memo",
+                 "walk_orders")
 
     def __init__(self, target_space, blacklist):
         prefixes = target_space.prefixes
@@ -190,6 +197,92 @@ class SweepColumns:
             left.base + left.num_addresses <= right.base
             for left, right in zip(prefixes, prefixes[1:]))
         self.loss_memo = {}
+        self.walk_orders = {}
+
+    def walk_order(self, walk, start, stop):
+        """The :class:`WalkOrder` of ``walk`` over ``[start, stop)``.
+
+        Kept exactly as long as :func:`~repro.scanner.lfsr.permutation`
+        keeps the walk (period up to its cap, or force-cached by
+        :meth:`Ipv4Scanner.prewarm`): an uncached walk is rebuilt every
+        scan, and so is its order."""
+        orders = self.walk_orders
+        key = (len(walk), walk[0], start, stop)
+        order = orders.get(key)
+        if order is None or order.walk is not walk:
+            order = WalkOrder(walk, self.allowed, start, stop)
+            if memoised(walk):
+                for stale in [stale for stale, kept in orders.items()
+                              if not memoised(kept.walk)]:
+                    del orders[stale]
+                if len(orders) >= _WALK_ORDER_ENTRIES:
+                    orders.pop(next(iter(orders)))
+                orders[key] = order
+        return order
+
+
+class WalkOrder:
+    """The allowed states of one index range of an LFSR walk, in walk
+    order: the column every week's sweep plan of that range is cut from.
+
+    ``states`` (an ``array('I')``) holds each state of ``walk`` whose
+    index (``state - 1``) lies in ``[start, stop)`` and that ``allowed``
+    admits — what :class:`~repro.scanner.lfsr.TargetBatchIterator`
+    yields over the same walk and selector, unbatched.  The walk, the
+    blacklist and the range do not change from week to week; only the
+    network's hot column does, and :meth:`plan` cuts that against
+    ``states``.
+    """
+
+    __slots__ = ("walk", "states")
+
+    def __init__(self, walk, allowed, start, stop):
+        selector = bytearray(len(walk) + 1)
+        selector[start + 1:stop + 1] = allowed[start + 1:stop + 1]
+        self.walk = walk
+        self.states = array("I", compress(walk,
+                                          map(selector.__getitem__, walk)))
+
+    def plan(self, batch_size, addr_of, cold):
+        """The sweep plan (:meth:`Ipv4Scanner._sweep`) of these states in
+        ``batch_size`` batches: with no cold-settlement columns
+        (``cold`` is ``None``) every target of a batch is hot; else, per
+        batch, its hot targets (``hot[state]`` set), how many settle
+        without the wire, and per drop column how many of *those*
+        targets' datagrams it claims — hot probes draw their own fates
+        inside ``send_probe``.  ``addr_of`` maps a state to its address.
+        """
+        states = self.states
+        bounds = range(0, len(states), batch_size)
+        if cold is None:
+            return ((map(addr_of, states[start:start + batch_size]), 0, ())
+                    for start in bounds)
+        hot, drops = cold
+        # One C pass: where, in walk order, the hot states sit.
+        hot_at = list(compress(range(len(states)),
+                               map(hot.__getitem__, states)))
+        columns = []
+        for reason, counts in drops:
+            walked = bytes(map(counts.__getitem__, states))
+            columns.append((reason, counts.__getitem__,
+                            [sum(walked[start:start + batch_size])
+                             for start in bounds]))
+        # Folded up front (the hot lists are ~3% of the space): cutting
+        # each batch just before probing it lets the hot targets' wire
+        # path evict the column from the CPU caches between batches.
+        plan = []
+        first = 0
+        for batch, start in enumerate(bounds):
+            last = bisect.bisect_left(hot_at, start + batch_size, first)
+            hot_states = list(map(states.__getitem__, hot_at[first:last]))
+            first = last
+            plan.append((
+                list(map(addr_of, hot_states)),
+                min(batch_size, len(states) - start) - len(hot_states),
+                [(reason, batch_totals[batch]
+                  - sum(map(count_of, hot_states)))
+                 for reason, count_of, batch_totals in columns]))
+        return plan
 
 
 def _sweep_columns(target_space, blacklist):
@@ -675,23 +768,26 @@ class Ipv4Scanner:
 
     # -- scans -------------------------------------------------------------
 
-    def prewarm(self, target_space):
+    def prewarm(self, target_space, ranges=()):
         """Build this space's scan state in the calling process.
 
-        The sharded engine calls this in the parent before forking so
-        every worker inherits the LFSR walk, the sweep columns and the
-        pacing plan copy-on-write.  The walk is force-cached even past
-        the usual memo cap: at a ~38M-address space (order 26) it is a
-        ~256 MB array that would otherwise be rebuilt inside every
-        forked worker.
+        The sharded engine calls this in the parent before forking, with
+        its shard ``ranges``, so every worker inherits the LFSR walk,
+        the sweep columns, the walk order of its ``(start, stop)`` range
+        and the pacing plan copy-on-write.  The walk is force-cached
+        even past the usual memo cap: at a ~38M-address space (order
+        26) it is a ~256 MB array that would otherwise be rebuilt inside
+        every forked worker.
         """
         total = len(target_space)
         if total == 0:
             return
-        self._walk(total, force_cache=True)
+        walk = self._walk(total, force_cache=True)
+        columns = _sweep_columns(target_space, self.blacklist)
+        for start, stop in ranges:
+            columns.walk_order(walk, start, stop)
         # Asked for its memoised drop columns only: the decision itself
         # is each scanning process's to take, at its own flow epoch.
-        columns = _sweep_columns(target_space, self.blacklist)
         self._cold_columns(columns, self._pacing_plan(columns))
 
     def scan(self, target_space, index_range=None, on_progress=None,
@@ -711,11 +807,11 @@ class Ipv4Scanner:
         sink; the returned result then carries only the scalar tail
         plus the final partial columns.
 
-        Targets stream out of the LFSR permutation in
+        Targets come out of the range's memoised :class:`WalkOrder` in
         :attr:`probe_batch`-sized batches.  Cold targets are settled in
         bulk when the network can prove that exact (see
-        :meth:`_cold_columns`); every other target takes the wire path
-        in :meth:`_sweep`.
+        :meth:`_cold_columns`); every other target takes the per-probe
+        path in :meth:`_sweep`.
         """
         network = self.network
         result = ScanResult(network.clock.now)
@@ -723,26 +819,11 @@ class Ipv4Scanner:
         if total == 0:
             return result
         start, stop = index_range if index_range is not None else (0, total)
-        walk = self._walk(total)
         columns = _sweep_columns(target_space, self.blacklist)
-        # One selector folds every per-state predicate — in-range,
-        # in-shard, reserved/blacklist — into a single subscript, so
-        # batch extraction is pure C (see TargetBatchIterator).
-        selector = bytearray(len(walk) + 1)
-        selector[start + 1:stop + 1] = columns.allowed[start + 1:stop + 1]
-        batches = TargetBatchIterator(walk, selector,
-                                      batch_size=self.probe_batch)
-        addr_of = columns.addresses.__getitem__
+        order = columns.walk_order(self._walk(total), start, stop)
         pacing = self._pacing_plan(columns)
-        cold = self._cold_columns(columns, pacing)
-        if cold is None:
-            plan = ((map(addr_of, batch), 0, ()) for batch in batches)
-        else:
-            # Folded up front (the hot lists are ~3% of the space):
-            # interleaving the C-level batch extraction with the hot
-            # targets' wire path evicts the walk and the selector from
-            # the CPU caches between batches — 2% of a clean week.
-            plan = list(_bulk_plan(batches, addr_of, *cold))
+        plan = order.plan(self.probe_batch, columns.addresses.__getitem__,
+                          self._cold_columns(columns, pacing))
         self._sweep(result, plan, perf=self.perf, pacing=pacing,
                     base_bucket=(int(self.max_pps)
                                  if self.max_pps is not None else None),
@@ -848,7 +929,7 @@ class Ipv4Scanner:
         ``(reason, count)`` pairs, how many of those datagrams were
         dropped and by what (see :meth:`~repro.netsim.network.Network.
         cold_sweep_columns`).  Each hot target gets the
-        pacing verdict, one encoded probe, and the attempt schedule:
+        pacing verdict, one probe question, and the attempt schedule:
         every retransmission re-sends the *same* flow, so the network's
         flow-keyed fate draws give it a fresh, order-independent loss
         decision — merged shard results stay bit-identical to a
@@ -863,7 +944,8 @@ class Ipv4Scanner:
         checks = network.scan_path_checks(
             source_ip, 53, qname_suffix=self.measurement_domain)
         seed_epoch = self._identity ^ (self._scan_epoch() << 32)
-        encode = self._encoder.encode
+        ask = self._encoder.question
+        render = self._encoder.render
         send_probe = network.send_probe
         record_value = result.record_value
         record_suppressed = result.record_suppressed
@@ -915,14 +997,15 @@ class Ipv4Scanner:
                     key ^= key >> 27
                     key = (key * 0x94D049BB133111EB) & M64
                     key ^= key >> 31
-                    txid, payload = encode(key, value)
+                    question = ask(key, value)
                     target_ip = int_to_ip(value)
+                    # The flow's deterministic round trip.
+                    rtt = 2 * network.latency_between(source_ip, target_ip)
                     timeouts = schedule
                     if probe_timeout is not None:
                         # Adaptive floor: never time a target out faster
-                        # than its own deterministic round trip.
-                        rtt_floor = 2 * network.latency_between(
-                            source_ip, target_ip) * self.timeout_margin
+                        # than its own round trip.
+                        rtt_floor = rtt * self.timeout_margin
                         timeouts = retry_schedule(
                             probe_timeout, retries, self.backoff, rtt_floor)
                         if retries and schedule[-1] <= rtt_floor:
@@ -933,30 +1016,22 @@ class Ipv4Scanner:
                             on_progress()
                             beat_at += 1024
                         answered = False
-                        for response in send_probe(
-                                source_ip, source_port, target_ip, 53,
-                                value, payload, _checks=checks):
-                            raw = response.packet.payload
-                            # Header-peek triage: short/truncated
-                            # garbage, non-responses, foreign txids.
-                            if len(raw) < 12 or not raw[2] & 0x80:
-                                continue
-                            if (raw[0] << 8) | raw[1] != txid:
-                                continue
-                            if timeout is not None and \
-                                    response.latency > timeout:
+                        for rcode, reply_source, latency in _read_replies(
+                                send_probe(source_ip, source_port, target_ip,
+                                           53, value, render, _checks=checks,
+                                           question=question),
+                                question[3], rtt):
+                            if timeout is not None and latency > timeout:
                                 late_responses += 1
                                 continue
                             answered = True
                             responses_seen += 1
                             if rtts is not None:
-                                rtts.append(response.latency)
-                            reply_source = response.packet.src_ip
-                            record_value(value, raw[3] & 0x0F,
+                                rtts.append(latency)
+                            record_value(value, rcode,
                                          reply_source != target_ip)
                             if replies is not None:
-                                replies.append((raw[3] & 0x0F,
-                                                reply_source))
+                                replies.append((rcode, reply_source))
                         if answered:
                             break
                 datagrams += cold_targets * attempts
@@ -992,20 +1067,26 @@ class Ipv4Scanner:
             perf.observe_many("probe_rtt_seconds", rtts)
 
 
-def _bulk_plan(batches, addr_of, hot, drops):
-    """Fold target batches against the network's cold-settlement
-    columns (:meth:`~repro.netsim.network.Network.cold_sweep_columns`)
-    into the sweep plan: per batch, the hot targets, the number of
-    targets settled without the wire, and per drop column how many of
-    those targets' datagrams it claims."""
-    hot_of = hot.__getitem__
-    drops = [(reason, counts.__getitem__) for reason, counts in drops]
-    for batch in batches:
-        hot_states = list(compress(batch, map(hot_of, batch)))
-        # Hot probes draw their own fates inside send_probe; their
-        # column entries must not be double-counted.
-        yield (list(map(addr_of, hot_states)),
-               len(batch) - len(hot_states),
-               [(reason, sum(map(count_of, batch))
-                 - sum(map(count_of, hot_states)))
-                for reason, count_of in drops])
+def _read_replies(sent, txid, rtt):
+    """The sweep's one reply reader: ``(rcode, source ip, latency)`` of
+    each reply to a probe that a scanner accepts, in arrival order.
+
+    A datagram passes the header-peek triage — at least the 12-byte
+    header, QR set, the probe's ``txid`` echoed — and is read off that
+    header.  A row :meth:`~repro.netsim.network.Network.send_probe`
+    settled is the same reply unrendered: its rcode is ``None`` where
+    no readable header arrived (a truncated reply), and it arrives
+    ``rtt``, the flow's round trip, after the probe left.
+    """
+    read = []
+    for reply in sent:
+        if type(reply) is tuple:
+            if reply[2] is not None:
+                read.append((reply[2], reply[4], rtt))
+            continue
+        raw = reply.packet.payload
+        if len(raw) < 12 or not raw[2] & 0x80 \
+                or (raw[0] << 8) | raw[1] != txid:
+            continue
+        read.append((raw[3] & 0x0F, reply.packet.src_ip, reply.latency))
+    return read

@@ -10,10 +10,13 @@ target space and skips out-of-range states.
 The batched scan pipeline consumes the register through
 :func:`permutation` (the full period materialised once into an
 ``array('I')`` and memoised — the walk is a pure function of ``(order,
-seed, taps)``, so weekly re-scans and bench repeats pay nothing) and
-:class:`TargetBatchIterator` (fixed-size batches of selected states,
-extracted with C-level ``compress``/``islice`` instead of a per-state
-Python loop).
+seed, taps)``, so weekly re-scans and bench repeats pay nothing).
+The scanner cuts each memoised walk once per shard range into the
+column of its allowed states (:class:`repro.scanner.ipv4scan.
+WalkOrder`); :class:`TargetBatchIterator` (fixed-size batches of
+selected states, extracted with C-level ``compress``/``islice``) is
+the same selection done batch by batch, kept as the reference the
+benchmarks time the walk with.
 """
 
 from array import array
@@ -136,6 +139,12 @@ def permutation(order, seed=1, taps=None, force_cache=False):
             _PERMUTATION_CACHE.pop(next(iter(_PERMUTATION_CACHE)))
         _PERMUTATION_CACHE[key] = walk
     return walk
+
+
+def memoised(walk):
+    """Whether :func:`permutation`'s memo holds ``walk`` (this object):
+    what is derived from a walk may be kept exactly as long."""
+    return any(kept is walk for kept in _PERMUTATION_CACHE.values())
 
 
 class TargetBatchIterator:

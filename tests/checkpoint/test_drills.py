@@ -10,6 +10,7 @@ Every case damages a copy; the fixtures stay as written.
 import functools
 import json
 import os
+import shutil
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.checkpoint import (
     key_filename,
     scan_journal,
 )
+from repro.faults import CRASH_EXIT_CODE
 from repro.observatory import ResolverStore
 from repro.scanner.campaign import WeeklySnapshot
 from tests.checkpoint.test_formats import (
@@ -254,3 +256,69 @@ def test_trace_line_that_is_a_list(tmp_path):
     assert code == 2
     assert err == "invalid trace: %s: line %d is not a JSON object\n" % (
         trace, len(lines) + 1)
+
+
+# -- pipeline stages and crash points -----------------------------------------
+
+STUDY = ("fullstudy", "--scale", "100000", "--seed", "7", "--weeks", "1",
+         "--snoop-sample", "5")
+STAGE_POINT = "stage:pipeline/Ads/prefilter"
+
+
+@pytest.fixture(scope="module")
+def crashed_at_stage(tmp_path_factory):
+    """A fullstudy killed right after committing the Ads set's
+    prefilter stage; tests copy the directory."""
+    root = tmp_path_factory.mktemp("stage-crash")
+    directory = str(root / "ckpt")
+    code, __, err = run_cli(*STUDY, "--faults", "none,crash=" + STAGE_POINT,
+                            "--checkpoint-dir", directory,
+                            "--out", root / "report.md")
+    return code, err, directory
+
+
+def stage_copy(tmp_path, crashed):
+    directory = str(tmp_path / "ckpt")
+    shutil.copytree(crashed[2], directory)
+    return directory
+
+
+def test_crash_point_naming_no_boundary_ends_the_run(tmp_path):
+    # A stage's point is stage:pipeline/<Set>/<stage>: this names none.
+    code, __, err = run_cli(*STUDY, "--faults", "none,crash=stage:prefilter",
+                            "--checkpoint-dir", tmp_path / "ckpt")
+    assert code == 2
+    line = error_line(err)
+    assert "crash=stage:prefilter" in line
+    assert "stage:pipeline/<Set>/<stage>" in line
+
+
+def test_stage_crash_point_fires_and_resumes_to_the_same_report(
+        tmp_path, crashed_at_stage):
+    code, err, __ = crashed_at_stage
+    assert code == CRASH_EXIT_CODE
+    assert "injected stage crash at %s" % STAGE_POINT in err
+    directory = stage_copy(tmp_path, crashed_at_stage)
+    resumed = tmp_path / "resumed.md"
+    code, __, err = run_cli(*STUDY, "--faults", "none,crash=" + STAGE_POINT,
+                            "--checkpoint-dir", directory, "--resume",
+                            "--out", resumed)
+    assert code == 0, err
+    plain = tmp_path / "plain.md"
+    assert run_cli(*STUDY, "--faults", "none", "--out", plain)[0] == 0
+    assert resumed.read_bytes() == plain.read_bytes()
+
+
+def test_stage_payload_missing_what_resume_reads(tmp_path,
+                                                 crashed_at_stage):
+    # replay and install read the restored stage through the same
+    # check as the study units: one error line naming the file.
+    directory = stage_copy(tmp_path, crashed_at_stage)
+    path = os.path.join(directory, "snapshots", key_filename(
+        ("pipeline", "Ads", "stage", "prefilter")))
+    write(path, encode_snapshot({"prefilter": None}))
+    code, out, err = run_cli(*STUDY, "--faults", "none,crash=" + STAGE_POINT,
+                             "--checkpoint-dir", directory, "--resume")
+    assert code == 2 and out == ""
+    assert error_line(err).startswith(
+        "error: %s: not a stage payload this program reads (" % path)

@@ -8,7 +8,7 @@ from repro.dnswire.message import Header, Message, Question
 from repro.dnswire.records import (MxData, OpaqueData, ResourceRecord,
                                    SoaData)
 from repro.dnswire.wire import (WireReply, answer_wire, message_row,
-                                peek_query, reply_rows)
+                                peek_query, relayed_answer, reply_rows)
 from tests.oracles import message_fields, row_fields
 
 LABEL = st.text(alphabet="abcXYZ019-_", min_size=1, max_size=12)
@@ -170,3 +170,34 @@ class TestWireReply:
                               PLAIN_RECORDS[:1] + [record])
             reply.message()
             assert reply._wire is not None, record
+
+
+class TestRelayedAnswer:
+    """A forwarder's settled answer to a datagram it relayed: the rows a
+    stub reads, and the rcode a header peek reads (``None`` where the
+    peek drops the datagram)."""
+
+    QUERY = Message.query("www.example.com", txid=0x1234).to_wire()
+
+    def reply(self, rcode=constants.RCODE_NOERROR):
+        return response_by_message(self.QUERY, rcode, True, [
+            ResourceRecord.a("www.example.com", "192.0.2.1")])
+
+    def test_a_reply_reads_as_its_rows(self):
+        rcode, rows = relayed_answer(self.reply(), 0x1234)
+        assert rcode == constants.RCODE_NOERROR
+        assert [(rtype, ttl) for rtype, ttl, __ in rows] \
+            == [(constants.QTYPE_A, 300)]
+
+    def test_a_header_no_peek_accepts_has_no_rcode(self):
+        reply = self.reply(constants.RCODE_REFUSED)
+        for datagram, txid in ((reply[:8], 0x1234),     # truncated
+                               (reply, 0x4321),         # foreign txid
+                               (self.QUERY, 0x1234)):   # QR clear
+            assert relayed_answer(datagram, txid) == (None, None)
+
+    def test_a_header_over_a_body_that_does_not_parse_keeps_its_rcode(self):
+        # The sweep's header peek counts such a reply; a stub drops it.
+        damaged = self.reply(constants.RCODE_SERVFAIL)[:-3]
+        assert relayed_answer(damaged, 0x1234) \
+            == (constants.RCODE_SERVFAIL, None)

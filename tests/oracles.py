@@ -5,7 +5,9 @@ obviously right, and never imported from ``src/``.  The study kernel
 tests compare against the first three input by input, and
 ``tests/test_reporting.py`` swaps all three in for a whole study and
 requires a byte-equal report; ``tests/scanner/test_sweep_lattice.py``
-holds every configuration of the IPv4 sweep to :func:`reference_sweep`;
+holds every configuration of the IPv4 sweep to :func:`reference_sweep`,
+and ``tests/scanner/test_walk_order.py`` the sweep's planner to
+:func:`bulk_plan`;
 ``tests/core/test_clustering.py`` holds NN-chain clustering to
 :func:`pair_scan_cluster`; ``tests/resolvers/test_wire_path.py`` holds
 the resolver's wire path to :class:`MessageResolverNode`, and
@@ -432,20 +434,41 @@ def splitmix64(value):
     return value
 
 
+def bulk_plan(batches, addr_of, hot, drops):
+    """The sweep plan of ``batches`` of LFSR states (a
+    ``TargetBatchIterator``) against the network's cold-settlement
+    columns, one batch at a time: per batch, the hot targets, the number
+    of targets settled without the wire, and per drop column how many of
+    those targets' datagrams it claims."""
+    hot_of = hot.__getitem__
+    drops = [(reason, counts.__getitem__) for reason, counts in drops]
+    for batch in batches:
+        hot_states = [state for state in batch if hot_of(state)]
+        yield ([addr_of(state) for state in hot_states],
+               len(batch) - len(hot_states),
+               [(reason, sum(map(count_of, batch))
+                 - sum(map(count_of, hot_states)))
+                for reason, count_of in drops])
+
+
 def reference_sweep(network, source_ip, measurement_domain, target_space,
                     blacklist=None, source_port=31337, lfsr_seed=0xACE1,
                     retries=0, probe_timeout=None, backoff=2.0,
-                    timeout_margin=1.25, pacing=None):
+                    timeout_margin=1.25, pacing=None, perf=None):
     """``Ipv4Scanner.scan`` over the full space, by the book.
 
     Steps a plain :class:`LFSR`, maps each state through
     ``ScanTargetSpace.int_at`` and ``TargetFilter.allows_slot``, builds
     every query with ``Message.query(...).to_wire()`` and pays one
-    ``send_probe`` per attempt: no batches, no columns, no bulk
-    settlement.  The pacing decisions come from the (separately tested)
-    plan builder, fed per-target inputs computed here.  Returns the
-    :class:`ScanResult`.
+    ``send_probe`` per attempt, on the wire: no batches, no columns, no
+    bulk settlement, no settled questions.  The pacing decisions come
+    from the (separately tested) plan builder, fed per-target inputs
+    computed here.  Returns the :class:`ScanResult`; ``perf`` gets the
+    accepted replies' round trips (``probe_rtt_seconds``) and the late
+    ones' count (``probe_responses_late``).
     """
+    rtts = []
+    late = 0
     result = ScanResult(network.clock.now)
     total = len(target_space)
     if total == 0:
@@ -527,12 +550,18 @@ def reference_sweep(network, source_ip, measurement_domain, target_space,
                             or header[0] != txid:
                         continue
                     if timeout is not None and response.latency > timeout:
+                        late += 1
                         continue
                     answered = True
+                    rtts.append(response.latency)
                     result.record(target_ip, header[2],
                                   response.packet.src_ip)
                 if answered:
                     break
     finally:
         network.scan_rate_bucket = None
+    if perf is not None:
+        perf.observe_many("probe_rtt_seconds", rtts)
+        if late:
+            perf.count("probe_responses_late", late)
     return result

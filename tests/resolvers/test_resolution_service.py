@@ -157,3 +157,47 @@ class TestSharedCacheRecords:
                 assert [(record.name, record.data.address)
                         for record in self.cached(world, node, name)] \
                     == [(name, address) for address in result.addresses]
+
+
+class TestWildcardClass:
+    """Every name under a wildcard suffix shares one answer class unless
+    a CDN pool or a GFW could answer one of them differently."""
+
+    NAME = "r1.aabbccdd.scan.dnsstudy.edu"
+
+    def answer_class(self, world):
+        return world.service.answer_class(self.NAME, world.network)
+
+    def test_clean_suffix_has_one_nameless_class(self, world):
+        shared = self.answer_class(world)
+        assert shared is not None and shared.name is None
+        assert world.service.answer_class(
+            "r2.11223344.scan.dnsstudy.edu", world.network) is shared
+
+    @pytest.mark.parametrize("domain", ["scan.dnsstudy.edu",
+                                        "deep.scan.dnsstudy.edu"])
+    def test_a_pool_under_the_suffix_takes_the_class_away(self, world,
+                                                          domain):
+        world.service.register_cdn_pool(domain, ["198.18.2.1"])
+        assert self.answer_class(world) is None
+
+    def test_a_pools_www_alias_is_under_the_suffix(self, world):
+        # cdnsite.com's pool also serves www.cdnsite.com.
+        world.service.wildcard_suffixes += ("www.cdnsite.com",)
+        assert world.service.answer_class("r1.www.cdnsite.com",
+                                          world.network) is None
+
+    def test_a_pool_outside_the_suffix_leaves_it(self, world):
+        world.service.register_cdn_pool("dnsstudy.edu", ["198.18.2.1"])
+        assert self.answer_class(world) is not None
+
+    @pytest.mark.parametrize("censored, singled_out", [
+        (["dnsstudy.edu"], True),                   # a parent
+        (["x.scan.dnsstudy.edu"], True),            # a name under it
+        (["other.dnsstudy.edu"], False),
+    ])
+    def test_a_gfw_that_may_censor_under_it_takes_the_class_away(
+            self, world, censored, singled_out):
+        world.network.add_middlebox(GreatFirewall(
+            [Ipv4Network("110.0.0.0/16")], censored, seed=4))
+        assert (self.answer_class(world) is None) == singled_out

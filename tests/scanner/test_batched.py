@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dnswire import Message
+from repro.dnswire.wire import peek_query
 from repro.netsim.defense import (ReactiveBlocklister, Tarpit,
                                   TokenBucketRateLimiter)
 from repro.netsim.gfw import GreatFirewall
@@ -357,6 +358,20 @@ class TestProbeBatchEncoder:
         encoder = ProbeBatchEncoder(MEASUREMENT_DOMAIN)
         __, payload = encoder.encode(key, value)
         assert payload == self.reference_wire(key, value)
+
+    @given(st.integers(min_value=0, max_value=(1 << 40) - 1),
+           st.integers(min_value=0, max_value=0xFFFFFFFF),
+           st.sampled_from([MEASUREMENT_DOMAIN, "Scan.DNSStudy.edu.",
+                            "x.y", ""]))
+    @settings(max_examples=100, deadline=None)
+    def test_question_is_what_the_payload_asks(self, key, value, domain):
+        # The sweep settles a probe by its question and renders the
+        # payload only for the wire: both must say the same thing.
+        encoder = ProbeBatchEncoder(domain)
+        txid, payload = encoder.encode(key, value)
+        question = encoder.question(key, value)
+        assert question == peek_query(payload) + (txid,)
+        assert encoder.render(question) == payload
 
     def test_reencoding_does_not_mutate_earlier_payloads(self):
         # The encoder reuses one template per frame length; each encode

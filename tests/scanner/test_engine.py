@@ -36,7 +36,7 @@ class FakeScanner:
         self.network = FakeNetwork()
         self.perf = None
 
-    def prewarm(self, target_space):
+    def prewarm(self, target_space, ranges=()):
         """Nothing to build before the fork."""
 
     def scan(self, target_space, index_range=None):
@@ -102,6 +102,17 @@ class TestEngineForkPlumbing:
         assert result.probes_sent == sequential.probes_sent
         assert result.responders == sequential.responders
         assert result.by_rcode == sequential.by_rcode
+
+    def test_prewarm_gets_the_ranges_it_forks(self):
+        # The engine alone splits the space: the scanner's pre-fork
+        # build covers exactly the shard ranges it is about to scan.
+        space = fake_space()
+        scanner = FakeScanner()
+        warmed = []
+        scanner.prewarm = lambda target_space, ranges=(): warmed.append(
+            list(ranges))
+        ScanEngine(scanner, options=ScanOptions(shards=3)).scan(space)
+        assert warmed == [list(space.shard_ranges(3))]
 
     def test_counter_deltas_reconciled(self):
         space = fake_space()

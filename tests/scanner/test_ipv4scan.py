@@ -1,13 +1,19 @@
 """Tests for the Internet-wide IPv4 scanner."""
 
+import pickle
+
 import pytest
 
 from repro.inetmodel import PrefixAllocator
 from repro.netsim import Node
+from repro.netsim.gfw import GreatFirewall
+from repro.obs import FlightRecorder
 from repro.resolvers import ResolverNode
 from repro.resolvers.resolver import MODE_REFUSED, MODE_SERVFAIL
 from repro.scanner import Blacklist, Ipv4Scanner, ScanTargetSpace
 from repro.scanner.ipv4scan import ScanResult
+from tests.conftest import MiniWorld
+from tests.resolvers.test_settled import records_of
 
 MEASUREMENT_DOMAIN = "scan.dnsstudy.edu"
 
@@ -155,3 +161,55 @@ class TestScanResult:
         assert counts == {"all": 2, "noerror": 1, "refused": 1,
                           "servfail": 0}
         assert result.divergent_sources == {"1.1.1.2"}
+
+
+class TestWildcardAnswerClass:
+    """Scan probes ask unique names under the wildcard measurement
+    domain; settled, they share one answer class.  Each name must still
+    leave its own cache entry, and a re-probe of the same name (a cache
+    hit) must answer as it does when every datagram takes the wire."""
+
+    @staticmethod
+    def scan_then_reprobe(censored, on_the_wire):
+        mini = MiniWorld()
+        mini.builder.register_domain(MEASUREMENT_DOMAIN,
+                                     wildcard_address="198.18.0.99")
+        mini.service.wildcard_suffixes = (MEASUREMENT_DOMAIN,)
+        pool = mini.allocator.allocate(24)
+        network = mini.network
+        for offset, kwargs in ((1, {}), (2, {}),
+                               (3, {"response_mode": MODE_REFUSED}),
+                               (5, {"answer_source_ip": pool.address_at(9)}),
+                               (6, {"forward_to": pool.address_at(1)})):
+            network.register(ResolverNode(pool.address_at(offset),
+                                          resolution_service=mini.service,
+                                          **kwargs))
+        if censored:
+            network.add_middlebox(GreatFirewall([pool], censored))
+        if on_the_wire:
+            network.recorder = FlightRecorder()
+        scanner = make_scanner(mini)
+        result = scanner.scan(ScanTargetSpace([pool]))
+        now = mini.clock.now
+        caches = {ip: records_of(network.node_at(ip).cache.live(now))
+                  for ip in sorted(result.responders)}
+        # Same clock, same scanner: the same names, now cache hits.
+        reprobes = {ip: scanner.probe(ip) for ip in sorted(caches)}
+        return (pickle.dumps(result), caches, reprobes,
+                network.udp_queries_sent, mini.service.full_resolutions,
+                mini.service.answer_class(
+                    "r1.00000001." + MEASUREMENT_DOMAIN, network))
+
+    @pytest.mark.parametrize("censored", [(), ["x." + MEASUREMENT_DOMAIN]])
+    def test_cache_entries_and_reprobes_match_the_wire(self, censored):
+        *settled, answer_class = self.scan_then_reprobe(censored, False)
+        *wire, __ = self.scan_then_reprobe(censored, True)
+        assert settled == wire
+        # One entry per name: resolver 1 also holds the name forwarded
+        # to it; the refusing resolver and the forwarder hold none.
+        assert [len(entries) for __, entries in sorted(settled[1].items())] \
+            == [2, 1, 0, 1, 0]
+        # A GFW that may censor a name under the suffix takes the class
+        # away: every probe then answers by name.
+        assert (answer_class is None) == bool(censored)
+        assert answer_class is None or answer_class.name is None

@@ -42,7 +42,7 @@ class FakeScanner:
         self.perf = None
         self.scan_calls = []          # (start, stop) of every scan issued
 
-    def prewarm(self, target_space):
+    def prewarm(self, target_space, ranges=()):
         """Nothing to build before the fork."""
 
     def scan(self, target_space, index_range=None):

@@ -6,8 +6,10 @@ loss, a fault plan, the flight recorder, hostile defenses with adaptive
 pacing — ``Ipv4Scanner.scan`` must produce exactly what the per-target
 reference walk (:func:`tests.oracles.reference_sweep`) produces on a
 twin world: the same canonical result bytes, the same probe and
-retransmission counts, the same suppressed windows, and the same
-network, fault and flight-recorder counters.
+retransmission counts, the same suppressed windows, the same network,
+fault and flight-recorder counters, and the same accepted round trips
+and late replies.  The reference sends every probe on the wire, so this
+also holds the probes the sweep settles unrendered to their wire twins.
 
 The scanner-side safety invariants ("Aggressive Internet-Wide Scanners",
 PAPERS.md) are held over the same lattice: opted-out space is never
@@ -21,7 +23,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, FaultProfile
 from repro.netsim.address import ip_to_int, is_reserved
 from repro.netsim.defense import (ReactiveBlocklister, Tarpit,
                                   TokenBucketRateLimiter)
@@ -40,7 +42,10 @@ from tests.scanner.test_delta import build_delta_world
 MEASUREMENT_DOMAIN = "scan.dnsstudy.edu"
 RESOLVERS = ((0, 1, {}), (0, 2, {"response_mode": MODE_REFUSED}),
              (0, 77, {"response_mode": MODE_SERVFAIL}), (0, 200, {}),
-             (1, 3, {}), (1, 40, {}), (1, 41, {}))
+             (1, 3, {}), (1, 40, {}), (1, 41, {}), (1, 50, {}))
+# Fault plans: the aggressive profile, and one that truncates half the
+# replies (a settled reply must read as its truncated datagram does).
+FAULTS = {True: "aggressive", "truncating": FaultProfile(truncation_rate=0.5)}
 
 
 def build_world(loss_rate, faulted, recorded, hostile):
@@ -56,6 +61,9 @@ def build_world(loss_rate, faulted, recorded, hostile):
         if pool == 0 and offset == 200:
             # Answers from another address: attribution is by the name.
             kwargs = {"answer_source_ip": pools[0].address_at(201)}
+        elif pool == 1 and offset == 50:
+            # A forwarder: the upstream's reply, relayed as it came.
+            kwargs = {"forward_to": pools[0].address_at(1)}
         mini.network.register(ResolverNode(
             pools[pool].address_at(offset),
             resolution_service=mini.service, **kwargs))
@@ -68,7 +76,7 @@ def build_world(loss_rate, faulted, recorded, hostile):
         mini.network.add_middlebox(Tarpit(
             [pools[0]], trigger_pps=120.0, trap_share=0.5, seed=4))
     if faulted:
-        mini.network.install_faults(FaultPlan("aggressive", seed=9))
+        mini.network.install_faults(FaultPlan(FAULTS[faulted], seed=9))
     if recorded:
         mini.network.recorder = FlightRecorder()
     mini.space = ScanTargetSpace(pools)
@@ -79,11 +87,15 @@ def build_world(loss_rate, faulted, recorded, hostile):
     return mini
 
 
-def observed(world, result):
+def observed(world, result, perf):
     """Everything the invariant holds equal."""
     network = world.network
     recorder = network.recorder
+    rtts = perf.histogram("probe_rtt_seconds")
     return {
+        "rtt": (rtts.count, rtts.total_ns, rtts.min, rtts.max,
+                sorted(rtts.buckets.items())),
+        "late": perf.counter("probe_responses_late"),
         "pickle": pickle.dumps(result),
         "probes_sent": result.probes_sent,
         "retransmissions": result.retransmissions,
@@ -133,14 +145,17 @@ def check(cuts=(), probe_batch=4096, chunk_rows=None, retries=0,
           perf=None):
     probe_config = {"retries": retries, "probe_timeout": probe_timeout,
                     "timeout_margin": timeout_margin, "pacing": pacing}
+    perf = perf if perf is not None else PerfRegistry()
     world = build_world(loss_rate, faulted, recorded, hostile)
     merged = sweep(world, cuts, probe_batch, chunk_rows, perf=perf,
                    **probe_config)
     twin = build_world(loss_rate, faulted, recorded, hostile)
+    twin_perf = PerfRegistry()
     reference = reference_sweep(
         twin.network, twin.client_ip, MEASUREMENT_DOMAIN, twin.space,
-        blacklist=twin.blacklist, **probe_config)
-    assert observed(world, merged) == observed(twin, reference)
+        blacklist=twin.blacklist, perf=twin_perf, **probe_config)
+    assert observed(world, merged, perf) == observed(twin, reference,
+                                                    twin_perf)
     return merged
 
 
@@ -153,7 +168,8 @@ LATTICE = dict(
     # Below 1 the floor undercuts the round trip: late responses.
     timeout_margin=st.sampled_from([1.25, 0.4]),
     loss_rate=st.sampled_from([0.0, 0.2]),
-    faulted=st.booleans(), recorded=st.booleans(),
+    faulted=st.sampled_from([False, True, "truncating"]),
+    recorded=st.booleans(),
     hostile=st.sampled_from([False, True, "overlapped"]),
     pacing=st.sampled_from([None, "adaptive"]))
 
@@ -289,7 +305,7 @@ class TestForkedShards:
                 options=ScanOptions(retries=2, pacing="adaptive"))
             result = ScanEngine(scanner, options=ScanOptions(shards=shards),
                                 perf=perf).scan(world.space)
-            seen = observed(world, result)
+            seen = observed(world, result, perf)
             del seen["pickle"]      # provenance names the work items
             # Resolver caches warm per process: the probed resolvers'
             # own upstream queries differ in number, nothing else.
