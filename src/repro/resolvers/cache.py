@@ -12,10 +12,13 @@ zero-TTL, TTL-resetting, empty-response, and single-response-then-silent.
 
 
 class DnsCache:
-    """A TTL-decaying cache of resource record sets."""
+    """A TTL-decaying cache of resource record sets.  Once :meth:`put`
+    has doubled what the last prune kept, it keeps only what :meth:`live`
+    keeps: no call can tell, and unique probe names do not pile up."""
 
     def __init__(self, max_entries=10000):
         self._entries = {}  # (name, qtype) -> (records, stored_at, ttl)
+        self._kept = 0      # entries the last prune kept
         self.max_entries = max_entries
 
     def put(self, name, qtype, records, now, ttl=None):
@@ -34,6 +37,8 @@ class DnsCache:
                                                  + entries[k][2], k))
             del entries[victim]
         entries[key] = (tuple(records), now, ttl)
+        if len(entries) > 2 * self._kept:
+            self._prune(now)
 
     def lookup(self, name, qtype, now):
         """``(stored records, decayed TTL)``, or ``None`` when
@@ -60,9 +65,13 @@ class DnsCache:
         """Drop the entries expired at ``now``; a copy of the rest.  No
         later call can tell: ``lookup`` calls them absent, and ``put``
         at capacity evicts them before any live entry."""
+        self._prune(now)
+        return dict(self._entries)
+
+    def _prune(self, now):
         self._entries = {key: entry for key, entry in self._entries.items()
                          if entry[1] + entry[2] > now}
-        return dict(self._entries)
+        self._kept = len(self._entries)
 
     def replace(self, entries):
         """Hold exactly ``entries``, as :meth:`live` returned them."""

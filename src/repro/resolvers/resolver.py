@@ -100,15 +100,16 @@ class AnswerClass:
     pool offset, or ``None`` for the trusted result, ``(result, records
     a resolver caches, (rtype, ttl, rdata) rows a stub reads or None)``.
 
-    A wildcard suffix's class (``name`` ``None``) stands for every name
-    under it: one trusted result, and rows that carry no owner name.
+    A wildcard ``suffix``'s class (``name`` ``None``) stands for every
+    name under it: one trusted result, and rows that carry no owner name.
     Its ``records`` are the first name's; each name caches its own.
     """
 
-    __slots__ = ("name", "boxes", "censors", "pool", "answers")
+    __slots__ = ("name", "suffix", "boxes", "censors", "pool", "answers")
 
-    def __init__(self, name, boxes, pool):
+    def __init__(self, name, boxes, pool, suffix=None):
         self.name = name
+        self.suffix = suffix
         self.boxes = boxes
         self.censors = [gfw for gfw in boxes
                         if name is not None and gfw.censors_name(name)]
@@ -274,7 +275,7 @@ class ResolutionService:
                 for name in self._cdn_served
             ) or any(gfw.may_censor_under(suffix) for gfw in boxes)
             entry = (boxes, None if singled_out
-                     else AnswerClass(None, boxes, None))
+                     else AnswerClass(None, boxes, None, suffix))
             self._wildcard_classes[suffix] = entry
         return entry[1]
 
@@ -288,11 +289,13 @@ class ResolutionService:
                 if gfw.poisons(resolver.ip, name):
                     return None
         result = key = None
+        suffix = answer_class.suffix
         if answer_class.pool:
             key = stable_hash(resolver.ip, name) % len(answer_class.pool)
-        else:
-            result = self._cache.get(name) or self._trusted_answer(
-                network, name, None)
+        else:   # a wildcard's names are never in the shared caches
+            result = (self._cache.get(name) if suffix is None
+                      else self._suffix_cache.get(suffix)) \
+                or self._trusted_answer(network, name, None)
         settled = answer_class.answers.get(key)
         if settled is None or result is not None and settled[0] is not result:
             result = result or self._cdn_slice(answer_class.pool, key)
@@ -302,9 +305,8 @@ class ResolutionService:
             # Shared by every resolver's answer: never mutated.
             settled = answer_class.answers[key] = (
                 result, records, rows and tuple(rows))
-        elif answer_class.name is None:
-            return settled[0], self.cache_records(name, settled[0]), \
-                settled[2]
+        elif suffix is not None:
+            return settled[0], _a_records(name, settled[0]), settled[2]
         return settled
 
     def cache_records(self, name, result):
@@ -312,13 +314,17 @@ class ResolutionService:
         one tuple shared by all if the shared cache holds it for ``name``."""
         entry = self._records.get(name)
         if entry is None or entry[0] is not result:
-            entry = (result, tuple(
-                [ResourceRecord.a(name, address, ttl=result.ttl)
-                 for address in result.addresses]
-                + list(result.extra_records)))
+            entry = (result, _a_records(name, result))
             if self._cache.get(name) is result:
                 self._records[name] = entry
         return entry[1]
+
+
+def _a_records(name, result):
+    """What a resolver caches for ``result``, its answer for ``name``."""
+    return tuple([ResourceRecord.a(name, address, ttl=result.ttl)
+                  for address in result.addresses]
+                 + list(result.extra_records))
 
 
 class ResolverNode(Node):

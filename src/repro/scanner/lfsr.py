@@ -87,13 +87,14 @@ class LFSR:
 
     def sequence(self):
         """Yield the full period: every non-zero state exactly once."""
-        yield self.state
-        first = self.state
+        state = first = self.state
+        taps = self.taps
         while True:
-            value = self.step()
-            if value == first:
+            yield state
+            # step(), inlined: every scan's walk is built here.
+            state = state >> 1 ^ (taps if state & 1 else 0)
+            if state == first:
                 return
-            yield value
 
     @property
     def period(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.netsim import Network, Node, SimClock, UdpPacket
+from repro.netsim.address import ip_to_int
 from repro.netsim.middlebox import Middlebox
 from repro.netsim.network import UdpResponse
 
@@ -89,8 +90,9 @@ class TestUdp:
 
     def test_latency_deterministic_and_symmetric_ordering(self):
         network = make_network()
-        first = network.latency_between("1.0.0.1", "2.0.0.1")
-        second = network.latency_between("1.0.0.1", "2.0.0.1")
+        pair = ip_to_int("1.0.0.1"), ip_to_int("2.0.0.1")
+        first = network.latency(*pair)
+        second = network.latency(*pair)
         assert first == second
         assert first >= network.base_latency
 
@@ -160,7 +162,8 @@ class TestMiddleboxes:
         paper's double-response detection keys on)."""
         network = make_network()
         network.register(EchoNode("2.0.0.1"))
-        tie_latency = network.latency_between("1.0.0.1", "2.0.0.1") * 2
+        tie_latency = network.latency(ip_to_int("1.0.0.1"),
+                                      ip_to_int("2.0.0.1")) * 2
 
         class TieInjector(Middlebox):
             def inject_responses(self, packet, net):

@@ -7,6 +7,7 @@ from repro.dnswire.records import ResourceRecord
 from repro.resolvers import ResolverNode
 from repro.resolvers.cache import CacheActivityModel, DnsCache
 from tests.conftest import MiniWorld
+from tests.oracles import NeverPrunedCache
 
 
 def a_records(name="x.example", address="1.2.3.4", ttl=100):
@@ -88,11 +89,14 @@ class TestDnsCache:
 
 
 # One step of a cache's life: store one of a few names with one of two
-# TTLs (so refreshes and expiry ties happen), read one back, let time
+# TTLs (so refreshes and expiry ties happen), store a run of names at
+# once (so the cache doubles and prunes itself), read one back, let time
 # pass, or prune.
 CACHE_STEPS = st.one_of(
     st.tuples(st.just("put"), st.integers(0, 2), st.sampled_from([5, 8])),
-    st.tuples(st.just("lookup"), st.integers(0, 2)),
+    st.tuples(st.just("burst"), st.integers(0, 6), st.integers(1, 6),
+              st.sampled_from([5, 8])),
+    st.tuples(st.just("lookup"), st.integers(0, 11)),
     st.tuples(st.just("advance"),
               st.one_of(st.integers(0, 10),
                         st.floats(0, 10, allow_nan=False))),
@@ -105,28 +109,38 @@ def live_entries(cache, now):
 
 
 class TestPruning:
-    """``DnsCache.live`` drops expired entries from a cache that keeps
-    being used; nothing it can be asked afterwards may differ from a
-    twin that was never pruned — capacity evictions included."""
+    """``DnsCache`` drops expired entries — as ``put`` grows it, and in
+    ``live`` — from a cache that keeps being used; nothing it can be
+    asked afterwards may differ from a cache that never drops one
+    (:class:`tests.oracles.NeverPrunedCache`), capacity evictions
+    included."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 3), st.lists(CACHE_STEPS, max_size=60))
+    @given(st.integers(1, 8), st.lists(CACHE_STEPS, max_size=60))
     # d1 expires and is pruned, then stored again after d2 with the same
     # expiry: the twin still holds d1 in its old place, so an eviction
     # that broke ties by store order would pick d1 there and d2 here.
     @example(2, [("put", 1, 5), ("advance", 6), ("prune",), ("put", 2, 5),
                  ("put", 1, 5), ("put", 0, 5), ("lookup", 1)])
+    # Two runs of names a TTL apart: the second one's puts prune the
+    # first, and a capacity of 8 evicts among what is left.
+    @example(8, [("burst", 0, 6, 5), ("advance", 5), ("burst", 3, 6, 8),
+                 ("lookup", 0), ("lookup", 8), ("burst", 6, 6, 5),
+                 ("lookup", 3)])
     def test_pruned_cache_matches_its_unpruned_twin(self, capacity,
                                                    steps):
-        twin = DnsCache(max_entries=capacity)
+        twin = NeverPrunedCache(max_entries=capacity)
         pruned = DnsCache(max_entries=capacity)
         now = 0
         for step in steps:
-            if step[0] == "put":
-                name = "d%d.example" % step[1]
-                records = a_records(name, ttl=step[2])
-                twin.put(name, 1, records, now)
-                pruned.put(name, 1, records, now)
+            if step[0] in ("put", "burst"):
+                names = (step[1],) if step[0] == "put" \
+                    else range(step[1], step[1] + step[2])
+                for index in names:
+                    name = "d%d.example" % index
+                    records = a_records(name, ttl=step[-1])
+                    twin.put(name, 1, records, now, step[-1])
+                    pruned.put(name, 1, records, now)
             elif step[0] == "lookup":
                 name = "d%d.example" % step[1]
                 assert pruned.lookup(name, 1, now) \
@@ -134,8 +148,21 @@ class TestPruning:
             elif step[0] == "advance":
                 now += step[1]
             else:
-                assert pruned.live(now) == live_entries(twin, now)
-            assert live_entries(pruned, now) == live_entries(twin, now)
+                assert pruned.live(now) == twin.live(now)
+            assert live_entries(pruned, now) == twin.live(now)
+
+    def test_put_forgets_expired_probe_names(self):
+        # One unique name a week, each expired by the next: the cache
+        # holds the newest and at most one expired entry, where a cache
+        # that never prunes holds every week's.
+        cache, twin = DnsCache(), NeverPrunedCache(max_entries=10000)
+        for week in range(50):
+            name = "r%x.scan.example" % week
+            cache.put(name, 1, a_records(name, ttl=300), now=week * 604800)
+            twin.put(name, 1, a_records(name, ttl=300), week * 604800, 300)
+        assert len(cache) <= 2
+        assert len(twin.entries) == 50
+        assert live_entries(cache, 49 * 604800) == twin.live(49 * 604800)
 
     def test_live_drops_expired_entries_in_place(self):
         cache = DnsCache()

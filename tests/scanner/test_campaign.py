@@ -6,6 +6,7 @@ from repro.inetmodel import ChurnModel, LeasedHost, PrefixAllocator
 from repro.netsim.clock import DAY, WEEK
 from repro.resolvers import ResolverNode
 from repro.scanner import ScanCampaign, ScanTargetSpace
+from repro.scenario import ScenarioConfig, build_scenario
 
 
 @pytest.fixture
@@ -110,3 +111,24 @@ class TestVerifyLast:
         campaign.run(2, verify_last=True)
         verification = campaign.last().verification
         assert verification.responders == campaign.last().result.responders
+
+
+def test_resolver_caches_stay_flat_across_weeks():
+    """Every probe asks a unique name, each expired a week later: the
+    caches of the world hold at most twice one week's answers (plus a
+    little), however many weeks run — not every week's."""
+    scenario = build_scenario(ScenarioConfig(scale=40000, seed=7,
+                                             loss_rate=0.0))
+    campaign = scenario.new_campaign(verify=False)
+    nodes = scenario.network._nodes
+    stored_most = 0
+    for __ in range(8):
+        scanned_at = scenario.network.clock.now
+        campaign.run_week()
+        caches = [node.cache._entries for node in nodes.values()
+                  if node.cache is not None]
+        stored = sum(entry[1] == scanned_at for entries in caches
+                     for entry in entries.values())
+        stored_most = max(stored_most, stored)
+        assert stored > 100
+        assert sum(map(len, caches)) <= 2 * stored_most + 64

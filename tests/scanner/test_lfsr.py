@@ -30,6 +30,13 @@ class TestMaximality:
             if lfsr.step() == first:
                 pytest.fail("short cycle for order %d" % order)
 
+    @pytest.mark.parametrize("order", [3, 8, 13, 16])
+    def test_sequence_is_the_stepped_register(self, order):
+        lfsr = LFSR(order, seed=5)
+        stepper = LFSR(order, seed=5)
+        assert list(lfsr.sequence()) == [stepper.state] + [
+            stepper.step() for __ in range((1 << order) - 2)]
+
     def test_all_documented_orders_have_taps(self):
         assert set(MAXIMAL_TAPS) == set(range(3, 33))
 
