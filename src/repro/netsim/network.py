@@ -18,13 +18,11 @@ from repro.netsim.middlebox import (
 )
 from repro.util import M64, mix64
 
+# Network._packet_fate's salts, then the fault plane's: its *draws* live
+# in :mod:`repro.faults`, and these only key its occurrence counters.
 _SALT_QUERY_LOSS = 0x51
 _SALT_RESPONSE_LOSS = 0x52
 _SALT_CORRUPTION = 0x53
-# Occurrence-counter salts for the flow-keyed TCP loss draw and the
-# fault-injection plane (the fault *draws* themselves live in
-# :mod:`repro.faults`; these only key the per-flow occurrence counters
-# so fault draws never share a counter with baseline loss draws).
 _SALT_TCP_LOSS = 0x54
 _SALT_FAULT_QUERY = 0x55
 _SALT_FAULT_TRUNC = 0x56
@@ -34,9 +32,12 @@ _SALT_FAULT_TCP = 0x57
 _LOSS_MEMO_ENTRIES = 8
 
 
-def _flow_key(src_ip, src_port, dst_ip, dst_port):
-    """The unsalted fate key of a 4-tuple (:meth:`Network._flow`'s)."""
-    return (ip_to_int(src_ip) * 0x9E3779B1 ^ ip_to_int(dst_ip) * 0x85EBCA77
+def flow_key(src_int, src_port, dst_int, dst_port):
+    """The unsalted fate key of a 4-tuple (addresses as 32-bit integers):
+    every packet fate hashes (seed, salt, this key, occurrence).  A TCP
+    connection's key has source port 0; the sweep's ``flow_const`` has
+    destination 0, its loss column adding the destination term."""
+    return (src_int * 0x9E3779B1 ^ dst_int * 0x85EBCA77
             ^ src_port << 17 ^ dst_port << 1)
 
 
@@ -61,7 +62,7 @@ class UdpPacket:
         self.payload = payload
         self.dst_int = dst_int
 
-    def reply(self, payload, src_ip=None, src_port=None):
+    def reply(self, payload, src_ip=None):
         """Build a response packet back to this packet's sender.
 
         ``src_ip`` lets multi-homed hosts and proxies answer from an address
@@ -70,7 +71,7 @@ class UdpPacket:
         """
         return UdpPacket(
             src_ip=src_ip if src_ip is not None else self.dst_ip,
-            src_port=src_port if src_port is not None else self.dst_port,
+            src_port=self.dst_port,
             dst_ip=self.src_ip,
             dst_port=self.src_port,
             payload=payload,
@@ -276,10 +277,13 @@ class Network:
         counters[name] = counters.get(name, 0) + amount
 
     def _occurrence(self, key):
-        """Occurrence index of one salted flow key this scan epoch."""
-        if self.clock.now != self._flow_epoch:
+        """Occurrence index of one salted flow key this scan epoch: the
+        one place the flow counters advance, cleared once the clock has
+        moved."""
+        now = self.clock.now
+        if now != self._flow_epoch:
             self._flow_counts.clear()
-            self._flow_epoch = self.clock.now
+            self._flow_epoch = now
         occurrence = self._flow_counts.get(key, 0)
         self._flow_counts[key] = occurrence + 1
         return occurrence
@@ -295,23 +299,6 @@ class Network:
         self._flow_counts = dict(counts)
         self._flow_epoch = epoch
 
-    def _tcp_lost(self, src_ip, dst_ip, port):
-        """Flow-keyed loss draw for connection-oriented services (TCP).
-
-        Same contract as :meth:`_packet_fate`: a pure hash of (seed,
-        flow, occurrence), so connection outcomes are independent of how
-        pipeline fetches interleave — not a shared sequential RNG.
-        """
-        loss_rate = self.loss_rate
-        if loss_rate <= 0:
-            return False
-        key = _SALT_TCP_LOSS ^ (
-            ip_to_int(src_ip) * 0x9E3779B1 ^ ip_to_int(dst_ip) * 0x85EBCA77
-            ^ port << 1)
-        occurrence = self._occurrence(key)
-        draw = mix64(self._seed_high ^ key ^ mix64(occurrence + 1))
-        return draw < loss_rate * (M64 + 1)
-
     def _tcp_connect(self, src_ip, dst_ip, port, timeout):
         """Fault hook for one TCP connect; False = failed (hung past
         ``timeout``).  A stall shorter than the caller's patience is
@@ -319,8 +306,7 @@ class Network:
         faults = self.faults
         if faults is None or faults.profile.tcp_hang_rate <= 0:
             return True
-        base = (ip_to_int(src_ip) * 0x9E3779B1
-                ^ ip_to_int(dst_ip) * 0x85EBCA77 ^ port << 1)
+        base = flow_key(ip_to_int(src_ip), 0, ip_to_int(dst_ip), port)
         occurrence = self._occurrence(_SALT_FAULT_TCP ^ base)
         stall = faults.tcp_stall_seconds(base, occurrence)
         if stall <= 0.0:
@@ -332,8 +318,9 @@ class Network:
         return True
 
     def _packet_fate(self, salt, rate, base):
-        """Order-independent delivery decision for one UDP packet of the
-        flow keyed ``base`` (see :meth:`_flow`).
+        """Order-independent fate of one packet of the flow keyed
+        ``base`` (:func:`flow_key`): query, response or TCP loss, or
+        corruption, as ``salt`` says; True = it strikes.
 
         The draw is a pure hash of (seed, salt, flow 4-tuple, occurrence
         index of that flow since time last advanced) — NOT a shared
@@ -341,15 +328,9 @@ class Network:
         yields identical per-packet fates, the property the sharded scan
         engine relies on for bit-identical merged results.
         """
-        # self._occurrence and repro.util.mix64, inlined: every settled
-        # answer draws its response loss here.
+        # repro.util.mix64, inlined: every datagram draws here.
         key = salt ^ base
-        now = self.clock.now
-        if now != self._flow_epoch:
-            self._flow_counts.clear()
-            self._flow_epoch = now
-        occurrence = self._flow_counts.get(key, 0)
-        self._flow_counts[key] = occurrence + 1
+        occurrence = self._occurrence(key)
         mixed = self._occurrence_mix.get(occurrence)
         if mixed is None:
             mixed = mix64(occurrence + 1)
@@ -458,12 +439,7 @@ class Network:
         mutable state are kept there, so weekly re-scans reuse them for
         free.
         """
-        if self.recorder is not None or attempts > 255:
-            return None
-        if self.clock.now != self._flow_epoch:
-            self._flow_counts.clear()
-            self._flow_epoch = self.clock.now
-        if self._flow_counts:
+        if self.flow_state()[0]:
             return None
         plane, passed = paced if paced is not None else ((), None)
         # A box's pass verdicts hold wherever *it* says it may act, so
@@ -476,7 +452,9 @@ class Network:
         interest = self.scan_interest(
             src_ip, dst_port, qname_suffix=qname_suffix,
             besides=[box for box, __ in settled])
-        if interest is None:
+        drops = None if interest is None else self.sweep_drop_columns(
+            src_ip, src_port, dst_port, addresses, loss_memo, attempts)
+        if drops is None:
             return None
         hot = set(address_positions(addresses, addresses_sorted,
                                     self._nodes_by_int, interest))
@@ -485,9 +463,16 @@ class Network:
                 addresses, addresses_sorted, (),
                 [cidr for __, ranges in settled for cidr in ranges])
                 if not passed[position])
-        hot = sorted(hot)
-        flow_const = (ip_to_int(src_ip) * 0x9E3779B1
-                      ^ src_port << 17 ^ dst_port << 1)
+        return sorted(hot), drops
+
+    def sweep_drop_columns(self, src_ip, src_port, dst_port, addresses,
+                           loss_memo, attempts=1):
+        """:meth:`cold_sweep_columns`' ``drops`` alone, without the hot
+        set, or ``None`` where bulk settlement is never exact: a flight
+        recorder sees every probe, and a drop count must fit a byte."""
+        if self.recorder is not None or attempts > 255:
+            return None
+        flow_const = flow_key(ip_to_int(src_ip), src_port, 0, dst_port)
 
         def remember(key, build):
             """``loss_memo``, scoped to this network, flow and schedule."""
@@ -517,7 +502,7 @@ class Network:
             drops.extend(self.faults.query_fate_columns(
                 flow_const, addresses, draws, self.clock.now,
                 remember).items())
-        return hot, drops
+        return drops
 
     def _query_losses(self, flow_const, addresses, attempts):
         """Per address, how many of a flow's first ``attempts`` queries
@@ -584,13 +569,10 @@ class Network:
 
         With the probe's ``question`` (``(qname, qtype, qclass,
         txid)``), ``payload`` is the function that renders it, and the
-        datagram settles where :meth:`send_many`'s would
-        (:meth:`_datagram`): its replies are then the rows of
-        :meth:`_settled`, and no payload is rendered unless the
-        datagram takes the wire.
+        datagram settles where :meth:`_datagram` says: its replies are
+        then the rows of :meth:`_settled`, and no payload is rendered
+        unless the datagram takes the wire.
         """
-        if question is not None and not self._settles():
-            payload, question = payload(question), None
         return self._datagram(
             self._flow(src_ip, src_port, dst_ip, dst_port, dst_int),
             self._path_checks if _checks is None else _checks, None,
@@ -608,16 +590,10 @@ class Network:
         flow = self._flow(src_ip, src_port, dst_ip, dst_port,
                           ip_to_int(dst_ip))
         checks, kept = self._path_checks, []
-        settles = self._settles()
         answers = []
         for question in questions:
-            if settles:
-                answer = self._datagram(flow, checks, kept, query, None,
-                                        False, question)
-            else:
-                answer = self._datagram(flow, checks, kept, query(question),
-                                        None, False)
-            answers.append(answer)
+            answers.append(self._datagram(flow, checks, kept, query, None,
+                                          False, question))
             if kept is not None:
                 checks, kept = kept, None
         return answers
@@ -628,19 +604,9 @@ class Network:
         or :meth:`send_udp`'s first response; ``None`` if none comes."""
         flow = self._flow(src_ip, src_port, dst_ip, dst_port,
                           ip_to_int(dst_ip))
-        if self._settles():
-            replies = self._datagram(flow, self._path_checks, None, query,
-                                     None, True, question)
-        else:
-            replies = self._datagram(flow, self._path_checks, None,
-                                     query(question), None, True)
+        replies = self._datagram(flow, self._path_checks, None, query,
+                                 None, True, question)
         return replies[0] if replies else None
-
-    def _settles(self):
-        """Whether questions may settle at all: a recorder must see each
-        datagram; boxes reading replies and corruption need bytes."""
-        return (self.recorder is None and not self._response_droppers
-                and self.corruption_rate <= 0)
 
     def _flow(self, src_ip, src_port, dst_ip, dst_port, dst_int):
         """``(src_ip, src_port, dst_ip, dst_port, dst_int, node, query
@@ -652,10 +618,10 @@ class Network:
         fated = (self.loss_rate > 0 or self.corruption_rate > 0
                  or self.faults is not None)
         return (src_ip, src_port, dst_ip, dst_port, dst_int, node,
-                src_int * 0x9E3779B1 ^ dst_int * 0x85EBCA77
-                ^ src_port << 17 ^ dst_port << 1 if fated else None,
-                dst_int * 0x9E3779B1 ^ src_int * 0x85EBCA77
-                ^ dst_port << 17 ^ src_port << 1 if fated else None,
+                flow_key(src_int, src_port, dst_int, dst_port)
+                if fated else None,
+                flow_key(dst_int, dst_port, src_int, src_port)
+                if fated else None,
                 None if node is None else self.latency(src_int, dst_int) * 2)
 
     def _datagram(self, flow, checks, kept, payload, packet, render,
@@ -666,11 +632,13 @@ class Network:
         ``PATH_IGNORE``.
 
         With a ``question``, ``payload`` is the function that renders it,
-        called only if the datagram must take the wire: a box on the path
-        acts on the question, or the node has no answer plan
-        (:attr:`Node.settle`) or its plan declines.  Otherwise it settles:
-        the same fates in the same order, the plan's effects those of
-        ``handle_udp``, rows (:meth:`_settled`) and no packet built."""
+        called only if the datagram must take the wire: a flight recorder
+        must see it, a box reads replies, corruption needs bytes, a box
+        on the path acts on the question, or the node has no answer plan
+        (:attr:`Node.settle`) or its plan declines.  This is the one
+        place that decides.  Otherwise it settles: the same fates in the
+        same order, the plan's effects those of ``handle_udp``, rows
+        (:meth:`_settled`) and no packet built."""
         (src_ip, src_port, dst_ip, dst_port, dst_int, node, base,
          reply_base, rtt) = flow
         self.udp_queries_sent += 1
@@ -679,6 +647,10 @@ class Network:
         recorder = self.recorder
         if recorder is not None:
             recorder.record(self.clock.now, "sent", src_ip, dst_int)
+        if question is not None and (
+                recorder is not None or self._response_droppers
+                or self.corruption_rate > 0):
+            payload, question = payload(question), None
         # Per-packet middlebox triage: each box classifies the (src, dst
         # int, port) path and only PATH_INSPECT boxes see the payload.
         # Verdicts are integer arithmetic, so for the common case no box
@@ -725,30 +697,11 @@ class Network:
         if dropped and recorder is not None:
             recorder.record(self.clock.now, "lost", src_ip, dst_int,
                             drop_cause or "middlebox_drop")
-        if delivered and loss_rate > 0:
-            # Query-loss fate: _packet_fate with _SALT_QUERY_LOSS and
-            # repro.util.mix64, inlined — one draw per probe is the
-            # hottest fate decision, so it skips the call overhead.
-            now = self.clock.now
-            if now != self._flow_epoch:
-                self._flow_counts.clear()
-                self._flow_epoch = now
-            key = _SALT_QUERY_LOSS ^ base
-            occurrence = self._flow_counts.get(key, 0)
-            self._flow_counts[key] = occurrence + 1
-            mixed = self._occurrence_mix.get(occurrence)
-            if mixed is None:
-                mixed = mix64(occurrence + 1)
-                self._occurrence_mix[occurrence] = mixed
-            draw = (self._seed_high ^ key ^ mixed) & M64
-            draw ^= draw >> 30
-            draw = (draw * 0xBF58476D1CE4E5B9) & M64
-            draw ^= draw >> 27
-            draw = (draw * 0x94D049BB133111EB) & M64
-            draw ^= draw >> 31
-            delivered = draw >= loss_rate * (M64 + 1)
-            if not delivered and recorder is not None:
-                recorder.record(now, "lost", src_ip, dst_int,
+        if delivered and loss_rate > 0 and self._packet_fate(
+                _SALT_QUERY_LOSS, loss_rate, base):
+            delivered = False
+            if recorder is not None:
+                recorder.record(self.clock.now, "lost", src_ip, dst_int,
                                 "baseline_loss")
         faults = self.faults
         if delivered and faults is not None:
@@ -756,13 +709,8 @@ class Network:
             # loss): flow-keyed like the baseline draw, with its own
             # occurrence counter so fault and loss draws never alias.
             now = self.clock.now
-            if now != self._flow_epoch:
-                self._flow_counts.clear()
-                self._flow_epoch = now
-            fault_key = _SALT_FAULT_QUERY ^ base
-            occurrence = self._flow_counts.get(fault_key, 0)
-            self._flow_counts[fault_key] = occurrence + 1
-            reason = faults.query_fate(base, dst_int, occurrence, now)
+            reason = faults.query_fate(base, dst_int, self._occurrence(
+                _SALT_FAULT_QUERY ^ base), now)
             if reason is not None:
                 self.count_fault(reason)
                 delivered = False
@@ -793,8 +741,8 @@ class Network:
                         or reply.dst_ip is not src_ip
                         or reply.src_port != dst_port
                         or reply.dst_port != src_port):
-                    key = _flow_key(reply.src_ip, reply.src_port,
-                                    reply.dst_ip, reply.dst_port)
+                    key = flow_key(ip_to_int(reply.src_ip), reply.src_port,
+                                   ip_to_int(reply.dst_ip), reply.dst_port)
                 if loss_rate > 0 and self._packet_fate(
                         _SALT_RESPONSE_LOSS, loss_rate, key):
                     self.udp_queries_lost += 1
@@ -865,7 +813,8 @@ class Network:
             if source is None:
                 source = dst_ip
             elif key is not None:
-                key = _flow_key(source, dst_port, src_ip, src_port)
+                key = flow_key(ip_to_int(source), dst_port,
+                               ip_to_int(src_ip), src_port)
             if loss_rate > 0 and self._packet_fate(
                     _SALT_RESPONSE_LOSS, loss_rate, key):
                 self.udp_queries_lost += 1
@@ -917,7 +866,10 @@ class Network:
     def tcp_banner(self, src_ip, dst_ip, port, timeout=None):
         """Connect and read the service banner; ``None`` when closed/lost
         (or when a fault-injected stall exceeds ``timeout``)."""
-        if self._tcp_lost(src_ip, dst_ip, port):
+        loss_rate = self.loss_rate
+        if loss_rate > 0 and self._packet_fate(
+                _SALT_TCP_LOSS, loss_rate,
+                flow_key(ip_to_int(src_ip), 0, ip_to_int(dst_ip), port)):
             return None
         if not self._tcp_connect(src_ip, dst_ip, port, timeout):
             return None

@@ -30,9 +30,6 @@ class SoftwareProfile:
     def full_name(self):
         return "%s %s" % (self.name, self.version)
 
-    def has_vulnerability(self, kind):
-        return kind in self.cves
-
     def __repr__(self):
         return "SoftwareProfile(%r)" % self.full_name
 

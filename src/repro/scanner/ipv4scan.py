@@ -788,7 +788,9 @@ class Ipv4Scanner:
         The sharded engine calls this in the parent before forking, with
         its shard ``ranges``, so every worker inherits the LFSR walk,
         the sweep columns, the walk order (ranks included) of its
-        ``(start, stop)`` range and the pacing plan copy-on-write.  The
+        ``(start, stop)`` range, the pacing plan and the network's drop
+        columns (:meth:`~repro.netsim.network.Network.
+        sweep_drop_columns`) copy-on-write.  The
         walk is force-cached even past the usual memo cap: at a
         ~38M-address space (order 26) it is a ~256 MB array that would
         otherwise be rebuilt inside every forked worker.
@@ -800,9 +802,13 @@ class Ipv4Scanner:
         columns = _sweep_columns(target_space, self.blacklist)
         for start, stop in ranges:
             columns.walk_order(walk, start, stop)
-        # Asked for its memoised drop columns only: the decision itself
-        # is each scanning process's to take, at its own flow epoch.
-        self._cold_columns(columns, self._pacing_plan(columns))
+        self._pacing_plan(columns)
+        if self.probe_timeout is None:
+            # The memoised drop columns only: which targets are hot is
+            # each scanning process's to decide, at its own flow epoch.
+            self.network.sweep_drop_columns(
+                self.source_ip, self.source_port, 53, columns.addresses,
+                columns.loss_memo, attempts=1 + self.retries)
 
     def scan(self, target_space, index_range=None, on_progress=None,
              chunk_sink=None, chunk_rows=CHUNK_ROWS):

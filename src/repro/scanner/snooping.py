@@ -48,11 +48,6 @@ class SnoopingTrace:
     def values_for(self, tld):
         return [value for __, value in self.observations.get(tld, [])]
 
-    def answered_any(self):
-        return any(value is not None
-                   for series in self.observations.values()
-                   for __, value in series)
-
     def __repr__(self):
         return "SnoopingTrace(%s, %d TLDs)" % (
             self.resolver_ip, len(self.observations))

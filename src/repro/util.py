@@ -13,9 +13,9 @@ def mix64(value):
     pure functions of (seed, flow, occurrence) through this hash —
     independent of how concurrent flows interleave, which is what lets
     sharded scan workers reproduce a sequential scan exactly.  The
-    per-probe and per-answer draws (``Network._datagram``,
-    ``Network._packet_fate``, ``Network._query_losses``,
-    ``Ipv4Scanner._sweep``) inline it and say so.
+    per-datagram and per-probe draws (``Network._packet_fate``,
+    ``Network._query_losses``, ``Ipv4Scanner._sweep``) inline it and say
+    so.
     """
     value &= M64
     value ^= value >> 30

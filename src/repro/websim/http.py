@@ -50,24 +50,11 @@ class HttpResponse:
     def location(self):
         return self.headers.get("Location")
 
-    @property
-    def is_error(self):
-        return self.status >= 400
-
     @classmethod
     def redirect(cls, location, status=302):
         return cls(status=status, headers={"Location": location},
                    body="<html><body>Moved: <a href=\"%s\">here</a>"
                         "</body></html>" % location)
-
-    @classmethod
-    def not_found(cls, body=None):
-        return cls(status=404, body=body or _error_body(404, "Not Found"))
-
-    @classmethod
-    def server_error(cls, body=None):
-        return cls(status=500,
-                   body=body or _error_body(500, "Internal Server Error"))
 
     def __repr__(self):
         return "HttpResponse(%d, %d bytes)" % (self.status, len(self.body))
@@ -80,9 +67,3 @@ def _default_reason(status):
         500: "Internal Server Error", 502: "Bad Gateway",
         503: "Service Unavailable",
     }.get(status, "Unknown")
-
-
-def _error_body(status, reason):
-    return ("<html><head><title>%d %s</title></head>"
-            "<body><h1>%d %s</h1><hr><address>httpd</address></body></html>"
-            % (status, reason, status, reason))

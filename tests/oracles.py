@@ -19,7 +19,9 @@ latter in for a whole study; ``tests/resolvers/test_settled.py`` holds
 the questions ``ask_many`` settles by answer class to :func:`ask_each`;
 ``tests/test_util.py`` holds ``PickTable`` to :func:`weighted_choice`,
 and ``tests/core/test_diffcluster.py`` the diff stage's similarity to
-:func:`difflib_quick_ratio`.  :func:`message_fields` and
+:func:`difflib_quick_ratio`; ``tests/netsim/test_fate_oracle.py`` holds
+every packet fate of the network to :class:`FateOracle`.
+:func:`message_fields` and
 :func:`row_fields` are what "the same message" and "the same row" mean
 in those comparisons.
 """
@@ -456,7 +458,7 @@ class NeverPrunedCache:
                 if entry[1] + entry[2] > now}
 
 
-# -- the IPv4 sweep, one target at a time ----------------------------------
+# -- packet fates, as the network first wrote them --------------------------
 
 _M64 = (1 << 64) - 1
 
@@ -469,6 +471,105 @@ def splitmix64(value):
     value = (value * 0x94D049BB133111EB) & _M64
     value ^= value >> 31
     return value
+
+
+_SALT_QUERY_LOSS = 0x51
+_SALT_RESPONSE_LOSS = 0x52
+_SALT_CORRUPTION = 0x53
+_SALT_TCP_LOSS = 0x54
+_SALT_FAULT_QUERY = 0x55
+_SALT_FAULT_TRUNC = 0x56
+_SALT_FAULT_TCP = 0x57
+
+
+def four_tuple_hash(src_ip, src_port, dst_ip, dst_port):
+    """The unsalted fate key of a flow, from its dotted quads (a TCP
+    connection's source port is 0)."""
+    return (ip_to_int(src_ip) * 0x9E3779B1 ^ ip_to_int(dst_ip) * 0x85EBCA77
+            ^ src_port << 17 ^ dst_port << 1)
+
+
+class FateOracle:
+    """Every packet fate a ``Network(clock, seed, loss_rate)`` with
+    ``corruption_rate`` and the fault plan ``plan`` (or ``None``) draws,
+    written out: one occurrence counter per (salt, flow key), restarted
+    whenever the clock reads another time, and one splitmix64 draw of
+    (seed, salt, key, occurrence) per fate.  The fault plan's own draws
+    are :class:`repro.faults.FaultPlan`'s; this holds only their keys
+    and occurrences."""
+
+    def __init__(self, clock, seed, loss_rate, corruption_rate, plan):
+        self.clock = clock
+        self.seed = seed
+        self.loss_rate = loss_rate
+        self.corruption_rate = corruption_rate
+        self.plan = plan
+        self.counts = {}
+        self.epoch = None
+
+    def occurrence(self, salt, key):
+        """How many times (salt, key) was drawn at this clock reading."""
+        if self.clock.now != self.epoch:
+            self.counts = {}
+            self.epoch = self.clock.now
+        occurrence = self.counts.get((salt, key), 0)
+        self.counts[(salt, key)] = occurrence + 1
+        return occurrence
+
+    def strikes(self, salt, key, rate):
+        """One baseline fate at ``rate`` (no draw at rate 0)."""
+        if rate <= 0:
+            return False
+        occurrence = self.occurrence(salt, key)
+        draw = splitmix64((self.seed << 32) ^ salt ^ key
+                          ^ splitmix64(occurrence + 1))
+        return draw < rate * 2 ** 64
+
+    def query(self, src_ip, src_port, dst_ip, dst_port):
+        """The fate of one query datagram: ``None`` (delivered),
+        ``"loss"`` (baseline loss) or the fault plan's reason.  The
+        fault occurrence counts only the sends baseline loss spared."""
+        key = four_tuple_hash(src_ip, src_port, dst_ip, dst_port)
+        if self.strikes(_SALT_QUERY_LOSS, key, self.loss_rate):
+            return "loss"
+        if self.plan is None:
+            return None
+        return self.plan.query_fate(
+            key, ip_to_int(dst_ip), self.occurrence(_SALT_FAULT_QUERY, key),
+            self.clock.now)
+
+    def reply(self, src_ip, src_port, dst_ip, dst_port):
+        """``(lost, corrupted, truncated)`` of one reply datagram."""
+        key = four_tuple_hash(src_ip, src_port, dst_ip, dst_port)
+        if self.strikes(_SALT_RESPONSE_LOSS, key, self.loss_rate):
+            return True, False, False
+        corrupted = self.strikes(_SALT_CORRUPTION, key,
+                                 self.corruption_rate)
+        plan = self.plan
+        truncated = (plan is not None and plan.profile.truncation_rate > 0
+                     and plan.truncates_response(
+                         key, self.occurrence(_SALT_FAULT_TRUNC, key)))
+        return False, corrupted, truncated
+
+    def connect(self, src_ip, dst_ip, port, timeout):
+        """What one TCP connect meets: ``"loss"``, ``"tcp_hang"``,
+        ``"tcp_stall_absorbed"`` or ``None``."""
+        key = four_tuple_hash(src_ip, 0, dst_ip, port)
+        if self.strikes(_SALT_TCP_LOSS, key, self.loss_rate):
+            return "loss"
+        plan = self.plan
+        if plan is None or plan.profile.tcp_hang_rate <= 0:
+            return None
+        stall = plan.tcp_stall_seconds(
+            key, self.occurrence(_SALT_FAULT_TCP, key))
+        if stall <= 0:
+            return None
+        if timeout is not None and stall >= timeout:
+            return "tcp_hang"
+        return "tcp_stall_absorbed"
+
+
+# -- the IPv4 sweep, one target at a time ----------------------------------
 
 
 def dense_hot_column(addresses, nodes, interest, paced=None):

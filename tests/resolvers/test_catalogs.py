@@ -39,9 +39,9 @@ class TestSoftwareCatalog:
 
     def test_vulnerability_flags(self):
         bind982 = SOFTWARE_CATALOG[0][0]
-        assert bind982.has_vulnerability("IP Bypass")
-        assert bind982.has_vulnerability("DoS")
-        assert not bind982.has_vulnerability("RCE")
+        assert "IP Bypass" in bind982.cves
+        assert "DoS" in bind982.cves
+        assert "RCE" not in bind982.cves
 
     def test_profile_identity(self):
         left = SoftwareProfile("BIND", "9.8.2", "2012-04")

@@ -6,9 +6,13 @@ identical across reruns and across shard counts — every fault draw is a
 pure function of (seed, flow, occurrence), never of scheduling.
 """
 
+import pickle
+
 import pytest
 
 from repro.faults import FaultPlan, parse_fault_spec
+from repro.netsim import network as network_module
+from repro.scanner.ipv4scan import _sweep_columns
 from repro.scenario import ScenarioConfig, build_scenario
 
 
@@ -75,3 +79,43 @@ def test_any_shard_count_matches(shards):
     assert fingerprint(chaos_scan(shards=shards,
                                   spec="mild", retries=0)) == \
         fingerprint(chaos_scan(shards=1, spec="mild", retries=0))
+
+
+def test_prewarm_builds_the_drop_columns_and_no_hot_set(monkeypatch):
+    """The parent's pre-fork build memoises the network's drop columns
+    for the workers to inherit, and looks up no hot position over the
+    node registry: which targets are hot is each scanning process's to
+    decide.  The forked scan pickles to the bytes of a twin's whose
+    workers build every column themselves."""
+    def forked_scan(prewarmed):
+        scenario = build_scenario(ScenarioConfig(scale=SCALE, seed=SEED))
+        scenario.network.install_faults(
+            FaultPlan(parse_fault_spec("aggressive"), seed=SEED))
+        campaign = scenario.new_campaign(verify=False, shards=2,
+                                         retries=1)
+        space = campaign.target_space
+        columns = _sweep_columns(space, scenario.blacklist)
+        columns.loss_memo.clear()   # the columns are shared process-wide
+        if prewarmed:
+            campaign.scanner.prewarm(space, space.shard_ranges(2))
+            assert columns.loss_memo
+        else:
+            monkeypatch.setattr(campaign.scanner, "prewarm",
+                                lambda target_space, ranges=(): None)
+        result = campaign.run_week().result
+        assert result.provenance and all(
+            entry["mode"] == "worker" for entry in result.provenance)
+        return pickle.dumps(result)
+
+    looked_up = []
+    positions = network_module.address_positions
+
+    def counted(addresses, addresses_sorted, nodes, ranges):
+        looked_up.append(nodes)
+        return positions(addresses, addresses_sorted, nodes, ranges)
+
+    monkeypatch.setattr(network_module, "address_positions", counted)
+    prewarmed = forked_scan(True)
+    # Nothing in this process: the forked workers looked theirs up.
+    assert looked_up == []
+    assert prewarmed == forked_scan(False)

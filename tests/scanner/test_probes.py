@@ -182,7 +182,7 @@ class TestSnooping:
         prober = CacheSnoopingProber(world.network, world.client_ip,
                                      ("com",), duration_hours=1)
         trace = prober.run([node.ip])[0]
-        assert not trace.answered_any()
+        assert all(value is None for value in trace.values_for("com"))
 
 
 class TestDomainScanner:

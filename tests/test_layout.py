@@ -3,6 +3,7 @@ folded.  Each case greps ``src/repro`` and compares the files that
 match with an allow-list; the failure message names the function to
 call instead of growing a new copy."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -139,6 +140,63 @@ def test_one_copy_of_the_query_loss_draw():
         "the query-loss draw grew a copy — send_probe and send_many " \
         "share Network._datagram (DESIGN.md \"Stub DNS client\" → " \
         "*One flow, many questions*)"
+
+
+def functions_matching(path, pattern):
+    """The innermost functions (``Class.method``, ``function`` or
+    ``<module>``) holding a line of ``path`` that matches ``pattern``."""
+    source = path.read_text()
+    spans = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if isinstance(child, ast.FunctionDef):
+                    spans.append((child.lineno, child.end_lineno, name))
+                name += "."
+            visit(child, name)
+
+    visit(ast.parse(source), "")
+    regex = re.compile(pattern)
+    found = set()
+    for number, line in enumerate(source.splitlines(), 1):
+        if regex.search(line):
+            inside_spans = [(start, name) for start, end, name in spans
+                            if start <= number <= end]
+            found.add(max(inside_spans)[1] if inside_spans else "<module>")
+    return found
+
+
+# (what is guarded, regex over network.py's lines, the one function
+#  allowed to match, what to call instead)
+FATE_PLANE = [
+    ("the 4-tuple hash", r"0x9E3779B1", "flow_key",
+     "flow_key(src_int, src_port, dst_int, dst_port)"),
+    ("the flow counters advancing or resetting",
+     r"_flow_counts(\[[^\]]*\]\s*=(?!=)|\.clear\()",
+     "Network._occurrence", "Network._occurrence(salt ^ key)"),
+]
+
+
+@pytest.mark.parametrize("what,pattern,allowed,instead", FATE_PLANE,
+                         ids=[guard[0] for guard in FATE_PLANE])
+def test_one_fate_plane(what, pattern, allowed, instead):
+    """A packet's fate is keyed, counted and drawn in one place each
+    (DESIGN.md "Fault model")."""
+    found = functions_matching(SRC / "netsim" / "network.py", pattern)
+    assert found == {allowed}, "%s in %s, not only in %s — call %s" % (
+        what, sorted(found), allowed, instead)
+
+
+def test_one_settle_decision():
+    """Whether a question settles or takes the wire is decided once per
+    datagram; a sender that decides it again grows a second path."""
+    assert not files_matching(r"\b_settles\("), \
+        "a second settle decision — pass the question and its renderer " \
+        "to Network._datagram, which alone decides (DESIGN.md \"Stub " \
+        "DNS client\" → *Answer classes*)"
 
 
 def test_one_degradation_handler():

@@ -32,12 +32,6 @@ class TestHttpResponse:
     def test_not_redirect_without_location(self):
         assert not HttpResponse(302).is_redirect
 
-    def test_error_helpers(self):
-        assert HttpResponse.not_found().status == 404
-        assert HttpResponse.not_found().is_error
-        assert HttpResponse.server_error().status == 500
-        assert not HttpResponse(200, "ok").is_error
-
     def test_reason_defaults(self):
         assert HttpResponse(404).reason == "Not Found"
         assert HttpResponse(299).reason == "Unknown"
