@@ -24,6 +24,8 @@ import hashlib
 
 from repro.checkpoint.ledger import net_counters
 from repro.checkpoint.store import CheckpointError
+from repro.dnswire.constants import QTYPE_A, RCODE_NOERROR
+from repro.resolvers.resolver import HonestResult
 
 
 def _dns_cache_sites(network):
@@ -70,14 +72,29 @@ def capture_dns_caches(network):
     return captured
 
 
+def _cached_result(records, ttl):
+    """The :class:`HonestResult` an entry's ``records`` were built from:
+    the A records' addresses, the rest as extra records."""
+    return HonestResult(
+        RCODE_NOERROR,
+        [record.data.address for record in records
+         if record.rtype == QTYPE_A], ttl,
+        [record for record in records if record.rtype != QTYPE_A])
+
+
 def restore_dns_caches(network, captured):
     """Install captured cache contents into a freshly rebuilt world; a
     node cache the capture leaves out is empty."""
     for key, holder in _dns_cache_sites(network):
         state = captured.get(key)
         if key[0] == "node":
-            # (Hit/miss counters an older capture carries are ignored.)
-            holder.replace(state["entries"] if state else {})
+            # (Hit/miss counters an older capture carries are ignored;
+            # its entries hold the records built from each result.)
+            entries = state["entries"] if state else {}
+            holder.replace({
+                entry: (value if isinstance(value, HonestResult)
+                        else _cached_result(value, ttl), stored_at, ttl)
+                for entry, (value, stored_at, ttl) in entries.items()})
         elif state is not None:
             holder._cache = dict(state["names"])
             holder._suffix_cache = dict(state["suffixes"])

@@ -12,7 +12,7 @@ which is what drives the population decline in Figure 1.
 import random
 
 from repro.inetmodel.rdns import dynamic_pool_name
-from repro.netsim.address import ip_to_int
+from repro.netsim.address import forget, ip_to_int
 
 
 class LeasedHost:
@@ -97,11 +97,14 @@ class ChurnModel:
             used.discard(ip_to_int(host.node.ip) - host.pool.base)
 
     def rebind(self, host):
-        """Move a host to a fresh address within its pool."""
+        """Move a host to a fresh address within its pool; the old one
+        leaves the address memos, which would otherwise keep every lease
+        a long campaign hands out."""
         old_ip = host.node.ip
         self._release(host)
         new_ip = host.pool.address_at(self._free_offset(host.pool))
         self.network.rebind(host.node, new_ip)
+        forget(old_ip)
         if self.rdns is not None:
             self.rdns.remove(old_ip)
             if host.isp_domain:
@@ -115,6 +118,7 @@ class ChurnModel:
         """Permanently decommission a host."""
         self._release(host)
         self.network.unregister(host.node.ip)
+        forget(host.node.ip)
         if self.rdns is not None:
             self.rdns.remove(host.node.ip)
         host.online = False

@@ -11,7 +11,8 @@ from itertools import chain
 # Conversion memos: scans touch every address of every target prefix each
 # week, so both directions are called hundreds of thousands of times per
 # simulated week on a small, recurring working set.  Capped so unbounded
-# address churn cannot grow them without limit.
+# address churn cannot grow them without limit; a released DHCP lease
+# leaves them (:func:`forget`), so a long campaign does not fill them.
 _INT_CACHE = {}
 _TEXT_CACHE = {}
 _CACHE_LIMIT = 1 << 18
@@ -48,6 +49,13 @@ def int_to_ip(value):
     if len(_TEXT_CACHE) < _CACHE_LIMIT:
         _TEXT_CACHE[value] = text
     return text
+
+
+def forget(text):
+    """Drop the address ``text`` from both conversion memos."""
+    value = _INT_CACHE.pop(text, None)
+    if value is not None:
+        _TEXT_CACHE.pop(value, None)
 
 
 class Ipv4Network:

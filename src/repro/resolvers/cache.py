@@ -12,19 +12,19 @@ zero-TTL, TTL-resetting, empty-response, and single-response-then-silent.
 
 
 class DnsCache:
-    """A TTL-decaying cache of resource record sets.  Once :meth:`put`
-    has doubled what the last prune kept, it keeps only what :meth:`live`
-    keeps: no call can tell, and unique probe names do not pile up."""
+    """A TTL-decaying cache of the answers a resolver was given: each
+    entry holds the :class:`~repro.resolvers.resolver.HonestResult` it
+    was handed, as handed (DESIGN.md "Stub DNS client" → *Answer
+    classes*).  Once :meth:`put` has doubled what the last prune kept,
+    it keeps only what :meth:`live` keeps: no call can tell, and unique
+    probe names do not pile up."""
 
     def __init__(self, max_entries=10000):
-        self._entries = {}  # (name, qtype) -> (records, stored_at, ttl)
+        self._entries = {}  # (name, qtype) -> (result, stored_at, ttl)
         self._kept = 0      # entries the last prune kept
         self.max_entries = max_entries
 
-    def put(self, name, qtype, records, now, ttl=None):
-        if ttl is None:
-            ttls = [record.ttl for record in records]
-            ttl = min(ttls) if ttls else 300
+    def put(self, name, qtype, result, now, ttl):
         key = (name.lower(), qtype)
         entries = self._entries
         if key not in entries and len(entries) >= self.max_entries:
@@ -36,30 +36,22 @@ class DnsCache:
             victim = min(entries, key=lambda k: (entries[k][1]
                                                  + entries[k][2], k))
             del entries[victim]
-        entries[key] = (tuple(records), now, ttl)
+        entries[key] = (result, now, ttl)
         if len(entries) > 2 * self._kept:
             self._prune(now)
 
     def lookup(self, name, qtype, now):
-        """``(stored records, decayed TTL)``, or ``None`` when
-        absent/expired.  The records are the entry's own, as stored."""
+        """``(stored result, decayed TTL)``, or ``None`` when
+        absent/expired.  The result is the entry's own, as stored."""
         key = (name.lower(), qtype)
         entry = self._entries.get(key)
         if entry is None:
             return None
-        records, stored_at, ttl = entry
+        result, stored_at, ttl = entry
         if stored_at + ttl <= now:
             del self._entries[key]
             return None
-        return records, int(ttl - (now - stored_at))
-
-    def get(self, name, qtype, now):
-        """Records with decayed TTLs, or ``None`` when absent/expired."""
-        entry = self.lookup(name, qtype, now)
-        if entry is None:
-            return None
-        records, ttl = entry
-        return [record.with_ttl(ttl) for record in records]
+        return result, int(ttl - (now - stored_at))
 
     def live(self, now):
         """Drop the entries expired at ``now``; a copy of the rest.  No
@@ -76,9 +68,6 @@ class DnsCache:
     def replace(self, entries):
         """Hold exactly ``entries``, as :meth:`live` returned them."""
         self._entries = dict(entries)
-
-    def flush(self):
-        self._entries.clear()
 
     def __len__(self):
         return len(self._entries)

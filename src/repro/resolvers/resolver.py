@@ -97,12 +97,13 @@ class AnswerClass:
     """What resolvers honestly answer an A question for one name, worked
     out once (DESIGN.md "Stub DNS client" → *Answer classes*): the GFWs
     (of ``boxes``) that censor it, its CDN pool, and ``answers``: per
-    pool offset, or ``None`` for the trusted result, ``(result, records
-    a resolver caches, (rtype, ttl, rdata) rows a stub reads or None)``.
+    pool offset, or ``None`` for the trusted result, ``(result, (rtype,
+    ttl, rdata) rows a stub reads or None)``.  A resolver caches the
+    result itself, so a hit on it answers the rows.
 
     A wildcard ``suffix``'s class (``name`` ``None``) stands for every
-    name under it: one trusted result, and rows that carry no owner name.
-    Its ``records`` are the first name's; each name caches its own.
+    name under it: one trusted result, which every name caches, and
+    rows that carry no owner name.
     """
 
     __slots__ = ("name", "suffix", "boxes", "censors", "pool", "answers")
@@ -145,10 +146,9 @@ class ResolutionService:
         self.answers_per_query = answers_per_query
         self._cache = {}
         self._suffix_cache = {}
-        # name -> (its _cache result, the records resolvers cache for it)
-        self._records = {}
-        # name as asked -> its AnswerClass; wildcard suffix -> its class,
-        # or None where a GFW or a CDN pool singles out names under it
+        # name as asked -> (its AnswerClass, the name normalized);
+        # wildcard suffix -> its class, or None where a GFW or a CDN
+        # pool singles out names under it
         self._classes = {}
         self._wildcard_classes = {}
         self._trusted = IterativeResolver(self.root_ips, source_ip)
@@ -250,19 +250,20 @@ class ResolutionService:
             [pool[(offset + i) % len(pool)] for i in range(count)], ttl=20)
 
     def answer_class(self, qname, network):
-        """The :class:`AnswerClass` of ``qname``'s name, remade when the
-        network's GFWs change: a wildcard name's is its suffix's, ``None``
-        where names under that suffix do not all answer alike."""
+        """``(AnswerClass, name)`` of ``qname``, ``name`` normalized; the
+        class is remade when the network's GFWs change.  A wildcard
+        name's is its suffix's, ``None`` where names under that suffix
+        do not all answer alike."""
         boxes = network.middleboxes_of(GreatFirewall)
-        answer_class = self._classes.get(qname)
-        if answer_class is None or answer_class.boxes is not boxes:
+        entry = self._classes.get(qname)
+        if entry is None or entry[0].boxes is not boxes:
             name = normalize_name(qname)
             suffix = self._wildcard_suffix(name)
             if suffix is not None:
-                return self._wildcard_class(suffix, boxes)
-            answer_class = self._classes[qname] = AnswerClass(
-                name, boxes, self._cdn_pool_for(name))
-        return answer_class
+                return self._wildcard_class(suffix, boxes), name
+            entry = self._classes[qname] = (
+                AnswerClass(name, boxes, self._cdn_pool_for(name)), name)
+        return entry
 
     def _wildcard_class(self, suffix, boxes):
         """The class every name under the wildcard ``suffix`` shares:
@@ -281,9 +282,8 @@ class ResolutionService:
 
     def settled_answer(self, answer_class, name, resolver, network):
         """:meth:`resolve_for`'s answer for ``resolver`` asking ``name``
-        (normalized) as an entry of ``answer_class.answers``, with the
-        records ``name`` caches; ``None`` -- no effect yet -- when a GFW
-        poisons the resolver's own lookup."""
+        (normalized) as an entry of ``answer_class.answers``; ``None`` --
+        no effect yet -- when a GFW poisons the resolver's own lookup."""
         if not resolver.gfw_immune:
             for gfw in answer_class.censors:
                 if gfw.poisons(resolver.ip, name):
@@ -299,32 +299,18 @@ class ResolutionService:
         settled = answer_class.answers.get(key)
         if settled is None or result is not None and settled[0] is not result:
             result = result or self._cdn_slice(answer_class.pool, key)
-            records = self.cache_records(name, result)
             rows = reply_rows(name, QTYPE_A, CLASS_IN, result.rcode, True,
-                              records)
+                              _a_records(name, result))
             # Shared by every resolver's answer: never mutated.
-            settled = answer_class.answers[key] = (
-                result, records, rows and tuple(rows))
-        elif suffix is not None:
-            return settled[0], _a_records(name, settled[0]), settled[2]
+            settled = answer_class.answers[key] = (result,
+                                                   rows and tuple(rows))
         return settled
-
-    def cache_records(self, name, result):
-        """What a resolver caches for ``result``, its answer for ``name``:
-        one tuple shared by all if the shared cache holds it for ``name``."""
-        entry = self._records.get(name)
-        if entry is None or entry[0] is not result:
-            entry = (result, _a_records(name, result))
-            if self._cache.get(name) is result:
-                self._records[name] = entry
-        return entry[1]
 
 
 def _a_records(name, result):
-    """What a resolver caches for ``result``, its answer for ``name``."""
-    return tuple([ResourceRecord.a(name, address, ttl=result.ttl)
-                  for address in result.addresses]
-                 + list(result.extra_records))
+    """The answer records of ``result``, the honest answer for ``name``."""
+    return [ResourceRecord.a(name, address, ttl=result.ttl)
+            for address in result.addresses] + list(result.extra_records)
 
 
 class ResolverNode(Node):
@@ -470,36 +456,34 @@ class ResolverNode(Node):
 
     def _settled_a(self, qname, network):
         """:meth:`_a_response` as ``(rcode, rows)``: a behaviour's answer,
-        else the name's :class:`AnswerClass` -- a cache hit on the records
-        the class shares, or a miss the class settles -- and
+        else the name's :class:`AnswerClass` -- a cache hit on the class's
+        trusted result, or a miss the class settles -- and
         :meth:`_honest_response` where neither holds."""
         if self.behaviors:
             answer = self._behavior_response(qname, network)
             if answer is not None:
                 return self._rows(qname, QTYPE_A, CLASS_IN, answer)
         service = self.service
-        answer_class = None if service is None else service.answer_class(
-            qname, network)
+        answer_class, name = (None, None) if service is None \
+            else service.answer_class(qname, network)
         if answer_class is not None:
-            name = answer_class.name or normalize_name(qname)
             now = network.clock.now
             cached = self.cache.lookup(name, QTYPE_A, now)
             if cached is None:
                 settled = service.settled_answer(answer_class, name, self,
                                                  network)
                 if settled is not None:
-                    result, records, rows = settled
+                    result, rows = settled
                     if result.rcode == RCODE_NOERROR and result.addresses:
-                        self.cache.put(name, QTYPE_A, records, now,
-                                       ttl=result.ttl)
+                        self.cache.put(name, QTYPE_A, result, now, result.ttl)
                     return result.rcode & 0xF, rows
             else:
                 trusted = answer_class.answers.get(None)
-                if trusted is not None and cached[0] is trusted[1]:
+                if trusted is not None and cached[0] is trusted[0]:
                     # A hit answers every record at the decayed TTL.
                     ttl = cached[1] & 0xFFFFFFFF
-                    return RCODE_NOERROR, trusted[2] and [
-                        (rtype, ttl, data) for rtype, __, data in trusted[2]]
+                    return RCODE_NOERROR, trusted[1] and [
+                        (rtype, ttl, data) for rtype, __, data in trusted[1]]
         return self._rows(qname, QTYPE_A, CLASS_IN,
                           self._honest_response(qname, network))
 
@@ -572,11 +556,8 @@ class ResolverNode(Node):
 
     def _honest_response(self, qname, network):
         honest = self.resolve_honest(qname, network)
-        records = [ResourceRecord.a(qname, address, ttl=honest.ttl)
-                   for address in honest.addresses]
         # DNSSEC signature records pass through unmodified.
-        records.extend(honest.extra_records)
-        return honest.rcode, True, records
+        return honest.rcode, True, _a_records(qname, honest)
 
     @staticmethod
     def _behavior_records(qname, answer):
@@ -597,20 +578,15 @@ class ResolverNode(Node):
         now = network.clock.now
         cached = self.cache.lookup(name, QTYPE_A, now)
         if cached is not None:
-            # A hit answers with the entry's decayed TTL; only the extra
-            # records (DNSSEC signatures) are re-stamped with it.
-            records, ttl = cached
+            # A hit answers the entry's result at its decayed TTL; only
+            # the extra records (DNSSEC signatures) are re-stamped with it.
+            result, ttl = cached
             return HonestResult(
-                RCODE_NOERROR,
-                [record.data.address for record in records
-                 if record.rtype == QTYPE_A], ttl,
-                [record.with_ttl(ttl) for record in records
-                 if record.rtype != QTYPE_A])
+                RCODE_NOERROR, result.addresses, ttl,
+                [record.with_ttl(ttl) for record in result.extra_records])
         result = self.service.resolve_for(network, self, name)
         if result.rcode == RCODE_NOERROR and result.addresses:
-            self.cache.put(name, QTYPE_A,
-                           self.service.cache_records(name, result), now,
-                           ttl=result.ttl)
+            self.cache.put(name, QTYPE_A, result, now, result.ttl)
         return result
 
     def _ns_response(self, qname, network):

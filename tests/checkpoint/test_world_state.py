@@ -6,21 +6,26 @@ to an epoch the clock has left.  The capture drops both.  A state
 written before it did (every cache whole, stale counters kept) still
 resumes to the same bytes, because neither can be observed: a test
 below writes such states, and the ``84d676a`` fixtures hold real ones
-(``test_formats.py``).
+(``test_formats.py``).  So does a state whose resolver caches hold the
+records built for each name, as they did before a resolver cached the
+result it was given.
 """
 
 import glob
 import os
+import pickle
 
 import pytest
 
 import repro.checkpoint.run as run_module
 from repro.checkpoint import (CheckpointedRun, capture_world_state,
                               restore_world_state)
+from repro.dnswire.constants import RCODE_NOERROR
 from repro.dnswire.records import ResourceRecord
 from repro.faults import FaultPlan, FaultProfile, InjectedCrash
 from repro.perf import PerfRegistry
 from repro.resolvers import ResolverNode
+from repro.resolvers.resolver import HonestResult
 from tests.checkpoint.test_delta_resume import (WEEKS, assert_byte_identical,
                                                 build_delta_world,
                                                 make_campaign, run_clean)
@@ -122,8 +127,8 @@ def test_a_node_cache_the_capture_leaves_out_is_emptied():
                             resolution_service=mini.service)
         mini.network.register(node)
         node.cache.put("x.example", 1,
-                       [ResourceRecord.a("x.example", "1.2.3.4", ttl=100)],
-                       now=0)
+                       HonestResult(RCODE_NOERROR, ["1.2.3.4"], ttl=100),
+                       0, 100)
         return mini, node
 
     committed, expired = world()
@@ -135,3 +140,70 @@ def test_a_node_cache_the_capture_leaves_out_is_emptied():
     restore_world_state(resumed.network, None, state)
     assert len(warm.cache) == 0
     assert warm.cache.lookup("x.example", 1, now=state["clock"]) is None
+
+
+def records_world(warm=True):
+    """A resolver that has (``warm``) cached a signed name's two
+    addresses and its signature, and a wildcard probe name's address."""
+    mini = MiniWorld()
+    mini.builder.register_domain(
+        "signed.example", {"signed.example": ["198.18.0.6", "198.18.0.5"]}
+    ).sign_with("zone-key")
+    mini.builder.register_domain("scan.example",
+                                 wildcard_address="198.18.0.99")
+    mini.service.wildcard_suffixes = ("scan.example",)
+    node = ResolverNode(mini.infra.address_at(42000),
+                        resolution_service=mini.service)
+    mini.network.register(node)
+    if warm:
+        node.resolve_honest("Signed.Example", mini.network)
+        node._settled_a("r1.ab12.scan.example", mini.network)
+    return mini, node
+
+
+def as_records(entries):
+    """Cache entries as captures wrote them before a resolver cached the
+    result it was given: each name's own tuple of records."""
+    return {key: (tuple([ResourceRecord.a(key[0], address, ttl=result.ttl)
+                         for address in result.addresses]
+                        + list(result.extra_records)), stored_at, ttl)
+            for key, (result, stored_at, ttl) in entries.items()}
+
+
+def answers(world, node):
+    """What the resolver answers from its cache, 40 s on: every A
+    question either way, and what it took to answer them."""
+    world.clock.advance(40)
+    network = world.network
+    honest = [node.resolve_honest(name, network) for name in
+              ("signed.example", "R1.AB12.scan.example")]
+    return ([(result.rcode, list(result.addresses), result.ttl,
+              [(record.name, record.rtype, record.ttl, repr(record.data))
+               for record in result.extra_records]) for result in honest],
+            [node._settled_a(name, network) for name in
+             ("SIGNED.example", "r1.ab12.scan.example")],
+            node.service.full_resolutions, network.udp_queries_sent)
+
+
+def test_a_records_tuple_entry_resumes_as_the_result_it_stands_for():
+    uninterrupted, node = records_world()
+    state = capture_world_state(uninterrupted.network)
+    entries = state["dns_caches"][("node", node.ip)]["entries"]
+    assert sorted(key[0] for key in entries) \
+        == ["r1.ab12.scan.example", "signed.example"]
+    state["dns_caches"][("node", node.ip)]["entries"] = as_records(entries)
+    state = pickle.loads(pickle.dumps(state))
+    resumed, fresh = records_world(warm=False)
+    restore_world_state(resumed.network, None, state)
+    restored = fresh.cache.live(resumed.clock.now)
+    assert all(isinstance(result, HonestResult)
+               for result, __, ___ in restored.values())
+    assert [(key, stored_at, ttl) for key, (__, stored_at, ttl)
+            in sorted(restored.items())] \
+        == [(key, stored_at, ttl) for key, (__, stored_at, ttl)
+            in sorted(node.cache.live(uninterrupted.clock.now).items())]
+    expected = answers(uninterrupted, node)
+    assert answers(resumed, fresh) == expected
+    # Both answered from the cache, 40 s into a 300 s TTL.
+    assert [ttl for __, rows in expected[1] for __, ttl, ___ in rows] \
+        == [260] * 4

@@ -126,3 +126,30 @@ class TestLifecycle:
         first = churn.allocate_address(pool)
         second = churn.allocate_address(pool)
         assert first != second
+
+
+def test_released_leases_leave_the_address_memos(monkeypatch):
+    """Each rebind hands out a fresh address; a long campaign hands out
+    more than the conversion memos hold.  A released lease (a rebind or
+    a decommission) leaves both memos, so they keep what is in use."""
+    from repro.netsim import address
+    memos = {}, {}
+    monkeypatch.setattr(address, "_INT_CACHE", memos[0])
+    monkeypatch.setattr(address, "_TEXT_CACHE", memos[1])
+    network, __, churn, pool = make_world()
+    hosts = [add_host(churn, network, pool, lease_duration=DAY,
+                      offline_after=30 * DAY if index % 10 == 0 else None)
+             for index in range(100)]
+    # What the world converted besides leases (the pool's own bounds).
+    others = set(memos[0]) - {host.node.ip for host in hosts}
+    for __ in range(20):
+        network.clock.advance(2 * DAY)
+        churn.step()
+        # What the sweep and the replies convert: every address in use.
+        for host in hosts:
+            if host.online:
+                address.int_to_ip(address.ip_to_int(host.node.ip))
+    assert churn.rebind_count > 1000 and churn.offline_count == 10
+    in_use = {host.node.ip for host in hosts if host.online} | others
+    assert set(memos[0]) == in_use
+    assert set(memos[1].values()) <= in_use

@@ -343,8 +343,9 @@ class MessageResolverNode(ResolverNode):
             return HonestResult(RCODE_SERVFAIL)
         name = normalize_name(qname)
         now = network.clock.now
-        cached = self.cache.get(name, QTYPE_A, now)
+        cached = self.cache.lookup(name, QTYPE_A, now)
         if cached is not None:
+            cached = [record.with_ttl(cached[1]) for record in cached[0]]
             return HonestResult(
                 RCODE_NOERROR,
                 [record.data.address for record in cached
@@ -423,6 +424,26 @@ def compressor_only_to_wire(message):
     return bytes(out)
 
 
+def cache_facts(entries):
+    """The facts a resolver cache's ``entries`` (``DnsCache._entries``
+    or ``live()``) hold, per key: the records the stored answer stands
+    for, each as (owner name, rtype, class, TTL, rdata repr), then the
+    entry's ``stored_at`` and TTL.  A resolver stores the
+    :class:`HonestResult` it was given, which stands for the key's A
+    records at the result's TTL, then its extra records;
+    :class:`MessageResolverNode` stores those records themselves."""
+    facts = {}
+    for key, (stored, stored_at, ttl) in entries.items():
+        if isinstance(stored, HonestResult):
+            stored = [ResourceRecord.a(key[0], address, ttl=stored.ttl)
+                      for address in stored.addresses] \
+                + list(stored.extra_records)
+        facts[key] = ([(record.name, record.rtype, record.rclass,
+                        record.ttl, repr(record.data))
+                       for record in stored], stored_at, ttl)
+    return facts
+
+
 class NeverPrunedCache:
     """``DnsCache`` as it was before it pruned: an expired entry stays
     until a ``lookup`` of its key or an eviction at capacity removes it.
@@ -430,27 +451,27 @@ class NeverPrunedCache:
     key."""
 
     def __init__(self, max_entries):
-        self.entries = {}   # (name, qtype) -> (records, stored_at, ttl)
+        self.entries = {}   # (name, qtype) -> (result, stored_at, ttl)
         self.max_entries = max_entries
 
-    def put(self, name, qtype, records, now, ttl):
+    def put(self, name, qtype, result, now, ttl):
         key = (name.lower(), qtype)
         entries = self.entries
         if key not in entries and len(entries) >= self.max_entries:
             del entries[min(entries, key=lambda k: (entries[k][1]
                                                     + entries[k][2], k))]
-        entries[key] = (tuple(records), now, ttl)
+        entries[key] = (result, now, ttl)
 
     def lookup(self, name, qtype, now):
         key = (name.lower(), qtype)
         entry = self.entries.get(key)
         if entry is None:
             return None
-        records, stored_at, ttl = entry
+        result, stored_at, ttl = entry
         if stored_at + ttl <= now:
             del self.entries[key]
             return None
-        return records, int(ttl - (now - stored_at))
+        return result, int(ttl - (now - stored_at))
 
     def live(self, now):
         """The entries not expired at ``now``, without dropping any."""

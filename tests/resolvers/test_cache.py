@@ -3,52 +3,54 @@
 from hypothesis import example, given, settings, strategies as st
 
 from repro.checkpoint.state import capture_dns_caches, restore_dns_caches
-from repro.dnswire.records import ResourceRecord
+from repro.dnswire.constants import RCODE_NOERROR
 from repro.resolvers import ResolverNode
 from repro.resolvers.cache import CacheActivityModel, DnsCache
+from repro.resolvers.resolver import HonestResult
 from tests.conftest import MiniWorld
 from tests.oracles import NeverPrunedCache
 
 
-def a_records(name="x.example", address="1.2.3.4", ttl=100):
-    return [ResourceRecord.a(name, address, ttl=ttl)]
+def answer(address="1.2.3.4", ttl=100):
+    return HonestResult(RCODE_NOERROR, [address], ttl=ttl)
+
+
+def put(cache, name, result, now):
+    cache.put(name, 1, result, now, result.ttl)
 
 
 class TestDnsCache:
     def test_hit_before_expiry(self):
-        cache = DnsCache()
-        cache.put("x.example", 1, a_records(ttl=100), now=0)
-        records = cache.get("x.example", 1, now=50)
-        assert records is not None
-        assert records[0].ttl == 50
-        stored, ttl = cache.lookup("x.example", 1, now=60)
-        assert (stored[0].ttl, stored[0].data.address, ttl) \
-            == (100, "1.2.3.4", 40)
+        cache, stored = DnsCache(), answer(ttl=100)
+        put(cache, "x.example", stored, now=0)
+        assert cache.lookup("x.example", 1, now=50) == (stored, 50)
+        result, ttl = cache.lookup("x.example", 1, now=60)
+        assert (result.ttl, result.addresses, ttl) == (100, ["1.2.3.4"], 40)
 
     def test_miss_after_expiry(self):
         cache = DnsCache()
-        cache.put("x.example", 1, a_records(ttl=100), now=0)
+        put(cache, "x.example", answer(ttl=100), now=0)
         assert cache.lookup("x.example", 1, now=150) is None
         assert len(cache) == 0
-        assert cache.get("x.example", 1, now=150) is None
+        assert cache.lookup("x.example", 1, now=150) is None
 
     def test_case_insensitive_keys(self):
         cache = DnsCache()
-        cache.put("X.Example", 1, a_records(), now=0)
-        assert cache.get("x.example", 1, now=1) is not None
+        put(cache, "X.Example", answer(), now=0)
+        assert cache.lookup("x.example", 1, now=1) is not None
 
     def test_explicit_ttl_overrides(self):
         cache = DnsCache()
-        cache.put("x.example", 1, a_records(ttl=100), now=0, ttl=10)
-        assert cache.get("x.example", 1, now=50) is None
+        cache.put("x.example", 1, answer(ttl=100), 0, 10)
+        assert cache.lookup("x.example", 1, now=50) is None
 
     def test_eviction_at_capacity(self):
         cache = DnsCache(max_entries=3)
         for i in range(4):
-            cache.put("d%d.example" % i, 1, a_records(ttl=100 + i), now=0)
+            put(cache, "d%d.example" % i, answer(ttl=100 + i), now=0)
         assert len(cache) == 3
         # The entry closest to expiry (d0, ttl=100) was evicted.
-        assert cache.get("d0.example", 1, now=1) is None
+        assert cache.lookup("d0.example", 1, now=1) is None
 
     def test_refresh_at_capacity_does_not_evict(self):
         # Re-putting an existing key when the cache is full must not
@@ -56,36 +58,30 @@ class TestDnsCache:
         # existing-key check, shrinking the cache on every refresh).
         cache = DnsCache(max_entries=3)
         for i in range(3):
-            cache.put("d%d.example" % i, 1, a_records(ttl=100 + i), now=0)
-        cache.put("d0.example", 1, a_records(ttl=500), now=0)
+            put(cache, "d%d.example" % i, answer(ttl=100 + i), now=0)
+        put(cache, "d0.example", answer(ttl=500), now=0)
         assert len(cache) == 3
         for i in range(3):
-            assert cache.get("d%d.example" % i, 1, now=1) is not None
+            assert cache.lookup("d%d.example" % i, 1, now=1) is not None
 
     def test_refresh_is_case_insensitive_at_capacity(self):
         cache = DnsCache(max_entries=2)
-        cache.put("a.example", 1, a_records(ttl=100), now=0)
-        cache.put("b.example", 1, a_records(ttl=200), now=0)
-        cache.put("A.Example", 1, a_records(ttl=300), now=0)
+        put(cache, "a.example", answer(ttl=100), now=0)
+        put(cache, "b.example", answer(ttl=200), now=0)
+        put(cache, "A.Example", answer(ttl=300), now=0)
         assert len(cache) == 2
-        assert cache.get("b.example", 1, now=1) is not None
-
-    def test_flush(self):
-        cache = DnsCache()
-        cache.put("x.example", 1, a_records(), now=0)
-        cache.flush()
-        assert len(cache) == 0
+        assert cache.lookup("b.example", 1, now=1) is not None
 
     @given(st.integers(min_value=1, max_value=1000),
            st.integers(min_value=0, max_value=2000))
     def test_ttl_decay_property(self, ttl, elapsed):
-        cache = DnsCache()
-        cache.put("x.example", 1, a_records(ttl=ttl), now=0)
-        records = cache.get("x.example", 1, now=elapsed)
+        cache, stored = DnsCache(), answer(ttl=ttl)
+        put(cache, "x.example", stored, now=0)
+        entry = cache.lookup("x.example", 1, now=elapsed)
         if elapsed >= ttl:
-            assert records is None
+            assert entry is None
         else:
-            assert records[0].ttl == ttl - elapsed
+            assert entry == (stored, ttl - elapsed)
 
 
 # One step of a cache's life: store one of a few names with one of two
@@ -138,9 +134,9 @@ class TestPruning:
                     else range(step[1], step[1] + step[2])
                 for index in names:
                     name = "d%d.example" % index
-                    records = a_records(name, ttl=step[-1])
-                    twin.put(name, 1, records, now, step[-1])
-                    pruned.put(name, 1, records, now)
+                    stored = answer(ttl=step[-1])
+                    twin.put(name, 1, stored, now, step[-1])
+                    put(pruned, name, stored, now)
             elif step[0] == "lookup":
                 name = "d%d.example" % step[1]
                 assert pruned.lookup(name, 1, now) \
@@ -158,16 +154,17 @@ class TestPruning:
         cache, twin = DnsCache(), NeverPrunedCache(max_entries=10000)
         for week in range(50):
             name = "r%x.scan.example" % week
-            cache.put(name, 1, a_records(name, ttl=300), now=week * 604800)
-            twin.put(name, 1, a_records(name, ttl=300), week * 604800, 300)
+            stored = answer(ttl=300)
+            put(cache, name, stored, now=week * 604800)
+            twin.put(name, 1, stored, week * 604800, 300)
         assert len(cache) <= 2
         assert len(twin.entries) == 50
         assert live_entries(cache, 49 * 604800) == twin.live(49 * 604800)
 
     def test_live_drops_expired_entries_in_place(self):
         cache = DnsCache()
-        cache.put("old.example", 1, a_records(ttl=10), now=0)
-        cache.put("new.example", 1, a_records(ttl=100), now=0)
+        put(cache, "old.example", answer(ttl=10), now=0)
+        put(cache, "new.example", answer(ttl=100), now=0)
         assert list(cache.live(10)) == [("new.example", 1)]
         assert len(cache) == 1
 
@@ -175,10 +172,11 @@ class TestPruning:
         # A refresh keeps its key's place in the dict; the same entries
         # stored in another order must still lose the same victim.
         first, second = DnsCache(max_entries=2), DnsCache(max_entries=2)
+        stored = answer(ttl=10)
         for cache, names in ((first, "ab"), (second, "ba")):
             for name in names:
-                cache.put(name + ".example", 1, a_records(ttl=10), now=0)
-            cache.put("c.example", 1, a_records(ttl=10), now=0)
+                put(cache, name + ".example", stored, now=0)
+            put(cache, "c.example", stored, now=0)
         assert first.live(0) == second.live(0)
 
 
@@ -263,7 +261,7 @@ def test_restores_a_capture_that_carries_hit_counters():
         return mini, node
 
     crashed, node = world()
-    node.cache.put("x.example", 1, a_records(), now=0)
+    put(node.cache, "x.example", answer(), now=0)
     captured = capture_dns_caches(crashed.network)
     captured[("node", node.ip)].update(hits=3, misses=4)
     resumed, fresh = world()

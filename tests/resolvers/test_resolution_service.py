@@ -128,35 +128,44 @@ class TestGfwPoisoning:
         assert result.addresses == ["198.18.0.3"]
 
 
-class TestSharedCacheRecords:
-    """Resolvers caching a name the shared cache holds store one shared
-    tuple of records; per-resolver answers (CDN slices, the firewall's
-    forged ones, wildcard names) are stored as built for that resolver."""
+class TestCachedResults:
+    """A resolver caches the result it was given, on either path: a name
+    the shared cache holds caches the service's one result, a CDN slice
+    and the firewall's forged answer are each resolver's own, and every
+    name under a wildcard suffix caches the suffix's one result."""
 
-    def cached(self, world, node, name):
-        node.resolve_honest(name, world.network)
-        records, __ = node.cache.lookup(name, QTYPE_A, world.clock.now)
-        return records
-
-    def test_shared_only_for_names_the_service_holds(self, world):
-        world.network.add_middlebox(GreatFirewall(
+    def test_one_result_per_answer(self, world):
+        network = world.network
+        network.add_middlebox(GreatFirewall(
             [Ipv4Network("110.0.0.0/16")], ["plain.com"], seed=4))
-        nodes = [ResolverNode(address, resolution_service=world.service)
-                 for address in (world.infra.address_at(42000),
-                                 world.infra.address_at(42001),
-                                 "110.0.0.5")]
-        outside = [self.cached(world, node, "plain.com")
-                   for node in nodes[:2]]
-        assert type(outside[0]) is tuple and outside[0] is outside[1]
-        poisoned = self.cached(world, nodes[2], "plain.com")
-        assert [record.data.address for record in poisoned] \
-            != ["198.18.0.1"]
-        for name in ("cdnsite.com", "r1.aabbccdd.scan.dnsstudy.edu"):
-            for node in nodes[:2]:
-                result = world.service.resolve_for(world.network, node, name)
-                assert [(record.name, record.data.address)
-                        for record in self.cached(world, node, name)] \
-                    == [(name, address) for address in result.addresses]
+        shared = world.service.resolve_trusted(network, "plain.com")
+        suffix = world.service.resolve_trusted(
+            network, "r0.00000000.scan.dnsstudy.edu")
+        for path in ("resolve_honest", "_settled_a"):
+            def cached(node, name):
+                getattr(node, path)(name, network)
+                result, __ = node.cache.lookup(name, QTYPE_A,
+                                               world.clock.now)
+                return result
+            nodes = [ResolverNode(address, resolution_service=world.service)
+                     for address in (world.infra.address_at(42000),
+                                     world.infra.address_at(42001),
+                                     "110.0.0.5", "110.0.0.6")]
+            outside = [cached(node, "plain.com") for node in nodes[:2]]
+            assert outside[0] is outside[1] is shared
+            poisoned = [cached(node, "plain.com") for node in nodes[2:]]
+            assert poisoned[0] is not poisoned[1]
+            assert all(result.addresses != ["198.18.0.1"]
+                       for result in poisoned)
+            slices = [cached(node, "cdnsite.com") for node in nodes[:2]]
+            assert slices[0] is not slices[1]
+            for node, result in zip(nodes, slices):
+                assert result.addresses == world.service.resolve_for(
+                    network, node, "cdnsite.com").addresses
+            for index, node in enumerate(nodes[:2]):
+                for name in ("r1.aabbccdd.scan.dnsstudy.edu",
+                             "R%d.11223344.Scan.DnsStudy.edu" % index):
+                    assert cached(node, name) is suffix
 
 
 class TestWildcardClass:
@@ -166,13 +175,15 @@ class TestWildcardClass:
     NAME = "r1.aabbccdd.scan.dnsstudy.edu"
 
     def answer_class(self, world):
-        return world.service.answer_class(self.NAME, world.network)
+        return world.service.answer_class(self.NAME, world.network)[0]
 
     def test_clean_suffix_has_one_nameless_class(self, world):
         shared = self.answer_class(world)
         assert shared is not None and shared.name is None
+        # The class stands for the name; the name comes back normalized.
         assert world.service.answer_class(
-            "r2.11223344.scan.dnsstudy.edu", world.network) is shared
+            "R2.11223344.scan.dnsstudy.EDU.", world.network) \
+            == (shared, "r2.11223344.scan.dnsstudy.edu")
 
     @pytest.mark.parametrize("domain", ["scan.dnsstudy.edu",
                                         "deep.scan.dnsstudy.edu"])
@@ -185,7 +196,7 @@ class TestWildcardClass:
         # cdnsite.com's pool also serves www.cdnsite.com.
         world.service.wildcard_suffixes += ("www.cdnsite.com",)
         assert world.service.answer_class("r1.www.cdnsite.com",
-                                          world.network) is None
+                                          world.network)[0] is None
 
     def test_a_pool_outside_the_suffix_leaves_it(self, world):
         world.service.register_cdn_pool("dnsstudy.edu", ["198.18.2.1"])

@@ -26,7 +26,7 @@ from repro.resolvers import behaviors
 from repro.resolvers.cache import CacheActivityModel
 from repro.resolvers.resolver import ResolutionService, ResolverNode
 from tests.conftest import MiniWorld
-from tests.oracles import ask_each, row_fields
+from tests.oracles import ask_each, cache_facts, row_fields
 
 OUTSIDE_CLIENT = "198.51.100.7"
 INSIDE_CLIENT = "110.0.0.9"         # behind the firewall below
@@ -138,13 +138,6 @@ def flows(draw):
     return batches
 
 
-def records_of(entries):
-    return {key: ([(record.name, record.rtype, record.rclass, record.ttl,
-                    repr(record.data)) for record in records],
-                  stored_at, ttl)
-            for key, (records, stored_at, ttl) in entries.items()}
-
-
 def state(world):
     """What a later unit of work can observe of one twin."""
     network = world.network
@@ -155,7 +148,7 @@ def state(world):
     return (network.udp_queries_sent, network.udp_queries_lost,
             network.udp_responses_corrupted, dict(network.fault_counters),
             network.flow_state(),
-            [(node.ip, node.query_count, records_of(node.cache.live(now)),
+            [(node.ip, node.query_count, cache_facts(node.cache.live(now)),
               sorted(node.activity._single_answered)) for node in nodes],
             nodes[0].service.full_resolutions,
             recorder.export_state() if recorder is not None else None)
@@ -243,3 +236,48 @@ def test_a_flight_recorder_keeps_every_datagram_on_the_wire():
              "recorder": True, "activity": CacheActivityModel.STYLE_SINGLE}
     settled, read = run_twins(setup, everything(INSIDE_CLIENT))
     assert read > 50 and settled == 0
+
+
+def test_a_wildcard_reprobe_hit_answers_the_rows_of_its_wire_twin(
+        monkeypatch):
+    """Probe names under a wildcard suffix share the suffix's answer
+    class, and each caches the suffix's one result.  Asked again, the
+    name hits that result: the class answers its rows at the decayed
+    TTL, without building an answer for the name, and they read as its
+    wire twin's, which answers every datagram through ``respond``."""
+    suffix = "scan.dnsstudy.edu"
+    questions = [("R1.AABBCCDD." + suffix, 5), ("r2.11223344." + suffix, 6)]
+    built = []
+    honest = ResolverNode._honest_response
+
+    def counted(self, qname, network):
+        built.append(qname)
+        return honest(self, qname, network)
+
+    sides = []
+    for client_call in (ask_many, ask_each):
+        world = MiniWorld()
+        world.builder.register_domain(suffix, wildcard_address="198.18.0.99")
+        world.service.wildcard_suffixes = (suffix,)
+        node = ResolverNode(world.infra.address_at(42000),
+                            resolution_service=world.service)
+        world.network.register(node)
+        rounds = []
+        for advance in (0, 30, 200):
+            world.clock.advance(advance)
+            monkeypatch.setattr(ResolverNode, "_honest_response", counted)
+            rounds.append([[row_fields(row) for row in rows]
+                           for rows in client_call(
+                               world.network, OUTSIDE_CLIENT, 33000,
+                               node.ip, questions)])
+            monkeypatch.undo()
+        sides.append((rounds, world.network.udp_queries_sent,
+                      world.service.full_resolutions))
+        if client_call is ask_many:
+            assert built == []
+    assert sides[0] == sides[1]
+    ttls = [[row[3][0][1] for rows in answers for row in rows]
+            for answers in sides[0][0]]
+    assert ttls[1] == [ttl - 30 for ttl in ttls[0]]
+    assert ttls[2] == [ttl - 200 for ttl in ttls[1]]
+    assert len(built) == 6

@@ -33,7 +33,7 @@ from repro.resolvers.software import (SOFTWARE_CATALOG, STYLE_ERROR,
 from repro.reporting import run_full_study
 from repro.scenario import ScenarioConfig, build_scenario
 from tests.conftest import MiniWorld
-from tests.oracles import (MessageResolverNode, message_ask,
+from tests.oracles import (MessageResolverNode, cache_facts, message_ask,
                           message_ask_many, message_fields, row_fields)
 
 CLIENT = "1.0.195.81"
@@ -161,12 +161,7 @@ def exchanges(draw):
 
 
 def node_state(world, node):
-    cache = node.cache
-    return (node.query_count,
-            {key: ([(record.name, record.rtype, record.rclass, record.ttl,
-                     repr(record.data)) for record in records],
-                   stored_at, ttl)
-             for key, (records, stored_at, ttl) in cache._entries.items()},
+    return (node.query_count, cache_facts(node.cache._entries),
             sorted(node.activity._single_answered),
             node._hidden_rng.getstate(),
             node.service and node.service.full_resolutions,

@@ -13,7 +13,7 @@ from repro.resolvers.resolver import MODE_REFUSED, MODE_SERVFAIL
 from repro.scanner import Blacklist, Ipv4Scanner, ScanTargetSpace
 from repro.scanner.ipv4scan import ScanResult
 from tests.conftest import MiniWorld
-from tests.resolvers.test_settled import records_of
+from tests.oracles import cache_facts
 
 MEASUREMENT_DOMAIN = "scan.dnsstudy.edu"
 
@@ -191,14 +191,14 @@ class TestWildcardAnswerClass:
         scanner = make_scanner(mini)
         result = scanner.scan(ScanTargetSpace([pool]))
         now = mini.clock.now
-        caches = {ip: records_of(network.node_at(ip).cache.live(now))
+        caches = {ip: cache_facts(network.node_at(ip).cache.live(now))
                   for ip in sorted(result.responders)}
         # Same clock, same scanner: the same names, now cache hits.
         reprobes = {ip: scanner.probe(ip) for ip in sorted(caches)}
         return (pickle.dumps(result), caches, reprobes,
                 network.udp_queries_sent, mini.service.full_resolutions,
                 mini.service.answer_class(
-                    "r1.00000001." + MEASUREMENT_DOMAIN, network))
+                    "r1.00000001." + MEASUREMENT_DOMAIN, network)[0])
 
     @pytest.mark.parametrize("censored", [(), ["x." + MEASUREMENT_DOMAIN]])
     def test_cache_entries_and_reprobes_match_the_wire(self, censored):

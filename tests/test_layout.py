@@ -38,6 +38,9 @@ PLAN = ("the world's address plan, repro.inetmodel.allocation.AddressPlan "
 LIVE = ("the owner's liveness rule (DESIGN.md \"Durability & resume\" → "
         "*Bit-identical resume*): Network.flow_state / "
         "restore_flow_state, DnsCache.live / replace")
+ANSWERS = ("the answer classes (DESIGN.md \"Stub DNS client\" → *Answer "
+           "classes*): a resolver caches the HonestResult it was given, "
+           "in ResolverNode._settled_a and resolve_honest")
 
 
 def outside(subtree):
@@ -100,6 +103,10 @@ GUARDS = [
      {"inetmodel/allocation.py"}, PLAN),
     ("flow counters read outside the network", r"_flow_counts|_flow_epoch",
      None, {"netsim/network.py"}, LIVE),
+    ("resolver cache writes", r"\.cache\.put\(", None,
+     {"resolvers/resolver.py"}, ANSWERS),
+    ("records built for a resolver cache", r"\bcache_records\b", None,
+     set(), ANSWERS),
     # A capability sniffed by name is a second code path for an object
     # that lacks it: any hasattr(, and a getattr( with a literal name.
     # hasattr(os, "fork") asks the platform, not a collaborator.
