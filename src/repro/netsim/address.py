@@ -194,6 +194,30 @@ class RangeIndex:
         return found
 
 
+class PrefixSet:
+    """Whether an integer address lies in a fixed list of CIDR
+    ``networks``, answered without a memo: a first-octet guard turns
+    almost every outside address away in one lookup, the mask loop
+    answers the rest.  ``masks`` lists the ``(base, mask)`` ranges."""
+
+    __slots__ = ("masks", "_octets")
+
+    def __init__(self, networks):
+        self.masks = [(net.base, net.mask) for net in networks]
+        self._octets = frozenset(
+            octet for base, mask in self.masks
+            for octet in range(base >> 24, (base >> 24) + 1
+                               + ((~mask & 0xFFFFFFFF) >> 24)))
+
+    def __contains__(self, value):
+        if value >> 24 not in self._octets:
+            return False
+        for base, mask in self.masks:
+            if value & mask == base:
+                return True
+        return False
+
+
 def reverse_pointer_name(address):
     """The in-addr.arpa name for an address, used for rDNS lookups."""
     parts = address.split(".")

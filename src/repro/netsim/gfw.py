@@ -17,7 +17,7 @@ from repro.dnswire.constants import CLASS_IN, QTYPE_A, RCODE_NOERROR
 from repro.dnswire.name import normalize_name
 from repro.dnswire.records import ResourceRecord
 from repro.dnswire.wire import answer_wire, peek_query
-from repro.netsim.address import int_to_ip, ip_to_int
+from repro.netsim.address import PrefixSet, int_to_ip, ip_to_int
 from repro.netsim.middlebox import PATH_IGNORE, PATH_INSPECT, Middlebox
 from repro.netsim.network import UdpResponse
 
@@ -36,30 +36,12 @@ class GreatFirewall(Middlebox):
         self.decoy_pool = list(decoy_pool)
         self.decoy_share = decoy_share
         self.injection_count = 0
-        self._prefix_masks = [(p.base, p.mask) for p in self.prefixes]
-        # First octets covered by any watched prefix: a one-lookup guard
-        # that rejects almost every destination before the mask loop.
-        octets = set()
-        for prefix in self.prefixes:
-            span = 1 << max(0, 8 - prefix.prefix_length)
-            first = prefix.base >> 24
-            octets.update(range(first, first + span))
-        self._dst_octet_guard = frozenset(octets)
-        self._inside_cache = {}
-        # (src, dst) -> crosses-boundary, the per-packet hot check.
-        self._boundary_cache = {}
+        self._watched = PrefixSet(self.prefixes)
         # name as a stub asks it -> censored: the questions repeat.
         self._asked = {}
 
     def _inside(self, ip):
-        cached = self._inside_cache.get(ip)
-        if cached is None:
-            value = ip_to_int(ip)
-            cached = any((value & mask) == base
-                         for base, mask in self._prefix_masks)
-            if len(self._inside_cache) < 1 << 20:
-                self._inside_cache[ip] = cached
-        return cached
+        return ip_to_int(ip) in self._watched
 
     def poisons(self, ip, name):
         """True when a resolver at ``ip`` looking ``name`` up gets a
@@ -102,16 +84,8 @@ class GreatFirewall(Middlebox):
         paths need per-packet inspection; everything else is ignored."""
         if dst_port != 53 or not self.censored:
             return PATH_IGNORE
-        inside_dst = False
-        if dst_int >> 24 in self._dst_octet_guard:
-            for base, mask in self._prefix_masks:
-                if dst_int & mask == base:
-                    inside_dst = True
-                    break
-        inside_src = self._inside_cache.get(src_ip)
-        if inside_src is None:
-            inside_src = self._inside(src_ip)
-        if inside_dst == inside_src:
+        watched = self._watched
+        if (dst_int in watched) == (ip_to_int(src_ip) in watched):
             return PATH_IGNORE
         return PATH_INSPECT
 
@@ -135,17 +109,7 @@ class GreatFirewall(Middlebox):
             return []
         if self._inside(src_ip):
             return None
-        return self._prefix_masks
-
-    def _crosses_boundary(self, packet):
-        key = (packet.src_ip, packet.dst_ip)
-        cached = self._boundary_cache.get(key)
-        if cached is None:
-            cached = self._inside(packet.dst_ip) != self._inside(
-                packet.src_ip)
-            if len(self._boundary_cache) < 1 << 20:
-                self._boundary_cache[key] = cached
-        return cached
+        return self._watched.masks
 
     def forged_address(self, query_name, client_key=None):
         """A pseudo-random bogus IPv4 address.
@@ -164,7 +128,8 @@ class GreatFirewall(Middlebox):
         return int_to_ip(value)
 
     def inject_responses(self, packet, network):
-        if packet.dst_port != 53 or not self._crosses_boundary(packet):
+        if packet.dst_port != 53 \
+                or self._inside(packet.dst_ip) == self._inside(packet.src_ip):
             return []
         query = peek_query(packet.payload)
         if query is None:

@@ -7,6 +7,8 @@ shutdowns.  The first two are middleboxes here, so the verification-scan
 methodology (scan again from a second /8) can be reproduced.
 """
 
+from repro.netsim.address import PrefixSet, ip_to_int
+
 
 # Path verdicts: how a middlebox relates to one (src, dst, dst_port)
 # path at the network's current clock.  The network asks per packet —
@@ -92,32 +94,19 @@ class ScannerBlocker(Middlebox):
         self.blocked_sources = frozenset(blocked_sources)
         self.protected_networks = list(protected_networks)
         self.active_after = active_after
-        self._protect_masks = [(net.base, net.mask)
-                               for net in self.protected_networks]
-        self._protect_cache = {}
-
-    def _protects(self, ip):
-        cached = self._protect_cache.get(ip)
-        if cached is None:
-            cached = any(ip in net for net in self.protected_networks)
-            if len(self._protect_cache) < 1 << 20:
-                self._protect_cache[ip] = cached
-        return cached
+        self._protected = PrefixSet(self.protected_networks)
 
     def path_verdict(self, src_ip, dst_int, dst_port, network):
         if (network.clock.now < self.active_after
                 or src_ip not in self.blocked_sources):
             return PATH_IGNORE
-        for base, mask in self._protect_masks:
-            if dst_int & mask == base:
-                return PATH_DROP
-        return PATH_IGNORE
+        return PATH_DROP if dst_int in self._protected else PATH_IGNORE
 
     def drops_query(self, packet, network):
         if network.clock.now < self.active_after:
             return False
         return (packet.src_ip in self.blocked_sources
-                and self._protects(packet.dst_ip))
+                and ip_to_int(packet.dst_ip) in self._protected)
 
     def scan_interest(self, src_ip, dst_port, network, qname_suffix=None):
         """Mirror of :meth:`path_verdict` over a whole scan: inert unless
@@ -125,7 +114,7 @@ class ScannerBlocker(Middlebox):
         if (network.clock.now < self.active_after
                 or src_ip not in self.blocked_sources):
             return []
-        return self._protect_masks
+        return self._protected.masks
 
 
 class DnsIngressFilter(Middlebox):
@@ -137,27 +126,17 @@ class DnsIngressFilter(Middlebox):
         self.protected_networks = list(protected_networks)
         self.active_after = active_after
         self.port = port
-        self._inside_masks = [(net.base, net.mask)
-                              for net in self.protected_networks]
-        self._inside_cache = {}
+        self._filtered = PrefixSet(self.protected_networks)
 
     def _inside(self, ip):
-        cached = self._inside_cache.get(ip)
-        if cached is None:
-            cached = any(ip in net for net in self.protected_networks)
-            if len(self._inside_cache) < 1 << 20:
-                self._inside_cache[ip] = cached
-        return cached
+        return ip_to_int(ip) in self._filtered
 
     def path_verdict(self, src_ip, dst_int, dst_port, network):
         if (dst_port != self.port
                 or network.clock.now < self.active_after
                 or self._inside(src_ip)):
             return PATH_IGNORE
-        for base, mask in self._inside_masks:
-            if dst_int & mask == base:
-                return PATH_DROP
-        return PATH_IGNORE
+        return PATH_DROP if dst_int in self._filtered else PATH_IGNORE
 
     def drops_query(self, packet, network):
         if network.clock.now < self.active_after:
@@ -173,4 +152,4 @@ class DnsIngressFilter(Middlebox):
                 or network.clock.now < self.active_after
                 or self._inside(src_ip)):
             return []
-        return self._inside_masks
+        return self._filtered.masks

@@ -142,6 +142,13 @@ class Node:
         certificate when ``sni`` is ``None``); ``None`` = no TLS service."""
         return None
 
+    def warm(self):
+        """Make this node cheap to serve in processes forked from this
+        one, without serving anything; False when there is no room to
+        keep any more nodes warm.  A built node is as warm as it gets
+        (a lazy one overrides this, DESIGN.md "Lazy population")."""
+        return True
+
     def __repr__(self):
         return "%s(ip=%r)" % (type(self).__name__, self.ip)
 
@@ -232,6 +239,11 @@ class Network:
     @property
     def node_count(self):
         return len(self._nodes)
+
+    @property
+    def nodes_by_int(self):
+        """The registered nodes by integer address (read-only)."""
+        return self._nodes_by_int
 
     def middleboxes_of(self, kind):
         """The registered middleboxes that are ``kind`` instances, in

@@ -15,13 +15,17 @@ class DnsCache:
     """A TTL-decaying cache of the answers a resolver was given: each
     entry holds the :class:`~repro.resolvers.resolver.HonestResult` it
     was handed, as handed (DESIGN.md "Stub DNS client" → *Answer
-    classes*).  Once :meth:`put` has doubled what the last prune kept,
-    it keeps only what :meth:`live` keeps: no call can tell, and unique
+    classes*).  Once :meth:`put` has doubled what the last prune kept
+    and an entry has expired (before then a prune drops nothing), it
+    keeps only what :meth:`live` keeps: no call can tell, and unique
     probe names do not pile up."""
 
     def __init__(self, max_entries=10000):
         self._entries = {}  # (name, qtype) -> (result, stored_at, ttl)
         self._kept = 0      # entries the last prune kept
+        # No entry expires before this (a bound: evictions and expired
+        # lookups may drop the entry that set it).
+        self._expires = float("inf")
         self.max_entries = max_entries
 
     def put(self, name, qtype, result, now, ttl):
@@ -37,7 +41,9 @@ class DnsCache:
                                                  + entries[k][2], k))
             del entries[victim]
         entries[key] = (result, now, ttl)
-        if len(entries) > 2 * self._kept:
+        if now + ttl < self._expires:
+            self._expires = now + ttl
+        if len(entries) > 2 * self._kept and self._expires <= now:
             self._prune(now)
 
     def lookup(self, name, qtype, now):
@@ -61,13 +67,18 @@ class DnsCache:
         return dict(self._entries)
 
     def _prune(self, now):
-        self._entries = {key: entry for key, entry in self._entries.items()
-                         if entry[1] + entry[2] > now}
+        self._hold({key: entry for key, entry in self._entries.items()
+                    if entry[1] + entry[2] > now})
         self._kept = len(self._entries)
 
     def replace(self, entries):
         """Hold exactly ``entries``, as :meth:`live` returned them."""
-        self._entries = dict(entries)
+        self._hold(dict(entries))
+
+    def _hold(self, entries):
+        self._entries = entries
+        self._expires = min((stored_at + ttl for __, stored_at, ttl
+                             in entries.values()), default=float("inf"))
 
     def __len__(self):
         return len(self._entries)

@@ -217,6 +217,12 @@ class LazyResolverNode:
         return self._pool.builder._materialize(
             self._pool, self._index, self)
 
+    def warm(self):
+        """Materialize into the builder's LRU if it fits there without
+        evicting a node; False once it is full (:meth:`~repro.netsim.
+        network.Node.warm`)."""
+        return self._pool.builder._warm(self._pool, self._index, self)
+
     def pin(self):
         """Materialize permanently (exempt from LRU eviction) — for
         nodes the scenario mutates after construction."""
@@ -266,6 +272,7 @@ class PopulationBuilder:
         self.lazy = lazy
         self.node_cache_limit = node_cache
         self._node_cache = OrderedDict()   # (pool id, index) -> node
+        self.synthesis_count = 0     # LRU misses: nodes synthesized
         self.lazy_pools = []
         self.resolvers = []          # all ResolverNode objects ever built
         self.hosts = []              # matching LeasedHost objects
@@ -497,6 +504,7 @@ class PopulationBuilder:
             node = cache.get(key)
             if node is None:
                 node = pool.synthesize(index)
+                self.synthesis_count += 1
                 cache[key] = node
                 if len(cache) > self.node_cache_limit:
                     cache.popitem(last=False)
@@ -508,6 +516,15 @@ class PopulationBuilder:
             # the derivation always replays from the original address.
             node.ip = placeholder.ip
         return node
+
+    def _warm(self, pool, index, placeholder):
+        """:meth:`LazyResolverNode.warm`: never pins, never evicts."""
+        if len(self._node_cache) >= self.node_cache_limit \
+                and index not in pool.pinned \
+                and (id(pool), index) not in self._node_cache:
+            return False
+        self._materialize(pool, index, placeholder)
+        return True
 
     def _pin(self, pool, index, placeholder):
         node = self._materialize(pool, index, placeholder)

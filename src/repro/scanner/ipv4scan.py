@@ -764,9 +764,10 @@ class Ipv4Scanner:
         # same simulated time.
         self._identity = mix64(
             (ip_to_int(source_ip) << 17) ^ source_port ^ lfsr_seed)
-        # The pacing plan of the scan in progress: (columns, clock,
-        # plan).  Built once per scan — by prewarm in the parent when
-        # sharded, so workers inherit it copy-on-write.
+        # The pacing plan: (columns, clock it was last tallied at,
+        # plan).  Built when its columns or defense plane change, by
+        # prewarm in the parent when sharded, so workers inherit it
+        # copy-on-write; tallied once per scan.
         self._paced = None
 
     def _scan_epoch(self):
@@ -788,12 +789,14 @@ class Ipv4Scanner:
         The sharded engine calls this in the parent before forking, with
         its shard ``ranges``, so every worker inherits the LFSR walk,
         the sweep columns, the walk order (ranks included) of its
-        ``(start, stop)`` range, the pacing plan and the network's drop
+        ``(start, stop)`` range, the pacing plan, the network's drop
         columns (:meth:`~repro.netsim.network.Network.
-        sweep_drop_columns`) copy-on-write.  The
+        sweep_drop_columns`) and the warm nodes copy-on-write.  The
         walk is force-cached even past the usual memo cap: at a
         ~38M-address space (order 26) it is a ~256 MB array that would
-        otherwise be rebuilt inside every forked worker.
+        otherwise be rebuilt inside every forked worker.  The pacing
+        plan and the warm nodes outlive the scan: the next week's
+        prewarm builds only what changed.
         """
         total = len(target_space)
         if total == 0:
@@ -809,6 +812,16 @@ class Ipv4Scanner:
             self.network.sweep_drop_columns(
                 self.source_ip, self.source_port, 53, columns.addresses,
                 columns.loss_memo, attempts=1 + self.retries)
+        # Every node the scan may probe, warmed (:meth:`~repro.netsim.
+        # network.Node.warm`) until one says no more fit.  No query
+        # reaches it here, so a worker's copy starts as a fresh one.
+        nodes = self.network.nodes_by_int
+        addresses = columns.addresses
+        allowed = columns.allowed
+        for position in address_positions(addresses, columns.is_sorted,
+                                          nodes, ()):
+            if allowed[position] and not nodes[addresses[position]].warm():
+                break
 
     def scan(self, target_space, index_range=None, on_progress=None,
              chunk_sink=None, chunk_rows=CHUNK_ROWS):
@@ -897,9 +910,14 @@ class Ipv4Scanner:
 
         Built over the *full* allowed space — never a shard slice — so
         every shard replays the identical AIMD recurrence; see
-        :mod:`repro.scanner.pacing`.  Built (and its plan-level
-        observability tallied: window-rate histogram, signal counters)
-        once per scan, by whichever process asks first.
+        :mod:`repro.scanner.pacing`.  A plan is a function of the
+        ``columns`` (by identity: a changed blacklist yields new ones),
+        the defense plane (by equality: the clock reaches it only
+        through a box's ``active_after``) and this scanner, so it is
+        rebuilt only when they change (DESIGN.md "Arms race & adaptive
+        pacing" → *One plan per campaign*).  Its plan-level
+        observability (window-rate histogram, signal counters) is
+        tallied once per scan, by whichever process asks first.
         """
         config = self.pacing
         if config is None:
@@ -910,30 +928,34 @@ class Ipv4Scanner:
             return None
         now = network.clock.now
         paced = self._paced
-        if paced is not None and paced[0] is columns \
-                and paced[1] == now and paced[2].plane == plane:
-            return paced[2]
-        addresses = columns.addresses
-        walk = self._walk(len(addresses) - 1)
-        defended = address_positions(
-            addresses, columns.is_sorted, (),
-            [cidr for __, ranges in plane for cidr in ranges])
-        selector = bytearray(len(walk) + 1)
-        allowed = columns.allowed
-        for position in defended:
-            selector[position] = allowed[position]
-        plan = build_pacing_plan(plane, ip_to_int(self.source_ip),
-                                 self._identity, walk, selector,
-                                 addresses, config)
-        self._paced = (columns, now, plan)
         perf = self.perf
-        if perf is not None:
-            perf.observe_many("pacing_window_pps", plan.window_rates())
-            perf.count("pacing_defense_signals", plan.signals)
-            if plan.suppressed_count:
-                perf.count("pacing_suppressed_planned",
-                           plan.suppressed_count)
-            perf.gauge("pacing_windows", float(len(plan.windows)))
+        if paced is None or paced[0] is not columns \
+                or paced[2].plane != plane:
+            addresses = columns.addresses
+            walk = self._walk(len(addresses) - 1)
+            defended = address_positions(
+                addresses, columns.is_sorted, (),
+                [cidr for __, ranges in plane for cidr in ranges])
+            selector = bytearray(len(walk) + 1)
+            allowed = columns.allowed
+            for position in defended:
+                selector[position] = allowed[position]
+            paced = (columns, None, build_pacing_plan(
+                plane, ip_to_int(self.source_ip), self._identity, walk,
+                selector, addresses, config))
+            if perf is not None:
+                perf.count("pacing_plans_built")
+        plan = paced[2]
+        if paced[1] != now:
+            paced = (columns, now, plan)
+            if perf is not None:
+                perf.observe_many("pacing_window_pps", plan.window_rates())
+                perf.count("pacing_defense_signals", plan.signals)
+                if plan.suppressed_count:
+                    perf.count("pacing_suppressed_planned",
+                               plan.suppressed_count)
+                perf.gauge("pacing_windows", float(len(plan.windows)))
+        self._paced = paced
         return plan
 
     def _sweep(self, result, plan, perf=None, pacing=None,

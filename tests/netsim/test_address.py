@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.netsim.address import (
     Ipv4Network,
+    PrefixSet,
     RangeIndex,
     int_to_ip,
     ip_to_int,
@@ -128,3 +129,36 @@ class TestRangeIndex:
         assert RangeIndex([inner, outer]).find(0x0A010203) == 0
         assert RangeIndex([inner, outer]).find(0x0A010303) == 1
         assert RangeIndex([]).find(0x0A010203) is None
+
+
+def networks_and_addresses():
+    """Prefixes of any length (/0 to /32: the first-octet guard spans
+    several octets below /8) and addresses inside, beside and far from
+    them."""
+    networks = st.lists(st.builds(
+        lambda base, length: Ipv4Network("%s/%d" % (int_to_ip(base),
+                                                     length)),
+        st.integers(0, 0xFFFFFFFF), st.integers(0, 32)), max_size=6)
+
+    def near(nets):
+        edges = [value & 0xFFFFFFFF for net in nets
+                 for value in (net.base - 1, net.base,
+                               net.base + net.num_addresses - 1,
+                               net.base + net.num_addresses)]
+        return st.lists(st.one_of(st.integers(0, 0xFFFFFFFF),
+                                  *([st.sampled_from(edges)] if edges
+                                    else [])), max_size=20)
+
+    return networks.flatmap(lambda nets: st.tuples(st.just(nets),
+                                                   near(nets)))
+
+
+class TestPrefixSet:
+    @given(networks_and_addresses())
+    def test_membership_is_the_mask_loop(self, case):
+        networks, values = case
+        inside = PrefixSet(networks)
+        assert inside.masks == [(net.base, net.mask) for net in networks]
+        for value in values:
+            assert (value in inside) == any(
+                value & net.mask == net.base for net in networks)

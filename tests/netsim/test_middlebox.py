@@ -1,14 +1,20 @@
 """Tests for scan blockers and DNS ingress filters (§2.3 explanations)."""
 
+from hypothesis import given, strategies as st
+
 from repro.netsim import (
     DnsIngressFilter,
+    GreatFirewall,
     Ipv4Network,
     Network,
     ScannerBlocker,
     SimClock,
     UdpPacket,
 )
+from repro.netsim.address import int_to_ip
+from repro.netsim.middlebox import PATH_DROP, PATH_IGNORE, PATH_INSPECT
 from repro.netsim.network import Node
+from repro.scenario import ScenarioConfig, build_scenario
 
 
 class AnswerNode(Node):
@@ -82,3 +88,60 @@ class TestDnsIngressFilter:
         assert dns_probe(network)
         network.clock.advance(11)
         assert dns_probe(network) == []
+
+
+WATCHED = [Ipv4Network("50.0.0.0/24"), Ipv4Network("60.0.0.0/7"),
+           Ipv4Network("70.1.2.3/32")]
+# Addresses inside, just beside and far from the watched prefixes.
+ADDRESSES = st.one_of(
+    st.integers(0, 0xFFFFFFFF),
+    st.sampled_from([value + delta for net in WATCHED
+                     for value in (net.base, net.base + net.num_addresses)
+                     for delta in (-1, 0, 1)]))
+
+
+def watched(value):
+    return any(value & net.mask == net.base for net in WATCHED)
+
+
+class TestVerdictsFromTheInteger:
+    """Each box answers "inside these prefixes" from the integer
+    address, with no per-address memo: its verdicts are the mask loop's,
+    and a campaign leaves nothing behind in the boxes."""
+
+    @given(src=ADDRESSES, dst=ADDRESSES)
+    def test_verdicts_are_the_mask_loop(self, src, dst):
+        src_ip, dst_ip = int_to_ip(src), int_to_ip(dst)
+        network = Network(SimClock(), seed=1)
+        packet = UdpPacket(src_ip, 1234, dst_ip, 53, b"q")
+        blocker = ScannerBlocker([src_ip], WATCHED)
+        assert blocker.path_verdict(src_ip, dst, 53, network) == (
+            PATH_DROP if watched(dst) else PATH_IGNORE)
+        assert blocker.drops_query(packet, network) == watched(dst)
+        ingress = DnsIngressFilter(WATCHED)
+        crossing_in = watched(dst) and not watched(src)
+        assert ingress.path_verdict(src_ip, dst, 53, network) == (
+            PATH_DROP if crossing_in else PATH_IGNORE)
+        assert ingress.drops_query(packet, network) == crossing_in
+        gfw = GreatFirewall(WATCHED, ["censored.example"])
+        assert gfw.path_verdict(src_ip, dst, 53, network) == (
+            PATH_INSPECT if watched(src) != watched(dst) else PATH_IGNORE)
+        assert gfw.poisons(src_ip, "censored.example") == watched(src)
+
+    def test_no_box_keeps_an_address_memo(self):
+        scenario = build_scenario(ScenarioConfig(scale=30000, seed=7))
+        boxes = scenario.network.middleboxes
+        assert {type(box) for box in boxes} >= {
+            GreatFirewall, ScannerBlocker, DnsIngressFilter}
+        campaign = scenario.new_campaign(verify=False)
+
+        def memo_sizes():
+            return {(type(box).__name__, name): len(value)
+                    for box in boxes for name, value in vars(box).items()
+                    if isinstance(value, (dict, set))}
+
+        campaign.run_week()
+        first = memo_sizes()
+        for __ in range(7):
+            campaign.run_week()
+        assert memo_sizes() == first

@@ -161,6 +161,33 @@ class TestPruning:
         assert len(twin.entries) == 50
         assert live_entries(cache, 49 * 604800) == twin.live(49 * 604800)
 
+    def test_put_prunes_only_what_has_expired(self, monkeypatch):
+        # The first put into an empty cache keeps its entry: no prune.
+        # Weekly probe names expire within the week, so a prune runs
+        # every other week, each dropping what expired since the last.
+        dropped = []
+        prune = DnsCache._prune
+
+        def counted(cache, now):
+            before = len(cache)
+            prune(cache, now)
+            dropped.append(before - len(cache))
+
+        monkeypatch.setattr(DnsCache, "_prune", counted)
+        cache = DnsCache()
+        put(cache, "first.example", answer(ttl=300), now=0)
+        assert dropped == []
+        for week in range(1, 50):
+            put(cache, "r%x.scan.example" % week, answer(ttl=300),
+                now=week * 604800)
+        assert len(dropped) == 25
+        assert all(count >= 1 for count in dropped)
+        # Nothing expired yet: a cache that doubled still keeps it all.
+        fresh = DnsCache()
+        for index in range(8):
+            put(fresh, "d%d.example" % index, answer(ttl=300), now=index)
+        assert len(dropped) == 25 and len(fresh) == 8
+
     def test_live_drops_expired_entries_in_place(self):
         cache = DnsCache()
         put(cache, "old.example", answer(ttl=10), now=0)

@@ -9,17 +9,23 @@ coverage degradation.
 import pytest
 
 from repro.cli import build_parser
+from repro.netsim.address import ip_to_int
+from repro.netsim.clock import WEEK
 from repro.netsim.defense import (
     CAUSE_BLOCKLISTED,
     CAUSE_RATE_LIMITED,
     TokenBucketRateLimiter,
+    install_hostile_population,
 )
+from repro.perf import PerfRegistry
+from repro.scanner.ipv4scan import _sweep_columns
 from repro.scanner.pacing import (
     PacingConfig,
     build_pacing_plan,
     defense_plane,
     normalize_pacing,
 )
+from repro.scenario import ScenarioConfig, build_scenario
 
 BASE = 0x0A000000            # 10.0.0.0
 MASK24 = 0xFFFFFF00
@@ -200,6 +206,83 @@ class TestDefensePlane:
         net = mini.allocator.allocate(24)
         mini.network.add_middlebox(DnsIngressFilter([net]))
         assert defense_plane(mini.network, mini.client_ip) == []
+
+
+def fresh_plan(scanner, columns):
+    """The plan a scan at the network's clock builds from nothing: the
+    defended targets picked by the plain mask loop."""
+    plane = defense_plane(scanner.network, scanner.source_ip)
+    addresses = columns.addresses
+    walk = scanner._walk(len(addresses) - 1)
+    selector = bytearray(len(walk) + 1)
+    for state in range(1, len(addresses)):
+        selector[state] = columns.allowed[state] and any(
+            addresses[state] & mask == base
+            for __, ranges in plane for base, mask in ranges)
+    return build_pacing_plan(plane, ip_to_int(scanner.source_ip),
+                             scanner._identity, walk, selector, addresses,
+                             scanner.pacing)
+
+
+def plan_fields(plan):
+    return (plan.rates, plan.suppressed, bytes(plan.passed), plan.windows,
+            plan.signals)
+
+
+class TestPlanAcrossWeeks:
+    """The plan is a function of columns x defense plane x scanner: a
+    campaign builds it once, every later week reuses it, and every week
+    still tallies it."""
+
+    def campaign_plans(self, shards, late_box=False):
+        scenario = build_scenario(ScenarioConfig(scale=60000, seed=7,
+                                                 lazy_population=True))
+        network = scenario.network
+        prefixes = scenario.target_space().prefixes
+        install_hostile_population(network, prefixes, seed=7)
+        if late_box:
+            # Armed between the first week's scan and the second's.
+            network.add_middlebox(TokenBucketRateLimiter(
+                prefixes[-1:], sustainable_pps=150.0, seed=11,
+                active_after=network.clock.now + WEEK / 2))
+        perf = PerfRegistry()
+        campaign = scenario.new_campaign(verify=False, shards=shards,
+                                         perf=perf, pacing="adaptive")
+        scanner = campaign.scanner
+        columns = _sweep_columns(campaign.target_space, scenario.blacklist)
+        used, fresh = [], []
+        for __ in range(3):
+            # At the clock the week's scan runs at (it advances after).
+            fresh.append(fresh_plan(scanner, columns))
+            campaign.run_week()
+            used.append(scanner._paced[2])
+        return perf, used, fresh
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_one_plan_serves_every_week(self, shards):
+        perf, used, fresh = self.campaign_plans(shards)
+        assert perf.counter("pacing_plans_built") == 1
+        assert used[1] is used[0] and used[2] is used[0]
+        for plan, rebuilt in zip(used, fresh):
+            assert plan_fields(plan) == plan_fields(rebuilt)
+        # Tallied every week, as three separately built plans would be.
+        plan = fresh[0]
+        assert plan.signals > 0
+        assert perf.counter("pacing_defense_signals") == 3 * plan.signals
+        assert perf.counter("pacing_suppressed_planned") == \
+            3 * plan.suppressed_count
+        assert perf.gauge_value("pacing_windows") == len(plan.windows)
+        assert perf.histograms["pacing_window_pps"].count == \
+            3 * len(plan.windows)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_box_arming_between_weeks_rebuilds_once(self, shards):
+        perf, used, fresh = self.campaign_plans(shards, late_box=True)
+        assert perf.counter("pacing_plans_built") == 2
+        assert used[1] is not used[0] and used[2] is used[1]
+        assert len(used[1].plane) == len(used[0].plane) + 1
+        for plan, rebuilt in zip(used, fresh):
+            assert plan_fields(plan) == plan_fields(rebuilt)
 
 
 class TestCliFlags:

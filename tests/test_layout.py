@@ -197,6 +197,32 @@ def test_one_fate_plane(what, pattern, allowed, instead):
         what, sorted(found), allowed, instead)
 
 
+# (what is guarded, regex over src/repro's lines, the one file and
+#  function allowed to match, what to call instead)
+ONE_BUILDER = [
+    ("the pacing plan's build", r"(?<!def )\bbuild_pacing_plan\(",
+     ("scanner/ipv4scan.py", "Ipv4Scanner._pacing_plan"),
+     "Ipv4Scanner._pacing_plan(columns), which builds a plan when its "
+     "columns or defense plane change and tallies it once per scan "
+     "(DESIGN.md \"Arms race & adaptive pacing\")"),
+    ("a lazy node's synthesis", r"(?<!def )\.synthesize\(",
+     ("resolvers/population.py", "PopulationBuilder._materialize"),
+     "the bounded LRU, PopulationBuilder._materialize, or Node.warm() "
+     "to fill it (DESIGN.md \"Lazy population\")"),
+]
+
+
+@pytest.mark.parametrize("what,pattern,allowed,instead", ONE_BUILDER,
+                         ids=[guard[0] for guard in ONE_BUILDER])
+def test_one_builder(what, pattern, allowed, instead):
+    """What a memo holds is built in the memo's gateway alone."""
+    found = {(path.relative_to(SRC).as_posix(), function)
+             for path in SRC.rglob("*.py")
+             for function in functions_matching(path, pattern)}
+    assert found == {allowed}, "%s in %s, not only in %s — call %s" % (
+        what, sorted(found), allowed, instead)
+
+
 def test_one_settle_decision():
     """Whether a question settles or takes the wire is decided once per
     datagram; a sender that decides it again grows a second path."""
