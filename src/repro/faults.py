@@ -33,8 +33,10 @@ campaign anywhere and assert a resumed run converges bit-identically.
 """
 
 import zlib
+from itertools import compress, count
+from operator import mul, sub
 
-from repro.util import M64, mix64
+from repro.util import M64, fate_counts, fate_threshold, mix64
 
 # Exit code for a run terminated by an injected crash (BSD EX_SOFTWARE).
 CRASH_EXIT_CODE = 70
@@ -309,51 +311,89 @@ class FaultPlan:
         split off — is sent ``draws[i]`` times this epoch: occurrences
         ``0 .. draws[i] - 1``, since an unanswered flow is re-sent
         whatever each send's fate.  Returns ``{reason: bytearray}``: per
-        address, how many of those sends each rule dropped.
+        address, how many of those sends each rule dropped.  The reasons
+        come in the order one clock-free :meth:`query_fate` walk over the
+        addresses and their sends first meets them, then burst loss.
 
         The rules that do not read the clock are tallied once per
         address column and kept in the caller's memo (``remember(key,
         build)``); only the flows inside this epoch's burst windows are
-        tallied again with the clock.
+        tallied again with the clock.  Both tallies draw through
+        :func:`repro.util.fate_counts`.
         """
         profile = self.profile
         steady = remember(
             (self._seed_high, profile.loss_rate, profile.rate_limit_share,
              profile.rate_limit_step),
-            lambda: self._tally_fates({}, flow_const, addresses, draws,
-                                      None, range(len(addresses))))
+            lambda: self._steady_fates(flow_const, addresses, draws))
         if profile.burst_share <= 0.0:
             return steady
-        windows = {}
-        stormy = []
-        for position, value in enumerate(addresses):
-            window = value >> 16
-            if window not in windows:
-                windows[window] = self._in_burst(value, now)
-            if windows[window]:
-                stormy.append(position)
+        window_of = [value >> 16 for value in addresses]
+        bursting = {window: self._in_burst(window << 16, now)
+                    for window in set(window_of)}
+        stormy = bytes(map(bursting.__getitem__, window_of))
+        # The rate limit is clock-free: a stormy flow's other rules see
+        # the sends the steady tally left them.
+        spared = compress(draws, stormy)
+        if "rate_limited" in steady:
+            spared = map(sub, spared, compress(steady["rate_limited"],
+                                               stormy))
+        tallied = zip(("burst_loss", "injected_loss"), fate_counts(
+            list(compress(addresses, stormy)),
+            [self._flow_rule(_SALT_BURST_LOSS, flow_const,
+                             profile.burst_loss_rate),
+             self._flow_rule(_SALT_EXTRA_LOSS, flow_const,
+                             profile.loss_rate)],
+            bytes(spared)))
+        positions = list(compress(range(len(addresses)), stormy))
         counts = {reason: bytearray(column)
                   for reason, column in steady.items()}
-        for column in counts.values():
-            for position in stormy:
-                column[position] = 0
-        return self._tally_fates(counts, flow_const, addresses, draws, now,
-                                 stormy)
-
-    def _tally_fates(self, counts, flow_const, addresses, draws, now,
-                     positions):
-        query_fate = self.query_fate
-        for position in positions:
-            value = addresses[position]
-            flow_key = flow_const ^ value * 0x85EBCA77
-            for occurrence in range(draws[position]):
-                reason = query_fate(flow_key, value, occurrence, now)
-                if reason is not None:
-                    column = counts.get(reason)
-                    if column is None:
-                        column = counts[reason] = bytearray(len(addresses))
-                    column[position] += 1
+        # Injected loss strikes a stormy flow only where it struck in the
+        # steady tally: burst loss is the one reason this adds, last.
+        for reason, column in tallied:
+            if reason not in counts:
+                if not any(column):
+                    continue
+                counts[reason] = bytearray(len(addresses))
+            into = counts[reason]
+            for position, dropped in zip(positions, column):
+                into[position] = dropped
         return counts
+
+    def _steady_fates(self, flow_const, addresses, draws):
+        """:meth:`query_fate_columns` without the clock: the rate limit,
+        one address-keyed draw that claims every send past
+        ``rate_limit_step``, then injected loss on the sends it spares."""
+        profile = self.profile
+        rate_limited = bytes(len(addresses))
+        if profile.rate_limit_share > 0.0:
+            limited, = fate_counts(
+                addresses,
+                [(self._seed_high ^ _SALT_RATE_LIMIT << 56, 1,
+                  fate_threshold(profile.rate_limit_share))],
+                b"\x01" * len(addresses))
+            cap = profile.rate_limit_step + 1
+            rate_limited = bytearray(map(mul, draws.translate(bytes(
+                max(sent - cap, 0) for sent in range(256))), limited))
+            draws = bytes(map(sub, draws, rate_limited))
+        injected, = fate_counts(
+            addresses, [self._flow_rule(_SALT_EXTRA_LOSS, flow_const,
+                                        profile.loss_rate)], draws)
+        # One walk meets a reason at its first flow; at a flow that meets
+        # both, injected loss strikes below the cap, the rate limit past it.
+        met = sorted(
+            (next(compress(count(), column)), reason == "rate_limited",
+             reason, column)
+            for reason, column in (("rate_limited", rate_limited),
+                                   ("injected_loss", injected))
+            if any(column))
+        return {reason: column for __, ___, reason, column in met}
+
+    def _flow_rule(self, salt, flow_const, rate):
+        """A :func:`repro.util.fate_counts` rule drawing what
+        :meth:`_chance` draws for ``(salt, flow key)`` at ``rate``."""
+        return (self._seed_high ^ salt << 56 ^ flow_const & M64,
+                0x85EBCA77, fate_threshold(rate))
 
     # -- UDP response plane -----------------------------------------------
 

@@ -16,7 +16,7 @@ from repro.netsim.middlebox import (
     PATH_INSPECT,
     Middlebox,
 )
-from repro.util import M64, mix64
+from repro.util import M64, fate_counts, fate_threshold, mix64
 
 # Network._packet_fate's salts, then the fault plane's: its *draws* live
 # in :mod:`repro.faults`, and these only key its occurrence counters.
@@ -520,25 +520,11 @@ class Network:
         """Per address, how many of a flow's first ``attempts`` queries
         are lost: bit-identical to the draws :meth:`send_probe`
         computes, because they *are* the same pure hash of (seed, salt,
-        flow, occurrence)."""
-        scaled_rate = self.loss_rate * (M64 + 1)
-        seed_high = self._seed_high
-        occurrences = [mix64(occurrence + 1)
-                       for occurrence in range(attempts)]
-        lost = bytearray(len(addresses))
-        for position, value in enumerate(addresses):
-            key = seed_high ^ flow_const ^ value * 0x85EBCA77
-            for mixed in occurrences:
-                # repro.util.mix64, inlined; the key matches
-                # send_probe's query-loss key exactly.
-                draw = (key ^ mixed) & M64
-                draw ^= draw >> 30
-                draw = (draw * 0xBF58476D1CE4E5B9) & M64
-                draw ^= draw >> 27
-                draw = (draw * 0x94D049BB133111EB) & M64
-                draw ^= draw >> 31
-                if draw < scaled_rate:
-                    lost[position] += 1
+        flow, occurrence), drawn a column at a time."""
+        lost, = fate_counts(
+            addresses, [(self._seed_high ^ flow_const, 0x85EBCA77,
+                         fate_threshold(self.loss_rate))],
+            bytes((attempts,)) * len(addresses))
         return lost
 
     def absorb_probe_sweep(self, sent, drops):

@@ -51,9 +51,11 @@ bit-identical at any ``--shards`` and across kill/resume incarnations
 refresh probes before re-entering an interrupted escalation sweep).
 """
 
+from itertools import compress
+
 from repro.netsim.address import int_to_ip
 from repro.scanner.ipv4scan import ScanResult, ScanTargetSpace
-from repro.util import M64, mix64
+from repro.util import M64, fate_counts, mix64
 
 # Attribution causes (flight recorder + provenance + carried tallies).
 DELTA_CAUSE_PREFIX = "delta:"
@@ -148,10 +150,15 @@ def audit_sample(identity, epoch, values, fraction):
     order-independent, shard-invariant, and re-drawn each scan epoch so
     successive weeks audit different slices of the carried set.
     """
-    threshold = int(fraction * float(1 << 64))
+    values = list(values)
     salt = (_SALT_AUDIT << 56) ^ (identity & M64) ^ ((epoch & M64) << 8)
-    return {value for value in values
-            if mix64(salt ^ (value * 0x9E3779B1)) < threshold}
+    # fate_counts draws mix64(key ^ mix64(1)) at a value's one
+    # occurrence: folding mix64(1) into the base leaves mix64(key).
+    audited, = fate_counts(
+        values, [(salt ^ mix64(1), 0x9E3779B1,
+                  int(fraction * float(1 << 64)))],
+        b"\x01" * len(values))
+    return set(compress(values, audited))
 
 
 def _record_delta_event(network, source_ip, dst, cause):

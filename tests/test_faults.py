@@ -1,13 +1,20 @@
 """Tests for the deterministic fault-injection plane (repro.faults)."""
 
-import pytest
+from array import array
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import util
 from repro.faults import (
     FaultPlan,
     FaultProfile,
     PROFILES,
     parse_fault_spec,
 )
+from repro.netsim import Network, SimClock
+from repro.netsim.address import int_to_ip
+from tests.oracles import FateOracle
 
 
 class TestFaultProfile:
@@ -155,6 +162,20 @@ class TestBurstLoss:
         assert len(bursty) + len(quiet) == 64
 
 
+def tally(plan, flow_const, addresses, draws, now):
+    """:meth:`FaultPlan.query_fate_columns` as one ``query_fate`` call
+    per send, reasons keyed in the order the walk first meets them."""
+    counts = {}
+    for position, value in enumerate(addresses):
+        for occurrence in range(draws[position]):
+            reason = plan.query_fate(flow_const ^ value * 0x85EBCA77, value,
+                                     occurrence, now)
+            if reason is not None:
+                column = counts.setdefault(reason, bytearray(len(addresses)))
+                column[position] += 1
+    return counts
+
+
 class TestQueryFateColumns:
     """The column form against one ``query_fate`` call per send."""
 
@@ -163,17 +184,7 @@ class TestQueryFateColumns:
                  for host in (1, 2, 77)]
 
     def tally(self, plan, draws, now):
-        counts = {}
-        for position, value in enumerate(self.ADDRESSES):
-            for occurrence in range(draws[position]):
-                reason = plan.query_fate(
-                    self.FLOW_CONST ^ value * 0x85EBCA77, value,
-                    occurrence, now)
-                if reason is not None:
-                    column = counts.setdefault(
-                        reason, bytearray(len(self.ADDRESSES)))
-                    column[position] += 1
-        return counts
+        return tally(plan, self.FLOW_CONST, self.ADDRESSES, draws, now)
 
     @pytest.mark.parametrize("profile", [
         FaultProfile(loss_rate=0.3),
@@ -209,6 +220,109 @@ class TestQueryFateColumns:
             lambda key, build: build()) for now in (0.0, 604800.0)]
         assert weeks[0]["burst_loss"] != weeks[1]["burst_loss"]
         assert set(weeks[0]["burst_loss"]) == {0, 2}
+
+
+def columns_oracle(plan, flow_const, addresses, draws, now):
+    """What :meth:`FaultPlan.query_fate_columns` returns, one send at a
+    time: the clock-free walk's reasons first, in the order it meets
+    them, then those the clock adds; every count from the walk with the
+    clock."""
+    walked = tally(plan, flow_const, addresses, draws, now)
+    if plan.profile.burst_share <= 0.0:
+        return walked
+    counts = {reason: walked.get(reason, bytearray(len(addresses)))
+              for reason in tally(plan, flow_const, addresses, draws, None)}
+    counts.update(walked)
+    return counts
+
+
+# Column lengths around the kernel's chunk, patched down to CHUNK lanes.
+CHUNK = 8
+LENGTHS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
+
+PROFILES_DRAWN = st.builds(
+    FaultProfile,
+    loss_rate=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    burst_share=st.sampled_from([0.0, 0.5, 1.0]),
+    burst_loss_rate=st.sampled_from([0.0, 0.4, 1.0]),
+    rate_limit_share=st.sampled_from([0.0, 0.3, 1.0]),
+    rate_limit_step=st.integers(0, 3))
+
+
+@st.composite
+def address_columns(draw):
+    """Distinct addresses over a few /16 windows, so that one epoch
+    finds some inside a burst window and some outside."""
+    length = draw(st.sampled_from(LENGTHS))
+    windows = draw(st.lists(st.integers(1, 0xFFFF), min_size=1,
+                            max_size=4))
+    hosts = draw(st.lists(st.integers(0, 0xFFFF), min_size=length,
+                          max_size=length, unique=True))
+    return [draw(st.sampled_from(windows)) << 16 | host for host in hosts]
+
+
+@st.composite
+def draw_columns(draw):
+    addresses = draw(address_columns())
+    # Zeros and uneven counts: what baseline loss leaves of the attempts.
+    draws = bytes(draw(st.lists(st.integers(0, 5), min_size=len(addresses),
+                                max_size=len(addresses))))
+    return addresses, draws
+
+
+class TestFateKernel:
+    """The lane kernel, :func:`repro.util.fate_counts`, behind every
+    per-address fate column, against one draw per send."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), profile=PROFILES_DRAWN,
+           columns=draw_columns(),
+           now=st.sampled_from([0.0, 604800.0, 1814400.0, 3024000.0]),
+           flow_const=st.integers(0, util.M64), as_array=st.booleans())
+    def test_query_fate_columns_equal_per_send_fates(
+            self, seed, profile, columns, now, flow_const, as_array):
+        addresses, draws = columns
+        plan = FaultPlan(profile, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(util, "LANE_CHUNK", CHUNK)
+            got = plan.query_fate_columns(
+                flow_const, array("I", addresses) if as_array else addresses,
+                draws, now, lambda key, build: build())
+        assert list(got.items()) == list(columns_oracle(
+            plan, flow_const, addresses, draws, now).items())
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 1000),
+           loss_rate=st.sampled_from([0.05, 0.3, 0.7, 1.0]),
+           profile=st.one_of(st.none(), PROFILES_DRAWN),
+           addresses=address_columns(), attempts=st.integers(1, 4),
+           weeks=st.integers(0, 3))
+    def test_sweep_drop_columns_equal_the_fate_oracle(
+            self, seed, loss_rate, profile, addresses, attempts, weeks):
+        """The query-loss column (``Network._query_losses``) and the
+        fault columns under it, against the network's fates written out
+        from scratch: per address, ``attempts`` sends of one flow."""
+        clock = SimClock()
+        clock.advance(weeks * 604800.0)
+        network = Network(clock, seed=seed, loss_rate=loss_rate)
+        plan = None
+        if profile is not None:
+            plan = network.install_faults(FaultPlan(profile, seed=seed))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(util, "LANE_CHUNK", CHUNK)
+            drops = network.sweep_drop_columns(
+                "10.9.8.7", 31000, 53, addresses, {}, attempts=attempts)
+        oracle = FateOracle(clock, seed, loss_rate, 0.0, plan)
+        expected = {}
+        for position, value in enumerate(addresses):
+            for __ in range(attempts):
+                fate = oracle.query("10.9.8.7", 31000, int_to_ip(value), 53)
+                if fate is not None:
+                    reason = None if fate == "loss" else fate
+                    expected.setdefault(
+                        reason, bytearray(len(addresses)))[position] += 1
+        assert {reason: column for reason, column in drops
+                if any(column)} == expected
 
 
 class TestResolverFlap:

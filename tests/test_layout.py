@@ -223,6 +223,27 @@ def test_one_builder(what, pattern, allowed, instead):
         what, sorted(found), allowed, instead)
 
 
+# Where splitmix64's first multiplier is written out: the finaliser, the
+# column kernel, and the two draws inlined per datagram and per probe.
+SPLITMIX = {("util.py", "mix64"), ("util.py", "fate_counts"),
+            ("netsim/network.py", "Network._packet_fate"),
+            ("scanner/ipv4scan.py", "Ipv4Scanner._sweep")}
+
+
+def test_one_column_kernel():
+    """A column of fate draws goes through the lane kernel; only the
+    per-datagram and per-probe draws inline ``mix64``."""
+    found = {(path.relative_to(SRC).as_posix(), function)
+             for path in SRC.rglob("*.py")
+             for function in functions_matching(
+                 path, r"(?i)0xBF58476D1CE4E5B9")}
+    assert found == SPLITMIX, \
+        "splitmix64 written out in %s — draw a column with " \
+        "repro.util.fate_counts(values, rules, draws), one value with " \
+        "repro.util.mix64 (DESIGN.md \"Fault model\")" % sorted(
+            found - SPLITMIX)
+
+
 def test_one_settle_decision():
     """Whether a question settles or takes the wire is decided once per
     datagram; a sender that decides it again grows a second path."""

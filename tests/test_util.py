@@ -3,9 +3,12 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.util import PickTable, apportion, percentage, stable_hash
+from repro import util
+from repro.scanner.delta import _SALT_AUDIT, audit_sample
+from repro.util import (M64, PickTable, apportion, fate_counts,
+                        fate_threshold, mix64, percentage, stable_hash)
 from tests.oracles import weighted_choice
 
 
@@ -25,6 +28,87 @@ class TestStableHash:
     @given(st.text(), st.text())
     def test_range(self, a, b):
         assert 0 <= stable_hash(a, b) <= 0xFFFFFFFF
+
+
+class TestFateThreshold:
+    """The kernel's integer compare against the per-draw float compare."""
+
+    RATES = [0.0, 1e-9, 0.002, 0.05, 0.25, 0.5, 1.0]
+
+    def test_rates_scale_to_integral_and_non_integral_values(self):
+        assert {(rate * 2.0 ** 64).is_integer() for rate in self.RATES} \
+            == {True, False}
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_same_verdict_around_the_threshold(self, rate):
+        threshold = fate_threshold(rate)
+        for draw in (threshold - 1, threshold, threshold + 1):
+            if 0 <= draw <= M64:
+                assert (draw < rate * (M64 + 1)) == (draw < threshold)
+
+
+def draws_oracle(values, rules, draws):
+    """:func:`fate_counts`, one ``mix64`` draw per (value, occurrence)."""
+    columns = [bytearray(len(values)) for __ in rules]
+    for position, value in enumerate(values):
+        for occurrence in range(draws[position]):
+            for column, (base, multiplier, threshold) in zip(columns, rules):
+                if mix64((base ^ value * multiplier) & M64
+                         ^ mix64(occurrence + 1)) < threshold:
+                    column[position] += 1
+                    break
+    return columns
+
+
+# Thresholds: mostly a rate's, sometimes at the draw space's edges
+# (never, draw 0 only, all but M64, always).
+RULES = st.lists(st.tuples(
+    st.integers(0, 1 << 72), st.sampled_from([1, 0x85EBCA77, 0x9E3779B1]),
+    st.one_of(st.floats(0.0, 1.0).map(fate_threshold),
+              st.sampled_from([-1, 0, 1, M64, 1 << 64, (1 << 64) + 5]))),
+    min_size=1, max_size=3)
+
+
+class TestFateCounts:
+    """The lane kernel against one draw per (value, occurrence), across
+    the chunk boundaries (the chunk patched down to 8 lanes)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), rules=RULES,
+           length=st.sampled_from([0, 1, 7, 8, 9, 19]))
+    def test_equals_one_draw_per_occurrence(self, data, rules, length):
+        values = data.draw(st.lists(st.integers(0, 0xFFFFFFFF),
+                                    min_size=length, max_size=length))
+        draws = bytes(data.draw(st.lists(
+            st.one_of(st.integers(1, 6), st.just(0)), min_size=length,
+            max_size=length)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(util, "LANE_CHUNK", 8)
+            got = fate_counts(values, rules, draws)
+        assert got == draws_oracle(values, rules, draws)
+
+    def test_every_lane_of_three_chunks(self):
+        rng = random.Random(5)
+        values = [rng.getrandbits(32) for __ in range(19)]
+        rules = [(rng.getrandbits(64), 0x85EBCA77, fate_threshold(0.3)),
+                 (rng.getrandbits(64), 1, 1 << 63)]
+        draws = bytes(rng.randrange(5) for __ in values)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(util, "LANE_CHUNK", 8)
+            got = fate_counts(values, rules, draws)
+        assert got == draws_oracle(values, rules, draws)
+
+    @settings(max_examples=50, deadline=None)
+    @given(identity=st.integers(0, 1 << 70), epoch=st.integers(0, 1 << 60),
+           values=st.lists(st.integers(0, 0xFFFFFFFF), max_size=40),
+           fraction=st.sampled_from([0.0, 1e-20, 0.2, 0.25, 0.9, 1.0, 1.5]))
+    def test_audit_sample_equals_one_draw_per_value(self, identity, epoch,
+                                                    values, fraction):
+        salt = (_SALT_AUDIT << 56) ^ (identity & M64) ^ ((epoch & M64) << 8)
+        threshold = int(fraction * float(1 << 64))
+        assert audit_sample(identity, epoch, values, fraction) == {
+            value for value in values
+            if mix64(salt ^ (value * 0x9E3779B1)) < threshold}
 
 
 class TestWeightedChoice:
