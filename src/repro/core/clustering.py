@@ -60,9 +60,6 @@ class Dendrogram:
     def __len__(self):
         return len(self.merges)
 
-    def merge_distances(self):
-        return [distance for __, __, distance, __ in self.merges]
-
 
 def _distance_matrix(items, distance_fn):
     n = len(items)

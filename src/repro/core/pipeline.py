@@ -71,10 +71,6 @@ class PipelineReport:
         setattr(self, field, value)
 
     @property
-    def is_degraded(self):
-        return bool(self.degraded)
-
-    @property
     def suspicious_resolvers(self):
         return {capture.capture.resolver_ip for capture in self.labeled}
 

@@ -329,9 +329,6 @@ class ResolverStore:
             else:
                 break  # everything resident is dirty: keep it all
 
-    def resident_weeks(self):
-        return sorted(self._weeks)
-
     # -- content digest ----------------------------------------------------
 
     def digest(self):

@@ -45,9 +45,6 @@ class SnoopingTrace:
     def record(self, tld, timestamp, value):
         self.observations.setdefault(tld, []).append((timestamp, value))
 
-    def values_for(self, tld):
-        return [value for __, value in self.observations.get(tld, [])]
-
     def __repr__(self):
         return "SnoopingTrace(%s, %d TLDs)" % (
             self.resolver_ip, len(self.observations))

@@ -56,7 +56,7 @@ class TestBasics:
         __, dendrogram = hierarchical_cluster([0.0, 0.1, 10.0],
                                               scalar_distance, 100.0)
         assert len(dendrogram) == 2
-        distances = dendrogram.merge_distances()
+        distances = [merge[2] for merge in dendrogram.merges]
         assert distances[0] <= distances[1]
 
     def test_cluster_representative(self):
@@ -115,7 +115,8 @@ class TestAverageLinkageExactness:
         threshold = 5.0
         __, dendrogram = hierarchical_cluster(values, scalar_distance,
                                               threshold)
-        assert all(d <= threshold for d in dendrogram.merge_distances())
+        assert all(distance <= threshold
+                   for __, __, distance, __ in dendrogram.merges)
 
 
 class TestNnChainEquivalence:
@@ -135,8 +136,9 @@ class TestNnChainEquivalence:
             == [frozenset(c.indices) for c in scan_clusters]
         # Merge order is sorted-by-distance in both; distances can only
         # differ by float accumulation order in tied averages.
-        assert chain_dendrogram.merge_distances() \
-            == pytest.approx(scan_dendrogram.merge_distances())
+        assert [merge[2] for merge in chain_dendrogram.merges] \
+            == pytest.approx([merge[2]
+                              for merge in scan_dendrogram.merges])
 
     def test_small_example_identical_history(self):
         chain, scan = self.both([0.0, 0.1, 0.2, 10.0, 10.1, 50.0], 1.0)

@@ -64,14 +64,14 @@ class TestReportDegradation:
         pipeline = make_pipeline(world)
         report = pipeline.run(list(world.resolver_ips.values()),
                               world.catalog)
-        assert not report.is_degraded
+        assert not report.degraded
         assert report.degraded == []
 
     def test_mark_degraded_provenance(self):
         report = PipelineReport()
-        assert not report.is_degraded
+        assert not report.degraded
         report.mark_degraded("acquisition", "boom")
-        assert report.is_degraded
+        assert report.degraded
         assert report.degraded == [{"stage": "acquisition",
                                     "reason": "boom"}]
 
@@ -87,7 +87,7 @@ class TestReportDegradation:
         pipeline.scanner = BrokenScanner()
         report = pipeline.run(list(world.resolver_ips.values()),
                               world.catalog)
-        assert report.is_degraded
+        assert report.degraded
         assert report.degraded[0]["stage"] == "domain_scan"
         assert "exploded" in report.degraded[0]["reason"]
         assert report.observations == []
@@ -210,7 +210,7 @@ class TestErrorBudget:
         report = pipeline.run(list(world.resolver_ips.values()),
                               world.catalog)
         assert not pipeline.acquirer.budget_exhausted
-        assert not report.is_degraded
+        assert not report.degraded
 
     def test_budget_skips_remaining_tuples(self, world):
         from repro.core.prefilter import ResponseTuple
@@ -249,4 +249,4 @@ class TestFetchTimeout:
                               world.catalog)
         assert world.network.fault_counters.get("tcp_stall_absorbed",
                                                 0) > 0
-        assert not report.is_degraded
+        assert not report.degraded

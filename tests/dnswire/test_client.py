@@ -143,7 +143,8 @@ def drive_domainscan(network):
 
 def drive_snooping(network):
     prober = CacheSnoopingProber(network, CLIENT, ["com"], duration_hours=0)
-    return prober.run([SERVER])[0].values_for("com")
+    trace = prober.run([SERVER])[0]
+    return [value for __, value in trace.observations.get("com", [])]
 
 
 def drive_iterative(network):

@@ -48,7 +48,7 @@ class TestFolding:
         directory, __, campaign = campaign_checkpoint
         ingest_fresh(directory, tmp_path)
         reopened = ResolverStore.open(str(tmp_path / "store"))
-        assert reopened.resident_weeks() == []
+        assert not reopened._weeks
         for snapshot in campaign.snapshots:
             assert pickle.dumps(reopened.week(snapshot.week)) \
                 == pickle.dumps(snapshot.result)

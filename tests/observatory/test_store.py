@@ -162,12 +162,12 @@ class TestResidency:
             store.observe(value, week, 0, 0)
             store.put_week(week, make_week([value]))
         # All dirty: nothing evictable yet.
-        assert store.resident_weeks() == [0, 1, 2, 3, 4]
+        assert sorted(store._weeks) == [0, 1, 2, 3, 4]
         store.save()
-        assert len(store.resident_weeks()) <= 2
+        assert len(store._weeks) <= 2
         # Evicted weeks lazy-load from the generation on demand.
         assert responders(store.week(0)) == [values[0]]
-        assert len(store.resident_weeks()) <= 2
+        assert len(store._weeks) <= 2
 
     def test_week_cache_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -12,17 +12,20 @@ import pickle
 
 import pytest
 
+from repro.analysis import churn_survival, country_fluctuation
 from repro.faults import FaultPlan, FaultProfile
 from repro.inetmodel import ChurnModel, LeasedHost
 from repro.netsim.address import int_to_ip
 from repro.netsim.clock import DAY, WEEK
-from repro.obs import FlightRecorder
+from repro.obs import FlightRecorder, Observability
 from repro.resolvers import ResolverNode
 from repro.scanner import (DeltaConfig, ScanCampaign, ScanOptions,
                            ScanResult, ScanTargetSpace, normalize_delta)
 from repro.scanner.delta import (CAUSE_CARRIED, CAUSE_DRIFT,
                                  CAUSE_FULL_SWEEP, CAUSE_GLOBAL_DRIFT,
-                                 audit_sample, delta_summary)
+                                 DELTA_CAUSE_PREFIX, audit_sample,
+                                 delta_summary)
+from repro.scenario import ScenarioConfig, build_scenario
 from tests.conftest import MiniWorld
 
 
@@ -425,3 +428,121 @@ class TestConfigValidation:
         assert overridden.audit_fraction == 0.2
         with pytest.raises(ValueError):
             normalize_delta("sometimes")
+
+
+SCENARIO_WEEKS = 8
+SPIKE_WEEK = 2
+SPIKE_KILL_SHARE = 0.8
+# A delta week may spend at most 1/SAVINGS of a full week's probes.
+SAVINGS = 5
+
+
+def scenario_campaign(delta=None, spike=False):
+    """``SCENARIO_WEEKS`` weeks over a fresh scale-60000 world; the
+    closing week of a delta campaign is a full sweep, as in ``run``."""
+    scenario = build_scenario(ScenarioConfig(scale=60000, seed=7,
+                                             loss_rate=0.0))
+    if spike:
+        Observability(clock=scenario.network.clock,
+                      seed=7).install(scenario.network)
+    campaign = scenario.new_campaign(verify=False, delta=delta)
+    for week in range(SCENARIO_WEEKS):
+        if spike and week == SPIKE_WEEK:
+            # Out-of-model drift: hosts die in pools the churn forecast
+            # calls stable, which only the audits can see.
+            churn = scenario.churn
+            pending = set(churn.pending_churn())
+            victims = [host for host in churn.hosts()
+                       if host.online and host.pool.cidr not in pending]
+            for host in victims[:int(len(victims) * SPIKE_KILL_SHARE)]:
+                churn.take_offline(host)
+        campaign.run_week(force_full=week == SCENARIO_WEEKS - 1)
+    return scenario, campaign
+
+
+@pytest.fixture(scope="module")
+def baseline():
+    return scenario_campaign()
+
+
+@pytest.fixture(scope="module")
+def differential():
+    return scenario_campaign(DeltaConfig(full_sweep_every=4))
+
+
+@pytest.fixture(scope="module")
+def spiked():
+    return scenario_campaign(DeltaConfig(full_sweep_every=4), spike=True)
+
+
+def week_mode(result):
+    [summary] = [entry for entry in delta_entries(result)
+                 if entry.get("kind") == "delta"]
+    return summary["mode"]
+
+
+def full_week_probes(run):
+    __, campaign = run
+    return sum(snapshot.result.probes_sent
+               for snapshot in campaign.snapshots) / SCENARIO_WEEKS
+
+
+def top_countries(run):
+    scenario, campaign = run
+    rows, __ = country_fluctuation(campaign.first().result,
+                                   campaign.last().result, scenario.geoip)
+    return [row["country"] for row in rows]
+
+
+class TestScenarioCampaign:
+    """A differential campaign against one that sweeps every week, over
+    the world ``ScenarioConfig(scale=60000, seed=7, loss_rate=0.0)``:
+    8 weeks, ``DeltaConfig(full_sweep_every=4)``.  The spiked campaign
+    kills 80 % of the online hosts in forecast-stable pools at week 2.
+    Each campaign runs once per module."""
+
+    def test_baseline_finds_responders(self, baseline):
+        assert baseline[1].first().result.responders
+
+    def test_steady_state_is_differential(self, differential):
+        modes = [week_mode(snapshot.result)
+                 for snapshot in differential[1].snapshots]
+        assert modes.count("delta") >= SCENARIO_WEEKS // 2, modes
+
+    def test_a_delta_week_spends_a_fifth_of_a_full_week(self, baseline,
+                                                        differential):
+        probes = [snapshot.result.probes_sent
+                  for snapshot in differential[1].snapshots
+                  if week_mode(snapshot.result) == "delta"]
+        assert probes
+        assert sum(probes) / len(probes) * SAVINGS \
+            <= full_week_probes(baseline)
+
+    def test_verdicts_carried_under_audit(self, differential):
+        totals = delta_summary(differential[1].snapshots)
+        assert totals["carried"] > 0 and totals["audited"] > 0
+
+    def test_figure2_survival_within_two_points(self, baseline,
+                                                differential):
+        drift = [abs(full - delta) for (__, full), (__, delta) in zip(
+            churn_survival(baseline[1].snapshots),
+            churn_survival(differential[1].snapshots))]
+        assert drift and max(drift) <= 2.0
+
+    def test_table1_top_countries_stable(self, baseline, differential):
+        full, delta = top_countries(baseline), top_countries(differential)
+        assert set(full) == set(delta)
+        assert full[:3] == delta[:3]
+
+    def test_spike_escalates_and_reprobes(self, baseline, spiked):
+        result = spiked[1].snapshots[SPIKE_WEEK].result
+        assert [entry for entry in result.provenance
+                if entry.get("status") in ("delta_full_sweep",
+                                           "delta_escalated")]
+        assert result.probes_sent * SAVINGS > full_week_probes(baseline)
+
+    def test_every_recorded_cause_is_delta(self, spiked):
+        recorder = spiked[0].network.recorder
+        assert recorder.event_counts.get("delta", 0) > 0
+        assert all(cause.startswith(DELTA_CAUSE_PREFIX)
+                   for cause in recorder.cause_counts)

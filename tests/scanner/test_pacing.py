@@ -3,7 +3,8 @@
 ``build_pacing_plan`` is a pure recurrence — these tests drive it with
 stub defense boxes to pin the ramp/backoff/breaker/budget behaviour,
 then check the scanner records planned suppressions as first-class
-coverage degradation.
+coverage degradation.  ``TestCoverageFrontier`` holds the coverage
+frontier on a scenario world armed with the hostile population.
 """
 
 import pytest
@@ -17,6 +18,7 @@ from repro.netsim.defense import (
     TokenBucketRateLimiter,
     install_hostile_population,
 )
+from repro.obs import Observability
 from repro.perf import PerfRegistry
 from repro.scanner.ipv4scan import _sweep_columns
 from repro.scanner.pacing import (
@@ -283,6 +285,72 @@ class TestPlanAcrossWeeks:
         assert len(used[1].plane) == len(used[0].plane) + 1
         for plan, rebuilt in zip(used, fresh):
             assert plan_fields(plan) == plan_fields(rebuilt)
+
+
+def frontier_week(hostile, pacing=None, observe=False):
+    """One week over a fresh scale-60000 world, with or without the
+    hostile population."""
+    scenario = build_scenario(ScenarioConfig(scale=60000, seed=7,
+                                             loss_rate=0.0))
+    network = scenario.network
+    if hostile:
+        install_hostile_population(
+            network, scenario.target_space().prefixes, seed=7)
+    if observe:
+        Observability(clock=network.clock, seed=7).install(network)
+    campaign = scenario.new_campaign(verify=False, pacing=pacing)
+    return network, campaign.run_week().result
+
+
+@pytest.fixture(scope="module")
+def passive():
+    return frontier_week(hostile=False)
+
+
+@pytest.fixture(scope="module")
+def naive():
+    return frontier_week(hostile=True)
+
+
+@pytest.fixture(scope="module")
+def adaptive():
+    # The flight recorder rides along: results are equal with and
+    # without it (test_sweep_lattice.py).
+    return frontier_week(hostile=True, pacing="adaptive", observe=True)
+
+
+class TestCoverageFrontier:
+    """Passive (no defenses), naive (defenses, no pacing) and adaptive
+    (defenses, AIMD pacing) weeks over the world
+    ``ScenarioConfig(scale=60000, seed=7, loss_rate=0.0)``, armed with
+    ``install_hostile_population(..., seed=7)``."""
+
+    def test_adaptive_recovers_the_passive_coverage(self, passive,
+                                                    adaptive):
+        ceiling = len(passive[1].responders)
+        assert ceiling > 0
+        assert len(adaptive[1].responders) >= 0.95 * ceiling
+
+    def test_naive_is_worse(self, naive, adaptive):
+        naive, adaptive = naive[1], adaptive[1]
+        assert len(naive.responders) < len(adaptive.responders) \
+            or naive.probes_sent > adaptive.probes_sent
+
+    def test_adaptive_degrades_by_suppressing(self, adaptive):
+        assert adaptive[1].suppressed_targets > 0
+
+    def test_defenses_fire_against_naive(self, naive):
+        assert any(key.startswith("defense:")
+                   for key in naive[0].fault_counters)
+
+    def test_every_lost_probe_has_a_cause(self, adaptive):
+        recorder = adaptive[0].recorder
+        assert all(cause.startswith(("defense:", "fault:"))
+                   for cause in recorder.cause_counts)
+        losses = sum(recorder.event_counts.get(kind, 0)
+                     for kind in ("lost", "response_lost"))
+        assert losses == sum(recorder.cause_counts.values()) \
+            - recorder.event_counts.get("suppressed", 0)
 
 
 class TestCliFlags:

@@ -163,7 +163,7 @@ class TestSnooping:
         assert world.clock.now - start == 3 * 3600
         assert len(traces) == 1
         assert set(traces[0].observations) == {"com", "de"}
-        assert len(traces[0].values_for("com")) == 4  # 0,1,2,3 hours
+        assert len(traces[0].observations["com"]) == 4  # 0,1,2,3 hours
 
     def test_ttl_decays_between_probes(self, world):
         activity = CacheActivityModel(
@@ -173,7 +173,7 @@ class TestSnooping:
         prober = CacheSnoopingProber(world.network, world.client_ip,
                                      ("com",), duration_hours=2)
         trace = prober.run([node.ip])[0]
-        values = trace.values_for("com")
+        values = [value for __, value in trace.observations["com"]]
         assert values[0] > values[1] > values[2]
 
     def test_unreachable_records_none(self, world):
@@ -182,7 +182,8 @@ class TestSnooping:
         prober = CacheSnoopingProber(world.network, world.client_ip,
                                      ("com",), duration_hours=1)
         trace = prober.run([node.ip])[0]
-        assert all(value is None for value in trace.values_for("com"))
+        assert all(value is None
+                   for __, value in trace.observations["com"])
 
 
 class TestDomainScanner:

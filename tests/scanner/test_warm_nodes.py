@@ -80,9 +80,10 @@ def one_process_weeks():
     return run_weeks(*hostile_campaign(shards=1))
 
 
-def test_forked_weeks_start_from_warm_nodes(monkeypatch,
-                                             one_process_weeks):
-    scenario, campaign = hostile_campaign(shards=2)
+@pytest.mark.parametrize("shards", [2, 4])
+def test_forked_weeks_start_from_warm_nodes(monkeypatch, one_process_weeks,
+                                             shards):
+    scenario, campaign = hostile_campaign(shards=shards)
     seen = watch_prewarm(monkeypatch, scenario, campaign)
     assert run_weeks(scenario, campaign) == one_process_weeks
     assert len(seen) == WEEKS

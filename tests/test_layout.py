@@ -286,3 +286,36 @@ def test_one_command_session():
         assert len(re.findall(r"(?<!def )" + re.escape(once),
                               source)) == 1, \
             "%s) has a second call site — use %s" % (once, session)
+
+
+ROOT = SRC.parent.parent
+# What CI, the docs and the skill notes tell a reader to run.
+RUN_BOOKS = [".github/workflows/ci.yml", "README.md", "DESIGN.md"] + sorted(
+    path.relative_to(ROOT).as_posix()
+    for path in ROOT.glob(".*/skills/*/SKILL.md"))
+
+
+@pytest.mark.parametrize("book", RUN_BOOKS)
+def test_documented_benchmark_modules_exist(book):
+    """``python -m benchmarks...`` names a module this tree ships (a
+    command may wrap across lines)."""
+    text = (ROOT / book).read_text()
+    missing = set()
+    for module in re.findall(r"python\s+-m\s+(benchmarks[\w.]*\w)", text):
+        path = ROOT.joinpath(*module.split("."))
+        if not (path.with_suffix(".py").is_file()
+                or (path / "__main__.py").is_file()):
+            missing.add(module)
+    assert not missing, "%s runs %s, which no longer exist" % (
+        book, sorted(missing))
+
+
+def test_committed_bench_files_have_a_writer():
+    """Every root ``BENCH_*.json`` is the ``--out`` default of a script
+    in ``benchmarks/perf/``: a file nothing rewrites goes stale."""
+    written = set()
+    for script in (ROOT / "benchmarks" / "perf").glob("*.py"):
+        written.update(re.findall(r"\"--out\", default=\"(BENCH_\w+\.json)\"",
+                                  script.read_text()))
+    orphans = {path.name for path in ROOT.glob("BENCH_*.json")} - written
+    assert not orphans, "no script writes %s" % sorted(orphans)
